@@ -20,12 +20,14 @@ log offset so that large parameters never overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .fields import FieldError, GridField, reflect
 from .geometry import Grid3, SlabGeometry
@@ -135,16 +137,6 @@ def norm_identity_residual(pp: PhasePair) -> float:
     return out
 
 
-def shifted_frequencies(pp: PhasePair) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ambient frequencies of the alpha-family cross terms, (plus, minus)."""
-    if pp.variant is not Variant.DOUBLE_REFLECTION:
-        return None
-    f = pp.frame
-    plus = f.to_ambient((f.xi_1e, 0.0, 2 * pp.param * f.xi_1e))
-    minus = f.to_ambient((f.xi_1e, 0.0, -2 * pp.param * f.xi_1e))
-    return plus, minus
-
-
 # -- probe box ----------------------------------------------------------------
 
 
@@ -183,6 +175,35 @@ class RemainderReport:
 LATTICE_SHIFT = (0.0, 0.0, 0.5)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.lru_cache(maxsize=4)
+def _box_lattice(grid: Grid3, lattice_shift: tuple) -> tuple:
+    """Shifted frequency lattice of a box: (z0, z1, z2, |zeta|^2, mod, conj(mod)).
+
+    The zeta axes broadcast against each other; mod is the modulation that
+    turns the shifted transform into a plain FFT.  Cached per box and shift,
+    read-only.
+    """
+    zetas = []
+    mods = []
+    for axis, n in enumerate(grid.node_shape):
+        shift = lattice_shift[axis]
+        freq = 2 * np.pi * (scipy.fft.fftfreq(n, d=grid.h) + shift / (n * grid.h))
+        zetas.append(freq)
+        j = np.arange(n)
+        mods.append(np.exp(-2j * np.pi * shift * j / n))
+    z0 = zetas[0][:, None, None]
+    z1 = zetas[1][None, :, None]
+    z2 = zetas[2][None, None, :]
+    mod = (mods[0][:, None, None] * mods[1][None, :, None] * mods[2][None, None, :])
+    return tuple(_frozen(a) for a in
+                 (z0, z1, z2, z0 ** 2 + z1 ** 2 + z2 ** 2, mod, np.conj(mod)))
+
+
 def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
                     max_iter: int = 400, residual_tol: float = 1e-8,
                     projection_rel: float = 1e-8,
@@ -208,20 +229,7 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
     rho_sq = float(np.sum(np.abs(rho) ** 2))
     vol_factor = grid.h ** 3
     n_total = qfield.values.size
-
-    zetas = []
-    mods = []
-    for axis, n in enumerate(grid.node_shape):
-        shift = lattice_shift[axis]
-        freq = 2 * np.pi * (scipy.fft.fftfreq(n, d=grid.h) + shift / (n * grid.h))
-        zetas.append(freq)
-        j = np.arange(n)
-        mods.append(np.exp(-2j * np.pi * shift * j / n))
-    z0 = zetas[0][:, None, None]
-    z1 = zetas[1][None, :, None]
-    z2 = zetas[2][None, None, :]
-    mod = (mods[0][:, None, None] * mods[1][None, :, None] * mods[2][None, None, :])
-    mod_inv = np.conj(mod)
+    z0, z1, z2, zeta_sq, mod, mod_inv = _box_lattice(grid, tuple(lattice_shift))
 
     def tf(arr):
         return scipy.fft.fftn(arr * mod)
@@ -229,7 +237,7 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
     def itf(spec):
         return scipy.fft.ifftn(spec) * mod_inv
 
-    symbol = (z0 ** 2 + z1 ** 2 + z2 ** 2) - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+    symbol = zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
     keep = np.abs(symbol) >= projection_rel * rho_sq
     projected = int(n_total - np.count_nonzero(keep))
     if projected > 1e-3 * n_total:
@@ -237,13 +245,11 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
             f"{projected} of {n_total} Fourier modes near the symbol zero set "
             f"({projected / n_total:.2%} > 0.1%)"
         )
-    mult = np.zeros_like(symbol, dtype=np.complex128)
-    mult[keep] = 1.0 / symbol[keep]
-
     rhs_base = -(qfield.values - k ** 2)
     if np.max(np.abs(rhs_base)) == 0.0:
         psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
         return psi, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
+    mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
 
     psi = np.zeros(grid.node_shape, dtype=np.complex128)
     inc_hist: list[float] = []
@@ -266,8 +272,9 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
         if inc <= 1e-14 * max(1.0, scale):
             break
 
+    psi_hat = tf(psi)
     rhs_hat = tf(rhs_base * (1.0 + psi))
-    lhs_hat = symbol * tf(psi)
+    lhs_hat = symbol * psi_hat
     num = np.sqrt(np.sum(np.abs(lhs_hat[keep] - rhs_hat[keep]) ** 2))
     den = np.sqrt(np.sum(np.abs(rhs_hat[keep]) ** 2))
     residual = float(num / den) if den > 0 else 0.0
@@ -277,9 +284,8 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
             f"{it} sweeps (increase the phase parameter)"
         )
 
-    psi_hat = tf(psi)
     l2 = float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor))
-    grad_sq = np.sum((z0 ** 2 + z1 ** 2 + z2 ** 2) * np.abs(psi_hat) ** 2)
+    grad_sq = np.sum(zeta_sq * np.abs(psi_hat) ** 2)
     grad_sq *= vol_factor / n_total
     h1 = float(np.sqrt(l2 ** 2 + grad_sq))
     report = RemainderReport(l2, h1, it, projected, n_total, residual)
@@ -316,20 +322,26 @@ class OffsetField:
     log_offset: float
 
 
-def interpolate_box(box_field: GridField, x, y, z) -> np.ndarray:
-    """Trilinear periodic interpolation; exact lookup at node coincidences."""
-    grid = box_field.grid
-    vals = box_field.values
-    out_shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
+@functools.lru_cache(maxsize=8)
+def _interp_stencil(box: Grid3, eval_grid: Grid3, mirrored: bool) -> scipy.sparse.csr_array:
+    """Sparse trilinear periodic interpolation from box nodes to evaluation nodes.
+
+    Row p holds the eight corner weights of evaluation node p (of its mirror
+    image (x1, x2, -x3) when `mirrored`), corners ordered (dx, dy, dz)
+    lexicographically.  Cached per grid pair, read-only.
+    """
+    x, y, z = eval_grid.node_coords()
+    shape = eval_grid.node_shape
     coords = []
     fracs = []
-    for axis, c in enumerate((x, y, z)):
-        t = (np.asarray(c, dtype=float) - grid.origin[axis]) / grid.h
+    for axis, c in enumerate((x, y, -z if mirrored else z)):
+        t = (c - box.origin[axis]) / box.h
         i0 = np.floor(t).astype(np.int64)
-        fracs.append(np.broadcast_to(t - i0, out_shape))
-        coords.append(np.broadcast_to(i0, out_shape))
-    n = grid.node_shape
-    acc = np.zeros(out_shape, dtype=np.complex128)
+        fracs.append(np.broadcast_to(t - i0, shape).ravel())
+        coords.append(np.broadcast_to(i0, shape).ravel())
+    n = box.node_shape
+    weights = []
+    cols = []
     for dx in (0, 1):
         wx = (1.0 - fracs[0]) if dx == 0 else fracs[0]
         ix = (coords[0] + dx) % n[0]
@@ -339,8 +351,24 @@ def interpolate_box(box_field: GridField, x, y, z) -> np.ndarray:
             for dz in (0, 1):
                 wz = (1.0 - fracs[2]) if dz == 0 else fracs[2]
                 iz = (coords[2] + dz) % n[2]
-                acc += (wx * wy * wz) * vals[ix, iy, iz]
-    return acc
+                weights.append(wx * wy * wz)
+                cols.append(np.ravel_multi_index((ix, iy, iz), n))
+    n_eval = weights[0].size
+    stencil = scipy.sparse.csr_array(
+        (np.stack(weights, axis=1).ravel(), np.stack(cols, axis=1).ravel(),
+         np.arange(0, 8 * n_eval + 1, 8)),
+        shape=(n_eval, math.prod(n)))
+    for arr in (stencil.data, stencil.indices, stencil.indptr):
+        _frozen(arr)
+    return stencil
+
+
+def interpolate_box(box_field: GridField, eval_grid: Grid3,
+                    mirrored: bool = False) -> np.ndarray:
+    """Trilinear periodic interpolation onto the evaluation nodes (or their
+    mirror images); exact lookup at node coincidences."""
+    stencil = _interp_stencil(box_field.grid, eval_grid, mirrored)
+    return (stencil @ box_field.values.ravel()).reshape(eval_grid.node_shape)
 
 
 @dataclass
@@ -365,25 +393,25 @@ def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi_box: GridField | None,
     Returns (direct, mirrored, log_offset) with both arrays divided by
     exp(log_offset); the mirrored factor evaluates every ingredient at
     x* = (x1, x2, -x3), which makes the antisymmetrized difference vanish
-    identically on the x3 = 0 plane.
+    identically on the x3 = 0 plane.  A missing or identically zero remainder
+    leaves the factor 1 + psi = 1 exactly, so nothing is interpolated.
     """
     x, y, z = eval_grid.node_coords()
-    shape = eval_grid.node_shape
     phase_d = x * rho[0] + y * rho[1] + z * rho[2]
-    phase_m = x * rho[0] + y * rho[1] + (-z) * rho[2]
     offset = float(np.max(phase_d.real))
     if reflected:
+        phase_m = x * rho[0] + y * rho[1] + (-z) * rho[2]
         offset = max(offset, float(np.max(phase_m.real)))
-    if psi_box is not None:
-        one_plus_d = 1.0 + interpolate_box(psi_box, x, y, np.broadcast_to(z, shape))
-        one_plus_m = 1.0 + interpolate_box(psi_box, x, y, np.broadcast_to(-z, shape))
-    else:
-        one_plus_d = np.ones(shape, dtype=np.complex128)
-        one_plus_m = np.ones(shape, dtype=np.complex128)
-    direct = np.exp(np.broadcast_to(phase_d, shape) - offset) * one_plus_d
-    mirrored = None
-    if reflected:
-        mirrored = np.exp(np.broadcast_to(phase_m, shape) - offset) * one_plus_m
+    live = psi_box is not None and bool(np.any(psi_box.values))
+
+    def factor(phase, mirrored):
+        out = np.exp(phase - offset)
+        if live:
+            out *= 1.0 + interpolate_box(psi_box, eval_grid, mirrored)
+        return out
+
+    direct = factor(phase_d, False)
+    mirrored = factor(phase_m, True) if reflected else None
     return direct, mirrored, offset
 
 

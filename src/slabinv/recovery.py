@@ -19,6 +19,7 @@ for the two families, Theta := 1 + |log(delta * star_norm)|.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
@@ -37,7 +38,6 @@ from .cgo import (
     build_probe,
     make_frame,
     make_phase_pair,
-    shifted_frequencies,
 )
 from .fields import (
     FieldError,
@@ -202,7 +202,6 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant,
 @dataclass
 class AnnulusResult:
     estimates: dict
-    diagnostics: list
     failed: dict
 
 
@@ -217,7 +216,6 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
     recorded and skipped.
     """
     estimates: dict = {}
-    diagnostics: list = []
     failed: dict = {}
     for xi in xis:
         key = (float(xi[0]), float(xi[1]), float(xi[2]))
@@ -226,40 +224,17 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
             phase = make_phase_pair(frame, ws.variant, param)
             probe = build_probe(ws.eval_grid, phase, ws.q1_box, ws.q2_box, ws.k)
             pairing = integral_pairing(ws.qdiff, probe)
-            diag = {"xi": key, "pairing": pairing,
-                    "psi1_l2": probe.decay_report["psi1_l2"],
-                    "psi2_l2": probe.decay_report["psi2_l2"]}
             if ws.variant is Variant.SINGLE_REFLECTION:
-                corr = _cross_term(ws.qdiff, probe.u1_reflected, probe.u2_direct)
-                est = pairing + corr
-                diag["reflected_term"] = corr
-                diag["reflected_pure"] = _pure_reflected_single(ws, phase)
+                est = pairing + _cross_term(ws.qdiff, probe.u1_reflected, probe.u2_direct)
             else:
                 corr_p = _cross_term(ws.qdiff, probe.u1_direct, probe.u2_reflected)
                 corr_m = _cross_term(ws.qdiff, probe.u1_reflected, probe.u2_direct)
                 est = pairing + corr_p + corr_m
-                diag["shifted_terms"] = (corr_p, corr_m)
-                s_plus, s_minus = shifted_frequencies(phase)
-                diag["shifted_pure"] = (
-                    complex(ws.qdiff_ft(s_plus)), complex(ws.qdiff_ft(s_minus))
-                )
             estimates[key] = est
-            diagnostics.append(diag)
         except (FrameError, ContractionError, ProjectionError, RecoveryError) as exc:
             failed[key] = str(exc)
             logger.warning("frequency %s skipped: %s", key, exc)
-    return AnnulusResult(estimates, diagnostics, failed)
-
-
-def _pure_reflected_single(ws: ProbeWorkspace, phase) -> complex:
-    """Quadrature of qdiff * exp(i x1e xi_1e - 2 tau xi_1e x3), no remainders."""
-    grid = ws.eval_grid
-    x, y, z = grid.node_coords()
-    e1 = phase.frame.e1
-    x1e = x * e1[0] + y * e1[1]
-    expo = np.exp(1j * x1e * phase.frame.xi_1e - 2.0 * phase.param * phase.frame.xi_1e * z)
-    w = quadrature_weights(grid)
-    return complex(np.sum(w * ws.qdiff.values * expo))
+    return AnnulusResult(estimates, failed)
 
 
 def true_transform(ws: ProbeWorkspace, xi) -> complex:
@@ -304,8 +279,17 @@ class LowFreqResult:
     condition: float
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    t, wq = np.polynomial.legendre.leggauss(n)
+    t.setflags(write=False)
+    wq.setflags(write=False)
+    return t, wq
+
+
 def _design_matrix(s: np.ndarray, halfwidth: float, n_quad: int):
-    t, wq = np.polynomial.legendre.leggauss(n_quad)
+    t, wq = _gauss_legendre(n_quad)
     t = t * halfwidth
     wq = wq * halfwidth
     return np.exp(1j * np.outer(s, t)) * wq, (t, wq)
@@ -343,7 +327,7 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
 def synthetic_line_function(halfwidth: float, rng) -> tuple:
     """Random entire function of exponential type <= halfwidth (for calibration)."""
     n = 24
-    t, wq = np.polynomial.legendre.leggauss(n)
+    t, wq = _gauss_legendre(n)
     t = t * halfwidth
     wq = wq * halfwidth
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
 
-from slabinv import fields
+from slabinv import cgo, fields
 from slabinv.cgo import (
     ContractionError,
     FrameError,
@@ -121,12 +121,30 @@ def test_box_geometry(geom, grid8, box):
 
 
 def test_remainder_zero_rhs(box):
-    # Q identical to k^2 wipes the right-hand side
-    k = 0.7
-    q = GridField(box, np.full(box.node_shape, k * k, dtype=np.complex128))
-    psi, rep = solve_remainder(np.array([1.0, 0.0, 2.0j]), q, k)
-    assert np.max(np.abs(psi.values)) == 0.0
-    assert rep.l2 == 0.0 and rep.iterations == 0
+    # Q identical to k^2 wipes the right-hand side; so does q = 0 at k = 0,
+    # the tau-family second probe
+    for k in (0.7, 0.0):
+        q = GridField(box, np.full(box.node_shape, k * k, dtype=np.complex128))
+        psi, rep = solve_remainder(np.array([1.0, 0.0, 2.0j]), q, k)
+        assert np.max(np.abs(psi.values)) == 0.0
+        assert rep.l2 == 0.0 and rep.h1 == 0.0 and rep.iterations == 0
+
+
+def test_remainder_lattice_cache_keyed_by_spacing():
+    # same node count, different spacing: a warm cache must not mix lattices
+    rho = np.array([3.0 + 0.5j, 1.0 - 2.0j, 0.5 + 3.5j])
+    fields_by_h = []
+    for h in (0.75, 0.5):
+        grid = Grid3(8, 8, 8, h, (-4 * h,) * 3, periodic=True)
+        x, y, z = grid.node_coords()
+        prof = 0.3 * np.exp(-(x ** 2 + y ** 2 + z ** 2)) * np.ones(grid.node_shape)
+        fields_by_h.append(GridField(grid, prof.astype(np.complex128)))
+    warm = [solve_remainder(rho, q, 0.0) for q in fields_by_h]
+    for q, (psi, rep) in zip(fields_by_h, warm):
+        cgo._box_lattice.cache_clear()
+        cold_psi, cold_rep = solve_remainder(rho, q, 0.0)
+        assert np.array_equal(psi.values, cold_psi.values)
+        assert rep == cold_rep
 
 
 def test_remainder_born_quadratic(geom, grid8, box, bump8):
@@ -197,10 +215,13 @@ def test_remainder_non_contraction_error(geom, grid8, box):
         solve_remainder(pp.rho1, qb, 0.0)
 
 
-def test_remainder_projection_guard(q_even_box):
+def test_remainder_projection_guard(box, q_even_box):
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0)
-    with pytest.raises(ProjectionError):
-        solve_remainder(pp.rho1, q_even_box, 0.0, projection_rel=10.0)
+    # a zero right-hand side is still checked
+    q_zero = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
+    for q in (q_even_box, q_zero):
+        with pytest.raises(ProjectionError):
+            solve_remainder(pp.rho1, q, 0.0, projection_rel=10.0)
 
 
 def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
@@ -284,18 +305,66 @@ def test_exponential_factorization(geom, grid8, box):
     assert np.max(np.abs(prod - phase)) < 1e-10
 
 
+def _interpolate_reference(box_field, x, y, z):
+    """Trilinear periodic interpolation at arbitrary points, one gather per corner."""
+    grid = box_field.grid
+    vals = box_field.values
+    out_shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z))
+    coords = []
+    fracs = []
+    for axis, c in enumerate((x, y, z)):
+        t = (np.asarray(c, dtype=float) - grid.origin[axis]) / grid.h
+        i0 = np.floor(t).astype(np.int64)
+        fracs.append(np.broadcast_to(t - i0, out_shape))
+        coords.append(np.broadcast_to(i0, out_shape))
+    n = grid.node_shape
+    acc = np.zeros(out_shape, dtype=np.complex128)
+    for dx in (0, 1):
+        wx = (1.0 - fracs[0]) if dx == 0 else fracs[0]
+        ix = (coords[0] + dx) % n[0]
+        for dy in (0, 1):
+            wy = (1.0 - fracs[1]) if dy == 0 else fracs[1]
+            iy = (coords[1] + dy) % n[1]
+            for dz in (0, 1):
+                wz = (1.0 - fracs[2]) if dz == 0 else fracs[2]
+                iz = (coords[2] + dz) % n[2]
+                acc += (wx * wy * wz) * vals[ix, iy, iz]
+    return acc
+
+
+def _random_box_field(box, seed):
+    rng = np.random.default_rng(seed)
+    return GridField(box, rng.standard_normal(box.node_shape)
+                     + 1j * rng.standard_normal(box.node_shape))
+
+
 def test_interpolation_exact_at_nodes(box):
-    rng = np.random.default_rng(8)
-    f = GridField(box, rng.standard_normal(box.node_shape)
-                  + 1j * rng.standard_normal(box.node_shape))
-    xs = box.axis_nodes(0)[3]
-    ys = box.axis_nodes(1)[5]
-    zs = box.axis_nodes(2)[7]
-    assert interpolate_box(f, xs, ys, zs) == pytest.approx(f.values[3, 5, 7])
+    f = _random_box_field(box, 8)
+    xs, ys, zs = (box.axis_nodes(a)[i] for a, i in enumerate((3, 5, 7)))
+    at_node = Grid3(2, 2, 2, box.h, (xs, ys, zs))
+    assert np.array_equal(interpolate_box(f, at_node), f.values[3:6, 5:8, 7:10])
     # midpoint: average of the two z-neighbours
-    zmid = zs + box.h / 2
+    mid = Grid3(1, 1, 1, box.h, (xs, ys, zs + box.h / 2))
     expected = 0.5 * (f.values[3, 5, 7] + f.values[3, 5, 8])
-    assert interpolate_box(f, xs, ys, zmid) == pytest.approx(expected)
+    assert interpolate_box(f, mid)[0, 0, 0] == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("coarsen", [1, 2])
+def test_interpolation_matches_reference(geom, grid8, coarsen):
+    box = build_box_grid(geom, grid8, padding=0.5, coarsen=coarsen)
+    f = _random_box_field(box, 40 + coarsen)
+    h = grid8.h
+    off_node = Grid3(5, 7, 6, 0.9 * h, (grid8.origin[0] + 0.37 * h,
+                                         grid8.origin[1] + 0.61 * h, -0.13 * h))
+    for eval_grid in (grid8, off_node):
+        x, y, z = eval_grid.node_coords()
+        shape = eval_grid.node_shape
+        for mirrored in (False, True):
+            zz = np.broadcast_to(-z if mirrored else z, shape)
+            want = _interpolate_reference(f, x, y, zz)
+            got = interpolate_box(f, eval_grid, mirrored)
+            assert got.shape == shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_calibrate_min_param(geom, grid8, bump8, box):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from slabinv import boundary, cli, dnmap, fields, forward, geometry
+from slabinv import boundary, cgo, cli, dnmap, fields, forward, geometry, recovery
 from slabinv.harness import SCHEMA_LINE
 
 
@@ -144,6 +144,30 @@ def test_recover_auto_parameters(workdir, capsys):
     # window, so the clamp warning is expected
     assert summary["params"]["r"] >= 2.0
     assert 0 < summary["params"]["lambda"] < 1
+
+
+def test_recover_csv_byte_deterministic(workdir):
+    # the first run starts from empty lattice, stencil and quadrature caches,
+    # the second reuses them; the CSV bytes must not depend on which
+    caches = (cgo._box_lattice, cgo._interp_stencil, recovery._gauss_legendre)
+    for cache in caches:
+        cache.cache_clear()
+    outputs = []
+    misses = []
+    for run in ("cold", "warm"):
+        out = workdir["tmp"] / f"recover_{run}.csv"
+        rc = cli.main([
+            "recover", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+            "--q2", "zero", "--variant", "thm3", "--r", "2.5", "--param", "6.0",
+            "--lambda", "auto", "--spacing", "0.5", "--box-coarsen", "2",
+            "--out", str(out),
+        ])
+        assert rc == 0
+        outputs.append(out.read_bytes())
+        misses.append([cache.cache_info().misses for cache in caches])
+    assert all(misses[0])                 # the cold run filled every cache
+    assert misses[1] == misses[0]         # the warm run built nothing new
+    assert outputs[0] == outputs[1]
 
 
 def test_forward_periodic_mode(workdir):
