@@ -5,11 +5,14 @@ Seven-point Laplacian with Dirichlet elimination on the truncated cylinder
 periodic lateral identification (``periodic`` mode, the oracle configuration
 whose plate problems separate into lateral Fourier modes).  Frequencies k are
 vetted by a numerical admissibility check: the smallest singular value of the
-assembled operator must clear a grid-aware threshold.
+assembled operator, found by shift-invert Lanczos through the operator's own
+factorization, must clear a threshold relative to the lowest eigenvalue of the
+q = 0, k = 0 operator.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -18,11 +21,6 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-
-try:
-    import pyamg
-except ImportError:  # pragma: no cover - optional accelerator
-    pyamg = None
 
 from .boundary import BoundaryField, from_plate_values
 from .fields import GridField
@@ -36,7 +34,11 @@ from .geometry import (
 
 logger = logging.getLogger(__name__)
 
-DIRECT_SOLVE_LIMIT = 25_000
+# SuperLU keeps a diagonal pivot unless it is smaller than this fraction of
+# the largest entry in its column.  The matrix is real symmetric, so the
+# symmetric (A + A^T) ordering survives except where an indefinite k forces a
+# row swap; at 0.1 the relative solve residual at h = 1/8, k = 7 is a few 1e-12.
+DIAG_PIVOT_THRESH = 0.1
 
 TRUNCATED = "truncated"
 PERIODIC = "periodic"
@@ -49,9 +51,7 @@ class SolveError(RuntimeError):
 
 
 class AdmissibilityError(RuntimeError):
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """k is not admissible, or the admissibility eigensolve failed."""
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ class HelmholtzOperator:
     """Assembled matrix for (-Lap_h - k^2 + q) on the active node set."""
 
     def __init__(self, grid: Grid3, geom: SlabGeometry, k: float,
-                 q=None, boundary_mode: str = TRUNCATED,
-                 direct_limit: int = DIRECT_SOLVE_LIMIT):
+                 q=None, boundary_mode: str = TRUNCATED):
         if boundary_mode not in (TRUNCATED, PERIODIC):
             raise ValueError(f"unknown boundary mode {boundary_mode!r}")
         if grid.periodic:
@@ -79,9 +78,7 @@ class HelmholtzOperator:
         self.k = float(k)
         self.q = q
         self.boundary_mode = boundary_mode
-        self.direct_limit = direct_limit
         self._lu_cache = None
-        self._ilu_cache = None
         self._adm_cache: AdmissibilityReport | None = None
         self._build()
 
@@ -150,7 +147,9 @@ class HelmholtzOperator:
     def _lu(self):
         if self._lu_cache is None:
             self._lu_cache = scipy.sparse.linalg.splu(
-                self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A"
+                self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                options=dict(SymmetricMode=True),
             )
         return self._lu_cache
 
@@ -190,38 +189,16 @@ class HelmholtzOperator:
             u = u.real
         return u.reshape(-1)
 
-    def _amg(self):
-        if self._ilu_cache is None:
-            self._ilu_cache = pyamg.smoothed_aggregation_solver(
-                self.matrix.tocsr(), max_coarse=500
-            )
-        return self._ilu_cache
-
-    def _solve_real(self, rhs: np.ndarray) -> np.ndarray:
-        if self.n_active <= self.direct_limit or pyamg is None:
-            return self._lu().solve(rhs)
-        history: list[float] = []
-        x = self._amg().solve(rhs, tol=1e-12, accel="cg", maxiter=400,
-                              residuals=history)
-        scale = np.linalg.norm(rhs)
-        if scale > 0 and np.linalg.norm(self.matrix @ x - rhs) > 1e-11 * scale:
-            x, info = scipy.sparse.linalg.gmres(
-                self.matrix, rhs, x0=x, rtol=1e-13, atol=0.0,
-                M=self._amg().aspreconditioner(), maxiter=400,
-            )
-            if info != 0:
-                raise SolveError("iterative solve stagnated",
-                                 residual_history=[float(r) for r in history])
-        return x
-
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A u = rhs on the active set; enforces relative residual 1e-10."""
         if self._separable():
             u = self._solve_separable(np.asarray(rhs, dtype=np.complex128))
         elif np.iscomplexobj(rhs):
-            u = self._solve_real(rhs.real.copy()) + 1j * self._solve_real(rhs.imag.copy())
+            # real and imaginary parts as one two-column solve
+            x = self._lu().solve(np.array([rhs.real, rhs.imag]).T)
+            u = x[:, 0] + 1j * x[:, 1]
         else:
-            u = self._solve_real(rhs.copy())
+            u = self._lu().solve(rhs)
         scale = np.linalg.norm(rhs)
         if scale > 0:
             res = np.linalg.norm(self.matrix @ u - rhs) / scale
@@ -272,47 +249,74 @@ class HelmholtzOperator:
         return self._adm_cache
 
 
-def _min_singular(op: HelmholtzOperator, seed: int = 0, max_iter: int = 500,
-                  rel_tol: float = 1e-10) -> float:
-    """Smallest singular value by inverse power iteration (symmetric matrix).
+def _start_vector(n: int, seed: int) -> np.ndarray:
+    """Deterministic Lanczos start vector: Philox normals keyed by `seed`."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    return rng.standard_normal(n)
+
+
+def _min_singular(op: HelmholtzOperator, seed: int = 0) -> float:
+    """Smallest singular value by shift-invert Lanczos about zero.
 
     For the real symmetric operator the singular values are the eigenvalue
-    magnitudes, so the dominant eigenvalue of A^-1 gives 1/min_singular.
+    magnitudes, so min_singular is the magnitude of the eigenvalue nearest
+    zero.  ARPACK's inverse is the operator's own solve (the LU factorization,
+    or the lateral-FFT solve in separable mode), started from a Philox vector
+    keyed by `seed`.  An exactly singular factorization gives 0.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    x = rng.standard_normal(op.n_active)
-    x /= np.linalg.norm(x)
+    n = op.n_active
     if op._separable():
-        inverse = lambda v: op._solve_separable(v.astype(np.complex128)).real
+        inverse = op._solve_separable
     else:
-        inverse = op._solve_real
-    est_prev = None
-    for it in range(max_iter):
-        y = inverse(x)
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            raise AdmissibilityError("inverse iteration collapsed", last_iterate=x)
-        est = abs(float(x @ y))  # Rayleigh quotient of A^-1
-        x = y / ny
-        if est_prev is not None and abs(est - est_prev) <= rel_tol * abs(est):
-            return 1.0 / est
-        est_prev = est
-    raise AdmissibilityError(
-        f"inverse power iteration did not converge in {max_iter} steps",
-        last_iterate=x,
-    )
+        try:
+            inverse = op._lu().solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            if "singular" not in str(exc):
+                raise
+            return 0.0
+    opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=inverse, dtype=np.float64)
+    try:
+        vals = scipy.sparse.linalg.eigsh(
+            op.matrix, k=1, sigma=0, which="LM", OPinv=opinv,
+            v0=_start_vector(n, seed), tol=1e-10, ncv=min(8, n),
+            return_eigenvectors=False,
+        )
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise AdmissibilityError(f"shift-invert Lanczos did not converge: {exc}") from exc
+    return abs(float(vals[0]))
 
 
-_LAMBDA1_CACHE: dict = {}
+def _dirichlet_laplacian_1d(n: int, h: float) -> scipy.sparse.csr_array:
+    return scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1],
+                                    shape=(n, n), format="csr") / h ** 2
 
 
+@functools.lru_cache(maxsize=16)
 def reference_eigenvalue(grid: Grid3, geom: SlabGeometry, boundary_mode: str) -> float:
-    """Smallest eigenvalue of the discrete Dirichlet Laplacian (q=0, k=0)."""
-    key = (grid, geom, boundary_mode)
-    if key not in _LAMBDA1_CACHE:
-        op0 = HelmholtzOperator(grid, geom, 0.0, None, boundary_mode)
-        _LAMBDA1_CACHE[key] = _min_singular(op0)
-    return _LAMBDA1_CACHE[key]
+    """Smallest eigenvalue of the discrete Dirichlet Laplacian (q=0, k=0).
+
+    The active set is a lateral node set times the nz - 1 interior layers, so
+    the operator is the Kronecker sum of the lateral 5-point Laplacian and the
+    vertical 3-point one, and its lowest eigenvalue is mu_1 + (4/h^2)
+    sin^2(pi / (2 nz)).  mu_1 = 0 on the periodic lateral torus; on the
+    truncated disc it is the lowest eigenvalue of the 2-D Dirichlet Laplacian
+    (a principal submatrix of the one on the full plate array).
+    """
+    if boundary_mode not in (TRUNCATED, PERIODIC):
+        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
+    h = grid.h
+    vertical = (4.0 / h ** 2) * np.sin(np.pi / (2 * grid.nz)) ** 2
+    if boundary_mode == PERIODIC:
+        return float(vertical)
+    disc = interior_mask(grid, geom)[:, :, 1].ravel()
+    sx, sy, _ = grid.node_shape
+    plate = scipy.sparse.kronsum(_dirichlet_laplacian_1d(sy, h),
+                                 _dirichlet_laplacian_1d(sx, h), format="csr")
+    lateral = plate[disc][:, disc]
+    mu1 = scipy.sparse.linalg.eigsh(lateral, k=1, sigma=0, which="LM",
+                                    v0=_start_vector(lateral.shape[0], 0),
+                                    return_eigenvectors=False)[0]
+    return float(mu1 + vertical)
 
 
 def default_threshold(grid: Grid3, geom: SlabGeometry, boundary_mode: str) -> float:
@@ -321,7 +325,7 @@ def default_threshold(grid: Grid3, geom: SlabGeometry, boundary_mode: str) -> fl
 
 def check_admissible(op: HelmholtzOperator, threshold: float | None = None,
                      seed: int = 0) -> AdmissibilityReport:
-    """Estimate min_singular to ~3 significant digits and compare to threshold."""
+    """Compute min_singular (relative tolerance 1e-10) and compare to threshold."""
     if threshold is None:
         threshold = default_threshold(op.grid, op.geom, op.boundary_mode)
     ms = _min_singular(op, seed=seed)

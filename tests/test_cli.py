@@ -54,6 +54,22 @@ def test_forward_inadmissible_exit_code(workdir):
     assert rc == cli.EXIT_INADMISSIBLE
 
 
+def test_forward_singular_factor_exit_code(workdir, monkeypatch):
+    def singular(self):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(forward.HelmholtzOperator, "_lu", singular)
+    op = forward.HelmholtzOperator(workdir["grid"], workdir["geom"], 0.0, None)
+    rep = forward.check_admissible(op)
+    assert rep.min_singular == 0.0 and not rep.admissible
+    rc = cli.main([
+        "forward", "--config", str(workdir["cfg"]), "--k", "0.0",
+        "--q", str(workdir["qpath"]), "--dirichlet", str(workdir["fpath"]),
+        "--out", str(workdir["tmp"] / "singular.field"),
+    ])
+    assert rc == cli.EXIT_INADMISSIBLE
+
+
 def test_dnmap_and_dnnorm(workdir, capsys):
     m1 = workdir["tmp"] / "dn1.mat"
     m2 = workdir["tmp"] / "dn2.mat"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.boundary import BoundaryField, l2_inner, mode_field
@@ -164,6 +165,17 @@ def test_assemble_dn_deterministic(geom, grid8, op0_8, masked_bases):
     d1 = assemble_dn(op0_8, src, target)
     d2 = assemble_dn(op0_8, src, target)
     assert np.array_equal(d1.matrix, d2.matrix)
+
+
+def test_assemble_dn_matches_partial_pivoting(geom, grid8, bump8, masked_bases):
+    src, _ = masked_bases
+    target = geometry.neumann_patch(geom, Plate.BOTTOM)
+    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    ref_op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    ref_op._lu_cache = scipy.sparse.linalg.splu(ref_op.matrix.tocsc())
+    dn = assemble_dn(op, src, target).matrix
+    ref = assemble_dn(ref_op, src, target).matrix
+    assert np.linalg.norm(dn - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_assemble_dn_near_diagonal_periodic(geom):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from conftest import manufactured_case
 from slabinv import boundary, dnmap, fields, forward, geometry
@@ -9,6 +10,7 @@ from slabinv.forward import (
     AdmissibilityError,
     HelmholtzOperator,
     SolveError,
+    _min_singular,
     check_admissible,
     l2_omega,
     neumann_trace,
@@ -64,6 +66,45 @@ def test_monotone_shift_up(geom, grid8, op0_8):
             >= check_admissible(op0_8).min_singular - 1e-9)
 
 
+def test_reference_eigenvalue_dense_oracle(geom):
+    # the separated value against a dense eigensolve of the assembled q = 0,
+    # k = 0 operator (579 unknowns truncated at h = 1/4)
+    grid = geometry.build_domain(geom, 0.25)
+    for mode in (forward.TRUNCATED, PERIODIC):
+        a0 = HelmholtzOperator(grid, geom, 0.0, None, mode).matrix.toarray()
+        dense = np.linalg.eigvalsh(a0).min()
+        assert reference_eigenvalue(grid, geom, mode) == pytest.approx(dense, rel=1e-12)
+    closed = 4.0 / grid.h ** 2 * np.sin(np.pi * grid.h / (2 * geom.L)) ** 2
+    assert reference_eigenvalue(grid, geom, PERIODIC) == pytest.approx(closed, rel=1e-14)
+
+
+@pytest.mark.parametrize("target_h", [0.25, 0.125])
+def test_reference_eigenvalue_interlacing(geom, target_h):
+    # the truncated operator is a principal submatrix of the periodic one
+    grid = geometry.build_domain(geom, target_h)
+    assert (reference_eigenvalue(grid, geom, forward.TRUNCATED)
+            >= reference_eigenvalue(grid, geom, PERIODIC))
+
+
+@pytest.mark.parametrize("label", ["free", "bump"])
+@pytest.mark.parametrize("k", [0.0, 2.5, 4.5])
+def test_min_singular_dense_oracle(geom, label, k):
+    grid = geometry.build_domain(geom, 0.25)
+    q = fields.radial_bump_potential(grid, geom, 1.0) if label == "bump" else None
+    op = HelmholtzOperator(grid, geom, k, q)
+    dense = np.abs(np.linalg.eigvalsh(op.matrix.toarray())).min()
+    assert _min_singular(op) == pytest.approx(dense, rel=1e-8)
+
+
+def test_lanczos_no_convergence_is_admissibility_error(op0_8, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+    with pytest.raises(AdmissibilityError, match="did not converge"):
+        _min_singular(op0_8)
+
+
 # -- Dirichlet and source solves ----------------------------------------------------
 
 
@@ -96,6 +137,21 @@ def test_manufactured_source_second_order(geom, grid8, bump8):
     v = solve_source(op, w)
     err = l2_omega(GridField(grid8, v.values - uex.values), geom)
     assert err < 1e-3  # fine-grid ratios are covered by the acceptance suite
+
+
+def test_symmetric_mode_pivoting_matches_partial_pivoting(geom, grid8, bump8):
+    # k = 7 is indefinite and admissible; the threshold forces row swaps, so
+    # the factorization leaves the symmetric ordering
+    k = 7.0
+    _, w = manufactured_case(geom, grid8, k=k, q=bump8)
+    op = HelmholtzOperator(grid8, geom, k, bump8)
+    lu = op._lu()
+    assert np.any(lu.perm_r != lu.perm_c)
+    v = solve_source(op, w).values[op.active]  # residual 1e-10 checked inside
+    rhs = w.values[op.active]
+    ref_lu = scipy.sparse.linalg.splu(op.matrix.tocsc())
+    ref = ref_lu.solve(rhs.real.copy()) + 1j * ref_lu.solve(rhs.imag.copy())
+    assert np.linalg.norm(v - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_solver_linearity(geom, grid8, op0_8):
