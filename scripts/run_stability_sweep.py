@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from slabinv import dnmap, fields, forward, geometry, harness
+from slabinv import dnmap, fields, geometry, harness
 from slabinv.cli import VARIANTS
 from slabinv.geometry import Plate
 
@@ -41,17 +41,9 @@ def main() -> int:
     q2 = fields.zero_potential(grid, geom)
     variant = VARIANTS[args.variant]
 
-    op0 = forward.HelmholtzOperator(grid, geom, 0.0, None)
-    src = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom),
-                                     args.basis_n)
-    src.attach_triple_gram(op0)
     plate = Plate.BOTTOM if args.variant == "thm2" else Plate.TOP
-    target = geometry.neumann_patch(geom, plate)
-    tgt = dnmap.build_boundary_basis(grid, target, args.basis_n)
-    dn1 = dnmap.assemble_dn(forward.HelmholtzOperator(grid, geom, 0.0, q1),
-                            src, target)
-    dn2 = dnmap.assemble_dn(forward.HelmholtzOperator(grid, geom, 0.0, q2),
-                            src, target)
+    src, tgt, dn1, dn2 = dnmap.measurement_pair(grid, geom, 0.0, q1, q2, plate,
+                                                args.basis_n)
 
     levels = [float(v) for v in args.noise.split(",")]
     records, theta_fit = harness.stability_sweep(

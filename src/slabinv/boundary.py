@@ -64,7 +64,10 @@ def full_plate_square(grid: Grid3) -> SquareGrid2:
 
 @dataclass(frozen=True)
 class BoundaryField:
-    """Complex samples on a patch bounding square, zero outside by convention."""
+    """Complex samples on a patch bounding square, zero outside by convention.
+
+    A leading axis of length m makes a block of m fields on the same square.
+    """
 
     patch: BoundaryPatch
     square: SquareGrid2
@@ -72,7 +75,7 @@ class BoundaryField:
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if vals.shape != self.square.node_shape:
+        if vals.ndim not in (2, 3) or vals.shape[-2:] != self.square.node_shape:
             raise BoundaryError(
                 f"values shape {vals.shape} != square nodes {self.square.node_shape}"
             )
@@ -90,13 +93,15 @@ class BoundaryField:
     def masked(self) -> "BoundaryField":
         return self.copy_with(np.where(self.patch_mask(), self.values, 0.0))
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2)) * self.square.h)
+    def l2_norm(self):
+        """Plate L^2 norm; one per field (an array) for a block."""
+        norm = np.sqrt(np.sum(np.abs(self.values) ** 2, axis=(-2, -1))) * self.square.h
+        return float(norm) if norm.ndim == 0 else norm
 
     def plate_values(self, grid: Grid3) -> np.ndarray:
         """Zero-extend onto the full plate node grid of `grid`."""
         sx, sy, _ = grid.node_shape
-        out = np.zeros((sx, sy), dtype=np.complex128)
+        out = np.zeros(self.values.shape[:-2] + (sx, sy), dtype=np.complex128)
         i0 = round((self.square.x0 - grid.origin[0]) / grid.h)
         j0 = round((self.square.y0 - grid.origin[1]) / grid.h)
         ni, nj = self.square.node_shape
@@ -105,18 +110,19 @@ class BoundaryField:
             # carry ns+1 nodes) overwrites node 0 with an identical value.
             ii = (i0 + np.arange(ni)) % grid.nx
             jj = (j0 + np.arange(nj)) % grid.ny
-            out[np.ix_(ii, jj)] = self.values
+            out[(...,) + np.ix_(ii, jj)] = self.values
             return out
         if i0 < 0 or j0 < 0 or i0 + ni > sx or j0 + nj > sy:
             raise BoundaryError("bounding square does not fit inside the plate")
-        out[i0:i0 + ni, j0:j0 + nj] = self.values
+        out[..., i0:i0 + ni, j0:j0 + nj] = self.values
         return out
 
 
 def from_plate_values(grid: Grid3, patch: BoundaryPatch, plate_vals: np.ndarray,
                       square: SquareGrid2 | None = None,
                       apply_mask: bool = True) -> BoundaryField:
-    """Window full-plate node samples down to the patch bounding square."""
+    """Window full-plate node samples (optionally a block of them) down to the
+    patch bounding square."""
     sq = bounding_square(grid, patch) if square is None else square
     i0 = round((sq.x0 - grid.origin[0]) / grid.h)
     j0 = round((sq.y0 - grid.origin[1]) / grid.h)
@@ -124,9 +130,9 @@ def from_plate_values(grid: Grid3, patch: BoundaryPatch, plate_vals: np.ndarray,
     if grid.periodic:
         ii = (i0 + np.arange(ni)) % grid.nx
         jj = (j0 + np.arange(nj)) % grid.ny
-        vals = plate_vals[np.ix_(ii, jj)].astype(np.complex128)
+        vals = plate_vals[(...,) + np.ix_(ii, jj)].astype(np.complex128)
     else:
-        vals = plate_vals[i0:i0 + ni, j0:j0 + nj].astype(np.complex128)
+        vals = plate_vals[..., i0:i0 + ni, j0:j0 + nj].astype(np.complex128)
     bf = BoundaryField(patch, sq, vals)
     return bf.masked() if apply_mask else bf
 

@@ -129,20 +129,16 @@ def _cmd_cgo_check(args) -> int:
     return 0
 
 
+def _measurement_plate(variant) -> geometry.Plate:
+    if variant is recovery.Variant.SINGLE_REFLECTION:
+        return geometry.Plate.BOTTOM
+    return geometry.Plate.TOP
+
+
 def _auto_parameters(args, geom, grid, q1, q2, variant, lam):
     """Schedule (r, param) from a measured star norm on a small basis."""
-    op0 = forward.HelmholtzOperator(grid, geom, args.k, None)
-    op1 = forward.HelmholtzOperator(grid, geom, args.k, q1)
-    op2 = forward.HelmholtzOperator(grid, geom, args.k, q2)
-    src = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom),
-                                     args.basis_n)
-    src.attach_triple_gram(op0)
-    plate = (geometry.Plate.BOTTOM if variant is recovery.Variant.SINGLE_REFLECTION
-             else geometry.Plate.TOP)
-    target = geometry.neumann_patch(geom, plate)
-    tgt = dnmap.build_boundary_basis(grid, target, args.basis_n)
-    d1 = dnmap.assemble_dn(op1, src, target)
-    d2 = dnmap.assemble_dn(op2, src, target)
+    src, tgt, d1, d2 = dnmap.measurement_pair(grid, geom, args.k, q1, q2,
+                                              _measurement_plate(variant), args.basis_n)
     star = dnmap.op_norm_star(d1.matrix - d2.matrix, src, tgt)
     c = 4.0 * (2.0 * geom.R + geom.L) + 2.0
     choice = recovery.choose_parameters(args.delta, star, lam, c, variant)
@@ -247,18 +243,8 @@ def _cmd_sweep(args) -> int:
     q2 = _load_potential(args.q2, geom, grid)
     variant = VARIANTS[args.variant]
     noise = [float(v) for v in args.noise.split(",")]
-    op0 = forward.HelmholtzOperator(grid, geom, args.k, None)
-    op1 = forward.HelmholtzOperator(grid, geom, args.k, q1)
-    op2 = forward.HelmholtzOperator(grid, geom, args.k, q2)
-    src = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom),
-                                     args.basis_n)
-    src.attach_triple_gram(op0)
-    plate = (geometry.Plate.BOTTOM if variant is recovery.Variant.SINGLE_REFLECTION
-             else geometry.Plate.TOP)
-    target = geometry.neumann_patch(geom, plate)
-    tgt = dnmap.build_boundary_basis(grid, target, args.basis_n)
-    dn1 = dnmap.assemble_dn(op1, src, target)
-    dn2 = dnmap.assemble_dn(op2, src, target)
+    src, tgt, dn1, dn2 = dnmap.measurement_pair(grid, geom, args.k, q1, q2,
+                                                _measurement_plate(variant), args.basis_n)
     records, theta_fit = harness.stability_sweep(
         q1, q2, args.k, variant, noise, args.trials, args.seed,
         src_basis=src, tgt_basis=tgt, dn1=dn1, dn2=dn2, delta=args.delta,

@@ -28,15 +28,23 @@ from .boundary import (
     sine_coefficients,
     sine_frequencies,
 )
+from .fields import Potential
 from .forward import (
     HelmholtzOperator,
     SolveError,
     l2_omega,
     neumann_trace,
-    omega_weights,
+    omega_rows,
     solve_dirichlet,
 )
-from .geometry import BoundaryPatch, Grid3
+from .geometry import (
+    BoundaryPatch,
+    Grid3,
+    Plate,
+    SlabGeometry,
+    dirichlet_patch,
+    neumann_patch,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -48,25 +56,32 @@ class NormDegeneracyError(RuntimeError):
 class BoundaryBasis:
     """Ordered sine modes on a patch bounding square, masked to the patch.
 
+    `block` holds the modes as one block field and `functions` are its rows.
     gram_h32 is the H^{3/2} Gram matrix of the (masked) modes; gram_triple
-    (one free solve per mode, cached here) is attached on demand because it
+    (one block of free solves, cached here) is attached on demand because it
     depends on the frequency k and the domain.
     """
 
     def __init__(self, patch: BoundaryPatch, square: SquareGrid2,
                  functions: list[BoundaryField], n_modes: int):
-        self.patch = patch
-        self.square = square
-        self.functions = functions
+        self._set_functions(patch, square, functions)
         self.n_modes = n_modes
-        self._coef = np.stack([sine_coefficients(f).ravel() for f in functions])
+        coef = np.stack([sine_coefficients(f).ravel() for f in functions])
         w32 = (1.0 + sine_frequencies(square).ravel()) ** 1.5
-        self.gram_h32 = np.real(np.conj(self._coef) * w32 @ self._coef.T)
-        self.gram_triple: np.ndarray | None = None
-        self._triple_key = None
+        self.gram_h32 = np.real(np.conj(coef) * w32 @ coef.T)
         cond = np.linalg.cond(self.gram_h32)
         logger.info("boundary basis %dx%d modes: H^{3/2} Gram condition %.3e",
                     n_modes, n_modes, cond)
+
+    def _set_functions(self, patch, square, functions):
+        self.patch = patch
+        self.square = square
+        self.block = BoundaryField(patch, square, np.stack([f.values for f in functions]))
+        self.functions = [BoundaryField(patch, square, v) for v in self.block.values]
+        self.gram_triple: np.ndarray | None = None
+        self._triple_key = None
+        self._dual_cache = None
+        self._triple_checked = None
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -77,22 +92,14 @@ class BoundaryBasis:
         """Basis carrying only functions (no spectral Grams); for DN assembly
         with oracle bases such as periodic exponentials."""
         basis = cls.__new__(cls)
-        basis.patch = patch
-        basis.square = square
-        basis.functions = functions
+        basis._set_functions(patch, square, functions)
         basis.n_modes = 0
-        basis._coef = None
         basis.gram_h32 = None
-        basis.gram_triple = None
-        basis._triple_key = None
         return basis
 
-    @property
-    def weighted_coef(self) -> np.ndarray:
-        return self._coef
-
     def attach_triple_gram(self, op0: HelmholtzOperator) -> np.ndarray:
-        """Gram matrix of the free solutions in L^2 over the truncated domain.
+        """Gram matrix S^T W S of the free solutions in L^2 over the truncated
+        domain, from one block solve.
 
         op0 must carry q = 0; the result is cached per (grid, k, mode).
         """
@@ -101,20 +108,41 @@ class BoundaryBasis:
         key = (op0.grid, op0.k, op0.boundary_mode)
         if self._triple_key == key and self.gram_triple is not None:
             return self.gram_triple
-        w = omega_weights(op0.grid, op0.geom)
-        sols = [solve_dirichlet(op0, f).values for f in self.functions]
-        m = len(sols)
-        gram = np.empty((m, m), dtype=np.complex128)
-        for i in range(m):
-            wi = w * np.conj(sols[i])
-            for j in range(i, m):
-                gram[i, j] = np.sum(wi * sols[j])
-                gram[j, i] = np.conj(gram[i, j])
-        self.gram_triple = np.real(gram)
+        rows = omega_rows(solve_dirichlet(op0, self.block), op0.geom)
+        self.gram_triple = np.real(rows.conj() @ rows.T)
         self._triple_key = key
         cond = np.linalg.cond(self.gram_triple)
         logger.info("triple-norm Gram condition %.3e at k=%g", cond, op0.k)
         return self.gram_triple
+
+    def dual_factors(self) -> tuple[np.ndarray, tuple]:
+        """Conjugated stacked modes and the Cholesky factor of gram_h32.
+
+        Both depend on the basis only, so they are computed once.
+        """
+        if self._dual_cache is None:
+            try:
+                cho = scipy.linalg.cho_factor(self.gram_h32)
+            except scipy.linalg.LinAlgError as exc:
+                raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
+            self._dual_cache = (np.conj(self.block.values.reshape(len(self), -1)), cho)
+        return self._dual_cache
+
+    def checked_triple_gram(self) -> np.ndarray:
+        """gram_triple after its positive-definiteness check (once per Gram)."""
+        g = self.gram_triple
+        if g is None:
+            raise NormDegeneracyError(
+                "source basis carries no triple-norm Gram; call attach_triple_gram first"
+            )
+        if self._triple_checked is not g:
+            lam_min = float(np.min(scipy.linalg.eigvalsh(g)))
+            if lam_min <= 1e-14 * float(np.max(np.abs(g))):
+                raise NormDegeneracyError(
+                    f"triple-norm Gram is numerically singular (min eigenvalue {lam_min:.3e})"
+                )
+            self._triple_checked = g
+        return g
 
 
 def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
@@ -147,28 +175,21 @@ def _pairings(r: BoundaryField, basis: BoundaryBasis) -> np.ndarray:
     if r.square != basis.square:
         raise BoundaryError("field and test basis live on different squares")
     h2 = r.square.h ** 2
-    stack = np.stack([f.values.ravel() for f in basis.functions])
-    return h2 * (np.conj(stack) @ r.values.ravel())
+    return h2 * (basis.dual_factors()[0] @ r.values.ravel())
 
 
 def norm_hm32(r: BoundaryField, test_basis: BoundaryBasis) -> float:
     """Dual norm sup |<r, g>| / ||g||_{H^{3/2}} over the span of the test basis."""
     p = _pairings(r, test_basis)
-    try:
-        cho = scipy.linalg.cho_factor(test_basis.gram_h32)
-    except scipy.linalg.LinAlgError as exc:
-        raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
-    val = np.real(np.vdot(p, scipy.linalg.cho_solve(cho, p)))
+    val = np.real(np.vdot(p, scipy.linalg.cho_solve(test_basis.dual_factors()[1], p)))
     return float(np.sqrt(max(val, 0.0)))
 
 
 def hm32_maximizer(r: BoundaryField, test_basis: BoundaryBasis) -> BoundaryField:
     """The test function attaining the dual norm (inverse-Gram image of r)."""
     p = _pairings(r, test_basis)
-    cho = scipy.linalg.cho_factor(test_basis.gram_h32)
-    c = scipy.linalg.cho_solve(cho, p)
-    vals = np.tensordot(c, np.array([f.values for f in test_basis.functions]),
-                        axes=(0, 0))
+    c = scipy.linalg.cho_solve(test_basis.dual_factors()[1], p)
+    vals = np.tensordot(c, test_basis.block.values, axes=(0, 0))
     return BoundaryField(test_basis.patch, test_basis.square, vals)
 
 
@@ -201,31 +222,40 @@ class DnOperator:
         self.k = k
         self.q_label = q_label
 
-    def column_field(self, j: int) -> BoundaryField:
-        vals = self.matrix[:, j].reshape(self.target_square.node_shape)
-        return BoundaryField(self.target_patch, self.target_square, vals)
-
 
 def assemble_dn(op: HelmholtzOperator, basis: BoundaryBasis,
                 target: BoundaryPatch, q_label: str = "") -> DnOperator:
-    """One forward solve per basis column; deterministic given equal inputs."""
+    """One block solve over the basis; deterministic given equal inputs."""
     tsq = bounding_square(op.grid, target)
-    cols = []
-    for j, f in enumerate(basis.functions):
-        try:
-            u = solve_dirichlet(op, f)
-        except SolveError as exc:
-            raise SolveError(f"DN column {j} failed: {exc}",
-                             residual_history=exc.residual_history) from exc
-        tr = neumann_trace(u, target)
-        cols.append(tr.values.ravel())
-    matrix = np.stack(cols, axis=1)
+    try:
+        u = solve_dirichlet(op, basis.block)
+    except SolveError as exc:
+        raise SolveError(f"DN column(s) {exc.columns} failed: {exc}",
+                         residual_history=exc.residual_history,
+                         columns=exc.columns) from exc
+    tr = neumann_trace(u, target)
+    matrix = np.ascontiguousarray(tr.values.reshape(len(basis), -1).T)
     return DnOperator(matrix, basis, target, tsq, op.k, q_label)
 
 
-def apply_dn(dn: DnOperator, coef: np.ndarray) -> BoundaryField:
-    vals = (dn.matrix @ coef).reshape(dn.target_square.node_shape)
-    return BoundaryField(dn.target_patch, dn.target_square, vals)
+def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
+                     q2: Potential, plate: Plate, basis_n: int):
+    """Source basis (with its triple Gram), test basis and the DN maps of q1
+    and q2 from the Dirichlet patch to the Neumann patch on `plate`.
+
+    An identically zero potential reuses the free operator, whose matrix it
+    shares.  Returns (src_basis, tgt_basis, dn1, dn2).
+    """
+    op0 = HelmholtzOperator(grid, geom, k, None)
+    src = build_boundary_basis(grid, dirichlet_patch(geom), basis_n)
+    target = neumann_patch(geom, plate)
+    tgt = build_boundary_basis(grid, target, basis_n)
+    dns = []
+    for q in (q1, q2):
+        op = HelmholtzOperator(grid, geom, k, q) if np.any(q.field.values) else op0
+        dns.append(assemble_dn(op, src, target))
+    src.attach_triple_gram(op0)
+    return src, tgt, dns[0], dns[1]
 
 
 # -- the operator norm ----------------------------------------------------------
@@ -234,24 +264,11 @@ def apply_dn(dn: DnOperator, coef: np.ndarray) -> BoundaryField:
 def _star_pencil(matrix: np.ndarray, src_basis: BoundaryBasis,
                  tgt_basis: BoundaryBasis) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian pencil (M, G) whose top eigenvalue is the squared star norm."""
-    if src_basis.gram_triple is None:
-        raise NormDegeneracyError(
-            "source basis carries no triple-norm Gram; call attach_triple_gram first"
-        )
+    g = src_basis.checked_triple_gram()
     h2 = tgt_basis.square.h ** 2
-    stack = np.stack([f.values.ravel() for f in tgt_basis.functions])
-    pair = h2 * (np.conj(stack) @ matrix)          # (m_t, n_src)
-    try:
-        cho = scipy.linalg.cho_factor(tgt_basis.gram_h32)
-    except scipy.linalg.LinAlgError as exc:
-        raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
+    conj_stack, cho = tgt_basis.dual_factors()
+    pair = h2 * (conj_stack @ matrix)          # (m_t, n_src)
     m_mat = np.conj(pair).T @ scipy.linalg.cho_solve(cho, pair)
-    g = src_basis.gram_triple
-    lam_min = float(np.min(scipy.linalg.eigvalsh(g)))
-    if lam_min <= 1e-14 * float(np.max(np.abs(g))):
-        raise NormDegeneracyError(
-            f"triple-norm Gram is numerically singular (min eigenvalue {lam_min:.3e})"
-        )
     return m_mat, g
 
 
@@ -266,31 +283,6 @@ def op_norm_star(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
     m_mat, g = _star_pencil(matrix_diff, src_basis, tgt_basis)
     vals = scipy.linalg.eigh(m_mat, g, eigvals_only=True)
     return float(np.sqrt(max(float(vals[-1]), 0.0)))
-
-
-def op_norm_star_power(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
-                       tgt_basis: BoundaryBasis, seed: int = 0,
-                       max_iter: int = 500, rel_tol: float = 1e-6) -> float:
-    """Power-iteration evaluation of the star norm (cross-check oracle)."""
-    m_mat, g = _star_pencil(matrix_diff, src_basis, tgt_basis)
-    n = m_mat.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], np.uint64)))
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    cho_g = scipy.linalg.cho_factor(g)
-    lam_prev = None
-    for _ in range(max_iter):
-        z = scipy.linalg.cho_solve(cho_g, m_mat @ c)
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            return 0.0
-        c = z / nz
-        num = np.real(np.vdot(c, m_mat @ c))
-        den = np.real(np.vdot(c, g @ c))
-        lam = num / den
-        if lam_prev is not None and abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
-            break
-        lam_prev = lam
-    return float(np.sqrt(max(lam, 0.0)))
 
 
 # -- matrix file format ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Grid-sampled complex fields, compactly supported potentials, reflections.
 
-Fields are stored node-wise as complex128 arrays of shape ``grid.node_shape``
-indexed ``values[ix, iy, iz]``.  The Fourier transform convention throughout
-is
+Fields are stored node-wise as complex128 (float64 for real samples) arrays
+of shape ``grid.node_shape`` indexed ``values[ix, iy, iz]``.  The Fourier
+transform convention throughout is
 
     FT(f)(xi) = integral of exp(+i x . xi) f(x) dx
 
@@ -26,12 +26,20 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class GridField:
+    """Node samples on `grid`; a leading axis of length m makes a block of m fields.
+
+    Samples are complex128, or float64 when given real (real data solve to
+    real fields, at half the memory).
+    """
+
     grid: Grid3
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if vals.shape != self.grid.node_shape:
+        vals = np.asarray(self.values)
+        real = vals.dtype.kind in "biuf"
+        vals = np.ascontiguousarray(vals, dtype=np.float64 if real else np.complex128)
+        if vals.ndim not in (3, 4) or vals.shape[-3:] != self.grid.node_shape:
             raise FieldError(
                 f"values shape {vals.shape} does not match grid nodes {self.grid.node_shape}"
             )
@@ -41,10 +49,6 @@ class GridField:
 
     def copy_with(self, values: np.ndarray) -> "GridField":
         return GridField(self.grid, values)
-
-    @property
-    def real_part(self) -> np.ndarray:
-        return self.values.real
 
 
 def field_from_function(grid: Grid3, func) -> GridField:

@@ -45,9 +45,12 @@ PERIODIC = "periodic"
 
 
 class SolveError(RuntimeError):
-    def __init__(self, message, residual_history=None):
+    """A solve failed; `columns` lists the failing columns of a block solve."""
+
+    def __init__(self, message, residual_history=None, columns=()):
         super().__init__(message)
         self.residual_history = residual_history or []
+        self.columns = list(columns)
 
 
 class AdmissibilityError(RuntimeError):
@@ -160,20 +163,20 @@ class HelmholtzOperator:
         )
 
     def _solve_separable(self, rhs: np.ndarray) -> np.ndarray:
-        """FFT over the periodic lateral axes, Thomas sweeps in the vertical."""
+        """Lateral FFT and vertical Thomas sweeps for rhs of shape (n,) or (n, m)."""
         grid = self.grid
         nx, ny, nz = grid.nx, grid.ny, grid.nz
         h2 = grid.h ** 2
-        r3 = rhs.reshape(nx, ny, nz - 1)
-        rhat = scipy.fft.fft2(r3, axes=(0, 1))
+        r4 = rhs.reshape(nx, ny, nz - 1, -1)
+        rhat = scipy.fft.fft2(r4, axes=(0, 1))
         mx = np.arange(nx)[:, None, None]
         my = np.arange(ny)[None, :, None]
         lam = (4.0 / h2) * (np.sin(np.pi * mx / nx) ** 2 + np.sin(np.pi * my / ny) ** 2)
-        diag = np.broadcast_to(2.0 / h2 - self.k ** 2 + lam, (nx, ny, nz - 1)).copy()
+        diag = np.broadcast_to(2.0 / h2 - self.k ** 2 + lam, (nx, ny, nz - 1))[..., None]
         off = -1.0 / h2
-        # vectorized Thomas algorithm across all lateral modes
-        cp = np.zeros((nx, ny, nz - 2), dtype=np.complex128)
-        dp = np.zeros((nx, ny, nz - 1), dtype=np.complex128)
+        # vectorized Thomas algorithm across all lateral modes and columns
+        cp = np.zeros((nx, ny, nz - 2, 1), dtype=np.complex128)
+        dp = np.zeros(rhat.shape, dtype=np.complex128)
         denom = diag[:, :, 0].astype(np.complex128)
         dp[:, :, 0] = rhat[:, :, 0] / denom
         for j in range(1, nz - 1):
@@ -187,24 +190,35 @@ class HelmholtzOperator:
         u = scipy.fft.ifft2(uhat, axes=(0, 1))
         if not np.iscomplexobj(rhs):
             u = u.real
-        return u.reshape(-1)
+        return u.reshape(rhs.shape)
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A u = rhs on the active set; enforces relative residual 1e-10."""
+        """Solve A u = rhs on the active set for rhs of shape (n,) or (n, m).
+
+        One factorization and one solve call serve every column; a complex
+        block goes through the real LU as its real and imaginary halves.
+        Each column must reach relative residual 1e-10, else SolveError names
+        the failing columns and carries every column's residual.
+        """
         if self._separable():
             u = self._solve_separable(np.asarray(rhs, dtype=np.complex128))
         elif np.iscomplexobj(rhs):
-            # real and imaginary parts as one two-column solve
-            x = self._lu().solve(np.array([rhs.real, rhs.imag]).T)
-            u = x[:, 0] + 1j * x[:, 1]
+            m = rhs.size // len(rhs)
+            x = self._lu().solve(np.column_stack([rhs.real, rhs.imag]))
+            u = (x[:, :m] + 1j * x[:, m:]).reshape(rhs.shape)
         else:
             u = self._lu().solve(rhs)
-        scale = np.linalg.norm(rhs)
-        if scale > 0:
-            res = np.linalg.norm(self.matrix @ u - rhs) / scale
-            if res > 1e-10:
-                raise SolveError(f"solver residual {res:.3e} exceeds 1e-10",
-                                 residual_history=[res])
+        resid = self.matrix @ u
+        resid -= rhs
+        scale = _column_norms(rhs)
+        res = np.divide(_column_norms(resid), scale,
+                        out=np.zeros_like(scale), where=scale > 0)
+        bad = np.flatnonzero(res > 1e-10)
+        if bad.size:
+            raise SolveError(
+                f"solver residual {res.max():.3e} exceeds 1e-10 in column(s) "
+                f"{bad.tolist()}",
+                residual_history=np.atleast_1d(res).tolist(), columns=bad.tolist())
         return u
 
     def apply_pde(self, field: GridField) -> np.ndarray:
@@ -242,11 +256,20 @@ class HelmholtzOperator:
         return np.where(self.active, out, 0.0)
 
     def admissibility(self, threshold: float | None = None) -> AdmissibilityReport:
-        if self._adm_cache is None or (
-            threshold is not None and threshold != self._adm_cache.threshold
-        ):
-            self._adm_cache = check_admissible(self, threshold)
-        return self._adm_cache
+        """The default-threshold check, computed once; another threshold only
+        changes the comparison with the cached min_singular."""
+        if self._adm_cache is None:
+            self._adm_cache = check_admissible(self)
+        rep = self._adm_cache
+        if threshold is None or threshold == rep.threshold:
+            return rep
+        return AdmissibilityReport(self.k, rep.min_singular,
+                                   bool(rep.min_singular > threshold), threshold)
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """2-norm of each column of an (n,) or (n, m) array, without an (n, m) temporary."""
+    return np.sqrt(np.einsum("i...,i...->...", a.conj(), a).real)
 
 
 def _start_vector(n: int, seed: int) -> np.ndarray:
@@ -342,38 +365,44 @@ def _require_admissible(op: HelmholtzOperator):
 
 
 def _top_plate_rhs(op: HelmholtzOperator, fplate: np.ndarray) -> np.ndarray:
-    """Dirichlet elimination: top-plate data couples to the adjacent layer."""
+    """Dirichlet elimination: top-plate data (sx, sy) or (m, sx, sy) couples to
+    the adjacent layer, giving a right-hand side (n,) or (n, m) of its dtype."""
     grid = op.grid
     sz = grid.node_shape[2]
-    rhs = np.zeros(op.n_active, dtype=np.complex128)
     layer = op.active[:, :, sz - 2]
     ids = op.index[:, :, sz - 2][layer]
-    rhs[ids] = fplate[layer] / grid.h ** 2
+    rhs = np.zeros((op.n_active,) + fplate.shape[:-2], dtype=fplate.dtype)
+    rhs[ids] = fplate[..., layer].T / grid.h ** 2
     return rhs
 
 
 def solve_dirichlet(op: HelmholtzOperator, f: BoundaryField) -> GridField:
-    """Solve with data f on the top plate, zero on the bottom plate and laterally."""
+    """Solve with data f on the top plate, zero on the bottom plate and laterally.
+
+    A block of data gives the block of solutions from one solve; real data
+    stay real throughout.
+    """
     _require_admissible(op)
     grid = op.grid
     fplate = f.plate_values(grid)
+    if not np.any(fplate.imag):
+        fplate = fplate.real
     if op.boundary_mode == TRUNCATED:
         r = grid.lateral_radius()[:, :, 0]
-        bad = np.abs(fplate[r >= op.geom.R_lat])
+        bad = np.abs(fplate[..., r >= op.geom.R_lat])
         if bad.size and bad.max() > 0:
             raise SolveError("Dirichlet data must vanish outside the truncated plate")
-    rhs = _top_plate_rhs(op, fplate)
-    u = op.solve_interior(rhs)
-    out = np.zeros(grid.node_shape, dtype=np.complex128)
-    out[op.active] = u
+    u = op.solve_interior(_top_plate_rhs(op, fplate))
+    out = np.zeros(fplate.shape[:-2] + grid.node_shape, dtype=np.result_type(u, fplate))
+    out[..., op.active] = u.T
     sz = grid.node_shape[2]
     if op.boundary_mode == TRUNCATED:
         r = grid.lateral_radius()[:, :, 0]
-        out[:, :, sz - 1] = np.where(r < op.geom.R_lat, fplate, 0.0)
+        out[..., sz - 1] = np.where(r < op.geom.R_lat, fplate, 0.0)
     else:
-        out[:, :, sz - 1] = fplate
-        out[grid.nx, :, :] = out[0, :, :]
-        out[:, grid.ny, :] = out[:, 0, :]
+        out[..., sz - 1] = fplate
+        out[..., grid.nx, :, :] = out[..., 0, :, :]
+        out[..., :, grid.ny, :] = out[..., :, 0, :]
     return GridField(grid, out)
 
 
@@ -413,11 +442,11 @@ def neumann_trace(u: GridField, patch: BoundaryPatch,
     if sz < 3:
         raise SolveError("need at least two interior layers for the trace stencil")
     h = grid.h
+    v = u.values
     if patch.plate is Plate.TOP:
-        tr = (3 * u.values[:, :, sz - 1] - 4 * u.values[:, :, sz - 2]
-              + u.values[:, :, sz - 3]) / (2 * h)
+        tr = (3 * v[..., sz - 1] - 4 * v[..., sz - 2] + v[..., sz - 3]) / (2 * h)
     else:
-        tr = (3 * u.values[:, :, 0] - 4 * u.values[:, :, 1] + u.values[:, :, 2]) / (2 * h)
+        tr = (3 * v[..., 0] - 4 * v[..., 1] + v[..., 2]) / (2 * h)
     return from_plate_values(grid, patch, tr, apply_mask=apply_mask)
 
 
@@ -431,8 +460,21 @@ def omega_weights(grid: Grid3, geom: SlabGeometry) -> np.ndarray:
 
 
 def l2_omega(field: GridField, geom: SlabGeometry) -> float:
-    w = omega_weights(field.grid, geom)
-    return float(np.sqrt(np.sum(w * np.abs(field.values) ** 2)))
+    return float(np.linalg.norm(omega_rows(field, geom)))
+
+
+def omega_rows(u: GridField, geom: SlabGeometry) -> np.ndarray:
+    """sqrt(w) u at the nodes of positive L^2(Omega) weight, one row per field.
+
+    The L^2(Omega) Gram of a block is then S^H S for S = omega_rows(u); the
+    rows are real when u is, so a real block's Gram is one real product.
+    """
+    w = omega_weights(u.grid, geom).ravel()
+    keep = w > 0
+    vals = u.values.reshape(-1, w.size)
+    rows = vals[:, keep] if np.any(vals.imag) else vals.real[:, keep]
+    rows *= np.sqrt(w[keep])
+    return rows
 
 
 def runge_approximate(u_target: GridField, op: HelmholtzOperator, reg: float,
@@ -440,33 +482,19 @@ def runge_approximate(u_target: GridField, op: HelmholtzOperator, reg: float,
     """Least-squares boundary data reproducing a local solution in L^2.
 
     Minimizes ||S(f) - u_target||^2_{L^2(Omega)} + reg * ||f||^2_{H^{3/2}}
-    over data f spanned by `basis` (solve-per-column), returning the minimizer
-    and the achieved L^2 residual.
+    over data f spanned by `basis` (one block solve, Gram S^H W S), returning
+    the minimizer and the achieved L^2 residual.
     """
     if reg < 0:
         raise ValueError("regularization weight must be >= 0")
-    grid = op.grid
-    w = omega_weights(grid, geom=op.geom)
-    sols = []
-    for bf in basis.functions:
-        sols.append(solve_dirichlet(op, bf).values)
-    m = len(sols)
-    gram = np.empty((m, m), dtype=np.complex128)
-    rhs = np.empty(m, dtype=np.complex128)
-    for i in range(m):
-        wi = w * np.conj(sols[i])
-        rhs[i] = np.sum(wi * u_target.values)
-        for j in range(i, m):
-            gram[i, j] = np.sum(wi * sols[j])
-            gram[j, i] = np.conj(gram[i, j])
-    system = gram + reg * basis.gram_h32
+    sols = omega_rows(solve_dirichlet(op, basis.block), op.geom)
+    target = omega_rows(u_target, op.geom)[0]
+    system = sols.conj() @ sols.T + reg * basis.gram_h32
     try:
-        coef = scipy.linalg.solve(system, rhs, assume_a="her")
+        coef = scipy.linalg.solve(system, sols.conj() @ target, assume_a="her")
     except scipy.linalg.LinAlgError as exc:
         raise SolveError(f"normal-equation solve failed: {exc}") from exc
-    approx = np.tensordot(coef, np.array(sols), axes=(0, 0))
-    residual = float(np.sqrt(np.sum(w * np.abs(approx - u_target.values) ** 2)))
-    fvals = np.tensordot(coef, np.array([bf.values for bf in basis.functions]),
-                         axes=(0, 0))
+    residual = float(np.linalg.norm(coef @ sols - target))
+    fvals = np.tensordot(coef, basis.block.values, axes=(0, 0))
     f = BoundaryField(basis.patch, basis.square, fvals)
     return f, residual

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnmap import BoundaryBasis, DnOperator, op_norm_star
+from .boundary import BoundaryField
 from .fields import GridField, Potential, fourier_transform
 from .forward import HelmholtzOperator, SolveError, neumann_trace, omega_weights, solve_dirichlet
 from .geometry import Grid3, Plate, SlabGeometry, cutoff_annulus
@@ -206,7 +207,9 @@ def ucp_decay_measure(q1: Potential, q2: Potential, k: float, f_family,
     For each datum f, w is the difference of the solutions with potentials q2
     and q1 and shared data; the table records the normal-derivative flux on
     the cutoff annulus and the H^1/H^2 norms of w on the fattened annular
-    region.  A log-model fit quality (R^2 of H^1 against
+    region.  The family is solved as one block per operator; data whose
+    solve fails are recorded as skipped and the block is solved again
+    without them.  A log-model fit quality (R^2 of H^1 against
     H^2/sqrt(log(e d H^2/flux))) is reported, never asserted.
     """
     grid = q1.grid
@@ -219,21 +222,28 @@ def ucp_decay_measure(q1: Potential, q2: Potential, k: float, f_family,
     umask = np.broadcast_to(
         (r > inner - grid.h) & (r < outer + grid.h), grid.node_shape
     )
-    rows = []
-    for i, f in enumerate(f_family):
+    family = list(f_family)
+    rows = [None] * len(family)
+    keep = list(range(len(family)))
+    while keep:
+        data = BoundaryField(family[0].patch, family[0].square,
+                             np.stack([family[i].values for i in keep]))
         try:
-            v1 = solve_dirichlet(op1, f)
-            v2 = solve_dirichlet(op2, f)
+            wvals = solve_dirichlet(op2, data).values - solve_dirichlet(op1, data).values
+            break
         except SolveError as exc:
-            rows.append({"index": i, "skipped": str(exc)})
-            continue
-        wfield = GridField(grid, v2.values - v1.values)
-        flux_bf = neumann_trace(wfield, annulus)
-        flux = flux_bf.l2_norm()
+            bad = [keep[c] for c in exc.columns] or keep
+            for i in bad:
+                rows[i] = {"index": i, "skipped": str(exc)}
+            keep = [i for i in keep if i not in bad]
+    if keep:
+        fluxes = neumann_trace(GridField(grid, wvals), annulus).l2_norm()
+    for c, i in enumerate(keep):
+        flux = float(fluxes[c])
         if noise > 0:
             flux *= 1.0 + noise * float(record_rng(seed, i).standard_normal())
-        h1, h2 = _masked_h1_h2(wfield.values, umask, grid.h)
-        rows.append({"index": i, "flux": flux, "h1": h1, "h2": h2})
+        h1, h2 = _masked_h1_h2(wvals[c], umask, grid.h)
+        rows[i] = {"index": i, "flux": flux, "h1": h1, "h2": h2}
     xs, ys = [], []
     for row in rows:
         if "skipped" in row or row["flux"] <= 0 or row["h2"] <= 0:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.fft as _fft
 import scipy.linalg
 
 from .cgo import (
@@ -424,37 +423,6 @@ def assemble_bounds(fhat: dict, r: float, s: float, bound_m: float,
     """Sup over the supplied frequency map, then the H^-1 and L-inf chain."""
     sup = max((abs(v) for v in fhat.values()), default=0.0)
     return assemble_bounds_from_sup(sup, r, s, bound_m, c_sobolev, params, fhat)
-
-
-def fit_sobolev_constant(pairs, s: float) -> float:
-    """Largest ratio ||q||_inf / ||q||_{H^-1}^(eps/(s+1)) over a potential family.
-
-    pairs is an iterable of potential-difference fields; the H^-1 norm uses
-    the same discrete transform convention as the recovery chain.
-    """
-    eps = (s - 1.5) / 2.0
-    best = 0.0
-    for fld in pairs:
-        linf = float(np.max(np.abs(fld.values)))
-        if linf == 0.0:
-            continue
-        hm1 = _discrete_hm1(fld)
-        if hm1 == 0.0:
-            continue
-        best = max(best, linf / hm1 ** (eps / (s + 1.0)))
-    return best if best > 0 else 1.0
-
-
-def _discrete_hm1(fld: GridField) -> float:
-    grid = fld.grid
-    shape = [2 * n for n in fld.values.shape]
-    spec = _fft.fftn(fld.values, s=shape)
-    freqs = [2 * np.pi * _fft.fftfreq(n, d=grid.h) for n in shape]
-    w2 = (1.0 + freqs[0][:, None, None] ** 2 + freqs[1][None, :, None] ** 2
-          + freqs[2][None, None, :] ** 2)
-    dxi = float(np.prod([2 * np.pi / (n * grid.h) for n in shape]))
-    total = np.sum(np.abs(spec * grid.h ** 3) ** 2 / w2) * dxi
-    return float(np.sqrt(total / (2 * np.pi) ** 3))
 
 
 # -- parameter schedules --------------------------------------------------------------

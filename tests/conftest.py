@@ -69,3 +69,30 @@ def manufactured_case(geom, grid, k=0.0, q=None):
     uex_f = fields.GridField(grid, np.broadcast_to(uex * np.ones_like(y), shape).copy())
     w_f = fields.GridField(grid, np.broadcast_to(w, shape).astype(np.complex128).copy())
     return uex_f, w_f
+
+
+class CorruptingLU:
+    """Wraps a factorization; every solved column whose right-hand side equals
+    `rhs` comes back shifted by one, so its residual check fails."""
+
+    def __init__(self, lu, rhs):
+        self.lu = lu
+        self.rhs = rhs
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        cols = np.reshape(b, (len(b), -1))
+        hit = np.all(cols == self.rhs[:, None], axis=0)
+        np.reshape(x, (len(x), -1))[:, hit] += 1.0
+        return x
+
+
+def corrupt_datum(monkeypatch, f):
+    """Make every operator's factorized solve corrupt the column of datum f."""
+    orig = forward.HelmholtzOperator._lu
+
+    def lu(self):
+        plate = f.plate_values(self.grid).real
+        return CorruptingLU(orig(self), forward._top_plate_rhs(self, plate))
+
+    monkeypatch.setattr(forward.HelmholtzOperator, "_lu", lu)

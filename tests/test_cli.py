@@ -237,3 +237,71 @@ def test_rl_cli_subprocess(workdir):
     info = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(info["p_values"]) == 2
     assert out.read_text().startswith(SCHEMA_LINE)
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    # the benchmark's tiny sweep: h = 1/8, three modes per axis
+    tmp = tmp_path_factory.mktemp("sweep")
+    cfg = tmp / "geom.cfg"
+    cfg.write_text(
+        "L = 1.0\nR = 1.0\nR_prime = 1.5\nR_lat = 2.0\n"
+        "eps_cutoff = 0.1\ntarget_h = 0.125\n"
+    )
+    geom, target_h = geometry.parse_geometry_config(str(cfg))
+    grid = geometry.build_domain(geom, target_h)
+    q1 = fields.radial_bump_potential(grid, geom, 1e-3)
+    qpath = tmp / "q1.field"
+    fields.write_field(str(qpath), q1.field)
+    argv = ["sweep", "--config", str(cfg), "--q1", str(qpath), "--q2", "zero",
+            "--variant", "thm2", "--basis-n", "3", "--noise", "1e-3,1e-6",
+            "--trials", "1", "--seed", "3"]
+    return dict(tmp=tmp, geom=geom, grid=grid, argv=argv)
+
+
+def test_sweep_csv_byte_deterministic(sweep_inputs):
+    # the first run starts with an empty reference-eigenvalue cache, the
+    # second reuses it; the CSV bytes must not depend on which
+    forward.reference_eigenvalue.cache_clear()
+    outputs = []
+    for run in ("cold", "warm"):
+        out = sweep_inputs["tmp"] / f"sweep_{run}.csv"
+        assert cli.main(sweep_inputs["argv"] + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert forward.reference_eigenvalue.cache_info().hits >= 1
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
+    from slabinv import harness
+
+    built = []
+
+    class Counting(forward.HelmholtzOperator):
+        def __init__(self, *args, **kwargs):
+            built.append(args[3])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dnmap, "HelmholtzOperator", Counting)
+    out = sweep_inputs["tmp"] / "sweep_shared.csv"
+    assert cli.main(sweep_inputs["argv"] + ["--out", str(out)]) == 0
+    assert len(built) == 2 and built[0] is None  # free operator and q1's only
+    monkeypatch.undo()
+
+    # the same sweep with a separately built and factorized q2 operator
+    geom, grid = sweep_inputs["geom"], sweep_inputs["grid"]
+    q1 = fields.read_potential(str(sweep_inputs["tmp"] / "q1.field"), geom)
+    q2 = fields.zero_potential(grid, geom)
+    op0 = forward.HelmholtzOperator(grid, geom, 0.0, None)
+    src = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom), 3)
+    src.attach_triple_gram(op0)
+    target = geometry.neumann_patch(geom, geometry.Plate.BOTTOM)
+    tgt = dnmap.build_boundary_basis(grid, target, 3)
+    dn1 = dnmap.assemble_dn(forward.HelmholtzOperator(grid, geom, 0.0, q1), src, target)
+    dn2 = dnmap.assemble_dn(forward.HelmholtzOperator(grid, geom, 0.0, q2), src, target)
+    records, theta_fit = harness.stability_sweep(
+        q1, q2, 0.0, recovery.Variant.SINGLE_REFLECTION, [1e-3, 1e-6], 1, 3,
+        src_basis=src, tgt_basis=tgt, dn1=dn1, dn2=dn2, delta=1.0)
+    ref = sweep_inputs["tmp"] / "sweep_separate.csv"
+    harness.write_sweep_csv(str(ref), records, theta_fit)
+    assert out.read_bytes() == ref.read_bytes()

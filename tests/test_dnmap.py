@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
+from conftest import corrupt_datum
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.boundary import BoundaryField, l2_inner, mode_field
 from slabinv.dnmap import (
@@ -12,7 +14,6 @@ from slabinv.dnmap import (
     norm_h32,
     norm_hm32,
     op_norm_star,
-    op_norm_star_power,
     read_matrix,
     triple_norm,
     write_matrix,
@@ -224,6 +225,31 @@ def test_dn_sensitivity_linear_in_potential(geom, grid8, op0_8, masked_bases):
 # -- star norm ----------------------------------------------------------------------
 
 
+def op_norm_star_power(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
+                       tgt_basis: BoundaryBasis, seed: int = 0,
+                       max_iter: int = 500, rel_tol: float = 1e-6) -> float:
+    """Power-iteration evaluation of the star norm (cross-check oracle)."""
+    m_mat, g = dnmap._star_pencil(matrix_diff, src_basis, tgt_basis)
+    n = m_mat.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], np.uint64)))
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cho_g = scipy.linalg.cho_factor(g)
+    lam_prev = None
+    for _ in range(max_iter):
+        z = scipy.linalg.cho_solve(cho_g, m_mat @ c)
+        nz = np.linalg.norm(z)
+        if nz == 0:
+            return 0.0
+        c = z / nz
+        num = np.real(np.vdot(c, m_mat @ c))
+        den = np.real(np.vdot(c, g @ c))
+        lam = num / den
+        if lam_prev is not None and abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
+            break
+        lam_prev = lam
+    return float(np.sqrt(max(lam, 0.0)))
+
+
 def test_op_norm_star_zero_and_homogeneity(masked_bases):
     src, tgt = masked_bases
     nrows = tgt.square.node_shape[0] * tgt.square.node_shape[1]
@@ -342,3 +368,130 @@ def test_matrix_file_roundtrip(tmp_path):
     assert np.array_equal(back, m)
     with open(path, "rb") as fh:
         assert fh.readline() == b"7 5\n"
+
+
+# -- block path against per-column references ----------------------------------------
+
+
+def _dn_columns_reference(op, basis, target):
+    """One Dirichlet solve and one trace per basis function."""
+    cols = [forward.neumann_trace(solve_dirichlet(op, f), target).values.ravel()
+            for f in basis.functions]
+    return np.stack(cols, axis=1)
+
+
+def _triple_gram_reference(op0, basis):
+    """The O(m^2) loop of weighted full-grid sums over per-column solves."""
+    w = forward.omega_weights(op0.grid, op0.geom)
+    sols = [solve_dirichlet(op0, f).values for f in basis.functions]
+    m = len(sols)
+    gram = np.empty((m, m), dtype=np.complex128)
+    for i in range(m):
+        wi = w * np.conj(sols[i])
+        for j in range(i, m):
+            gram[i, j] = np.sum(wi * sols[j])
+            gram[j, i] = np.conj(gram[i, j])
+    return np.real(gram)
+
+
+def _assert_columns_close(got, ref, tol):
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.max(np.abs(got - ref), axis=0) <= tol * scale)
+
+
+@pytest.mark.parametrize("k", [0.0, 4.5])
+def test_assemble_dn_block_matches_columns(geom, grid8, bump8, masked_bases, k):
+    src, _ = masked_bases
+    op = HelmholtzOperator(grid8, geom, k, bump8)
+    for plate in (Plate.BOTTOM, Plate.TOP):
+        target = geometry.neumann_patch(geom, plate)
+        dn = assemble_dn(op, src, target).matrix
+        _assert_columns_close(dn, _dn_columns_reference(op, src, target), 1e-12)
+
+
+def test_triple_gram_matches_loop_reference(geom, grid8, op0_8):
+    basis = build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 4)
+    gram = basis.attach_triple_gram(op0_8)
+    ref = _triple_gram_reference(op0_8, basis)
+    assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(gram, gram.T)
+
+
+def _exponential_basis(grid, modes):
+    patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
+    sq = boundary.full_plate_square(grid)
+    x = sq.axis_nodes(0)[:, None]
+    y = sq.axis_nodes(1)[None, :]
+    k2p = 2 * np.pi / (grid.nx * grid.h)
+    return BoundaryBasis.raw(patch, sq, [
+        BoundaryField(patch, sq, np.exp(1j * k2p * (mx * x + my * y)))
+        for mx, my in modes])
+
+
+def test_complex_data_block_separable_path(geom, grid8):
+    # periodic exponentials: complex data through the lateral-FFT solve
+    op = HelmholtzOperator(grid8, geom, 0.0, None, PERIODIC)
+    basis = _exponential_basis(grid8, [(1, 0), (0, 1), (1, 1), (2, -1)])
+    target = BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1e9)
+    dn = assemble_dn(op, basis, target).matrix
+    _assert_columns_close(dn, _dn_columns_reference(op, basis, target), 1e-12)
+    gram = basis.attach_triple_gram(op)
+    ref = _triple_gram_reference(op, basis)
+    assert np.max(np.abs(gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_complex_data_block_lu_path(geom, grid8, bump8, masked_bases):
+    # masked modes times complex phases: one real LU solve of 2m columns
+    src, _ = masked_bases
+    phases = np.exp(1j * np.linspace(0.0, 3.0, len(src)))
+    basis = BoundaryBasis.raw(src.patch, src.square,
+                              [f.copy_with(p * f.values) for p, f in zip(phases, src.functions)])
+    op = HelmholtzOperator(grid8, geom, 2.5, bump8)
+    target = geometry.neumann_patch(geom, Plate.BOTTOM)
+    dn = assemble_dn(op, basis, target).matrix
+    _assert_columns_close(dn, _dn_columns_reference(op, basis, target), 1e-12)
+    real_dn = assemble_dn(op, src, target).matrix
+    _assert_columns_close(dn, real_dn * phases, 1e-12)
+
+
+def test_assemble_dn_names_failing_column(geom, grid8, masked_bases, monkeypatch):
+    src, _ = masked_bases
+    corrupt_datum(monkeypatch, src.functions[3])
+    op = HelmholtzOperator(grid8, geom, 0.0, None)
+    target = geometry.neumann_patch(geom, Plate.BOTTOM)
+    with pytest.raises(forward.SolveError, match=r"DN column\(s\) \[3\] failed") as info:
+        assemble_dn(op, src, target)
+    assert info.value.columns == [3]
+
+
+def _star_norm_reference(matrix, src, tgt):
+    """The star norm with every per-basis invariant recomputed in the call."""
+    h2 = tgt.square.h ** 2
+    stack = np.stack([f.values.ravel() for f in tgt.functions])
+    pair = h2 * (np.conj(stack) @ matrix)
+    cho = scipy.linalg.cho_factor(tgt.gram_h32)
+    m_mat = np.conj(pair).T @ scipy.linalg.cho_solve(cho, pair)
+    vals = scipy.linalg.eigh(m_mat, src.gram_triple, eigvals_only=True)
+    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+
+
+def test_star_norm_bit_identical_with_cached_invariants(geom, grid8, op0_8, monkeypatch):
+    src = build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 4)
+    src.attach_triple_gram(op0_8)
+    tgt = build_boundary_basis(grid8, geometry.neumann_patch(geom, Plate.BOTTOM), 4)
+    nrows = tgt.square.node_shape[0] * tgt.square.node_shape[1]
+    rng = np.random.default_rng(12)
+    d = rng.standard_normal((nrows, len(src))) + 1j * rng.standard_normal((nrows, len(src)))
+    ref = _star_norm_reference(d, src, tgt)
+    factorizations = []
+    orig = scipy.linalg.cho_factor
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda *a, **kw: factorizations.append(1) or orig(*a, **kw))
+    cold = op_norm_star(d, src, tgt)
+    warm = op_norm_star(d, src, tgt)
+    assert cold == ref and warm == ref
+    assert len(factorizations) == 1
+    r = BoundaryField(tgt.patch, tgt.square, d[:, 0].reshape(tgt.square.node_shape))
+    norm_hm32(r, tgt)
+    hm32_maximizer(r, tgt)
+    assert len(factorizations) == 1

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
-from conftest import manufactured_case
+from conftest import CorruptingLU, manufactured_case
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.fields import GridField
 from slabinv.forward import (
@@ -324,3 +325,116 @@ def test_runge_probe_target_refinement_study(geom, bump8):
     assert residuals[(0.125, 1e-8)] <= residuals[(0.125, 1e-4)]
     # refining the grid and enriching the data space improves the residual
     assert residuals[(0.125, 1e-8)] <= residuals[(0.25, 1e-8)]
+
+
+# -- admissibility cache and block solves -------------------------------------------------
+
+
+def test_admissibility_threshold_does_not_stick(geom, monkeypatch):
+    grid = geometry.build_domain(geom, 0.25)
+    op = HelmholtzOperator(grid, geom, 0.0, None)
+    runs = []
+    orig = forward._min_singular
+    monkeypatch.setattr(forward, "_min_singular",
+                        lambda *a, **kw: runs.append(1) or orig(*a, **kw))
+    strict = op.admissibility(100.0)
+    assert not strict.admissible and strict.threshold == 100.0
+    default = op.admissibility()
+    assert default.admissible
+    assert default.threshold == forward.default_threshold(grid, geom, forward.TRUNCATED)
+    assert default.min_singular == strict.min_singular
+    assert op.admissibility(1e-3).admissible
+    assert len(runs) == 1  # the eigensolve ran once; thresholds only compare
+    f = full_square_field(grid, lambda x, y: np.exp(-x * x - y * y)
+                          * (np.hypot(x, y) < geom.R_lat))
+    solve_dirichlet(op, f)
+    solve_source(op, manufactured_case(geom, grid)[1])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solve_interior_block_matches_columns(geom, grid8, bump8, dtype):
+    op = HelmholtzOperator(grid8, geom, 2.5, bump8)
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((op.n_active, 5)).astype(dtype)
+    if dtype is complex:
+        block += 1j * rng.standard_normal(block.shape)
+    block[:, 2] = 0.0  # a zero column solves to zero and passes the check
+    u = op.solve_interior(block)
+    assert u.shape == block.shape and u.dtype == block.dtype
+    for j in range(block.shape[1]):
+        ref = op.solve_interior(block[:, j])
+        assert np.linalg.norm(u[:, j] - ref) <= 1e-12 * max(np.linalg.norm(ref), 1e-300)
+    assert not np.any(u[:, 2])
+
+
+def test_solve_interior_names_failing_column(geom, grid8, monkeypatch):
+    op = HelmholtzOperator(grid8, geom, 0.0, None)
+    rng = np.random.default_rng(4)
+    block = rng.standard_normal((op.n_active, 4))
+    lu = op._lu()
+    monkeypatch.setattr(op, "_lu", lambda: CorruptingLU(lu, block[:, 1]))
+    with pytest.raises(SolveError, match=r"column\(s\) \[1\]") as info:
+        op.solve_interior(block)
+    assert info.value.columns == [1]
+    res = info.value.residual_history
+    assert len(res) == 4 and res[1] > 1e-10
+    assert max(res[0], res[2], res[3]) <= 1e-10
+
+
+def test_solve_dirichlet_block_matches_columns(geom, grid8, bump8):
+    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    basis = dnmap.build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 2)
+    u = solve_dirichlet(op, basis.block)
+    assert u.values.shape == (len(basis),) + grid8.node_shape
+    assert u.values.dtype == np.float64  # real data stay real
+    for j, f in enumerate(basis.functions):
+        ref = solve_dirichlet(op, f).values
+        assert np.max(np.abs(u.values[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _runge_gram_reference(op, basis, u_target):
+    """The per-column normal equations: one solve per basis function and an
+    O(m^2) loop of weighted full-grid sums."""
+    w = forward.omega_weights(op.grid, op.geom)
+    sols = [solve_dirichlet(op, f).values for f in basis.functions]
+    m = len(sols)
+    gram = np.empty((m, m), dtype=np.complex128)
+    rhs = np.empty(m, dtype=np.complex128)
+    for i in range(m):
+        wi = w * np.conj(sols[i])
+        rhs[i] = np.sum(wi * u_target.values)
+        for j in range(i, m):
+            gram[i, j] = np.sum(wi * sols[j])
+            gram[j, i] = np.conj(gram[i, j])
+    return gram, rhs
+
+
+def test_runge_gram_matches_column_reference(geom, grid8, bump8, runge_setup,
+                                             monkeypatch):
+    opq = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    seed_f = full_square_field(grid8, lambda x, y: np.where(
+        np.hypot(x, y) < geom.R_lat, np.exp(-(x - 0.3) ** 2 - y * y), 0.0))
+    target = solve_dirichlet(opq, seed_f)
+    target = GridField(grid8, target.values * (1.0 + 0.5j))
+    captured = []
+    orig = scipy.linalg.solve
+
+    def spy(a, b, **kw):
+        captured.append((a, b))
+        return orig(a, b, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "solve", spy)
+    reg = 1e-5
+    f, res = runge_approximate(target, opq, reg, runge_setup)
+    system, rhs = captured[-1]
+    gram_ref, rhs_ref = _runge_gram_reference(opq, runge_setup, target)
+    gram = system - reg * runge_setup.gram_h32
+    assert np.max(np.abs(gram - gram_ref)) <= 1e-13 * np.max(np.abs(gram_ref))
+    assert np.max(np.abs(rhs - rhs_ref)) <= 1e-13 * np.max(np.abs(rhs_ref))
+    # the reported residual is the weighted L^2(Omega) misfit of the fit
+    coef = orig(gram_ref + reg * runge_setup.gram_h32, rhs_ref, assume_a="her")
+    sols = np.array([solve_dirichlet(opq, g).values for g in runge_setup.functions])
+    misfit = np.tensordot(coef, sols, axes=(0, 0)) - target.values
+    w = forward.omega_weights(grid8, geom)
+    ref_res = np.sqrt(np.sum(w * np.abs(misfit) ** 2))
+    assert res == pytest.approx(ref_res, rel=1e-8)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import corrupt_datum
 from slabinv import boundary, dnmap, fields, forward, geometry, harness
 from slabinv.cgo import Variant
 from slabinv.fields import GridField
@@ -282,3 +283,17 @@ def test_record_rng_counter_based():
     c = record_rng(7, 4).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_ucp_skips_only_the_failing_datum(geom, grid8, born_pair8, monkeypatch):
+    q1, q2 = born_pair8
+    family = _data_family(geom, grid8, 4)
+    clean = ucp_decay_measure(q1, q2, 0.0, family)["rows"]
+    corrupt_datum(monkeypatch, family[2])
+    rows = ucp_decay_measure(q1, q2, 0.0, family)["rows"]
+    assert [r["index"] for r in rows] == [0, 1, 2, 3]
+    assert "skipped" in rows[2] and "[2]" in rows[2]["skipped"]
+    for i in (0, 1, 3):
+        assert "skipped" not in rows[i]
+        for key in ("flux", "h1", "h2"):
+            assert rows[i][key] == pytest.approx(clean[i][key], rel=1e-10)
