@@ -29,7 +29,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 
-from .fields import FieldError, GridField, reflect
+from .fields import FieldError, GridField
 from .geometry import Grid3, SlabGeometry
 
 
@@ -204,6 +204,38 @@ def _box_lattice(grid: Grid3, lattice_shift: tuple) -> tuple:
                  (z0, z1, z2, z0 ** 2 + z1 ** 2 + z2 ** 2, mod, np.conj(mod)))
 
 
+_SPECTRA: list = []   # [((box, shift, k), q samples, first spectrum)], newest first
+_SPECTRA_KEPT = 4
+
+
+def _first_spectrum(qfield: GridField, k: float, lattice_shift: tuple,
+                    rhs_mod: np.ndarray) -> np.ndarray:
+    """fftn(-(Q - k^2) mod): the first sweep's spectrum, which no phase enters.
+
+    Memoized for the last few (box, shift, k, potential samples); an entry is
+    used only if its stored samples equal qfield.values.  Read-only.
+    """
+    key = (qfield.grid, lattice_shift, k)
+    for i, (entry_key, q, spec) in enumerate(_SPECTRA):
+        if entry_key == key and np.array_equal(q, qfield.values):
+            _SPECTRA.insert(0, _SPECTRA.pop(i))
+            return spec
+    spec = _frozen(scipy.fft.fftn(rhs_mod))
+    _SPECTRA.insert(0, (key, _frozen(qfield.values.copy()), spec))
+    del _SPECTRA[_SPECTRA_KEPT:]
+    return spec
+
+
+def _norm_sq(arr: np.ndarray) -> float:
+    """sum |arr|^2 as one real dot product over the float64 view.
+
+    The complex BLAS dot is multithreaded at box sizes and then several times
+    slower than this.
+    """
+    flat = arr.view(np.float64).ravel()
+    return float(np.vdot(flat, flat))
+
+
 def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
                     max_iter: int = 400, residual_tol: float = 1e-8,
                     projection_rel: float = 1e-8,
@@ -221,6 +253,12 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
     restores the expected decay.  Raises ContractionError when increments
     grow over five consecutive sweeps and ProjectionError when more than
     0.1 percent of the modes are removed.
+
+    The sweeps iterate on phi = psi * mod (mod is unimodular, so every norm
+    is psi's): one inverse and one forward FFT each.  The first spectrum is
+    memoized per potential and k; the last forward transform is the
+    residual's right-hand side, and the last inverted spectrum is psi's
+    transform.
     """
     grid = qfield.grid
     if not grid.periodic:
@@ -229,15 +267,11 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
     rho_sq = float(np.sum(np.abs(rho) ** 2))
     vol_factor = grid.h ** 3
     n_total = qfield.values.size
-    z0, z1, z2, zeta_sq, mod, mod_inv = _box_lattice(grid, tuple(lattice_shift))
+    lattice_shift = tuple(lattice_shift)
+    z0, z1, z2, zeta_sq, mod, mod_inv = _box_lattice(grid, lattice_shift)
 
-    def tf(arr):
-        return scipy.fft.fftn(arr * mod)
-
-    def itf(spec):
-        return scipy.fft.ifftn(spec) * mod_inv
-
-    symbol = zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+    c = -2j * rho
+    symbol = zeta_sq + (c[0] * z0 + c[1] * z1 + c[2] * z2)
     keep = np.abs(symbol) >= projection_rel * rho_sq
     projected = int(n_total - np.count_nonzero(keep))
     if projected > 1e-3 * n_total:
@@ -245,20 +279,23 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
             f"{projected} of {n_total} Fourier modes near the symbol zero set "
             f"({projected / n_total:.2%} > 0.1%)"
         )
-    rhs_base = -(qfield.values - k ** 2)
-    if np.max(np.abs(rhs_base)) == 0.0:
+    rhs_base = k ** 2 - qfield.values
+    if not np.any(rhs_base):
         psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
         return psi, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
     mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
+    rhs_mod = rhs_base * mod
+    spec = _first_spectrum(qfield, k, lattice_shift, rhs_mod)
 
-    psi = np.zeros(grid.node_shape, dtype=np.complex128)
-    inc_hist: list[float] = []
+    phi = np.zeros(grid.node_shape, dtype=np.complex128)
+    prev_inc = math.inf
     grew = 0
     for it in range(1, max_iter + 1):
-        new = itf(mult * tf(rhs_base * (1.0 + psi)))
-        inc = float(np.sqrt(np.sum(np.abs(new - psi) ** 2) * vol_factor))
-        psi = new
-        if inc_hist and inc > inc_hist[-1]:
+        phi_hat = mult * spec
+        new = scipy.fft.ifftn(phi_hat)
+        inc = math.sqrt(_norm_sq(new - phi) * vol_factor)
+        phi = new
+        if inc > prev_inc:
             grew += 1
             if grew >= 5:
                 raise ContractionError(
@@ -267,47 +304,26 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
                 )
         else:
             grew = 0
-        inc_hist.append(inc)
-        scale = float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor))
-        if inc <= 1e-14 * max(1.0, scale):
+        prev_inc = inc
+        l2 = math.sqrt(_norm_sq(phi) * vol_factor)
+        spec = scipy.fft.fftn(rhs_mod + rhs_base * phi)
+        if inc <= 1e-14 * max(1.0, l2):
             break
 
-    psi_hat = tf(psi)
-    rhs_hat = tf(rhs_base * (1.0 + psi))
-    lhs_hat = symbol * psi_hat
-    num = np.sqrt(np.sum(np.abs(lhs_hat[keep] - rhs_hat[keep]) ** 2))
-    den = np.sqrt(np.sum(np.abs(rhs_hat[keep]) ** 2))
-    residual = float(num / den) if den > 0 else 0.0
+    num = _norm_sq(np.where(keep, symbol * phi_hat - spec, 0.0))
+    den = _norm_sq(np.where(keep, spec, 0.0))
+    residual = math.sqrt(num / den) if den > 0 else 0.0
     if residual > residual_tol:
         raise ContractionError(
             f"remainder residual {residual:.3e} above {residual_tol:.1e} after "
             f"{it} sweeps (increase the phase parameter)"
         )
 
-    l2 = float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor))
-    grad_sq = np.sum(zeta_sq * np.abs(psi_hat) ** 2)
+    grad_sq = float(np.vdot(zeta_sq, phi_hat.real ** 2 + phi_hat.imag ** 2))
     grad_sq *= vol_factor / n_total
-    h1 = float(np.sqrt(l2 ** 2 + grad_sq))
+    h1 = math.sqrt(l2 ** 2 + grad_sq)
     report = RemainderReport(l2, h1, it, projected, n_total, residual)
-    return GridField(grid, psi), report
-
-
-def reflect_remainder(psi: GridField) -> GridField:
-    """Reflection x -> x* of a remainder in the antiperiodic-z representation.
-
-    The node permutation of a plain periodic reflection, except that the seam
-    layer (the single z-node whose mirror wraps across the box period) picks
-    up the antiperiodic sign.  Involution; agrees with fields.reflect away
-    from the seam.
-    """
-    grid = psi.grid
-    if not (grid.periodic and grid.z_symmetric()):
-        raise FieldError("remainder reflection expects a symmetric periodic box")
-    if round(-2 * grid.origin[2] / grid.h) % grid.nz != 0:
-        raise FieldError("remainder reflection expects the box centred at z = 0")
-    out = reflect(psi).values.copy()
-    out[:, :, 0] = -out[:, :, 0]
-    return GridField(grid, out)
+    return GridField(grid, phi * mod_inv), report
 
 
 # -- probe assembly --------------------------------------------------------------
@@ -386,33 +402,34 @@ class CgoProbe:
     decay_report: dict
 
 
-def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi_box: GridField | None,
+def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi_box: GridField,
                reflected: bool) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Direct and (optionally) mirrored exponential-times-remainder factors.
 
     Returns (direct, mirrored, log_offset) with both arrays divided by
     exp(log_offset); the mirrored factor evaluates every ingredient at
     x* = (x1, x2, -x3), which makes the antisymmetrized difference vanish
-    identically on the x3 = 0 plane.  A missing or identically zero remainder
-    leaves the factor 1 + psi = 1 exactly, so nothing is interpolated.
+    identically on the x3 = 0 plane.  The exponential is the tensor product
+    of one factor per axis, each scaled by its own maximum (the offset is
+    their sum); the two factors share the lateral ones.  An identically zero
+    remainder leaves the factor 1 + psi = 1 exactly, so nothing is
+    interpolated.
     """
-    x, y, z = eval_grid.node_coords()
-    phase_d = x * rho[0] + y * rho[1] + z * rho[2]
-    offset = float(np.max(phase_d.real))
-    if reflected:
-        phase_m = x * rho[0] + y * rho[1] + (-z) * rho[2]
-        offset = max(offset, float(np.max(phase_m.real)))
-    live = psi_box is not None and bool(np.any(psi_box.values))
+    px, py, pz = (eval_grid.axis_nodes(axis) * rho[axis] for axis in range(3))
+    top_x, top_y = float(np.max(px.real)), float(np.max(py.real))
+    top_z = float(np.max(np.abs(pz.real) if reflected else pz.real))
+    lateral = np.multiply.outer(np.exp(px - top_x), np.exp(py - top_y))
+    live = bool(np.any(psi_box.values))
 
-    def factor(phase, mirrored):
-        out = np.exp(phase - offset)
+    def factor(phase_z, mirrored):
+        out = np.multiply.outer(lateral, np.exp(phase_z - top_z))
         if live:
             out *= 1.0 + interpolate_box(psi_box, eval_grid, mirrored)
         return out
 
-    direct = factor(phase_d, False)
-    mirrored = factor(phase_m, True) if reflected else None
-    return direct, mirrored, offset
+    direct = factor(pz, False)
+    mirrored = factor(-pz, True) if reflected else None
+    return direct, mirrored, top_x + top_y + top_z
 
 
 def build_probe(eval_grid: Grid3, phase: PhasePair, q1_box: GridField,
@@ -453,41 +470,6 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, q1_box: GridField,
     }
     return CgoProbe(phase, box_grid, psi1, psi2, u1, u2,
                     u1_direct, u1_reflected, u2_direct, u2_reflected, report)
-
-
-def exponential_probe(eval_grid: Grid3, phase: PhasePair, box_grid: Grid3,
-                      reflect1: bool = False, reflect2: bool = False) -> CgoProbe:
-    """Probe with remainders forced to zero (pure exponentials); test oracle."""
-    zero = GridField(box_grid, np.zeros(box_grid.node_shape, dtype=np.complex128))
-    d1, m1, off1 = _exp_terms(eval_grid, phase.rho1, None, reflected=reflect1)
-    d2, m2, off2 = _exp_terms(eval_grid, phase.rho2, None, reflected=reflect2)
-    u1 = OffsetField(eval_grid, d1 - m1 if reflect1 else d1, off1)
-    u2 = OffsetField(eval_grid, d2 - m2 if reflect2 else d2, off2)
-    rep = {"psi1_l2": 0.0, "psi1_h1": 0.0, "psi2_l2": 0.0, "psi2_h1": 0.0,
-           "iterations": (0, 0), "projected_modes": (0, 0), "residuals": (0.0, 0.0)}
-    return CgoProbe(phase, box_grid, zero, zero, u1, u2,
-                    OffsetField(eval_grid, d1, off1),
-                    OffsetField(eval_grid, m1 if m1 is not None else np.zeros_like(d1), off1),
-                    OffsetField(eval_grid, d2, off2),
-                    OffsetField(eval_grid, m2, off2) if m2 is not None else None,
-                    rep)
-
-
-def build_probes_batch(eval_grid: Grid3, xis, variant: Variant, param: float,
-                       q1_box: GridField, q2_box: GridField, k: float,
-                       **solve_kw) -> list[tuple[tuple, CgoProbe]]:
-    """Probes for many frequencies; results ordered lexicographically by xi.
-
-    Each frequency is an independent pure computation (safe to parallelize
-    externally); the aggregation order is deterministic regardless of the
-    input order.
-    """
-    ordered = sorted(tuple(float(v) for v in xi) for xi in xis)
-    out = []
-    for xi in ordered:
-        pp = make_phase_pair(make_frame(np.asarray(xi)), variant, param)
-        out.append((xi, build_probe(eval_grid, pp, q1_box, q2_box, k, **solve_kw)))
-    return out
 
 
 def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],

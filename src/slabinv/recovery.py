@@ -133,12 +133,6 @@ def integral_pairing(qdiff_field: GridField, probe: CgoProbe) -> complex:
     return complex(total * _recombine(probe.u1.log_offset + probe.u2.log_offset))
 
 
-def _cross_term(qdiff_field: GridField, a, b) -> complex:
-    w = quadrature_weights(qdiff_field.grid)
-    total = np.sum(w * qdiff_field.values * a.values * b.values)
-    return complex(total * _recombine(a.log_offset + b.log_offset))
-
-
 # -- annulus estimation ------------------------------------------------------------
 
 
@@ -211,25 +205,25 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
     tau-family; both shifted-frequency terms for the alpha-family) are
     computed from the remainder fields and added back, so the residual error
     of each estimate is exactly the main-phase remainder contribution, the
-    term controlled by the remainder decay.  Per-frequency failures are
-    recorded and skipped.
+    term controlled by the remainder decay.  Pairing plus corrections is one
+    quadrature: int q d1 d2 (tau-family) or int q (d1 d2 + m1 m2)
+    (alpha-family), with d and m the direct and mirrored probe factors.
+    Per-frequency failures are recorded and skipped.
     """
     estimates: dict = {}
     failed: dict = {}
+    wq_conj = np.conj(quadrature_weights(ws.eval_grid) * ws.qdiff.values)
     for xi in xis:
         key = (float(xi[0]), float(xi[1]), float(xi[2]))
         try:
             frame = make_frame(np.asarray(xi, dtype=float))
             phase = make_phase_pair(frame, ws.variant, param)
             probe = build_probe(ws.eval_grid, phase, ws.q1_box, ws.q2_box, ws.k)
-            pairing = integral_pairing(ws.qdiff, probe)
-            if ws.variant is Variant.SINGLE_REFLECTION:
-                est = pairing + _cross_term(ws.qdiff, probe.u1_reflected, probe.u2_direct)
-            else:
-                corr_p = _cross_term(ws.qdiff, probe.u1_direct, probe.u2_reflected)
-                corr_m = _cross_term(ws.qdiff, probe.u1_reflected, probe.u2_direct)
-                est = pairing + corr_p + corr_m
-            estimates[key] = est
+            prod = probe.u1_direct.values * probe.u2_direct.values
+            if ws.variant is Variant.DOUBLE_REFLECTION:
+                prod += probe.u1_reflected.values * probe.u2_reflected.values
+            scale = _recombine(probe.u1.log_offset + probe.u2.log_offset)
+            estimates[key] = complex(np.vdot(wq_conj, prod) * scale)
         except (FrameError, ContractionError, ProjectionError, RecoveryError) as exc:
             failed[key] = str(exc)
             logger.warning("frequency %s skipped: %s", key, exc)
@@ -323,18 +317,22 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
                          sup_gamma0, condition)
 
 
-def synthetic_line_function(halfwidth: float, rng) -> tuple:
-    """Random entire function of exponential type <= halfwidth (for calibration)."""
+def _synthetic_coefficients(halfwidth: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weighted amplitudes of a random function sum_j c_j exp(i z t_j)."""
     n = 24
     t, wq = _gauss_legendre(n)
-    t = t * halfwidth
-    wq = wq * halfwidth
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amp *= np.exp(-3.0 * (np.arange(n) / n) ** 2)
+    return t * halfwidth, wq * halfwidth * amp
+
+
+def synthetic_line_function(halfwidth: float, rng) -> tuple:
+    """Random entire function of exponential type <= halfwidth (for calibration)."""
+    t, coef = _synthetic_coefficients(halfwidth, rng)
 
     def f(z):
         z = np.asarray(z, dtype=np.complex128)
-        return np.exp(1j * np.multiply.outer(z, t)) @ (wq * amp)
+        return np.exp(1j * np.multiply.outer(z, t)) @ coef
 
     return f
 
@@ -344,11 +342,13 @@ def calibrate_two_constants(halfwidth: float, n_funcs: int = 20, seed: int = 0,
     """Fit (c0, lam) so sup_gamma <= c0 sup_G^(1-lam) sup_Gamma0^lam on samples.
 
     Synthetic entire functions of the prescribed type are measured on dense
-    grids over gamma, Gamma0 and the rectangle G.  The required c0 grows
-    monotonically with lam here (the strip sup dominates the segment sup), so
-    the selection takes the largest lam whose c0 stays within `c0_slack` of
-    the minimum: a certified exponent that is still useful downstream, where
-    larger lam means stronger stability.  Returns (c0, lam, sup table).
+    grids over gamma, Gamma0 and the rectangle G, all functions at once: one
+    exponential matrix per grid times the matrix of their amplitudes.  The
+    required c0 grows monotonically with lam here (the strip sup dominates
+    the segment sup), so the selection takes the largest lam whose c0 stays
+    within `c0_slack` of the minimum: a certified exponent that is still
+    useful downstream, where larger lam means stronger stability.  Returns
+    (c0, lam, sup table).
     """
     if lam_grid is None:
         lam_grid = np.linspace(0.05, 0.95, 19)
@@ -357,15 +357,15 @@ def calibrate_two_constants(halfwidth: float, n_funcs: int = 20, seed: int = 0,
     re = np.linspace(-2.0, 2.0, 41)
     im = np.linspace(-2.0, 2.0, 41)
     zg = (re[:, None] + 1j * im[None, :]).ravel()
-    rows = []
+    coefs = []
     for i in range(n_funcs):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], np.uint64)))
-        f = synthetic_line_function(halfwidth, rng)
-        rows.append((
-            float(np.max(np.abs(f(s_gamma)))),
-            float(np.max(np.abs(f(zg)))),
-            float(np.max(np.abs(f(s_g0)))),
-        ))
+        t, coef = _synthetic_coefficients(halfwidth, rng)
+        coefs.append(coef)
+    amps = np.stack(coefs, axis=1)
+    sups = [np.max(np.abs(np.exp(1j * np.multiply.outer(z.astype(np.complex128), t)) @ amps),
+                   axis=0) for z in (s_gamma, zg, s_g0)]
+    rows = [tuple(float(v) for v in row) for row in zip(*sups)]
     table = [(max(sg / (sG ** (1 - lam) * sg0 ** lam) for sg, sG, sg0 in rows),
               float(lam)) for lam in lam_grid]
     c0_min = min(c for c, _ in table)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slabinv import fields, forward, geometry
+from slabinv import cgo, fields, forward, geometry
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +96,37 @@ def corrupt_datum(monkeypatch, f):
         return CorruptingLU(orig(self), forward._top_plate_rhs(self, plate))
 
     monkeypatch.setattr(forward.HelmholtzOperator, "_lu", lu)
+
+
+def exponential_probe(eval_grid, phase, box_grid, reflect1=False, reflect2=False):
+    """Probe with remainders forced to zero (pure exponentials)."""
+    zero = fields.GridField(box_grid, np.zeros(box_grid.node_shape, dtype=np.complex128))
+    d1, m1, off1 = cgo._exp_terms(eval_grid, phase.rho1, zero, reflected=reflect1)
+    d2, m2, off2 = cgo._exp_terms(eval_grid, phase.rho2, zero, reflected=reflect2)
+    u1 = cgo.OffsetField(eval_grid, d1 - m1 if reflect1 else d1, off1)
+    u2 = cgo.OffsetField(eval_grid, d2 - m2 if reflect2 else d2, off2)
+    rep = {"psi1_l2": 0.0, "psi1_h1": 0.0, "psi2_l2": 0.0, "psi2_h1": 0.0,
+           "iterations": (0, 0), "projected_modes": (0, 0), "residuals": (0.0, 0.0)}
+    return cgo.CgoProbe(phase, box_grid, zero, zero, u1, u2,
+                        cgo.OffsetField(eval_grid, d1, off1),
+                        cgo.OffsetField(eval_grid, m1 if m1 is not None else np.zeros_like(d1),
+                                        off1),
+                        cgo.OffsetField(eval_grid, d2, off2),
+                        cgo.OffsetField(eval_grid, m2, off2) if m2 is not None else None,
+                        rep)
+
+
+def reflect_remainder(psi):
+    """Reflection x -> x* of a remainder in the antiperiodic-z representation.
+
+    The node permutation of a plain periodic reflection, except that the seam
+    layer (the single z-node whose mirror wraps across the box period) picks
+    up the antiperiodic sign.  Involution; agrees with fields.reflect away
+    from the seam.
+    """
+    grid = psi.grid
+    assert grid.periodic and grid.z_symmetric()
+    assert round(-2 * grid.origin[2] / grid.h) % grid.nz == 0
+    out = fields.reflect(psi).values.copy()
+    out[:, :, 0] = -out[:, :, 0]
+    return fields.GridField(grid, out)

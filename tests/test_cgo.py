@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+from conftest import exponential_probe, reflect_remainder
 from hypothesis import given, settings, strategies as st
 
 from slabinv import cgo, fields
@@ -12,7 +13,6 @@ from slabinv.cgo import (
     build_box_grid,
     build_probe,
     calibrate_min_param,
-    exponential_probe,
     interpolate_box,
     isotropy_residual,
     make_frame,
@@ -247,11 +247,169 @@ def test_reflection_commutes_with_remainder(geom, grid8, q_even_box):
     psi, _ = solve_remainder(pp.rho1, q_even_box, 0.0)
     rho_star = np.array([pp.rho1[0], pp.rho1[1], -pp.rho1[2]])
     psi_star, _ = solve_remainder(rho_star, q_even_box, 0.0)
-    from slabinv.cgo import reflect_remainder
     assert np.max(np.abs(reflect_remainder(psi).values - psi_star.values)) < 1e-10
     # involution of the representation-aware reflection
     assert np.array_equal(reflect_remainder(reflect_remainder(psi)).values,
                           psi.values)
+
+
+def _solve_remainder_reference(rho, qfield, k, max_iter=400, residual_tol=1e-8,
+                               projection_rel=1e-8, lattice_shift=cgo.LATTICE_SHIFT):
+    """The remainder fixed point iterated on psi itself, with fresh transforms
+    for the residual and the H1 norm."""
+    grid = qfield.grid
+    rho = np.asarray(rho, dtype=np.complex128)
+    rho_sq = float(np.sum(np.abs(rho) ** 2))
+    vol_factor = grid.h ** 3
+    n_total = qfield.values.size
+    z0, z1, z2, zeta_sq, mod, mod_inv = cgo._box_lattice(grid, tuple(lattice_shift))
+
+    def tf(arr):
+        return scipy.fft.fftn(arr * mod)
+
+    def itf(spec):
+        return scipy.fft.ifftn(spec) * mod_inv
+
+    symbol = zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+    keep = np.abs(symbol) >= projection_rel * rho_sq
+    projected = int(n_total - np.count_nonzero(keep))
+    if projected > 1e-3 * n_total:
+        raise ProjectionError("too many projected modes")
+    rhs_base = -(qfield.values - k ** 2)
+    if np.max(np.abs(rhs_base)) == 0.0:
+        psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
+        return psi, cgo.RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
+    mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
+
+    psi = np.zeros(grid.node_shape, dtype=np.complex128)
+    inc_hist = []
+    grew = 0
+    for it in range(1, max_iter + 1):
+        new = itf(mult * tf(rhs_base * (1.0 + psi)))
+        inc = float(np.sqrt(np.sum(np.abs(new - psi) ** 2) * vol_factor))
+        psi = new
+        if inc_hist and inc > inc_hist[-1]:
+            grew += 1
+            if grew >= 5:
+                raise ContractionError("remainder iteration diverging")
+        else:
+            grew = 0
+        inc_hist.append(inc)
+        scale = float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor))
+        if inc <= 1e-14 * max(1.0, scale):
+            break
+
+    psi_hat = tf(psi)
+    rhs_hat = tf(rhs_base * (1.0 + psi))
+    lhs_hat = symbol * psi_hat
+    num = np.sqrt(np.sum(np.abs(lhs_hat[keep] - rhs_hat[keep]) ** 2))
+    den = np.sqrt(np.sum(np.abs(rhs_hat[keep]) ** 2))
+    residual = float(num / den) if den > 0 else 0.0
+    if residual > residual_tol:
+        raise ContractionError("remainder residual above tolerance")
+    l2 = float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor))
+    grad_sq = np.sum(zeta_sq * np.abs(psi_hat) ** 2) * vol_factor / n_total
+    h1 = float(np.sqrt(l2 ** 2 + grad_sq))
+    return GridField(grid, psi), cgo.RemainderReport(l2, h1, it, projected, n_total, residual)
+
+
+@pytest.fixture(scope="module")
+def box2(geom, grid8):
+    return build_box_grid(geom, grid8, padding=0.5, coarsen=2)
+
+
+@pytest.fixture(scope="module")
+def box2_potentials(geom, grid8, bump8, box2):
+    return {"bump": extend_even(bump8, box2),
+            "zero": extend_trivial(fields.zero_potential(grid8, geom), box2)}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("k", [0.0, 1.5])
+@pytest.mark.parametrize("potential", ["bump", "zero"])
+def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential):
+    q = box2_potentials[potential]
+    pp = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0)
+    for cold in (True, False):
+        if cold:
+            cgo._SPECTRA.clear()
+        psi, rep = solve_remainder(pp.rho1, q, k)
+        ref, ref_rep = _solve_remainder_reference(pp.rho1, q, k)
+        scale = np.max(np.abs(ref.values))
+        assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * scale
+        assert rep.l2 == pytest.approx(ref_rep.l2, rel=1e-12, abs=0.0)
+        assert rep.h1 == pytest.approx(ref_rep.h1, rel=1e-12, abs=0.0)
+        assert rep.iterations == ref_rep.iterations
+        assert rep.projected_modes == ref_rep.projected_modes
+        assert rep.total_modes == ref_rep.total_modes
+        assert max(rep.residual, ref_rep.residual) <= 1e-8
+        assert abs(rep.residual - ref_rep.residual) <= 1e-13
+    assert (rep.iterations == 0) == (potential == "zero" and k == 0.0)
+
+
+def test_remainder_contraction_error_matches_reference(geom, grid8, box2):
+    qb = extend_even(fields.radial_bump_potential(grid8, geom, 400.0), box2)
+    pp = make_phase_pair(make_frame((1.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 1.0)
+    with pytest.raises(ContractionError):
+        _solve_remainder_reference(pp.rho1, qb, 0.0)
+    with pytest.raises(ContractionError):
+        solve_remainder(pp.rho1, qb, 0.0)
+
+
+@pytest.fixture
+def fft_counter(monkeypatch):
+    counts = {"fftn": 0, "ifftn": 0}
+    for name in counts:
+        orig = getattr(scipy.fft, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return counts
+
+
+def test_remainder_fft_budget(box2, box2_potentials, fft_counter):
+    q = box2_potentials["bump"]
+    pp = make_phase_pair(make_frame((2.0, -0.5, 1.0)), Variant.DOUBLE_REFLECTION, 8.0)
+    cgo._SPECTRA.clear()
+    for extra in (1, 0):   # cold memo, then warm
+        fft_counter.update(fftn=0, ifftn=0)
+        _, rep = solve_remainder(pp.rho1, q, 0.0)
+        assert rep.iterations > 1
+        assert fft_counter["ifftn"] == rep.iterations
+        assert fft_counter["fftn"] == rep.iterations + extra
+    # a zero right-hand side transforms nothing, and is still checked first
+    fft_counter.update(fftn=0, ifftn=0)
+    zero = box2_potentials["zero"]
+    _, rep = solve_remainder(pp.rho1, zero, 0.0)
+    assert rep.iterations == 0
+    with pytest.raises(ProjectionError):
+        solve_remainder(pp.rho1, zero, 0.0, projection_rel=10.0)
+    assert fft_counter == {"fftn": 0, "ifftn": 0}
+
+
+def test_remainder_first_spectrum_memo(box2, box2_potentials, fft_counter):
+    q = GridField(box2, box2_potentials["bump"].values.copy())
+    pp = make_phase_pair(make_frame((1.25, 1.0, 0.5)), Variant.SINGLE_REFLECTION, 8.0)
+    cgo._SPECTRA.clear()
+    cold, _ = solve_remainder(pp.rho1, q, 0.0)
+    fft_counter.update(fftn=0, ifftn=0)
+    warm, rep = solve_remainder(pp.rho1, q, 0.0)
+    assert fft_counter["fftn"] == rep.iterations
+    assert np.array_equal(cold.values, warm.values)
+    # same box, same k, same array object, changed samples: the memo misses
+    q.values[12, 12, 12] += 0.25
+    fft_counter.update(fftn=0, ifftn=0)
+    mutated, rep = solve_remainder(pp.rho1, q, 0.0)
+    assert fft_counter["fftn"] == rep.iterations + 1
+    ref, _ = _solve_remainder_reference(pp.rho1, q, 0.0)
+    assert np.max(np.abs(mutated.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+    # another k misses too, and the memo stays bounded
+    for k in (0.25, 0.5, 0.75, 1.0, 1.25):
+        solve_remainder(pp.rho1, q, k)
+    assert len(cgo._SPECTRA) == cgo._SPECTRA_KEPT
 
 
 # -- probes --------------------------------------------------------------------------
@@ -303,6 +461,47 @@ def test_exponential_factorization(geom, grid8, box):
     prod = (probe.u1_direct.values * probe.u2_direct.values
             * np.exp(probe.u1_direct.log_offset + probe.u2_direct.log_offset))
     assert np.max(np.abs(prod - phase)) < 1e-10
+
+
+def _exp_terms_reference(eval_grid, rho, psi_box, reflected):
+    """Exponential factors from the full 3-D phase, offset by its maximum."""
+    x, y, z = eval_grid.node_coords()
+    phase_d = x * rho[0] + y * rho[1] + z * rho[2]
+    offset = float(np.max(phase_d.real))
+    if reflected:
+        phase_m = x * rho[0] + y * rho[1] + (-z) * rho[2]
+        offset = max(offset, float(np.max(phase_m.real)))
+    live = bool(np.any(psi_box.values))
+
+    def factor(phase, mirrored):
+        out = np.exp(phase - offset)
+        if live:
+            out *= 1.0 + interpolate_box(psi_box, eval_grid, mirrored)
+        return out
+
+    direct = factor(phase_d, False)
+    mirrored = factor(phase_m, True) if reflected else None
+    return direct, mirrored, offset
+
+
+@pytest.mark.parametrize("param", [1.0, 8.0, 64.0])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_exp_terms_separable_matches_direct(grid8, box, variant, param):
+    psis = (GridField(box, np.zeros(box.node_shape, dtype=np.complex128)),
+            GridField(box, 0.1 * _random_box_field(box, 5).values))
+    for xi in ((1.5, 0.75, -0.75), (-2.0, 1.0, 2.0), (0.0, 1.0, 0.0)):
+        pp = make_phase_pair(make_frame(xi), variant, param)
+        for rho in (pp.rho1, pp.rho2):
+            for psi in psis:
+                for reflected in (False, True):
+                    d, m, off = cgo._exp_terms(grid8, rho, psi, reflected)
+                    d_ref, m_ref, off_ref = _exp_terms_reference(grid8, rho, psi, reflected)
+                    assert abs(off - off_ref) <= 1e-12
+                    assert np.max(np.abs(d - d_ref)) <= 1e-13 * np.max(np.abs(d_ref))
+                    if reflected:
+                        assert np.max(np.abs(m - m_ref)) <= 1e-13 * np.max(np.abs(m_ref))
+                    else:
+                        assert m is None and m_ref is None
 
 
 def _interpolate_reference(box_field, x, y, z):
@@ -372,16 +571,6 @@ def test_calibrate_min_param(geom, grid8, bump8, box):
     c0, param = calibrate_min_param([q1b], 0.0, [bump8.bound_M])
     assert c0 in {1, 2, 4, 8, 16, 32, 64}
     assert param == max(c0 * bump8.bound_M, 1.0)
-
-
-def test_batch_probes_lexicographic(geom, grid8, box):
-    from slabinv.cgo import build_probes_batch
-    zb = extend_trivial(fields.zero_potential(grid8, geom), box)
-    xis = [(2.0, 0.0, 1.0), (1.0, 0.5, -1.0), (1.0, 0.5, -2.0)]
-    out = build_probes_batch(grid8, xis, Variant.SINGLE_REFLECTION, 3.0, zb, zb, 0.0)
-    keys = [k for k, _ in out]
-    assert keys == sorted(keys)
-    assert len(out) == 3
 
 
 def test_exponential_probe_matches_build(geom, grid8, box):

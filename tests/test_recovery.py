@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import exponential_probe
 
 from slabinv import cgo, fields, recovery
 from slabinv.cgo import Variant, make_frame, make_phase_pair
@@ -69,8 +70,8 @@ def test_pairing_plane_wave_oracle(ws_single):
     # remainders forced to zero and no reflection: the pairing is exactly the
     # trapezoid transform at xi
     pp = make_phase_pair(make_frame((1.5, -0.5, 0.5)), Variant.SINGLE_REFLECTION, 5.0)
-    probe = cgo.exponential_probe(ws_single.eval_grid, pp, ws_single.box_grid,
-                                  reflect1=False, reflect2=False)
+    probe = exponential_probe(ws_single.eval_grid, pp, ws_single.box_grid,
+                              reflect1=False, reflect2=False)
     got = integral_pairing(ws_single.qdiff, probe)
     want = complex(ws_single.qdiff_ft(pp.xi))
     assert got == pytest.approx(want, rel=1e-10)
@@ -115,6 +116,31 @@ def test_born_estimates_match_direct_transform(born_pair8, variant):
         key = tuple(float(v) for v in xi)
         want = true_transform(ws, xi)
         assert abs(res.estimates[key] - want) <= 0.1 * abs(want)
+
+
+def _cross_term_reference(qdiff_field, a, b):
+    w = fields.quadrature_weights(qdiff_field.grid)
+    total = np.sum(w * qdiff_field.values * a.values * b.values)
+    return complex(total * math.exp(a.log_offset + b.log_offset))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
+    # pairing plus the mirrored-phase corrections, each its own quadrature
+    q1, q2 = born_pair8
+    ws = make_workspace(q1, q2, 0.0, variant, box_coarsen=2)
+    param = 8.0
+    xis = build_frequency_set(2.25, 0.75).annulus[::7]
+    res = estimate_fhat_annulus(ws, param, xis)
+    assert len(res.estimates) == len(xis) and not res.failed
+    for xi in xis:
+        pp = make_phase_pair(make_frame(xi), variant, param)
+        probe = cgo.build_probe(ws.eval_grid, pp, ws.q1_box, ws.q2_box, 0.0)
+        want = integral_pairing(ws.qdiff, probe)
+        want += _cross_term_reference(ws.qdiff, probe.u1_reflected, probe.u2_direct)
+        if variant is Variant.DOUBLE_REFLECTION:
+            want += _cross_term_reference(ws.qdiff, probe.u1_direct, probe.u2_reflected)
+        assert abs(res.estimates[xi] - want) <= 1e-12 * abs(want)
 
 
 def test_estimator_error_decays_with_param(ws_single):
@@ -202,6 +228,29 @@ def test_two_constants_certificate():
     assert 0.0 < lam < 1.0 and np.isfinite(c0)
     for sup_gamma, sup_g, sup_g0 in rows:
         assert sup_gamma <= c0 * sup_g ** (1 - lam) * sup_g0 ** lam * (1 + 1e-12)
+
+
+def test_two_constants_match_per_function_loop():
+    # every synthetic function measured on its own exponential matrices
+    halfwidth = 2.0
+    s_gamma = np.linspace(0.01, 0.99, 99)
+    s_g0 = np.linspace(1.0, 2.0, 101)
+    grid = np.linspace(-2.0, 2.0, 41)
+    zg = (grid[:, None] + 1j * grid[None, :]).ravel()
+    rows = []
+    for i in range(20):
+        rng = np.random.Generator(np.random.Philox(key=np.array([0, i], np.uint64)))
+        f = synthetic_line_function(halfwidth, rng)
+        rows.append(tuple(float(np.max(np.abs(f(z)))) for z in (s_gamma, zg, s_g0)))
+    table = [(max(sg / (sG ** (1 - lam) * sg0 ** lam) for sg, sG, sg0 in rows), float(lam))
+             for lam in np.linspace(0.05, 0.95, 19)]
+    c0_min = min(c for c, _ in table)
+    c0_ref, lam_ref = max(((c, lam) for c, lam in table if c <= 2.0 * c0_min),
+                          key=lambda t: t[1])
+    c0, lam, got = calibrate_two_constants(halfwidth, n_funcs=20, seed=0)
+    assert lam == lam_ref
+    assert c0 == pytest.approx(c0_ref, rel=1e-14)
+    assert np.allclose(got, rows, rtol=1e-14, atol=0.0)
 
 
 # -- bound assembly -------------------------------------------------------------------------
