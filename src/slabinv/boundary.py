@@ -160,14 +160,15 @@ def sine_frequencies(square: SquareGrid2, n_modes: int | None = None) -> np.ndar
 
 
 def sine_coefficients(field: BoundaryField) -> np.ndarray:
-    """Full-spectrum coefficients in the orthonormal sine basis.
+    """Full-spectrum coefficients in the orthonormal sine basis; one array
+    per field (a leading axis) for a block.
 
     Valid for fields vanishing on the square edge (patch fields do, since the
     patch lies strictly inside the square by the membership convention).
     """
     sq = field.square
-    interior = field.values[1:-1, 1:-1]
-    spec = scipy.fft.dstn(interior, type=1)
+    interior = field.values[..., 1:-1, 1:-1]
+    spec = scipy.fft.dstn(interior, type=1, axes=(-2, -1))
     # dstn type 1 gives 4 * sum g sin sin; orthonormal coefficient is
     # h^2 (2/S) * sum g sin sin.
     return spec * (sq.h ** 2 / (2.0 * sq.side))

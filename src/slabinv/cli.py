@@ -185,10 +185,11 @@ def _cmd_recover(args) -> int:
         key = (round(xi[0] / x1e, 9), round(xi[1] / x1e, 9), xi[2])
         lines.setdefault(key, []).append(xi)
     for (dx, dy, x3), points in sorted(lines.items()):
-        sample_pts = [(s * dx, s * dy, x3) for s in s_grid]
-        res = recovery.estimate_fhat_annulus(ws, param, sample_pts)
-        samples = [res.estimates.get((float(p[0]), float(p[1]), float(p[2])), 0.0)
-                   for p in sample_pts]
+        # samples that are annulus frequencies reuse those estimates
+        keys = [(float(s * dx), float(s * dy), float(x3)) for s in s_grid]
+        res = recovery.estimate_fhat_annulus(
+            ws, param, [key for key in keys if key not in ann.estimates])
+        samples = [ann.estimates.get(key, res.estimates.get(key, 0.0)) for key in keys]
         s_eval = [math.hypot(p[0], p[1]) for p in points]
         ext = recovery.low_freq_extend(s_grid, np.asarray(samples), cfg,
                                        np.asarray(s_eval), sup_g)

@@ -24,11 +24,10 @@ from .boundary import (
     BoundaryField,
     SquareGrid2,
     bounding_square,
-    mode_field,
     sine_coefficients,
     sine_frequencies,
 )
-from .fields import Potential
+from .fields import GridField, Potential
 from .forward import (
     HelmholtzOperator,
     SolveError,
@@ -62,26 +61,25 @@ class BoundaryBasis:
     depends on the frequency k and the domain.
     """
 
-    def __init__(self, patch: BoundaryPatch, square: SquareGrid2,
-                 functions: list[BoundaryField], n_modes: int):
-        self._set_functions(patch, square, functions)
+    def __init__(self, block: BoundaryField, n_modes: int):
+        self._set_block(block)
         self.n_modes = n_modes
-        coef = np.stack([sine_coefficients(f).ravel() for f in functions])
-        w32 = (1.0 + sine_frequencies(square).ravel()) ** 1.5
+        coef = sine_coefficients(block).reshape(len(self), -1)
+        w32 = (1.0 + sine_frequencies(block.square).ravel()) ** 1.5
         self.gram_h32 = np.real(np.conj(coef) * w32 @ coef.T)
         cond = np.linalg.cond(self.gram_h32)
         logger.info("boundary basis %dx%d modes: H^{3/2} Gram condition %.3e",
                     n_modes, n_modes, cond)
 
-    def _set_functions(self, patch, square, functions):
-        self.patch = patch
-        self.square = square
-        self.block = BoundaryField(patch, square, np.stack([f.values for f in functions]))
-        self.functions = [BoundaryField(patch, square, v) for v in self.block.values]
+    def _set_block(self, block: BoundaryField):
+        self.patch = block.patch
+        self.square = block.square
+        self.block = block
+        self.functions = [block.copy_with(v) for v in block.values]
         self.gram_triple: np.ndarray | None = None
         self._triple_key = None
         self._dual_cache = None
-        self._triple_checked = None
+        self._triple_cache = None
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -92,14 +90,16 @@ class BoundaryBasis:
         """Basis carrying only functions (no spectral Grams); for DN assembly
         with oracle bases such as periodic exponentials."""
         basis = cls.__new__(cls)
-        basis._set_functions(patch, square, functions)
+        basis._set_block(BoundaryField(patch, square, np.stack([f.values for f in functions])))
         basis.n_modes = 0
         basis.gram_h32 = None
         return basis
 
-    def attach_triple_gram(self, op0: HelmholtzOperator) -> np.ndarray:
+    def attach_triple_gram(self, op0: HelmholtzOperator,
+                           u: GridField | None = None) -> np.ndarray:
         """Gram matrix S^T W S of the free solutions in L^2 over the truncated
-        domain, from one block solve.
+        domain, from one block solve, or from `u` when that block of free
+        solutions, solve_dirichlet(op0, self.block), is already at hand.
 
         op0 must carry q = 0; the result is cached per (grid, k, mode).
         """
@@ -108,56 +108,61 @@ class BoundaryBasis:
         key = (op0.grid, op0.k, op0.boundary_mode)
         if self._triple_key == key and self.gram_triple is not None:
             return self.gram_triple
-        rows = omega_rows(solve_dirichlet(op0, self.block), op0.geom)
+        rows = omega_rows(solve_dirichlet(op0, self.block) if u is None else u, op0.geom)
         self.gram_triple = np.real(rows.conj() @ rows.T)
         self._triple_key = key
         cond = np.linalg.cond(self.gram_triple)
         logger.info("triple-norm Gram condition %.3e at k=%g", cond, op0.k)
         return self.gram_triple
 
-    def dual_factors(self) -> tuple[np.ndarray, tuple]:
-        """Conjugated stacked modes and the Cholesky factor of gram_h32.
-
-        Both depend on the basis only, so they are computed once.
+    def dual_factors(self) -> tuple[tuple, np.ndarray]:
+        """Cholesky factor U of gram_h32 = U^H U and the whitener
+        W = U^{-H} h^2 conj(modes): |W r| is the H^{-3/2} dual norm of plate
+        samples r.  Both depend on the basis only, so they are computed once.
         """
         if self._dual_cache is None:
             try:
                 cho = scipy.linalg.cho_factor(self.gram_h32)
             except scipy.linalg.LinAlgError as exc:
                 raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
-            self._dual_cache = (np.conj(self.block.values.reshape(len(self), -1)), cho)
+            pair = self.square.h ** 2 * np.conj(self.block.values.reshape(len(self), -1))
+            white = scipy.linalg.solve_triangular(cho[0], pair, trans="C", lower=cho[1])
+            self._dual_cache = (cho, white)
         return self._dual_cache
 
-    def checked_triple_gram(self) -> np.ndarray:
-        """gram_triple after its positive-definiteness check (once per Gram)."""
+    def triple_whitener(self) -> np.ndarray:
+        """R = L^{-H} for the Cholesky factor L of gram_triple, after the
+        Gram's positive-definiteness check (both once per Gram array)."""
         g = self.gram_triple
         if g is None:
             raise NormDegeneracyError(
                 "source basis carries no triple-norm Gram; call attach_triple_gram first"
             )
-        if self._triple_checked is not g:
+        if self._triple_cache is None or self._triple_cache[0] is not g:
             lam_min = float(np.min(scipy.linalg.eigvalsh(g)))
             if lam_min <= 1e-14 * float(np.max(np.abs(g))):
                 raise NormDegeneracyError(
                     f"triple-norm Gram is numerically singular (min eigenvalue {lam_min:.3e})"
                 )
-            self._triple_checked = g
-        return g
+            low = scipy.linalg.cholesky(g, lower=True)
+            eye = np.eye(len(g))
+            self._triple_cache = (g, scipy.linalg.solve_triangular(low, eye, lower=True).T)
+        return self._triple_cache[1]
 
 
 def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
                          apply_mask: bool = True) -> BoundaryBasis:
+    """All n_modes^2 sine modes (mode_field's values, m1 slowest) as one block."""
     square = bounding_square(grid, patch)
     if n_modes > square.ns - 1:
         raise BoundaryError(
             f"{n_modes} modes per axis exceed the {square.ns}-cell bounding square"
         )
-    functions = [
-        mode_field(patch, square, m1, m2, apply_mask=apply_mask)
-        for m1 in range(1, n_modes + 1)
-        for m2 in range(1, n_modes + 1)
-    ]
-    return BoundaryBasis(patch, square, functions, n_modes)
+    t = np.arange(square.ns + 1) / square.ns
+    sines = np.sin(np.pi * np.arange(1, n_modes + 1)[:, None] * t)
+    vals = (2.0 / square.side) * (sines[:, None, :, None] * sines[None, :, None, :])
+    block = BoundaryField(patch, square, vals.reshape((n_modes ** 2,) + square.node_shape))
+    return BoundaryBasis(block.masked() if apply_mask else block, n_modes)
 
 
 # -- norms --------------------------------------------------------------------
@@ -170,25 +175,22 @@ def norm_h32(g: BoundaryField) -> float:
     return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
 
 
-def _pairings(r: BoundaryField, basis: BoundaryBasis) -> np.ndarray:
-    """h^2 <b_i, r> for each test function b_i."""
+def _whitened(r: BoundaryField, basis: BoundaryBasis) -> np.ndarray:
+    """W r: the pairings h^2 <b_i, r> whitened by the H^{3/2} Gram."""
     if r.square != basis.square:
         raise BoundaryError("field and test basis live on different squares")
-    h2 = r.square.h ** 2
-    return h2 * (basis.dual_factors()[0] @ r.values.ravel())
+    return basis.dual_factors()[1] @ r.values.ravel()
 
 
 def norm_hm32(r: BoundaryField, test_basis: BoundaryBasis) -> float:
     """Dual norm sup |<r, g>| / ||g||_{H^{3/2}} over the span of the test basis."""
-    p = _pairings(r, test_basis)
-    val = np.real(np.vdot(p, scipy.linalg.cho_solve(test_basis.dual_factors()[1], p)))
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.linalg.norm(_whitened(r, test_basis)))
 
 
 def hm32_maximizer(r: BoundaryField, test_basis: BoundaryBasis) -> BoundaryField:
     """The test function attaining the dual norm (inverse-Gram image of r)."""
-    p = _pairings(r, test_basis)
-    c = scipy.linalg.cho_solve(test_basis.dual_factors()[1], p)
+    upper = test_basis.dual_factors()[0][0]
+    c = scipy.linalg.solve_triangular(upper, _whitened(r, test_basis))
     vals = np.tensordot(c, test_basis.block.values, axes=(0, 0))
     return BoundaryField(test_basis.patch, test_basis.square, vals)
 
@@ -224,15 +226,19 @@ class DnOperator:
 
 
 def assemble_dn(op: HelmholtzOperator, basis: BoundaryBasis,
-                target: BoundaryPatch, q_label: str = "") -> DnOperator:
-    """One block solve over the basis; deterministic given equal inputs."""
+                target: BoundaryPatch, q_label: str = "",
+                u: GridField | None = None) -> DnOperator:
+    """One block solve over the basis, or the block `u` of solutions
+    solve_dirichlet(op, basis.block) when already at hand; deterministic
+    given equal inputs."""
     tsq = bounding_square(op.grid, target)
-    try:
-        u = solve_dirichlet(op, basis.block)
-    except SolveError as exc:
-        raise SolveError(f"DN column(s) {exc.columns} failed: {exc}",
-                         residual_history=exc.residual_history,
-                         columns=exc.columns) from exc
+    if u is None:
+        try:
+            u = solve_dirichlet(op, basis.block)
+        except SolveError as exc:
+            raise SolveError(f"DN column(s) {exc.columns} failed: {exc}",
+                             residual_history=exc.residual_history,
+                             columns=exc.columns) from exc
     tr = neumann_trace(u, target)
     matrix = np.ascontiguousarray(tr.values.reshape(len(basis), -1).T)
     return DnOperator(matrix, basis, target, tsq, op.k, q_label)
@@ -243,46 +249,44 @@ def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
     """Source basis (with its triple Gram), test basis and the DN maps of q1
     and q2 from the Dirichlet patch to the Neumann patch on `plate`.
 
-    An identically zero potential reuses the free operator, whose matrix it
-    shares.  Returns (src_basis, tgt_basis, dn1, dn2).
+    An identically zero potential reuses the free operator and its block of
+    solutions, which the triple Gram needs too, so one block solve serves
+    both.  Returns (src_basis, tgt_basis, dn1, dn2).
     """
     op0 = HelmholtzOperator(grid, geom, k, None)
     src = build_boundary_basis(grid, dirichlet_patch(geom), basis_n)
     target = neumann_patch(geom, plate)
     tgt = build_boundary_basis(grid, target, basis_n)
-    dns = []
+    dns, u0 = [], None
     for q in (q1, q2):
-        op = HelmholtzOperator(grid, geom, k, q) if np.any(q.field.values) else op0
-        dns.append(assemble_dn(op, src, target))
-    src.attach_triple_gram(op0)
+        if np.any(q.field.values):
+            dns.append(assemble_dn(HelmholtzOperator(grid, geom, k, q), src, target))
+        else:
+            u0 = solve_dirichlet(op0, src.block) if u0 is None else u0
+            dns.append(assemble_dn(op0, src, target, u=u0))
+    src.attach_triple_gram(op0, u0)
     return src, tgt, dns[0], dns[1]
 
 
 # -- the operator norm ----------------------------------------------------------
 
 
-def _star_pencil(matrix: np.ndarray, src_basis: BoundaryBasis,
-                 tgt_basis: BoundaryBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian pencil (M, G) whose top eigenvalue is the squared star norm."""
-    g = src_basis.checked_triple_gram()
-    h2 = tgt_basis.square.h ** 2
-    conj_stack, cho = tgt_basis.dual_factors()
-    pair = h2 * (conj_stack @ matrix)          # (m_t, n_src)
-    m_mat = np.conj(pair).T @ scipy.linalg.cho_solve(cho, pair)
-    return m_mat, g
-
-
 def op_norm_star(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
                  tgt_basis: BoundaryBasis) -> float:
-    """Largest generalized singular value of a DN-matrix difference.
+    """Largest generalized singular value of a DN-matrix difference D.
 
-    Solved as the extreme eigenvalue of the dense Hermitian pencil; exact to
-    machine precision at these basis sizes, which the homogeneity/triangle
-    checks downstream rely on.
+    The spectral norm ||W D R|| with the whiteners of the two bases
+    (BoundaryBasis.dual_factors, BoundaryBasis.triple_whitener): the square
+    root of the top eigenvalue of B^H B for B = W D R, the Cholesky reduction
+    of the Hermitian pencil (P^H H^{-1} P, G) with the pairings
+    P = h^2 conj(modes) D.  Exact to machine precision at these basis sizes,
+    which the homogeneity/triangle checks downstream rely on.
     """
-    m_mat, g = _star_pencil(matrix_diff, src_basis, tgt_basis)
-    vals = scipy.linalg.eigh(m_mat, g, eigvals_only=True)
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+    b = tgt_basis.dual_factors()[1] @ matrix_diff @ src_basis.triple_whitener()
+    n = b.shape[1]
+    top = scipy.linalg.eigh(b.conj().T @ b, eigvals_only=True,
+                            subset_by_index=[n - 1, n - 1])
+    return float(np.sqrt(max(float(top[0]), 0.0)))
 
 
 # -- matrix file format ----------------------------------------------------------

@@ -5,7 +5,8 @@ constants (the weighted a-priori inequality constant, the boundary
 unique-continuation modulus, the stability exponent) are fitted and reported;
 assertions are reserved for directions and monotonicity.  All RNG draws use a
 counter-based generator keyed by (seed, record index) so that sweeps are
-reproducible record-by-record, and CSV outputs are byte-deterministic.
+reproducible record-by-record, and CSV outputs are byte-deterministic for a
+fixed BLAS thread count.
 """
 
 from __future__ import annotations

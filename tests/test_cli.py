@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 from slabinv import boundary, cgo, cli, dnmap, fields, forward, geometry, recovery
 from slabinv.harness import SCHEMA_LINE
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +308,63 @@ def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
     ref = sweep_inputs["tmp"] / "sweep_separate.csv"
     harness.write_sweep_csv(str(ref), records, theta_fit)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def _run_sweep_subprocess(argv, out, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads), PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, "-m", "slabinv.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
+def test_sweep_csv_deterministic_per_blas_thread_count(sweep_inputs):
+    # byte-identical for a fixed BLAS thread count; another thread count
+    # reorders the BLAS sums, so only round-off may change
+    tmp, argv = sweep_inputs["tmp"], sweep_inputs["argv"]
+    one = [_run_sweep_subprocess(argv, tmp / f"sweep_t1_{i}.csv", 1) for i in range(2)]
+    two = _run_sweep_subprocess(argv, tmp / "sweep_t2.csv", 2)
+    assert one[0] == one[1]
+    rows_one = one[0].decode().splitlines()
+    rows_two = two.decode().splitlines()
+    assert rows_one[:2] == rows_two[:2] and len(rows_one) == len(rows_two)
+    for a, b in zip(rows_one[2:], rows_two[2:]):
+        for x, y in zip(map(float, a.split(",")), map(float, b.split(","))):
+            assert x == y or abs(x - y) <= 1e-10 * max(abs(x), abs(y))
+
+
+def test_recover_continuation_reuses_annulus_estimates(workdir, monkeypatch):
+    # r = 2.5, spacing 0.5: 108 of the 216 continuation samples are annulus
+    # frequencies, whose estimates are reused instead of recomputed
+    probes, calls = [], []
+    orig_probe, orig_estimate = recovery.build_probe, recovery.estimate_fhat_annulus
+
+    def estimate(*args):
+        calls.append((args, orig_estimate(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(recovery, "build_probe",
+                        lambda *a, **kw: probes.append(1) or orig_probe(*a, **kw))
+    monkeypatch.setattr(recovery, "estimate_fhat_annulus", estimate)
+    out = workdir["tmp"] / "recover_reuse.csv"
+    assert cli.main([
+        "recover", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+        "--q2", "zero", "--variant", "thm2", "--r", "2.5", "--param", "6.0",
+        "--lambda", "0.5", "--spacing", "0.5", "--out", str(out),
+    ]) == 0
+    freqs = recovery.build_frequency_set(2.5, 0.5)
+    directions = sorted({(round(x / np.hypot(x, y), 9), round(y / np.hypot(x, y), 9), z)
+                         for x, y, z in freqs.low})
+    samples = [(float(s * dx), float(s * dy), float(z))
+               for dx, dy, z in directions for s in (1.0, 1.5, 2.0)]
+    annulus = set(freqs.annulus)
+    hits = [xi for xi in samples if xi in annulus]
+    assert len(samples) == 216 and len(hits) == 108
+    (ws, param, _), annulus_result = calls[0]
+    estimated = [xi for (_, _, batch), _ in calls[1:] for xi in batch]
+    assert estimated == [xi for xi in samples if xi not in hits]
+    assert len(probes) == len(freqs.annulus) + len(estimated)
+    # reuse is exact because an estimate does not depend on its batch
+    again = orig_estimate(ws, param, hits[:4]).estimates
+    assert all(again[xi] == annulus_result.estimates[xi] for xi in hits[:4])

@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import corrupt_datum
 from slabinv import boundary, dnmap, fields, forward, geometry
@@ -225,11 +228,31 @@ def test_dn_sensitivity_linear_in_potential(geom, grid8, op0_8, masked_bases):
 # -- star norm ----------------------------------------------------------------------
 
 
+def _star_pencil(matrix: np.ndarray, src_basis: BoundaryBasis,
+                 tgt_basis: BoundaryBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian pencil (M, G) whose top eigenvalue is the squared star norm:
+    M = P^H H^{-1} P with the pairings P = h^2 conj(test modes) D, H the
+    H^{3/2} Gram of the test basis and G the triple Gram of the source basis."""
+    h2 = tgt_basis.square.h ** 2
+    conj_stack = np.conj(tgt_basis.block.values.reshape(len(tgt_basis), -1))
+    pair = h2 * (conj_stack @ matrix)
+    cho = scipy.linalg.cho_factor(tgt_basis.gram_h32)
+    m_mat = np.conj(pair).T @ scipy.linalg.cho_solve(cho, pair)
+    return m_mat, src_basis.gram_triple
+
+
+def op_norm_star_pencil(matrix_diff, src_basis, tgt_basis) -> float:
+    """The star norm as the top eigenvalue of the dense generalized pencil."""
+    m_mat, g = _star_pencil(matrix_diff, src_basis, tgt_basis)
+    vals = scipy.linalg.eigh(m_mat, g, eigvals_only=True)
+    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+
+
 def op_norm_star_power(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
                        tgt_basis: BoundaryBasis, seed: int = 0,
                        max_iter: int = 500, rel_tol: float = 1e-6) -> float:
     """Power-iteration evaluation of the star norm (cross-check oracle)."""
-    m_mat, g = dnmap._star_pencil(matrix_diff, src_basis, tgt_basis)
+    m_mat, g = _star_pencil(matrix_diff, src_basis, tgt_basis)
     n = m_mat.shape[0]
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], np.uint64)))
     c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -468,11 +491,16 @@ def _star_norm_reference(matrix, src, tgt):
     """The star norm with every per-basis invariant recomputed in the call."""
     h2 = tgt.square.h ** 2
     stack = np.stack([f.values.ravel() for f in tgt.functions])
-    pair = h2 * (np.conj(stack) @ matrix)
     cho = scipy.linalg.cho_factor(tgt.gram_h32)
-    m_mat = np.conj(pair).T @ scipy.linalg.cho_solve(cho, pair)
-    vals = scipy.linalg.eigh(m_mat, src.gram_triple, eigvals_only=True)
-    return float(np.sqrt(max(float(vals[-1]), 0.0)))
+    white_t = scipy.linalg.solve_triangular(cho[0], h2 * np.conj(stack),
+                                            trans="C", lower=cho[1])
+    low = scipy.linalg.cholesky(src.gram_triple, lower=True)
+    white_s = scipy.linalg.solve_triangular(low, np.eye(len(src)), lower=True).T
+    b = white_t @ matrix @ white_s
+    n = b.shape[1]
+    vals = scipy.linalg.eigh(b.conj().T @ b, eigvals_only=True,
+                             subset_by_index=[n - 1, n - 1])
+    return float(np.sqrt(max(float(vals[0]), 0.0)))
 
 
 def test_star_norm_bit_identical_with_cached_invariants(geom, grid8, op0_8, monkeypatch):
@@ -495,3 +523,159 @@ def test_star_norm_bit_identical_with_cached_invariants(geom, grid8, op0_8, monk
     norm_hm32(r, tgt)
     hm32_maximizer(r, tgt)
     assert len(factorizations) == 1
+
+
+# -- whitened star norm and block-built bases ---------------------------------------
+
+
+def _random_matrix(rng, nrows, ncols):
+    return rng.standard_normal((nrows, ncols)) + 1j * rng.standard_normal((nrows, ncols))
+
+
+def test_star_norm_matches_pencil_on_random_matrices(masked_bases):
+    src, tgt = masked_bases
+    nrows = tgt.square.node_shape[0] * tgt.square.node_shape[1]
+    rng = np.random.default_rng(31)
+    for scale in (1e-8, 1.0, 1e6):
+        d = scale * _random_matrix(rng, nrows, len(src))
+        ref = op_norm_star_pencil(d, src, tgt)
+        assert abs(op_norm_star(d, src, tgt) - ref) <= 1e-13 * ref
+
+
+def test_star_norm_matches_pencil_at_bench_size(geom, grid8, born_pair8):
+    # the sweep benchmark's measurement pair: h = 1/8, 12 modes per axis
+    q1, q2 = born_pair8
+    src, tgt, dn1, dn2 = dnmap.measurement_pair(grid8, geom, 0.0, q1, q2, Plate.BOTTOM, 12)
+    d0 = dn1.matrix - dn2.matrix
+    e = _random_matrix(np.random.default_rng(5), *d0.shape)
+    e /= op_norm_star_pencil(e, src, tgt)
+    for d in (d0, d0 + 1e-3 * e, d0 + 1e-8 * e):
+        ref = op_norm_star_pencil(d, src, tgt)
+        assert abs(op_norm_star(d, src, tgt) - ref) <= 1e-13 * ref
+
+
+def test_whiteners_formed_once_per_basis(geom, grid8, op0_8, monkeypatch):
+    src = build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 4)
+    src.attach_triple_gram(op0_8)
+    tgt = build_boundary_basis(grid8, geometry.neumann_patch(geom, Plate.BOTTOM), 4)
+    counts = {"cho_factor": 0, "cholesky": 0}
+    for name in counts:
+        def counting(*args, _orig=getattr(scipy.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg, name, counting)
+    nrows = tgt.square.node_shape[0] * tgt.square.node_shape[1]
+    d = _random_matrix(np.random.default_rng(8), nrows, len(src))
+    norms = [op_norm_star(d, src, tgt) for _ in range(3)]
+    r = BoundaryField(tgt.patch, tgt.square, d[:, 0].reshape(tgt.square.node_shape))
+    norm_hm32(r, tgt)
+    hm32_maximizer(r, tgt)
+    assert counts == {"cho_factor": 1, "cholesky": 1}
+    assert norms[0] == norms[1] == norms[2]
+    # a new triple Gram array gets its own whitener; the test basis keeps its
+    src.attach_triple_gram(HelmholtzOperator(grid8, geom, 2.5, None))
+    op_norm_star(d, src, tgt)
+    op_norm_star(d, src, tgt)
+    assert counts == {"cho_factor": 1, "cholesky": 2}
+
+
+@pytest.mark.parametrize("q2_amplitude, solves", [(0.0, 2), (0.5, 3)])
+def test_measurement_pair_block_solves(geom, q2_amplitude, solves, monkeypatch):
+    grid = geometry.build_domain(geom, 0.25)
+    q1 = fields.radial_bump_potential(grid, geom, 1e-3)
+    q2 = (fields.radial_bump_potential(grid, geom, q2_amplitude) if q2_amplitude
+          else fields.zero_potential(grid, geom))
+    calls = []
+    orig = HelmholtzOperator.solve_interior
+    monkeypatch.setattr(HelmholtzOperator, "solve_interior",
+                        lambda self, rhs: calls.append(rhs.shape) or orig(self, rhs))
+    src, _, dn1, dn2 = dnmap.measurement_pair(grid, geom, 0.0, q1, q2, Plate.BOTTOM, 3)
+    assert len(calls) == solves
+    assert all(shape[1:] == (len(src),) for shape in calls)
+    monkeypatch.undo()
+    # the same DN maps and triple Gram as separate solves
+    ref = build_boundary_basis(grid, geometry.dirichlet_patch(geom), 3)
+    op0 = HelmholtzOperator(grid, geom, 0.0, None)
+    assert np.array_equal(src.gram_triple, ref.attach_triple_gram(op0))
+    target = geometry.neumann_patch(geom, Plate.BOTTOM)
+    for q, dn in ((q1, dn1), (q2, dn2)):
+        want = assemble_dn(HelmholtzOperator(grid, geom, 0.0, q), ref, target).matrix
+        assert np.array_equal(dn.matrix, want)
+
+
+@pytest.mark.parametrize("target_h, n_modes", [(0.25, 3), (0.125, 12)])
+@pytest.mark.parametrize("apply_mask", [True, False])
+def test_block_basis_matches_mode_loop(geom, target_h, n_modes, apply_mask):
+    grid = geometry.build_domain(geom, target_h)
+    for patch in (geometry.dirichlet_patch(geom), geometry.neumann_patch(geom, Plate.BOTTOM)):
+        basis = build_boundary_basis(grid, patch, n_modes, apply_mask=apply_mask)
+        modes = [mode_field(patch, basis.square, m1, m2, apply_mask=apply_mask)
+                 for m1 in range(1, n_modes + 1) for m2 in range(1, n_modes + 1)]
+        assert len(basis) == len(modes)
+        assert all(np.array_equal(f.values, m.values) for f, m in zip(basis.functions, modes))
+        coef = np.stack([boundary.sine_coefficients(m).ravel() for m in modes])
+        assert np.array_equal(boundary.sine_coefficients(basis.block).reshape(len(modes), -1),
+                              coef)
+        w32 = (1.0 + boundary.sine_frequencies(basis.square).ravel()) ** 1.5
+        ref = np.real(np.conj(coef) * w32 @ coef.T)
+        assert np.max(np.abs(basis.gram_h32 - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# -- exact discrete DN identities -----------------------------------------------------
+#
+# With Dirichlet data f on the top plate, Lambda_q f = (f - u_f|top-1) / h is the
+# first-order flux.  The 7-point operator is symmetric, so Lambda_q is, and the
+# difference of two maps is the Alessandrini pairing of the two solutions, both
+# exactly in the discrete setting.
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_setup(target_h: float, k: float):
+    geom = geometry.SlabGeometry(L=1.0, R=1.0, R_prime=1.5, R_lat=2.0, eps_cutoff=0.1)
+    grid = geometry.build_domain(geom, target_h)
+    bump = fields.radial_bump_potential(grid, geom, 1.0)
+    return (grid, geometry.dirichlet_patch(geom), bump, HelmholtzOperator(grid, geom, k, None),
+            HelmholtzOperator(grid, geom, k, bump))
+
+
+def _random_patch_data(grid, patch, seed):
+    sq = boundary.bounding_square(grid, patch)
+    vals = np.random.default_rng(seed).standard_normal((2,) + sq.node_shape)
+    return BoundaryField(patch, sq, vals).masked()
+
+
+def _first_order_dn(op, data):
+    """(plate data, Lambda data, solutions) for a block of top-plate data."""
+    u = solve_dirichlet(op, data).values
+    sz = op.grid.node_shape[2]
+    return u[..., sz - 1], (u[..., sz - 1] - u[..., sz - 2]) / op.grid.h, u
+
+
+_oracle_cases = dict(seed=st.integers(0, 2 ** 32 - 1), target_h=st.sampled_from([0.25, 0.125]),
+                     k=st.sampled_from([0.0, 2.5]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(with_bump=st.booleans(), **_oracle_cases)
+def test_first_order_dn_symmetric(seed, target_h, k, with_bump):
+    grid, patch, _, op0, op_bump = _oracle_setup(target_h, k)
+    f, lam, _ = _first_order_dn(op_bump if with_bump else op0,
+                                _random_patch_data(grid, patch, seed))
+    h2 = grid.h ** 2
+    a = h2 * np.sum(f[1] * lam[0])
+    b = h2 * np.sum(f[0] * lam[1])
+    # relative to the sum of the terms' magnitudes, which no cancellation shrinks
+    assert abs(a - b) <= 1e-10 * h2 * np.sum(np.abs(f[1] * lam[0]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(**_oracle_cases)
+def test_first_order_dn_alessandrini_identity(seed, target_h, k):
+    grid, patch, bump, op0, op_bump = _oracle_setup(target_h, k)
+    data = _random_patch_data(grid, patch, seed)
+    f, lam1, u1 = _first_order_dn(op_bump, data)
+    _, lam2, u2 = _first_order_dn(op0, data)
+    lhs = grid.h ** 2 * np.sum(f[1] * (lam1[0] - lam2[0]))
+    active = op0.active
+    terms = grid.h ** 3 * bump.field.values.real[active] * u1[0][active] * u2[1][active]
+    assert abs(lhs - np.sum(terms)) <= 1e-10 * np.sum(np.abs(terms))
