@@ -90,11 +90,6 @@ class PhasePair:
     def xi(self) -> np.ndarray:
         return self.frame.xi
 
-    @property
-    def decay_scale(self) -> float:
-        """|rho| / sqrt(2): tau |xi| or (alpha^2 + 1/4)^{1/2} |xi|."""
-        return float(np.sqrt(np.sum(np.abs(self.rho1) ** 2) / 2.0))
-
 
 def make_phase_pair(frame: Frame, variant: Variant, param: float) -> PhasePair:
     """Phase vectors in ambient coordinates for either family; param >= 1."""
@@ -204,34 +199,25 @@ def _box_lattice(grid: Grid3, lattice_shift: tuple) -> tuple:
                  (z0, z1, z2, z0 ** 2 + z1 ** 2 + z2 ** 2, mod, np.conj(mod)))
 
 
-_SPECTRA: list = []   # [((box, shift, k), q samples, first spectrum)], newest first
-_SPECTRA_KEPT = 4
+@functools.lru_cache(maxsize=32)
+def _dft_factors(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pruned DFT of one axis for the indices lo <= j < hi: forward (n, m)
+    exp(-2 pi i k j / n) and inverse (m, n) exp(2 pi i j k / n) / n; read-only."""
+    inverse = np.exp(2j * np.pi / n * (np.outer(np.arange(lo, hi), np.arange(n)) % n))
+    return _frozen(np.ascontiguousarray(inverse.conj().T)), _frozen(inverse / n)
 
 
-def _first_spectrum(qfield: GridField, k: float, lattice_shift: tuple,
-                    rhs_mod: np.ndarray) -> np.ndarray:
-    """fftn(-(Q - k^2) mod): the first sweep's spectrum, which no phase enters.
-
-    Memoized for the last few (box, shift, k, potential samples); an entry is
-    used only if its stored samples equal qfield.values.  Read-only.
-    """
-    key = (qfield.grid, lattice_shift, k)
-    for i, (entry_key, q, spec) in enumerate(_SPECTRA):
-        if entry_key == key and np.array_equal(q, qfield.values):
-            _SPECTRA.insert(0, _SPECTRA.pop(i))
-            return spec
-    spec = _frozen(scipy.fft.fftn(rhs_mod))
-    _SPECTRA.insert(0, (key, _frozen(qfield.values.copy()), spec))
-    del _SPECTRA[_SPECTRA_KEPT:]
-    return spec
+def _pruned_dft(arr: np.ndarray, mats) -> np.ndarray:
+    """Separable DFT with one (out, in) factor matrix per axis: three matmuls,
+    pruned where a factor maps from or to a block of its axis."""
+    m0, m1, m2 = mats
+    out = m1 @ (m0 @ arr.reshape(len(arr), -1)).reshape((len(m0),) + arr.shape[1:])
+    return (out.reshape(-1, arr.shape[2]) @ m2.T).reshape(len(m0), len(m1), len(m2))
 
 
 def _norm_sq(arr: np.ndarray) -> float:
-    """sum |arr|^2 as one real dot product over the float64 view.
-
-    The complex BLAS dot is multithreaded at box sizes and then several times
-    slower than this.
-    """
+    """sum |arr|^2 as one real dot product over the float64 view (the complex
+    BLAS dot is multithreaded at box sizes, and then several times slower)."""
     flat = arr.view(np.float64).ravel()
     return float(np.vdot(flat, flat))
 
@@ -255,20 +241,20 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
     0.1 percent of the modes are removed.
 
     The sweeps iterate on phi = psi * mod (mod is unimodular, so every norm
-    is psi's): one inverse and one forward FFT each.  The first spectrum is
-    memoized per potential and k; the last forward transform is the
-    residual's right-hand side, and the last inverted spectrum is psi's
-    transform.
+    is psi's) and read phi only on the index block bounding the support of
+    k^2 - Q: phi there is a pruned inverse DFT of phi_hat = mult * spec, the
+    next spectrum a pruned DFT from the block, and the increment and L2 norm
+    come from phi_hat by Parseval.  A block filling the box (k != 0) uses
+    plain FFTs.  The last spectrum is the residual's right-hand side, and one
+    full inverse FFT of the last phi_hat gives psi.
     """
     grid = qfield.grid
     if not grid.periodic:
         raise FieldError("remainder solves need a periodic box grid")
     rho = np.asarray(rho, dtype=np.complex128)
     rho_sq = float(np.sum(np.abs(rho) ** 2))
-    vol_factor = grid.h ** 3
     n_total = qfield.values.size
-    lattice_shift = tuple(lattice_shift)
-    z0, z1, z2, zeta_sq, mod, mod_inv = _box_lattice(grid, lattice_shift)
+    z0, z1, z2, zeta_sq, mod, mod_inv = _box_lattice(grid, tuple(lattice_shift))
 
     c = -2j * rho
     symbol = zeta_sq + (c[0] * z0 + c[1] * z1 + c[2] * z2)
@@ -284,17 +270,29 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
         psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
         return psi, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
     mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
-    rhs_mod = rhs_base * mod
-    spec = _first_spectrum(qfield, k, lattice_shift, rhs_mod)
+    live = rhs_base != 0
+    live_xy = live.any(axis=2)
+    spans = [(int(run[0]), int(run[-1]) + 1) for run in map(np.flatnonzero, (
+        live_xy.any(axis=1), live_xy.any(axis=0), live.any(axis=(0, 1))))]
+    block = tuple(slice(lo, hi) for lo, hi in spans)
+    whole = all(hi - lo == n for (lo, hi), n in zip(spans, grid.node_shape))
+    if whole:
+        to_block, from_block = scipy.fft.ifftn, scipy.fft.fftn
+    else:
+        fwd, inv = zip(*[_dft_factors(n, lo, hi) for (lo, hi), n in zip(spans, grid.node_shape)])
+        to_block, from_block = (functools.partial(_pruned_dft, mats=m) for m in (inv, fwd))
+    rhs_blk = rhs_base[block]
+    rhs_mod = rhs_blk * mod[block]
+    spec = from_block(rhs_mod)
 
-    phi = np.zeros(grid.node_shape, dtype=np.complex128)
+    parseval = grid.h ** 3 / n_total
+    prev_hat = 0.0
     prev_inc = math.inf
     grew = 0
     for it in range(1, max_iter + 1):
         phi_hat = mult * spec
-        new = scipy.fft.ifftn(phi_hat)
-        inc = math.sqrt(_norm_sq(new - phi) * vol_factor)
-        phi = new
+        inc = math.sqrt(_norm_sq(phi_hat - prev_hat) * parseval)
+        prev_hat = phi_hat
         if inc > prev_inc:
             grew += 1
             if grew >= 5:
@@ -305,8 +303,9 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
         else:
             grew = 0
         prev_inc = inc
-        l2 = math.sqrt(_norm_sq(phi) * vol_factor)
-        spec = scipy.fft.fftn(rhs_mod + rhs_base * phi)
+        l2 = math.sqrt(_norm_sq(phi_hat) * parseval)
+        phi = to_block(phi_hat)
+        spec = from_block(rhs_mod + rhs_blk * phi)
         if inc <= 1e-14 * max(1.0, l2):
             break
 
@@ -319,11 +318,11 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
             f"{it} sweeps (increase the phase parameter)"
         )
 
-    grad_sq = float(np.vdot(zeta_sq, phi_hat.real ** 2 + phi_hat.imag ** 2))
-    grad_sq *= vol_factor / n_total
+    grad_sq = float(np.vdot(zeta_sq, phi_hat.real ** 2 + phi_hat.imag ** 2)) * parseval
     h1 = math.sqrt(l2 ** 2 + grad_sq)
     report = RemainderReport(l2, h1, it, projected, n_total, residual)
-    return GridField(grid, phi * mod_inv), report
+    psi = phi if whole else scipy.fft.ifftn(phi_hat)
+    return GridField(grid, psi * mod_inv), report
 
 
 # -- probe assembly --------------------------------------------------------------

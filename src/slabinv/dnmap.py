@@ -117,15 +117,15 @@ class BoundaryBasis:
 
     def dual_factors(self) -> tuple[tuple, np.ndarray]:
         """Cholesky factor U of gram_h32 = U^H U and the whitener
-        W = U^{-H} h^2 conj(modes): |W r| is the H^{-3/2} dual norm of plate
-        samples r.  Both depend on the basis only, so they are computed once.
-        """
+        W = U^{-H} h^2 modes: |W r| is the H^{-3/2} dual norm of plate
+        samples r (real, like the sine modes).  Both depend on the basis only,
+        so they are computed once."""
         if self._dual_cache is None:
             try:
                 cho = scipy.linalg.cho_factor(self.gram_h32)
             except scipy.linalg.LinAlgError as exc:
                 raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
-            pair = self.square.h ** 2 * np.conj(self.block.values.reshape(len(self), -1))
+            pair = self.square.h ** 2 * self.block.values.real.reshape(len(self), -1)
             white = scipy.linalg.solve_triangular(cho[0], pair, trans="C", lower=cho[1])
             self._dual_cache = (cho, white)
         return self._dual_cache
@@ -282,7 +282,8 @@ def op_norm_star(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
     P = h^2 conj(modes) D.  Exact to machine precision at these basis sizes,
     which the homogeneity/triangle checks downstream rely on.
     """
-    b = tgt_basis.dual_factors()[1] @ matrix_diff @ src_basis.triple_whitener()
+    pairs = np.ascontiguousarray(matrix_diff, dtype=np.complex128).view(np.float64)  # W is real
+    b = (tgt_basis.dual_factors()[1] @ pairs).view(np.complex128) @ src_basis.triple_whitener()
     n = b.shape[1]
     top = scipy.linalg.eigh(b.conj().T @ b, eigvals_only=True,
                             subset_by_index=[n - 1, n - 1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from conftest import exponential_probe, reflect_remainder
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slabinv import cgo, fields
 from slabinv.cgo import (
@@ -332,7 +332,7 @@ def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential
     pp = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0)
     for cold in (True, False):
         if cold:
-            cgo._SPECTRA.clear()
+            cgo._dft_factors.cache_clear()
         psi, rep = solve_remainder(pp.rho1, q, k)
         ref, ref_rep = _solve_remainder_reference(pp.rho1, q, k)
         scale = np.max(np.abs(ref.values))
@@ -372,14 +372,24 @@ def fft_counter(monkeypatch):
 
 def test_remainder_fft_budget(box2, box2_potentials, fft_counter):
     q = box2_potentials["bump"]
-    pp = make_phase_pair(make_frame((2.0, -0.5, 1.0)), Variant.DOUBLE_REFLECTION, 8.0)
-    cgo._SPECTRA.clear()
-    for extra in (1, 0):   # cold memo, then warm
+    frame = make_frame((2.0, -0.5, 1.0))
+    # a small support sweeps by pruned DFTs: one full inverse FFT per solve,
+    # whatever the iteration count
+    iterations = set()
+    for param in (2.0, 8.0, 64.0):
+        pp = make_phase_pair(frame, Variant.DOUBLE_REFLECTION, param)
         fft_counter.update(fftn=0, ifftn=0)
         _, rep = solve_remainder(pp.rho1, q, 0.0)
-        assert rep.iterations > 1
-        assert fft_counter["ifftn"] == rep.iterations
-        assert fft_counter["fftn"] == rep.iterations + extra
+        iterations.add(rep.iterations)
+        assert fft_counter == {"fftn": 0, "ifftn": 1}
+    assert len(iterations) > 1
+    # at k != 0 the support is the whole box: one FFT pair per sweep, the
+    # first spectrum's transform, and the last sweep's inverse is psi
+    pp = make_phase_pair(frame, Variant.DOUBLE_REFLECTION, 8.0)
+    fft_counter.update(fftn=0, ifftn=0)
+    _, rep = solve_remainder(pp.rho1, q, 0.5)
+    assert rep.iterations > 1
+    assert fft_counter == {"fftn": rep.iterations + 1, "ifftn": rep.iterations}
     # a zero right-hand side transforms nothing, and is still checked first
     fft_counter.update(fftn=0, ifftn=0)
     zero = box2_potentials["zero"]
@@ -390,26 +400,37 @@ def test_remainder_fft_budget(box2, box2_potentials, fft_counter):
     assert fft_counter == {"fftn": 0, "ifftn": 0}
 
 
-def test_remainder_first_spectrum_memo(box2, box2_potentials, fft_counter):
-    q = GridField(box2, box2_potentials["bump"].values.copy())
-    pp = make_phase_pair(make_frame((1.25, 1.0, 0.5)), Variant.SINGLE_REFLECTION, 8.0)
-    cgo._SPECTRA.clear()
-    cold, _ = solve_remainder(pp.rho1, q, 0.0)
-    fft_counter.update(fftn=0, ifftn=0)
-    warm, rep = solve_remainder(pp.rho1, q, 0.0)
-    assert fft_counter["fftn"] == rep.iterations
-    assert np.array_equal(cold.values, warm.values)
-    # same box, same k, same array object, changed samples: the memo misses
-    q.values[12, 12, 12] += 0.25
-    fft_counter.update(fftn=0, ifftn=0)
-    mutated, rep = solve_remainder(pp.rho1, q, 0.0)
-    assert fft_counter["fftn"] == rep.iterations + 1
-    ref, _ = _solve_remainder_reference(pp.rho1, q, 0.0)
-    assert np.max(np.abs(mutated.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
-    # another k misses too, and the memo stays bounded
-    for k in (0.25, 0.5, 0.75, 1.0, 1.25):
-        solve_remainder(pp.rho1, q, k)
-    assert len(cgo._SPECTRA) == cgo._SPECTRA_KEPT
+_PROPERTY_BOX = Grid3(12, 12, 12, 0.25, (-1.5, -1.5, -1.5), periodic=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.tuples(*[st.integers(0, 11)] * 3), width=st.tuples(*[st.integers(1, 12)] * 3),
+       k=st.sampled_from([0.0, 0.0, 0.8]), variant=st.sampled_from(list(Variant)),
+       seed=st.integers(0, 2 ** 31))
+@example(lo=(0, 5, 3), width=(4, 3, 5), k=0.0, variant=Variant.SINGLE_REFLECTION, seed=1)
+@example(lo=(2, 9, 8), width=(3, 3, 4), k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=2)
+@example(lo=(10, 7, 11), width=(5, 4, 3), k=0.0, variant=Variant.SINGLE_REFLECTION, seed=3)
+@example(lo=(4, 0, 6), width=(1, 12, 1), k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=4)
+@example(lo=(3, 3, 3), width=(6, 6, 6), k=0.8, variant=Variant.SINGLE_REFLECTION, seed=5)
+@example(lo=(0, 0, 0), width=(12, 12, 12), k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=6)
+def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
+    # compact supports anywhere in the box: touching index 0 or n - 1,
+    # wrapping across the periodic edge, one node wide, or the whole box
+    box = _PROPERTY_BOX
+    rng = np.random.default_rng(seed)
+    idx = np.ix_(*[(a + np.arange(m)) % n for a, m, n in zip(lo, width, box.node_shape)])
+    values = np.zeros(box.node_shape, dtype=np.complex128)
+    values[idx] = rng.uniform(0.2, 1.0, values[idx].shape) * rng.choice([-1.0, 1.0])
+    q = GridField(box, values)
+    xi = rng.uniform(-2.0, 2.0, 3)
+    xi[0] += 1.0 if xi[0] >= 0 else -1.0
+    pp = make_phase_pair(make_frame(xi), variant, 8.0)
+    psi, rep = solve_remainder(pp.rho1, q, k)
+    ref, ref_rep = _solve_remainder_reference(pp.rho1, q, k)
+    assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+    assert rep.iterations == ref_rep.iterations
+    assert rep.projected_modes == ref_rep.projected_modes
+    assert rep.total_modes == ref_rep.total_modes
 
 
 # -- probes --------------------------------------------------------------------------

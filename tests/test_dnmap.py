@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import corrupt_datum
+from conftest import corrupt_datum, poly_bump, poly_bump_dd
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.boundary import BoundaryField, l2_inner, mode_field
 from slabinv.dnmap import (
@@ -488,15 +488,16 @@ def test_assemble_dn_names_failing_column(geom, grid8, masked_bases, monkeypatch
 
 
 def _star_norm_reference(matrix, src, tgt):
-    """The star norm with every per-basis invariant recomputed in the call."""
+    """The star norm with every per-basis invariant recomputed in the call
+    (the real test whitener applied to the float64 view of the matrix)."""
     h2 = tgt.square.h ** 2
-    stack = np.stack([f.values.ravel() for f in tgt.functions])
+    stack = np.stack([f.values.real.ravel() for f in tgt.functions])
     cho = scipy.linalg.cho_factor(tgt.gram_h32)
-    white_t = scipy.linalg.solve_triangular(cho[0], h2 * np.conj(stack),
-                                            trans="C", lower=cho[1])
+    white_t = scipy.linalg.solve_triangular(cho[0], h2 * stack, trans="C", lower=cho[1])
     low = scipy.linalg.cholesky(src.gram_triple, lower=True)
     white_s = scipy.linalg.solve_triangular(low, np.eye(len(src)), lower=True).T
-    b = white_t @ matrix @ white_s
+    pairs = np.ascontiguousarray(matrix).view(np.float64)
+    b = (white_t @ pairs).view(np.complex128) @ white_s
     n = b.shape[1]
     vals = scipy.linalg.eigh(b.conj().T @ b, eigvals_only=True,
                              subset_by_index=[n - 1, n - 1])
@@ -519,6 +520,7 @@ def test_star_norm_bit_identical_with_cached_invariants(geom, grid8, op0_8, monk
     warm = op_norm_star(d, src, tgt)
     assert cold == ref and warm == ref
     assert len(factorizations) == 1
+    assert tgt.dual_factors()[1].dtype == np.float64
     r = BoundaryField(tgt.patch, tgt.square, d[:, 0].reshape(tgt.square.node_shape))
     norm_hm32(r, tgt)
     hm32_maximizer(r, tgt)
@@ -679,3 +681,28 @@ def test_first_order_dn_alessandrini_identity(seed, target_h, k):
     active = op0.active
     terms = grid.h ** 3 * bump.field.values.real[active] * u1[0][active] * u2[1][active]
     assert abs(lhs - np.sum(terms)) <= 1e-10 * np.sum(np.abs(terms))
+
+
+@pytest.mark.parametrize("k", [0.0, 2.5])
+def test_first_order_flux_matches_neumann_trace_to_second_order(geom, k):
+    # u = sin(pi z / L) g(x') and its source vanish on the top plate, so there
+    # u_zz = -Lap' u - k^2 u - w = 0 and the first-order flux (f - u|top-1)/h
+    # agrees with the 3-point trace to O(h^2) (only to O(h) where u_zz != 0)
+    patch = geometry.dirichlet_patch(geom)
+    errs = []
+    for h in (0.25, 0.125, 0.0625):
+        grid = geometry.build_domain(geom, h)
+        x, y, z = grid.node_coords()
+        bx, by = poly_bump(x), poly_bump(y)
+        s = np.sin(np.pi * z / geom.L)
+        u = s * bx * by
+        lap = s * (poly_bump_dd(x) * by + bx * poly_bump_dd(y)) - (np.pi / geom.L) ** 2 * u
+        w = fields.GridField(grid, np.broadcast_to(-lap - k ** 2 * u, grid.node_shape)
+                             .astype(np.complex128))
+        v = forward.solve_source(HelmholtzOperator(grid, geom, k, None, PERIODIC), w)
+        sz = grid.node_shape[2]
+        flux = (v.values[..., sz - 1] - v.values[..., sz - 2]) / grid.h
+        first = boundary.from_plate_values(grid, patch, flux)
+        errs.append(np.max(np.abs(first.values - forward.neumann_trace(v, patch).values)))
+    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+    assert all(3.6 <= r <= 4.4 for r in ratios), ratios
