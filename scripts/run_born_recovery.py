@@ -6,7 +6,7 @@ Fourier difference over the annulus at a ladder of probe parameters, and
 reports the error against the direct transform per parameter.  Output: one
 CSV row per (parameter, frequency) plus a JSON summary line on stdout.
 
-Example:
+Example (with slabinv installed, or PYTHONPATH=src):
     python3 scripts/run_born_recovery.py --variant thm2 --eta 1e-3 \
         --r 3.0 --spacing 0.5 --out born_recovery.csv
 """
@@ -18,10 +18,7 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, "src")
-
 from slabinv import fields, geometry, harness, recovery
-from slabinv.cli import VARIANTS
 
 
 def main() -> int:
@@ -40,7 +37,7 @@ def main() -> int:
     grid = geometry.build_domain(geom, args.target_h)
     q1 = fields.radial_bump_potential(grid, geom, args.eta)
     q2 = fields.zero_potential(grid, geom)
-    variant = VARIANTS[args.variant]
+    variant = recovery.VARIANTS[args.variant]
     ws = recovery.make_workspace(q1, q2, 0.0, variant,
                                  box_coarsen=args.box_coarsen)
     freqs = recovery.build_frequency_set(args.r, args.spacing)

@@ -8,7 +8,7 @@ boundary : plate boundary fields on bounding squares, sine spectra
 forward  : finite-difference Helmholtz solves and admissibility checks
 dnmap    : partial Dirichlet-to-Neumann matrices and the star operator norm
 cgo      : complex-geometrical-optics probes with plate reflection
-recovery : Fourier-difference estimation, continuation, stability bounds
+recovery : the recovery pipeline `recover`: estimates, continuation, bounds
 harness  : measurement drivers (weighted inequality, decay, noise sweeps)
 """
 

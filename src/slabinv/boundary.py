@@ -58,7 +58,6 @@ def bounding_square(grid: Grid3, patch: BoundaryPatch) -> SquareGrid2:
 
 def full_plate_square(grid: Grid3) -> SquareGrid2:
     """Bounding square spanning the whole (possibly periodic) plate."""
-    m = grid.nx // 2
     return SquareGrid2(grid.nx, grid.h, grid.origin[0], grid.origin[1])
 
 

@@ -89,7 +89,6 @@ class HelmholtzOperator:
 
     def _build(self):
         grid = self.grid
-        sx, sy, sz = grid.node_shape
         if self.boundary_mode == TRUNCATED:
             active = interior_mask(grid, self.geom)
         else:
@@ -112,7 +111,7 @@ class HelmholtzOperator:
         data = [diag]
         for axis in range(3):
             for step in (-1, 1):
-                nbr = self._shift_index(idx, axis, step)
+                nbr = self._neighbour(idx, axis, step, -1)
                 here = active & (nbr >= 0)
                 rows.append(idx[here])
                 cols.append(nbr[here])
@@ -123,26 +122,22 @@ class HelmholtzOperator:
         )
         self.matrix = mat.tocsr()
 
-    def _shift_index(self, idx: np.ndarray, axis: int, step: int) -> np.ndarray:
-        """Unknown index of each node's neighbour at +step along axis, -1 if none."""
-        grid = self.grid
-        out = np.full_like(idx, -1)
-        if self.boundary_mode == PERIODIC and axis in (0, 1):
-            nuniq = (grid.nx, grid.ny)[axis]
-            sl = [slice(None)] * 3
-            sl[axis] = slice(0, nuniq)
-            sub = idx[tuple(sl)]
-            out[tuple(sl)] = np.roll(sub, -step, axis=axis)
-            return out
-        src = [slice(None)] * 3
+    def _neighbour(self, a: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
+        """a at each node's neighbour +step along axis, `fill` where there is none.
+
+        In periodic mode the lateral axes wrap around the unique nodes; the
+        seam copies have no neighbours.
+        """
+        out = np.full_like(a, fill)
         dst = [slice(None)] * 3
-        if step == 1:
-            dst[axis] = slice(0, -1)
-            src[axis] = slice(1, None)
-        else:
-            dst[axis] = slice(1, None)
-            src[axis] = slice(0, -1)
-        out[tuple(dst)] = idx[tuple(src)]
+        src = [slice(None)] * 3
+        if self.boundary_mode == PERIODIC and axis in (0, 1):
+            dst[axis] = slice(0, (self.grid.nx, self.grid.ny)[axis])
+            out[tuple(dst)] = np.roll(a[tuple(dst)], -step, axis=axis)
+            return out
+        dst[axis] = slice(0, -1) if step == 1 else slice(1, None)
+        src[axis] = slice(1, None) if step == 1 else slice(0, -1)
+        out[tuple(dst)] = a[tuple(src)]
         return out
 
     # -- linear algebra -------------------------------------------------------
@@ -228,31 +223,12 @@ class HelmholtzOperator:
         boundary values of `field` participate exactly as in the solve.
         """
         u = field.values
-        grid = self.grid
-        h2 = grid.h ** 2
-        acc = 6.0 * u.copy()
+        acc = 6.0 * u
         for axis in range(3):
-            if self.boundary_mode == PERIODIC and axis in (0, 1):
-                nuniq = (grid.nx, grid.ny)[axis]
-                sl = [slice(None)] * 3
-                sl[axis] = slice(0, nuniq)
-                sub = u[tuple(sl)]
-                for step in (-1, 1):
-                    shifted = np.roll(sub, step, axis=axis)
-                    acc[tuple(sl)] -= shifted
-            else:
-                for step in (-1, 1):
-                    dst = [slice(None)] * 3
-                    src = [slice(None)] * 3
-                    if step == 1:
-                        dst[axis] = slice(0, -1)
-                        src[axis] = slice(1, None)
-                    else:
-                        dst[axis] = slice(1, None)
-                        src[axis] = slice(0, -1)
-                    acc[tuple(dst)] -= u[tuple(src)]
+            for step in (-1, 1):
+                acc -= self._neighbour(u, axis, step, 0.0)
         qv = self.q.field.values.real if self.q is not None else 0.0
-        out = acc / h2 + (qv - self.k ** 2) * u
+        out = acc / self.grid.h ** 2 + (qv - self.k ** 2) * u
         return np.where(self.active, out, 0.0)
 
     def admissibility(self, threshold: float | None = None) -> AdmissibilityReport:
@@ -432,22 +408,20 @@ def solve_source(op: HelmholtzOperator, w: GridField) -> GridField:
 
 def neumann_trace(u: GridField, patch: BoundaryPatch,
                   apply_mask: bool = True) -> BoundaryField:
-    """Outward normal derivative on a plate patch by the one-sided 3-point stencil.
-
-    The outward normal is +e3 on the top plate and -e3 on the bottom plate;
-    the stencil marches two layers into the slab, keeping second order.
-    """
-    grid = u.grid
-    sz = grid.node_shape[2]
-    if sz < 3:
+    """Outward normal derivative on a plate patch (+e3 on the top plate, -e3
+    on the bottom one), second order by `outward_derivative`."""
+    if u.grid.node_shape[2] < 3:
         raise SolveError("need at least two interior layers for the trace stencil")
-    h = grid.h
-    v = u.values
-    if patch.plate is Plate.TOP:
-        tr = (3 * v[..., sz - 1] - 4 * v[..., sz - 2] + v[..., sz - 3]) / (2 * h)
-    else:
-        tr = (3 * v[..., 0] - 4 * v[..., 1] + v[..., 2]) / (2 * h)
-    return from_plate_values(grid, patch, tr, apply_mask=apply_mask)
+    tr = outward_derivative(u.values, patch.plate, u.grid.h)
+    return from_plate_values(u.grid, patch, tr, apply_mask=apply_mask)
+
+
+def outward_derivative(v: np.ndarray, plate: Plate, h: float) -> np.ndarray:
+    """Outward normal derivative of node values (..., sx, sy, sz) on a plate,
+    by the one-sided 3-point stencil marching two layers into the slab."""
+    if plate is Plate.TOP:
+        return (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * h)
+    return (3 * v[..., 0] - 4 * v[..., 1] + v[..., 2]) / (2 * h)
 
 
 def omega_weights(grid: Grid3, geom: SlabGeometry) -> np.ndarray:

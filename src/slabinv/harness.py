@@ -19,9 +19,10 @@ import numpy as np
 from .dnmap import BoundaryBasis, DnOperator, op_norm_star
 from .boundary import BoundaryField
 from .fields import GridField, Potential, fourier_transform
-from .forward import HelmholtzOperator, SolveError, neumann_trace, omega_weights, solve_dirichlet
+from .forward import (HelmholtzOperator, SolveError, neumann_trace, omega_weights,
+                      outward_derivative, solve_dirichlet)
 from .geometry import Grid3, Plate, SlabGeometry, cutoff_annulus
-from .recovery import Variant, bound_chain
+from .recovery import Variant, bound_chain, closing_constant
 
 SCHEMA_LINE = "# schema-version: 1"
 
@@ -126,11 +127,8 @@ def carleman_check(op: HelmholtzOperator, zeta, tau_list, trials: int,
     fields = []
     for u in test_functions:
         pde = op.apply_pde(u)
-        dz_top = (3 * u.values[:, :, sz - 1] - 4 * u.values[:, :, sz - 2]
-                  + u.values[:, :, sz - 3]) / (2 * h)
-        dz_bot = (3 * u.values[:, :, 0] - 4 * u.values[:, :, 1]
-                  + u.values[:, :, 2]) / (2 * h)
-        fields.append((u.values, pde, dz_top, dz_bot))
+        fields.append((u.values, pde, outward_derivative(u.values, Plate.TOP, h),
+                       outward_derivative(u.values, Plate.BOTTOM, h)))
 
     lhs_i, lhs_b, rhs_all, per_tau_c = [], [], [], []
     for tau in taus:
@@ -326,7 +324,7 @@ def stability_sweep(q1: Potential, q2: Potential, k: float, variant: Variant,
     """
     geom = q1.geom
     if c is None:
-        c = 4.0 * (2.0 * geom.R + geom.L) + 2.0
+        c = closing_constant(geom)
     s = min(q1.sobolev_s, q2.sobolev_s)
     bound_m = max(q1.bound_M, q2.bound_M)
     d0 = dn1.matrix - dn2.matrix

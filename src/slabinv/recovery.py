@@ -1,15 +1,15 @@
 """Fourier-domain recovery of potential differences and stability bounds.
 
-Pipeline: pair the potential difference against probe products over the
-domain, subtract the computable cross-term corrections (the ones carried by
-the mirrored phases), and read off estimates of the transform of q1 - q2
-(tau-family) or of the difference of even extensions (alpha-family) on the
-annulus 1 <= xi_1e < r, |xi_3| < r.  Low lateral frequencies are filled by a
-Tikhonov-regularized exponential-type fit along frame lines, certified by a
-two-constants interpolation inequality with a calibrated exponent.  The
-closing chain converts a sup bound over |xi| < r into an H^-1 bound
-(explicit Plancherel constant) and then into an L-infinity bound via Sobolev
-interpolation, with the parameter schedules
+Pipeline (`recover`): pair the potential difference against probe products
+over the domain, subtract the computable cross-term corrections (the ones
+carried by the mirrored phases), and read off estimates of the transform of
+q1 - q2 (tau-family) or of the difference of even extensions (alpha-family)
+on the annulus 1 <= xi_1e < r, |xi_3| < r.  Low lateral frequencies are
+filled by a Tikhonov-regularized exponential-type fit along frame lines,
+certified by a two-constants interpolation inequality with a calibrated
+exponent.  The closing chain converts a sup bound over |xi| < r into an H^-1
+bound (explicit Plancherel constant) and then into an L-infinity bound via
+Sobolev interpolation, with the parameter schedules
 
     tau := r^(5/lambda),        r^((lambda+5)/lambda)   = c^-1 log Theta^(lambda/4)
     tau := r^(5/(2 lambda)),    r^((2 lambda+5)/(2 lambda)) = c^-1 log Theta^(lambda/4)
@@ -39,7 +39,6 @@ from .cgo import (
     make_phase_pair,
 )
 from .fields import (
-    FieldError,
     FourierTransform,
     GridField,
     Potential,
@@ -48,7 +47,8 @@ from .fields import (
     fourier_transform,
     quadrature_weights,
 )
-from .geometry import Grid3, SlabGeometry
+from .dnmap import measurement_pair, op_norm_star
+from .geometry import Grid3, Plate, SlabGeometry
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +61,22 @@ class RecoveryError(RuntimeError):
 
 class ContinuationError(RuntimeError):
     pass
+
+
+VARIANTS = {
+    "thm2": Variant.SINGLE_REFLECTION,
+    "thm3": Variant.DOUBLE_REFLECTION,
+}
+
+
+def measurement_plate(variant: Variant) -> Plate:
+    """Plate of the Neumann measurement: bottom for thm2, top for thm3."""
+    return Plate.BOTTOM if variant is Variant.SINGLE_REFLECTION else Plate.TOP
+
+
+def closing_constant(geom: SlabGeometry) -> float:
+    """The constant c = 4(2R + L) + 2 of the parameter schedules."""
+    return 4.0 * (2.0 * geom.R + geom.L) + 2.0
 
 
 # -- frequency bookkeeping ------------------------------------------------------
@@ -300,6 +316,8 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
     """
     s_samples = np.asarray(s_samples, dtype=float)
     f_samples = np.asarray(f_samples, dtype=np.complex128)
+    if not s_samples.size:
+        raise ContinuationError("no samples to fit")
     design, _ = _design_matrix(s_samples, cfg.model_halfwidth, cfg.n_quad)
     normal = np.conj(design.T) @ design + cfg.tikhonov * np.eye(design.shape[1])
     condition = float(np.linalg.cond(normal))
@@ -311,7 +329,7 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
     eval_design, _ = _design_matrix(np.asarray(s_eval, dtype=float),
                                     cfg.model_halfwidth, cfg.n_quad)
     values = eval_design @ coef
-    sup_gamma0 = float(np.max(np.abs(f_samples))) if f_samples.size else 0.0
+    sup_gamma0 = float(np.max(np.abs(f_samples)))
     bound = cfg.c0 * sup_g_bound ** (1.0 - cfg.lam) * sup_gamma0 ** cfg.lam
     return LowFreqResult(np.asarray(s_eval, float), values, float(bound),
                          sup_gamma0, condition)
@@ -324,17 +342,6 @@ def _synthetic_coefficients(halfwidth: float, rng) -> tuple[np.ndarray, np.ndarr
     amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     amp *= np.exp(-3.0 * (np.arange(n) / n) ** 2)
     return t * halfwidth, wq * halfwidth * amp
-
-
-def synthetic_line_function(halfwidth: float, rng) -> tuple:
-    """Random entire function of exponential type <= halfwidth (for calibration)."""
-    t, coef = _synthetic_coefficients(halfwidth, rng)
-
-    def f(z):
-        z = np.asarray(z, dtype=np.complex128)
-        return np.exp(1j * np.multiply.outer(z, t)) @ coef
-
-    return f
 
 
 def calibrate_two_constants(halfwidth: float, n_funcs: int = 20, seed: int = 0,
@@ -386,13 +393,6 @@ class RecoveryResult:
     c_plancherel: float
     c_sobolev: float
     fhat: dict = dc_field(default_factory=dict)
-
-    def check_internal(self) -> bool:
-        lhs = self.hm1_bound ** 2
-        rhs = self.c_plancherel * (
-            self.params["r"] ** 3 * self.sup_bound ** 2 + self.params["r"] ** -2
-        )
-        return lhs <= rhs * (1 + 1e-12)
 
 
 def plancherel_constant(bound_m: float) -> float:
@@ -479,17 +479,6 @@ def choose_parameters(delta: float, star_norm: float | None, lam: float, c: floa
     return ParameterChoice(r, param, tau, theta, bool(r < 2.0), big_l)
 
 
-def schedule_residual(choice: ParameterChoice, delta: float, lam: float, c: float,
-                      variant: Variant, log_star: float) -> float:
-    """Defining-equation residual, for round-trip verification."""
-    big_l = math.log1p(abs(math.log(delta) + log_star))
-    if variant is Variant.SINGLE_REFLECTION:
-        lhs = choice.r ** ((lam + 5.0) / lam)
-    else:
-        lhs = choice.r ** ((2.0 * lam + 5.0) / (2.0 * lam))
-    return abs(lhs - (lam / 4.0) * big_l / c)
-
-
 def bound_chain(delta: float, star_norm: float | None, lam: float, c: float,
                 variant: Variant, s: float, bound_m: float,
                 c_sobolev: float = 1.0, log_star: float | None = None) -> RecoveryResult:
@@ -517,3 +506,128 @@ def bound_chain(delta: float, star_norm: float | None, lam: float, c: float,
         "variant": variant.value,
     }
     return assemble_bounds_from_sup(sup, choice.r, s, bound_m, c_sobolev, params)
+
+
+# -- the recovery pipeline ------------------------------------------------------------
+
+
+@dataclass
+class RecoveryRun:
+    """What one `recover` run produced.
+
+    estimates and oracle map each frequency (sorted) to its estimate and its
+    direct-quadrature target; star_norm is None unless the schedule measured
+    it; counts holds n_annulus, n_failed (annulus frequencies skipped) and
+    n_axis_filled; warnings lists schedule clamps and skipped continuation
+    samples and lines.
+    """
+
+    estimates: dict
+    oracle: dict
+    bounds: RecoveryResult
+    star_norm: float | None
+    counts: dict
+    warnings: list
+
+
+def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
+                  known: dict, cfg: ContinuationConfig, warnings: list) -> dict:
+    """Estimates at the low lateral frequencies by continuation along frame lines.
+
+    Each line (lateral direction, xi_3) is sampled at lateral magnitudes
+    s = 1, 1 + spacing, ..., 2.  Samples that are annulus frequencies reuse
+    `known`; the others are estimated in one batch.  Each line is fitted on
+    its successful samples only; failed samples and lines whose fit fails are
+    skipped and reported in `warnings`.
+    """
+    s_grid = np.arange(1.0, 2.0 + 1e-9, spacing)
+    lines: dict = {}
+    for xi in low:
+        x1e = math.hypot(xi[0], xi[1])
+        key = (round(xi[0] / x1e, 9), round(xi[1] / x1e, 9), xi[2])
+        lines.setdefault(key, []).append(xi)
+    samples = {d: [(float(s * d[0]), float(s * d[1]), float(d[2])) for s in s_grid]
+               for d in sorted(lines)}
+    res = estimate_fhat_annulus(
+        ws, param, [xi for keys in samples.values() for xi in keys if xi not in known])
+    warnings.extend(f"continuation sample {xi} skipped: {msg}"
+                    for xi, msg in res.failed.items())
+    found = {**known, **res.estimates}
+    sup_g = ws.qdiff_l1 * math.exp(2.0 * cfg.model_halfwidth)
+    out = {}
+    for d, keys in samples.items():
+        ok = [i for i, xi in enumerate(keys) if xi in found]
+        points = lines[d]
+        s_eval = np.asarray([math.hypot(p[0], p[1]) for p in points])
+        try:
+            ext = low_freq_extend(s_grid[ok], np.asarray([found[keys[i]] for i in ok]),
+                                  cfg, s_eval, sup_g)
+        except ContinuationError as exc:
+            warnings.append(f"continuation line {d} skipped: {exc}")
+            continue
+        for p, val in zip(points, ext.values):
+            out[(float(p[0]), float(p[1]), float(p[2]))] = complex(val)
+    return out
+
+
+def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
+            r: float | None, param: float | None, lam: float | None,
+            spacing: float, delta: float, basis_n: int, box_coarsen: int) -> RecoveryRun:
+    """Fourier-difference estimates of q1 - q2 for |xi| < r and the closing bounds.
+
+    None schedules a parameter.  lam (with c0) comes from the two-constants
+    calibration at model half-width 2R.  r and param come from
+    `choose_parameters` at delta and the star norm of the DN difference
+    measured on basis_n^2 modes; a scheduled r < 2 is clamped to 2.25 and a
+    scheduled param < 1 to 1, each with a warning.  The annulus is estimated
+    from probe pairings, the low lateral frequencies by continuation along
+    frame lines, and each axis point (xi_1e = 0) by the mean of its lateral
+    neighbours.
+    """
+    geom = q1.geom
+    if lam is None:
+        c0, lam, _ = calibrate_two_constants(2.0 * geom.R)
+    else:
+        c0 = 1.0
+    c = closing_constant(geom)
+    star = None
+    warnings: list = []
+    if r is None or param is None:
+        src, tgt, d1, d2 = measurement_pair(q1.grid, geom, k, q1, q2,
+                                            measurement_plate(variant), basis_n)
+        star = op_norm_star(d1.matrix - d2.matrix, src, tgt)
+        choice = choose_parameters(delta, star, lam, c, variant)
+        if r is None:
+            r = choice.r
+            if r < 2.0:
+                warnings.append(f"scheduled r={r:.4g} < 2; clamped to 2.25")
+                r = 2.25
+        if param is None:
+            param = choice.param
+            if param < 1.0:
+                warnings.append(f"scheduled parameter {param:.4g} < 1; clamped to 1")
+                param = 1.0
+    ws = make_workspace(q1, q2, k, variant, box_coarsen=box_coarsen)
+    freqs = build_frequency_set(r, spacing)
+    ann = estimate_fhat_annulus(ws, param, freqs.annulus)
+    cfg = ContinuationConfig(lam=lam, model_halfwidth=2.0 * geom.R, c0=c0)
+    fhat = {**ann.estimates, **_continue_low(ws, param, freqs.low, spacing,
+                                             ann.estimates, cfg, warnings)}
+    n_axis = 0
+    for xi in freqs.axis:
+        nbrs = [(xi[0] + spacing, xi[1], xi[2]), (xi[0] - spacing, xi[1], xi[2]),
+                (xi[0], xi[1] + spacing, xi[2]), (xi[0], xi[1] - spacing, xi[2])]
+        vals = [fhat[n] for n in nbrs if n in fhat]
+        if vals:
+            fhat[xi] = sum(vals) / len(vals)
+            n_axis += 1
+    estimates = {xi: fhat[xi] for xi in sorted(fhat)}
+    oracle = {xi: true_transform(ws, xi) for xi in estimates}
+    name = next(n for n, v in VARIANTS.items() if v is variant)
+    bounds = assemble_bounds(
+        estimates, r, min(q1.sobolev_s, q2.sobolev_s), max(q1.bound_M, q2.bound_M),
+        params={"r": r, "param": param, "lambda": lam, "c": c, "delta": delta,
+                "theta": stability_exponent(lam, variant), "variant": name})
+    counts = {"n_annulus": len(ann.estimates), "n_failed": len(ann.failed),
+              "n_axis_filled": n_axis}
+    return RecoveryRun(estimates, oracle, bounds, star, counts, warnings)

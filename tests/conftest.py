@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from slabinv import cgo, fields, forward, geometry
+from slabinv import cgo, fields, forward, geometry, recovery
 
 
 @pytest.fixture(scope="session")
@@ -130,3 +132,27 @@ def reflect_remainder(psi):
     out = fields.reflect(psi).values.copy()
     out[:, :, 0] = -out[:, :, 0]
     return fields.GridField(grid, out)
+
+
+def schedule_residual(choice, delta, lam, c, variant, log_star):
+    """Residual of the defining equation of the (r, param) schedule."""
+    big_l = math.log1p(abs(math.log(delta) + log_star))
+    if variant is cgo.Variant.SINGLE_REFLECTION:
+        lhs = choice.r ** ((lam + 5.0) / lam)
+    else:
+        lhs = choice.r ** ((2.0 * lam + 5.0) / (2.0 * lam))
+    return abs(lhs - (lam / 4.0) * big_l / c)
+
+
+def bounds_consistent(res):
+    """hm1^2 <= C_P (r^3 sup^2 + r^-2), the H^-1 split, to round-off."""
+    r = res.params["r"]
+    rhs = res.c_plancherel * (r ** 3 * res.sup_bound ** 2 + r ** -2)
+    return res.hm1_bound ** 2 <= rhs * (1 + 1e-12)
+
+
+def synthetic_line_function(halfwidth, rng):
+    """Random entire function of exponential type <= halfwidth, drawn as in
+    the two-constants calibration."""
+    t, coef = recovery._synthetic_coefficients(halfwidth, rng)
+    return lambda z: np.exp(1j * np.multiply.outer(np.asarray(z, np.complex128), t)) @ coef

@@ -368,3 +368,105 @@ def test_recover_continuation_reuses_annulus_estimates(workdir, monkeypatch):
     # reuse is exact because an estimate does not depend on its batch
     again = orig_estimate(ws, param, hits[:4]).estimates
     assert all(again[xi] == annulus_result.estimates[xi] for xi in hits[:4])
+
+
+def _recover_cli(workdir, capsys, name, args):
+    out = workdir["tmp"] / f"{name}.csv"
+    assert cli.main([
+        "recover", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+        "--q2", "zero", *args, "--out", str(out),
+    ]) == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    rows = [tuple(float(v) for v in line.split(","))
+            for line in out.read_text().splitlines()[2:]]
+    return summary, rows
+
+
+def _born_pair(workdir):
+    geom, grid = workdir["geom"], workdir["grid"]
+    return (fields.read_potential(str(workdir["qpath"]), geom),
+            fields.zero_potential(grid, geom))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (["--r", "2.5", "--param", "6.0", "--lambda", "0.5", "--spacing", "0.5"],
+     dict(r=2.5, param=6.0, lam=0.5, spacing=0.5, basis_n=8)),
+    (["--spacing", "1.0", "--basis-n", "3"],
+     dict(r=None, param=None, lam=None, spacing=1.0, basis_n=3)),
+], ids=["explicit", "auto"])
+def test_recover_library_matches_cli(workdir, capsys, args, kwargs):
+    summary, rows = _recover_cli(workdir, capsys, "recover_lib",
+                                 ["--variant", "thm3", *args])
+    run = recovery.recover(*_born_pair(workdir), 0.0, recovery.Variant.DOUBLE_REFLECTION,
+                           delta=1.0, box_coarsen=1, **kwargs)
+    assert [row[:3] for row in rows] == list(run.estimates)
+    for row, (xi, est) in zip(rows, run.estimates.items()):
+        true = run.oracle[xi]
+        assert row[3:] == (est.real, est.imag, true.real, true.imag, abs(est - true))
+    b = run.bounds
+    assert (summary["sup_bound"], summary["hm1_bound"], summary["linf_bound"]) == (
+        b.sup_bound, b.hm1_bound, b.linf_bound)
+    assert summary["params"] == b.params
+    assert summary["star_norm"] == run.star_norm
+    assert (summary["star_norm"] is None) == (kwargs["r"] is not None)
+    assert summary["warnings"] == run.warnings
+    assert {key: summary[key] for key in run.counts} == run.counts
+
+
+_CONTINUED = ["--variant", "thm2", "--r", "2.5", "--param", "6.0", "--lambda", "0.5",
+              "--spacing", "0.5"]
+
+
+def test_recover_fits_lines_on_successful_samples(workdir, capsys, monkeypatch):
+    # the line through (0.5, 0.5, 0) samples s = 1, 1.5, 2 along (d, d, 0),
+    # none of them an annulus frequency; the middle sample fails
+    d = round(1.0 / np.sqrt(2.0), 9)
+    samples = [(float(s * d), float(s * d), 0.0) for s in (1.0, 1.5, 2.0)]
+    orig = recovery.build_probe
+
+    def probe(eval_grid, phase, *args, **kwargs):
+        if tuple(phase.xi) == samples[1]:
+            raise cgo.ContractionError("remainder iteration is not contracting")
+        return orig(eval_grid, phase, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "build_probe", probe)
+    summary, rows = _recover_cli(workdir, capsys, "recover_skip", _CONTINUED)
+    monkeypatch.undo()
+    assert summary["n_failed"] == 0
+    assert [w for w in summary["warnings"] if "continuation" in w] == [
+        f"continuation sample {samples[1]} skipped: remainder iteration is not contracting"]
+    q1, q2 = _born_pair(workdir)
+    ws = recovery.make_workspace(q1, q2, 0.0, recovery.Variant.SINGLE_REFLECTION)
+    kept = [samples[0], samples[2]]
+    est = recovery.estimate_fhat_annulus(ws, 6.0, kept).estimates
+    cfg = recovery.ContinuationConfig(lam=0.5, model_halfwidth=2.0, c0=1.0)
+    want = recovery.low_freq_extend(np.array([1.0, 2.0]), [est[xi] for xi in kept], cfg,
+                                    np.array([np.hypot(0.5, 0.5)]),
+                                    ws.qdiff_l1 * np.exp(4.0)).values[0]
+    (row,) = [row for row in rows if row[:3] == (0.5, 0.5, 0.0)]
+    assert complex(row[3], row[4]) == pytest.approx(want, rel=1e-12)
+
+
+def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
+    summary, rows = _recover_cli(workdir, capsys, "recover_all", _CONTINUED)
+    orig = recovery.low_freq_extend
+    calls = []
+
+    def extend(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise recovery.ContinuationError("continuation fit condition 1e13 > 1e12")
+        return orig(*args)
+
+    monkeypatch.setattr(recovery, "low_freq_extend", extend)
+    skipped_summary, kept = _recover_cli(workdir, capsys, "recover_line", _CONTINUED)
+    assert skipped_summary["warnings"] == [
+        w for w in skipped_summary["warnings"] if w.startswith("continuation line ")]
+    assert len(skipped_summary["warnings"]) == 1
+    xis, kept_xis = {row[:3] for row in rows}, {row[:3] for row in kept}
+    missing = xis - kept_xis
+    assert kept_xis < xis
+    # the skipped frequencies are the low frequencies of one frame line
+    assert all(0 < np.hypot(x, y) < 1 for x, y, _ in missing)
+    assert len({(round(x / np.hypot(x, y), 9), round(y / np.hypot(x, y), 9), z)
+                for x, y, z in missing}) == 1

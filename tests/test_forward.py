@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import CorruptingLU, manufactured_case
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.fields import GridField
 from slabinv.forward import (
     PERIODIC,
+    TRUNCATED,
     AdmissibilityError,
     HelmholtzOperator,
     SolveError,
@@ -438,3 +440,32 @@ def test_runge_gram_matches_column_reference(geom, grid8, bump8, runge_setup,
     w = forward.omega_weights(grid8, geom)
     ref_res = np.sqrt(np.sum(w * np.abs(misfit) ** 2))
     assert res == pytest.approx(ref_res, rel=1e-8)
+
+
+# -- the 7-point stencil ----------------------------------------------------------
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from([TRUNCATED, PERIODIC]),
+       k=st.sampled_from([0.0, 1.5, 2.5]), amplitude=st.sampled_from([0.0, 1.0]))
+def test_apply_pde_is_the_assembled_operator(geom, seed, mode, k, amplitude):
+    grid = geometry.build_domain(geom, 0.25)
+    q = fields.radial_bump_potential(grid, geom, amplitude) if amplitude else None
+    op = HelmholtzOperator(grid, geom, k, q, mode)
+    rng = np.random.default_rng(seed)
+    # u supported on the active nodes: the stencil is the matrix, to round-off
+    u = np.zeros(grid.node_shape)
+    u[op.active] = rng.standard_normal(op.n_active)
+    got = op.apply_pde(GridField(grid, u))
+    want = op.matrix @ u[op.active]
+    scale = np.max(abs(op.matrix) @ np.abs(u[op.active]))
+    assert np.max(np.abs(got[op.active] - want)) <= 1e-14 * scale
+    assert not np.any(got[~op.active])
+    # a Dirichlet solution: the stencil vanishes on the active nodes to the
+    # solver's relative residual 1e-10
+    patch = geometry.dirichlet_patch(geom)
+    sq = boundary.bounding_square(grid, patch)
+    f = boundary.BoundaryField(patch, sq, rng.standard_normal(sq.node_shape)).masked()
+    pde = op.apply_pde(solve_dirichlet(op, f))
+    bound = 1e-10 * np.linalg.norm(f.plate_values(grid)) / grid.h ** 2
+    assert np.linalg.norm(pde[op.active]) <= bound

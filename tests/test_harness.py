@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import corrupt_datum
+from conftest import bounds_consistent, corrupt_datum
 from slabinv import boundary, dnmap, fields, forward, geometry, harness
 from slabinv.cgo import Variant
 from slabinv.fields import GridField
@@ -250,7 +250,7 @@ def test_sweep_records_satisfy_internal_inequality(sweep_setup):
                           4 * (2 * 1.0 + 1.0) + 2, Variant.SINGLE_REFLECTION,
                           s=2.0, bound_m=max(sweep_setup["q1"].bound_M,
                                              sweep_setup["q2"].bound_M))
-        assert res.check_internal()
+        assert bounds_consistent(res)
         assert res.linf_bound == pytest.approx(rec.linf_bound)
 
 

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import exponential_probe
+from conftest import (
+    bounds_consistent,
+    exponential_probe,
+    schedule_residual,
+    synthetic_line_function,
+)
 
 from slabinv import cgo, fields, recovery
 from slabinv.cgo import Variant, make_frame, make_phase_pair
@@ -21,9 +26,7 @@ from slabinv.recovery import (
     low_freq_extend,
     make_workspace,
     plancherel_constant,
-    schedule_residual,
     stability_exponent,
-    synthetic_line_function,
     true_transform,
 )
 
@@ -216,6 +219,13 @@ def test_low_freq_synthetic_forward_model():
     assert rel_seg < 1e-4
 
 
+def test_low_freq_without_samples_is_an_error():
+    cfg = ContinuationConfig(lam=0.5, model_halfwidth=2.0)
+    with pytest.raises(ContinuationError, match="no samples"):
+        low_freq_extend(np.array([]), np.array([], dtype=complex), cfg,
+                        np.array([0.5]), 1.0)
+
+
 def test_low_freq_condition_guard():
     cfg = ContinuationConfig(lam=0.5, model_halfwidth=2.0, tikhonov=1e-300)
     s = np.linspace(1.0, 2.0, 4)
@@ -262,7 +272,7 @@ def test_assemble_bounds_tail_only():
     assert res.hm1_bound == pytest.approx(math.sqrt(plancherel_constant(1.0)) / 4.0)
     res2 = assemble_bounds({}, r=8.0, s=2.0, bound_m=1.0)
     assert res2.hm1_bound == pytest.approx(res.hm1_bound / 2.0)
-    assert res.check_internal() and res2.check_internal()
+    assert bounds_consistent(res) and bounds_consistent(res2)
 
 
 def test_assemble_bounds_exponent_arithmetic():
@@ -321,4 +331,4 @@ def test_bound_chain_monotone_in_star_norm():
     for star in (1e-3, 1e-7):
         res = bound_chain(1.0, star, 0.5, 14.0, Variant.DOUBLE_REFLECTION,
                           s=2.5, bound_m=1.0)
-        assert res.check_internal()
+        assert bounds_consistent(res)
