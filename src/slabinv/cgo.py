@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.fft
-import scipy.sparse
 
 from .fields import FieldError, GridField
 from .geometry import Grid3, SlabGeometry
@@ -176,17 +176,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _box_lattice(grid: Grid3, lattice_shift: tuple) -> tuple:
-    """Shifted frequency lattice of a box: (z0, z1, z2, |zeta|^2, mod, conj(mod)).
+def _box_lattice(grid: Grid3) -> tuple:
+    """Frequency lattice of a box, shifted by LATTICE_SHIFT cells:
+    (z0, z1, z2, |zeta|^2, mod, conj(mod)).
 
     The zeta axes broadcast against each other; mod is the modulation that
-    turns the shifted transform into a plain FFT.  Cached per box and shift,
-    read-only.
+    turns the shifted transform into a plain FFT.  Cached per box, read-only.
     """
     zetas = []
     mods = []
     for axis, n in enumerate(grid.node_shape):
-        shift = lattice_shift[axis]
+        shift = LATTICE_SHIFT[axis]
         freq = 2 * np.pi * (scipy.fft.fftfreq(n, d=grid.h) + shift / (n * grid.h))
         zetas.append(freq)
         j = np.arange(n)
@@ -199,20 +199,25 @@ def _box_lattice(grid: Grid3, lattice_shift: tuple) -> tuple:
                  (z0, z1, z2, z0 ** 2 + z1 ** 2 + z2 ** 2, mod, np.conj(mod)))
 
 
-@functools.lru_cache(maxsize=32)
-def _dft_factors(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pruned DFT of one axis for the indices lo <= j < hi: forward (n, m)
+def _dft_factors(n: int, window: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Pruned DFT of one axis for the indices of `window`: forward (n, m)
     exp(-2 pi i k j / n) and inverse (m, n) exp(2 pi i j k / n) / n; read-only."""
-    inverse = np.exp(2j * np.pi / n * (np.outer(np.arange(lo, hi), np.arange(n)) % n))
+    j = np.arange(window.start, window.stop)
+    inverse = np.exp(2j * np.pi / n * (np.outer(j, np.arange(n)) % n))
     return _frozen(np.ascontiguousarray(inverse.conj().T)), _frozen(inverse / n)
 
 
 def _pruned_dft(arr: np.ndarray, mats) -> np.ndarray:
-    """Separable DFT with one (out, in) factor matrix per axis: three matmuls,
-    pruned where a factor maps from or to a block of its axis."""
+    """Separable product with one (out, in) matrix per axis: three matmuls,
+    pruned where a factor maps from or to a block of its axis.  The first
+    axis goes first when its factor shrinks the array and last when it grows
+    it, the faster order for these shapes."""
     m0, m1, m2 = mats
-    out = m1 @ (m0 @ arr.reshape(len(arr), -1)).reshape((len(m0),) + arr.shape[1:])
-    return (out.reshape(-1, arr.shape[2]) @ m2.T).reshape(len(m0), len(m1), len(m2))
+    if len(m0) <= len(arr):
+        out = m1 @ (m0 @ arr.reshape(len(arr), -1)).reshape((len(m0),) + arr.shape[1:])
+        return (out.reshape(-1, arr.shape[2]) @ m2.T).reshape(len(m0), len(m1), len(m2))
+    out = m1 @ (arr.reshape(-1, arr.shape[2]) @ m2.T).reshape(arr.shape[:2] + (len(m2),))
+    return (m0 @ out.reshape(len(arr), -1)).reshape(len(m0), len(m1), len(m2))
 
 
 def _norm_sq(arr: np.ndarray) -> float:
@@ -222,10 +227,104 @@ def _norm_sq(arr: np.ndarray) -> float:
     return float(np.vdot(flat, flat))
 
 
-def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
-                    max_iter: int = 400, residual_tol: float = 1e-8,
-                    projection_rel: float = 1e-8,
-                    lattice_shift: tuple = LATTICE_SHIFT) -> tuple[GridField, RemainderReport]:
+def _probe_window(box: Grid3, eval_grid: Grid3 | None) -> tuple[slice, ...]:
+    """Per axis, the box nodes that the trilinear stencils of the evaluation
+    nodes and of their mirror images (x1, x2, -x3) read.  Without an
+    evaluation grid, and on an axis whose range would wrap across the
+    periodic edge, the window takes the whole axis."""
+    window = []
+    for axis, n in enumerate(box.node_shape):
+        lo, hi = 0, n
+        if eval_grid is not None:
+            c = eval_grid.axis_nodes(axis)
+            if axis == 2:
+                c = np.concatenate([c, -c])
+            i0 = np.floor((c - box.origin[axis]) / box.h)
+            lo, hi = int(i0.min()), int(i0.max()) + 2
+            if lo < 0 or hi > n:
+                lo, hi = 0, n
+        window.append(slice(lo, hi))
+    return tuple(window)
+
+
+Transform = Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class BoxSource:
+    """What every remainder solve against one box potential Q at one k shares.
+
+    r = k^2 - Q.  `window` holds, per axis, the box nodes that the probes on
+    `eval_grid` read (see `_probe_window`) and `window_grid` places them; a
+    whole-box window is the box itself.  A nonzero r also carries the
+    support block (per axis, first to last index where r is nonzero), the
+    transforms between the spectrum and the block (pruned DFTs, or plain
+    FFTs when the block fills the box), r and r * mod on the block, the
+    first spectrum (the transform of r * mod) and the inverse transform onto
+    the window.
+    """
+
+    grid: Grid3
+    lattice: tuple
+    zero: bool
+    eval_grid: Grid3 | None
+    window: tuple
+    window_grid: Grid3
+    block: tuple = ()
+    block_is_box: bool = False
+    to_block: Transform | None = None
+    from_block: Transform | None = None
+    rhs: np.ndarray | None = None
+    rhs_mod: np.ndarray | None = None
+    spectrum: np.ndarray | None = None
+    to_window: Transform | None = None
+
+
+def box_source(q_box: GridField, k: float, eval_grid: Grid3 | None = None) -> BoxSource:
+    """The rho-independent part of remainder solves against q_box at k.
+
+    Solves return psi on the box nodes that the probes on `eval_grid` read
+    (the whole box without an evaluation grid).
+    """
+    grid = q_box.grid
+    if not grid.periodic:
+        raise FieldError("remainder solves need a periodic box grid")
+    lattice = _box_lattice(grid)
+    window = _probe_window(grid, eval_grid)
+    shape = tuple(w.stop - w.start for w in window)
+    if shape == grid.node_shape:
+        window_grid = grid
+    else:
+        window_grid = Grid3(*(m - 1 for m in shape), grid.h,
+                            tuple(o + w.start * grid.h for o, w in zip(grid.origin, window)))
+    rhs = k ** 2 - q_box.values
+    if not np.any(rhs):
+        return BoxSource(grid, lattice, True, eval_grid, window, window_grid)
+    live = rhs != 0
+    live_xy = live.any(axis=2)
+    block = tuple(slice(int(run[0]), int(run[-1]) + 1) for run in map(np.flatnonzero, (
+        live_xy.any(axis=1), live_xy.any(axis=0), live.any(axis=(0, 1)))))
+    block_is_box = rhs[block].shape == grid.node_shape
+    if block_is_box:
+        to_block, from_block = scipy.fft.ifftn, scipy.fft.fftn
+    else:
+        fwd, inv = zip(*map(_dft_factors, grid.node_shape, block))
+        to_block, from_block = (functools.partial(_pruned_dft, mats=m) for m in (inv, fwd))
+    if window_grid is grid:
+        to_window = scipy.fft.ifftn
+    else:
+        to_window = functools.partial(_pruned_dft, mats=tuple(
+            _dft_factors(n, w)[1] for n, w in zip(grid.node_shape, window)))
+    rhs_blk = _frozen(rhs[block])
+    rhs_mod = _frozen(rhs_blk * lattice[4][block])
+    return BoxSource(grid, lattice, False, eval_grid, window, window_grid, block, block_is_box,
+                     to_block, from_block, rhs_blk, rhs_mod, _frozen(from_block(rhs_mod)),
+                     to_window)
+
+
+def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
+                    residual_tol: float = 1e-8,
+                    projection_rel: float = 1e-8) -> tuple[GridField, RemainderReport]:
     """Fixed-point solve of (-Lap - 2 rho . grad) psi = -(Q - k^2)(1 + psi).
 
     Spectral derivatives on the box; the inverse Fourier symbol
@@ -241,23 +340,23 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
     0.1 percent of the modes are removed.
 
     The sweeps iterate on phi = psi * mod (mod is unimodular, so every norm
-    is psi's) and read phi only on the index block bounding the support of
-    k^2 - Q: phi there is a pruned inverse DFT of phi_hat = mult * spec, the
-    next spectrum a pruned DFT from the block, and the increment and L2 norm
-    come from phi_hat by Parseval.  A block filling the box (k != 0) uses
-    plain FFTs.  The last spectrum is the residual's right-hand side, and one
-    full inverse FFT of the last phi_hat gives psi.
+    is psi's) and read phi only on the source's support block: phi there is
+    the inverse transform of phi_hat = mult * spec, the next spectrum the
+    transform from the block, and the increment and L2 norm come from
+    phi_hat by Parseval.  The last spectrum is the residual's right-hand
+    side.  Returns psi on the source's window: the last sweep's phi when
+    the block fills the box, else one inverse transform of the last phi_hat
+    onto the window.
     """
-    grid = qfield.grid
-    if not grid.periodic:
-        raise FieldError("remainder solves need a periodic box grid")
+    grid = source.grid
     rho = np.asarray(rho, dtype=np.complex128)
     rho_sq = float(np.sum(np.abs(rho) ** 2))
-    n_total = qfield.values.size
-    z0, z1, z2, zeta_sq, mod, mod_inv = _box_lattice(grid, tuple(lattice_shift))
+    n_total = grid.n_nodes
+    z0, z1, z2, zeta_sq, _, mod_inv = source.lattice
 
     c = -2j * rho
-    symbol = zeta_sq + (c[0] * z0 + c[1] * z1 + c[2] * z2)
+    symbol = c[0] * z0 + c[1] * z1 + c[2] * z2
+    symbol += zeta_sq
     keep = np.abs(symbol) >= projection_rel * rho_sq
     projected = int(n_total - np.count_nonzero(keep))
     if projected > 1e-3 * n_total:
@@ -265,25 +364,17 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
             f"{projected} of {n_total} Fourier modes near the symbol zero set "
             f"({projected / n_total:.2%} > 0.1%)"
         )
-    rhs_base = k ** 2 - qfield.values
-    if not np.any(rhs_base):
-        psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
+    if source.zero:
+        psi = GridField(source.window_grid,
+                        np.zeros(source.window_grid.node_shape, dtype=np.complex128))
         return psi, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
-    mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
-    live = rhs_base != 0
-    live_xy = live.any(axis=2)
-    spans = [(int(run[0]), int(run[-1]) + 1) for run in map(np.flatnonzero, (
-        live_xy.any(axis=1), live_xy.any(axis=0), live.any(axis=(0, 1))))]
-    block = tuple(slice(lo, hi) for lo, hi in spans)
-    whole = all(hi - lo == n for (lo, hi), n in zip(spans, grid.node_shape))
-    if whole:
-        to_block, from_block = scipy.fft.ifftn, scipy.fft.fftn
+    # without projected modes the masks change no value, so skip them
+    if projected:
+        mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
     else:
-        fwd, inv = zip(*[_dft_factors(n, lo, hi) for (lo, hi), n in zip(spans, grid.node_shape)])
-        to_block, from_block = (functools.partial(_pruned_dft, mats=m) for m in (inv, fwd))
-    rhs_blk = rhs_base[block]
-    rhs_mod = rhs_blk * mod[block]
-    spec = from_block(rhs_mod)
+        mult = 1.0 / symbol
+    to_block, from_block = source.to_block, source.from_block
+    rhs_blk, rhs_mod, spec = source.rhs, source.rhs_mod, source.spectrum
 
     parseval = grid.h ** 3 / n_total
     prev_hat = 0.0
@@ -309,8 +400,11 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
         if inc <= 1e-14 * max(1.0, l2):
             break
 
-    num = _norm_sq(np.where(keep, symbol * phi_hat - spec, 0.0))
-    den = _norm_sq(np.where(keep, spec, 0.0))
+    def kept(arr):
+        return np.where(keep, arr, 0.0) if projected else arr
+
+    num = _norm_sq(kept(symbol * phi_hat - spec))
+    den = _norm_sq(kept(spec))
     residual = math.sqrt(num / den) if den > 0 else 0.0
     if residual > residual_tol:
         raise ContractionError(
@@ -321,8 +415,9 @@ def solve_remainder(rho: np.ndarray, qfield: GridField, k: float,
     grad_sq = float(np.vdot(zeta_sq, phi_hat.real ** 2 + phi_hat.imag ** 2)) * parseval
     h1 = math.sqrt(l2 ** 2 + grad_sq)
     report = RemainderReport(l2, h1, it, projected, n_total, residual)
-    psi = phi if whole else scipy.fft.ifftn(phi_hat)
-    return GridField(grid, psi * mod_inv), report
+    window = source.window
+    psi = phi[window] if source.block_is_box else source.to_window(phi_hat)
+    return GridField(source.window_grid, psi * mod_inv[window]), report
 
 
 # -- probe assembly --------------------------------------------------------------
@@ -338,56 +433,41 @@ class OffsetField:
 
 
 @functools.lru_cache(maxsize=8)
-def _interp_stencil(box: Grid3, eval_grid: Grid3, mirrored: bool) -> scipy.sparse.csr_array:
-    """Sparse trilinear periodic interpolation from box nodes to evaluation nodes.
-
-    Row p holds the eight corner weights of evaluation node p (of its mirror
-    image (x1, x2, -x3) when `mirrored`), corners ordered (dx, dy, dz)
-    lexicographically.  Cached per grid pair, read-only.
-    """
-    x, y, z = eval_grid.node_coords()
-    shape = eval_grid.node_shape
-    coords = []
-    fracs = []
-    for axis, c in enumerate((x, y, -z if mirrored else z)):
-        t = (c - box.origin[axis]) / box.h
+def _interp_factors(field_grid: Grid3, eval_grid: Grid3, mirrored: bool) -> tuple:
+    """Per axis, the (n_eval, n_field) linear interpolation matrix: two taps
+    per row, wrapping modulo the field grid's node count.  The third axis
+    reads the mirror images -x3 when `mirrored`.  Cached, read-only."""
+    mats = []
+    for axis, n in enumerate(field_grid.node_shape):
+        c = eval_grid.axis_nodes(axis)
+        if mirrored and axis == 2:
+            c = -c
+        t = (c - field_grid.origin[axis]) / field_grid.h
         i0 = np.floor(t).astype(np.int64)
-        fracs.append(np.broadcast_to(t - i0, shape).ravel())
-        coords.append(np.broadcast_to(i0, shape).ravel())
-    n = box.node_shape
-    weights = []
-    cols = []
-    for dx in (0, 1):
-        wx = (1.0 - fracs[0]) if dx == 0 else fracs[0]
-        ix = (coords[0] + dx) % n[0]
-        for dy in (0, 1):
-            wy = (1.0 - fracs[1]) if dy == 0 else fracs[1]
-            iy = (coords[1] + dy) % n[1]
-            for dz in (0, 1):
-                wz = (1.0 - fracs[2]) if dz == 0 else fracs[2]
-                iz = (coords[2] + dz) % n[2]
-                weights.append(wx * wy * wz)
-                cols.append(np.ravel_multi_index((ix, iy, iz), n))
-    n_eval = weights[0].size
-    stencil = scipy.sparse.csr_array(
-        (np.stack(weights, axis=1).ravel(), np.stack(cols, axis=1).ravel(),
-         np.arange(0, 8 * n_eval + 1, 8)),
-        shape=(n_eval, math.prod(n)))
-    for arr in (stencil.data, stencil.indices, stencil.indptr):
-        _frozen(arr)
-    return stencil
+        rows = np.arange(len(t))
+        mat = np.zeros((len(t), n), dtype=np.complex128)
+        mat[rows, i0 % n] = 1.0 - (t - i0)
+        mat[rows, (i0 + 1) % n] += t - i0
+        mats.append(_frozen(mat))
+    return tuple(mats)
 
 
-def interpolate_box(box_field: GridField, eval_grid: Grid3,
+def interpolate_box(field: GridField, eval_grid: Grid3,
                     mirrored: bool = False) -> np.ndarray:
     """Trilinear periodic interpolation onto the evaluation nodes (or their
-    mirror images); exact lookup at node coincidences."""
-    stencil = _interp_stencil(box_field.grid, eval_grid, mirrored)
-    return (stencil @ box_field.values.ravel()).reshape(eval_grid.node_shape)
+    mirror images); exact lookup at node coincidences.
+
+    `field` lives on the box or on any node grid that covers the nodes read,
+    such as a probe window; stencil indices wrap modulo its node counts.
+    """
+    return _pruned_dft(field.values, _interp_factors(field.grid, eval_grid, mirrored))
 
 
 @dataclass
 class CgoProbe:
+    """A probe pair on its evaluation grid; psi1 / psi2 are the remainders on
+    their sources' windows."""
+
     phase: PhasePair
     box_grid: Grid3
     psi1: GridField
@@ -401,7 +481,7 @@ class CgoProbe:
     decay_report: dict
 
 
-def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi_box: GridField,
+def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi: GridField,
                reflected: bool) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Direct and (optionally) mirrored exponential-times-remainder factors.
 
@@ -418,12 +498,12 @@ def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi_box: GridField,
     top_x, top_y = float(np.max(px.real)), float(np.max(py.real))
     top_z = float(np.max(np.abs(pz.real) if reflected else pz.real))
     lateral = np.multiply.outer(np.exp(px - top_x), np.exp(py - top_y))
-    live = bool(np.any(psi_box.values))
+    live = bool(np.any(psi.values))
 
     def factor(phase_z, mirrored):
         out = np.multiply.outer(lateral, np.exp(phase_z - top_z))
         if live:
-            out *= 1.0 + interpolate_box(psi_box, eval_grid, mirrored)
+            out *= 1.0 + interpolate_box(psi, eval_grid, mirrored)
         return out
 
     direct = factor(pz, False)
@@ -431,20 +511,23 @@ def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi_box: GridField,
     return direct, mirrored, top_x + top_y + top_z
 
 
-def build_probe(eval_grid: Grid3, phase: PhasePair, q1_box: GridField,
-                q2_box: GridField, k: float, **solve_kw) -> CgoProbe:
+def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
+                src2: BoxSource) -> CgoProbe:
     """Assemble the probe pair on an evaluation grid.
 
-    q1_box / q2_box are the already-extended potentials on a shared periodic
-    box (even extension for every reflected probe; the tau-family second probe
-    uses the extension by zero).  Remainders are interpolated trilinearly from
-    the box onto the evaluation nodes.
+    src1 / src2 prepare the remainder solves against the extended potentials
+    on a shared periodic box (even extension for every reflected probe; the
+    tau-family second probe uses the extension by zero), with windows that
+    cover the stencils of `eval_grid`.  Remainders are interpolated
+    trilinearly from their windows onto the evaluation nodes.
     """
-    if q1_box.grid != q2_box.grid:
+    if src1.grid != src2.grid:
         raise FieldError("extended potentials must share one box grid")
-    box_grid = q1_box.grid
-    psi1, rep1 = solve_remainder(phase.rho1, q1_box, k, **solve_kw)
-    psi2, rep2 = solve_remainder(phase.rho2, q2_box, k, **solve_kw)
+    if any(src.eval_grid not in (None, eval_grid) for src in (src1, src2)):
+        raise FieldError("remainder source prepared for another evaluation grid")
+    box_grid = src1.grid
+    psi1, rep1 = solve_remainder(phase.rho1, src1)
+    psi2, rep2 = solve_remainder(phase.rho2, src2)
 
     reflect2 = phase.variant is Variant.DOUBLE_REFLECTION
     d1, m1, off1 = _exp_terms(eval_grid, phase.rho1, psi1, reflected=True)
@@ -481,13 +564,14 @@ def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],
     """
     m_bound = max(bounds) if bounds else 1.0
     frame = make_frame(xi)
+    sources = [box_source(qb, k) for qb in q_boxes]
     c0 = 1
     while c0 <= max_c0:
         param = max(c0 * (m_bound + k ** 2), 1.0)
         try:
             pp = make_phase_pair(frame, variant, param)
-            for qb in q_boxes:
-                solve_remainder(pp.rho1, qb, k)
+            for src in sources:
+                solve_remainder(pp.rho1, src)
             return c0, param
         except (ContractionError, ProjectionError):
             c0 *= 2

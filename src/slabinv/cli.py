@@ -95,7 +95,7 @@ def _cmd_cgo_check(args) -> int:
     phase = cgo.make_phase_pair(frame, variant, args.param)
     ws = recovery.make_workspace(q1, q2, args.k, variant,
                                  box_coarsen=args.box_coarsen, eval_grid=grid)
-    probe = cgo.build_probe(grid, phase, ws.q1_box, ws.q2_box, args.k)
+    probe = cgo.build_probe(grid, phase, ws.src1, ws.src2)
     gamma2 = np.max(np.abs(probe.u1.values[:, :, 0]))
     record = {
         "xi": [float(v) for v in xi],

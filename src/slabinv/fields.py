@@ -12,7 +12,7 @@ downstream carry the matching (2*pi)^-3 factor explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 import scipy.fft
@@ -97,15 +97,17 @@ class Potential:
 
     ``sobolev_s`` and ``bound_M`` record the a-priori smoothness class; the
     discrete Sobolev norm of the samples must not exceed bound_M by more than
-    5 percent.
+    5 percent.  ``measured_norm`` passes that norm in when the caller has
+    already measured it; an all-zero field has norm 0 without a transform.
     """
 
     field: GridField
     geom: SlabGeometry
     sobolev_s: float
     bound_M: float
+    measured_norm: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, measured_norm):
         vals = self.field.values
         if np.max(np.abs(vals.imag)) > 0:
             raise FieldError("potential must be real-valued")
@@ -116,7 +118,9 @@ class Potential:
             raise FieldError("potential support violates {|x'| <= R} x [0, L]")
         if self.sobolev_s <= 1.5:
             raise FieldError("smoothness index must exceed 3/2")
-        norm = sobolev_norm(self.field, self.sobolev_s)
+        norm = measured_norm
+        if norm is None:
+            norm = sobolev_norm(self.field, self.sobolev_s) if np.any(vals) else 0.0
         if norm > 1.05 * self.bound_M:
             raise FieldError(
                 f"discrete H^s norm {norm:.6g} exceeds bound M={self.bound_M:.6g} by >5%"
@@ -162,13 +166,18 @@ def radial_bump_potential(grid: Grid3, geom: SlabGeometry, amplitude: float,
         raise FieldError(f"unknown z_profile {z_profile!r}")
     vals = amplitude * smooth_bump(r / rw) * prof
     fld = GridField(grid, np.broadcast_to(vals, grid.node_shape).astype(np.complex128))
-    m = sobolev_norm(fld, s)
-    return Potential(fld, geom, s, max(m, np.finfo(float).tiny))
+    return _measured_potential(fld, geom, s)
 
 
 def zero_potential(grid: Grid3, geom: SlabGeometry, s: float = 2.0) -> Potential:
     fld = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
     return Potential(fld, geom, s, np.finfo(float).tiny)
+
+
+def _measured_potential(fld: GridField, geom: SlabGeometry, s: float) -> Potential:
+    """Potential whose bound M is its own discrete H^s norm, measured once."""
+    m = sobolev_norm(fld, s)
+    return Potential(fld, geom, s, max(m, np.finfo(float).tiny), measured_norm=m)
 
 
 def _box_to_slab_index(box_grid: Grid3, slab_grid: Grid3) -> tuple:
@@ -321,6 +330,4 @@ def read_field(path: str) -> GridField:
 
 def read_potential(path: str, geom: SlabGeometry, s: float = 2.0) -> Potential:
     """Load a field file as a potential; bound M is the measured H^s norm."""
-    fld = read_field(path)
-    m = sobolev_norm(fld, s)
-    return Potential(fld, geom, s, max(m, np.finfo(float).tiny))
+    return _measured_potential(read_field(path), geom, s)

@@ -28,11 +28,13 @@ import numpy as np
 import scipy.linalg
 
 from .cgo import (
+    BoxSource,
     CgoProbe,
     ContractionError,
     FrameError,
     ProjectionError,
     Variant,
+    box_source,
     build_box_grid,
     build_probe,
     make_frame,
@@ -154,15 +156,15 @@ def integral_pairing(qdiff_field: GridField, probe: CgoProbe) -> complex:
 
 @dataclass
 class ProbeWorkspace:
-    """Shared per-pair data: extended potentials, difference field, transform."""
+    """Shared per-pair data: remainder sources of the extended potentials,
+    difference field, transform."""
 
     geom: SlabGeometry
-    k: float
     variant: Variant
     eval_grid: Grid3
     box_grid: Grid3
-    q1_box: GridField
-    q2_box: GridField
+    src1: BoxSource
+    src2: BoxSource
     qdiff: GridField
     qdiff_ft: FourierTransform
     qdiff_l1: float
@@ -188,24 +190,27 @@ def _restrict(field: GridField, sub: Grid3) -> GridField:
 def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant,
                    *, box_padding: float = 0.5, box_coarsen: int = 1,
                    eval_grid: Grid3 | None = None) -> ProbeWorkspace:
+    """Everything the probes at one k share, each remainder source built once.
+
+    q1 is extended evenly; q2 evenly for the alpha-family and by zero for
+    the tau-family.  Probes are evaluated on `eval_grid`, by default the
+    node-aligned subgrid spanning the support.
+    """
     if q1.grid != q2.grid:
         raise RecoveryError("potentials must share a grid")
     geom = q1.geom
     grid = q1.grid
     box = build_box_grid(geom, grid, padding=box_padding, coarsen=box_coarsen)
-    if variant is Variant.SINGLE_REFLECTION:
-        q1_box = extend_even(q1, box)
-        q2_box = extend_trivial(q2, box)
-    else:
-        q1_box = extend_even(q1, box)
-        q2_box = extend_even(q2, box)
+    q1_box = extend_even(q1, box)
+    extend2 = extend_trivial if variant is Variant.SINGLE_REFLECTION else extend_even
+    q2_box = extend2(q2, box)
     sub = eval_grid if eval_grid is not None else support_subgrid(grid, geom)
     qd_full = GridField(grid, q1.field.values - q2.field.values)
     qdiff = _restrict(qd_full, sub)
     ft = fourier_transform(qdiff)
     l1 = float(np.sum(quadrature_weights(sub) * np.abs(qdiff.values)))
-    return ProbeWorkspace(geom, float(k), variant, sub, box, q1_box, q2_box,
-                          qdiff, ft, l1)
+    return ProbeWorkspace(geom, variant, sub, box, box_source(q1_box, k, sub),
+                          box_source(q2_box, k, sub), qdiff, ft, l1)
 
 
 @dataclass
@@ -234,7 +239,7 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
         try:
             frame = make_frame(np.asarray(xi, dtype=float))
             phase = make_phase_pair(frame, ws.variant, param)
-            probe = build_probe(ws.eval_grid, phase, ws.q1_box, ws.q2_box, ws.k)
+            probe = build_probe(ws.eval_grid, phase, ws.src1, ws.src2)
             prod = probe.u1_direct.values * probe.u2_direct.values
             if ws.variant is Variant.DOUBLE_REFLECTION:
                 prod += probe.u1_reflected.values * probe.u2_reflected.values

@@ -54,7 +54,8 @@ def test_c02_reflection_vanishing():
     for variant in Variant:
         q2box = extend_even(q1, box) if variant is Variant.DOUBLE_REFLECTION else q2_triv
         pp = make_phase_pair(make_frame((1.5, 0.8, 1.0)), variant, 4.0)
-        probe = cgo.build_probe(grid, pp, q1_even, q2box, 0.0)
+        probe = cgo.build_probe(grid, pp, cgo.box_source(q1_even, 0.0, grid),
+                                cgo.box_source(q2box, 0.0, grid))
         assert np.max(np.abs(probe.u1.values[:, :, 0])) == 0.0
         assert np.max(np.abs(probe.u1.values)) > 0.0
         if variant is Variant.DOUBLE_REFLECTION:
@@ -133,10 +134,11 @@ def test_c05_remainder_decay(geom, grid8, bump8):
     c0, tau1 = cgo.calibrate_min_param([q1_even], 0.0, [bump8.bound_M])
     taus = [tau1, 2 * tau1, 4 * tau1, 8 * tau1]
     fr = make_frame((2.0, 0.0, 0.0))
+    source = cgo.box_source(q1_even, 0.0)
     l2s = []
     for tau in taus:
         pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, tau)
-        _, rep = cgo.solve_remainder(pp.rho1, q1_even, 0.0)
+        _, rep = cgo.solve_remainder(pp.rho1, source)
         l2s.append(rep.l2)
     slope = float(np.polyfit(np.log(taus), np.log(l2s), 1)[0])
     assert -1.2 <= slope <= -0.8, f"decay slope {slope:.3f}"

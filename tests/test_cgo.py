@@ -10,6 +10,7 @@ from slabinv.cgo import (
     FrameError,
     ProjectionError,
     Variant,
+    box_source,
     build_box_grid,
     build_probe,
     calibrate_min_param,
@@ -20,7 +21,7 @@ from slabinv.cgo import (
     norm_identity_residual,
     solve_remainder,
 )
-from slabinv.fields import GridField, extend_even, extend_trivial
+from slabinv.fields import FieldError, GridField, extend_even, extend_trivial
 from slabinv.geometry import Grid3
 
 
@@ -125,7 +126,7 @@ def test_remainder_zero_rhs(box):
     # the tau-family second probe
     for k in (0.7, 0.0):
         q = GridField(box, np.full(box.node_shape, k * k, dtype=np.complex128))
-        psi, rep = solve_remainder(np.array([1.0, 0.0, 2.0j]), q, k)
+        psi, rep = solve_remainder(np.array([1.0, 0.0, 2.0j]), box_source(q, k))
         assert np.max(np.abs(psi.values)) == 0.0
         assert rep.l2 == 0.0 and rep.h1 == 0.0 and rep.iterations == 0
 
@@ -139,10 +140,10 @@ def test_remainder_lattice_cache_keyed_by_spacing():
         x, y, z = grid.node_coords()
         prof = 0.3 * np.exp(-(x ** 2 + y ** 2 + z ** 2)) * np.ones(grid.node_shape)
         fields_by_h.append(GridField(grid, prof.astype(np.complex128)))
-    warm = [solve_remainder(rho, q, 0.0) for q in fields_by_h]
+    warm = [solve_remainder(rho, box_source(q, 0.0)) for q in fields_by_h]
     for q, (psi, rep) in zip(fields_by_h, warm):
         cgo._box_lattice.cache_clear()
-        cold_psi, cold_rep = solve_remainder(rho, q, 0.0)
+        cold_psi, cold_rep = solve_remainder(rho, box_source(q, 0.0))
         assert np.array_equal(psi.values, cold_psi.values)
         assert rep == cold_rep
 
@@ -155,8 +156,9 @@ def test_remainder_born_quadratic(geom, grid8, box, bump8):
     for eta in etas:
         q = fields.radial_bump_potential(grid8, geom, eta)
         qb = extend_even(q, box)
-        psi, _ = solve_remainder(pp.rho1, qb, 0.0)
-        single, _ = solve_remainder(pp.rho1, qb, 0.0, max_iter=1, residual_tol=np.inf)
+        source = box_source(qb, 0.0)
+        psi, _ = solve_remainder(pp.rho1, source)
+        single, _ = solve_remainder(pp.rho1, source, max_iter=1, residual_tol=np.inf)
         diffs.append(np.sqrt(np.sum(np.abs(psi.values - single.values) ** 2)))
     slope = np.polyfit(np.log(etas), np.log(diffs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -173,7 +175,7 @@ def test_remainder_dense_oracle(geom):
     rho = np.array([3.0 + 0.5j, 1.0 - 2.0j, 0.5 + 3.5j])
     rho = rho / np.sqrt(abs(np.sum(rho * rho))) * 6.0  # not isotropic on purpose
 
-    psi, rep = solve_remainder(rho, q, 0.0)
+    psi, rep = solve_remainder(rho, box_source(q, 0.0))
 
     # dense operator: psi - G[rhs * psi] = G[rhs], same shifted lattice
     n = grid.node_shape[0]
@@ -212,7 +214,7 @@ def test_remainder_non_contraction_error(geom, grid8, box):
     qb = extend_even(big, box)
     pp = make_phase_pair(make_frame((1.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 1.0)
     with pytest.raises(ContractionError, match="parameter"):
-        solve_remainder(pp.rho1, qb, 0.0)
+        solve_remainder(pp.rho1, box_source(qb, 0.0))
 
 
 def test_remainder_projection_guard(box, q_even_box):
@@ -221,16 +223,17 @@ def test_remainder_projection_guard(box, q_even_box):
     q_zero = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
     for q in (q_even_box, q_zero):
         with pytest.raises(ProjectionError):
-            solve_remainder(pp.rho1, q, 0.0, projection_rel=10.0)
+            solve_remainder(pp.rho1, box_source(q, 0.0), projection_rel=10.0)
 
 
 def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
     fr = make_frame((2.0, 0.0, 0.0))
     taus = np.array([4.0, 8.0, 16.0, 32.0])
+    source = box_source(q_even_box, 0.0)
     l2s, h1s = [], []
     for tau in taus:
         pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, tau)
-        _, rep = solve_remainder(pp.rho1, q_even_box, 0.0)
+        _, rep = solve_remainder(pp.rho1, source)
         l2s.append(rep.l2)
         h1s.append(rep.h1)
     slope = np.polyfit(np.log(taus), np.log(l2s), 1)[0]
@@ -244,9 +247,10 @@ def test_reflection_commutes_with_remainder(geom, grid8, q_even_box):
     # reflected phase vector (seam layer carries the antiperiodic sign)
     fr = make_frame((1.5, 0.7, 1.1))
     pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 6.0)
-    psi, _ = solve_remainder(pp.rho1, q_even_box, 0.0)
+    source = box_source(q_even_box, 0.0)
+    psi, _ = solve_remainder(pp.rho1, source)
     rho_star = np.array([pp.rho1[0], pp.rho1[1], -pp.rho1[2]])
-    psi_star, _ = solve_remainder(rho_star, q_even_box, 0.0)
+    psi_star, _ = solve_remainder(rho_star, source)
     assert np.max(np.abs(reflect_remainder(psi).values - psi_star.values)) < 1e-10
     # involution of the representation-aware reflection
     assert np.array_equal(reflect_remainder(reflect_remainder(psi)).values,
@@ -254,7 +258,7 @@ def test_reflection_commutes_with_remainder(geom, grid8, q_even_box):
 
 
 def _solve_remainder_reference(rho, qfield, k, max_iter=400, residual_tol=1e-8,
-                               projection_rel=1e-8, lattice_shift=cgo.LATTICE_SHIFT):
+                               projection_rel=1e-8):
     """The remainder fixed point iterated on psi itself, with fresh transforms
     for the residual and the H1 norm."""
     grid = qfield.grid
@@ -262,7 +266,7 @@ def _solve_remainder_reference(rho, qfield, k, max_iter=400, residual_tol=1e-8,
     rho_sq = float(np.sum(np.abs(rho) ** 2))
     vol_factor = grid.h ** 3
     n_total = qfield.values.size
-    z0, z1, z2, zeta_sq, mod, mod_inv = cgo._box_lattice(grid, tuple(lattice_shift))
+    z0, z1, z2, zeta_sq, mod, mod_inv = cgo._box_lattice(grid)
 
     def tf(arr):
         return scipy.fft.fftn(arr * mod)
@@ -332,8 +336,8 @@ def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential
     pp = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0)
     for cold in (True, False):
         if cold:
-            cgo._dft_factors.cache_clear()
-        psi, rep = solve_remainder(pp.rho1, q, k)
+            cgo._box_lattice.cache_clear()
+        psi, rep = solve_remainder(pp.rho1, box_source(q, k))
         ref, ref_rep = _solve_remainder_reference(pp.rho1, q, k)
         scale = np.max(np.abs(ref.values))
         assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * scale
@@ -347,13 +351,32 @@ def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential
     assert (rep.iterations == 0) == (potential == "zero" and k == 0.0)
 
 
+@pytest.mark.parametrize("k", [0.0, 1.5])
+def test_remainder_projected_modes_match_reference(box2_potentials, k):
+    # a threshold between the fourth and fifth smallest |symbol| projects
+    # four modes: the sweeps and the residual leave them out
+    q = box2_potentials["bump"]
+    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), Variant.SINGLE_REFLECTION, 16.0).rho1
+    z0, z1, z2, zeta_sq, _, _ = cgo._box_lattice(q.grid)
+    mags = np.sort(np.abs(zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)).ravel())
+    rel = 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
+    psi, rep = solve_remainder(rho, box_source(q, k), projection_rel=rel)
+    ref, ref_rep = _solve_remainder_reference(rho, q, k, projection_rel=rel)
+    assert rep.projected_modes == ref_rep.projected_modes == 4
+    assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+    assert rep.l2 == pytest.approx(ref_rep.l2, rel=1e-12, abs=0.0)
+    assert rep.h1 == pytest.approx(ref_rep.h1, rel=1e-12, abs=0.0)
+    assert rep.iterations == ref_rep.iterations
+    assert abs(rep.residual - ref_rep.residual) <= 1e-13
+
+
 def test_remainder_contraction_error_matches_reference(geom, grid8, box2):
     qb = extend_even(fields.radial_bump_potential(grid8, geom, 400.0), box2)
     pp = make_phase_pair(make_frame((1.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 1.0)
     with pytest.raises(ContractionError):
         _solve_remainder_reference(pp.rho1, qb, 0.0)
     with pytest.raises(ContractionError):
-        solve_remainder(pp.rho1, qb, 0.0)
+        solve_remainder(pp.rho1, box_source(qb, 0.0))
 
 
 @pytest.fixture
@@ -370,33 +393,47 @@ def fft_counter(monkeypatch):
     return counts
 
 
-def test_remainder_fft_budget(box2, box2_potentials, fft_counter):
+def test_remainder_fft_budget(grid8, box2, box2_potentials, fft_counter):
     q = box2_potentials["bump"]
     frame = make_frame((2.0, -0.5, 1.0))
-    # a small support sweeps by pruned DFTs: one full inverse FFT per solve,
-    # whatever the iteration count
+    # set-up: a small support's first spectrum is a pruned DFT; at k != 0 the
+    # support is the whole box and its first spectrum the one full FFT
+    windowed = box_source(q, 0.0, grid8)
+    whole = box_source(q, 0.0)
+    assert windowed.window_grid != box2 and whole.window_grid == box2
+    block = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(q.values))
+    assert windowed.block == whole.block == block and not whole.block_is_box
+    assert fft_counter == {"fftn": 0, "ifftn": 0}
+    box_k = {eval_grid: box_source(q, 0.5, eval_grid) for eval_grid in (None, grid8)}
+    assert fft_counter == {"fftn": 2, "ifftn": 0}
+    # a small support sweeps by pruned DFTs: a windowed solve makes no full
+    # FFT at all and a whole-box solve one inverse FFT, whatever the
+    # iteration count
     iterations = set()
     for param in (2.0, 8.0, 64.0):
         pp = make_phase_pair(frame, Variant.DOUBLE_REFLECTION, param)
-        fft_counter.update(fftn=0, ifftn=0)
-        _, rep = solve_remainder(pp.rho1, q, 0.0)
-        iterations.add(rep.iterations)
-        assert fft_counter == {"fftn": 0, "ifftn": 1}
+        for source, inverse in ((windowed, 0), (whole, 1)):
+            fft_counter.update(fftn=0, ifftn=0)
+            _, rep = solve_remainder(pp.rho1, source)
+            iterations.add(rep.iterations)
+            assert fft_counter == {"fftn": 0, "ifftn": inverse}
     assert len(iterations) > 1
-    # at k != 0 the support is the whole box: one FFT pair per sweep, the
-    # first spectrum's transform, and the last sweep's inverse is psi
+    # at k != 0 one FFT pair per sweep, and the last sweep's inverse gives psi
+    # on any window
     pp = make_phase_pair(frame, Variant.DOUBLE_REFLECTION, 8.0)
+    for source in box_k.values():
+        fft_counter.update(fftn=0, ifftn=0)
+        _, rep = solve_remainder(pp.rho1, source)
+        assert rep.iterations > 1
+        assert fft_counter == {"fftn": rep.iterations, "ifftn": rep.iterations}
+    # a zero source transforms nothing, and is still checked first
     fft_counter.update(fftn=0, ifftn=0)
-    _, rep = solve_remainder(pp.rho1, q, 0.5)
-    assert rep.iterations > 1
-    assert fft_counter == {"fftn": rep.iterations + 1, "ifftn": rep.iterations}
-    # a zero right-hand side transforms nothing, and is still checked first
-    fft_counter.update(fftn=0, ifftn=0)
-    zero = box2_potentials["zero"]
-    _, rep = solve_remainder(pp.rho1, zero, 0.0)
+    zero = box_source(box2_potentials["zero"], 0.0, grid8)
+    assert zero.zero and zero.spectrum is None
+    _, rep = solve_remainder(pp.rho1, zero)
     assert rep.iterations == 0
     with pytest.raises(ProjectionError):
-        solve_remainder(pp.rho1, zero, 0.0, projection_rel=10.0)
+        solve_remainder(pp.rho1, zero, projection_rel=10.0)
     assert fft_counter == {"fftn": 0, "ifftn": 0}
 
 
@@ -425,12 +462,67 @@ def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
     xi = rng.uniform(-2.0, 2.0, 3)
     xi[0] += 1.0 if xi[0] >= 0 else -1.0
     pp = make_phase_pair(make_frame(xi), variant, 8.0)
-    psi, rep = solve_remainder(pp.rho1, q, k)
+    psi, rep = solve_remainder(pp.rho1, box_source(q, k))
     ref, ref_rep = _solve_remainder_reference(pp.rho1, q, k)
     assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
     assert rep.iterations == ref_rep.iterations
     assert rep.projected_modes == ref_rep.projected_modes
     assert rep.total_modes == ref_rep.total_modes
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.tuples(*[st.integers(0, 11)] * 3), width=st.tuples(*[st.integers(1, 12)] * 3),
+       eval_origin=st.tuples(*[st.floats(-1.7, 1.2)] * 3),
+       eval_cells=st.tuples(*[st.integers(1, 6)] * 3),
+       eval_h=st.sampled_from([0.1, 0.125, 0.25, 0.3]),
+       k=st.sampled_from([0.0, 0.0, 0.8]), variant=st.sampled_from(list(Variant)),
+       seed=st.integers(0, 2 ** 31))
+# strict windows reaching index 0 (x) and index n - 1 (y)
+@example(lo=(3, 4, 4), width=(5, 4, 3), eval_origin=(-1.5, 0.05, 0.1), eval_cells=(4, 4, 2),
+         eval_h=0.25, k=0.0, variant=Variant.SINGLE_REFLECTION, seed=1)
+# x and z ranges wrap across the periodic edge and take the whole axis
+@example(lo=(2, 9, 8), width=(3, 3, 4), eval_origin=(-1.7, -0.4, 0.0), eval_cells=(3, 2, 6),
+         eval_h=0.25, k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=2)
+# every range wraps: the window is the box
+@example(lo=(4, 4, 4), width=(4, 4, 4), eval_origin=(-1.6, -1.6, 0.0), eval_cells=(6, 6, 6),
+         eval_h=0.3, k=0.8, variant=Variant.SINGLE_REFLECTION, seed=3)
+def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, eval_h, k,
+                                            variant, seed):
+    box = _PROPERTY_BOX
+    rng = np.random.default_rng(seed)
+    idx = np.ix_(*[(a + np.arange(m)) % n for a, m, n in zip(lo, width, box.node_shape)])
+    values = np.zeros(box.node_shape, dtype=np.complex128)
+    values[idx] = rng.uniform(0.2, 1.0, values[idx].shape) * rng.choice([-1.0, 1.0])
+    q = GridField(box, values)
+    eval_grid = Grid3(*eval_cells, eval_h, eval_origin)
+    xi = rng.uniform(-2.0, 2.0, 3)
+    xi[0] += 1.0 if xi[0] >= 0 else -1.0
+    pp = make_phase_pair(make_frame(xi), variant, 8.0)
+    source = box_source(q, k, eval_grid)
+    psi, rep = solve_remainder(pp.rho1, source)
+    full, full_rep = solve_remainder(pp.rho1, box_source(q, k))
+    # the window: per axis the nodes read by the direct and mirrored
+    # stencils, or the whole axis where that range would wrap
+    for axis, w in enumerate(source.window):
+        c = eval_grid.axis_nodes(axis)
+        if axis == 2:
+            c = np.concatenate([c, -c])
+        i0 = np.floor((c - box.origin[axis]) / box.h)
+        start, stop = int(i0.min()), int(i0.max()) + 2
+        n = box.node_shape[axis]
+        assert (w.start, w.stop) == ((start, stop) if start >= 0 and stop <= n else (0, n))
+        assert np.allclose(psi.grid.axis_nodes(axis), box.axis_nodes(axis)[w], rtol=0, atol=1e-12)
+    assert psi.grid == source.window_grid
+    assert (psi.grid == box) == (psi.values.shape == box.node_shape)
+    scale = np.max(np.abs(full.values))
+    assert np.max(np.abs(psi.values - full.values[source.window])) <= 1e-13 * scale
+    assert rep.iterations == full_rep.iterations
+    assert rep.projected_modes == full_rep.projected_modes
+    assert rep.total_modes == full_rep.total_modes
+    # the window holds every node the stencils read
+    for mirrored in (False, True):
+        got = interpolate_box(psi, eval_grid, mirrored)
+        assert np.max(np.abs(got - interpolate_box(full, eval_grid, mirrored))) <= 1e-13 * scale
 
 
 # -- probes --------------------------------------------------------------------------
@@ -442,19 +534,30 @@ def test_probe_vanishes_on_bottom_plate(geom, grid8, bump8, box):
     for variant in Variant:
         q2 = extend_even(bump8, box) if variant is Variant.DOUBLE_REFLECTION else q2b
         pp = make_phase_pair(make_frame((1.2, 0.5, -0.8)), variant, 4.0)
-        probe = build_probe(grid8, pp, q1b, q2, 0.0)
+        probe = build_probe(grid8, pp, box_source(q1b, 0.0, grid8), box_source(q2, 0.0, grid8))
         assert np.max(np.abs(probe.u1.values[:, :, 0])) == 0.0
         if variant is Variant.DOUBLE_REFLECTION:
             assert np.max(np.abs(probe.u2.values[:, :, 0])) == 0.0
 
 
+def test_probe_rejects_sources_for_another_eval_grid(geom, grid8, box):
+    zb = extend_trivial(fields.zero_potential(grid8, geom), box)
+    pp = make_phase_pair(make_frame((1.2, 0.5, -0.8)), Variant.SINGLE_REFLECTION, 4.0)
+    other = Grid3(4, 4, 4, 0.25, (-0.5, -0.5, 0.0))
+    with pytest.raises(FieldError, match="evaluation grid"):
+        build_probe(other, pp, box_source(zb, 0.0, grid8), box_source(zb, 0.0, grid8))
+    # whole-box sources serve any evaluation grid
+    probe = build_probe(other, pp, box_source(zb, 0.0), box_source(zb, 0.0))
+    assert probe.u1.grid == other
+
+
 def test_probe_free_case_closed_form(geom, grid8, box):
     # q1 = q2 = 0, k = 0: remainders vanish and the probe product reduces to
     # pure exponentials
-    zb = extend_trivial(fields.zero_potential(grid8, geom), box)
+    zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), 0.0, grid8)
     fr = make_frame((1.0, 0.8, 0.6))
     pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 3.0)
-    probe = build_probe(grid8, pp, zb, zb, 0.0)
+    probe = build_probe(grid8, pp, zero, zero)
     assert probe.decay_report["psi1_l2"] == 0.0
     rng = np.random.default_rng(31)
     x, y, z = grid8.node_coords()
@@ -474,9 +577,9 @@ def test_probe_free_case_closed_form(geom, grid8, box):
 
 def test_exponential_factorization(geom, grid8, box):
     # exp(x.rho1) exp(x.rho2) = exp(i x.xi) at every node
-    zb = extend_trivial(fields.zero_potential(grid8, geom), box)
+    zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), 0.0, grid8)
     pp = make_phase_pair(make_frame((2.0, -1.0, 1.5)), Variant.SINGLE_REFLECTION, 9.0)
-    probe = build_probe(grid8, pp, zb, zb, 0.0)
+    probe = build_probe(grid8, pp, zero, zero)
     x, y, z = grid8.node_coords()
     phase = np.exp(1j * (x * pp.xi[0] + y * pp.xi[1] + z * pp.xi[2]))
     prod = (probe.u1_direct.values * probe.u2_direct.values
@@ -595,9 +698,9 @@ def test_calibrate_min_param(geom, grid8, bump8, box):
 
 
 def test_exponential_probe_matches_build(geom, grid8, box):
-    zb = extend_trivial(fields.zero_potential(grid8, geom), box)
+    zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), 0.0, grid8)
     pp = make_phase_pair(make_frame((1.0, 0.4, 0.2)), Variant.SINGLE_REFLECTION, 2.0)
-    built = build_probe(grid8, pp, zb, zb, 0.0)
+    built = build_probe(grid8, pp, zero, zero)
     pure = exponential_probe(grid8, pp, box, reflect1=True, reflect2=False)
     assert np.allclose(built.u1.values, pure.u1.values)
     assert built.u1.log_offset == pure.u1.log_offset

@@ -168,7 +168,7 @@ def test_recover_auto_parameters(workdir, capsys):
 def test_recover_csv_byte_deterministic(workdir):
     # the first run starts from empty lattice, stencil and quadrature caches,
     # the second reuses them; the CSV bytes must not depend on which
-    caches = (cgo._box_lattice, cgo._interp_stencil, recovery._gauss_legendre)
+    caches = (cgo._box_lattice, cgo._interp_factors, recovery._gauss_legendre)
     for cache in caches:
         cache.cache_clear()
     outputs = []

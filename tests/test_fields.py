@@ -184,6 +184,25 @@ def test_potential_sobolev_bound(geom, grid8):
         Potential(pot.field, geom, 2.0, pot.bound_M / 2)
 
 
+def test_potentials_measure_their_norm_once(tmp_path, geom, grid8, monkeypatch):
+    # the Born bump's bound is its one measured norm, bit for bit
+    born = fields.radial_bump_potential(grid8, geom, 1e-3)
+    assert born.bound_M == max(sobolev_norm(born.field, 2.0), np.finfo(float).tiny)
+    path = tmp_path / "born.field"
+    write_field(str(path), born.field)
+    calls = []
+    monkeypatch.setattr(fields, "sobolev_norm",
+                        lambda *a, **kw: calls.append(1) or sobolev_norm(*a, **kw))
+    assert fields.read_potential(str(path), geom).bound_M == born.bound_M
+    assert len(calls) == 1
+    assert fields.radial_bump_potential(grid8, geom, 1e-3).bound_M == born.bound_M
+    assert len(calls) == 2
+    # an all-zero field has norm 0 without a transform
+    fields.zero_potential(grid8, geom)
+    Potential(GridField(grid8, np.zeros(grid8.node_shape)), geom, 2.0, 1e-300)
+    assert len(calls) == 2
+
+
 def test_field_file_roundtrip(tmp_path, bump8):
     path = tmp_path / "field.bin"
     fld = GridField(bump8.grid, bump8.field.values * (1 + 0.5j))

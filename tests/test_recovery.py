@@ -65,7 +65,7 @@ def test_frequency_set_windows():
 def test_pairing_zero_for_equal_potentials(geom, grid8, bump8, ws_single):
     ws = make_workspace(bump8, bump8, 0.0, Variant.SINGLE_REFLECTION)
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0)
-    probe = cgo.build_probe(ws.eval_grid, pp, ws.q1_box, ws.q2_box, 0.0)
+    probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
     assert integral_pairing(ws.qdiff, probe) == 0
 
 
@@ -93,7 +93,7 @@ def test_pairing_decay_in_param(geom, grid16):
     want = true_transform(ws, xi)
     for param in params:
         pp = make_phase_pair(make_frame(xi), Variant.SINGLE_REFLECTION, param)
-        probe = cgo.build_probe(ws.eval_grid, pp, ws.q1_box, ws.q2_box, 0.0)
+        probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
         errs.append(abs(integral_pairing(ws.qdiff, probe) - want))
     slope = np.polyfit(np.log(params), np.log(errs), 1)[0]
     assert -1.3 <= slope <= -0.7
@@ -138,12 +138,36 @@ def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
     assert len(res.estimates) == len(xis) and not res.failed
     for xi in xis:
         pp = make_phase_pair(make_frame(xi), variant, param)
-        probe = cgo.build_probe(ws.eval_grid, pp, ws.q1_box, ws.q2_box, 0.0)
+        probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
         want = integral_pairing(ws.qdiff, probe)
         want += _cross_term_reference(ws.qdiff, probe.u1_reflected, probe.u2_direct)
         if variant is Variant.DOUBLE_REFLECTION:
             want += _cross_term_reference(ws.qdiff, probe.u1_direct, probe.u2_reflected)
         assert abs(res.estimates[xi] - want) <= 1e-12 * abs(want)
+
+
+def test_recover_builds_sources_once_per_workspace(born_pair8, monkeypatch):
+    # the rho-independent remainder set-up is made twice per workspace (one
+    # source per potential) and never per frequency
+    calls = {"workspace": 0, "source": 0, "probe": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    counted_source = counted("source", cgo.box_source)
+    monkeypatch.setattr(cgo, "box_source", counted_source)
+    monkeypatch.setattr(recovery, "box_source", counted_source)
+    monkeypatch.setattr(recovery, "make_workspace",
+                        counted("workspace", recovery.make_workspace))
+    monkeypatch.setattr(recovery, "build_probe", counted("probe", recovery.build_probe))
+    run = recovery.recover(*born_pair8, 0.0, Variant.DOUBLE_REFLECTION, r=2.25, param=8.0,
+                           lam=0.5, spacing=0.75, delta=1.0, basis_n=3, box_coarsen=2)
+    assert run.counts["n_annulus"] > 0 and calls["probe"] >= run.counts["n_annulus"]
+    assert calls["workspace"] == 1
+    assert calls["source"] == 2 * calls["workspace"]
 
 
 def test_estimator_error_decays_with_param(ws_single):
