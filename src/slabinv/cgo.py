@@ -230,19 +230,20 @@ def _norm_sq(arr: np.ndarray) -> float:
 def _probe_window(box: Grid3, eval_grid: Grid3 | None) -> tuple[slice, ...]:
     """Per axis, the box nodes that the trilinear stencils of the evaluation
     nodes and of their mirror images (x1, x2, -x3) read.  Without an
-    evaluation grid, and on an axis whose range would wrap across the
-    periodic edge, the window takes the whole axis."""
+    evaluation grid, or where a range would wrap across the periodic edge,
+    the window is the whole box: only the box is read by wrapping stencils."""
+    whole = tuple(slice(0, n) for n in box.node_shape)
+    if eval_grid is None:
+        return whole
     window = []
     for axis, n in enumerate(box.node_shape):
-        lo, hi = 0, n
-        if eval_grid is not None:
-            c = eval_grid.axis_nodes(axis)
-            if axis == 2:
-                c = np.concatenate([c, -c])
-            i0 = np.floor((c - box.origin[axis]) / box.h)
-            lo, hi = int(i0.min()), int(i0.max()) + 2
-            if lo < 0 or hi > n:
-                lo, hi = 0, n
+        c = eval_grid.axis_nodes(axis)
+        if axis == 2:
+            c = np.concatenate([c, -c])
+        i0 = np.floor((c - box.origin[axis]) / box.h)
+        lo, hi = int(i0.min()), int(i0.max()) + 2
+        if lo < 0 or hi > n:
+            return whole
         window.append(slice(lo, hi))
     return tuple(window)
 
@@ -435,14 +436,17 @@ class OffsetField:
 @functools.lru_cache(maxsize=8)
 def _interp_factors(field_grid: Grid3, eval_grid: Grid3, mirrored: bool) -> tuple:
     """Per axis, the (n_eval, n_field) linear interpolation matrix: two taps
-    per row, wrapping modulo the field grid's node count.  The third axis
-    reads the mirror images -x3 when `mirrored`.  Cached, read-only."""
+    per row, wrapping modulo the node count of a periodic field grid; a node
+    grid must cover the nodes read, else FieldError.  The third axis reads the
+    mirror images -x3 when `mirrored`.  Cached, read-only."""
     mats = []
     for axis, n in enumerate(field_grid.node_shape):
         c = eval_grid.axis_nodes(axis)
         if mirrored and axis == 2:
             c = -c
         t = (c - field_grid.origin[axis]) / field_grid.h
+        if not field_grid.periodic and (t.min() < -1e-9 or t.max() > n - 1 + 1e-9):
+            raise FieldError(f"field grid does not cover the interpolation nodes on axis {axis}")
         i0 = np.floor(t).astype(np.int64)
         rows = np.arange(len(t))
         mat = np.zeros((len(t), n), dtype=np.complex128)
@@ -457,8 +461,8 @@ def interpolate_box(field: GridField, eval_grid: Grid3,
     """Trilinear periodic interpolation onto the evaluation nodes (or their
     mirror images); exact lookup at node coincidences.
 
-    `field` lives on the box or on any node grid that covers the nodes read,
-    such as a probe window; stencil indices wrap modulo its node counts.
+    `field` lives on the periodic box, where stencil indices wrap, or on a
+    node grid that covers the nodes read, such as a probe window.
     """
     return _pruned_dft(field.values, _interp_factors(field.grid, eval_grid, mirrored))
 

@@ -5,7 +5,8 @@ Geometry comes from a flat key=value config file (keys L, R, R_prime, R_lat,
 eps_cutoff, target_h); volume fields and boundary data use the binary field
 formats documented in fields.py / boundary.py; matrices use the format in
 dnmap.py.  CSV outputs start with a schema-version line.  An inadmissible
-frequency k ends any subcommand with exit status 2.
+frequency k ends any subcommand with exit status 2, a CGO remainder that does
+not contract with 3 and one that projects too many modes with 4.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 from . import boundary, cgo, dnmap, fields, forward, geometry, harness, recovery
 
 EXIT_INADMISSIBLE = 2
+EXIT_NO_CONTRACTION = 3
+EXIT_PROJECTION = 4
 
 # Neumann target of the dnmap and dnnorm subcommands
 TARGET_PLATES = {"gamma1N": geometry.Plate.TOP, "gamma2N": geometry.Plate.BOTTOM}
@@ -280,6 +283,9 @@ def main(argv=None) -> int:
     except forward.AdmissibilityError as exc:
         print(f"inadmissible frequency: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE
+    except (cgo.ContractionError, cgo.ProjectionError) as exc:
+        print(f"CGO remainder failed: {exc}", file=sys.stderr)
+        return EXIT_NO_CONTRACTION if isinstance(exc, cgo.ContractionError) else EXIT_PROJECTION
 
 
 if __name__ == "__main__":

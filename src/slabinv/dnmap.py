@@ -271,19 +271,26 @@ def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
 # -- the operator norm ----------------------------------------------------------
 
 
-def op_norm_star(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
-                 tgt_basis: BoundaryBasis) -> float:
+def star_whiten(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
+                tgt_basis: BoundaryBasis) -> np.ndarray:
+    """B = W D R for a DN-matrix difference D (see op_norm_star); linear in D."""
+    pairs = np.ascontiguousarray(matrix_diff, dtype=np.complex128).view(np.float64)  # W is real
+    return (tgt_basis.dual_factors()[1] @ pairs).view(np.complex128) @ src_basis.triple_whitener()
+
+
+def op_norm_star(matrix_diff: np.ndarray, src_basis: BoundaryBasis | None = None,
+                 tgt_basis: BoundaryBasis | None = None) -> float:
     """Largest generalized singular value of a DN-matrix difference D.
 
     The spectral norm ||W D R|| with the whiteners of the two bases
     (BoundaryBasis.dual_factors, BoundaryBasis.triple_whitener): the square
     root of the top eigenvalue of B^H B for B = W D R, the Cholesky reduction
     of the Hermitian pencil (P^H H^{-1} P, G) with the pairings
-    P = h^2 conj(modes) D.  Exact to machine precision at these basis sizes,
+    P = h^2 conj(modes) D.  Without bases, `matrix_diff` is B itself
+    (`star_whiten`).  Exact to machine precision at these basis sizes,
     which the homogeneity/triangle checks downstream rely on.
     """
-    pairs = np.ascontiguousarray(matrix_diff, dtype=np.complex128).view(np.float64)  # W is real
-    b = (tgt_basis.dual_factors()[1] @ pairs).view(np.complex128) @ src_basis.triple_whitener()
+    b = matrix_diff if src_basis is None else star_whiten(matrix_diff, src_basis, tgt_basis)
     n = b.shape[1]
     top = scipy.linalg.eigh(b.conj().T @ b, eigvals_only=True,
                             subset_by_index=[n - 1, n - 1])

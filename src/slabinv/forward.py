@@ -5,9 +5,9 @@ Seven-point Laplacian with Dirichlet elimination on the truncated cylinder
 periodic lateral identification (``periodic`` mode, the oracle configuration
 whose plate problems separate into lateral Fourier modes).  Frequencies k are
 vetted by a numerical admissibility check: the smallest singular value of the
-assembled operator, found by shift-invert Lanczos through the operator's own
-factorization, must clear a threshold relative to the lowest eigenvalue of the
-q = 0, k = 0 operator.
+assembled operator, found by shift-invert Lanczos through its one factorization
+(in the vertical sine basis, `SineBasisLU`), must clear a threshold relative to
+the lowest eigenvalue of the q = 0, k = 0 operator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -57,6 +56,35 @@ class AdmissibilityError(RuntimeError):
     """k is not admissible, or the admissibility eigensolve failed."""
 
 
+@functools.lru_cache(maxsize=8)
+def _sine_basis(nz: int) -> np.ndarray:
+    """Orthonormal DST-I S on the nz - 1 interior layers; S = S^T = S^{-1}."""
+    j = np.arange(1, nz)
+    s = np.sqrt(2.0 / nz) * np.sin(np.pi * np.outer(j, j) / nz)
+    s.flags.writeable = False
+    return s
+
+
+def vertical_eigenvalues(grid: Grid3) -> np.ndarray:
+    """S T_z S for the Dirichlet 3-point T_z: (4/h^2) sin^2(pi j / (2 nz)), j < nz."""
+    return (4.0 / grid.h ** 2) * np.sin(np.pi * np.arange(1, grid.nz) / (2 * grid.nz)) ** 2
+
+
+@dataclass(frozen=True, eq=False)
+class SineBasisLU:
+    """SuperLU factor `lu` of M = (I_lat x S) A (I_lat x S).  `solve` solves
+    A u = b, b of shape (n,) or (n, m), as u = (I x S) M^{-1} (I x S) b."""
+
+    lu: scipy.sparse.linalg.SuperLU
+    sine: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        def rotate(v):  # S on the layer values of each lateral node
+            return np.matmul(self.sine, v.reshape(-1, len(self.sine), v.size // len(v))
+                             ).reshape(v.shape)
+        return rotate(self.lu.solve(rotate(b)))
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     k: float
@@ -94,6 +122,10 @@ class HelmholtzOperator:
         else:
             active = np.zeros(grid.node_shape, dtype=bool)
             active[: grid.nx, : grid.ny, 1: grid.nz] = True
+        self.lateral = active[:, :, 1]
+        if active[:, :, [0, -1]].any() or np.any(active[:, :, 1:-1] != self.lateral[..., None]):
+            raise ValueError("the active set must be a lateral mask times every interior layer")
+        # C order, z fastest: unknown (nz - 1) p + j - 1 is layer j of lateral node p
         idx = np.full(grid.node_shape, -1, dtype=np.int64)
         n = int(np.count_nonzero(active))
         idx[active] = np.arange(n)
@@ -102,10 +134,8 @@ class HelmholtzOperator:
         self.n_active = n
 
         h2 = grid.h ** 2
-        qv = np.zeros(grid.node_shape)
-        if self.q is not None:
-            qv = self.q.field.values.real
-        diag = 6.0 / h2 - self.k ** 2 + qv[active]
+        self.q_active = np.zeros(n) if self.q is None else self.q.field.values.real[active]
+        diag = 6.0 / h2 - self.k ** 2 + self.q_active
         rows = [np.arange(n)]
         cols = [np.arange(n)]
         data = [diag]
@@ -142,50 +172,33 @@ class HelmholtzOperator:
 
     # -- linear algebra -------------------------------------------------------
 
-    def _lu(self):
+    def sine_basis_matrix(self) -> scipy.sparse.csc_matrix:
+        """M = (I_lat x S) A (I_lat x S), assembled exactly: the lateral
+        couplings of A as they are, the vertical 3-point operator as the
+        diagonal of its eigenvalues, and q as one dense block S diag(q_p) S at
+        each lateral node p where q is nonzero."""
+        m, n = self.grid.nz - 1, self.n_active
+        a = self.matrix.tocoo()
+        lateral = a.row // m != a.col // m
+        qv = self.q_active.reshape(-1, m)
+        nodes = np.flatnonzero(np.any(qv, axis=1))
+        s = _sine_basis(self.grid.nz)
+        blocks = (s * qv[nodes, None, :]) @ s
+        first = np.broadcast_to((m * nodes)[:, None, None], blocks.shape)
+        nu = np.tile(vertical_eigenvalues(self.grid), n // m)
+        rows = [a.row[lateral], np.arange(n), (first + np.arange(m)[:, None]).ravel()]
+        cols = [a.col[lateral], np.arange(n), (first + np.arange(m)).ravel()]
+        data = [a.data[lateral], 4.0 / self.grid.h ** 2 - self.k ** 2 + nu, blocks.ravel()]
+        return scipy.sparse.csc_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+
+    def _lu(self) -> SineBasisLU:
         if self._lu_cache is None:
-            self._lu_cache = scipy.sparse.linalg.splu(
-                self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                options=dict(SymmetricMode=True),
-            )
+            self._lu_cache = SineBasisLU(scipy.sparse.linalg.splu(
+                self.sine_basis_matrix(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=DIAG_PIVOT_THRESH, options=dict(SymmetricMode=True),
+            ), _sine_basis(self.grid.nz))
         return self._lu_cache
-
-    def _separable(self) -> bool:
-        """Periodic mode with zero potential separates into lateral Fourier modes."""
-        return self.boundary_mode == PERIODIC and (
-            self.q is None or float(np.max(np.abs(self.q.field.values))) == 0.0
-        )
-
-    def _solve_separable(self, rhs: np.ndarray) -> np.ndarray:
-        """Lateral FFT and vertical Thomas sweeps for rhs of shape (n,) or (n, m)."""
-        grid = self.grid
-        nx, ny, nz = grid.nx, grid.ny, grid.nz
-        h2 = grid.h ** 2
-        r4 = rhs.reshape(nx, ny, nz - 1, -1)
-        rhat = scipy.fft.fft2(r4, axes=(0, 1))
-        mx = np.arange(nx)[:, None, None]
-        my = np.arange(ny)[None, :, None]
-        lam = (4.0 / h2) * (np.sin(np.pi * mx / nx) ** 2 + np.sin(np.pi * my / ny) ** 2)
-        diag = np.broadcast_to(2.0 / h2 - self.k ** 2 + lam, (nx, ny, nz - 1))[..., None]
-        off = -1.0 / h2
-        # vectorized Thomas algorithm across all lateral modes and columns
-        cp = np.zeros((nx, ny, nz - 2, 1), dtype=np.complex128)
-        dp = np.zeros(rhat.shape, dtype=np.complex128)
-        denom = diag[:, :, 0].astype(np.complex128)
-        dp[:, :, 0] = rhat[:, :, 0] / denom
-        for j in range(1, nz - 1):
-            cp[:, :, j - 1] = off / denom
-            denom = diag[:, :, j] - off * cp[:, :, j - 1]
-            dp[:, :, j] = (rhat[:, :, j] - off * dp[:, :, j - 1]) / denom
-        uhat = np.zeros_like(dp)
-        uhat[:, :, nz - 2] = dp[:, :, nz - 2]
-        for j in range(nz - 3, -1, -1):
-            uhat[:, :, j] = dp[:, :, j] - cp[:, :, j] * uhat[:, :, j + 1]
-        u = scipy.fft.ifft2(uhat, axes=(0, 1))
-        if not np.iscomplexobj(rhs):
-            u = u.real
-        return u.reshape(rhs.shape)
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A u = rhs on the active set for rhs of shape (n,) or (n, m).
@@ -195,9 +208,7 @@ class HelmholtzOperator:
         Each column must reach relative residual 1e-10, else SolveError names
         the failing columns and carries every column's residual.
         """
-        if self._separable():
-            u = self._solve_separable(np.asarray(rhs, dtype=np.complex128))
-        elif np.iscomplexobj(rhs):
+        if np.iscomplexobj(rhs):
             m = rhs.size // len(rhs)
             x = self._lu().solve(np.column_stack([rhs.real, rhs.imag]))
             u = (x[:, :m] + 1j * x[:, m:]).reshape(rhs.shape)
@@ -259,20 +270,16 @@ def _min_singular(op: HelmholtzOperator, seed: int = 0) -> float:
 
     For the real symmetric operator the singular values are the eigenvalue
     magnitudes, so min_singular is the magnitude of the eigenvalue nearest
-    zero.  ARPACK's inverse is the operator's own solve (the LU factorization,
-    or the lateral-FFT solve in separable mode), started from a Philox vector
-    keyed by `seed`.  An exactly singular factorization gives 0.
+    zero.  ARPACK's inverse is the operator's own LU solve, started from a
+    Philox vector keyed by `seed`.  An exactly singular factorization gives 0.
     """
     n = op.n_active
-    if op._separable():
-        inverse = op._solve_separable
-    else:
-        try:
-            inverse = op._lu().solve
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            if "singular" not in str(exc):
-                raise
-            return 0.0
+    try:
+        inverse = op._lu().solve
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        if "singular" not in str(exc):
+            raise
+        return 0.0
     opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=inverse, dtype=np.float64)
     try:
         vals = scipy.sparse.linalg.eigsh(
@@ -303,14 +310,13 @@ def reference_eigenvalue(grid: Grid3, geom: SlabGeometry, boundary_mode: str) ->
     """
     if boundary_mode not in (TRUNCATED, PERIODIC):
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    h = grid.h
-    vertical = (4.0 / h ** 2) * np.sin(np.pi / (2 * grid.nz)) ** 2
+    vertical = vertical_eigenvalues(grid)[0]
     if boundary_mode == PERIODIC:
         return float(vertical)
     disc = interior_mask(grid, geom)[:, :, 1].ravel()
     sx, sy, _ = grid.node_shape
-    plate = scipy.sparse.kronsum(_dirichlet_laplacian_1d(sy, h),
-                                 _dirichlet_laplacian_1d(sx, h), format="csr")
+    plate = scipy.sparse.kronsum(_dirichlet_laplacian_1d(sy, grid.h),
+                                 _dirichlet_laplacian_1d(sx, grid.h), format="csr")
     lateral = plate[disc][:, disc]
     mu1 = scipy.sparse.linalg.eigsh(lateral, k=1, sigma=0, which="LM",
                                     v0=_start_vector(lateral.shape[0], 0),
@@ -343,12 +349,8 @@ def _require_admissible(op: HelmholtzOperator):
 def _top_plate_rhs(op: HelmholtzOperator, fplate: np.ndarray) -> np.ndarray:
     """Dirichlet elimination: top-plate data (sx, sy) or (m, sx, sy) couples to
     the adjacent layer, giving a right-hand side (n,) or (n, m) of its dtype."""
-    grid = op.grid
-    sz = grid.node_shape[2]
-    layer = op.active[:, :, sz - 2]
-    ids = op.index[:, :, sz - 2][layer]
     rhs = np.zeros((op.n_active,) + fplate.shape[:-2], dtype=fplate.dtype)
-    rhs[ids] = fplate[..., layer].T / grid.h ** 2
+    rhs[op.index[:, :, -2][op.lateral]] = fplate[..., op.lateral].T / op.grid.h ** 2
     return rhs
 
 
@@ -363,20 +365,13 @@ def solve_dirichlet(op: HelmholtzOperator, f: BoundaryField) -> GridField:
     fplate = f.plate_values(grid)
     if not np.any(fplate.imag):
         fplate = fplate.real
-    if op.boundary_mode == TRUNCATED:
-        r = grid.lateral_radius()[:, :, 0]
-        bad = np.abs(fplate[..., r >= op.geom.R_lat])
-        if bad.size and bad.max() > 0:
-            raise SolveError("Dirichlet data must vanish outside the truncated plate")
+    if op.boundary_mode == TRUNCATED and np.any(fplate[..., ~op.lateral]):
+        raise SolveError("Dirichlet data must vanish outside the truncated plate")
     u = op.solve_interior(_top_plate_rhs(op, fplate))
     out = np.zeros(fplate.shape[:-2] + grid.node_shape, dtype=np.result_type(u, fplate))
     out[..., op.active] = u.T
-    sz = grid.node_shape[2]
-    if op.boundary_mode == TRUNCATED:
-        r = grid.lateral_radius()[:, :, 0]
-        out[..., sz - 1] = np.where(r < op.geom.R_lat, fplate, 0.0)
-    else:
-        out[..., sz - 1] = fplate
+    out[..., -1] = np.where(op.lateral, fplate, 0.0)
+    if op.boundary_mode == PERIODIC:
         out[..., grid.nx, :, :] = out[..., 0, :, :]
         out[..., :, grid.ny, :] = out[..., :, 0, :]
     return GridField(grid, out)
@@ -391,8 +386,7 @@ def solve_source(op: HelmholtzOperator, w: GridField) -> GridField:
     _require_admissible(op)
     if w.grid != op.grid:
         raise SolveError("source field lives on a different grid")
-    rhs = w.values[op.active].astype(np.complex128)
-    u = op.solve_interior(rhs)
+    u = op.solve_interior(w.values[op.active].astype(np.complex128))
     out = np.zeros(op.grid.node_shape, dtype=np.complex128)
     out[op.active] = u
     if op.boundary_mode == PERIODIC:

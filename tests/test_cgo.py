@@ -450,6 +450,8 @@ _PROPERTY_BOX = Grid3(12, 12, 12, 0.25, (-1.5, -1.5, -1.5), periodic=True)
 @example(lo=(4, 0, 6), width=(1, 12, 1), k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=4)
 @example(lo=(3, 3, 3), width=(6, 6, 6), k=0.8, variant=Variant.SINGLE_REFLECTION, seed=5)
 @example(lo=(0, 0, 0), width=(12, 12, 12), k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=6)
+# diverges at parameter 8 in both loops
+@example(lo=(0, 0, 0), width=(1, 11, 11), k=0.8, variant=Variant.SINGLE_REFLECTION, seed=1)
 def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
     # compact supports anywhere in the box: touching index 0 or n - 1,
     # wrapping across the periodic edge, one node wide, or the whole box
@@ -462,8 +464,14 @@ def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
     xi = rng.uniform(-2.0, 2.0, 3)
     xi[0] += 1.0 if xi[0] >= 0 else -1.0
     pp = make_phase_pair(make_frame(xi), variant, 8.0)
+    try:
+        ref, ref_rep = _solve_remainder_reference(pp.rho1, q, k)
+    except ContractionError:
+        # a support too strong for the parameter diverges in both loops
+        with pytest.raises(ContractionError):
+            solve_remainder(pp.rho1, box_source(q, k))
+        return
     psi, rep = solve_remainder(pp.rho1, box_source(q, k))
-    ref, ref_rep = _solve_remainder_reference(pp.rho1, q, k)
     assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
     assert rep.iterations == ref_rep.iterations
     assert rep.projected_modes == ref_rep.projected_modes
@@ -480,7 +488,7 @@ def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
 # strict windows reaching index 0 (x) and index n - 1 (y)
 @example(lo=(3, 4, 4), width=(5, 4, 3), eval_origin=(-1.5, 0.05, 0.1), eval_cells=(4, 4, 2),
          eval_h=0.25, k=0.0, variant=Variant.SINGLE_REFLECTION, seed=1)
-# x and z ranges wrap across the periodic edge and take the whole axis
+# x and z ranges wrap across the periodic edge: the window is the box
 @example(lo=(2, 9, 8), width=(3, 3, 4), eval_origin=(-1.7, -0.4, 0.0), eval_cells=(3, 2, 6),
          eval_h=0.25, k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=2)
 # every range wraps: the window is the box
@@ -499,18 +507,27 @@ def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, 
     xi[0] += 1.0 if xi[0] >= 0 else -1.0
     pp = make_phase_pair(make_frame(xi), variant, 8.0)
     source = box_source(q, k, eval_grid)
+    try:
+        full, full_rep = solve_remainder(pp.rho1, box_source(q, k))
+    except ContractionError:
+        # a support too strong for the parameter diverges on the window too
+        with pytest.raises(ContractionError):
+            solve_remainder(pp.rho1, source)
+        return
     psi, rep = solve_remainder(pp.rho1, source)
-    full, full_rep = solve_remainder(pp.rho1, box_source(q, k))
     # the window: per axis the nodes read by the direct and mirrored
-    # stencils, or the whole axis where that range would wrap
-    for axis, w in enumerate(source.window):
+    # stencils, or the whole box where one of those ranges would wrap
+    ranges = []
+    for axis, n in enumerate(box.node_shape):
         c = eval_grid.axis_nodes(axis)
         if axis == 2:
             c = np.concatenate([c, -c])
         i0 = np.floor((c - box.origin[axis]) / box.h)
-        start, stop = int(i0.min()), int(i0.max()) + 2
-        n = box.node_shape[axis]
-        assert (w.start, w.stop) == ((start, stop) if start >= 0 and stop <= n else (0, n))
+        ranges.append((int(i0.min()), int(i0.max()) + 2))
+    if not all(0 <= a and b <= n for (a, b), n in zip(ranges, box.node_shape)):
+        ranges = [(0, n) for n in box.node_shape]
+    for axis, w in enumerate(source.window):
+        assert (w.start, w.stop) == ranges[axis]
         assert np.allclose(psi.grid.axis_nodes(axis), box.axis_nodes(axis)[w], rtol=0, atol=1e-12)
     assert psi.grid == source.window_grid
     assert (psi.grid == box) == (psi.values.shape == box.node_shape)
@@ -670,6 +687,36 @@ def test_interpolation_exact_at_nodes(box):
     mid = Grid3(1, 1, 1, box.h, (xs, ys, zs + box.h / 2))
     expected = 0.5 * (f.values[3, 5, 7] + f.values[3, 5, 8])
     assert interpolate_box(f, mid)[0, 0, 0] == pytest.approx(expected)
+
+
+def test_interpolation_rejects_node_grid_that_does_not_cover():
+    # 4 nodes per axis at 0, 1, 2, 3: nodes 4.0 and 4.25 lie beyond the
+    # grid, where wrapping would read nodes 0 and 1
+    field = GridField(Grid3(3, 3, 3, 1.0, (0.0, 0.0, 0.0)),
+                      np.arange(64.0).reshape(4, 4, 4).astype(np.complex128))
+    with pytest.raises(FieldError, match="does not cover"):
+        interpolate_box(field, Grid3(1, 1, 1, 0.25, (4.0, 4.0, 4.0)))
+    with pytest.raises(FieldError, match="axis 2"):
+        interpolate_box(field, Grid3(1, 1, 1, 0.25, (1.0, 1.0, 0.5)), mirrored=True)
+    # up to and including the last node is covered: exact lookup
+    inside = Grid3(2, 2, 2, 1.0, (1.0, 1.0, 1.0))
+    assert np.array_equal(interpolate_box(field, inside), field.values[1:, 1:, 1:])
+
+
+def test_probe_window_interpolates_like_the_box(geom, grid8, born_pair8):
+    # the recover set-up: the Born bump on the coarsened box, a window that is
+    # a strict part of it on every axis
+    box = build_box_grid(geom, grid8, coarsen=2)
+    source = box_source(extend_even(born_pair8[0], box), 0.0, grid8)
+    assert not source.window_grid.periodic
+    assert all(w.stop - w.start < n for w, n in zip(source.window, box.node_shape))
+    pp = make_phase_pair(make_frame((2.0, 0.5, -1.0)), Variant.SINGLE_REFLECTION, 8.0)
+    psi, _ = solve_remainder(pp.rho1, source)
+    full, _ = solve_remainder(pp.rho1, box_source(extend_even(born_pair8[0], box), 0.0))
+    scale = np.max(np.abs(full.values))
+    for mirrored in (False, True):
+        got = interpolate_box(psi, grid8, mirrored)
+        assert np.max(np.abs(got - interpolate_box(full, grid8, mirrored))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("coarsen", [1, 2])

@@ -108,6 +108,41 @@ def test_cgo_check_record(workdir, capsys):
     assert rec["psi1_l2"] > 0
 
 
+def test_cgo_check_no_contraction_is_one_line_error(tmp_path, capsys):
+    # the Born bump at h = 1/8: the thm3 remainder at k = 0.5, param 8
+    # diverges on the coarsened box
+    cfg = tmp_path / "geom.cfg"
+    cfg.write_text("L = 1.0\nR = 1.0\nR_prime = 1.5\nR_lat = 2.0\n"
+                   "eps_cutoff = 0.1\ntarget_h = 0.125\n")
+    geom, target_h = geometry.parse_geometry_config(str(cfg))
+    grid = geometry.build_domain(geom, target_h)
+    qpath = tmp_path / "born.field"
+    fields.write_field(str(qpath), fields.radial_bump_potential(grid, geom, 1e-3).field)
+    rc = cli.main([
+        "cgo-check", "--config", str(cfg), "--q1", str(qpath), "--q2", "zero",
+        "--variant", "thm3", "--xi", "2,0.5,-1", "--param", "8", "--k", "0.5",
+        "--box-coarsen", "2",
+    ])
+    assert rc == cli.EXIT_NO_CONTRACTION
+    err = capsys.readouterr().err
+    assert err.startswith("CGO remainder failed: remainder iteration diverging")
+    assert err.count("\n") == 1
+
+
+def test_cgo_check_projection_error_exit_code(workdir, capsys, monkeypatch):
+    def projected(*args, **kwargs):
+        raise cgo.ProjectionError("5 of 64 Fourier modes near the symbol zero set")
+
+    monkeypatch.setattr(cgo, "build_probe", projected)
+    rc = cli.main([
+        "cgo-check", "--config", str(workdir["cfg"]), "--xi", "2.0,0.0,0.0",
+        "--variant", "thm2", "--param", "4.0",
+    ])
+    assert rc == cli.EXIT_PROJECTION
+    err = capsys.readouterr().err
+    assert err == "CGO remainder failed: 5 of 64 Fourier modes near the symbol zero set\n"
+
+
 def test_recover_csv_and_summary(workdir, capsys):
     out = workdir["tmp"] / "recover.csv"
     rc = cli.main([

@@ -451,8 +451,9 @@ def _exponential_basis(grid, modes):
         for mx, my in modes])
 
 
-def test_complex_data_block_separable_path(geom, grid8):
-    # periodic exponentials: complex data through the lateral-FFT solve
+def test_complex_data_block_periodic_exponentials(geom, grid8):
+    # periodic exponentials: complex data through the sine-basis LU, as its
+    # real and imaginary halves
     op = HelmholtzOperator(grid8, geom, 0.0, None, PERIODIC)
     basis = _exponential_basis(grid8, [(1, 0), (0, 1), (1, 1), (2, -1)])
     target = BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1e9)

@@ -94,9 +94,10 @@ def test_reference_eigenvalue_interlacing(geom, target_h):
 def test_min_singular_dense_oracle(geom, label, k):
     grid = geometry.build_domain(geom, 0.25)
     q = fields.radial_bump_potential(grid, geom, 1.0) if label == "bump" else None
-    op = HelmholtzOperator(grid, geom, k, q)
-    dense = np.abs(np.linalg.eigvalsh(op.matrix.toarray())).min()
-    assert _min_singular(op) == pytest.approx(dense, rel=1e-8)
+    for mode in (TRUNCATED, PERIODIC):
+        op = HelmholtzOperator(grid, geom, k, q, mode)
+        dense = np.abs(np.linalg.eigvalsh(op.matrix.toarray())).min()
+        assert _min_singular(op) == pytest.approx(dense, rel=1e-8)
 
 
 def test_lanczos_no_convergence_is_admissibility_error(op0_8, monkeypatch):
@@ -144,11 +145,12 @@ def test_manufactured_source_second_order(geom, grid8, bump8):
 
 def test_symmetric_mode_pivoting_matches_partial_pivoting(geom, grid8, bump8):
     # k = 7 is indefinite and admissible; the threshold forces row swaps, so
-    # the factorization leaves the symmetric ordering
+    # the factorization leaves the symmetric ordering (19 swaps of the
+    # sine-basis factor)
     k = 7.0
     _, w = manufactured_case(geom, grid8, k=k, q=bump8)
     op = HelmholtzOperator(grid8, geom, k, bump8)
-    lu = op._lu()
+    lu = op._lu().lu
     assert np.any(lu.perm_r != lu.perm_c)
     v = solve_source(op, w).values[op.active]  # residual 1e-10 checked inside
     rhs = w.values[op.active]
@@ -470,3 +472,94 @@ def test_apply_pde_is_the_assembled_operator(geom, seed, mode, k, amplitude):
     pde = op.apply_pde(solve_dirichlet(op, f))
     bound = 1e-10 * np.linalg.norm(f.plate_values(grid)) / grid.h ** 2
     assert np.linalg.norm(pde[op.active]) <= bound
+
+
+# -- the sine-basis factorization ---------------------------------------------------
+
+
+def _random_supported_potential(grid, geom, seed):
+    """Random values at every node of {|x'| <= R} x [0, L]."""
+    rng = np.random.default_rng(seed)
+    inside = np.broadcast_to(grid.lateral_radius() <= geom.R, grid.node_shape)
+    vals = np.where(inside, rng.uniform(-2.0, 2.0, grid.node_shape), 0.0)
+    return fields.Potential(GridField(grid, vals.astype(np.complex128)), geom, 2.0, 1e12)
+
+
+def _potential(grid, geom, label):
+    if label == "zero":
+        return None
+    if label == "bump":
+        return fields.radial_bump_potential(grid, geom, 1.0)
+    return _random_supported_potential(grid, geom, 11)
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
+@pytest.mark.parametrize("label", ["zero", "bump", "random"])
+@pytest.mark.parametrize("k", [0.0, 2.5, 4.5])
+def test_sine_basis_matrix_is_the_rotated_operator(geom, mode, label, k):
+    # M = (I_lat x S) A (I_lat x S) with the orthonormal DST-I S on the layers
+    grid = geometry.build_domain(geom, 0.25)
+    op = HelmholtzOperator(grid, geom, k, _potential(grid, geom, label), mode)
+    m = grid.nz - 1
+    j = np.arange(1, grid.nz)
+    sine = np.sqrt(2.0 / grid.nz) * np.sin(np.pi * np.outer(j, j) / grid.nz)
+    rot = np.kron(np.eye(op.n_active // m), sine)
+    a = op.matrix.toarray()
+    want = rot @ a @ rot
+    got = op.sine_basis_matrix()
+    assert got.shape == a.shape
+    assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(a))
+    # the vertical part is diagonal: a q = 0 operator couples no two layers
+    rows, cols = got.nonzero()
+    if label == "zero":
+        assert np.all(rows % m == cols % m)
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sine_basis_solve_matches_physical_lu(geom, grid8, mode, dtype):
+    q = _random_supported_potential(grid8, geom, 12)
+    op = HelmholtzOperator(grid8, geom, 2.5, q, mode)
+    rng = np.random.default_rng(6)
+    block = rng.standard_normal((op.n_active, 6)).astype(dtype)
+    if dtype is complex:
+        block += 1j * rng.standard_normal(block.shape)
+    ref_lu = scipy.sparse.linalg.splu(op.matrix.tocsc())
+    ref = ref_lu.solve(block.real.copy())
+    if dtype is complex:
+        ref = ref + 1j * ref_lu.solve(block.imag.copy())
+    u = op.solve_interior(block)
+    assert u.dtype == block.dtype
+    err = np.linalg.norm(u - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert err.max() <= 1e-12
+    # one column through the factor itself, as the admissibility check uses it
+    col = op._lu().solve(block[:, 0].real.copy())
+    assert np.linalg.norm(col - ref[:, 0].real) <= 1e-12 * np.linalg.norm(ref[:, 0].real)
+
+
+@pytest.mark.parametrize("label", ["zero", "bump"])
+def test_sine_basis_fill_below_physical_fill(geom, grid8, label):
+    op = HelmholtzOperator(grid8, geom, 2.5, _potential(grid8, geom, label))
+    physical = scipy.sparse.linalg.splu(
+        op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=forward.DIAG_PIVOT_THRESH, options=dict(SymmetricMode=True))
+    lu = op._lu().lu
+    sine_fill = lu.L.nnz + lu.U.nnz
+    physical_fill = physical.L.nnz + physical.U.nnz
+    assert sine_fill < physical_fill
+    if label == "zero":
+        assert 4 * sine_fill <= physical_fill
+
+
+def test_active_set_must_be_a_lateral_product(geom, monkeypatch):
+    grid = geometry.build_domain(geom, 0.25)
+
+    def doctored(grid, geom):
+        mask = geometry.interior_mask(grid, geom).copy()
+        i, j = np.argwhere(mask[:, :, 2])[0]
+        mask[i, j, 2] = False  # one node missing from one layer
+        return mask
+
+    monkeypatch.setattr(forward, "interior_mask", doctored)
+    with pytest.raises(ValueError, match="lateral mask times every interior layer"):
+        HelmholtzOperator(grid, geom, 0.0, None)

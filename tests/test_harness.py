@@ -254,6 +254,26 @@ def test_sweep_records_satisfy_internal_inequality(sweep_setup):
         assert res.linf_bound == pytest.approx(rec.linf_bound)
 
 
+def test_sweep_star_norms_match_whitening_each_record(sweep_setup):
+    # reference: each record's matrix d0 + (level / ||e||_*) e whitened whole
+    src, tgt = sweep_setup["src"], sweep_setup["tgt"]
+    levels = [0.0, 1e-3, 1e-6, 1e-9]
+    records, _ = stability_sweep(
+        sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
+        levels, trials=2, seed=9, src_basis=src, tgt_basis=tgt,
+        dn1=sweep_setup["dn1"], dn2=sweep_setup["dn2"])
+    d0 = sweep_setup["dn1"].matrix - sweep_setup["dn2"].matrix
+    assert len(records) == 8
+    for idx, rec in enumerate(records):
+        d = d0
+        if rec.noise_level > 0:
+            rng = record_rng(9, idx)
+            e = rng.standard_normal(d0.shape) + 1j * rng.standard_normal(d0.shape)
+            d = d0 + (rec.noise_level / dnmap.op_norm_star(e, src, tgt)) * e
+        ref = dnmap.op_norm_star(d, src, tgt)
+        assert abs(rec.star_norm - ref) <= 1e-13 * ref
+
+
 def test_sweep_determinism_byte_identical(tmp_path, sweep_setup):
     paths = []
     for run in range(2):
