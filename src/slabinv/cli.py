@@ -6,7 +6,8 @@ eps_cutoff, target_h); volume fields and boundary data use the binary field
 formats documented in fields.py / boundary.py; matrices use the format in
 dnmap.py.  CSV outputs start with a schema-version line.  An inadmissible
 frequency k ends any subcommand with exit status 2, a CGO remainder that does
-not contract with 3 and one that projects too many modes with 4.
+not contract with 3, one that projects too many modes with 4, and a bad option
+(checked before any solve) or a recovery without estimates with 1.
 """
 
 from __future__ import annotations
@@ -42,18 +43,28 @@ def _load_potential(spec: str, geom, grid) -> fields.Potential:
     return pot
 
 
-def _parse_vec(text: str) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
-        raise SystemExit(f"expected three comma-separated values, got {text!r}")
-    return np.asarray(parts)
+def _floats(text: str, option: str, count: int | None = None) -> list[float]:
+    """Comma-separated numbers (exactly `count` of them when given)."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or (count and len(values) != count):
+        raise SystemExit(f"{option}: expected {count or 'comma-separated'} numbers, got {text!r}")
+    return values
+
+
+def _require(checks: dict) -> None:
+    """Exit with status 1 and the message of the first failing check."""
+    for message, ok in checks.items():
+        if not ok:
+            raise SystemExit(message)
 
 
 def _cmd_forward(args) -> int:
     geom, grid = _load_setup(args.config)
     q = _load_potential(args.q, geom, grid)
-    mode = forward.TRUNCATED if args.mode == "truncated" else forward.PERIODIC
-    op = forward.HelmholtzOperator(grid, geom, args.k, q, mode)
+    op = forward.HelmholtzOperator(grid, geom, args.k, q, args.mode)
     patch = geometry.dirichlet_patch(geom)
     f, _plate_z = boundary.read_boundary_field(args.dirichlet, patch)
     fields.write_field(args.out, forward.solve_dirichlet(op, f))
@@ -93,7 +104,7 @@ def _cmd_cgo_check(args) -> int:
     q1 = _load_potential(args.q1, geom, grid)
     q2 = _load_potential(args.q2, geom, grid)
     variant = recovery.VARIANTS[args.variant]
-    xi = _parse_vec(args.xi)
+    xi = np.asarray(_floats(args.xi, "--xi", 3))
     frame = cgo.make_frame(xi)
     phase = cgo.make_phase_pair(frame, variant, args.param)
     ws = recovery.make_workspace(q1, q2, args.k, variant,
@@ -118,18 +129,26 @@ def _cmd_cgo_check(args) -> int:
     return 0
 
 
-def _auto(text: str) -> float | None:
-    return None if text == "auto" else float(text)
+def _auto(text: str, option: str) -> float | None:
+    return None if text == "auto" else _floats(text, option, 1)[0]
 
 
 def _cmd_recover(args) -> int:
+    r, param = _auto(args.r, "--r"), _auto(args.param, "--param")
+    lam = _auto(args.lam, "--lambda")
+    _require({"--r must exceed 2": r is None or r > 2,
+              "--param must be >= 1": param is None or param >= 1,
+              "--lambda must lie in (0, 1)": lam is None or 0 < lam < 1,
+              "--spacing must be positive": args.spacing > 0,
+              "--box-coarsen must be >= 1": args.box_coarsen >= 1,
+              "--basis-n must be >= 1": args.basis_n >= 1})
     geom, grid = _load_setup(args.config)
     q1 = _load_potential(args.q1, geom, grid)
     q2 = _load_potential(args.q2, geom, grid)
     run = recovery.recover(
-        q1, q2, args.k, recovery.VARIANTS[args.variant], r=_auto(args.r),
-        param=_auto(args.param), lam=_auto(args.lam), spacing=args.spacing,
-        delta=args.delta, basis_n=args.basis_n, box_coarsen=args.box_coarsen)
+        q1, q2, args.k, recovery.VARIANTS[args.variant], r=r, param=param, lam=lam,
+        spacing=args.spacing, delta=args.delta, basis_n=args.basis_n,
+        box_coarsen=args.box_coarsen)
     rows = []
     for xi, est in run.estimates.items():
         true = run.oracle[xi]
@@ -146,17 +165,19 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    noise = _floats(args.noise, "--noise")
+    _require({"--noise levels must be >= 0": all(v >= 0 for v in noise),
+              "--trials must be >= 1": args.trials >= 1,
+              "--basis-n must be >= 1": args.basis_n >= 1})
     geom, grid = _load_setup(args.config)
     q1 = _load_potential(args.q1, geom, grid)
     q2 = _load_potential(args.q2, geom, grid)
     variant = recovery.VARIANTS[args.variant]
-    noise = [float(v) for v in args.noise.split(",")]
     plate = recovery.measurement_plate(variant)
-    src, tgt, dn1, dn2 = dnmap.measurement_pair(grid, geom, args.k, q1, q2, plate,
-                                                args.basis_n)
+    src, tgt, d = dnmap.measurement_pair(grid, geom, args.k, q1, q2, plate, args.basis_n)
     records, theta_fit = harness.stability_sweep(
         q1, q2, args.k, variant, noise, args.trials, args.seed,
-        src_basis=src, tgt_basis=tgt, dn1=dn1, dn2=dn2, delta=args.delta,
+        src_basis=src, tgt_basis=tgt, d=d, delta=args.delta,
     )
     harness.write_sweep_csv(args.out, records, theta_fit)
     print(json.dumps({"theta_fit": theta_fit, "n_records": len(records)}))
@@ -167,8 +188,8 @@ def _cmd_carleman(args) -> int:
     geom, grid = _load_setup(args.config)
     q = _load_potential(args.q, geom, grid)
     op = forward.HelmholtzOperator(grid, geom, args.k, q)
-    taus = [float(v) for v in args.taus.split(",")]
-    report = harness.carleman_check(op, _parse_vec(args.zeta), taus,
+    taus = _floats(args.taus, "--taus")
+    report = harness.carleman_check(op, np.asarray(_floats(args.zeta, "--zeta", 3)), taus,
                                     args.trials, args.seed)
     harness.write_carleman_csv(args.out, report)
     print(json.dumps({"fitted_c": report.fitted_c,
@@ -286,6 +307,9 @@ def main(argv=None) -> int:
     except (cgo.ContractionError, cgo.ProjectionError) as exc:
         print(f"CGO remainder failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONTRACTION if isinstance(exc, cgo.ContractionError) else EXIT_PROJECTION
+    except recovery.RecoveryError as exc:
+        print(f"recovery failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

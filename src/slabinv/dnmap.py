@@ -34,6 +34,7 @@ from .forward import (
     l2_omega,
     neumann_trace,
     omega_rows,
+    require_admissible,
     solve_dirichlet,
 )
 from .geometry import (
@@ -246,26 +247,30 @@ def assemble_dn(op: HelmholtzOperator, basis: BoundaryBasis,
 
 def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
                      q2: Potential, plate: Plate, basis_n: int):
-    """Source basis (with its triple Gram), test basis and the DN maps of q1
-    and q2 from the Dirichlet patch to the Neumann patch on `plate`.
-
-    An identically zero potential reuses the free operator and its block of
-    solutions, which the triple Gram needs too, so one block solve serves
-    both.  Returns (src_basis, tgt_basis, dn1, dn2).
-    """
+    """(src_basis with its triple Gram, tgt_basis, d): d = Lambda_q1 - Lambda_q2
+    from the Dirichlet patch to the Neumann patch on `plate` is the trace of w,
+    A1 w = -(q1 - q2) u2 with zero data, u2 the block of q2 solutions (for a
+    zero q2 the free block that the Gram needs too), so no two maps cancel."""
     op0 = HelmholtzOperator(grid, geom, k, None)
+    op1, op2 = (HelmholtzOperator(grid, geom, k, q) if np.any(q.field.values) else op0
+                for q in (q1, q2))
     src = build_boundary_basis(grid, dirichlet_patch(geom), basis_n)
     target = neumann_patch(geom, plate)
     tgt = build_boundary_basis(grid, target, basis_n)
-    dns, u0 = [], None
-    for q in (q1, q2):
-        if np.any(q.field.values):
-            dns.append(assemble_dn(HelmholtzOperator(grid, geom, k, q), src, target))
-        else:
-            u0 = solve_dirichlet(op0, src.block) if u0 is None else u0
-            dns.append(assemble_dn(op0, src, target, u=u0))
-    src.attach_triple_gram(op0, u0)
-    return src, tgt, dns[0], dns[1]
+    u2 = solve_dirichlet(op0, src.block)
+    src.attach_triple_gram(op0, u2)
+    if op2 is not op0:
+        u2 = solve_dirichlet(op2, src.block)
+    del op0, op2  # peak memory: the free factor, then the node block, go before the w solve
+    qdiff = (q1.field.values - q2.field.values).real[op1.active]
+    rhs = np.multiply(-qdiff[:, None], u2.values[..., op1.active].T, order="C")
+    del u2
+    require_admissible(op1)
+    u = op1.solve_interior(rhs)
+    del rhs
+    w = np.zeros((len(src),) + grid.node_shape)
+    w[..., op1.active] = u.T
+    return src, tgt, assemble_dn(op1, src, target, u=GridField(grid, w))
 
 
 # -- the operator norm ----------------------------------------------------------

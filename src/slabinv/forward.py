@@ -3,11 +3,13 @@
 Seven-point Laplacian with Dirichlet elimination on the truncated cylinder
 (``truncated`` mode, homogeneous data on the lateral staircase) or with
 periodic lateral identification (``periodic`` mode, the oracle configuration
-whose plate problems separate into lateral Fourier modes).  Frequencies k are
-vetted by a numerical admissibility check: the smallest singular value of the
-assembled operator, found by shift-invert Lanczos through its one factorization
-(in the vertical sine basis, `SineBasisLU`), must clear a threshold relative to
-the lowest eigenvalue of the q = 0, k = 0 operator.
+whose plate problems separate into lateral Fourier modes).  Every operator
+is one cached plate stencil (`plate_stencil`) on the nz - 1 interior layers
+plus the vertical 3-point stencil (Buzbee, Golub and Nielson, SIAM J. Numer.
+Anal. 7, 1970).  Frequencies k are vetted by a numerical admissibility
+check: the smallest singular value of the operator, found by shift-invert
+Lanczos through its one factorization (in the vertical sine basis,
+`SineBasisLU`), must exceed 1e-6 times the lowest q = 0, k = 0 eigenvalue.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ import scipy.sparse.linalg
 
 from .boundary import BoundaryField, from_plate_values
 from .fields import GridField
-from .geometry import (
-    BoundaryPatch,
-    Grid3,
-    Plate,
-    SlabGeometry,
-    interior_mask,
-)
+from .geometry import BoundaryPatch, Grid3, Plate, SlabGeometry, interior_mask
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +66,32 @@ def vertical_eigenvalues(grid: Grid3) -> np.ndarray:
     return (4.0 / grid.h ** 2) * np.sin(np.pi * np.arange(1, grid.nz) / (2 * grid.nz)) ** 2
 
 
+@functools.lru_cache(maxsize=8)
+def plate_stencil(grid: Grid3, geom: SlabGeometry, boundary_mode: str):
+    """(mask, couplings), read-only and built once per (grid, geom, mode): the
+    lateral node set (sx, sy), the truncated disc |x'| < R_lat or the periodic
+    cell of unique nodes with both axes wrapped, and the -1/h^2 couplings of
+    the 5-point plate Laplacian between its nodes in C order (y fastest)."""
+    if boundary_mode not in (TRUNCATED, PERIODIC):
+        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
+    periodic = boundary_mode == PERIODIC
+    nx, ny = (grid.nx, grid.ny) if periodic else grid.node_shape[:2]
+    mask = np.zeros(grid.node_shape[:2], dtype=bool)
+    mask[:nx, :ny] = True if periodic else interior_mask(grid, geom)[:, :, 1]
+
+    def chain(n):  # neighbours along one axis: a line of n nodes, or a ring
+        i = np.arange(n if periodic else n - 1)
+        a = scipy.sparse.coo_matrix((np.full(i.size, -1.0 / grid.h ** 2), (i, (i + 1) % n)),
+                                    shape=(n, n))
+        return a + a.T
+
+    keep = mask[:nx, :ny].ravel()
+    couplings = scipy.sparse.kronsum(chain(ny), chain(nx), format="csr")[keep][:, keep]
+    for a in (mask, couplings.data, couplings.indices, couplings.indptr):
+        a.flags.writeable = False
+    return mask, couplings
+
+
 @dataclass(frozen=True, eq=False)
 class SineBasisLU:
     """SuperLU factor `lu` of M = (I_lat x S) A (I_lat x S).  `solve` solves
@@ -98,8 +120,6 @@ class HelmholtzOperator:
 
     def __init__(self, grid: Grid3, geom: SlabGeometry, k: float,
                  q=None, boundary_mode: str = TRUNCATED):
-        if boundary_mode not in (TRUNCATED, PERIODIC):
-            raise ValueError(f"unknown boundary mode {boundary_mode!r}")
         if grid.periodic:
             raise ValueError("slab operators live on node grids")
         if k < 0:
@@ -116,49 +136,37 @@ class HelmholtzOperator:
     # -- assembly ------------------------------------------------------------
 
     def _build(self):
-        grid = self.grid
-        if self.boundary_mode == TRUNCATED:
-            active = interior_mask(grid, self.geom)
-        else:
-            active = np.zeros(grid.node_shape, dtype=bool)
-            active[: grid.nx, : grid.ny, 1: grid.nz] = True
-        self.lateral = active[:, :, 1]
-        if active[:, :, [0, -1]].any() or np.any(active[:, :, 1:-1] != self.lateral[..., None]):
-            raise ValueError("the active set must be a lateral mask times every interior layer")
-        # C order, z fastest: unknown (nz - 1) p + j - 1 is layer j of lateral node p
-        idx = np.full(grid.node_shape, -1, dtype=np.int64)
-        n = int(np.count_nonzero(active))
-        idx[active] = np.arange(n)
-        self.active = active
-        self.index = idx
-        self.n_active = n
+        """A = couplings x I + diag(6/h^2 - k^2 + q) + I x vertical couplings."""
+        grid, m, h2 = self.grid, self.grid.nz - 1, self.grid.h ** 2
+        self.lateral, self._couplings = plate_stencil(grid, self.geom, self.boundary_mode)
+        self.active = np.zeros(grid.node_shape, dtype=bool)
+        self.active[:, :, 1:-1] = self.lateral[:, :, None]
+        # C order, z fastest: unknown m p + j - 1 is layer j of lateral node p
+        n = self.n_active = m * self._couplings.shape[0]
+        self.index = np.full(grid.node_shape, -1, dtype=np.int64)
+        self.index[self.active] = np.arange(n)
+        self.q_active = np.zeros(n) if self.q is None else self.q.field.values.real[self.active]
+        vertical = scipy.sparse.kron(scipy.sparse.identity(n // m), scipy.sparse.diags_array(
+            [-1.0 / h2, -1.0 / h2], offsets=[-1, 1], shape=(m, m)), format="coo")
+        self.matrix = self._assemble("csr", 6.0 / h2 - self.k ** 2 + self.q_active,
+                                     (vertical.row, vertical.col, vertical.data))
 
-        h2 = grid.h ** 2
-        self.q_active = np.zeros(n) if self.q is None else self.q.field.values.real[active]
-        diag = 6.0 / h2 - self.k ** 2 + self.q_active
-        rows = [np.arange(n)]
-        cols = [np.arange(n)]
-        data = [diag]
-        for axis in range(3):
-            for step in (-1, 1):
-                nbr = self._neighbour(idx, axis, step, -1)
-                here = active & (nbr >= 0)
-                rows.append(idx[here])
-                cols.append(nbr[here])
-                data.append(np.full(int(np.count_nonzero(here)), -1.0 / h2))
-        mat = scipy.sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        self.matrix = mat.tocsr()
+    def _assemble(self, fmt: str, diagonal: np.ndarray, *parts) -> scipy.sparse.spmatrix:
+        """couplings x I + diag(diagonal) + (rows, cols, data) parts, summed in COO order."""
+        n = self.n_active
+        lat = scipy.sparse.kron(self._couplings, scipy.sparse.identity(self.grid.nz - 1),
+                                format="coo")
+        rows, cols, data = (np.concatenate(x) for x in zip(
+            (lat.row, lat.col, lat.data), (np.arange(n), np.arange(n), diagonal), *parts))
+        return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).asformat(fmt)
 
-    def _neighbour(self, a: np.ndarray, axis: int, step: int, fill) -> np.ndarray:
-        """a at each node's neighbour +step along axis, `fill` where there is none.
+    def _neighbour(self, a: np.ndarray, axis: int, step: int) -> np.ndarray:
+        """a at each node's neighbour +step along axis, 0 where there is none.
 
         In periodic mode the lateral axes wrap around the unique nodes; the
         seam copies have no neighbours.
         """
-        out = np.full_like(a, fill)
+        out = np.zeros_like(a)
         dst = [slice(None)] * 3
         src = [slice(None)] * 3
         if self.boundary_mode == PERIODIC and axis in (0, 1):
@@ -173,24 +181,20 @@ class HelmholtzOperator:
     # -- linear algebra -------------------------------------------------------
 
     def sine_basis_matrix(self) -> scipy.sparse.csc_matrix:
-        """M = (I_lat x S) A (I_lat x S), assembled exactly: the lateral
-        couplings of A as they are, the vertical 3-point operator as the
-        diagonal of its eigenvalues, and q as one dense block S diag(q_p) S at
-        each lateral node p where q is nonzero."""
+        """M = (I_lat x S) A (I_lat x S), assembled exactly: the plate couplings
+        on every layer as in A, the vertical 3-point operator as the diagonal
+        of its eigenvalues, and q as one dense block S diag(q_p) S at each
+        lateral node p where q is nonzero."""
         m, n = self.grid.nz - 1, self.n_active
-        a = self.matrix.tocoo()
-        lateral = a.row // m != a.col // m
         qv = self.q_active.reshape(-1, m)
         nodes = np.flatnonzero(np.any(qv, axis=1))
         s = _sine_basis(self.grid.nz)
         blocks = (s * qv[nodes, None, :]) @ s
         first = np.broadcast_to((m * nodes)[:, None, None], blocks.shape)
         nu = np.tile(vertical_eigenvalues(self.grid), n // m)
-        rows = [a.row[lateral], np.arange(n), (first + np.arange(m)[:, None]).ravel()]
-        cols = [a.col[lateral], np.arange(n), (first + np.arange(m)).ravel()]
-        data = [a.data[lateral], 4.0 / self.grid.h ** 2 - self.k ** 2 + nu, blocks.ravel()]
-        return scipy.sparse.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        return self._assemble("csc", 4.0 / self.grid.h ** 2 - self.k ** 2 + nu,
+                              ((first + np.arange(m)[:, None]).ravel(),
+                               (first + np.arange(m)).ravel(), blocks.ravel()))
 
     def _lu(self) -> SineBasisLU:
         if self._lu_cache is None:
@@ -237,21 +241,16 @@ class HelmholtzOperator:
         acc = 6.0 * u
         for axis in range(3):
             for step in (-1, 1):
-                acc -= self._neighbour(u, axis, step, 0.0)
+                acc -= self._neighbour(u, axis, step)
         qv = self.q.field.values.real if self.q is not None else 0.0
         out = acc / self.grid.h ** 2 + (qv - self.k ** 2) * u
         return np.where(self.active, out, 0.0)
 
-    def admissibility(self, threshold: float | None = None) -> AdmissibilityReport:
-        """The default-threshold check, computed once; another threshold only
-        changes the comparison with the cached min_singular."""
+    def admissibility(self) -> AdmissibilityReport:
+        """check_admissible, computed once per operator."""
         if self._adm_cache is None:
             self._adm_cache = check_admissible(self)
-        rep = self._adm_cache
-        if threshold is None or threshold == rep.threshold:
-            return rep
-        return AdmissibilityReport(self.k, rep.min_singular,
-                                   bool(rep.min_singular > threshold), threshold)
+        return self._adm_cache
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
@@ -259,23 +258,24 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("i...,i...->...", a.conj(), a).real)
 
 
-def _start_vector(n: int, seed: int) -> np.ndarray:
-    """Deterministic Lanczos start vector: Philox normals keyed by `seed`."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+def _start_vector(n: int) -> np.ndarray:
+    """Deterministic Lanczos start vector: Philox normals with a fixed key."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
     return rng.standard_normal(n)
 
 
-def _min_singular(op: HelmholtzOperator, seed: int = 0) -> float:
+def _min_singular(op: HelmholtzOperator) -> float:
     """Smallest singular value by shift-invert Lanczos about zero.
 
     For the real symmetric operator the singular values are the eigenvalue
     magnitudes, so min_singular is the magnitude of the eigenvalue nearest
-    zero.  ARPACK's inverse is the operator's own LU solve, started from a
-    Philox vector keyed by `seed`.  An exactly singular factorization gives 0.
+    zero.  ARPACK's inverse is the operator's own factor of M, an orthogonal
+    similarity of A, so no Lanczos step rotates the layers.  An exactly
+    singular factorization gives 0.
     """
     n = op.n_active
     try:
-        inverse = op._lu().solve
+        inverse = op._lu().lu.solve
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         if "singular" not in str(exc):
             raise
@@ -284,7 +284,7 @@ def _min_singular(op: HelmholtzOperator, seed: int = 0) -> float:
     try:
         vals = scipy.sparse.linalg.eigsh(
             op.matrix, k=1, sigma=0, which="LM", OPinv=opinv,
-            v0=_start_vector(n, seed), tol=1e-10, ncv=min(8, n),
+            v0=_start_vector(n), tol=1e-10, ncv=min(8, n),
             return_eigenvectors=False,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
@@ -292,52 +292,29 @@ def _min_singular(op: HelmholtzOperator, seed: int = 0) -> float:
     return abs(float(vals[0]))
 
 
-def _dirichlet_laplacian_1d(n: int, h: float) -> scipy.sparse.csr_array:
-    return scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1],
-                                    shape=(n, n), format="csr") / h ** 2
-
-
 @functools.lru_cache(maxsize=16)
 def reference_eigenvalue(grid: Grid3, geom: SlabGeometry, boundary_mode: str) -> float:
-    """Smallest eigenvalue of the discrete Dirichlet Laplacian (q=0, k=0).
-
-    The active set is a lateral node set times the nz - 1 interior layers, so
-    the operator is the Kronecker sum of the lateral 5-point Laplacian and the
-    vertical 3-point one, and its lowest eigenvalue is mu_1 + (4/h^2)
-    sin^2(pi / (2 nz)).  mu_1 = 0 on the periodic lateral torus; on the
-    truncated disc it is the lowest eigenvalue of the 2-D Dirichlet Laplacian
-    (a principal submatrix of the one on the full plate array).
-    """
-    if boundary_mode not in (TRUNCATED, PERIODIC):
-        raise ValueError(f"unknown boundary mode {boundary_mode!r}")
-    vertical = vertical_eigenvalues(grid)[0]
-    if boundary_mode == PERIODIC:
-        return float(vertical)
-    disc = interior_mask(grid, geom)[:, :, 1].ravel()
-    sx, sy, _ = grid.node_shape
-    plate = scipy.sparse.kronsum(_dirichlet_laplacian_1d(sy, grid.h),
-                                 _dirichlet_laplacian_1d(sx, grid.h), format="csr")
-    lateral = plate[disc][:, disc]
-    mu1 = scipy.sparse.linalg.eigsh(lateral, k=1, sigma=0, which="LM",
-                                    v0=_start_vector(lateral.shape[0], 0),
-                                    return_eigenvectors=False)[0]
-    return float(mu1 + vertical)
+    """Smallest eigenvalue of the discrete Dirichlet Laplacian (q=0, k=0): that
+    of the plate operator (the 5-point Laplacian on the stencil's mask) plus
+    nu_1 = (4/h^2) sin^2(pi / (2 nz)), by one shift-invert eigensolve of the
+    plate operator plus nu_1, positive definite in both modes."""
+    _, couplings = plate_stencil(grid, geom, boundary_mode)
+    p = couplings.shape[0]
+    nu1 = vertical_eigenvalues(grid)[0]
+    plate = couplings + (4.0 / grid.h ** 2 + nu1) * scipy.sparse.identity(p)
+    return float(scipy.sparse.linalg.eigsh(plate, k=1, sigma=0, which="LM", v0=_start_vector(p),
+                                           return_eigenvectors=False)[0])
 
 
-def default_threshold(grid: Grid3, geom: SlabGeometry, boundary_mode: str) -> float:
-    return 1e-6 * reference_eigenvalue(grid, geom, boundary_mode)
-
-
-def check_admissible(op: HelmholtzOperator, threshold: float | None = None,
-                     seed: int = 0) -> AdmissibilityReport:
-    """Compute min_singular (relative tolerance 1e-10) and compare to threshold."""
-    if threshold is None:
-        threshold = default_threshold(op.grid, op.geom, op.boundary_mode)
-    ms = _min_singular(op, seed=seed)
+def check_admissible(op: HelmholtzOperator) -> AdmissibilityReport:
+    """min_singular (relative tolerance 1e-10) against 1e-6 x reference_eigenvalue."""
+    threshold = 1e-6 * reference_eigenvalue(op.grid, op.geom, op.boundary_mode)
+    ms = _min_singular(op)
     return AdmissibilityReport(op.k, ms, bool(ms > threshold), threshold)
 
 
-def _require_admissible(op: HelmholtzOperator):
+def require_admissible(op: HelmholtzOperator):
+    """Raise AdmissibilityError unless op's frequency is admissible."""
     rep = op.admissibility()
     if not rep.admissible:
         raise AdmissibilityError(
@@ -360,7 +337,7 @@ def solve_dirichlet(op: HelmholtzOperator, f: BoundaryField) -> GridField:
     A block of data gives the block of solutions from one solve; real data
     stay real throughout.
     """
-    _require_admissible(op)
+    require_admissible(op)
     grid = op.grid
     fplate = f.plate_values(grid)
     if not np.any(fplate.imag):
@@ -383,7 +360,7 @@ def solve_source(op: HelmholtzOperator, w: GridField) -> GridField:
     The realized well-posedness constant ||v|| / ||w|| (discrete L^2 over the
     truncated domain) is reported through the module logger.
     """
-    _require_admissible(op)
+    require_admissible(op)
     if w.grid != op.grid:
         raise SolveError("source field lives on a different grid")
     u = op.solve_interior(w.values[op.active].astype(np.complex128))

@@ -223,79 +223,13 @@ def build_domain(geom: SlabGeometry, target_h: float) -> Grid3:
     return Grid3(nx, ny, nz, h, (-m * h, -m * h, 0.0))
 
 
-# Node labels produced by classify_boundary.
-LABEL_INTERIOR = 0
-LABEL_GAMMA1D_ONLY = 1   # top plate, Dirichlet-admissible but outside the Neumann disc
-LABEL_GAMMA1N = 2        # top plate Neumann disc
-LABEL_GAMMA2N = 3        # bottom plate Neumann disc
-LABEL_GAMMA2_REST = 4    # bottom plate outside the Neumann disc
-LABEL_LATERAL = 5        # staircase lateral boundary (|x'| >= R_lat), any height
-
-LABEL_NAMES = {
-    LABEL_INTERIOR: "interior",
-    LABEL_GAMMA1D_ONLY: "gamma1D_only",
-    LABEL_GAMMA1N: "gamma1N",
-    LABEL_GAMMA2N: "gamma2N",
-    LABEL_GAMMA2_REST: "gamma2_rest",
-    LABEL_LATERAL: "lateral",
-}
-
-
-@dataclass(frozen=True)
-class BoundaryLabels:
-    grid: Grid3
-    labels: np.ndarray  # int8, node_shape
-
-    def label_of(self, ix: int, iy: int, iz: int) -> str:
-        return LABEL_NAMES[int(self.labels[ix, iy, iz])]
-
-    def mask(self, label: int) -> np.ndarray:
-        return self.labels == label
-
-    def counts(self) -> dict[str, int]:
-        return {
-            name: int(np.count_nonzero(self.labels == lab))
-            for lab, name in LABEL_NAMES.items()
-        }
-
-
-def classify_boundary(grid: Grid3, geom: SlabGeometry) -> BoundaryLabels:
-    """Label every node of a conforming slab grid.
-
-    Nodes with |x'| >= R_lat are lateral (Dirichlet zero) at any height,
-    including the plates; remaining plate nodes split by the Neumann radius.
-    The labels partition the node set; the top plate inside the truncation is
-    entirely Dirichlet-admissible, so gamma1N is contained in the admissible
-    set by construction.
-    """
+def interior_mask(grid: Grid3, geom: SlabGeometry) -> np.ndarray:
+    """Node mask of the solver unknowns on a conforming slab grid: |x'| < R_lat
+    times the layers 0 < x3 < L; |x'| >= R_lat is the lateral staircase."""
     if grid.periodic:
-        raise GeometryError("classify_boundary expects a non-periodic slab grid")
+        raise GeometryError("interior_mask expects a non-periodic slab grid")
     if abs(grid.nz * grid.h - geom.L) > 1e-12 * geom.L:
         raise GeometryError("grid does not conform to the slab thickness")
-    sx, sy, sz = grid.node_shape
-    r2d = grid.lateral_radius()[:, :, 0]  # (sx, sy)
-    lateral2d = r2d >= geom.R_lat
-    in_neumann2d = (r2d < geom.R_prime) & ~lateral2d
-    labels = np.zeros(grid.node_shape, dtype=np.int8)
-    labels[lateral2d, :] = LABEL_LATERAL
-    labels[:, :, sz - 1] = np.where(
-        lateral2d, LABEL_LATERAL,
-        np.where(in_neumann2d, LABEL_GAMMA1N, LABEL_GAMMA1D_ONLY),
-    )
-    labels[:, :, 0] = np.where(
-        lateral2d, LABEL_LATERAL,
-        np.where(in_neumann2d, LABEL_GAMMA2N, LABEL_GAMMA2_REST),
-    )
-    return BoundaryLabels(grid, labels)
-
-
-def interior_mask(grid: Grid3, geom: SlabGeometry) -> np.ndarray:
-    """Boolean node mask of the solver unknowns: 0 < x3 < L and |x'| < R_lat."""
-    labels = classify_boundary(grid, geom)
-    return labels.labels == LABEL_INTERIOR
-
-
-def patch_plate_mask(grid: Grid3, patch: BoundaryPatch) -> np.ndarray:
-    """Patch membership of the plate nodes, shape (sx, sy)."""
-    r = grid.lateral_radius()[:, :, 0]
-    return (r >= patch.r_inner) & (r < patch.r_outer)
+    mask = np.zeros(grid.node_shape, dtype=bool)
+    mask[:, :, 1:-1] = grid.lateral_radius() < geom.R_lat
+    return mask

@@ -299,15 +299,14 @@ class SweepRecord:
 
 def stability_sweep(q1: Potential, q2: Potential, k: float, variant: Variant,
                     noise_levels, trials: int, seed: int, *,
-                    src_basis: BoundaryBasis, tgt_basis: BoundaryBasis,
-                    dn1: DnOperator, dn2: DnOperator,
+                    src_basis: BoundaryBasis, tgt_basis: BoundaryBasis, d: DnOperator,
                     lam: float = 0.5, c: float | None = None,
                     delta: float = 1.0, c_sobolev: float = 1.0) -> tuple[list[SweepRecord], float]:
-    """Perturb the assembled DN difference at each noise level and rerun the chain.
+    """Perturb the DN difference d at each noise level and rerun the chain.
 
     The perturbation is a random matrix normalized in the star norm (one
     normalization step), the same norm the closing chain consumes.  The
-    whitening is linear, so d0 and each perturbation are whitened once.  Only
+    whitening is linear, so d and each perturbation are whitened once.  Only
     the monotonicity of the bound and the sign of the fitted exponent are meant
     to be asserted downstream; the exponent itself is diagnostic.
     """
@@ -316,8 +315,7 @@ def stability_sweep(q1: Potential, q2: Potential, k: float, variant: Variant,
         c = closing_constant(geom)
     s = min(q1.sobolev_s, q2.sobolev_s)
     bound_m = max(q1.bound_M, q2.bound_M)
-    d0 = dn1.matrix - dn2.matrix
-    white_d0 = star_whiten(d0, src_basis, tgt_basis)
+    white_d0 = star_whiten(d.matrix, src_basis, tgt_basis)
     linf_err = float(np.max(np.abs(q1.field.values - q2.field.values)))
     records: list[SweepRecord] = []
     idx = 0
@@ -326,7 +324,7 @@ def stability_sweep(q1: Potential, q2: Potential, k: float, variant: Variant,
             white = white_d0
             if level > 0:
                 rng = record_rng(seed, idx)
-                e = rng.standard_normal(d0.shape) + 1j * rng.standard_normal(d0.shape)
+                e = rng.standard_normal(d.matrix.shape) + 1j * rng.standard_normal(d.matrix.shape)
                 white_e = star_whiten(e, src_basis, tgt_basis)
                 white = white_d0 + (level / op_norm_star(white_e)) * white_e
             star = op_norm_star(white)

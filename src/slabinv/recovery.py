@@ -598,9 +598,9 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
     star = None
     warnings: list = []
     if r is None or param is None:
-        src, tgt, d1, d2 = measurement_pair(q1.grid, geom, k, q1, q2,
-                                            measurement_plate(variant), basis_n)
-        star = op_norm_star(d1.matrix - d2.matrix, src, tgt)
+        src, tgt, d = measurement_pair(q1.grid, geom, k, q1, q2,
+                                       measurement_plate(variant), basis_n)
+        star = op_norm_star(d.matrix, src, tgt)
         choice = choose_parameters(delta, star, lam, c, variant)
         if r is None:
             r = choice.r
@@ -615,6 +615,8 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
     ws = make_workspace(q1, q2, k, variant, box_coarsen=box_coarsen)
     freqs = build_frequency_set(r, spacing)
     ann = estimate_fhat_annulus(ws, param, freqs.annulus)
+    if not ann.estimates:
+        raise RecoveryError(f"none of the {len(freqs.annulus)} annulus frequencies was estimated")
     cfg = ContinuationConfig(lam=lam, model_halfwidth=2.0 * geom.R, c0=c0)
     fhat = {**ann.estimates, **_continue_low(ws, param, freqs.low, spacing,
                                              ann.estimates, cfg, warnings)}

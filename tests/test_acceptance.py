@@ -197,19 +197,14 @@ def test_c08_two_constants_certificate(geom):
     _report(8, f"two-constants c0={c0:.3f} lambda={lam:.2f}")
 
 
-def test_c09_stability_sweep(geom, grid8, op0_8, born_pair8):
+def test_c09_stability_sweep(geom, grid8, born_pair8):
     t0 = time.time()
     q1, q2 = born_pair8
-    src = dnmap.build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 4)
-    src.attach_triple_gram(op0_8)
-    target = geometry.neumann_patch(geom, Plate.BOTTOM)
-    tgt = dnmap.build_boundary_basis(grid8, target, 4)
-    dn1 = dnmap.assemble_dn(HelmholtzOperator(grid8, geom, 0.0, q1), src, target)
-    dn2 = dnmap.assemble_dn(HelmholtzOperator(grid8, geom, 0.0, q2), src, target)
+    src, tgt, d = dnmap.measurement_pair(grid8, geom, 0.0, q1, q2, Plate.BOTTOM, 4)
     levels = [1e-3 * 10 ** (-j) for j in range(6)]
     records, theta_fit = harness.stability_sweep(
         q1, q2, 0.0, Variant.SINGLE_REFLECTION, levels, trials=1, seed=11,
-        src_basis=src, tgt_basis=tgt, dn1=dn1, dn2=dn2)
+        src_basis=src, tgt_basis=tgt, d=d)
     ok = [r for r in records if not r.hypothesis_violated]
     assert len(ok) == 6
     by_star = sorted(ok, key=lambda r: r.star_norm)

@@ -326,20 +326,24 @@ def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
     assert len(built) == 2 and built[0] is None  # free operator and q1's only
     monkeypatch.undo()
 
-    # the same sweep with a separately built and factorized q2 operator
+    # the same sweep with a separately built and factorized q2 operator: d is
+    # the trace of w, A1 w = -(q1 - q2) u2, with u2 the block of q2 solutions
     geom, grid = sweep_inputs["geom"], sweep_inputs["grid"]
     q1 = fields.read_potential(str(sweep_inputs["tmp"] / "q1.field"), geom)
     q2 = fields.zero_potential(grid, geom)
-    op0 = forward.HelmholtzOperator(grid, geom, 0.0, None)
     src = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom), 3)
-    src.attach_triple_gram(op0)
+    src.attach_triple_gram(forward.HelmholtzOperator(grid, geom, 0.0, None))
     target = geometry.neumann_patch(geom, geometry.Plate.BOTTOM)
     tgt = dnmap.build_boundary_basis(grid, target, 3)
-    dn1 = dnmap.assemble_dn(forward.HelmholtzOperator(grid, geom, 0.0, q1), src, target)
-    dn2 = dnmap.assemble_dn(forward.HelmholtzOperator(grid, geom, 0.0, q2), src, target)
+    op1 = forward.HelmholtzOperator(grid, geom, 0.0, q1)
+    u2 = forward.solve_dirichlet(forward.HelmholtzOperator(grid, geom, 0.0, q2), src.block)
+    qdiff = (q1.field.values - q2.field.values).real[op1.active]
+    w = np.zeros((len(src),) + grid.node_shape)
+    w[..., op1.active] = op1.solve_interior(-qdiff[:, None] * u2.values[..., op1.active].T).T
+    d = dnmap.assemble_dn(op1, src, target, u=fields.GridField(grid, w))
     records, theta_fit = harness.stability_sweep(
         q1, q2, 0.0, recovery.Variant.SINGLE_REFLECTION, [1e-3, 1e-6], 1, 3,
-        src_basis=src, tgt_basis=tgt, dn1=dn1, dn2=dn2, delta=1.0)
+        src_basis=src, tgt_basis=tgt, d=d, delta=1.0)
     ref = sweep_inputs["tmp"] / "sweep_separate.csv"
     harness.write_sweep_csv(str(ref), records, theta_fit)
     assert out.read_bytes() == ref.read_bytes()
@@ -505,3 +509,69 @@ def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
     assert all(0 < np.hypot(x, y) < 1 for x, y, _ in missing)
     assert len({(round(x / np.hypot(x, y), 9), round(y / np.hypot(x, y), 9), z)
                 for x, y, z in missing}) == 1
+
+
+# -- bad options fail at the boundary ------------------------------------------------
+
+
+_RECOVER = ["--variant", "thm2", "--r", "2.5", "--param", "6.0", "--lambda", "0.5",
+            "--spacing", "1.0"]
+
+
+def _with(argv, option, value):
+    i = argv.index(option)
+    return argv[:i + 1] + [value] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("recover", _with(_RECOVER, "--spacing", "0"), "--spacing must be positive"),
+    ("recover", _with(_RECOVER, "--spacing", "-0.5"), "--spacing must be positive"),
+    ("recover", _with(_RECOVER, "--param", "0.5"), "--param must be >= 1"),
+    ("recover", _RECOVER + ["--box-coarsen", "0"], "--box-coarsen must be >= 1"),
+    ("recover", _with(_RECOVER, "--r", "1.5"), "--r must exceed 2"),
+    ("recover", _with(_RECOVER, "--lambda", "1.5"), "--lambda must lie in (0, 1)"),
+    ("sweep", ["--variant", "thm2", "--noise", "1e-3", "--basis-n", "0"],
+     "--basis-n must be >= 1"),
+    ("sweep", ["--variant", "thm2", "--noise", "abc"],
+     "--noise: expected comma-separated numbers, got 'abc'"),
+    ("sweep", ["--variant", "thm2", "--noise", "1e-3", "--trials", "0"],
+     "--trials must be >= 1"),
+], ids=["spacing-0", "spacing-negative", "param", "box-coarsen", "r", "lambda",
+        "basis-n", "noise", "trials"])
+def test_bad_option_is_one_line_before_any_solve(workdir, monkeypatch, command, argv,
+                                                 message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the options were checked")
+
+    monkeypatch.setattr(forward.HelmholtzOperator, "__init__", no_solve)
+    monkeypatch.setattr(recovery, "make_workspace", no_solve)
+    monkeypatch.setattr(recovery, "calibrate_two_constants", no_solve)
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+                  *argv, "--out", str(workdir["tmp"] / "bad.csv")])
+    assert info.value.code == message  # printed as one line, exit status 1
+    assert not (workdir["tmp"] / "bad.csv").exists()
+
+
+def test_bad_option_exit_status_subprocess(workdir):
+    proc = subprocess.run(
+        [sys.executable, "-m", "slabinv.cli", "recover", "--config", str(workdir["cfg"]),
+         "--q1", str(workdir["qpath"]), *_with(_RECOVER, "--spacing", "0"),
+         "--out", str(workdir["tmp"] / "bad.csv")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 1
+    assert proc.stderr == "--spacing must be positive\n"
+
+
+def test_recover_without_annulus_estimates_fails(workdir, capsys, monkeypatch):
+    def diverging(*args, **kwargs):
+        raise cgo.ContractionError("remainder iteration is not contracting")
+
+    monkeypatch.setattr(recovery, "build_probe", diverging)
+    rc = cli.main(["recover", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+                   *_RECOVER, "--out", str(workdir["tmp"] / "none.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("recovery failed: none of the ") and err.count("\n") == 1
+    assert not (workdir["tmp"] / "none.csv").exists()

@@ -176,6 +176,7 @@ def test_assemble_dn_matches_partial_pivoting(geom, grid8, bump8, masked_bases):
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
     op = HelmholtzOperator(grid8, geom, 0.0, bump8)
     ref_op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    ref_op.admissibility()  # on the sine-basis factor, before the swap below
     ref_op._lu_cache = scipy.sparse.linalg.splu(ref_op.matrix.tocsc())
     dn = assemble_dn(op, src, target).matrix
     ref = assemble_dn(ref_op, src, target).matrix
@@ -377,8 +378,8 @@ def test_degenerate_triple_gram_raises(geom, grid8, op0_8, masked_bases):
 
 
 def test_admissibility_deterministic(op0_8):
-    a = forward.check_admissible(op0_8, seed=5)
-    b = forward.check_admissible(op0_8, seed=5)
+    a = forward.check_admissible(op0_8)
+    b = forward.check_admissible(op0_8)
     assert a.min_singular == b.min_singular
 
 
@@ -548,8 +549,8 @@ def test_star_norm_matches_pencil_on_random_matrices(masked_bases):
 def test_star_norm_matches_pencil_at_bench_size(geom, grid8, born_pair8):
     # the sweep benchmark's measurement pair: h = 1/8, 12 modes per axis
     q1, q2 = born_pair8
-    src, tgt, dn1, dn2 = dnmap.measurement_pair(grid8, geom, 0.0, q1, q2, Plate.BOTTOM, 12)
-    d0 = dn1.matrix - dn2.matrix
+    src, tgt, d = dnmap.measurement_pair(grid8, geom, 0.0, q1, q2, Plate.BOTTOM, 12)
+    d0 = d.matrix
     e = _random_matrix(np.random.default_rng(5), *d0.shape)
     e /= op_norm_star_pencil(e, src, tgt)
     for d in (d0, d0 + 1e-3 * e, d0 + 1e-8 * e):
@@ -585,25 +586,27 @@ def test_whiteners_formed_once_per_basis(geom, grid8, op0_8, monkeypatch):
 @pytest.mark.parametrize("q2_amplitude, solves", [(0.0, 2), (0.5, 3)])
 def test_measurement_pair_block_solves(geom, q2_amplitude, solves, monkeypatch):
     grid = geometry.build_domain(geom, 0.25)
-    q1 = fields.radial_bump_potential(grid, geom, 1e-3)
+    q1 = fields.radial_bump_potential(grid, geom, 1.0)
     q2 = (fields.radial_bump_potential(grid, geom, q2_amplitude) if q2_amplitude
           else fields.zero_potential(grid, geom))
     calls = []
     orig = HelmholtzOperator.solve_interior
     monkeypatch.setattr(HelmholtzOperator, "solve_interior",
                         lambda self, rhs: calls.append(rhs.shape) or orig(self, rhs))
-    src, _, dn1, dn2 = dnmap.measurement_pair(grid, geom, 0.0, q1, q2, Plate.BOTTOM, 3)
+    src, _, d = dnmap.measurement_pair(grid, geom, 0.0, q1, q2, Plate.BOTTOM, 3)
     assert len(calls) == solves
     assert all(shape[1:] == (len(src),) for shape in calls)
     monkeypatch.undo()
-    # the same DN maps and triple Gram as separate solves
+    # the same triple Gram as a separate solve, and d = Lambda_q1 - Lambda_q2
+    # to round-off: with amplitude-1 potentials the two maps do not cancel
     ref = build_boundary_basis(grid, geometry.dirichlet_patch(geom), 3)
     op0 = HelmholtzOperator(grid, geom, 0.0, None)
     assert np.array_equal(src.gram_triple, ref.attach_triple_gram(op0))
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
-    for q, dn in ((q1, dn1), (q2, dn2)):
-        want = assemble_dn(HelmholtzOperator(grid, geom, 0.0, q), ref, target).matrix
-        assert np.array_equal(dn.matrix, want)
+    dn1, dn2 = (assemble_dn(HelmholtzOperator(grid, geom, 0.0, q), ref, target).matrix
+                for q in (q1, q2))
+    assert np.max(np.abs(d.matrix - (dn1 - dn2))) <= 1e-12 * np.max(np.abs(d.matrix))
+    assert np.max(np.abs(d.matrix)) > 1e-3 * np.max(np.abs(dn1))
 
 
 @pytest.mark.parametrize("target_h, n_modes", [(0.25, 3), (0.125, 12)])

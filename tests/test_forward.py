@@ -336,24 +336,22 @@ def test_runge_probe_target_refinement_study(geom, bump8):
 
 
 def test_admissibility_threshold_does_not_stick(geom, monkeypatch):
+    # the eigensolve runs once per operator, however many solves follow
     grid = geometry.build_domain(geom, 0.25)
     op = HelmholtzOperator(grid, geom, 0.0, None)
     runs = []
     orig = forward._min_singular
     monkeypatch.setattr(forward, "_min_singular",
                         lambda *a, **kw: runs.append(1) or orig(*a, **kw))
-    strict = op.admissibility(100.0)
-    assert not strict.admissible and strict.threshold == 100.0
-    default = op.admissibility()
-    assert default.admissible
-    assert default.threshold == forward.default_threshold(grid, geom, forward.TRUNCATED)
-    assert default.min_singular == strict.min_singular
-    assert op.admissibility(1e-3).admissible
-    assert len(runs) == 1  # the eigensolve ran once; thresholds only compare
+    rep = op.admissibility()
+    assert rep.admissible
+    assert rep.threshold == 1e-6 * reference_eigenvalue(grid, geom, forward.TRUNCATED)
     f = full_square_field(grid, lambda x, y: np.exp(-x * x - y * y)
                           * (np.hypot(x, y) < geom.R_lat))
     solve_dirichlet(op, f)
     solve_source(op, manufactured_case(geom, grid)[1])
+    assert op.admissibility() is rep
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -551,15 +549,98 @@ def test_sine_basis_fill_below_physical_fill(geom, grid8, label):
         assert 4 * sine_fill <= physical_fill
 
 
-def test_active_set_must_be_a_lateral_product(geom, monkeypatch):
-    grid = geometry.build_domain(geom, 0.25)
+# -- one plate stencil --------------------------------------------------------------
 
-    def doctored(grid, geom):
-        mask = geometry.interior_mask(grid, geom).copy()
-        i, j = np.argwhere(mask[:, :, 2])[0]
-        mask[i, j, 2] = False  # one node missing from one layer
-        return mask
 
-    monkeypatch.setattr(forward, "interior_mask", doctored)
-    with pytest.raises(ValueError, match="lateral mask times every interior layer"):
-        HelmholtzOperator(grid, geom, 0.0, None)
+def _coo_reference(op):
+    """A and M as the 3-D COO assembly built them before the plate stencil:
+    the active set from the lateral radius, every 7-point neighbour pair
+    from shifted index arrays, and M from A's lateral entries."""
+    grid, h2, m = op.grid, op.grid.h ** 2, op.grid.nz - 1
+    periodic = op.boundary_mode == PERIODIC
+    active = np.zeros(grid.node_shape, dtype=bool)
+    if periodic:
+        active[: grid.nx, : grid.ny, 1: grid.nz] = True
+    else:
+        active[:, :, 1:-1] = grid.lateral_radius() < op.geom.R_lat
+    idx = np.full(grid.node_shape, -1, dtype=np.int64)
+    n = int(np.count_nonzero(active))
+    idx[active] = np.arange(n)
+    q_active = np.zeros(n) if op.q is None else op.q.field.values.real[active]
+    rows, cols, data = [np.arange(n)], [np.arange(n)], [6.0 / h2 - op.k ** 2 + q_active]
+    for axis in range(3):
+        for step in (-1, 1):
+            nbr = np.full_like(idx, -1)
+            dst, src = [slice(None)] * 3, [slice(None)] * 3
+            if periodic and axis in (0, 1):
+                dst[axis] = slice(0, (grid.nx, grid.ny)[axis])
+                nbr[tuple(dst)] = np.roll(idx[tuple(dst)], -step, axis=axis)
+            else:
+                dst[axis] = slice(0, -1) if step == 1 else slice(1, None)
+                src[axis] = slice(1, None) if step == 1 else slice(0, -1)
+                nbr[tuple(dst)] = idx[tuple(src)]
+            here = active & (nbr >= 0)
+            rows.append(idx[here])
+            cols.append(nbr[here])
+            data.append(np.full(int(np.count_nonzero(here)), -1.0 / h2))
+    a = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+    coo = a.tocoo()
+    lateral = coo.row // m != coo.col // m
+    qv = q_active.reshape(-1, m)
+    nodes = np.flatnonzero(np.any(qv, axis=1))
+    j = np.arange(1, grid.nz)
+    s = np.sqrt(2.0 / grid.nz) * np.sin(np.pi * np.outer(j, j) / grid.nz)
+    blocks = (s * qv[nodes, None, :]) @ s
+    first = np.broadcast_to((m * nodes)[:, None, None], blocks.shape)
+    nu = np.tile((4.0 / h2) * np.sin(np.pi * j / (2 * grid.nz)) ** 2, n // m)
+    mm = scipy.sparse.csc_matrix((
+        np.concatenate([coo.data[lateral], 4.0 / h2 - op.k ** 2 + nu, blocks.ravel()]),
+        (np.concatenate([coo.row[lateral], np.arange(n), (first + np.arange(m)[:, None]).ravel()]),
+         np.concatenate([coo.col[lateral], np.arange(n), (first + np.arange(m)).ravel()]))),
+        shape=(n, n))
+    return idx, a, mm
+
+
+def _same_bits(got, want):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
+@pytest.mark.parametrize("target_h", [0.25, 0.125])
+@pytest.mark.parametrize("label", ["zero", "bump"])
+def test_operators_match_the_3d_coo_assembly_bit_for_bit(geom, mode, target_h, label):
+    grid = geometry.build_domain(geom, target_h)
+    q = _potential(grid, geom, label)
+    for k in (0.0, 2.5, 4.5):
+        op = HelmholtzOperator(grid, geom, k, q, mode)
+        idx, a, mm = _coo_reference(op)
+        assert np.array_equal(op.index, idx)
+        assert np.array_equal(op.active, idx >= 0)
+        assert np.array_equal(op.lateral, op.active[:, :, 1])
+        _same_bits(op.matrix, a)
+        _same_bits(op.sine_basis_matrix(), mm)
+
+
+def test_plate_stencil_built_once_per_grid_and_read_only(geom):
+    # the twelve operators of the forward-order benchmark share two stencils
+    forward.plate_stencil.cache_clear()
+    grids = [geometry.build_domain(geom, h) for h in (0.25, 0.125)]
+    for grid in grids:
+        bump = fields.radial_bump_potential(grid, geom, 1.0)
+        for q in (None, bump):
+            for k in (0.0, 2.5, 4.5):
+                HelmholtzOperator(grid, geom, k, q)
+    assert forward.plate_stencil.cache_info().misses == 2
+    mask, couplings = forward.plate_stencil(grids[0], geom, TRUNCATED)
+    for a in (mask, couplings.data, couplings.indices, couplings.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    assert np.array_equal(mask, geometry.interior_mask(grids[0], geom)[:, :, 1])
+    # every node of the periodic cell has four neighbours
+    _, periodic = forward.plate_stencil(grids[0], geom, PERIODIC)
+    assert np.all(np.diff(periodic.indptr) == 4)
+    with pytest.raises(ValueError, match="unknown boundary mode"):
+        forward.plate_stencil(grids[0], geom, "neumann")

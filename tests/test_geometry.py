@@ -2,19 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slabinv import geometry
+from slabinv import boundary, geometry
 from slabinv.geometry import (
     GeometryError,
-    LABEL_GAMMA1N,
-    LABEL_GAMMA2N,
-    LABEL_INTERIOR,
+    Grid3,
     Plate,
     SlabGeometry,
     build_domain,
-    classify_boundary,
     cutoff_annulus,
     parse_geometry_config,
 )
+
+
+def plate_mask(grid, patch):
+    """Patch membership of the plate nodes, shape (sx, sy)."""
+    sq = boundary.full_plate_square(grid)
+    return boundary.BoundaryField(patch, sq, np.zeros(sq.node_shape)).patch_mask()
 
 
 def test_geometry_invariants_enforced():
@@ -44,48 +47,30 @@ def test_build_domain_examples(geom):
     assert grid.axis_nodes(2)[-1] == pytest.approx(geom.L, abs=0)
 
 
-def test_classify_examples(geom):
-    grid = build_domain(geom, 0.125)
-    labels = classify_boundary(grid, geom)
-    cx = grid.nx // 2
-    assert labels.label_of(cx, cx, grid.nz) == "gamma1N"          # (0,0,L)
-    assert labels.label_of(grid.nx, cx, grid.nz // 2) == "lateral"  # (R_lat,0,L/2)
-    ix = cx + 13  # x = 1.625, between R_prime and R_lat
-    assert labels.label_of(cx, ix, 0) == "gamma2_rest"
-
-
-def test_labels_partition(geom):
-    grid = build_domain(geom, 0.125)
-    labels = classify_boundary(grid, geom)
-    counts = labels.counts()
-    assert sum(counts.values()) == grid.n_nodes
-    # every non-interior node carries exactly one boundary label by construction
-    assert counts["interior"] > 0 and counts["lateral"] > 0
-    # the top-plate Neumann disc is Dirichlet-admissible: no gamma1N node at
-    # radius >= R_lat
-    r = grid.lateral_radius()[:, :, 0]
-    mask1n = labels.labels[:, :, grid.nz] == LABEL_GAMMA1N
-    assert np.all(r[mask1n] < geom.R_lat)
-
-
 @given(eps=st.floats(min_value=0.01, max_value=0.24))
 @settings(max_examples=20, deadline=None)
 def test_annulus_monotone_in_eps(eps):
     geom = SlabGeometry(1.0, 1.0, 1.5, 2.0, eps)
     grid = build_domain(geom, 0.125)
-    wide = geometry.patch_plate_mask(grid, cutoff_annulus(geom, Plate.BOTTOM))
+    wide = plate_mask(grid, cutoff_annulus(geom, Plate.BOTTOM))
     geom_small = SlabGeometry(1.0, 1.0, 1.5, 2.0, eps / 2)
-    wider = geometry.patch_plate_mask(grid, cutoff_annulus(geom_small, Plate.BOTTOM))
+    wider = plate_mask(grid, cutoff_annulus(geom_small, Plate.BOTTOM))
     # shrinking eps never shrinks the annulus node set
     assert np.all(wider[wide])
 
 
-def test_interior_mask_matches_labels(geom, grid8):
-    labels = classify_boundary(grid8, geom)
-    assert np.array_equal(geometry.interior_mask(grid8, geom),
-                          labels.labels == LABEL_INTERIOR)
-    assert (labels.labels[:, :, 0] != LABEL_INTERIOR).all()
-    assert np.count_nonzero(labels.labels == LABEL_GAMMA2N) > 0
+def test_interior_mask_is_disc_times_interior_layers(geom, grid8):
+    mask = geometry.interior_mask(grid8, geom)
+    disc = grid8.lateral_radius()[:, :, 0] < geom.R_lat
+    layers = np.zeros(grid8.nz + 1, dtype=bool)
+    layers[1:grid8.nz] = True
+    assert np.array_equal(mask, disc[:, :, None] & layers)
+    # the staircase: a node at |x'| = R_lat is lateral at every height
+    assert not mask[grid8.nx, grid8.ny // 2].any()
+    with pytest.raises(GeometryError, match="non-periodic"):
+        geometry.interior_mask(Grid3(8, 8, 8, 0.125, (0.0, 0.0, 0.0), periodic=True), geom)
+    with pytest.raises(GeometryError, match="thickness"):
+        geometry.interior_mask(build_domain(geom, 0.125), SlabGeometry(1.5, 1.0, 1.5, 2.0, 0.1))
 
 
 def test_config_roundtrip(tmp_path, geom):
@@ -108,7 +93,11 @@ def test_patch_constructors(geom):
     d = geometry.dirichlet_patch(geom)
     n1 = geometry.neumann_patch(geom, Plate.TOP)
     ann = cutoff_annulus(geom, Plate.TOP)
-    # the data patch strictly contains the closure of the measurement patch
+    # the data patch strictly contains the closure of the measurement patch,
+    # and the Neumann disc lies inside the truncated plate
     assert d.r_outer > n1.r_outer
+    grid = build_domain(geom, 0.125)
+    disc = plate_mask(grid, n1)
+    assert disc.any() and np.all(geometry.interior_mask(grid, geom)[:, :, 1][disc])
     assert ann.r_inner == geom.R + geom.eps_cutoff
     assert ann.r_outer == geom.R_prime - geom.eps_cutoff

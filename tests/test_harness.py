@@ -104,8 +104,7 @@ def test_carleman_potential_shifts_constant_up(geom, grid8, op0_8, bump8):
 
 def test_random_test_function_vanishes_at_boundary(geom, grid8):
     u = random_test_function(grid8, geom, record_rng(0, 0))
-    labels = geometry.classify_boundary(grid8, geom)
-    assert np.max(np.abs(u.values[labels.labels != geometry.LABEL_INTERIOR])) == 0.0
+    assert np.max(np.abs(u.values[~geometry.interior_mask(grid8, geom)])) == 0.0
 
 
 # -- unique-continuation measurement ---------------------------------------------------
@@ -192,24 +191,17 @@ def test_rl_rough_potential_slow_decay(geom, grid16):
 
 
 @pytest.fixture(scope="module")
-def sweep_setup(geom, grid8, op0_8, born_pair8):
+def sweep_setup(geom, grid8, born_pair8):
     q1, q2 = born_pair8
-    src = dnmap.build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 4)
-    src.attach_triple_gram(op0_8)
-    target = geometry.neumann_patch(geom, Plate.BOTTOM)
-    tgt = dnmap.build_boundary_basis(grid8, target, 4)
-    op1 = HelmholtzOperator(grid8, geom, 0.0, q1)
-    op2 = HelmholtzOperator(grid8, geom, 0.0, q2)
-    dn1 = dnmap.assemble_dn(op1, src, target)
-    dn2 = dnmap.assemble_dn(op2, src, target)
-    return dict(q1=q1, q2=q2, src=src, tgt=tgt, dn1=dn1, dn2=dn2)
+    src, tgt, d = dnmap.measurement_pair(grid8, geom, 0.0, q1, q2, Plate.BOTTOM, 4)
+    return dict(q1=q1, q2=q2, src=src, tgt=tgt, d=d)
 
 
 def test_sweep_zero_noise_anchor(sweep_setup):
     records, _ = stability_sweep(
         sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
         [0.0, 1e-3], trials=1, seed=0, src_basis=sweep_setup["src"],
-        tgt_basis=sweep_setup["tgt"], dn1=sweep_setup["dn1"], dn2=sweep_setup["dn2"])
+        tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     by_noise = {rec.noise_level: rec for rec in records}
     assert by_noise[0.0].star_norm < by_noise[1e-3].star_norm
     assert by_noise[0.0].linf_bound <= by_noise[1e-3].linf_bound
@@ -220,7 +212,7 @@ def test_sweep_monotone_and_negative_slope(sweep_setup):
     records, theta_fit = stability_sweep(
         sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
         levels, trials=1, seed=1, src_basis=sweep_setup["src"],
-        tgt_basis=sweep_setup["tgt"], dn1=sweep_setup["dn1"], dn2=sweep_setup["dn2"])
+        tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     recs = sorted((r for r in records if not r.hypothesis_violated),
                   key=lambda r: r.star_norm)
     bounds = [r.linf_bound for r in recs]
@@ -232,7 +224,7 @@ def test_sweep_hypothesis_violation_flagged(sweep_setup):
     records, _ = stability_sweep(
         sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
         [0.5], trials=1, seed=2, delta=1e3, src_basis=sweep_setup["src"],
-        tgt_basis=sweep_setup["tgt"], dn1=sweep_setup["dn1"], dn2=sweep_setup["dn2"])
+        tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     assert records[0].hypothesis_violated
     assert math.isnan(records[0].linf_bound)
 
@@ -242,7 +234,7 @@ def test_sweep_records_satisfy_internal_inequality(sweep_setup):
     records, _ = stability_sweep(
         sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
         [1e-4, 1e-6], trials=1, seed=5, src_basis=sweep_setup["src"],
-        tgt_basis=sweep_setup["tgt"], dn1=sweep_setup["dn1"], dn2=sweep_setup["dn2"])
+        tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     for rec in records:
         if rec.hypothesis_violated:
             continue
@@ -261,8 +253,8 @@ def test_sweep_star_norms_match_whitening_each_record(sweep_setup):
     records, _ = stability_sweep(
         sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
         levels, trials=2, seed=9, src_basis=src, tgt_basis=tgt,
-        dn1=sweep_setup["dn1"], dn2=sweep_setup["dn2"])
-    d0 = sweep_setup["dn1"].matrix - sweep_setup["dn2"].matrix
+        d=sweep_setup["d"])
+    d0 = sweep_setup["d"].matrix
     assert len(records) == 8
     for idx, rec in enumerate(records):
         d = d0
@@ -280,8 +272,7 @@ def test_sweep_determinism_byte_identical(tmp_path, sweep_setup):
         records, theta = stability_sweep(
             sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
             [1e-3, 1e-5], trials=2, seed=42, src_basis=sweep_setup["src"],
-            tgt_basis=sweep_setup["tgt"], dn1=sweep_setup["dn1"],
-            dn2=sweep_setup["dn2"])
+            tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
         path = tmp_path / f"sweep{run}.csv"
         write_sweep_csv(str(path), records, theta)
         paths.append(path.read_bytes())
