@@ -8,11 +8,11 @@ the fractional Sobolev norms used by the measurement-operator module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .geometry import BoundaryPatch, Grid3, Plate
 
@@ -151,6 +151,16 @@ def l2_inner(a: BoundaryField, b: BoundaryField) -> complex:
 # frequencies are kappa_m = pi m / S componentwise.
 
 
+@functools.lru_cache(maxsize=8)
+def dst1_matrix(n: int) -> np.ndarray:
+    """Orthonormal DST-I S on the n - 1 interior nodes of n cells,
+    S_jm = sqrt(2/n) sin(pi j m / n); S = S^T = S^{-1}, read-only."""
+    j = np.arange(1, n)
+    s = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(j, j) / n)
+    s.flags.writeable = False
+    return s
+
+
 def sine_frequencies(square: SquareGrid2, n_modes: int | None = None) -> np.ndarray:
     """|kappa|^2 on the (m1, m2) mode grid; full spectrum when n_modes is None."""
     n = square.ns - 1 if n_modes is None else n_modes
@@ -166,11 +176,9 @@ def sine_coefficients(field: BoundaryField) -> np.ndarray:
     patch lies strictly inside the square by the membership convention).
     """
     sq = field.square
-    interior = field.values[..., 1:-1, 1:-1]
-    spec = scipy.fft.dstn(interior, type=1, axes=(-2, -1))
-    # dstn type 1 gives 4 * sum g sin sin; orthonormal coefficient is
-    # h^2 (2/S) * sum g sin sin.
-    return spec * (sq.h ** 2 / (2.0 * sq.side))
+    d = dst1_matrix(sq.ns)
+    # the orthonormal coefficient h^2 (2/side) sum g sin sin is h * D g D
+    return sq.h * (d @ field.values[..., 1:-1, 1:-1] @ d)
 
 
 def mode_field(patch: BoundaryPatch, square: SquareGrid2, m1: int, m2: int,

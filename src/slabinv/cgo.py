@@ -2,7 +2,8 @@
 
 For a frequency xi with nonzero lateral part, an adapted orthonormal frame
 (e1 along xi', e3 vertical, e2 = e3 x e1) carries two families of complex
-phase vectors rho with rho . rho = 0:
+phase vectors rho with rho . rho = -k^2 (Sylvester and Uhlmann, Annals of
+Math. 125, 1987):
 
 * a tau-family whose product phase is exp(i x . xi) and whose first probe is
   antisymmetrized across x3 = 0 (data and measurements on opposite plates);
@@ -11,8 +12,8 @@ phase vectors rho with rho . rho = 0:
   terms exp(i x . (xi_1e, 0, +-2 alpha xi_1e)_e) in the product.
 
 Each probe is exp(x . rho) (1 + psi) with the remainder psi solving the
-conjugated equation (-Lap - 2 rho . grad) psi = -(Q - k^2)(1 + psi) on a
-periodic box containing the domain and its mirror image; the solve inverts
+conjugated equation (-Lap - 2 rho . grad) psi = -Q (1 + psi) on a periodic
+box containing the domain and its mirror image; the solve inverts
 the Fourier symbol |zeta|^2 - 2 i rho . zeta with near-singular modes
 projected out and reported.  Exponentials are evaluated against a per-probe
 log offset so that large parameters never overflow.
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .fields import FieldError, GridField
 from .geometry import Grid3, SlabGeometry
@@ -85,47 +85,58 @@ class PhasePair:
     frame: Frame
     rho1: np.ndarray
     rho2: np.ndarray
+    k: float
 
     @property
     def xi(self) -> np.ndarray:
         return self.frame.xi
 
 
-def make_phase_pair(frame: Frame, variant: Variant, param: float) -> PhasePair:
-    """Phase vectors in ambient coordinates for either family; param >= 1."""
+def make_phase_pair(frame: Frame, variant: Variant, param: float, k: float) -> PhasePair:
+    """Phase vectors in ambient coordinates for either family; param >= 1.
+
+    Both satisfy rho . rho = -k^2 and rho1 + rho2 = i xi; k enters only the
+    e2 components, through (k / |xi|)^2.  The alpha-family needs
+    alpha^2 + 1/4 > (k / |xi|)^2, else FrameError.
+    """
     if param < 1:
         raise FrameError("phase parameter must be >= 1")
     xi_1e = frame.xi_1e
     xi3 = float(frame.xi[2])
     xin = frame.xi_norm
+    kk = (k / xin) ** 2
     if variant is Variant.SINGLE_REFLECTION:
         tau = param
-        root = math.sqrt(tau * tau - 0.25)
+        root = math.sqrt(tau * tau - 0.25 + kk)
         c1 = (-tau * xi3 + 0.5j * xi_1e, 1j * xin * root, tau * xi_1e + 0.5j * xi3)
         c2 = (tau * xi3 + 0.5j * xi_1e, -1j * xin * root, -tau * xi_1e + 0.5j * xi3)
     else:
         alpha = param
-        root = math.sqrt(alpha * alpha + 0.25)
+        radicand = alpha * alpha + 0.25 - kk
+        if radicand <= 0:
+            raise FrameError(f"alpha-family needs (k/|xi|)^2 = {kk:.4g} below "
+                             f"alpha^2 + 1/4 = {alpha * alpha + 0.25:.4g}")
+        root = math.sqrt(radicand)
         c1 = (1j * (xi_1e / 2 - alpha * xi3), -root * xin, 1j * (xi3 / 2 + alpha * xi_1e))
         c2 = (1j * (xi_1e / 2 + alpha * xi3), root * xin, 1j * (xi3 / 2 - alpha * xi_1e))
     rho1 = frame.to_ambient(c1)
     rho2 = frame.to_ambient(c2)
-    return PhasePair(variant, float(param), frame, rho1, rho2)
+    return PhasePair(variant, float(param), frame, rho1, rho2, float(k))
 
 
 def isotropy_residual(pp: PhasePair) -> float:
-    """max_m |rho_m . rho_m| (complex bilinear dot; zero in exact arithmetic)."""
-    return max(abs(complex(np.sum(pp.rho1 * pp.rho1))),
-               abs(complex(np.sum(pp.rho2 * pp.rho2))))
+    """max_m |rho_m . rho_m + k^2| (complex bilinear dot; zero in exact arithmetic)."""
+    return max(abs(complex(np.sum(rho * rho)) + pp.k ** 2) for rho in (pp.rho1, pp.rho2))
 
 
 def norm_identity_residual(pp: PhasePair) -> float:
-    """Relative deviation of |rho_m| from its closed form."""
+    """Relative deviation of |rho_m| from its closed form: |rho|^2 is
+    2 tau^2 |xi|^2 + k^2 (tau-family) or 2 (alpha^2 + 1/4) |xi|^2 - k^2."""
     xin = pp.frame.xi_norm
     if pp.variant is Variant.SINGLE_REFLECTION:
-        expected = math.sqrt(2.0) * pp.param * xin
+        expected = math.sqrt(2.0 * (pp.param * xin) ** 2 + pp.k ** 2)
     else:
-        expected = math.sqrt(2.0) * xin * math.sqrt(pp.param ** 2 + 0.25)
+        expected = math.sqrt(2.0 * xin ** 2 * (pp.param ** 2 + 0.25) - pp.k ** 2)
     out = 0.0
     for rho in (pp.rho1, pp.rho2):
         out = max(out, abs(float(np.sqrt(np.sum(np.abs(rho) ** 2))) - expected) / expected)
@@ -178,32 +189,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _box_lattice(grid: Grid3) -> tuple:
     """Frequency lattice of a box, shifted by LATTICE_SHIFT cells:
-    (z0, z1, z2, |zeta|^2, mod, conj(mod)).
-
-    The zeta axes broadcast against each other; mod is the modulation that
-    turns the shifted transform into a plain FFT.  Cached per box, read-only.
-    """
-    zetas = []
-    mods = []
-    for axis, n in enumerate(grid.node_shape):
-        shift = LATTICE_SHIFT[axis]
-        freq = 2 * np.pi * (scipy.fft.fftfreq(n, d=grid.h) + shift / (n * grid.h))
-        zetas.append(freq)
-        j = np.arange(n)
-        mods.append(np.exp(-2j * np.pi * shift * j / n))
-    z0 = zetas[0][:, None, None]
-    z1 = zetas[1][None, :, None]
-    z2 = zetas[2][None, None, :]
-    mod = (mods[0][:, None, None] * mods[1][None, :, None] * mods[2][None, None, :])
-    return tuple(_frozen(a) for a in
-                 (z0, z1, z2, z0 ** 2 + z1 ** 2 + z2 ** 2, mod, np.conj(mod)))
+    (z0, z1, z2, |zeta|^2), the zeta axes broadcasting against each other.
+    Cached per box, read-only."""
+    z0, z1, z2 = (2 * np.pi * (np.fft.fftfreq(n, d=grid.h) + shift / (n * grid.h))
+                  for n, shift in zip(grid.node_shape, LATTICE_SHIFT))
+    z0, z1, z2 = z0[:, None, None], z1[None, :, None], z2[None, None, :]
+    return tuple(_frozen(a) for a in (z0, z1, z2, z0 ** 2 + z1 ** 2 + z2 ** 2))
 
 
-def _dft_factors(n: int, window: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Pruned DFT of one axis for the indices of `window`: forward (n, m)
-    exp(-2 pi i k j / n) and inverse (m, n) exp(2 pi i j k / n) / n; read-only."""
+def _dft_factors(n: int, window: slice, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pruned DFT of one axis for the indices j of `window` on the lattice
+    shifted by `shift` cells: forward (n, m) exp(-2 pi i (k + shift) j / n)
+    and inverse (m, n) exp(2 pi i j (k + shift) / n) / n; read-only."""
     j = np.arange(window.start, window.stop)
-    inverse = np.exp(2j * np.pi / n * (np.outer(j, np.arange(n)) % n))
+    inverse = np.exp(2j * np.pi / n * (np.outer(j, np.arange(n)) % n + shift * j[:, None]))
     return _frozen(np.ascontiguousarray(inverse.conj().T)), _frozen(inverse / n)
 
 
@@ -253,15 +252,14 @@ Transform = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class BoxSource:
-    """What every remainder solve against one box potential Q at one k shares.
+    """What every remainder solve against one box potential Q shares.
 
-    r = k^2 - Q.  `window` holds, per axis, the box nodes that the probes on
+    r = -Q.  `window` holds, per axis, the box nodes that the probes on
     `eval_grid` read (see `_probe_window`) and `window_grid` places them; a
     whole-box window is the box itself.  A nonzero r also carries the
     support block (per axis, first to last index where r is nonzero), the
-    transforms between the spectrum and the block (pruned DFTs, or plain
-    FFTs when the block fills the box), r and r * mod on the block, the
-    first spectrum (the transform of r * mod) and the inverse transform onto
+    pruned DFTs between the shifted spectrum and the block, r on the block,
+    the first spectrum (the transform of r) and the pruned inverse DFT onto
     the window.
     """
 
@@ -272,17 +270,20 @@ class BoxSource:
     window: tuple
     window_grid: Grid3
     block: tuple = ()
-    block_is_box: bool = False
     to_block: Transform | None = None
     from_block: Transform | None = None
     rhs: np.ndarray | None = None
-    rhs_mod: np.ndarray | None = None
     spectrum: np.ndarray | None = None
     to_window: Transform | None = None
 
 
-def box_source(q_box: GridField, k: float, eval_grid: Grid3 | None = None) -> BoxSource:
-    """The rho-independent part of remainder solves against q_box at k.
+def _pruned_transforms(grid: Grid3, slices) -> tuple:
+    """Per axis, the forward and inverse DFT factors for the indices of `slices`."""
+    return tuple(zip(*map(_dft_factors, grid.node_shape, slices, LATTICE_SHIFT)))
+
+
+def box_source(q_box: GridField, eval_grid: Grid3 | None = None) -> BoxSource:
+    """The rho-independent part of remainder solves against q_box.
 
     Solves return psi on the box nodes that the probes on `eval_grid` read
     (the whole box without an evaluation grid).
@@ -298,35 +299,25 @@ def box_source(q_box: GridField, k: float, eval_grid: Grid3 | None = None) -> Bo
     else:
         window_grid = Grid3(*(m - 1 for m in shape), grid.h,
                             tuple(o + w.start * grid.h for o, w in zip(grid.origin, window)))
-    rhs = k ** 2 - q_box.values
+    rhs = -q_box.values
     if not np.any(rhs):
         return BoxSource(grid, lattice, True, eval_grid, window, window_grid)
     live = rhs != 0
     live_xy = live.any(axis=2)
     block = tuple(slice(int(run[0]), int(run[-1]) + 1) for run in map(np.flatnonzero, (
         live_xy.any(axis=1), live_xy.any(axis=0), live.any(axis=(0, 1)))))
-    block_is_box = rhs[block].shape == grid.node_shape
-    if block_is_box:
-        to_block, from_block = scipy.fft.ifftn, scipy.fft.fftn
-    else:
-        fwd, inv = zip(*map(_dft_factors, grid.node_shape, block))
-        to_block, from_block = (functools.partial(_pruned_dft, mats=m) for m in (inv, fwd))
-    if window_grid is grid:
-        to_window = scipy.fft.ifftn
-    else:
-        to_window = functools.partial(_pruned_dft, mats=tuple(
-            _dft_factors(n, w)[1] for n, w in zip(grid.node_shape, window)))
+    fwd, inv = _pruned_transforms(grid, block)
+    to_block, from_block = (functools.partial(_pruned_dft, mats=m) for m in (inv, fwd))
+    to_window = functools.partial(_pruned_dft, mats=_pruned_transforms(grid, window)[1])
     rhs_blk = _frozen(rhs[block])
-    rhs_mod = _frozen(rhs_blk * lattice[4][block])
-    return BoxSource(grid, lattice, False, eval_grid, window, window_grid, block, block_is_box,
-                     to_block, from_block, rhs_blk, rhs_mod, _frozen(from_block(rhs_mod)),
-                     to_window)
+    return BoxSource(grid, lattice, False, eval_grid, window, window_grid, block,
+                     to_block, from_block, rhs_blk, _frozen(from_block(rhs_blk)), to_window)
 
 
 def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
                     residual_tol: float = 1e-8,
                     projection_rel: float = 1e-8) -> tuple[GridField, RemainderReport]:
-    """Fixed-point solve of (-Lap - 2 rho . grad) psi = -(Q - k^2)(1 + psi).
+    """Fixed-point solve of (-Lap - 2 rho . grad) psi = -Q (1 + psi).
 
     Spectral derivatives on the box; the inverse Fourier symbol
     1/(|zeta|^2 - 2 i rho . zeta) is applied with any remaining zero mode and
@@ -340,20 +331,18 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
     grow over five consecutive sweeps and ProjectionError when more than
     0.1 percent of the modes are removed.
 
-    The sweeps iterate on phi = psi * mod (mod is unimodular, so every norm
-    is psi's) and read phi only on the source's support block: phi there is
-    the inverse transform of phi_hat = mult * spec, the next spectrum the
-    transform from the block, and the increment and L2 norm come from
-    phi_hat by Parseval.  The last spectrum is the residual's right-hand
-    side.  Returns psi on the source's window: the last sweep's phi when
-    the block fills the box, else one inverse transform of the last phi_hat
-    onto the window.
+    The sweeps read psi only on the source's support block: psi there is
+    the pruned inverse DFT of psi_hat = mult * spec, the next spectrum the
+    pruned DFT from the block, and the increment and L2 norm come from
+    psi_hat by Parseval.  The last spectrum is the residual's right-hand
+    side.  Returns psi on the source's window, one pruned inverse DFT of
+    the last psi_hat.
     """
     grid = source.grid
     rho = np.asarray(rho, dtype=np.complex128)
     rho_sq = float(np.sum(np.abs(rho) ** 2))
     n_total = grid.n_nodes
-    z0, z1, z2, zeta_sq, _, mod_inv = source.lattice
+    z0, z1, z2, zeta_sq = source.lattice
 
     c = -2j * rho
     symbol = c[0] * z0 + c[1] * z1 + c[2] * z2
@@ -375,16 +364,16 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
     else:
         mult = 1.0 / symbol
     to_block, from_block = source.to_block, source.from_block
-    rhs_blk, rhs_mod, spec = source.rhs, source.rhs_mod, source.spectrum
+    rhs_blk, spec = source.rhs, source.spectrum
 
     parseval = grid.h ** 3 / n_total
     prev_hat = 0.0
     prev_inc = math.inf
     grew = 0
     for it in range(1, max_iter + 1):
-        phi_hat = mult * spec
-        inc = math.sqrt(_norm_sq(phi_hat - prev_hat) * parseval)
-        prev_hat = phi_hat
+        psi_hat = mult * spec
+        inc = math.sqrt(_norm_sq(psi_hat - prev_hat) * parseval)
+        prev_hat = psi_hat
         if inc > prev_inc:
             grew += 1
             if grew >= 5:
@@ -395,16 +384,15 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
         else:
             grew = 0
         prev_inc = inc
-        l2 = math.sqrt(_norm_sq(phi_hat) * parseval)
-        phi = to_block(phi_hat)
-        spec = from_block(rhs_mod + rhs_blk * phi)
+        l2 = math.sqrt(_norm_sq(psi_hat) * parseval)
+        spec = from_block(rhs_blk + rhs_blk * to_block(psi_hat))
         if inc <= 1e-14 * max(1.0, l2):
             break
 
     def kept(arr):
         return np.where(keep, arr, 0.0) if projected else arr
 
-    num = _norm_sq(kept(symbol * phi_hat - spec))
+    num = _norm_sq(kept(symbol * psi_hat - spec))
     den = _norm_sq(kept(spec))
     residual = math.sqrt(num / den) if den > 0 else 0.0
     if residual > residual_tol:
@@ -413,12 +401,10 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
             f"{it} sweeps (increase the phase parameter)"
         )
 
-    grad_sq = float(np.vdot(zeta_sq, phi_hat.real ** 2 + phi_hat.imag ** 2)) * parseval
+    grad_sq = float(np.vdot(zeta_sq, psi_hat.real ** 2 + psi_hat.imag ** 2)) * parseval
     h1 = math.sqrt(l2 ** 2 + grad_sq)
     report = RemainderReport(l2, h1, it, projected, n_total, residual)
-    window = source.window
-    psi = phi[window] if source.block_is_box else source.to_window(phi_hat)
-    return GridField(source.window_grid, psi * mod_inv[window]), report
+    return GridField(source.window_grid, source.to_window(psi_hat)), report
 
 
 # -- probe assembly --------------------------------------------------------------
@@ -564,16 +550,16 @@ def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],
     """Smallest power-of-two C0 whose parameter max(C0 (M + k^2), 1) contracts.
 
     M is the largest a-priori norm bound across the supplied potential family;
-    returns (C0, param_min).
+    the phases carry k.  Returns (C0, param_min).
     """
     m_bound = max(bounds) if bounds else 1.0
     frame = make_frame(xi)
-    sources = [box_source(qb, k) for qb in q_boxes]
+    sources = [box_source(qb) for qb in q_boxes]
     c0 = 1
     while c0 <= max_c0:
         param = max(c0 * (m_bound + k ** 2), 1.0)
         try:
-            pp = make_phase_pair(frame, variant, param)
+            pp = make_phase_pair(frame, variant, param, k)
             for src in sources:
                 solve_remainder(pp.rho1, src)
             return c0, param

@@ -106,7 +106,7 @@ def _cmd_cgo_check(args) -> int:
     variant = recovery.VARIANTS[args.variant]
     xi = np.asarray(_floats(args.xi, "--xi", 3))
     frame = cgo.make_frame(xi)
-    phase = cgo.make_phase_pair(frame, variant, args.param)
+    phase = cgo.make_phase_pair(frame, variant, args.param, args.k)
     ws = recovery.make_workspace(q1, q2, args.k, variant,
                                  box_coarsen=args.box_coarsen, eval_grid=grid)
     probe = cgo.build_probe(grid, phase, ws.src1, ws.src2)

@@ -58,7 +58,7 @@ class BoundaryBasis:
 
     `block` holds the modes as one block field and `functions` are its rows.
     gram_h32 is the H^{3/2} Gram matrix of the (masked) modes; gram_triple
-    (one block of free solves, cached here) is attached on demand because it
+    (one block of free solves, kept here) is attached on demand because it
     depends on the frequency k and the domain.
     """
 
@@ -78,7 +78,6 @@ class BoundaryBasis:
         self.block = block
         self.functions = [block.copy_with(v) for v in block.values]
         self.gram_triple: np.ndarray | None = None
-        self._triple_key = None
         self._dual_cache = None
         self._triple_cache = None
 
@@ -102,16 +101,12 @@ class BoundaryBasis:
         domain, from one block solve, or from `u` when that block of free
         solutions, solve_dirichlet(op0, self.block), is already at hand.
 
-        op0 must carry q = 0; the result is cached per (grid, k, mode).
+        op0 must carry q = 0.
         """
         if op0.q is not None and np.max(np.abs(op0.q.field.values)) > 0:
             raise ValueError("triple Gram requires the zero potential")
-        key = (op0.grid, op0.k, op0.boundary_mode)
-        if self._triple_key == key and self.gram_triple is not None:
-            return self.gram_triple
         rows = omega_rows(solve_dirichlet(op0, self.block) if u is None else u, op0.geom)
         self.gram_triple = np.real(rows.conj() @ rows.T)
-        self._triple_key = key
         cond = np.linalg.cond(self.gram_triple)
         logger.info("triple-norm Gram condition %.3e at k=%g", cond, op0.k)
         return self.gram_triple

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.fft
 
 from .geometry import Grid3, SlabGeometry
 
@@ -273,9 +272,9 @@ def sobolev_norm(field: GridField, s: float, pad_factor: int = 2) -> float:
     grid = field.grid
     vals = field.values
     shape = [pad_factor * n for n in vals.shape]
-    spec = scipy.fft.fftn(vals, s=shape)
+    spec = np.fft.fftn(vals, s=shape, axes=range(len(shape)))
     h = grid.h
-    freqs = [2 * np.pi * scipy.fft.fftfreq(n, d=h) for n in shape]
+    freqs = [2 * np.pi * np.fft.fftfreq(n, d=h) for n in shape]
     w2 = (
         1.0
         + freqs[0][:, None, None] ** 2

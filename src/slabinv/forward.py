@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .boundary import BoundaryField, from_plate_values
+from .boundary import BoundaryField, dst1_matrix, from_plate_values
 from .fields import GridField
 from .geometry import BoundaryPatch, Grid3, Plate, SlabGeometry, interior_mask
 
@@ -50,15 +50,6 @@ class SolveError(RuntimeError):
 
 class AdmissibilityError(RuntimeError):
     """k is not admissible, or the admissibility eigensolve failed."""
-
-
-@functools.lru_cache(maxsize=8)
-def _sine_basis(nz: int) -> np.ndarray:
-    """Orthonormal DST-I S on the nz - 1 interior layers; S = S^T = S^{-1}."""
-    j = np.arange(1, nz)
-    s = np.sqrt(2.0 / nz) * np.sin(np.pi * np.outer(j, j) / nz)
-    s.flags.writeable = False
-    return s
 
 
 def vertical_eigenvalues(grid: Grid3) -> np.ndarray:
@@ -188,7 +179,7 @@ class HelmholtzOperator:
         m, n = self.grid.nz - 1, self.n_active
         qv = self.q_active.reshape(-1, m)
         nodes = np.flatnonzero(np.any(qv, axis=1))
-        s = _sine_basis(self.grid.nz)
+        s = dst1_matrix(self.grid.nz)
         blocks = (s * qv[nodes, None, :]) @ s
         first = np.broadcast_to((m * nodes)[:, None, None], blocks.shape)
         nu = np.tile(vertical_eigenvalues(self.grid), n // m)
@@ -201,7 +192,7 @@ class HelmholtzOperator:
             self._lu_cache = SineBasisLU(scipy.sparse.linalg.splu(
                 self.sine_basis_matrix(), permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=DIAG_PIVOT_THRESH, options=dict(SymmetricMode=True),
-            ), _sine_basis(self.grid.nz))
+            ), dst1_matrix(self.grid.nz))
         return self._lu_cache
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
@@ -417,7 +408,8 @@ def omega_rows(u: GridField, geom: SlabGeometry) -> np.ndarray:
     w = omega_weights(u.grid, geom).ravel()
     keep = w > 0
     vals = u.values.reshape(-1, w.size)
-    rows = vals[:, keep] if np.any(vals.imag) else vals.real[:, keep]
+    live_imag = np.iscomplexobj(vals) and np.any(vals.imag)
+    rows = vals[:, keep] if live_imag else vals.real[:, keep]
     rows *= np.sqrt(w[keep])
     return rows
 

@@ -118,8 +118,6 @@ def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
             if x1e >= r:
                 continue
             for x3 in vals:
-                if abs(x3) >= r:
-                    continue
                 xi = (float(x1), float(x2), float(x3))
                 if x1e >= 1.0 - 1e-12:
                     annulus.append(xi)
@@ -156,10 +154,11 @@ def integral_pairing(qdiff_field: GridField, probe: CgoProbe) -> complex:
 
 @dataclass
 class ProbeWorkspace:
-    """Shared per-pair data: remainder sources of the extended potentials,
-    difference field, transform."""
+    """Shared per-pair data: the frequency k of the phases, remainder sources
+    of the extended potentials, difference field, transform."""
 
     geom: SlabGeometry
+    k: float
     variant: Variant
     eval_grid: Grid3
     box_grid: Grid3
@@ -190,7 +189,8 @@ def _restrict(field: GridField, sub: Grid3) -> GridField:
 def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant,
                    *, box_padding: float = 0.5, box_coarsen: int = 1,
                    eval_grid: Grid3 | None = None) -> ProbeWorkspace:
-    """Everything the probes at one k share, each remainder source built once.
+    """Everything the probes at one k share, each remainder source built once
+    (the sources do not depend on k, which only the phases carry).
 
     q1 is extended evenly; q2 evenly for the alpha-family and by zero for
     the tau-family.  Probes are evaluated on `eval_grid`, by default the
@@ -209,8 +209,8 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant,
     qdiff = _restrict(qd_full, sub)
     ft = fourier_transform(qdiff)
     l1 = float(np.sum(quadrature_weights(sub) * np.abs(qdiff.values)))
-    return ProbeWorkspace(geom, variant, sub, box, box_source(q1_box, k, sub),
-                          box_source(q2_box, k, sub), qdiff, ft, l1)
+    return ProbeWorkspace(geom, k, variant, sub, box, box_source(q1_box, sub),
+                          box_source(q2_box, sub), qdiff, ft, l1)
 
 
 @dataclass
@@ -238,7 +238,7 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
         key = (float(xi[0]), float(xi[1]), float(xi[2]))
         try:
             frame = make_frame(np.asarray(xi, dtype=float))
-            phase = make_phase_pair(frame, ws.variant, param)
+            phase = make_phase_pair(frame, ws.variant, param, ws.k)
             probe = build_probe(ws.eval_grid, phase, ws.src1, ws.src2)
             prod = probe.u1_direct.values * probe.u2_direct.values
             if ws.variant is Variant.DOUBLE_REFLECTION:
@@ -539,13 +539,15 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
                   known: dict, cfg: ContinuationConfig, warnings: list) -> dict:
     """Estimates at the low lateral frequencies by continuation along frame lines.
 
-    Each line (lateral direction, xi_3) is sampled at lateral magnitudes
+    Each line (lateral direction, xi_3) is sampled at max(3, floor(1 /
+    spacing) + 1) equispaced lateral magnitudes s from 1 to 2, so the sup
+    over Gamma0 never rests on two samples; at spacing 1/m they are
     s = 1, 1 + spacing, ..., 2.  Samples that are annulus frequencies reuse
     `known`; the others are estimated in one batch.  Each line is fitted on
     its successful samples only; failed samples and lines whose fit fails are
     skipped and reported in `warnings`.
     """
-    s_grid = np.arange(1.0, 2.0 + 1e-9, spacing)
+    s_grid = np.linspace(1.0, 2.0, max(3, math.floor(1.0 / spacing + 1e-9) + 1))
     lines: dict = {}
     for xi in low:
         x1e = math.hypot(xi[0], xi[1])

@@ -108,19 +108,41 @@ def test_cgo_check_record(workdir, capsys):
     assert rec["psi1_l2"] > 0
 
 
+@pytest.mark.parametrize("variant", ["thm2", "thm3"])
+def test_cgo_check_carries_k_in_the_phase(workdir, capsys, variant):
+    # at k = 2.5 the phases satisfy rho . rho = -k^2, the q2 = 0 remainder
+    # vanishes identically, and the reflected probes vanish on the bottom plate
+    rc = cli.main([
+        "cgo-check", "--config", str(workdir["cfg"]), "--xi", "2.0,0.5,-1.0",
+        "--variant", variant, "--param", "8.0", "--q1", str(workdir["qpath"]),
+        "--q2", "zero", "--k", "2.5",
+    ])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out.strip())
+    rho_sq = 2 * 8.0 ** 2 * 5.25 + 2.5 ** 2
+    assert rec["isotropy_residual"] <= 1e-12 * rho_sq
+    assert rec["norm_identity_residual"] < 1e-12
+    assert rec["psi2_l2"] == rec["psi2_h1"] == 0.0
+    assert rec["psi1_l2"] > 0
+    assert rec["max_u1_gamma2"] == 0.0
+    assert ("max_u2_gamma2" in rec) == (variant == "thm3")
+    if variant == "thm3":
+        assert rec["max_u2_gamma2"] == 0.0
+
+
 def test_cgo_check_no_contraction_is_one_line_error(tmp_path, capsys):
-    # the Born bump at h = 1/8: the thm3 remainder at k = 0.5, param 8
-    # diverges on the coarsened box
+    # an amplitude-400 bump at h = 1/8: the thm3 remainder at k = 0.5,
+    # param 1 diverges on the coarsened box
     cfg = tmp_path / "geom.cfg"
     cfg.write_text("L = 1.0\nR = 1.0\nR_prime = 1.5\nR_lat = 2.0\n"
                    "eps_cutoff = 0.1\ntarget_h = 0.125\n")
     geom, target_h = geometry.parse_geometry_config(str(cfg))
     grid = geometry.build_domain(geom, target_h)
-    qpath = tmp_path / "born.field"
-    fields.write_field(str(qpath), fields.radial_bump_potential(grid, geom, 1e-3).field)
+    qpath = tmp_path / "strong.field"
+    fields.write_field(str(qpath), fields.radial_bump_potential(grid, geom, 400.0).field)
     rc = cli.main([
         "cgo-check", "--config", str(cfg), "--q1", str(qpath), "--q2", "zero",
-        "--variant", "thm3", "--xi", "2,0.5,-1", "--param", "8", "--k", "0.5",
+        "--variant", "thm3", "--xi", "2,0.5,-1", "--param", "1", "--k", "0.5",
         "--box-coarsen", "2",
     ])
     assert rc == cli.EXIT_NO_CONTRACTION
@@ -275,6 +297,23 @@ def test_rl_cli_subprocess(workdir):
     info = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(info["p_values"]) == 2
     assert out.read_text().startswith(SCHEMA_LINE)
+
+
+def test_rl_cli_in_process(workdir, capsys):
+    # the subcommand and write_rl_csv in this process: the schema line, the
+    # header, 12 samples per ray and a finite decay exponent on each ray
+    out = workdir["tmp"] / "rl_inproc.csv"
+    assert cli.main(["rl", "--config", str(workdir["cfg"]), "--q", str(workdir["qpath"]),
+                     "--rays", "3", "--seed", "4", "--out", str(out)]) == 0
+    p_values = json.loads(capsys.readouterr().out.strip())["p_values"]
+    assert len(p_values) == 3 and all(np.isfinite(p_values))
+    lines = out.read_text().splitlines()
+    assert lines[0] == SCHEMA_LINE
+    assert lines[1] == "ray,dx,dy,dz,t,ft_abs,p"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 3 * 12
+    assert [int(r[0]) for r in rows] == [i for i in range(3) for _ in range(12)]
+    assert [float(r[6]) for r in rows[::12]] == pytest.approx(p_values, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -575,3 +614,15 @@ def test_recover_without_annulus_estimates_fails(workdir, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("recovery failed: none of the ") and err.count("\n") == 1
     assert not (workdir["tmp"] / "none.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_fft_and_special():
+    # a fresh interpreter: numpy.fft serves every transform, so the CLI's
+    # import pulls in neither scipy.fft nor the scipy.special it imports
+    code = ("import sys, slabinv.cli; "
+            "print(' '.join(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'fft'], ['scipy', 'special'])))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -313,9 +313,9 @@ def test_runge_probe_target_refinement_study(geom, bump8):
         box = cgo.build_box_grid(geom, grid)
         q1_even = fields.extend_even(q1, box)
         q2_triv = fields.extend_trivial(fields.zero_potential(grid, geom), box)
-        pp = make_phase_pair(make_frame((1.0, 0.5, 0.0)), Variant.SINGLE_REFLECTION, 2.0)
-        probe = cgo.build_probe(grid, pp, cgo.box_source(q1_even, 0.0, grid),
-                                cgo.box_source(q2_triv, 0.0, grid))
+        pp = make_phase_pair(make_frame((1.0, 0.5, 0.0)), Variant.SINGLE_REFLECTION, 2.0, 0.0)
+        probe = cgo.build_probe(grid, pp, cgo.box_source(q1_even, grid),
+                                cgo.box_source(q2_triv, grid))
         target = GridField(
             grid, probe.u1.values * np.exp(probe.u1.log_offset))
         opq = HelmholtzOperator(grid, geom, 0.0, q1)

@@ -64,7 +64,7 @@ def test_frequency_set_windows():
 
 def test_pairing_zero_for_equal_potentials(geom, grid8, bump8, ws_single):
     ws = make_workspace(bump8, bump8, 0.0, Variant.SINGLE_REFLECTION)
-    pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0)
+    pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
     probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
     assert integral_pairing(ws.qdiff, probe) == 0
 
@@ -72,7 +72,7 @@ def test_pairing_zero_for_equal_potentials(geom, grid8, bump8, ws_single):
 def test_pairing_plane_wave_oracle(ws_single):
     # remainders forced to zero and no reflection: the pairing is exactly the
     # trapezoid transform at xi
-    pp = make_phase_pair(make_frame((1.5, -0.5, 0.5)), Variant.SINGLE_REFLECTION, 5.0)
+    pp = make_phase_pair(make_frame((1.5, -0.5, 0.5)), Variant.SINGLE_REFLECTION, 5.0, 0.0)
     probe = exponential_probe(ws_single.eval_grid, pp, ws_single.box_grid,
                               reflect1=False, reflect2=False)
     got = integral_pairing(ws_single.qdiff, probe)
@@ -92,7 +92,7 @@ def test_pairing_decay_in_param(geom, grid16):
     errs, params = [], (1.0, 1.5, 2.25, 3.375)
     want = true_transform(ws, xi)
     for param in params:
-        pp = make_phase_pair(make_frame(xi), Variant.SINGLE_REFLECTION, param)
+        pp = make_phase_pair(make_frame(xi), Variant.SINGLE_REFLECTION, param, 0.0)
         probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
         errs.append(abs(integral_pairing(ws.qdiff, probe) - want))
     slope = np.polyfit(np.log(params), np.log(errs), 1)[0]
@@ -137,7 +137,7 @@ def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
     res = estimate_fhat_annulus(ws, param, xis)
     assert len(res.estimates) == len(xis) and not res.failed
     for xi in xis:
-        pp = make_phase_pair(make_frame(xi), variant, param)
+        pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
         probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
         want = integral_pairing(ws.qdiff, probe)
         want += _cross_term_reference(ws.qdiff, probe.u1_reflected, probe.u2_direct)
@@ -168,6 +168,52 @@ def test_recover_builds_sources_once_per_workspace(born_pair8, monkeypatch):
     assert run.counts["n_annulus"] > 0 and calls["probe"] >= run.counts["n_annulus"]
     assert calls["workspace"] == 1
     assert calls["source"] == 2 * calls["workspace"]
+
+
+def test_continuation_samples_three_points_on_gamma0(born_pair8, monkeypatch):
+    # spacing 0.75: every low line is fitted on s = 1, 1.5, 2; s = 1.5 is an
+    # annulus frequency and reused, so each of the 20 lines costs 2 probes
+    batches, fits = [], []
+    orig_estimate, orig_extend = recovery.estimate_fhat_annulus, recovery.low_freq_extend
+    monkeypatch.setattr(recovery, "estimate_fhat_annulus",
+                        lambda ws, param, xis: batches.append(list(xis))
+                        or orig_estimate(ws, param, xis))
+    monkeypatch.setattr(recovery, "low_freq_extend",
+                        lambda s, *args: fits.append(np.asarray(s)) or orig_extend(s, *args))
+    run = recovery.recover(*born_pair8, 0.0, Variant.SINGLE_REFLECTION, r=2.25, param=8.0,
+                           lam=0.5, spacing=0.75, delta=1.0, basis_n=3, box_coarsen=2)
+    annulus, continued = batches
+    assert len(annulus) == run.counts["n_annulus"] == 100
+    assert len(continued) == 40
+    assert {round(math.hypot(x, y), 12) for x, y, _ in continued} == {1.0, 2.0}
+    assert len(fits) == 20
+    assert all(np.array_equal(s, [1.0, 1.5, 2.0]) for s in fits)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("k", [1.5, 2.5, 4.5])
+def test_annulus_estimates_at_nonzero_k(born_pair8, variant, k):
+    # the phases carry k, so every remainder source is -Q on its support:
+    # at the benchmark settings every annulus frequency is estimated, each
+    # as well as at k = 0
+    ws = make_workspace(*born_pair8, k, variant, box_coarsen=2)
+    xis = build_frequency_set(2.25, 0.75).annulus
+    res = estimate_fhat_annulus(ws, 8.0, xis)
+    assert not res.failed and len(res.estimates) == len(xis) == 100
+    worst = max(abs(est - true_transform(ws, xi)) / abs(true_transform(ws, xi))
+                for xi, est in res.estimates.items())
+    assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_recover_at_nonzero_k_meets_criterion_6(born_pair8, variant):
+    run = recovery.recover(*born_pair8, 2.5, variant, r=2.25, param=8.0, lam=0.5,
+                           spacing=0.75, delta=1.0, basis_n=3, box_coarsen=2)
+    assert run.counts["n_failed"] == 0 and run.counts["n_annulus"] == 100
+    assert not run.warnings
+    annulus = [xi for xi in run.estimates if math.hypot(xi[0], xi[1]) >= 1.0 - 1e-12]
+    worst = max(abs(run.estimates[xi] - run.oracle[xi]) / abs(run.oracle[xi]) for xi in annulus)
+    assert worst <= 0.10
 
 
 def test_estimator_error_decays_with_param(ws_single):
