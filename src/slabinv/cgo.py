@@ -314,10 +314,11 @@ def box_source(q_box: GridField, eval_grid: Grid3 | None = None) -> BoxSource:
                      to_block, from_block, rhs_blk, _frozen(from_block(rhs_blk)), to_window)
 
 
-def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
-                    residual_tol: float = 1e-8,
-                    projection_rel: float = 1e-8) -> tuple[GridField, RemainderReport]:
-    """Fixed-point solve of (-Lap - 2 rho . grad) psi = -Q (1 + psi).
+def remainder_fixed_point(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
+                          residual_tol: float = 1e-8, projection_rel: float = 1e-8
+                          ) -> tuple[np.ndarray | None, RemainderReport]:
+    """Fixed-point solve of (-Lap - 2 rho . grad) psi = -Q (1 + psi) in the
+    spectrum: (psi_hat, report), psi_hat None for a zero source.
 
     Spectral derivatives on the box; the inverse Fourier symbol
     1/(|zeta|^2 - 2 i rho . zeta) is applied with any remaining zero mode and
@@ -335,8 +336,8 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
     the pruned inverse DFT of psi_hat = mult * spec, the next spectrum the
     pruned DFT from the block, and the increment and L2 norm come from
     psi_hat by Parseval.  The last spectrum is the residual's right-hand
-    side.  Returns psi on the source's window, one pruned inverse DFT of
-    the last psi_hat.
+    side.  Callers that read only the report stop here; `solve_remainder`
+    also transforms psi_hat onto the source's window.
     """
     grid = source.grid
     rho = np.asarray(rho, dtype=np.complex128)
@@ -355,9 +356,7 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
             f"({projected / n_total:.2%} > 0.1%)"
         )
     if source.zero:
-        psi = GridField(source.window_grid,
-                        np.zeros(source.window_grid.node_shape, dtype=np.complex128))
-        return psi, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
+        return None, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
     # without projected modes the masks change no value, so skip them
     if projected:
         mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
@@ -403,8 +402,20 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
 
     grad_sq = float(np.vdot(zeta_sq, psi_hat.real ** 2 + psi_hat.imag ** 2)) * parseval
     h1 = math.sqrt(l2 ** 2 + grad_sq)
-    report = RemainderReport(l2, h1, it, projected, n_total, residual)
-    return GridField(source.window_grid, source.to_window(psi_hat)), report
+    return psi_hat, RemainderReport(l2, h1, it, projected, n_total, residual)
+
+
+def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
+                    residual_tol: float = 1e-8,
+                    projection_rel: float = 1e-8) -> tuple[GridField, RemainderReport]:
+    """psi on the source's window, one pruned inverse DFT of the spectrum of
+    `remainder_fixed_point` (zero for a zero source), and its report."""
+    psi_hat, report = remainder_fixed_point(rho, source, max_iter=max_iter,
+                                            residual_tol=residual_tol,
+                                            projection_rel=projection_rel)
+    shape = source.window_grid.node_shape
+    psi = np.zeros(shape, dtype=np.complex128) if psi_hat is None else source.to_window(psi_hat)
+    return GridField(source.window_grid, psi), report
 
 
 # -- probe assembly --------------------------------------------------------------
@@ -561,7 +572,7 @@ def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],
         try:
             pp = make_phase_pair(frame, variant, param, k)
             for src in sources:
-                solve_remainder(pp.rho1, src)
+                remainder_fixed_point(pp.rho1, src)
             return c0, param
         except (ContractionError, ProjectionError):
             c0 *= 2

@@ -33,7 +33,6 @@ from .forward import (
     SolveError,
     l2_omega,
     neumann_trace,
-    omega_rows,
     require_admissible,
     solve_dirichlet,
 )
@@ -96,17 +95,29 @@ class BoundaryBasis:
         return basis
 
     def attach_triple_gram(self, op0: HelmholtzOperator,
-                           u: GridField | None = None) -> np.ndarray:
-        """Gram matrix S^T W S of the free solutions in L^2 over the truncated
-        domain, from one block solve, or from `u` when that block of free
-        solutions, solve_dirichlet(op0, self.block), is already at hand.
+                           u: np.ndarray | None = None) -> np.ndarray:
+        """Gram matrix of the free solutions in L^2 over the truncated domain.
 
-        op0 must carry q = 0.
+        Every active node of positive weight is an interior node of weight
+        h^3, the top plate carries the data with weight h^3 / 2 where
+        |x'| < R_lat, and the bottom plate carries zero, so the Gram is
+        h^3 U U^T + (h^3 / 2) F F^T: U the free solutions on those active
+        nodes and F the data on those plate nodes.  `u` is the
+        (len(self), n_active) block of free solutions on op0's active nodes
+        when already at hand (`active_solutions(op0, self)`); else it is
+        solved for.  op0 must carry q = 0.
         """
         if op0.q is not None and np.max(np.abs(op0.q.field.values)) > 0:
             raise ValueError("triple Gram requires the zero potential")
-        rows = omega_rows(solve_dirichlet(op0, self.block) if u is None else u, op0.geom)
-        self.gram_triple = np.real(rows.conj() @ rows.T)
+        if u is None:
+            u = active_solutions(op0, self)
+        grid = op0.grid
+        inside = grid.lateral_radius()[:, :, 0] < op0.geom.R_lat
+        live = np.broadcast_to(inside[:, :, None], grid.node_shape)[op0.active]
+        f = self.block.plate_values(grid)[:, inside]
+        h3 = grid.h ** 3
+        self.gram_triple = (h3 * _gram(u if live.all() else u[:, live])
+                            + 0.5 * h3 * _gram(f if np.any(f.imag) else f.real))
         cond = np.linalg.cond(self.gram_triple)
         logger.info("triple-norm Gram condition %.3e at k=%g", cond, op0.k)
         return self.gram_triple
@@ -144,6 +155,51 @@ class BoundaryBasis:
             eye = np.eye(len(g))
             self._triple_cache = (g, scipy.linalg.solve_triangular(low, eye, lower=True).T)
         return self._triple_cache[1]
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """The real Gram matrix of the rows of `a`; for a real block one a @ a.T
+    product, which BLAS computes as syrk, so it is exactly symmetric."""
+    return np.real(a.conj() @ a.T) if np.iscomplexobj(a) else a @ a.T
+
+
+# basis columns per block solve: a solve's right-hand side, solution and
+# node block are O(CHUNK), however large the basis
+CHUNK = 16
+
+
+def _walk(n: int, solve):
+    """(cols, solve(cols)) over the n basis columns in slices of CHUNK; a
+    SolveError names the failing columns by their index in the basis."""
+    for lo in range(0, n, CHUNK):
+        cols = slice(lo, min(lo + CHUNK, n))
+        try:
+            out = solve(cols)
+        except SolveError as exc:
+            columns = [lo + c for c in exc.columns]
+            raise SolveError(f"DN column(s) {columns} failed (block of columns "
+                             f"{lo}..{cols.stop - 1}): {exc}",
+                             residual_history=exc.residual_history, columns=columns) from exc
+        yield cols, out
+
+
+def _solve_columns(op: HelmholtzOperator, basis: "BoundaryBasis"):
+    """cols -> solve_dirichlet(op, the data of basis columns cols)."""
+    return lambda cols: solve_dirichlet(op, basis.block.copy_with(basis.block.values[cols]))
+
+
+def active_solutions(op: HelmholtzOperator, basis: "BoundaryBasis",
+                     rows: np.ndarray | None = None) -> np.ndarray:
+    """(len(basis), n_active) block of the solutions of op with the basis
+    data on op's active nodes (only their `rows` when given), from one
+    solve_dirichlet call per CHUNK columns; real for real data."""
+    n = op.n_active if rows is None else len(rows)
+    real = not np.any(basis.block.values.imag)
+    out = np.empty((len(basis), n), dtype=np.float64 if real else np.complex128)
+    for cols, u in _walk(len(basis), _solve_columns(op, basis)):
+        vals = u.values[..., op.active]
+        out[cols] = vals if rows is None else vals[:, rows]
+    return out
 
 
 def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
@@ -223,20 +279,18 @@ class DnOperator:
 
 def assemble_dn(op: HelmholtzOperator, basis: BoundaryBasis,
                 target: BoundaryPatch, q_label: str = "",
-                u: GridField | None = None) -> DnOperator:
-    """One block solve over the basis, or the block `u` of solutions
-    solve_dirichlet(op, basis.block) when already at hand; deterministic
-    given equal inputs."""
+                solve=None) -> DnOperator:
+    """The DN matrix over the basis, CHUNK columns at a time: each block of
+    solutions is traced on the target patch, written into its columns and
+    dropped.  `solve(cols)` gives the GridField block of solutions with the
+    data of basis columns `cols`, by default solve_dirichlet with op.  A
+    SolveError names failing columns by their index in the basis and
+    carries the residuals of their block.  Deterministic given equal inputs.
+    """
     tsq = bounding_square(op.grid, target)
-    if u is None:
-        try:
-            u = solve_dirichlet(op, basis.block)
-        except SolveError as exc:
-            raise SolveError(f"DN column(s) {exc.columns} failed: {exc}",
-                             residual_history=exc.residual_history,
-                             columns=exc.columns) from exc
-    tr = neumann_trace(u, target)
-    matrix = np.ascontiguousarray(tr.values.reshape(len(basis), -1).T)
+    matrix = np.empty((tsq.node_shape[0] * tsq.node_shape[1], len(basis)), dtype=np.complex128)
+    for cols, u in _walk(len(basis), solve or _solve_columns(op, basis)):
+        matrix[:, cols] = neumann_trace(u, target).values.reshape(len(u.values), -1).T
     return DnOperator(matrix, basis, target, tsq, op.k, q_label)
 
 
@@ -244,28 +298,42 @@ def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
                      q2: Potential, plate: Plate, basis_n: int):
     """(src_basis with its triple Gram, tgt_basis, d): d = Lambda_q1 - Lambda_q2
     from the Dirichlet patch to the Neumann patch on `plate` is the trace of w,
-    A1 w = -(q1 - q2) u2 with zero data, u2 the block of q2 solutions (for a
-    zero q2 the free block that the Gram needs too), so no two maps cancel."""
-    op0 = HelmholtzOperator(grid, geom, k, None)
-    op1, op2 = (HelmholtzOperator(grid, geom, k, q) if np.any(q.field.values) else op0
+    A1 w = -(q1 - q2) u2 with zero data, u2 the block of q2 solutions, so no
+    two maps cancel.
+
+    One basis-wide array is alive at a time: the free solutions U on the
+    active nodes, which give the triple Gram and, for a zero q2, u2; then
+    only the rows of u2 where q1 - q2 is nonzero, the rest of the
+    right-hand side being zero.  The free factor goes before op1's is made,
+    and w is solved, traced and dropped CHUNK columns at a time.
+    """
+    free = HelmholtzOperator(grid, geom, k, None)
+    op1, op2 = (HelmholtzOperator(grid, geom, k, q) if np.any(q.field.values) else free
                 for q in (q1, q2))
     src = build_boundary_basis(grid, dirichlet_patch(geom), basis_n)
     target = neumann_patch(geom, plate)
     tgt = build_boundary_basis(grid, target, basis_n)
-    u2 = solve_dirichlet(op0, src.block)
-    src.attach_triple_gram(op0, u2)
-    if op2 is not op0:
-        u2 = solve_dirichlet(op2, src.block)
-    del op0, op2  # peak memory: the free factor, then the node block, go before the w solve
-    qdiff = (q1.field.values - q2.field.values).real[op1.active]
-    rhs = np.multiply(-qdiff[:, None], u2.values[..., op1.active].T, order="C")
-    del u2
+    u = active_solutions(free, src)
+    src.attach_triple_gram(free, u)
+    qdiff = (q1.field.values - q2.field.values).real[free.active]
+    support = np.flatnonzero(qdiff)
+    if op2 is free:
+        u = u[:, support]
+    else:
+        del u  # the free block goes before the q2 solves
+        u = active_solutions(op2, src, support)
+    del free, op2  # the free factor goes before op1's is made, unless op1 is free
     require_admissible(op1)
-    u = op1.solve_interior(rhs)
-    del rhs
-    w = np.zeros((len(src),) + grid.node_shape)
-    w[..., op1.active] = u.T
-    return src, tgt, assemble_dn(op1, src, target, u=GridField(grid, w))
+    source = -qdiff[support, None]
+
+    def solve_w(cols):
+        rhs = np.zeros((op1.n_active, cols.stop - cols.start))
+        rhs[support] = source * u[cols].T
+        w = np.zeros((rhs.shape[1],) + grid.node_shape)
+        w[..., op1.active] = op1.solve_interior(rhs).T
+        return GridField(grid, w)
+
+    return src, tgt, assemble_dn(op1, src, target, solve=solve_w)
 
 
 # -- the operator norm ----------------------------------------------------------

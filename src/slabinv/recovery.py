@@ -251,13 +251,16 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
     return AnnulusResult(estimates, failed)
 
 
-def true_transform(ws: ProbeWorkspace, xi) -> complex:
-    """Direct-quadrature target value: FT(q1-q2), or the even-extension version."""
-    xi = np.asarray(xi, dtype=float)
-    if ws.variant is Variant.SINGLE_REFLECTION:
-        return complex(ws.qdiff_ft(xi))
-    mirrored = np.array([xi[0], xi[1], -xi[2]])
-    return complex(ws.qdiff_ft(xi) + ws.qdiff_ft(mirrored))
+def true_transform(ws: ProbeWorkspace, xis):
+    """Direct-quadrature target values, FT(q1-q2) or the even-extension
+    version, at one frequency (a complex) or at the rows of an (n, 3) array
+    (an array, from one batch per transform)."""
+    xis = np.asarray(xis, dtype=float)
+    batch = xis.reshape(-1, 3)
+    out = ws.qdiff_ft.batch(batch)
+    if ws.variant is Variant.DOUBLE_REFLECTION:
+        out += ws.qdiff_ft.batch(batch * np.array([1.0, 1.0, -1.0]))
+    return complex(out[0]) if xis.ndim == 1 else out
 
 
 # -- analytic continuation to low lateral frequencies ------------------------------
@@ -317,27 +320,37 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
     Fits f(s) = integral over |t| <= A of F(t) exp(i s t) dt by Tikhonov-
     regularized least squares on the Gamma0 samples, evaluates the model on
     gamma, and returns the certified interpolation bound
-    sup_gamma <= c0 * sup_G^(1-lam) * sup_Gamma0^lam.
+    sup_gamma <= c0 * sup_G^(1-lam) * sup_Gamma0^lam.  f_samples of shape
+    (n, L) are L lines sampled at the same s: they share one design, normal
+    matrix, condition number and solve, and values (len(s_eval), L),
+    sup_gamma0 and the bound (both (L,)) hold one column or entry per line.
     """
     s_samples = np.asarray(s_samples, dtype=float)
     f_samples = np.asarray(f_samples, dtype=np.complex128)
     if not s_samples.size:
         raise ContinuationError("no samples to fit")
     design, _ = _design_matrix(s_samples, cfg.model_halfwidth, cfg.n_quad)
-    normal = np.conj(design.T) @ design + cfg.tikhonov * np.eye(design.shape[1])
+    design_h = np.conj(design.T)
+    normal = design_h @ design + cfg.tikhonov * np.eye(design.shape[1])
     condition = float(np.linalg.cond(normal))
     if condition > 1e12:
         raise ContinuationError(
             f"continuation fit condition {condition:.3e} > 1e12; increase tikhonov"
         )
-    coef = scipy.linalg.solve(normal, np.conj(design.T) @ f_samples, assume_a="her")
+    # one matrix-vector product per line: at conditions near 1e12 a
+    # matrix-matrix product, rounding the right-hand sides differently,
+    # moves the continued values by about 1e-8 relative
+    lines = np.ascontiguousarray(f_samples.reshape(len(f_samples), -1).T)
+    coef = scipy.linalg.solve(normal, np.stack([design_h @ f for f in lines], axis=1),
+                              assume_a="her")
     eval_design, _ = _design_matrix(np.asarray(s_eval, dtype=float),
                                     cfg.model_halfwidth, cfg.n_quad)
-    values = eval_design @ coef
-    sup_gamma0 = float(np.max(np.abs(f_samples)))
+    values = (eval_design @ coef).reshape(len(eval_design), *f_samples.shape[1:])
+    sup_gamma0 = np.max(np.abs(f_samples), axis=0)
     bound = cfg.c0 * sup_g_bound ** (1.0 - cfg.lam) * sup_gamma0 ** cfg.lam
-    return LowFreqResult(np.asarray(s_eval, float), values, float(bound),
-                         sup_gamma0, condition)
+    if f_samples.ndim == 1:
+        sup_gamma0, bound = float(sup_gamma0), float(bound)
+    return LowFreqResult(np.asarray(s_eval, float), values, bound, sup_gamma0, condition)
 
 
 def _synthetic_coefficients(halfwidth: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -544,8 +557,9 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
     over Gamma0 never rests on two samples; at spacing 1/m they are
     s = 1, 1 + spacing, ..., 2.  Samples that are annulus frequencies reuse
     `known`; the others are estimated in one batch.  Each line is fitted on
-    its successful samples only; failed samples and lines whose fit fails are
-    skipped and reported in `warnings`.
+    its successful samples only, and the lines with the same successful
+    samples in one `low_freq_extend` call; failed samples, and the lines of
+    a fit that fails, are skipped and reported in `warnings`, one per line.
     """
     s_grid = np.linspace(1.0, 2.0, max(3, math.floor(1.0 / spacing + 1e-9) + 1))
     lines: dict = {}
@@ -561,19 +575,23 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
                     for xi, msg in res.failed.items())
     found = {**known, **res.estimates}
     sup_g = ws.qdiff_l1 * math.exp(2.0 * cfg.model_halfwidth)
-    out = {}
+    groups: dict = {}  # successful sample indices -> the lines sampled there
     for d, keys in samples.items():
-        ok = [i for i, xi in enumerate(keys) if xi in found]
-        points = lines[d]
-        s_eval = np.asarray([math.hypot(p[0], p[1]) for p in points])
+        groups.setdefault(tuple(i for i, xi in enumerate(keys) if xi in found), []).append(d)
+    out = {}
+    for ok, dirs in groups.items():
+        s_eval = np.unique([math.hypot(p[0], p[1]) for d in dirs for p in lines[d]])
+        f = np.array([[found[samples[d][i]] for d in dirs] for i in ok], dtype=np.complex128)
         try:
-            ext = low_freq_extend(s_grid[ok], np.asarray([found[keys[i]] for i in ok]),
-                                  cfg, s_eval, sup_g)
+            ext = low_freq_extend(s_grid[list(ok)], f.reshape(len(ok), len(dirs)), cfg,
+                                  s_eval, sup_g)
         except ContinuationError as exc:
-            warnings.append(f"continuation line {d} skipped: {exc}")
+            warnings.extend(f"continuation line {d} skipped: {exc}" for d in dirs)
             continue
-        for p, val in zip(points, ext.values):
-            out[(float(p[0]), float(p[1]), float(p[2]))] = complex(val)
+        for j, d in enumerate(dirs):
+            for p in lines[d]:
+                row = np.searchsorted(s_eval, math.hypot(p[0], p[1]))
+                out[(float(p[0]), float(p[1]), float(p[2]))] = complex(ext.values[row, j])
     return out
 
 
@@ -631,7 +649,7 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
             fhat[xi] = sum(vals) / len(vals)
             n_axis += 1
     estimates = {xi: fhat[xi] for xi in sorted(fhat)}
-    oracle = {xi: true_transform(ws, xi) for xi in estimates}
+    oracle = dict(zip(estimates, map(complex, true_transform(ws, np.array(list(estimates))))))
     name = next(n for n, v in VARIANTS.items() if v is variant)
     bounds = assemble_bounds(
         estimates, r, min(q1.sobolev_s, q2.sobolev_s), max(q1.bound_M, q2.bound_M),

@@ -824,6 +824,27 @@ def test_calibrate_min_param_doubles_c0(geom, grid8):
         calibrate_min_param([qb], 0.5, [0.75], max_c0=2)
 
 
+def test_report_only_solves_skip_the_window_transform(geom, grid8, bump8, box, monkeypatch):
+    # the fixed point gives the report and the spectrum; solve_remainder adds
+    # only the pruned inverse DFT onto the window, which calibrate_min_param
+    # (a report-only caller on the whole box) never pays for
+    pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
+    source = box_source(extend_even(bump8, box))
+    psi_hat, rep = cgo.remainder_fixed_point(pp.rho1, source)
+    psi, solved = solve_remainder(pp.rho1, source)
+    assert rep == solved and rep.iterations > 0
+    assert np.array_equal(psi.values, source.to_window(psi_hat))
+    zero = box_source(GridField(box, np.zeros(box.node_shape, dtype=np.complex128)))
+    zero_hat, zero_rep = cgo.remainder_fixed_point(pp.rho1, zero)
+    assert zero_hat is None and zero_rep.iterations == 0
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("report-only caller solved for psi")
+
+    monkeypatch.setattr(cgo, "solve_remainder", no_window)
+    assert calibrate_min_param([extend_even(bump8, box)], 0.0, [bump8.bound_M])[0] >= 1
+
+
 def test_exponential_probe_matches_build(geom, grid8, box):
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
     pp = make_phase_pair(make_frame((1.0, 0.4, 0.2)), Variant.SINGLE_REFLECTION, 2.0, 0.0)

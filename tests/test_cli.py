@@ -366,7 +366,8 @@ def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
     monkeypatch.undo()
 
     # the same sweep with a separately built and factorized q2 operator: d is
-    # the trace of w, A1 w = -(q1 - q2) u2, with u2 the block of q2 solutions
+    # the trace of w, A1 w = -(q1 - q2) u2, with u2 the q2 solutions on the
+    # nodes where q1 - q2 is nonzero, solved and traced block by block
     geom, grid = sweep_inputs["geom"], sweep_inputs["grid"]
     q1 = fields.read_potential(str(sweep_inputs["tmp"] / "q1.field"), geom)
     q2 = fields.zero_potential(grid, geom)
@@ -375,11 +376,18 @@ def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
     target = geometry.neumann_patch(geom, geometry.Plate.BOTTOM)
     tgt = dnmap.build_boundary_basis(grid, target, 3)
     op1 = forward.HelmholtzOperator(grid, geom, 0.0, q1)
-    u2 = forward.solve_dirichlet(forward.HelmholtzOperator(grid, geom, 0.0, q2), src.block)
     qdiff = (q1.field.values - q2.field.values).real[op1.active]
-    w = np.zeros((len(src),) + grid.node_shape)
-    w[..., op1.active] = op1.solve_interior(-qdiff[:, None] * u2.values[..., op1.active].T).T
-    d = dnmap.assemble_dn(op1, src, target, u=fields.GridField(grid, w))
+    live = np.flatnonzero(qdiff)
+    u2 = dnmap.active_solutions(forward.HelmholtzOperator(grid, geom, 0.0, q2), src, live)
+
+    def solve_w(cols):
+        rhs = np.zeros((op1.n_active, cols.stop - cols.start))
+        rhs[live] = -qdiff[live, None] * u2[cols].T
+        w = np.zeros((rhs.shape[1],) + grid.node_shape)
+        w[..., op1.active] = op1.solve_interior(rhs).T
+        return fields.GridField(grid, w)
+
+    d = dnmap.assemble_dn(op1, src, target, solve=solve_w)
     records, theta_fit = harness.stability_sweep(
         q1, q2, 0.0, recovery.Variant.SINGLE_REFLECTION, [1e-3, 1e-6], 1, 3,
         src_basis=src, tgt_basis=tgt, d=d, delta=1.0)
@@ -526,28 +534,47 @@ def test_recover_fits_lines_on_successful_samples(workdir, capsys, monkeypatch):
 
 
 def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
+    # the middle sample of the line through (0.5, 0.5, 0) fails, so that line
+    # is fitted on its own (s = 1, 2) and every other line in one fit on
+    # s = 1, 1.5, 2; a failed fit skips the lines of its group, one warning each
+    d = round(1.0 / np.sqrt(2.0), 9)
+    failing = (float(1.5 * d), float(1.5 * d), 0.0)
+    orig_probe, orig_extend = recovery.build_probe, recovery.low_freq_extend
+
+    def probe(eval_grid, phase, *args, **kwargs):
+        if tuple(phase.xi) == failing:
+            raise cgo.ContractionError("remainder iteration is not contracting")
+        return orig_probe(eval_grid, phase, *args, **kwargs)
+
+    monkeypatch.setattr(recovery, "build_probe", probe)
     summary, rows = _recover_cli(workdir, capsys, "recover_all", _CONTINUED)
-    orig = recovery.low_freq_extend
-    calls = []
+    xis = {row[:3] for row in rows}
+    low = {xi for xi in xis if 0 < np.hypot(xi[0], xi[1]) < 1}
 
-    def extend(*args):
-        calls.append(1)
-        if len(calls) == 1:
-            raise recovery.ContinuationError("continuation fit condition 1e13 > 1e12")
-        return orig(*args)
+    def direction(x, y, z):
+        return round(x / np.hypot(x, y), 9), round(y / np.hypot(x, y), 9), z
 
-    monkeypatch.setattr(recovery, "low_freq_extend", extend)
-    skipped_summary, kept = _recover_cli(workdir, capsys, "recover_line", _CONTINUED)
-    assert skipped_summary["warnings"] == [
-        w for w in skipped_summary["warnings"] if w.startswith("continuation line ")]
-    assert len(skipped_summary["warnings"]) == 1
-    xis, kept_xis = {row[:3] for row in rows}, {row[:3] for row in kept}
-    missing = xis - kept_xis
-    assert kept_xis < xis
-    # the skipped frequencies are the low frequencies of one frame line
-    assert all(0 < np.hypot(x, y) < 1 for x, y, _ in missing)
-    assert len({(round(x / np.hypot(x, y), 9), round(y / np.hypot(x, y), 9), z)
-                for x, y, z in missing}) == 1
+    for n_samples, lines in ((2, 1), (3, len({direction(*xi) for xi in low}) - 1)):
+        fits = []
+
+        def extend(s, *args, n_samples=n_samples):
+            fits.append(len(s))
+            if len(s) == n_samples:
+                raise recovery.ContinuationError("continuation fit condition 1e13 > 1e12")
+            return orig_extend(s, *args)
+
+        monkeypatch.setattr(recovery, "low_freq_extend", extend)
+        skipped_summary, kept = _recover_cli(workdir, capsys, f"recover_{n_samples}", _CONTINUED)
+        assert sorted(fits) == [2, 3]
+        skipped = [w for w in skipped_summary["warnings"] if w.startswith("continuation line ")]
+        assert len(skipped) == lines
+        # the skipped frequencies are the low frequencies of the group's lines
+        # (and the axis points whose neighbours all went with them)
+        missing = {xi for xi in xis - {row[:3] for row in kept} if np.hypot(xi[0], xi[1]) > 0}
+        assert missing < low
+        assert len({direction(*xi) for xi in missing}) == lines
+        assert ((direction(0.5, 0.5, 0.0) in {direction(*xi) for xi in missing})
+                == (n_samples == 2))
 
 
 # -- bad options fail at the boundary ------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,6 +490,23 @@ def test_assemble_dn_names_failing_column(geom, grid8, masked_bases, monkeypatch
     assert info.value.columns == [3]
 
 
+def test_failing_column_beyond_first_chunk_named_by_basis_index(geom, grid8, born_pair8,
+                                                                monkeypatch):
+    # 25 columns: one full chunk and a partial one; column 20 is column 4 of
+    # the second block and is named by its index in the basis
+    src = build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 5)
+    assert dnmap.CHUNK < 20 < len(src) < 2 * dnmap.CHUNK
+    corrupt_datum(monkeypatch, src.functions[20])
+    target = geometry.neumann_patch(geom, Plate.BOTTOM)
+    with pytest.raises(forward.SolveError, match=r"DN column\(s\) \[20\] failed") as info:
+        assemble_dn(HelmholtzOperator(grid8, geom, 0.0, None), src, target)
+    assert info.value.columns == [20]
+    assert len(info.value.residual_history) == len(src) - dnmap.CHUNK
+    with pytest.raises(forward.SolveError, match=r"DN column\(s\) \[20\] failed") as info:
+        dnmap.measurement_pair(grid8, geom, 0.0, *born_pair8, Plate.BOTTOM, 5)
+    assert info.value.columns == [20]
+
+
 def _star_norm_reference(matrix, src, tgt):
     """The star norm with every per-basis invariant recomputed in the call
     (the real test whitener applied to the float64 view of the matrix)."""
@@ -583,30 +601,84 @@ def test_whiteners_formed_once_per_basis(geom, grid8, op0_8, monkeypatch):
     assert counts == {"cho_factor": 1, "cholesky": 2}
 
 
-@pytest.mark.parametrize("q2_amplitude, solves", [(0.0, 2), (0.5, 3)])
-def test_measurement_pair_block_solves(geom, q2_amplitude, solves, monkeypatch):
+@pytest.mark.parametrize("q2_amplitude, phases", [(0.0, 2), (0.5, 3)])
+def test_measurement_pair_block_solves(geom, q2_amplitude, phases, monkeypatch):
+    # one solve per chunk of at most CHUNK columns in each phase: the free
+    # block (also u2 for a zero q2), the q2 block and the w block; 9 columns
+    # make one chunk, 25 two
     grid = geometry.build_domain(geom, 0.25)
     q1 = fields.radial_bump_potential(grid, geom, 1.0)
     q2 = (fields.radial_bump_potential(grid, geom, q2_amplitude) if q2_amplitude
           else fields.zero_potential(grid, geom))
-    calls = []
-    orig = HelmholtzOperator.solve_interior
-    monkeypatch.setattr(HelmholtzOperator, "solve_interior",
-                        lambda self, rhs: calls.append(rhs.shape) or orig(self, rhs))
-    src, _, d = dnmap.measurement_pair(grid, geom, 0.0, q1, q2, Plate.BOTTOM, 3)
-    assert len(calls) == solves
-    assert all(shape[1:] == (len(src),) for shape in calls)
-    monkeypatch.undo()
-    # the same triple Gram as a separate solve, and d = Lambda_q1 - Lambda_q2
-    # to round-off: with amplitude-1 potentials the two maps do not cancel
-    ref = build_boundary_basis(grid, geometry.dirichlet_patch(geom), 3)
-    op0 = HelmholtzOperator(grid, geom, 0.0, None)
-    assert np.array_equal(src.gram_triple, ref.attach_triple_gram(op0))
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
-    dn1, dn2 = (assemble_dn(HelmholtzOperator(grid, geom, 0.0, q), ref, target).matrix
-                for q in (q1, q2))
-    assert np.max(np.abs(d.matrix - (dn1 - dn2))) <= 1e-12 * np.max(np.abs(d.matrix))
-    assert np.max(np.abs(d.matrix)) > 1e-3 * np.max(np.abs(dn1))
+    for basis_n in (3, 5):
+        calls = []
+        orig = HelmholtzOperator.solve_interior
+        monkeypatch.setattr(HelmholtzOperator, "solve_interior",
+                            lambda self, rhs: calls.append(rhs.shape) or orig(self, rhs))
+        src, _, d = dnmap.measurement_pair(grid, geom, 0.0, q1, q2, Plate.BOTTOM, basis_n)
+        monkeypatch.undo()
+        assert len(calls) == phases * -(-len(src) // dnmap.CHUNK)
+        widths = [shape[1] for shape in calls]
+        assert max(widths) <= dnmap.CHUNK and sum(widths) == phases * len(src)
+        # the same triple Gram as a separate solve, and d = Lambda_q1 - Lambda_q2
+        # to round-off: with amplitude-1 potentials the two maps do not cancel
+        ref = build_boundary_basis(grid, geometry.dirichlet_patch(geom), basis_n)
+        op0 = HelmholtzOperator(grid, geom, 0.0, None)
+        assert np.array_equal(src.gram_triple, ref.attach_triple_gram(op0))
+        dn1, dn2 = (assemble_dn(HelmholtzOperator(grid, geom, 0.0, q), ref, target).matrix
+                    for q in (q1, q2))
+        assert np.max(np.abs(d.matrix - (dn1 - dn2))) <= 1e-12 * np.max(np.abs(d.matrix))
+        assert np.max(np.abs(d.matrix)) > 1e-3 * np.max(np.abs(dn1))
+
+
+def _measurement_pair_full_block(grid, geom, k, q1, q2, plate, basis_n):
+    """(triple Gram, d) from whole-basis node blocks: the free block and its
+    omega-weighted rows, the q2 block, the w node block and its trace."""
+    op0 = HelmholtzOperator(grid, geom, k, None)
+    src = build_boundary_basis(grid, geometry.dirichlet_patch(geom), basis_n)
+    u0 = solve_dirichlet(op0, src.block)
+    rows = forward.omega_rows(u0, geom)
+    gram = np.real(rows.conj() @ rows.T)
+    u2 = solve_dirichlet(HelmholtzOperator(grid, geom, k, q2), src.block)
+    op1 = HelmholtzOperator(grid, geom, k, q1)
+    qdiff = (q1.field.values - q2.field.values).real[op1.active]
+    w = np.zeros((len(src),) + grid.node_shape)
+    w[..., op1.active] = op1.solve_interior(-qdiff[:, None] * u2.values[..., op1.active].T).T
+    tr = forward.neumann_trace(fields.GridField(grid, w), geometry.neumann_patch(geom, plate))
+    return gram, tr.values.reshape(len(src), -1).T
+
+
+@pytest.mark.parametrize("target_h", [0.25, 0.125])
+@pytest.mark.parametrize("k", [0.0, 4.5])
+@pytest.mark.parametrize("q2_amplitude", [0.0, 0.5])
+@pytest.mark.parametrize("plate", [Plate.BOTTOM, Plate.TOP])
+def test_measurement_pair_matches_full_block_oracle(geom, target_h, k, q2_amplitude, plate):
+    # 25 basis columns: one full chunk and a partial one
+    grid = geometry.build_domain(geom, target_h)
+    q1 = fields.radial_bump_potential(grid, geom, 1.0)
+    q2 = (fields.radial_bump_potential(grid, geom, q2_amplitude) if q2_amplitude
+          else fields.zero_potential(grid, geom))
+    src, _, d = dnmap.measurement_pair(grid, geom, k, q1, q2, plate, 5)
+    assert len(src) % dnmap.CHUNK
+    gram, ref = _measurement_pair_full_block(grid, geom, k, q1, q2, plate, 5)
+    assert np.max(np.abs(d.matrix - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(src.gram_triple - gram)) <= 1e-13 * np.max(np.abs(gram))
+    assert np.array_equal(src.gram_triple, src.gram_triple.T)
+
+
+def test_measurement_pair_memory(geom, grid8, born_pair8):
+    # the bench sweep settings (h = 1/8, 144 columns): one basis-wide array,
+    # the free solutions on the active nodes (6.4 MB); the parent's
+    # whole-basis node blocks peaked at 28.4 MB
+    dnmap.measurement_pair(grid8, geom, 0.0, *born_pair8, Plate.BOTTOM, 12)  # warm caches
+    tracemalloc.start()
+    try:
+        dnmap.measurement_pair(grid8, geom, 0.0, *born_pair8, Plate.BOTTOM, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, f"measurement_pair peaked at {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("target_h, n_modes", [(0.25, 3), (0.125, 12)])

@@ -170,6 +170,23 @@ def test_recover_builds_sources_once_per_workspace(born_pair8, monkeypatch):
     assert calls["source"] == 2 * calls["workspace"]
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_true_transform_batch_matches_single(born_pair8, variant, monkeypatch):
+    ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
+    xis = np.array(build_frequency_set(2.25, 0.75).annulus[:70])  # two chunks of `batch`
+    batch = true_transform(ws, xis)
+    single = np.array([true_transform(ws, xi) for xi in xis])
+    assert isinstance(true_transform(ws, xis[0]), complex) and batch.shape == (70,)
+    assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-14
+    # recover asks the oracle once, for every estimate
+    calls = []
+    monkeypatch.setattr(recovery, "true_transform",
+                        lambda ws, xis: calls.append(np.shape(xis)) or true_transform(ws, xis))
+    run = recovery.recover(*born_pair8, 0.0, variant, r=2.25, param=8.0, lam=0.5,
+                           spacing=0.75, delta=1.0, basis_n=3, box_coarsen=2)
+    assert calls == [(len(run.estimates), 3)]
+
+
 def test_continuation_samples_three_points_on_gamma0(born_pair8, monkeypatch):
     # spacing 0.75: every low line is fitted on s = 1, 1.5, 2; s = 1.5 is an
     # annulus frequency and reused, so each of the 20 lines costs 2 probes
@@ -179,15 +196,17 @@ def test_continuation_samples_three_points_on_gamma0(born_pair8, monkeypatch):
                         lambda ws, param, xis: batches.append(list(xis))
                         or orig_estimate(ws, param, xis))
     monkeypatch.setattr(recovery, "low_freq_extend",
-                        lambda s, *args: fits.append(np.asarray(s)) or orig_extend(s, *args))
+                        lambda s, f, *args: fits.append((np.asarray(s), np.shape(f)))
+                        or orig_extend(s, f, *args))
     run = recovery.recover(*born_pair8, 0.0, Variant.SINGLE_REFLECTION, r=2.25, param=8.0,
                            lam=0.5, spacing=0.75, delta=1.0, basis_n=3, box_coarsen=2)
     annulus, continued = batches
     assert len(annulus) == run.counts["n_annulus"] == 100
     assert len(continued) == 40
     assert {round(math.hypot(x, y), 12) for x, y, _ in continued} == {1.0, 2.0}
-    assert len(fits) == 20
-    assert all(np.array_equal(s, [1.0, 1.5, 2.0]) for s in fits)
+    # every line succeeded on the same three samples: one fit for all 20
+    assert len(fits) == 1
+    assert np.array_equal(fits[0][0], [1.0, 1.5, 2.0]) and fits[0][1] == (3, 20)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
