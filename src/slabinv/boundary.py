@@ -136,13 +136,6 @@ def from_plate_values(grid: Grid3, patch: BoundaryPatch, plate_vals: np.ndarray,
     return bf.masked() if apply_mask else bf
 
 
-def l2_inner(a: BoundaryField, b: BoundaryField) -> complex:
-    """Discrete plate L^2 pairing h^2 * sum conj(a) b on a shared square."""
-    if a.square != b.square:
-        raise BoundaryError("boundary fields live on different squares")
-    return complex(a.square.h ** 2 * np.vdot(a.values, b.values))
-
-
 # --- bounding-square sine spectrum ------------------------------------------
 #
 # The interior nodes of the square carry the discrete sine basis

@@ -61,6 +61,21 @@ def _require(checks: dict) -> None:
             raise SystemExit(message)
 
 
+# lower bound of each numeric option and whether the bound itself is allowed,
+# checked on every subcommand that has the option before any input is read
+LOWER_BOUNDS = {"k": (0, True), "delta": (0, False), "spacing": (0, False),
+                "box_coarsen": (1, True), "basis_n": (1, True), "test_n": (1, True),
+                "trials": (1, True), "rays": (1, True)}
+
+
+def _check_bounds(args) -> None:
+    for name, (low, closed) in LOWER_BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and not (value >= low if closed else value > low):
+            raise SystemExit(f"--{name.replace('_', '-')} must be "
+                             + (f">= {low}" if closed else "positive"))
+
+
 def _cmd_forward(args) -> int:
     geom, grid = _load_setup(args.config)
     q = _load_potential(args.q, geom, grid)
@@ -100,17 +115,19 @@ def _cmd_dnnorm(args) -> int:
 
 
 def _cmd_cgo_check(args) -> int:
+    variant = recovery.VARIANTS[args.variant]
+    xi = np.asarray(_floats(args.xi, "--xi", 3))
+    _require({"--param must be >= 1": args.param >= 1})
+    try:
+        phase = cgo.make_phase_pair(cgo.make_frame(xi), variant, args.param, args.k)
+    except cgo.FrameError as exc:  # no lateral part, or k too large for the alpha-family
+        raise SystemExit(f"--xi {args.xi}: {exc}") from None
     geom, grid = _load_setup(args.config)
     q1 = _load_potential(args.q1, geom, grid)
     q2 = _load_potential(args.q2, geom, grid)
-    variant = recovery.VARIANTS[args.variant]
-    xi = np.asarray(_floats(args.xi, "--xi", 3))
-    frame = cgo.make_frame(xi)
-    phase = cgo.make_phase_pair(frame, variant, args.param, args.k)
     ws = recovery.make_workspace(q1, q2, args.k, variant,
                                  box_coarsen=args.box_coarsen, eval_grid=grid)
     probe = cgo.build_probe(grid, phase, ws.src1, ws.src2)
-    gamma2 = np.max(np.abs(probe.u1.values[:, :, 0]))
     record = {
         "xi": [float(v) for v in xi],
         "variant": args.variant,
@@ -121,7 +138,7 @@ def _cmd_cgo_check(args) -> int:
         "psi1_h1": probe.decay_report["psi1_h1"],
         "psi2_l2": probe.decay_report["psi2_l2"],
         "psi2_h1": probe.decay_report["psi2_h1"],
-        "max_u1_gamma2": float(gamma2),
+        "max_u1_gamma2": float(np.max(np.abs(probe.u1.values[:, :, 0]))),
     }
     if variant is recovery.Variant.DOUBLE_REFLECTION:
         record["max_u2_gamma2"] = float(np.max(np.abs(probe.u2.values[:, :, 0])))
@@ -136,12 +153,9 @@ def _auto(text: str, option: str) -> float | None:
 def _cmd_recover(args) -> int:
     r, param = _auto(args.r, "--r"), _auto(args.param, "--param")
     lam = _auto(args.lam, "--lambda")
-    _require({"--r must exceed 2": r is None or r > 2,
+    _require({"--r must be finite and exceed 2": r is None or 2 < r < np.inf,
               "--param must be >= 1": param is None or param >= 1,
-              "--lambda must lie in (0, 1)": lam is None or 0 < lam < 1,
-              "--spacing must be positive": args.spacing > 0,
-              "--box-coarsen must be >= 1": args.box_coarsen >= 1,
-              "--basis-n must be >= 1": args.basis_n >= 1})
+              "--lambda must lie in (0, 1)": lam is None or 0 < lam < 1})
     geom, grid = _load_setup(args.config)
     q1 = _load_potential(args.q1, geom, grid)
     q2 = _load_potential(args.q2, geom, grid)
@@ -166,9 +180,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_sweep(args) -> int:
     noise = _floats(args.noise, "--noise")
-    _require({"--noise levels must be >= 0": all(v >= 0 for v in noise),
-              "--trials must be >= 1": args.trials >= 1,
-              "--basis-n must be >= 1": args.basis_n >= 1})
+    _require({"--noise levels must be >= 0": all(v >= 0 for v in noise)})
     geom, grid = _load_setup(args.config)
     q1 = _load_potential(args.q1, geom, grid)
     q2 = _load_potential(args.q2, geom, grid)
@@ -185,12 +197,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_carleman(args) -> int:
+    zeta = np.asarray(_floats(args.zeta, "--zeta", 3))
+    taus = _floats(args.taus, "--taus")
+    _require({"--zeta must have a third component >= 1": zeta[2] >= 1,
+              "--taus must increase from at least 1":
+                  taus[0] >= 1 and all(b > a for a, b in zip(taus, taus[1:]))})
     geom, grid = _load_setup(args.config)
     q = _load_potential(args.q, geom, grid)
     op = forward.HelmholtzOperator(grid, geom, args.k, q)
-    taus = _floats(args.taus, "--taus")
-    report = harness.carleman_check(op, np.asarray(_floats(args.zeta, "--zeta", 3)), taus,
-                                    args.trials, args.seed)
+    report = harness.carleman_check(op, zeta, taus, args.trials, args.seed)
     harness.write_carleman_csv(args.out, report)
     print(json.dumps({"fitted_c": report.fitted_c,
                       "top_half_variation": report.top_half_variation,
@@ -202,10 +217,7 @@ def _cmd_rl(args) -> int:
     geom, grid = _load_setup(args.config)
     q = _load_potential(args.q, geom, grid)
     rng = harness.record_rng(args.seed, 0)
-    dirs = []
-    for _ in range(args.rays):
-        v = rng.standard_normal(3)
-        dirs.append(v / np.linalg.norm(v))
+    dirs = [v / np.linalg.norm(v) for v in rng.standard_normal((args.rays, 3))]
     rays = harness.rl_decay_measure(q, dirs)
     harness.write_rl_csv(args.out, rays)
     print(json.dumps({"p_values": [ray["p"] for ray in rays]}))
@@ -299,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _check_bounds(args)
     try:
         return args.func(args)
     except forward.AdmissibilityError as exc:

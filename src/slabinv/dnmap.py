@@ -31,7 +31,6 @@ from .fields import GridField, Potential
 from .forward import (
     HelmholtzOperator,
     SolveError,
-    l2_omega,
     neumann_trace,
     require_admissible,
     solve_dirichlet,
@@ -220,13 +219,6 @@ def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
 # -- norms --------------------------------------------------------------------
 
 
-def norm_h32(g: BoundaryField) -> float:
-    """Spectral H^{3/2} norm from the bounding-square sine spectrum."""
-    coef = sine_coefficients(g)
-    w = (1.0 + sine_frequencies(g.square)) ** 1.5
-    return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
-
-
 def _whitened(r: BoundaryField, basis: BoundaryBasis) -> np.ndarray:
     """W r: the pairings h^2 <b_i, r> whitened by the H^{3/2} Gram."""
     if r.square != basis.square:
@@ -245,14 +237,6 @@ def hm32_maximizer(r: BoundaryField, test_basis: BoundaryBasis) -> BoundaryField
     c = scipy.linalg.solve_triangular(upper, _whitened(r, test_basis))
     vals = np.tensordot(c, test_basis.block.values, axes=(0, 0))
     return BoundaryField(test_basis.patch, test_basis.square, vals)
-
-
-def triple_norm(f: BoundaryField, op0: HelmholtzOperator) -> float:
-    """L^2 norm over the truncated domain of the free solution with data f."""
-    if op0.q is not None and np.max(np.abs(op0.q.field.values)) > 0:
-        raise ValueError("triple norm is defined through the zero potential")
-    v = solve_dirichlet(op0, f)
-    return l2_omega(v, op0.geom)
 
 
 # -- the measurement operator ---------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slabinv import cgo, fields, forward, geometry, recovery
+from slabinv import boundary, cgo, fields, forward, geometry, recovery
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +57,19 @@ def poly_bump_dd(x):
     tm = t[m]
     out[m] = 8.0 * (1.0 - tm * tm) ** 2 * (7.0 * tm * tm - 1.0) / BUMP_A ** 2
     return out
+
+
+def l2_inner(a, b):
+    """Discrete plate L^2 pairing h^2 * sum conj(a) b on a shared square."""
+    assert a.square == b.square
+    return complex(a.square.h ** 2 * np.vdot(a.values, b.values))
+
+
+def norm_h32(g):
+    """Spectral H^{3/2} norm from the bounding-square sine spectrum."""
+    coef = boundary.sine_coefficients(g)
+    w = (1.0 + boundary.sine_frequencies(g.square)) ** 1.5
+    return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
 
 
 def manufactured_case(geom, grid, k=0.0, q=None):

@@ -450,7 +450,11 @@ def test_recover_continuation_reuses_annulus_estimates(workdir, monkeypatch):
     (ws, param, _), annulus_result = calls[0]
     estimated = [xi for (_, _, batch), _ in calls[1:] for xi in batch]
     assert estimated == [xi for xi in samples if xi not in hits]
-    assert len(probes) == len(freqs.annulus) + len(estimated)
+    # one probe per +-xi pair of each batch: 540 / 2 + 108 / 2
+    pairs = [{recovery.canonical_frequency(xi)[0] for xi in batch}
+             for batch in (freqs.annulus, estimated)]
+    assert [2 * len(p) for p in pairs] == [len(freqs.annulus), len(estimated)] == [540, 108]
+    assert len(probes) == sum(map(len, pairs)) == 324
     # reuse is exact because an estimate does not depend on its batch
     again = orig_estimate(ws, param, hits[:4]).estimates
     assert all(again[xi] == annulus_result.estimates[xi] for xi in hits[:4])
@@ -505,9 +509,11 @@ _CONTINUED = ["--variant", "thm2", "--r", "2.5", "--param", "6.0", "--lambda", "
 
 def test_recover_fits_lines_on_successful_samples(workdir, capsys, monkeypatch):
     # the line through (0.5, 0.5, 0) samples s = 1, 1.5, 2 along (d, d, 0),
-    # none of them an annulus frequency; the middle sample fails
+    # none of them an annulus frequency; the middle sample fails, and with it
+    # its mate on the line through (-0.5, -0.5, 0), estimated by conjugation
     d = round(1.0 / np.sqrt(2.0), 9)
     samples = [(float(s * d), float(s * d), 0.0) for s in (1.0, 1.5, 2.0)]
+    mate = (-samples[1][0], -samples[1][1], 0.0)
     orig = recovery.build_probe
 
     def probe(eval_grid, phase, *args, **kwargs):
@@ -519,8 +525,9 @@ def test_recover_fits_lines_on_successful_samples(workdir, capsys, monkeypatch):
     summary, rows = _recover_cli(workdir, capsys, "recover_skip", _CONTINUED)
     monkeypatch.undo()
     assert summary["n_failed"] == 0
-    assert [w for w in summary["warnings"] if "continuation" in w] == [
-        f"continuation sample {samples[1]} skipped: remainder iteration is not contracting"]
+    assert sorted(w for w in summary["warnings"] if "continuation" in w) == [
+        f"continuation sample {xi} skipped: remainder iteration is not contracting"
+        for xi in (mate, samples[1])]
     q1, q2 = _born_pair(workdir)
     ws = recovery.make_workspace(q1, q2, 0.0, recovery.Variant.SINGLE_REFLECTION)
     kept = [samples[0], samples[2]]
@@ -531,11 +538,14 @@ def test_recover_fits_lines_on_successful_samples(workdir, capsys, monkeypatch):
                                     ws.qdiff_l1 * np.exp(4.0)).values[0]
     (row,) = [row for row in rows if row[:3] == (0.5, 0.5, 0.0)]
     assert complex(row[3], row[4]) == pytest.approx(want, rel=1e-12)
+    (row,) = [row for row in rows if row[:3] == (-0.5, -0.5, 0.0)]
+    assert complex(row[3], row[4]) == pytest.approx(want.conjugate(), rel=1e-12)
 
 
 def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
-    # the middle sample of the line through (0.5, 0.5, 0) fails, so that line
-    # is fitted on its own (s = 1, 2) and every other line in one fit on
+    # the middle sample of the line through (0.5, 0.5, 0) fails, and with it
+    # its mate on the line through (-0.5, -0.5, 0), so these two lines are
+    # fitted together (s = 1, 2) and every other line in one fit on
     # s = 1, 1.5, 2; a failed fit skips the lines of its group, one warning each
     d = round(1.0 / np.sqrt(2.0), 9)
     failing = (float(1.5 * d), float(1.5 * d), 0.0)
@@ -554,7 +564,7 @@ def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
     def direction(x, y, z):
         return round(x / np.hypot(x, y), 9), round(y / np.hypot(x, y), 9), z
 
-    for n_samples, lines in ((2, 1), (3, len({direction(*xi) for xi in low}) - 1)):
+    for n_samples, lines in ((2, 2), (3, len({direction(*xi) for xi in low}) - 2)):
         fits = []
 
         def extend(s, *args, n_samples=n_samples):
@@ -573,8 +583,8 @@ def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
         missing = {xi for xi in xis - {row[:3] for row in kept} if np.hypot(xi[0], xi[1]) > 0}
         assert missing < low
         assert len({direction(*xi) for xi in missing}) == lines
-        assert ((direction(0.5, 0.5, 0.0) in {direction(*xi) for xi in missing})
-                == (n_samples == 2))
+        for xi in ((0.5, 0.5, 0.0), (-0.5, -0.5, 0.0)):
+            assert (direction(*xi) in {direction(*p) for p in missing}) == (n_samples == 2)
 
 
 # -- bad options fail at the boundary ------------------------------------------------
@@ -589,21 +599,66 @@ def _with(argv, option, value):
     return argv[:i + 1] + [value] + argv[i + 2:]
 
 
+# the inputs each subcommand needs besides its bad option: Q is the potential
+# file and OUT the output; the other paths do not exist, so the options must be
+# checked before any input is read
+_INPUTS = {
+    "recover": ["--q1", "Q", "--out", "OUT"],
+    "sweep": ["--q1", "Q", "--out", "OUT"],
+    "forward": ["--q", "Q", "--dirichlet", "missing.bfield", "--out", "OUT"],
+    "dnmap": ["--q", "Q", "--target", "gamma2N", "--out", "OUT"],
+    "dnnorm": ["--a", "missing_a.mat", "--b", "missing_b.mat"],
+    "cgo-check": ["--q1", "Q", "--variant", "thm2"],
+    "carleman": ["--q", "Q", "--out", "OUT"],
+    "rl": ["--q", "Q", "--out", "OUT"],
+}
+_SWEEP = ["--variant", "thm2", "--noise", "1e-3"]
+_CGO = ["--xi", "2,0.5,-1", "--param", "8"]
+_CARLEMAN = ["--zeta", "0,0,1", "--taus", "1,2"]
+
+
 @pytest.mark.parametrize("command, argv, message", [
     ("recover", _with(_RECOVER, "--spacing", "0"), "--spacing must be positive"),
     ("recover", _with(_RECOVER, "--spacing", "-0.5"), "--spacing must be positive"),
     ("recover", _with(_RECOVER, "--param", "0.5"), "--param must be >= 1"),
     ("recover", _RECOVER + ["--box-coarsen", "0"], "--box-coarsen must be >= 1"),
-    ("recover", _with(_RECOVER, "--r", "1.5"), "--r must exceed 2"),
+    ("recover", _with(_RECOVER, "--r", "1.5"), "--r must be finite and exceed 2"),
     ("recover", _with(_RECOVER, "--lambda", "1.5"), "--lambda must lie in (0, 1)"),
-    ("sweep", ["--variant", "thm2", "--noise", "1e-3", "--basis-n", "0"],
-     "--basis-n must be >= 1"),
+    ("sweep", _SWEEP + ["--basis-n", "0"], "--basis-n must be >= 1"),
     ("sweep", ["--variant", "thm2", "--noise", "abc"],
      "--noise: expected comma-separated numbers, got 'abc'"),
-    ("sweep", ["--variant", "thm2", "--noise", "1e-3", "--trials", "0"],
-     "--trials must be >= 1"),
+    ("sweep", _SWEEP + ["--trials", "0"], "--trials must be >= 1"),
+    ("sweep", _SWEEP + ["--delta", "0"], "--delta must be positive"),
+    ("recover", _RECOVER + ["--delta", "-1"], "--delta must be positive"),
+    ("recover", _RECOVER + ["--k", "-1"], "--k must be >= 0"),
+    ("recover", _RECOVER + ["--k", "nan"], "--k must be >= 0"),
+    ("forward", ["--k", "-1"], "--k must be >= 0"),
+    ("dnmap", ["--k", "-1"], "--k must be >= 0"),
+    ("dnnorm", ["--k", "-1"], "--k must be >= 0"),
+    ("carleman", _CARLEMAN + ["--k", "-1"], "--k must be >= 0"),
+    ("sweep", _SWEEP + ["--k", "-1"], "--k must be >= 0"),
+    ("cgo-check", _CGO + ["--k", "-1"], "--k must be >= 0"),
+    ("cgo-check", _with(_CGO, "--param", "0.5"), "--param must be >= 1"),
+    ("cgo-check", _CGO + ["--box-coarsen", "0"], "--box-coarsen must be >= 1"),
+    ("cgo-check", _with(_CGO, "--xi", "0,0,1"),
+     "--xi 0,0,1: frame undefined: frequency has no lateral component"),
+    ("dnmap", ["--k", "0", "--basis-n", "0"], "--basis-n must be >= 1"),
+    ("dnnorm", ["--basis-n", "0"], "--basis-n must be >= 1"),
+    ("dnnorm", ["--test-n", "0"], "--test-n must be >= 1"),
+    ("carleman", _CARLEMAN + ["--trials", "0"], "--trials must be >= 1"),
+    ("carleman", _with(_CARLEMAN, "--zeta", "1,0,0.5"),
+     "--zeta must have a third component >= 1"),
+    ("carleman", _with(_CARLEMAN, "--taus", "2,1"), "--taus must increase from at least 1"),
+    ("carleman", _with(_CARLEMAN, "--taus", "0.5,2"), "--taus must increase from at least 1"),
+    ("rl", ["--rays", "0"], "--rays must be >= 1"),
+    ("recover", _with(_RECOVER, "--r", "inf"), "--r must be finite and exceed 2"),
 ], ids=["spacing-0", "spacing-negative", "param", "box-coarsen", "r", "lambda",
-        "basis-n", "noise", "trials"])
+        "basis-n", "noise", "trials", "sweep-delta", "recover-delta", "recover-k",
+        "recover-k-nan", "forward-k", "dnmap-k", "dnnorm-k", "carleman-k", "sweep-k",
+        "cgo-check-k", "cgo-check-param", "cgo-check-box-coarsen", "cgo-check-xi",
+        "dnmap-basis-n", "dnnorm-basis-n", "dnnorm-test-n", "carleman-trials",
+        "carleman-zeta", "carleman-taus-order", "carleman-taus-min", "rl-rays",
+        "r-inf"])
 def test_bad_option_is_one_line_before_any_solve(workdir, monkeypatch, command, argv,
                                                  message):
     def no_solve(*args, **kwargs):
@@ -612,9 +667,10 @@ def test_bad_option_is_one_line_before_any_solve(workdir, monkeypatch, command, 
     monkeypatch.setattr(forward.HelmholtzOperator, "__init__", no_solve)
     monkeypatch.setattr(recovery, "make_workspace", no_solve)
     monkeypatch.setattr(recovery, "calibrate_two_constants", no_solve)
+    paths = {"Q": str(workdir["qpath"]), "OUT": str(workdir["tmp"] / "bad.csv")}
+    inputs = [paths.get(a, a) for a in _INPUTS[command]]
     with pytest.raises(SystemExit) as info:
-        cli.main([command, "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
-                  *argv, "--out", str(workdir["tmp"] / "bad.csv")])
+        cli.main([command, "--config", str(workdir["cfg"]), *inputs, *argv])
     assert info.value.code == message  # printed as one line, exit status 1
     assert not (workdir["tmp"] / "bad.csv").exists()
 

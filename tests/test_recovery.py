@@ -21,8 +21,8 @@ from slabinv.recovery import (
     build_frequency_set,
     calibrate_two_constants,
     choose_parameters,
+    canonical_frequency,
     estimate_fhat_annulus,
-    integral_pairing,
     low_freq_extend,
     make_workspace,
     plancherel_constant,
@@ -62,11 +62,20 @@ def test_frequency_set_windows():
 # -- pairing ------------------------------------------------------------------------
 
 
+def integral_pairing(qdiff_field, a, b):
+    """Trapezoidal quadrature of qdiff * a * b, two probe factors, with their
+    offsets recombined."""
+    assert qdiff_field.grid == a.grid == b.grid
+    w = fields.quadrature_weights(qdiff_field.grid)
+    total = np.sum(w * qdiff_field.values * a.values * b.values)
+    return complex(total * math.exp(a.log_offset + b.log_offset))
+
+
 def test_pairing_zero_for_equal_potentials(geom, grid8, bump8, ws_single):
     ws = make_workspace(bump8, bump8, 0.0, Variant.SINGLE_REFLECTION)
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
     probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
-    assert integral_pairing(ws.qdiff, probe) == 0
+    assert integral_pairing(ws.qdiff, probe.u1, probe.u2) == 0
 
 
 def test_pairing_plane_wave_oracle(ws_single):
@@ -75,7 +84,7 @@ def test_pairing_plane_wave_oracle(ws_single):
     pp = make_phase_pair(make_frame((1.5, -0.5, 0.5)), Variant.SINGLE_REFLECTION, 5.0, 0.0)
     probe = exponential_probe(ws_single.eval_grid, pp, ws_single.box_grid,
                               reflect1=False, reflect2=False)
-    got = integral_pairing(ws_single.qdiff, probe)
+    got = integral_pairing(ws_single.qdiff, probe.u1, probe.u2)
     want = complex(ws_single.qdiff_ft(pp.xi))
     assert got == pytest.approx(want, rel=1e-10)
 
@@ -94,7 +103,7 @@ def test_pairing_decay_in_param(geom, grid16):
     for param in params:
         pp = make_phase_pair(make_frame(xi), Variant.SINGLE_REFLECTION, param, 0.0)
         probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
-        errs.append(abs(integral_pairing(ws.qdiff, probe) - want))
+        errs.append(abs(integral_pairing(ws.qdiff, probe.u1, probe.u2) - want))
     slope = np.polyfit(np.log(params), np.log(errs), 1)[0]
     assert -1.3 <= slope <= -0.7
 
@@ -121,35 +130,36 @@ def test_born_estimates_match_direct_transform(born_pair8, variant):
         assert abs(res.estimates[key] - want) <= 0.1 * abs(want)
 
 
-def _cross_term_reference(qdiff_field, a, b):
-    w = fields.quadrature_weights(qdiff_field.grid)
-    total = np.sum(w * qdiff_field.values * a.values * b.values)
-    return complex(total * math.exp(a.log_offset + b.log_offset))
-
-
 @pytest.mark.parametrize("variant", list(Variant))
 def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
-    # pairing plus the mirrored-phase corrections, each its own quadrature
+    # pairing plus the mirrored-phase corrections, each its own quadrature,
+    # at the canonical member of each pair and conjugated for a mate
     q1, q2 = born_pair8
     ws = make_workspace(q1, q2, 0.0, variant, box_coarsen=2)
     param = 8.0
     xis = build_frequency_set(2.25, 0.75).annulus[::7]
     res = estimate_fhat_annulus(ws, param, xis)
     assert len(res.estimates) == len(xis) and not res.failed
+    assert any(canonical_frequency(xi)[1] for xi in xis)
     for xi in xis:
-        pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
+        canon, mate = canonical_frequency(xi)
+        pp = make_phase_pair(make_frame(canon), variant, param, 0.0)
         probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
-        want = integral_pairing(ws.qdiff, probe)
-        want += _cross_term_reference(ws.qdiff, probe.u1_reflected, probe.u2_direct)
+        want = integral_pairing(ws.qdiff, probe.u1, probe.u2)
+        want += integral_pairing(ws.qdiff, probe.u1_reflected, probe.u2_direct)
         if variant is Variant.DOUBLE_REFLECTION:
-            want += _cross_term_reference(ws.qdiff, probe.u1_direct, probe.u2_reflected)
+            want += integral_pairing(ws.qdiff, probe.u1_direct, probe.u2_reflected)
+        if mate:
+            want = want.conjugate()
         assert abs(res.estimates[xi] - want) <= 1e-12 * abs(want)
 
 
 def test_recover_builds_sources_once_per_workspace(born_pair8, monkeypatch):
     # the rho-independent remainder set-up is made twice per workspace (one
-    # source per potential) and never per frequency
+    # source per potential) and never per frequency; one probe per +-xi pair
     calls = {"workspace": 0, "source": 0, "probe": 0}
+    batches = []
+    orig_estimate = recovery.estimate_fhat_annulus
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -163,9 +173,15 @@ def test_recover_builds_sources_once_per_workspace(born_pair8, monkeypatch):
     monkeypatch.setattr(recovery, "make_workspace",
                         counted("workspace", recovery.make_workspace))
     monkeypatch.setattr(recovery, "build_probe", counted("probe", recovery.build_probe))
+    monkeypatch.setattr(recovery, "estimate_fhat_annulus",
+                        lambda ws, param, xis: batches.append(list(xis))
+                        or orig_estimate(ws, param, xis))
     run = recovery.recover(*born_pair8, 0.0, Variant.DOUBLE_REFLECTION, r=2.25, param=8.0,
                            lam=0.5, spacing=0.75, delta=1.0, basis_n=3, box_coarsen=2)
-    assert run.counts["n_annulus"] > 0 and calls["probe"] >= run.counts["n_annulus"]
+    # 100 annulus frequencies and 40 new continuation samples: 50 + 20 pairs
+    pairs = [len({canonical_frequency(xi)[0] for xi in batch}) for batch in batches]
+    assert [len(batch) for batch in batches] == [100, 40] and pairs == [50, 20]
+    assert run.counts["n_annulus"] == 100 and calls["probe"] == sum(pairs) == 70
     assert calls["workspace"] == 1
     assert calls["source"] == 2 * calls["workspace"]
 
@@ -259,6 +275,109 @@ def test_conjugate_symmetry(ws_single):
     a = res.estimates[(1.5, 0.5, 1.0)]
     b = res.estimates[(-1.5, -0.5, -1.0)]
     assert abs(b - np.conj(a)) <= 1e-8 * max(1.0, abs(a))
+
+
+def test_canonical_frequency():
+    assert canonical_frequency((1.5, -0.5, 1.0)) == ((1.5, -0.5, 1.0), False)
+    assert canonical_frequency((-1.5, 0.5, -1.0)) == ((1.5, -0.5, 1.0), True)
+    assert canonical_frequency((0.0, -0.75, 1.5)) == ((0.0, 0.75, -1.5), True)
+    assert canonical_frequency((-0.0, 0.0, -1.0)) == ((0.0, 0.0, 1.0), True)
+    for xi in build_frequency_set(2.25, 0.75).annulus:
+        canon, mate = canonical_frequency(xi)
+        assert canon == (tuple(-v for v in xi) if mate else xi)
+        assert all(math.copysign(1.0, v) > 0 for v in canon if v == 0)
+        assert canonical_frequency(canon) == (canon, False)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_mate_is_bitwise_conjugate_in_any_batch(born_pair8, variant):
+    ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
+    xi, neg = (1.5, -0.75, 0.75), (-1.5, 0.75, -0.75)
+    want = estimate_fhat_annulus(ws, 8.0, [xi]).estimates[xi]
+    for batch in ([neg], [xi, neg], [neg, xi], [neg, (2.0, 0.0, 0.0), xi]):
+        res = estimate_fhat_annulus(ws, 8.0, batch).estimates
+        assert res[neg] == want.conjugate()
+        if xi in res:
+            assert res[xi] == want
+
+
+def _direct_estimate(ws, phase):
+    """The fused estimate from a probe pair built at the phase's own frequency."""
+    probe = cgo.build_probe(ws.eval_grid, phase, ws.src1, ws.src2)
+    total = integral_pairing(ws.qdiff, probe.u1_direct, probe.u2_direct)
+    if ws.variant is Variant.DOUBLE_REFLECTION:
+        total += integral_pairing(ws.qdiff, probe.u1_reflected, probe.u2_reflected)
+    return total
+
+
+def _alpha_pair_reversed(xi, alpha, k):
+    """Alpha-family phases at xi with parameter alpha (of either sign) in the
+    frame whose e2 is e1 x e3, the opposite of `make_frame`'s."""
+    frame = make_frame(xi)
+    frame = cgo.Frame(frame.xi, frame.xi_1e, frame.e1, -frame.e2, frame.e3)
+    xi_1e, xi3, xin = frame.xi_1e, float(xi[2]), frame.xi_norm
+    root = math.sqrt(alpha * alpha + 0.25 - (k / xin) ** 2)
+    c1 = (1j * (xi_1e / 2 - alpha * xi3), -root * xin, 1j * (xi3 / 2 + alpha * xi_1e))
+    c2 = (1j * (xi_1e / 2 + alpha * xi3), root * xin, 1j * (xi3 / 2 - alpha * xi_1e))
+    return cgo.PhasePair(Variant.DOUBLE_REFLECTION, alpha, frame, frame.to_ambient(c1),
+                         frame.to_ambient(c2), k)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_mate_matches_direct_estimate_at_minus_xi(born_pair8, variant):
+    # tau-family: rho_j(-xi) = conj rho_j(xi), so a mate is the direct
+    # estimate at -xi; alpha-family: conj rho_j(xi) is the alpha pair at -xi
+    # with -alpha in the e2-reversed frame.  Both hold up to the lateral
+    # Nyquist planes of the box lattice.
+    ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
+    mates = [xi for xi in build_frequency_set(2.25, 0.75).annulus
+             if canonical_frequency(xi)[1]]
+    res = estimate_fhat_annulus(ws, 8.0, mates)
+    assert len(mates) == 50 and len(res.estimates) == 50
+    for xi in mates:
+        if variant is Variant.SINGLE_REFLECTION:
+            phase = make_phase_pair(make_frame(xi), variant, 8.0, 0.0)
+        else:
+            phase = _alpha_pair_reversed(xi, -8.0, 0.0)
+        canon = make_phase_pair(make_frame(canonical_frequency(xi)[0]), variant, 8.0, 0.0)
+        assert np.array_equal(phase.rho1, np.conj(canon.rho1))
+        assert np.array_equal(phase.rho2, np.conj(canon.rho2))
+        want = _direct_estimate(ws, phase)
+        assert abs(res.estimates[xi] - want) <= 1e-9 * abs(true_transform(ws, xi))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_bench_annulus_builds_one_probe_per_pair(born_pair8, variant, monkeypatch):
+    ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
+    built = []
+    orig = recovery.build_probe
+    monkeypatch.setattr(recovery, "build_probe",
+                        lambda grid, phase, *a: built.append(tuple(phase.xi))
+                        or orig(grid, phase, *a))
+    xis = build_frequency_set(2.25, 0.75).annulus
+    res = estimate_fhat_annulus(ws, 8.0, xis)
+    assert len(res.estimates) == len(xis) == 100 and not res.failed
+    assert len(built) == len(set(built)) == 50
+    assert set(built) == {canonical_frequency(xi)[0] for xi in xis}
+
+
+def test_canonical_failure_recorded_at_both_members(ws_single, monkeypatch):
+    xi, neg = (1.5, 0.5, 1.0), (-1.5, -0.5, -1.0)
+    built = []
+    orig = recovery.build_probe
+
+    def probe(grid, phase, *args):
+        built.append(tuple(phase.xi))
+        if tuple(phase.xi) == xi:
+            raise cgo.ContractionError("remainder iteration is not contracting")
+        return orig(grid, phase, *args)
+
+    monkeypatch.setattr(recovery, "build_probe", probe)
+    res = estimate_fhat_annulus(ws_single, 8.0, [neg, (2.0, 0.0, 0.0), xi])
+    assert res.failed == {neg: "remainder iteration is not contracting",
+                          xi: "remainder iteration is not contracting"}
+    assert list(res.estimates) == [(2.0, 0.0, 0.0)]
+    assert built == [xi, (2.0, 0.0, 0.0)]
 
 
 def test_failed_frequencies_recorded(ws_single):
