@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPatch, Grid3, Plate
+from .geometry import BoundaryPatch, Grid3
 
 
 class BoundaryError(ValueError):
@@ -54,11 +54,6 @@ def bounding_square(grid: Grid3, patch: BoundaryPatch) -> SquareGrid2:
     half = min(a, -grid.origin[0])  # never exceed the plate extent
     m = round(half / grid.h)
     return SquareGrid2(2 * m, grid.h, -m * grid.h, -m * grid.h)
-
-
-def full_plate_square(grid: Grid3) -> SquareGrid2:
-    """Bounding square spanning the whole (possibly periodic) plate."""
-    return SquareGrid2(grid.nx, grid.h, grid.origin[0], grid.origin[1])
 
 
 @dataclass(frozen=True)

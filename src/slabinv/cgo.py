@@ -15,8 +15,10 @@ Each probe is exp(x . rho) (1 + psi) with the remainder psi solving the
 conjugated equation (-Lap - 2 rho . grad) psi = -Q (1 + psi) on a periodic
 box containing the domain and its mirror image; the solve inverts
 the Fourier symbol |zeta|^2 - 2 i rho . zeta with near-singular modes
-projected out and reported.  Exponentials are evaluated against a per-probe
-log offset so that large parameters never overflow.
+projected out and reported.  A probe carries only its factors 1 + psi at
+the evaluation nodes and their mirror images: the pairing reads the product
+of the two probes, whose exponentials combine into exp(i x . xi) since
+rho1 + rho2 = i xi, so it is bounded at every parameter.
 """
 
 from __future__ import annotations
@@ -421,15 +423,6 @@ def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
 # -- probe assembly --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OffsetField:
-    """Field stored as exp(log_offset) * values to keep magnitudes bounded."""
-
-    grid: Grid3
-    values: np.ndarray
-    log_offset: float
-
-
 @functools.lru_cache(maxsize=8)
 def _interp_factors(field_grid: Grid3, eval_grid: Grid3, mirrored: bool) -> tuple:
     """Per axis, the (n_eval, n_field) linear interpolation matrix: two taps
@@ -464,52 +457,54 @@ def interpolate_box(field: GridField, eval_grid: Grid3,
     return _pruned_dft(field.values, _interp_factors(field.grid, eval_grid, mirrored))
 
 
+def _factor(psi: GridField, eval_grid: Grid3, mirrored: bool) -> np.ndarray:
+    """1 + psi at the evaluation nodes (or their mirror images); an identically
+    zero remainder gives 1 exactly, with nothing interpolated."""
+    if not np.any(psi.values):
+        return np.ones(eval_grid.node_shape, dtype=np.complex128)
+    return 1.0 + interpolate_box(psi, eval_grid, mirrored)
+
+
 @dataclass
 class CgoProbe:
-    """A probe pair on its evaluation grid; psi1 / psi2 are the remainders on
-    their sources' windows."""
+    """A probe pair on its evaluation grid, without its exponentials.
+
+    psi1 / psi2 are the remainders on their sources' windows, w1 / w2 the
+    factors 1 + psi_j at the evaluation nodes x and w1_star / w2_star at
+    their mirror images x* = (x1, x2, -x3); w2_star is None for the
+    tau-family, whose second probe is not reflected.  The probes are
+
+        u1 = exp(x . rho1) w1 - exp(x* . rho1) w1*,
+        u2 = exp(x . rho2) w2 [- exp(x* . rho2) w2*  (alpha-family)],
+
+    so u_j = exp(x . rho_j) (w_j - w_j*) on the plane x3 = 0, where x = x*.
+    """
 
     phase: PhasePair
     box_grid: Grid3
+    eval_grid: Grid3
     psi1: GridField
     psi2: GridField
-    u1: OffsetField
-    u2: OffsetField
-    u1_direct: OffsetField
-    u1_reflected: OffsetField
-    u2_direct: OffsetField
-    u2_reflected: OffsetField | None
+    w1: np.ndarray
+    w1_star: np.ndarray
+    w2: np.ndarray
+    w2_star: np.ndarray | None
     decay_report: dict
 
+    def product(self) -> np.ndarray:
+        """exp(i x . xi) w1 w2, plus exp(i x* . xi) w1* w2* for the alpha-family.
 
-def _exp_terms(eval_grid: Grid3, rho: np.ndarray, psi: GridField,
-               reflected: bool) -> tuple[np.ndarray, np.ndarray | None, float]:
-    """Direct and (optionally) mirrored exponential-times-remainder factors.
-
-    Returns (direct, mirrored, log_offset) with both arrays divided by
-    exp(log_offset); the mirrored factor evaluates every ingredient at
-    x* = (x1, x2, -x3), which makes the antisymmetrized difference vanish
-    identically on the x3 = 0 plane.  The exponential is the tensor product
-    of one factor per axis, each scaled by its own maximum (the offset is
-    their sum); the two factors share the lateral ones.  An identically zero
-    remainder leaves the factor 1 + psi = 1 exactly, so nothing is
-    interpolated.
-    """
-    px, py, pz = (eval_grid.axis_nodes(axis) * rho[axis] for axis in range(3))
-    top_x, top_y = float(np.max(px.real)), float(np.max(py.real))
-    top_z = float(np.max(np.abs(pz.real) if reflected else pz.real))
-    lateral = np.multiply.outer(np.exp(px - top_x), np.exp(py - top_y))
-    live = bool(np.any(psi.values))
-
-    def factor(phase_z, mirrored):
-        out = np.multiply.outer(lateral, np.exp(phase_z - top_z))
-        if live:
-            out *= 1.0 + interpolate_box(psi, eval_grid, mirrored)
+        These are the direct products of the probe factors, and for the
+        alpha-family the mirrored ones too: rho1 + rho2 = i xi, so each is
+        bounded at every parameter.  The phase is one exponential per axis.
+        """
+        ex, ey, ez = (np.exp(1j * self.phase.xi[axis] * self.eval_grid.axis_nodes(axis))
+                      for axis in range(3))
+        lateral = np.multiply.outer(ex, ey)
+        out = np.multiply.outer(lateral, ez) * self.w1 * self.w2
+        if self.w2_star is not None:
+            out += np.multiply.outer(lateral, ez.conj()) * self.w1_star * self.w2_star
         return out
-
-    direct = factor(pz, False)
-    mirrored = factor(-pz, True) if reflected else None
-    return direct, mirrored, top_x + top_y + top_z
 
 
 def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
@@ -520,30 +515,17 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
     on a shared periodic box (even extension for every reflected probe; the
     tau-family second probe uses the extension by zero), with windows that
     cover the stencils of `eval_grid`.  Remainders are interpolated
-    trilinearly from their windows onto the evaluation nodes.
+    trilinearly from their windows onto the evaluation nodes and their
+    mirror images.
     """
     if src1.grid != src2.grid:
         raise FieldError("extended potentials must share one box grid")
     if any(src.eval_grid not in (None, eval_grid) for src in (src1, src2)):
         raise FieldError("remainder source prepared for another evaluation grid")
-    box_grid = src1.grid
     psi1, rep1 = solve_remainder(phase.rho1, src1)
     psi2, rep2 = solve_remainder(phase.rho2, src2)
-
-    reflect2 = phase.variant is Variant.DOUBLE_REFLECTION
-    d1, m1, off1 = _exp_terms(eval_grid, phase.rho1, psi1, reflected=True)
-    d2, m2, off2 = _exp_terms(eval_grid, phase.rho2, psi2, reflected=reflect2)
-
-    u1 = OffsetField(eval_grid, d1 - m1, off1)
-    u1_direct = OffsetField(eval_grid, d1, off1)
-    u1_reflected = OffsetField(eval_grid, m1, off1)
-    if reflect2:
-        u2 = OffsetField(eval_grid, d2 - m2, off2)
-        u2_reflected = OffsetField(eval_grid, m2, off2)
-    else:
-        u2 = OffsetField(eval_grid, d2, off2)
-        u2_reflected = None
-    u2_direct = OffsetField(eval_grid, d2, off2)
+    w2_star = (_factor(psi2, eval_grid, True)
+               if phase.variant is Variant.DOUBLE_REFLECTION else None)
     report = {
         "psi1_l2": rep1.l2, "psi1_h1": rep1.h1,
         "psi2_l2": rep2.l2, "psi2_h1": rep2.h1,
@@ -551,8 +533,9 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
         "projected_modes": (rep1.projected_modes, rep2.projected_modes),
         "residuals": (rep1.residual, rep2.residual),
     }
-    return CgoProbe(phase, box_grid, psi1, psi2, u1, u2,
-                    u1_direct, u1_reflected, u2_direct, u2_reflected, report)
+    return CgoProbe(phase, src1.grid, eval_grid, psi1, psi2,
+                    _factor(psi1, eval_grid, False), _factor(psi1, eval_grid, True),
+                    _factor(psi2, eval_grid, False), w2_star, report)
 
 
 def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],

@@ -138,10 +138,11 @@ def _cmd_cgo_check(args) -> int:
         "psi1_h1": probe.decay_report["psi1_h1"],
         "psi2_l2": probe.decay_report["psi2_l2"],
         "psi2_h1": probe.decay_report["psi2_h1"],
-        "max_u1_gamma2": float(np.max(np.abs(probe.u1.values[:, :, 0]))),
+        # on x3 = 0, u_j = exp(x . rho_j) (w_j - w_j*)
+        "max_u1_gamma2": float(np.max(np.abs(probe.w1 - probe.w1_star)[:, :, 0])),
     }
     if variant is recovery.Variant.DOUBLE_REFLECTION:
-        record["max_u2_gamma2"] = float(np.max(np.abs(probe.u2.values[:, :, 0])))
+        record["max_u2_gamma2"] = float(np.max(np.abs(probe.w2 - probe.w2_star)[:, :, 0]))
     print(json.dumps(record, sort_keys=True))
     return 0
 

@@ -216,29 +216,6 @@ def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
     return BoundaryBasis(block.masked() if apply_mask else block, n_modes)
 
 
-# -- norms --------------------------------------------------------------------
-
-
-def _whitened(r: BoundaryField, basis: BoundaryBasis) -> np.ndarray:
-    """W r: the pairings h^2 <b_i, r> whitened by the H^{3/2} Gram."""
-    if r.square != basis.square:
-        raise BoundaryError("field and test basis live on different squares")
-    return basis.dual_factors()[1] @ r.values.ravel()
-
-
-def norm_hm32(r: BoundaryField, test_basis: BoundaryBasis) -> float:
-    """Dual norm sup |<r, g>| / ||g||_{H^{3/2}} over the span of the test basis."""
-    return float(np.linalg.norm(_whitened(r, test_basis)))
-
-
-def hm32_maximizer(r: BoundaryField, test_basis: BoundaryBasis) -> BoundaryField:
-    """The test function attaining the dual norm (inverse-Gram image of r)."""
-    upper = test_basis.dual_factors()[0][0]
-    c = scipy.linalg.solve_triangular(upper, _whitened(r, test_basis))
-    vals = np.tensordot(c, test_basis.block.values, axes=(0, 0))
-    return BoundaryField(test_basis.patch, test_basis.square, vals)
-
-
 # -- the measurement operator ---------------------------------------------------
 
 

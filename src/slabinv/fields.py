@@ -50,14 +50,6 @@ class GridField:
         return GridField(self.grid, values)
 
 
-def field_from_function(grid: Grid3, func) -> GridField:
-    """Sample ``func(x, y, z)`` (broadcastable) at the grid nodes."""
-    x, y, z = grid.node_coords()
-    vals = np.broadcast_to(np.asarray(func(x, y, z), dtype=np.complex128),
-                           grid.node_shape).copy()
-    return GridField(grid, vals)
-
-
 def quadrature_weights(grid: Grid3) -> np.ndarray:
     """Trapezoidal node weights for volume integrals over the grid box.
 

@@ -53,8 +53,6 @@ from .geometry import Grid3, Plate, SlabGeometry
 
 logger = logging.getLogger(__name__)
 
-OFFSET_GUARD = 700.0  # log scale beyond which exp() recombination overflows
-
 
 class RecoveryError(RuntimeError):
     pass
@@ -128,15 +126,6 @@ def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
 
 
 # -- annulus estimation ------------------------------------------------------------
-
-
-def _recombine(off: float) -> float:
-    if off > OFFSET_GUARD:
-        raise RecoveryError(
-            f"exponential offsets sum to {off:.1f} > {OFFSET_GUARD}; "
-            "the probe product would overflow"
-        )
-    return math.exp(off)
 
 
 @dataclass
@@ -223,7 +212,10 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
     of each estimate is exactly the main-phase remainder contribution, the
     term controlled by the remainder decay.  Pairing plus corrections is one
     quadrature: int q d1 d2 (tau-family) or int q (d1 d2 + m1 m2)
-    (alpha-family), with d and m the direct and mirrored probe factors.
+    (alpha-family), with d and m the direct and mirrored probe factors.  As
+    rho1 + rho2 = i xi, d1 d2 = exp(i x . xi) w1 w2 and m1 m2 = exp(i x* . xi)
+    w1* w2* with w = 1 + psi (`CgoProbe.product`): bounded at every
+    parameter, so no frequency fails for the size of its exponentials.
 
     Each pair {xi, -xi} costs one probe, at its `canonical_frequency`, and
     the mate is the complex conjugate.  As q and k are real this is exact in
@@ -246,12 +238,8 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
             try:
                 phase = make_phase_pair(make_frame(canon), ws.variant, param, ws.k)
                 probe = build_probe(ws.eval_grid, phase, ws.src1, ws.src2)
-                prod = probe.u1_direct.values * probe.u2_direct.values
-                if ws.variant is Variant.DOUBLE_REFLECTION:
-                    prod += probe.u1_reflected.values * probe.u2_reflected.values
-                scale = _recombine(probe.u1.log_offset + probe.u2.log_offset)
-                done[canon] = complex(np.vdot(wq_conj, prod) * scale)
-            except (FrameError, ContractionError, ProjectionError, RecoveryError) as exc:
+                done[canon] = complex(np.vdot(wq_conj, probe.product()))
+            except (FrameError, ContractionError, ProjectionError) as exc:
                 done[canon] = str(exc)
         if isinstance(done[canon], str):
             failed[key] = done[canon]
@@ -515,13 +503,15 @@ def bound_chain(delta: float, star_norm: float | None, lam: float, c: float,
     The sup bound over |xi| < r combines the large-frequency estimate
     exp(c tau r) Theta^(-lam/2) with the remainder tail tau^(-lam/2)
     (tau-family) or tau^(-lam) (alpha-family), at the scheduled (r, tau).
+    The schedule makes c tau r = (lam/4) log Theta, at most 177.5 for any
+    float data, so the exponential never overflows.
     """
     choice = choose_parameters(delta, star_norm, lam, c, variant, log_star=log_star)
     if log_star is None:
         log_star = math.log(star_norm)
     log_delta_star = math.log(delta) + log_star
     theta_big = 1.0 + abs(log_delta_star)
-    main = math.exp(min(c * choice.tau * choice.r, OFFSET_GUARD)) * theta_big ** (-lam / 2.0)
+    main = math.exp(c * choice.tau * choice.r) * theta_big ** (-lam / 2.0)
     if variant is Variant.SINGLE_REFLECTION:
         tail = choice.tau ** (-lam / 2.0)
     else:

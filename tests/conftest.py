@@ -1,7 +1,9 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from slabinv import boundary, cgo, fields, forward, geometry, recovery
 
@@ -72,6 +74,39 @@ def norm_h32(g):
     return float(np.sqrt(np.sum(w * np.abs(coef) ** 2)))
 
 
+def field_from_function(grid, func):
+    """Sample ``func(x, y, z)`` (broadcastable) at the grid nodes."""
+    x, y, z = grid.node_coords()
+    vals = np.broadcast_to(np.asarray(func(x, y, z), dtype=np.complex128),
+                           grid.node_shape).copy()
+    return fields.GridField(grid, vals)
+
+
+def full_plate_square(grid):
+    """Bounding square spanning the whole (possibly periodic) plate."""
+    return boundary.SquareGrid2(grid.nx, grid.h, grid.origin[0], grid.origin[1])
+
+
+def _whitened(r, basis):
+    """W r: the pairings h^2 <b_i, r> whitened by the H^{3/2} Gram."""
+    if r.square != basis.square:
+        raise boundary.BoundaryError("field and test basis live on different squares")
+    return basis.dual_factors()[1] @ r.values.ravel()
+
+
+def norm_hm32(r, test_basis):
+    """Dual norm sup |<r, g>| / ||g||_{H^{3/2}} over the span of the test basis."""
+    return float(np.linalg.norm(_whitened(r, test_basis)))
+
+
+def hm32_maximizer(r, test_basis):
+    """The test function attaining the dual norm (inverse-Gram image of r)."""
+    upper = test_basis.dual_factors()[0][0]
+    c = scipy.linalg.solve_triangular(upper, _whitened(r, test_basis))
+    vals = np.tensordot(c, test_basis.block.values, axes=(0, 0))
+    return boundary.BoundaryField(test_basis.patch, test_basis.square, vals)
+
+
 def manufactured_case(geom, grid, k=0.0, q=None):
     """Returns (u_exact GridField, source GridField) for (-Lap - k^2 + q) u = w."""
     x, y, z = grid.node_coords()
@@ -113,22 +148,69 @@ def corrupt_datum(monkeypatch, f):
     monkeypatch.setattr(forward.HelmholtzOperator, "_lu", lu)
 
 
-def exponential_probe(eval_grid, phase, box_grid, reflect1=False, reflect2=False):
-    """Probe with remainders forced to zero (pure exponentials)."""
+@dataclass(frozen=True)
+class OffsetField:
+    """Field stored as exp(log_offset) * values to keep magnitudes bounded."""
+
+    grid: geometry.Grid3
+    values: np.ndarray
+    log_offset: float
+
+
+def exp_terms(eval_grid, rho, w, w_star=None):
+    """A probe factor in the per-probe offset form, the reference for
+    `CgoProbe.product`: (exp(x . rho) w, exp(x* . rho) w_star or None,
+    log_offset), both arrays divided by exp(log_offset).
+
+    The exponential is the tensor product of one factor per axis, each scaled
+    by its own maximum (the offset is their sum); the two factors share the
+    lateral ones.
+    """
+    px, py, pz = (eval_grid.axis_nodes(axis) * rho[axis] for axis in range(3))
+    top_x, top_y = float(np.max(px.real)), float(np.max(py.real))
+    top_z = float(np.max(pz.real if w_star is None else np.abs(pz.real)))
+    lateral = np.multiply.outer(np.exp(px - top_x), np.exp(py - top_y))
+    direct = np.multiply.outer(lateral, np.exp(pz - top_z)) * w
+    mirrored = None
+    if w_star is not None:
+        mirrored = np.multiply.outer(lateral, np.exp(-pz - top_z)) * w_star
+    return direct, mirrored, top_x + top_y + top_z
+
+
+@dataclass(frozen=True)
+class OffsetProbe:
+    """The full probes u1, u2 of a pair and their direct and mirrored factors."""
+
+    u1: OffsetField
+    u2: OffsetField
+    u1_direct: OffsetField
+    u1_reflected: OffsetField
+    u2_direct: OffsetField
+    u2_reflected: OffsetField | None
+
+
+def offset_probe(probe):
+    """The probes of a `CgoProbe`, built from its phases and its factors w in
+    the offset form: u1 = d1 - m1, and u2 = d2 - m2 (alpha-family) or d2."""
+    grid, pp = probe.eval_grid, probe.phase
+    d1, m1, off1 = exp_terms(grid, pp.rho1, probe.w1, probe.w1_star)
+    d2, m2, off2 = exp_terms(grid, pp.rho2, probe.w2, probe.w2_star)
+    return OffsetProbe(
+        OffsetField(grid, d1 - m1, off1),
+        OffsetField(grid, d2 if m2 is None else d2 - m2, off2),
+        OffsetField(grid, d1, off1), OffsetField(grid, m1, off1),
+        OffsetField(grid, d2, off2), None if m2 is None else OffsetField(grid, m2, off2))
+
+
+def exponential_probe(eval_grid, phase, box_grid):
+    """Probe with remainders forced to zero (pure exponentials): w = 1."""
     zero = fields.GridField(box_grid, np.zeros(box_grid.node_shape, dtype=np.complex128))
-    d1, m1, off1 = cgo._exp_terms(eval_grid, phase.rho1, zero, reflected=reflect1)
-    d2, m2, off2 = cgo._exp_terms(eval_grid, phase.rho2, zero, reflected=reflect2)
-    u1 = cgo.OffsetField(eval_grid, d1 - m1 if reflect1 else d1, off1)
-    u2 = cgo.OffsetField(eval_grid, d2 - m2 if reflect2 else d2, off2)
+    one = np.ones(eval_grid.node_shape, dtype=np.complex128)
     rep = {"psi1_l2": 0.0, "psi1_h1": 0.0, "psi2_l2": 0.0, "psi2_h1": 0.0,
            "iterations": (0, 0), "projected_modes": (0, 0), "residuals": (0.0, 0.0)}
-    return cgo.CgoProbe(phase, box_grid, zero, zero, u1, u2,
-                        cgo.OffsetField(eval_grid, d1, off1),
-                        cgo.OffsetField(eval_grid, m1 if m1 is not None else np.zeros_like(d1),
-                                        off1),
-                        cgo.OffsetField(eval_grid, d2, off2),
-                        cgo.OffsetField(eval_grid, m2, off2) if m2 is not None else None,
-                        rep)
+    alpha = phase.variant is cgo.Variant.DOUBLE_REFLECTION
+    return cgo.CgoProbe(phase, box_grid, eval_grid, zero, zero, one, one, one,
+                        one if alpha else None, rep)
 
 
 def reflect_remainder(psi):

@@ -10,7 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import l2_inner, manufactured_case, norm_h32
+from conftest import (
+    full_plate_square,
+    hm32_maximizer,
+    l2_inner,
+    manufactured_case,
+    norm_h32,
+    norm_hm32,
+    offset_probe,
+)
 from slabinv import boundary, cgo, dnmap, fields, forward, geometry, harness, recovery
 from slabinv.cgo import Variant, build_box_grid, make_frame, make_phase_pair
 from slabinv.fields import GridField, extend_even, extend_trivial
@@ -54,8 +62,8 @@ def test_c02_reflection_vanishing():
     for variant in Variant:
         q2box = extend_even(q1, box) if variant is Variant.DOUBLE_REFLECTION else q2_triv
         pp = make_phase_pair(make_frame((1.5, 0.8, 1.0)), variant, 4.0, 0.0)
-        probe = cgo.build_probe(grid, pp, cgo.box_source(q1_even, grid),
-                                cgo.box_source(q2box, grid))
+        probe = offset_probe(cgo.build_probe(grid, pp, cgo.box_source(q1_even, grid),
+                                             cgo.box_source(q2box, grid)))
         assert np.max(np.abs(probe.u1.values[:, :, 0])) == 0.0
         assert np.max(np.abs(probe.u1.values)) > 0.0
         if variant is Variant.DOUBLE_REFLECTION:
@@ -94,7 +102,7 @@ def test_c04_dn_oracle(geom):
     t0 = time.time()
     grid = geometry.build_domain(geom, 1.0 / 16.0)
     op = HelmholtzOperator(grid, geom, 0.0, None, PERIODIC)
-    sq = boundary.full_plate_square(grid)
+    sq = full_plate_square(grid)
     patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
     x = sq.axis_nodes(0)[:, None]
     y = sq.axis_nodes(1)[None, :]
@@ -237,9 +245,9 @@ def test_c10_norm_machinery(geom, grid8, op0_8):
     sq = tgt.square
     rvals = rng.standard_normal(sq.node_shape) + 1j * rng.standard_normal(sq.node_shape)
     r = boundary.BoundaryField(tgt.patch, sq, rvals).masked()
-    dual = dnmap.norm_hm32(r, tgt)
-    best = abs(l2_inner(dnmap.hm32_maximizer(r, tgt), r)) / norm_h32(
-        dnmap.hm32_maximizer(r, tgt))
+    dual = norm_hm32(r, tgt)
+    best = abs(l2_inner(hm32_maximizer(r, tgt), r)) / norm_h32(
+        hm32_maximizer(r, tgt))
     for _ in range(1000):
         c = rng.standard_normal(len(tgt)) + 1j * rng.standard_normal(len(tgt))
         vals = np.tensordot(c, np.array([f.values for f in tgt.functions]),

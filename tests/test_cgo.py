@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import exponential_probe, reflect_remainder
+from conftest import exp_terms, exponential_probe, offset_probe, reflect_remainder
 from hypothesis import example, given, settings, strategies as st
 
 from slabinv import cgo, fields
@@ -618,7 +618,8 @@ def test_probe_vanishes_on_bottom_plate(geom, grid8, bump8, box):
     for variant in Variant:
         q2 = extend_even(bump8, box) if variant is Variant.DOUBLE_REFLECTION else q2b
         pp = make_phase_pair(make_frame((1.2, 0.5, -0.8)), variant, 4.0, 0.0)
-        probe = build_probe(grid8, pp, box_source(q1b, grid8), box_source(q2, grid8))
+        probe = offset_probe(build_probe(grid8, pp, box_source(q1b, grid8),
+                                         box_source(q2, grid8)))
         assert np.max(np.abs(probe.u1.values[:, :, 0])) == 0.0
         if variant is Variant.DOUBLE_REFLECTION:
             assert np.max(np.abs(probe.u2.values[:, :, 0])) == 0.0
@@ -632,7 +633,8 @@ def test_probe_rejects_sources_for_another_eval_grid(geom, grid8, box):
         build_probe(other, pp, box_source(zb, grid8), box_source(zb, grid8))
     # whole-box sources serve any evaluation grid
     probe = build_probe(other, pp, box_source(zb), box_source(zb))
-    assert probe.u1.grid == other
+    assert probe.eval_grid == other
+    assert probe.w1.shape == probe.w1_star.shape == probe.w2.shape == other.node_shape
 
 
 def test_probe_free_case_closed_form(geom, grid8, box):
@@ -641,8 +643,9 @@ def test_probe_free_case_closed_form(geom, grid8, box):
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
     fr = make_frame((1.0, 0.8, 0.6))
     pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 3.0, 0.0)
-    probe = build_probe(grid8, pp, zero, zero)
-    assert probe.decay_report["psi1_l2"] == 0.0
+    built = build_probe(grid8, pp, zero, zero)
+    assert built.decay_report["psi1_l2"] == 0.0
+    probe = offset_probe(built)
     rng = np.random.default_rng(31)
     x, y, z = grid8.node_coords()
     xf = np.broadcast_to(x, grid8.node_shape)
@@ -663,47 +666,45 @@ def test_exponential_factorization(geom, grid8, box):
     # exp(x.rho1) exp(x.rho2) = exp(i x.xi) at every node
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
     pp = make_phase_pair(make_frame((2.0, -1.0, 1.5)), Variant.SINGLE_REFLECTION, 9.0, 0.0)
-    probe = build_probe(grid8, pp, zero, zero)
+    built = build_probe(grid8, pp, zero, zero)
+    probe = offset_probe(built)
     x, y, z = grid8.node_coords()
     phase = np.exp(1j * (x * pp.xi[0] + y * pp.xi[1] + z * pp.xi[2]))
     prod = (probe.u1_direct.values * probe.u2_direct.values
             * np.exp(probe.u1_direct.log_offset + probe.u2_direct.log_offset))
     assert np.max(np.abs(prod - phase)) < 1e-10
+    assert np.max(np.abs(built.product() - phase)) < 1e-10
 
 
-def _exp_terms_reference(eval_grid, rho, psi_box, reflected):
+def _exp_terms_reference(eval_grid, rho, w, w_star):
     """Exponential factors from the full 3-D phase, offset by its maximum."""
     x, y, z = eval_grid.node_coords()
     phase_d = x * rho[0] + y * rho[1] + z * rho[2]
     offset = float(np.max(phase_d.real))
-    if reflected:
+    if w_star is not None:
         phase_m = x * rho[0] + y * rho[1] + (-z) * rho[2]
         offset = max(offset, float(np.max(phase_m.real)))
-    live = bool(np.any(psi_box.values))
-
-    def factor(phase, mirrored):
-        out = np.exp(phase - offset)
-        if live:
-            out *= 1.0 + interpolate_box(psi_box, eval_grid, mirrored)
-        return out
-
-    direct = factor(phase_d, False)
-    mirrored = factor(phase_m, True) if reflected else None
+    direct = np.exp(phase_d - offset) * w
+    mirrored = np.exp(phase_m - offset) * w_star if w_star is not None else None
     return direct, mirrored, offset
 
 
 @pytest.mark.parametrize("param", [1.0, 8.0, 64.0])
 @pytest.mark.parametrize("variant", list(Variant))
 def test_exp_terms_separable_matches_direct(grid8, box, variant, param):
-    psis = (GridField(box, np.zeros(box.node_shape, dtype=np.complex128)),
-            GridField(box, 0.1 * _random_box_field(box, 5).values))
+    # the offset reference that the probe tests use, against the full 3-D phase
+    one = np.ones(grid8.node_shape, dtype=np.complex128)
+    psi = GridField(box, 0.1 * _random_box_field(box, 5).values)
+    factors = ((one, one), (1.0 + interpolate_box(psi, grid8),
+                            1.0 + interpolate_box(psi, grid8, mirrored=True)))
     for xi in ((1.5, 0.75, -0.75), (-2.0, 1.0, 2.0), (0.0, 1.0, 0.0)):
         pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
         for rho in (pp.rho1, pp.rho2):
-            for psi in psis:
-                for reflected in (False, True):
-                    d, m, off = cgo._exp_terms(grid8, rho, psi, reflected)
-                    d_ref, m_ref, off_ref = _exp_terms_reference(grid8, rho, psi, reflected)
+            for w, mirror in factors:
+                for w_star in (None, mirror):
+                    reflected = w_star is not None
+                    d, m, off = exp_terms(grid8, rho, w, w_star)
+                    d_ref, m_ref, off_ref = _exp_terms_reference(grid8, rho, w, w_star)
                     assert abs(off - off_ref) <= 1e-12
                     assert np.max(np.abs(d - d_ref)) <= 1e-13 * np.max(np.abs(d_ref))
                     if reflected:
@@ -849,6 +850,32 @@ def test_exponential_probe_matches_build(geom, grid8, box):
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
     pp = make_phase_pair(make_frame((1.0, 0.4, 0.2)), Variant.SINGLE_REFLECTION, 2.0, 0.0)
     built = build_probe(grid8, pp, zero, zero)
-    pure = exponential_probe(grid8, pp, box, reflect1=True, reflect2=False)
+    pure = exponential_probe(grid8, pp, box)
+    assert built.w2_star is pure.w2_star is None
+    for name in ("w1", "w1_star", "w2"):
+        assert np.array_equal(getattr(built, name), getattr(pure, name))
+    built, pure = offset_probe(built), offset_probe(pure)
     assert np.allclose(built.u1.values, pure.u1.values)
     assert built.u1.log_offset == pure.u1.log_offset
+
+
+@pytest.mark.parametrize("param", [1.0, 8.0, 64.0])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_product_matches_offset_reference(geom, grid8, bump8, box, variant, param):
+    # the combined phase exp(i x . xi) against the per-probe offset form,
+    # with both remainders nonzero.  The reference rounds its exponentials to
+    # about (off1 + off2) ulp, so the frequencies keep that sum below 600
+    q1b = box_source(extend_even(bump8, box), grid8)
+    extend2 = extend_even if variant is Variant.DOUBLE_REFLECTION else extend_trivial
+    q2b = box_source(extend2(bump8, box), grid8)
+    for xi in ((1.0, -1.0, 0.5), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)):
+        pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
+        probe = build_probe(grid8, pp, q1b, q2b)
+        assert probe.decay_report["psi1_l2"] > 0 and probe.decay_report["psi2_l2"] > 0
+        ref = offset_probe(probe)
+        off = ref.u1.log_offset + ref.u2.log_offset
+        assert off < 600
+        want = ref.u1_direct.values * ref.u2_direct.values * np.exp(off)
+        if variant is Variant.DOUBLE_REFLECTION:
+            want += ref.u1_reflected.values * ref.u2_reflected.values * np.exp(off)
+        assert np.max(np.abs(probe.product() - want)) <= 1e-13 * np.max(np.abs(want))

@@ -317,8 +317,8 @@ def test_rl_cli_in_process(workdir, capsys):
 
 
 @pytest.fixture(scope="module")
-def sweep_inputs(tmp_path_factory):
-    # the benchmark's tiny sweep: h = 1/8, three modes per axis
+def bench_inputs(tmp_path_factory):
+    # the benchmark's inputs at h = 1/8; argv is its tiny sweep, three modes per axis
     tmp = tmp_path_factory.mktemp("sweep")
     cfg = tmp / "geom.cfg"
     cfg.write_text(
@@ -333,23 +333,38 @@ def sweep_inputs(tmp_path_factory):
     argv = ["sweep", "--config", str(cfg), "--q1", str(qpath), "--q2", "zero",
             "--variant", "thm2", "--basis-n", "3", "--noise", "1e-3,1e-6",
             "--trials", "1", "--seed", "3"]
-    return dict(tmp=tmp, geom=geom, grid=grid, argv=argv)
+    return dict(tmp=tmp, geom=geom, grid=grid, argv=argv, cfg=cfg, qpath=qpath)
 
 
-def test_sweep_csv_byte_deterministic(sweep_inputs):
+@pytest.mark.parametrize("variant", ["thm2", "thm3"])
+def test_recover_bench_settings_at_param_1024(bench_inputs, capsys, variant):
+    # the benchmark's recover run at tau = 1024, far past where each probe's
+    # own exponential would overflow: every annulus frequency is estimated
+    out = bench_inputs["tmp"] / f"recover_{variant}_1024.csv"
+    rc = cli.main([
+        "recover", "--config", str(bench_inputs["cfg"]), "--q1", str(bench_inputs["qpath"]),
+        "--q2", "zero", "--variant", variant, "--r", "2.25", "--param", "1024",
+        "--lambda", "auto", "--spacing", "0.75", "--box-coarsen", "2", "--out", str(out),
+    ])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert summary["n_failed"] == 0 and summary["n_annulus"] == 100
+
+
+def test_sweep_csv_byte_deterministic(bench_inputs):
     # the first run starts with an empty reference-eigenvalue cache, the
     # second reuses it; the CSV bytes must not depend on which
     forward.reference_eigenvalue.cache_clear()
     outputs = []
     for run in ("cold", "warm"):
-        out = sweep_inputs["tmp"] / f"sweep_{run}.csv"
-        assert cli.main(sweep_inputs["argv"] + ["--out", str(out)]) == 0
+        out = bench_inputs["tmp"] / f"sweep_{run}.csv"
+        assert cli.main(bench_inputs["argv"] + ["--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert forward.reference_eigenvalue.cache_info().hits >= 1
     assert outputs[0] == outputs[1]
 
 
-def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
+def test_sweep_zero_q2_reuses_free_operator(bench_inputs, monkeypatch):
     from slabinv import harness
 
     built = []
@@ -360,16 +375,16 @@ def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(dnmap, "HelmholtzOperator", Counting)
-    out = sweep_inputs["tmp"] / "sweep_shared.csv"
-    assert cli.main(sweep_inputs["argv"] + ["--out", str(out)]) == 0
+    out = bench_inputs["tmp"] / "sweep_shared.csv"
+    assert cli.main(bench_inputs["argv"] + ["--out", str(out)]) == 0
     assert len(built) == 2 and built[0] is None  # free operator and q1's only
     monkeypatch.undo()
 
     # the same sweep with a separately built and factorized q2 operator: d is
     # the trace of w, A1 w = -(q1 - q2) u2, with u2 the q2 solutions on the
     # nodes where q1 - q2 is nonzero, solved and traced block by block
-    geom, grid = sweep_inputs["geom"], sweep_inputs["grid"]
-    q1 = fields.read_potential(str(sweep_inputs["tmp"] / "q1.field"), geom)
+    geom, grid = bench_inputs["geom"], bench_inputs["grid"]
+    q1 = fields.read_potential(str(bench_inputs["tmp"] / "q1.field"), geom)
     q2 = fields.zero_potential(grid, geom)
     src = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom), 3)
     src.attach_triple_gram(forward.HelmholtzOperator(grid, geom, 0.0, None))
@@ -391,7 +406,7 @@ def test_sweep_zero_q2_reuses_free_operator(sweep_inputs, monkeypatch):
     records, theta_fit = harness.stability_sweep(
         q1, q2, 0.0, recovery.Variant.SINGLE_REFLECTION, [1e-3, 1e-6], 1, 3,
         src_basis=src, tgt_basis=tgt, d=d, delta=1.0)
-    ref = sweep_inputs["tmp"] / "sweep_separate.csv"
+    ref = bench_inputs["tmp"] / "sweep_separate.csv"
     harness.write_sweep_csv(str(ref), records, theta_fit)
     assert out.read_bytes() == ref.read_bytes()
 
@@ -405,10 +420,10 @@ def _run_sweep_subprocess(argv, out, threads):
     return out.read_bytes()
 
 
-def test_sweep_csv_deterministic_per_blas_thread_count(sweep_inputs):
+def test_sweep_csv_deterministic_per_blas_thread_count(bench_inputs):
     # byte-identical for a fixed BLAS thread count; another thread count
     # reorders the BLAS sums, so only round-off may change
-    tmp, argv = sweep_inputs["tmp"], sweep_inputs["argv"]
+    tmp, argv = bench_inputs["tmp"], bench_inputs["argv"]
     one = [_run_sweep_subprocess(argv, tmp / f"sweep_t1_{i}.csv", 1) for i in range(2)]
     two = _run_sweep_subprocess(argv, tmp / "sweep_t2.csv", 2)
     assert one[0] == one[1]

@@ -7,15 +7,22 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import corrupt_datum, l2_inner, norm_h32, poly_bump, poly_bump_dd
+from conftest import (
+    corrupt_datum,
+    full_plate_square,
+    hm32_maximizer,
+    l2_inner,
+    norm_h32,
+    norm_hm32,
+    poly_bump,
+    poly_bump_dd,
+)
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.boundary import BoundaryField, mode_field
 from slabinv.dnmap import (
     BoundaryBasis,
     assemble_dn,
     build_boundary_basis,
-    hm32_maximizer,
-    norm_hm32,
     op_norm_star,
     read_matrix,
     write_matrix,
@@ -150,7 +157,7 @@ def test_triple_norm_separation_closed_form(geom):
         per = grid.nx * grid.h
         kap = 2 * np.pi / per
         patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
-        sq = boundary.full_plate_square(grid)
+        sq = full_plate_square(grid)
         x = sq.axis_nodes(0)[:, None]
         f = BoundaryField(patch, sq,
                           np.exp(1j * kap * x) * np.ones((1, sq.ns + 1)))
@@ -194,7 +201,7 @@ def test_assemble_dn_near_diagonal_periodic(geom):
     grid = geometry.build_domain(geom, 0.125)
     op = HelmholtzOperator(grid, geom, 0.0, None, PERIODIC)
     patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
-    sq = boundary.full_plate_square(grid)
+    sq = full_plate_square(grid)
     x = sq.axis_nodes(0)[:, None]
     y = sq.axis_nodes(1)[None, :]
     per = grid.nx * grid.h
@@ -449,7 +456,7 @@ def test_triple_gram_matches_loop_reference(geom, grid8, op0_8):
 
 def _exponential_basis(grid, modes):
     patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
-    sq = boundary.full_plate_square(grid)
+    sq = full_plate_square(grid)
     x = sq.axis_nodes(0)[:, None]
     y = sq.axis_nodes(1)[None, :]
     k2p = 2 * np.pi / (grid.nx * grid.h)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import field_from_function
 from slabinv import cgo, fields
 from slabinv.fields import (
     FieldError,
@@ -9,7 +10,6 @@ from slabinv.fields import (
     Potential,
     extend_even,
     extend_trivial,
-    field_from_function,
     fourier_transform,
     quadrature_weights,
     read_field,

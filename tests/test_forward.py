@@ -4,7 +4,13 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from conftest import CorruptingLU, manufactured_case
+from conftest import (
+    CorruptingLU,
+    field_from_function,
+    full_plate_square,
+    manufactured_case,
+    offset_probe,
+)
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.fields import GridField
 from slabinv.forward import (
@@ -27,7 +33,7 @@ from slabinv.geometry import BoundaryPatch, PatchKind, Plate
 
 def full_square_field(grid, func, plate=Plate.TOP):
     patch = BoundaryPatch(plate, PatchKind.DIRICHLET, 0.0, 1e9)
-    sq = boundary.full_plate_square(grid)
+    sq = full_plate_square(grid)
     x = sq.axis_nodes(0)[:, None]
     y = sq.axis_nodes(1)[None, :]
     return boundary.BoundaryField(patch, sq, np.broadcast_to(
@@ -183,7 +189,7 @@ def test_maximum_principle_sanity(geom, grid8, op0_8):
 
 
 def test_trace_linear_field(geom, grid8):
-    u = fields.field_from_function(grid8, lambda x, y, z: z + 0 * x + 0 * y)
+    u = field_from_function(grid8, lambda x, y, z: z + 0 * x + 0 * y)
     top = neumann_trace(u, BoundaryPatch(Plate.TOP, PatchKind.NEUMANN, 0.0, 1e9),
                         apply_mask=False)
     bot = neumann_trace(u, BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1e9),
@@ -314,10 +320,9 @@ def test_runge_probe_target_refinement_study(geom, bump8):
         q1_even = fields.extend_even(q1, box)
         q2_triv = fields.extend_trivial(fields.zero_potential(grid, geom), box)
         pp = make_phase_pair(make_frame((1.0, 0.5, 0.0)), Variant.SINGLE_REFLECTION, 2.0, 0.0)
-        probe = cgo.build_probe(grid, pp, cgo.box_source(q1_even, grid),
-                                cgo.box_source(q2_triv, grid))
-        target = GridField(
-            grid, probe.u1.values * np.exp(probe.u1.log_offset))
+        u1 = offset_probe(cgo.build_probe(grid, pp, cgo.box_source(q1_even, grid),
+                                          cgo.box_source(q2_triv, grid))).u1
+        target = GridField(grid, u1.values * np.exp(u1.log_offset))
         opq = HelmholtzOperator(grid, geom, 0.0, q1)
         basis = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom),
                                            n_modes)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import full_plate_square
 from slabinv import boundary, geometry
 from slabinv.geometry import (
     GeometryError,
@@ -16,7 +17,7 @@ from slabinv.geometry import (
 
 def plate_mask(grid, patch):
     """Patch membership of the plate nodes, shape (sx, sy)."""
-    sq = boundary.full_plate_square(grid)
+    sq = full_plate_square(grid)
     return boundary.BoundaryField(patch, sq, np.zeros(sq.node_shape)).patch_mask()
 
 

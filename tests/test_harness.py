@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bounds_consistent, corrupt_datum
+from conftest import bounds_consistent, corrupt_datum, field_from_function
 from slabinv import boundary, dnmap, fields, forward, geometry, harness
 from slabinv.cgo import Variant
 from slabinv.fields import GridField
@@ -51,7 +51,7 @@ def test_carleman_single_mode_closed_form(geom):
         per = grid.nx * grid.h
         kap = 2 * np.pi / per
         a = 1
-        u = fields.field_from_function(
+        u = field_from_function(
             grid, lambda x, y, z: np.sin(a * np.pi * z / geom.L) * np.cos(kap * x)
             * np.ones_like(y))
         tau = 2.0

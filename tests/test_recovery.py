@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     bounds_consistent,
     exponential_probe,
+    offset_probe,
     schedule_residual,
     synthetic_line_function,
 )
@@ -74,7 +75,7 @@ def integral_pairing(qdiff_field, a, b):
 def test_pairing_zero_for_equal_potentials(geom, grid8, bump8, ws_single):
     ws = make_workspace(bump8, bump8, 0.0, Variant.SINGLE_REFLECTION)
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
-    probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
+    probe = offset_probe(cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2))
     assert integral_pairing(ws.qdiff, probe.u1, probe.u2) == 0
 
 
@@ -82,11 +83,13 @@ def test_pairing_plane_wave_oracle(ws_single):
     # remainders forced to zero and no reflection: the pairing is exactly the
     # trapezoid transform at xi
     pp = make_phase_pair(make_frame((1.5, -0.5, 0.5)), Variant.SINGLE_REFLECTION, 5.0, 0.0)
-    probe = exponential_probe(ws_single.eval_grid, pp, ws_single.box_grid,
-                              reflect1=False, reflect2=False)
-    got = integral_pairing(ws_single.qdiff, probe.u1, probe.u2)
+    probe = offset_probe(exponential_probe(ws_single.eval_grid, pp, ws_single.box_grid))
+    got = integral_pairing(ws_single.qdiff, probe.u1_direct, probe.u2_direct)
     want = complex(ws_single.qdiff_ft(pp.xi))
     assert got == pytest.approx(want, rel=1e-10)
+    wq = fields.quadrature_weights(ws_single.eval_grid) * ws_single.qdiff.values
+    product = exponential_probe(ws_single.eval_grid, pp, ws_single.box_grid).product()
+    assert complex(np.sum(wq * product)) == pytest.approx(want, rel=1e-10)
 
 
 def test_pairing_decay_in_param(geom, grid16):
@@ -102,7 +105,7 @@ def test_pairing_decay_in_param(geom, grid16):
     want = true_transform(ws, xi)
     for param in params:
         pp = make_phase_pair(make_frame(xi), Variant.SINGLE_REFLECTION, param, 0.0)
-        probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
+        probe = offset_probe(cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2))
         errs.append(abs(integral_pairing(ws.qdiff, probe.u1, probe.u2) - want))
     slope = np.polyfit(np.log(params), np.log(errs), 1)[0]
     assert -1.3 <= slope <= -0.7
@@ -144,7 +147,7 @@ def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
     for xi in xis:
         canon, mate = canonical_frequency(xi)
         pp = make_phase_pair(make_frame(canon), variant, param, 0.0)
-        probe = cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2)
+        probe = offset_probe(cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2))
         want = integral_pairing(ws.qdiff, probe.u1, probe.u2)
         want += integral_pairing(ws.qdiff, probe.u1_reflected, probe.u2_direct)
         if variant is Variant.DOUBLE_REFLECTION:
@@ -152,6 +155,21 @@ def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
         if mate:
             want = want.conjugate()
         assert abs(res.estimates[xi] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("param", [256.0, 1024.0])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_bench_annulus_estimated_at_large_param(born_pair8, variant, param):
+    # the product of a probe pair is bounded at every parameter, so the
+    # benchmark annulus is estimated in full where each probe's own
+    # exponential exceeds exp(700)
+    ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
+    xis = build_frequency_set(2.25, 0.75).annulus
+    res = estimate_fhat_annulus(ws, param, xis)
+    assert len(xis) == len(res.estimates) == 100 and not res.failed
+    want = true_transform(ws, np.array(xis))
+    got = np.array([res.estimates[xi] for xi in xis])
+    assert np.all(np.abs(got - want) <= 2e-6 * np.abs(want))
 
 
 def test_recover_builds_sources_once_per_workspace(born_pair8, monkeypatch):
@@ -303,7 +321,7 @@ def test_mate_is_bitwise_conjugate_in_any_batch(born_pair8, variant):
 
 def _direct_estimate(ws, phase):
     """The fused estimate from a probe pair built at the phase's own frequency."""
-    probe = cgo.build_probe(ws.eval_grid, phase, ws.src1, ws.src2)
+    probe = offset_probe(cgo.build_probe(ws.eval_grid, phase, ws.src1, ws.src2))
     total = integral_pairing(ws.qdiff, probe.u1_direct, probe.u2_direct)
     if ws.variant is Variant.DOUBLE_REFLECTION:
         total += integral_pairing(ws.qdiff, probe.u1_reflected, probe.u2_reflected)
@@ -529,6 +547,21 @@ def test_choose_parameters_hypothesis_violation():
 def test_choose_parameters_small_r_flagged():
     choice = choose_parameters(1.0, 1e-4, 0.5, 14.0, Variant.SINGLE_REFLECTION)
     assert choice.small_r
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_schedule_exponent_is_a_quarter_lambda_log_theta(variant):
+    # c tau r = (lam / 4) log Theta <= log(1.8e308) / 4, so exp(c tau r) in
+    # `bound_chain` never overflows, down to the most negative float log_star
+    c = 14.0
+    for lam in (0.05, 0.4, 0.999):
+        for log_star in (-1.0, -1e3, -math.exp(40.0), -1.7e308):
+            choice = choose_parameters(1.0, None, lam, c, variant, log_star=log_star)
+            want = (lam / 4.0) * choice.log_theta
+            assert abs(c * choice.tau * choice.r - want) <= 1e-13 * want
+            res = bound_chain(1.0, None, lam, c, variant, s=2.0, bound_m=1.0,
+                              log_star=log_star)
+            assert math.isfinite(res.sup_bound)
 
 
 def test_bound_chain_monotone_in_star_norm():
