@@ -66,9 +66,9 @@ class BoundaryBasis:
         coef = sine_coefficients(block).reshape(len(self), -1)
         w32 = (1.0 + sine_frequencies(block.square).ravel()) ** 1.5
         self.gram_h32 = np.real(np.conj(coef) * w32 @ coef.T)
-        cond = np.linalg.cond(self.gram_h32)
-        logger.info("boundary basis %dx%d modes: H^{3/2} Gram condition %.3e",
-                    n_modes, n_modes, cond)
+        if logger.isEnabledFor(logging.INFO):  # cond is a full SVD
+            logger.info("boundary basis %dx%d modes: H^{3/2} Gram condition %.3e",
+                        n_modes, n_modes, np.linalg.cond(self.gram_h32))
 
     def _set_block(self, block: BoundaryField):
         self.patch = block.patch
@@ -117,8 +117,9 @@ class BoundaryBasis:
         h3 = grid.h ** 3
         self.gram_triple = (h3 * _gram(u if live.all() else u[:, live])
                             + 0.5 * h3 * _gram(f if np.any(f.imag) else f.real))
-        cond = np.linalg.cond(self.gram_triple)
-        logger.info("triple-norm Gram condition %.3e at k=%g", cond, op0.k)
+        if logger.isEnabledFor(logging.INFO):
+            logger.info("triple-norm Gram condition %.3e at k=%g",
+                        np.linalg.cond(self.gram_triple), op0.k)
         return self.gram_triple
 
     def dual_factors(self) -> tuple[tuple, np.ndarray]:

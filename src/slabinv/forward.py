@@ -6,10 +6,14 @@ periodic lateral identification (``periodic`` mode, the oracle configuration
 whose plate problems separate into lateral Fourier modes).  Every operator
 is one cached plate stencil (`plate_stencil`) on the nz - 1 interior layers
 plus the vertical 3-point stencil (Buzbee, Golub and Nielson, SIAM J. Numer.
-Anal. 7, 1970).  Frequencies k are vetted by a numerical admissibility
-check: the smallest singular value of the operator, found by shift-invert
-Lanczos through its one factorization (in the vertical sine basis,
-`SineBasisLU`), must exceed 1e-6 times the lowest q = 0, k = 0 eigenvalue.
+Anal. 7, 1970).  A frequency k is admissible when the smallest singular
+value of the operator exceeds 1e-6 times lambda_ref, the lowest q = 0, k = 0
+eigenvalue (`reference_eigenvalue`).  Since A = A0(0) - k^2 + diag(q), Weyl's
+inequality bounds that value below by lambda_ref - k^2 + min q, which
+certifies k without a solve wherever it clears the threshold; only where
+k^2 >= lambda_ref + min q (to within that threshold) is the smallest singular
+value found, by shift-invert Lanczos through the operator's one
+factorization (in the vertical sine basis, `SineBasisLU`).
 """
 
 from __future__ import annotations
@@ -100,10 +104,16 @@ class SineBasisLU:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """k is admissible when min_singular > threshold (1e-6 lambda_ref).  When
+    `certified`, min_singular is the Weyl lower bound lambda_ref - k^2 + min q
+    on the smallest singular value (exact for q = 0); otherwise it is that
+    singular value itself, from shift-invert Lanczos."""
+
     k: float
     min_singular: float
     admissible: bool
     threshold: float
+    certified: bool
 
 
 class HelmholtzOperator:
@@ -298,10 +308,23 @@ def reference_eigenvalue(grid: Grid3, geom: SlabGeometry, boundary_mode: str) ->
 
 
 def check_admissible(op: HelmholtzOperator) -> AdmissibilityReport:
-    """min_singular (relative tolerance 1e-10) against 1e-6 x reference_eigenvalue."""
-    threshold = 1e-6 * reference_eigenvalue(op.grid, op.geom, op.boundary_mode)
+    """Smallest singular value of op against 1e-6 x reference_eigenvalue.
+
+    A = A0(k) + diag(q) with lambda_min(A0(k)) = lambda_ref - k^2, so by
+    Weyl's inequality (Horn and Johnson, Matrix Analysis, Thm 4.3.1) every
+    eigenvalue of A is at least bound = lambda_ref - k^2 + min q.  When bound
+    clears the threshold, A is positive definite with sigma_min >= bound, and
+    the report holds bound, certified, with no eigensolve and no
+    factorization.  Otherwise `_min_singular` finds sigma_min (relative
+    tolerance 1e-10) through the operator's factor.
+    """
+    lam = reference_eigenvalue(op.grid, op.geom, op.boundary_mode)
+    threshold = 1e-6 * lam
+    bound = lam - op.k ** 2 + float(op.q_active.min())
+    if bound > threshold:
+        return AdmissibilityReport(op.k, bound, True, threshold, certified=True)
     ms = _min_singular(op)
-    return AdmissibilityReport(op.k, ms, bool(ms > threshold), threshold)
+    return AdmissibilityReport(op.k, ms, bool(ms > threshold), threshold, certified=False)
 
 
 def require_admissible(op: HelmholtzOperator):

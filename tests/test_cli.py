@@ -58,15 +58,17 @@ def test_forward_inadmissible_exit_code(workdir):
 
 
 def test_forward_singular_factor_exit_code(workdir, monkeypatch):
+    # at k = 4.5, k^2 is above lambda_ref, so the check factors the operator
+    # (below it, the Weyl bound certifies a positive definite operator)
     def singular(self):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(forward.HelmholtzOperator, "_lu", singular)
-    op = forward.HelmholtzOperator(workdir["grid"], workdir["geom"], 0.0, None)
+    op = forward.HelmholtzOperator(workdir["grid"], workdir["geom"], 4.5, None)
     rep = forward.check_admissible(op)
     assert rep.min_singular == 0.0 and not rep.admissible
     rc = cli.main([
-        "forward", "--config", str(workdir["cfg"]), "--k", "0.0",
+        "forward", "--config", str(workdir["cfg"]), "--k", "4.5",
         "--q", str(workdir["qpath"]), "--dirichlet", str(workdir["fpath"]),
         "--out", str(workdir["tmp"] / "singular.field"),
     ])
@@ -409,6 +411,15 @@ def test_sweep_zero_q2_reuses_free_operator(bench_inputs, monkeypatch):
     ref = bench_inputs["tmp"] / "sweep_separate.csv"
     harness.write_sweep_csv(str(ref), records, theta_fit)
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_sweep_runs_no_eigensolve(bench_inputs, monkeypatch):
+    # at k = 0 the Weyl bound certifies both the free and the Born operator
+    runs = []
+    monkeypatch.setattr(forward, "_min_singular", lambda op: runs.append(op) or 0.0)
+    out = bench_inputs["tmp"] / "sweep_certified.csv"
+    assert cli.main(bench_inputs["argv"] + ["--out", str(out)]) == 0
+    assert runs == []
 
 
 def _run_sweep_subprocess(argv, out, threads):

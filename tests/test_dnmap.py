@@ -1,4 +1,5 @@
 import functools
+import logging
 import tracemalloc
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_assemble_dn_matches_partial_pivoting(geom, grid8, bump8, masked_bases):
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
     op = HelmholtzOperator(grid8, geom, 0.0, bump8)
     ref_op = HelmholtzOperator(grid8, geom, 0.0, bump8)
-    ref_op.admissibility()  # on the sine-basis factor, before the swap below
+    ref_op.admissibility()  # certified by the Weyl bound, before the swap below
     ref_op._lu_cache = scipy.sparse.linalg.splu(ref_op.matrix.tocsc())
     dn = assemble_dn(op, src, target).matrix
     ref = assemble_dn(ref_op, src, target).matrix
@@ -388,6 +389,27 @@ def test_degenerate_triple_gram_raises(geom, grid8, op0_8, masked_bases):
     nrows = tgt.square.node_shape[0] * tgt.square.node_shape[1]
     with pytest.raises(dnmap.NormDegeneracyError):
         op_norm_star(np.ones((nrows, 2), dtype=complex), dup, tgt)
+
+
+def test_gram_conditions_logged_only_at_info(geom, grid8, op0_8, caplog, monkeypatch):
+    caplog.set_level(logging.INFO, logger="slabinv.dnmap")
+    basis = dnmap.build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 3)
+    basis.attach_triple_gram(op0_8)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages == [
+        f"boundary basis 3x3 modes: H^{{3/2}} Gram condition {np.linalg.cond(basis.gram_h32):.3e}",
+        f"triple-norm Gram condition {np.linalg.cond(basis.gram_triple):.3e} at k=0",
+    ]
+
+    def no_cond(*args, **kwargs):
+        raise AssertionError("condition number computed for a disabled log")
+
+    # below INFO no condition number (a full SVD) is computed
+    caplog.clear()
+    caplog.set_level(logging.WARNING, logger="slabinv.dnmap")
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    dnmap.build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 3).attach_triple_gram(op0_8)
+    assert caplog.records == []
 
 
 def test_admissibility_deterministic(op0_8):

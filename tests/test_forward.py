@@ -106,6 +106,84 @@ def test_min_singular_dense_oracle(geom, label, k):
         assert _min_singular(op) == pytest.approx(dense, rel=1e-8)
 
 
+def _random_supported_potential(grid, geom, seed):
+    """Random values at every node of {|x'| <= R} x [0, L]."""
+    rng = np.random.default_rng(seed)
+    inside = np.broadcast_to(grid.lateral_radius() <= geom.R, grid.node_shape)
+    vals = np.where(inside, rng.uniform(-2.0, 2.0, grid.node_shape), 0.0)
+    return fields.Potential(GridField(grid, vals.astype(np.complex128)), geom, 2.0, 1e12)
+
+
+def _potential(grid, geom, label):
+    """None, the amplitude-1 bump, the bump times cos(3 x1), which changes
+    sign, -100 times the bump, a well below -lambda_ref, or random values."""
+    if label == "zero":
+        return None
+    if label == "random":
+        return _random_supported_potential(grid, geom, 11)
+    bump = fields.radial_bump_potential(grid, geom, 1.0)
+    if label == "bump":
+        return bump
+    scale = np.cos(3 * grid.node_coords()[0]) if label == "bump_cos3x" else -100.0
+    return fields.Potential(GridField(grid, scale * bump.field.values), geom, 2.0, 1e12)
+
+
+@pytest.mark.parametrize("label", ["zero", "bump", "bump_cos3x"])
+@pytest.mark.parametrize("k", [0.0, 2.5])
+def test_weyl_certificate_dense_oracle(geom, monkeypatch, label, k):
+    # lambda_ref - k^2 + min q clears the threshold: the report holds that
+    # bound, below the dense sigma_min and equal to it for q = 0, and neither
+    # an eigensolve nor a factorization runs
+    def no_eigensolve(op):
+        raise AssertionError("a certified k runs no eigensolve")
+
+    monkeypatch.setattr(forward, "_min_singular", no_eigensolve)
+    grid = geometry.build_domain(geom, 0.25)
+    for mode in (TRUNCATED, PERIODIC):
+        op = HelmholtzOperator(grid, geom, k, _potential(grid, geom, label), mode)
+        rep = check_admissible(op)
+        assert rep.certified and rep.admissible and op._lu_cache is None
+        dense = np.abs(np.linalg.eigvalsh(op.matrix.toarray())).min()
+        assert rep.min_singular <= dense * (1 + 1e-12)
+        if label == "zero":
+            assert rep.min_singular == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("label, k", [("zero", 4.5), ("bump", 4.5), ("bump_cos3x", 4.5),
+                                      ("deep_well", 0.0), ("deep_well", 2.5)])
+def test_lanczos_below_weyl_threshold(geom, monkeypatch, label, k):
+    # k^2 >= lambda_ref + min q to within the threshold: Lanczos finds sigma_min
+    runs = []
+    orig = forward._min_singular
+    monkeypatch.setattr(forward, "_min_singular", lambda op: runs.append(op) or orig(op))
+    grid = geometry.build_domain(geom, 0.25)
+    for mode in (TRUNCATED, PERIODIC):
+        op = HelmholtzOperator(grid, geom, k, _potential(grid, geom, label), mode)
+        rep = check_admissible(op)
+        assert not rep.certified and runs[-1] is op
+        lam = reference_eigenvalue(grid, geom, mode)
+        assert lam - k ** 2 + op.q_active.min() <= rep.threshold
+        dense = np.abs(np.linalg.eigvalsh(op.matrix.toarray())).min()
+        assert rep.min_singular == pytest.approx(dense, rel=1e-8)
+    assert len(runs) == 2
+
+
+def test_eigensolve_only_at_indefinite_k(geom, monkeypatch):
+    # the benchmark's forward-order operators, {free, bump} x k in
+    # {0, 2.5, 4.5} at h in {1/4, 1/8}: k^2 exceeds lambda_ref (about 11)
+    # only at k = 4.5, so 4 of the 12 checks run Lanczos
+    runs = []
+    orig = forward._min_singular
+    monkeypatch.setattr(forward, "_min_singular", lambda op: runs.append(op) or orig(op))
+    for h in (0.25, 0.125):
+        grid = geometry.build_domain(geom, h)
+        bump = fields.radial_bump_potential(grid, geom, 1.0)
+        for q in (None, bump):
+            for k in (0.0, 2.5, 4.5):
+                assert HelmholtzOperator(grid, geom, k, q).admissibility().admissible
+    assert [op.k for op in runs] == [4.5] * 4
+
+
 def test_lanczos_no_convergence_is_admissibility_error(op0_8, monkeypatch):
     def stalled(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("stalled", [], [])
@@ -341,9 +419,10 @@ def test_runge_probe_target_refinement_study(geom, bump8):
 
 
 def test_admissibility_threshold_does_not_stick(geom, monkeypatch):
-    # the eigensolve runs once per operator, however many solves follow
+    # the eigensolve runs once per operator, however many solves follow; at
+    # k = 4.5, k^2 is above lambda_ref, so the Weyl bound cannot certify k
     grid = geometry.build_domain(geom, 0.25)
-    op = HelmholtzOperator(grid, geom, 0.0, None)
+    op = HelmholtzOperator(grid, geom, 4.5, None)
     runs = []
     orig = forward._min_singular
     monkeypatch.setattr(forward, "_min_singular",
@@ -356,7 +435,7 @@ def test_admissibility_threshold_does_not_stick(geom, monkeypatch):
     solve_dirichlet(op, f)
     solve_source(op, manufactured_case(geom, grid)[1])
     assert op.admissibility() is rep
-    assert len(runs) == 1
+    assert len(runs) == 1 and not rep.certified
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -478,22 +557,6 @@ def test_apply_pde_is_the_assembled_operator(geom, seed, mode, k, amplitude):
 
 
 # -- the sine-basis factorization ---------------------------------------------------
-
-
-def _random_supported_potential(grid, geom, seed):
-    """Random values at every node of {|x'| <= R} x [0, L]."""
-    rng = np.random.default_rng(seed)
-    inside = np.broadcast_to(grid.lateral_radius() <= geom.R, grid.node_shape)
-    vals = np.where(inside, rng.uniform(-2.0, 2.0, grid.node_shape), 0.0)
-    return fields.Potential(GridField(grid, vals.astype(np.complex128)), geom, 2.0, 1e12)
-
-
-def _potential(grid, geom, label):
-    if label == "zero":
-        return None
-    if label == "bump":
-        return fields.radial_bump_potential(grid, geom, 1.0)
-    return _random_supported_potential(grid, geom, 11)
 
 
 @pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])

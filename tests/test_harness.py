@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import bounds_consistent, corrupt_datum, field_from_function
-from slabinv import boundary, dnmap, fields, forward, geometry, harness
+from slabinv import boundary, dnmap, fields, geometry
 from slabinv.cgo import Variant
 from slabinv.fields import GridField
 from slabinv.forward import PERIODIC, HelmholtzOperator
-from slabinv.geometry import BoundaryPatch, PatchKind, Plate
+from slabinv.geometry import Plate
 from slabinv.harness import (
     SCHEMA_LINE,
     carleman_check,
@@ -17,7 +17,6 @@ from slabinv.harness import (
     rl_decay_measure,
     stability_sweep,
     ucp_decay_measure,
-    write_carleman_csv,
     write_csv,
     write_sweep_csv,
 )
