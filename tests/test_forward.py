@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -71,8 +73,9 @@ def test_monotone_shift_up(geom, grid8, op0_8):
     qp = fields.Potential(GridField(grid8, vals.astype(np.complex128)),
                           geom, 2.0, 1e12)
     op1 = HelmholtzOperator(grid8, geom, 0.0, qp)
-    assert (check_admissible(op1).min_singular
-            >= check_admissible(op0_8).min_singular - 1e-9)
+    # min q = 0, so both Weyl certificates are lambda_ref; the smallest
+    # singular values themselves (11.73 against 11.14) must be ordered
+    assert _min_singular(op1) >= _min_singular(op0_8) - 1e-9
 
 
 def test_reference_eigenvalue_dense_oracle(geom):
@@ -702,13 +705,169 @@ def test_plate_stencil_built_once_per_grid_and_read_only(geom):
             for k in (0.0, 2.5, 4.5):
                 HelmholtzOperator(grid, geom, k, q)
     assert forward.plate_stencil.cache_info().misses == 2
-    mask, couplings = forward.plate_stencil(grids[0], geom, TRUNCATED)
-    for a in (mask, couplings.data, couplings.indices, couplings.indptr):
+    mask, couplings, lateral, vertical = forward.plate_stencil(grids[0], geom, TRUNCATED)
+    for a in (mask, couplings.data, couplings.indices, couplings.indptr, *lateral, *vertical):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     assert np.array_equal(mask, geometry.interior_mask(grids[0], geom)[:, :, 1])
+    # the COO parts are couplings x I and I x T_z on the nz - 1 layers
+    m, p = grids[0].nz - 1, couplings.shape[0]
+    coo = [scipy.sparse.coo_matrix((d, (r, c)), shape=(m * p, m * p)).toarray()
+           for r, c, d in (lateral, vertical)]
+    t_z = -(np.eye(m, k=1) + np.eye(m, k=-1)) / grids[0].h ** 2
+    assert np.array_equal(coo[0], np.kron(couplings.toarray(), np.eye(m)))
+    assert np.array_equal(coo[1], np.kron(np.eye(p), t_z))
     # every node of the periodic cell has four neighbours
-    _, periodic = forward.plate_stencil(grids[0], geom, PERIODIC)
+    periodic = forward.plate_stencil(grids[0], geom, PERIODIC)[1]
     assert np.all(np.diff(periodic.indptr) == 4)
     with pytest.raises(ValueError, match="unknown boundary mode"):
         forward.plate_stencil(grids[0], geom, "neumann")
+
+
+# -- CG through the free factor -----------------------------------------------------
+
+
+class CountingLU:
+    """Wraps a factorization and counts its solve calls."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.calls = 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def _counted_free_lu(op, monkeypatch):
+    counter = CountingLU(op._free_lu())
+    monkeypatch.setattr(op, "_free_lu", lambda: counter)
+    return counter
+
+
+def _single_datum(geom, grid, seed):
+    patch = geometry.dirichlet_patch(geom)
+    sq = boundary.bounding_square(grid, patch)
+    rng = np.random.default_rng(seed)
+    return boundary.BoundaryField(patch, sq, rng.standard_normal(sq.node_shape)).masked()
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
+@pytest.mark.parametrize("target_h", [0.25, 0.125])
+@pytest.mark.parametrize("label", ["bump", "bump_cos3x", "random"])
+@pytest.mark.parametrize("k", [0.0, 2.5])
+def test_single_rhs_by_cg_matches_lu(geom, monkeypatch, mode, target_h, label, k):
+    # A0 and A are certified positive definite: one source and one datum go
+    # by CG through the free factor, within the certificate's iteration cap,
+    # and the operator never factors itself
+    grid = geometry.build_domain(geom, target_h)
+    q = _potential(grid, geom, label)
+    op = HelmholtzOperator(grid, geom, k, q, mode)
+    ref = HelmholtzOperator(grid, geom, k, q, mode)._lu()
+    cap = op.cg_iteration_cap()
+    assert cap > 0
+    counter = _counted_free_lu(op, monkeypatch)
+    rng = np.random.default_rng(8)
+    w = np.zeros(grid.node_shape, dtype=np.complex128)
+    w[op.active] = rng.standard_normal(op.n_active) + 1j * rng.standard_normal(op.n_active)
+    got = solve_source(op, GridField(grid, w)).values[op.active]
+    b = w[op.active]
+    want = ref.solve(b.real.copy()) + 1j * ref.solve(b.imag.copy())
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert counter.calls <= 2 * cap
+    calls = counter.calls
+    f = _single_datum(geom, grid, 9)
+    got = solve_dirichlet(op, f).values[op.active]
+    want = ref.solve(forward._top_plate_rhs(op, f.plate_values(grid).real))
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert 0 < counter.calls - calls <= cap
+    assert op._lu_cache is None
+
+
+def test_cg_skips_a_zero_column(geom, grid8, bump8, monkeypatch):
+    # a real source split into real and imaginary halves: the zero half
+    # costs no preconditioner call
+    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    counter = _counted_free_lu(op, monkeypatch)
+    b = np.random.default_rng(10).standard_normal(op.n_active)
+    u = op.solve_interior(b.astype(np.complex128))
+    assert not np.any(u.imag)
+    real_calls = counter.calls
+    counter.calls = 0
+    assert np.array_equal(op.solve_interior(b), u.real)
+    assert counter.calls == real_calls
+
+
+def _uses_lu(op, rhs):
+    op.solve_interior(rhs)
+    return op._lu_cache is not None and op._free_lu_cache is None
+
+
+def test_blocks_and_uncertified_operators_use_lu(geom, grid8, bump8):
+    rng = np.random.default_rng(12)
+    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    assert _uses_lu(op, rng.standard_normal((op.n_active, 3)))
+    # a one-column block is still a block
+    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    assert _uses_lu(op, rng.standard_normal((op.n_active, 1)))
+    # k^2 above lambda_ref: no certificate for A
+    op = HelmholtzOperator(grid8, geom, 4.5, bump8)
+    assert op.cg_iteration_cap() == 0
+    assert _uses_lu(op, rng.standard_normal(op.n_active))
+    # q = 10 at k^2 = 15 > lambda_ref: A is certified, A0 is not
+    inside = np.broadcast_to(grid8.lateral_radius() <= 2.0, grid8.node_shape)
+    wide = geometry.SlabGeometry(1.0, 2.0, 2.5, 3.0, 0.1)  # q = 10 on every active node
+    ten = fields.Potential(GridField(grid8, np.where(inside, 10.0 + 0j, 0.0)), wide, 2.0, 1e12)
+    op = HelmholtzOperator(grid8, geom, np.sqrt(15.0), ten)
+    assert 15.0 > reference_eigenvalue(grid8, geom, TRUNCATED)
+    assert op.admissibility().certified
+    assert op.cg_iteration_cap() == 0
+    assert _uses_lu(op, rng.standard_normal(op.n_active))
+    # q = 0: the own factor is the free one
+    op = HelmholtzOperator(grid8, geom, 0.0, None)
+    assert op.cg_iteration_cap() == 0
+    assert _uses_lu(op, rng.standard_normal(op.n_active))
+
+
+def test_cg_iteration_cap_from_the_certificate(geom, grid8, bump8):
+    op = HelmholtzOperator(grid8, geom, 2.5, bump8)
+    lam0 = reference_eigenvalue(grid8, geom, TRUNCATED) - 2.5 ** 2
+    kappa = (lam0 + bump8.field.values.real.max()) / lam0
+    assert op.cg_iteration_cap() == int(np.ceil(0.5 * np.sqrt(kappa) * np.log(2e15)))
+
+
+@pytest.mark.parametrize("shift", [1.0, np.nan])
+def test_corrupt_preconditioner_fails_the_residual_check(geom, grid8, bump8, monkeypatch,
+                                                         shift):
+    # a shifted preconditioner stalls CG; a NaN one must not pass the check
+    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    free = op._free_lu()
+
+    class Shifted:
+        def solve(self, b):
+            return free.solve(b) + shift
+
+    monkeypatch.setattr(op, "_free_lu", lambda: Shifted())
+    with pytest.raises(SolveError, match=r"column\(s\) \[0\]") as info:
+        op.solve_interior(np.random.default_rng(13).standard_normal(op.n_active))
+    assert not info.value.residual_history[0] <= 1e-10
+
+
+def test_source_constant_logged_only_at_info(geom, grid8, bump8, caplog, monkeypatch):
+    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
+    w = np.zeros(grid8.node_shape, dtype=np.complex128)
+    w[op.active] = np.random.default_rng(14).standard_normal(op.n_active)
+    w = GridField(grid8, w)
+    caplog.set_level(logging.INFO, logger="slabinv.forward")
+    v = solve_source(op, w)
+    want = f"source solve: ||v|| <= C ||w|| with C = {l2_omega(v, geom) / l2_omega(w, geom):.6g}"
+    assert [r.getMessage() for r in caplog.records] == [want]
+    caplog.clear()
+    caplog.set_level(logging.WARNING, logger="slabinv.forward")
+
+    def no_norm(*args):
+        raise AssertionError("l2_omega runs only for the INFO message")
+
+    monkeypatch.setattr(forward, "l2_omega", no_norm)
+    assert np.array_equal(solve_source(op, w).values, v.values)
+    assert not caplog.records
