@@ -7,13 +7,15 @@ formats documented in fields.py / boundary.py; matrices use the format in
 dnmap.py.  CSV outputs start with a schema-version line.  An inadmissible
 frequency k ends any subcommand with exit status 2, a CGO remainder that does
 not contract with 3, one that projects too many modes with 4, and a bad option
-(checked before any solve) or a recovery without estimates with 1.
+(checked before any input is read), an unreadable input path or a recovery
+without estimates with 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,13 +46,15 @@ def _load_potential(spec: str, geom, grid) -> fields.Potential:
 
 
 def _floats(text: str, option: str, count: int | None = None) -> list[float]:
-    """Comma-separated numbers (exactly `count` of them when given)."""
+    """Comma-separated finite numbers (exactly `count` of them when given)."""
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError:
         values = []
     if not values or (count and len(values) != count):
         raise SystemExit(f"{option}: expected {count or 'comma-separated'} numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise SystemExit(f"{option}: expected finite numbers, got {text!r}")
     return values
 
 
@@ -69,11 +73,18 @@ LOWER_BOUNDS = {"k": (0, True), "delta": (0, False), "spacing": (0, False),
 
 
 def _check_bounds(args) -> None:
+    """The lower bounds, then every float option finite, k^2 finite and the
+    seed a 64-bit unsigned integer."""
     for name, (low, closed) in LOWER_BOUNDS.items():
         value = getattr(args, name, None)
         if value is not None and not (value >= low if closed else value > low):
             raise SystemExit(f"--{name.replace('_', '-')} must be "
                              + (f">= {low}" if closed else "positive"))
+    _require({f"--{name.replace('_', '-')} must be finite": math.isfinite(value)
+              for name, value in vars(args).items() if isinstance(value, float)})
+    k, seed = getattr(args, "k", 0.0), getattr(args, "seed", 0)
+    _require({"--k must have a finite square": math.isfinite(k * k),
+              "--seed must lie in [0, 2^64)": 0 <= seed < 2 ** 64})
 
 
 def _cmd_forward(args) -> int:
@@ -148,7 +159,13 @@ def _cmd_cgo_check(args) -> int:
 
 
 def _auto(text: str, option: str) -> float | None:
-    return None if text == "auto" else _floats(text, option, 1)[0]
+    """'auto' or one number, not necessarily finite; the caller checks its range."""
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise SystemExit(f"{option}: expected a number or 'auto', got {text!r}") from None
 
 
 def _cmd_recover(args) -> int:
@@ -156,6 +173,7 @@ def _cmd_recover(args) -> int:
     lam = _auto(args.lam, "--lambda")
     _require({"--r must be finite and exceed 2": r is None or 2 < r < np.inf,
               "--param must be >= 1": param is None or param >= 1,
+              "--param must be finite": param is None or param < np.inf,
               "--lambda must lie in (0, 1)": lam is None or 0 < lam < 1})
     geom, grid = _load_setup(args.config)
     q1 = _load_potential(args.q1, geom, grid)
@@ -323,6 +341,9 @@ def main(argv=None) -> int:
         return EXIT_NO_CONTRACTION if isinstance(exc, cgo.ContractionError) else EXIT_PROJECTION
     except recovery.RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an input path that cannot be read, or an output path
+        print(f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc), file=sys.stderr)
         return 1
 
 

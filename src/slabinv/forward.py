@@ -15,23 +15,23 @@ k^2 >= lambda_ref + min q (to within that threshold) is the smallest singular
 value found, by shift-invert Lanczos through the operator's one
 factorization (in the vertical sine basis, `SineBasisLU`).
 
-Blocks of right-hand sides, q = 0 operators and operators that already hold
-a factor solve through that factorization.  One source or one Dirichlet
-datum of a q != 0 operator whose free part A0 = A - diag(q) is certified too,
-lambda0 + min(0, min q) > 1e-6 lambda_ref with lambda0 = lambda_ref - k^2,
-goes instead by CG preconditioned with A0's factor (Concus and Golub, SIAM
-J. Numer. Anal. 10, 1973): both are positive definite, A0^{-1} A has
-condition number kappa <= (lambda0 + max(0, max q)) / (lambda0 +
-min(0, min q)), and CG stops at ||r|| <= 1e-15 ||b|| or after
-ceil(sqrt(kappa)/2 ln(2e15)) iterations.  A0's factor has 3-6x less fill
-than A's, and the 1e-10 residual check holds both paths.
+One source or one Dirichlet datum of an operator that holds no factor, whose
+k Weyl certifies and whose box operator is positive definite, lambda_box -
+k^2 > 1e-6 lambda_ref, goes instead by CG preconditioned with the fast solver
+B = R (L_box - k^2)^{-1} R^T (Concus and Golub, SIAM J. Numer. Anal. 10,
+1973; Proskurowski and Widlund, Math. Comp. 30, 1976): A0 = A - diag(q) is the
+principal submatrix R (L_box - k^2) R^T of the operator on a box, the interior
+nodes of the lateral node square (truncated) or the periodic cell (where
+B = A0^{-1}) times the layers, which sine transforms and the lateral DFT
+diagonalize (`box_eigenvalues`).  Blocks, uncertified k and operators that
+hold a factor solve through that factorization; the 1e-10 residual check
+holds both paths.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +50,11 @@ logger = logging.getLogger(__name__)
 # symmetric (A + A^T) ordering survives except where an indefinite k forces a
 # row swap; at 0.1 the relative solve residual at h = 1/8, k = 7 is a few 1e-12.
 DIAG_PIVOT_THRESH = 0.1
+
+# Cap on the CG iterations of one right-hand side.  Bumps with |q| <= 1.35 and
+# k^2 <= 0.999 lambda_box take 11-13 at h = 1/4, 17-25 at h = 1/8 and 24-33 at
+# h = 1/16, one of max q = 1.35e5 about 600; past the cap the residual check fails.
+CG_MAX_ITERATIONS = 1000
 
 TRUNCATED = "truncated"
 PERIODIC = "periodic"
@@ -74,19 +79,42 @@ def vertical_eigenvalues(grid: Grid3) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
+def box_eigenvalues(grid: Grid3, boundary_mode: str) -> np.ndarray:
+    """Eigenvalues of the k = 0 box operator L_box, read-only, per (grid, mode):
+    the 5-point Dirichlet Laplacian on the (nx - 1) x (ny - 1) interior nodes of
+    the lateral node square (truncated; DST-I on both axes) or on the periodic
+    cell (the lateral DFT, in the numpy.fft.rfft2 layout), plus the vertical
+    eigenvalues on the last axis.  The smallest, lambda_box, is [0, 0, 0]."""
+    if boundary_mode == PERIODIC:
+        sx = np.sin(np.pi * np.arange(grid.nx) / grid.nx)
+        sy = np.sin(np.pi * np.arange(grid.ny // 2 + 1) / grid.ny)
+    else:
+        sx = np.sin(np.pi * np.arange(1, grid.nx) / (2 * grid.nx))
+        sy = np.sin(np.pi * np.arange(1, grid.ny) / (2 * grid.ny))
+    lam = (4.0 / grid.h ** 2) * (sx[:, None, None] ** 2 + sy[None, :, None] ** 2
+                                 ) + vertical_eigenvalues(grid)
+    lam.flags.writeable = False
+    return lam
+
+
+@functools.lru_cache(maxsize=8)
 def plate_stencil(grid: Grid3, geom: SlabGeometry, boundary_mode: str):
     """(mask, couplings, lateral, vertical), read-only and built once per
     (grid, geom, mode): the lateral node set (sx, sy), the truncated disc
     |x'| < R_lat or the periodic cell of unique nodes with both axes wrapped;
     the -1/h^2 couplings of the 5-point plate Laplacian between its nodes in C
     order (y fastest); and, as (rows, cols, data) COO triples on the nz - 1
-    interior layers, couplings x I and the vertical couplings I x T_z."""
+    interior layers, couplings x I and the vertical couplings I x T_z.  The
+    disc must lie inside the interior nodes of the lateral node square, the
+    box of `box_eigenvalues`."""
     if boundary_mode not in (TRUNCATED, PERIODIC):
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
     periodic = boundary_mode == PERIODIC
     nx, ny = (grid.nx, grid.ny) if periodic else grid.node_shape[:2]
     mask = np.zeros(grid.node_shape[:2], dtype=bool)
     mask[:nx, :ny] = True if periodic else interior_mask(grid, geom)[:, :, 1]
+    if not periodic and (mask[[0, -1]].any() or mask[:, [0, -1]].any()):
+        raise ValueError("the truncated disc reaches the edge of the lateral node square")
 
     def chain(n):  # neighbours along one axis: a line of n nodes, or a ring
         i = np.arange(n if periodic else n - 1)
@@ -152,7 +180,6 @@ class HelmholtzOperator:
         self.q = q
         self.boundary_mode = boundary_mode
         self._lu_cache = None
-        self._free_lu_cache = None
         self._adm_cache: AdmissibilityReport | None = None
         self._build()
 
@@ -200,17 +227,14 @@ class HelmholtzOperator:
 
     # -- linear algebra -------------------------------------------------------
 
-    def sine_basis_matrix(self, with_q: bool = True) -> scipy.sparse.csc_matrix:
+    def sine_basis_matrix(self) -> scipy.sparse.csc_matrix:
         """M = (I_lat x S) A (I_lat x S), assembled exactly: the plate couplings
         on every layer as in A, the vertical 3-point operator as the diagonal
         of its eigenvalues, and q as one dense block S diag(q_p) S at each
-        lateral node p where q is nonzero.  Without the q blocks it is M0, the
-        same rotation of the free operator A0 = A - diag(q)."""
+        lateral node p where q is nonzero."""
         m, n = self.grid.nz - 1, self.n_active
         diagonal = 4.0 / self.grid.h ** 2 - self.k ** 2 + np.tile(vertical_eigenvalues(self.grid),
                                                                   n // m)
-        if not with_q:
-            return self._assemble("csc", diagonal)
         qv = self.q_active.reshape(-1, m)
         nodes = np.flatnonzero(np.any(qv, axis=1))
         s = dst1_matrix(self.grid.nz)
@@ -219,47 +243,51 @@ class HelmholtzOperator:
         return self._assemble("csc", diagonal, ((first + np.arange(m)[:, None]).ravel(),
                                                 (first + np.arange(m)).ravel(), blocks.ravel()))
 
-    def _factor(self, with_q: bool) -> SineBasisLU:
-        return SineBasisLU(scipy.sparse.linalg.splu(
-            self.sine_basis_matrix(with_q), permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=DIAG_PIVOT_THRESH, options=dict(SymmetricMode=True),
-        ), dst1_matrix(self.grid.nz))
-
     def _lu(self) -> SineBasisLU:
         if self._lu_cache is None:
-            self._lu_cache = self._factor(with_q=True)
+            self._lu_cache = SineBasisLU(scipy.sparse.linalg.splu(
+                self.sine_basis_matrix(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=DIAG_PIVOT_THRESH, options=dict(SymmetricMode=True),
+            ), dst1_matrix(self.grid.nz))
         return self._lu_cache
 
-    def _free_lu(self) -> SineBasisLU:
-        """The factor of M0, the preconditioner of `cg_iteration_cap`'s CG."""
-        if self._free_lu_cache is None:
-            self._free_lu_cache = self._factor(with_q=False)
-        return self._free_lu_cache
+    def _box_solve(self, r: np.ndarray) -> np.ndarray:
+        """B r = R (L_box - k^2)^{-1} R^T r for one real r, the preconditioner
+        of `cg_iteration_cap`'s CG: extend r by zero to the box, transform,
+        divide by the shifted `box_eigenvalues`, transform back, restrict."""
+        grid, m = self.grid, self.grid.nz - 1
+        lam = box_eigenvalues(grid, self.boundary_mode) - self.k ** 2
+        sz = dst1_matrix(grid.nz)
+        if self.boundary_mode == PERIODIC:  # the box is the periodic cell
+            v = r.reshape(grid.nx, grid.ny, m) @ sz
+            v = np.fft.irfft2(np.fft.rfft2(v, axes=(0, 1)) / lam, s=v.shape[:2], axes=(0, 1))
+            return (v @ sz).ravel()
+        inner = self.lateral[1:-1, 1:-1]
+        v = np.zeros(inner.shape + (m,))
+        v[inner] = r.reshape(-1, m)
+        sx, sy = dst1_matrix(grid.nx), dst1_matrix(grid.ny)
+        v = _sine3(v, sx, sy, sz) / lam
+        return _sine3(v, sx, sy, sz)[inner].ravel()
 
     def cg_iteration_cap(self) -> int:
-        """ceil(sqrt(kappa)/2 ln(2e15)) iterations of CG preconditioned by A0's
-        factor, which cut the A-norm error by 1e-15 (Saad, Iterative Methods
-        for Sparse Linear Systems, Thm 6.29), with kappa bounded as in the
-        module docstring; 0 where a right-hand side goes through A's own
-        factor: q = 0, a factor already held (Lanczos built one), or
-        lambda0 + min(0, min q) <= 1e-6 lambda_ref."""
-        if self._lu_cache is not None or not np.any(self.q_active):
+        """CG_MAX_ITERATIONS where one right-hand side goes by CG preconditioned
+        by `_box_solve`: A certified by Weyl's inequality, hence positive
+        definite, no factor held, and the box operator positive definite too,
+        lambda_box - k^2 > 1e-6 lambda_ref; 0 where it goes through A's own
+        factor."""
+        rep = self.admissibility()
+        box = box_eigenvalues(self.grid, self.boundary_mode)[0, 0, 0] - self.k ** 2
+        if not rep.certified or self._lu_cache is not None or box <= rep.threshold:
             return 0
-        lam = reference_eigenvalue(self.grid, self.geom, self.boundary_mode)
-        lam0 = lam - self.k ** 2
-        lo = lam0 + min(0.0, float(self.q_active.min()))
-        if lo <= 1e-6 * lam:
-            return 0
-        kappa = (lam0 + max(0.0, float(self.q_active.max()))) / lo
-        return math.ceil(0.5 * math.sqrt(kappa) * math.log(2e15))
+        return CG_MAX_ITERATIONS
 
     def solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A u = rhs on the active set for rhs of shape (n,) or (n, m).
 
-        A one-dimensional rhs (one source or one Dirichlet datum) goes by
-        preconditioned CG through the free factor wherever
-        `cg_iteration_cap` allows it, to ||r|| <= 1e-15 ||b|| or that cap;
-        a block, and any rhs where the cap is 0, goes through A's own factor,
+        A one-dimensional rhs (one source or one Dirichlet datum) goes by CG
+        preconditioned with the box solve wherever `cg_iteration_cap` allows
+        it, to ||r|| <= 1e-15 ||b|| or that cap, and no factor is built; a
+        block, and any rhs where the cap is 0, goes through A's own factor,
         one factorization and one solve call for every column.  Either way a
         complex rhs is solved as its real and imaginary halves.  Each column
         must reach relative residual 1e-10 (a NaN residual fails), else
@@ -267,7 +295,7 @@ class HelmholtzOperator:
         residual.
         """
         cap = self.cg_iteration_cap() if rhs.ndim == 1 else 0
-        solve = (functools.partial(_pcg, self.matrix, self._free_lu().solve, cap=cap) if cap
+        solve = (functools.partial(_pcg, self.matrix, self._box_solve, cap=cap) if cap
                  else self._lu().solve)
         if np.iscomplexobj(rhs):
             m = rhs.size // len(rhs)
@@ -313,6 +341,12 @@ class HelmholtzOperator:
 def _column_norms(a: np.ndarray) -> np.ndarray:
     """2-norm of each column of an (n,) or (n, m) array, without an (n, m) temporary."""
     return np.sqrt(np.einsum("i...,i...->...", a.conj(), a).real)
+
+
+def _sine3(v: np.ndarray, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I (its own inverse) along all three axes of v."""
+    v = np.matmul(sy, v @ sz)
+    return (sx @ v.reshape(len(sx), -1)).reshape(v.shape)
 
 
 def _pcg(a, precondition, b: np.ndarray, cap: int) -> np.ndarray:
@@ -451,12 +485,15 @@ def solve_source(op: HelmholtzOperator, w: GridField) -> GridField:
     """Solve with interior source w and homogeneous Dirichlet data everywhere.
 
     The realized well-posedness constant ||v|| / ||w|| (discrete L^2 over the
-    truncated domain) is reported through the module logger.
+    truncated domain) is reported through the module logger.  A source with
+    zero imaginary part is solved as one real column; the field returned is
+    complex either way.
     """
     require_admissible(op)
     if w.grid != op.grid:
         raise SolveError("source field lives on a different grid")
-    u = op.solve_interior(w.values[op.active].astype(np.complex128))
+    rhs = w.values[op.active]
+    u = op.solve_interior(rhs if np.any(rhs.imag) else rhs.real)
     out = np.zeros(op.grid.node_shape, dtype=np.complex128)
     out[op.active] = u
     if op.boundary_mode == PERIODIC:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -710,6 +712,77 @@ def test_bad_option_exit_status_subprocess(workdir):
         env=dict(os.environ, PYTHONPATH=SRC_DIR))
     assert proc.returncode == 1
     assert proc.stderr == "--spacing must be positive\n"
+
+
+_SEED_LIMIT = str(2 ** 64)
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("sweep", _SWEEP + ["--k", "inf"], "--k must be finite"),
+    ("dnnorm", ["--k", "inf"], "--k must be finite"),
+    ("sweep", _SWEEP + ["--k", "1e200"], "--k must have a finite square"),
+    ("forward", ["--k", "1e200"], "--k must have a finite square"),
+    ("sweep", _with(_SWEEP, "--noise", "1e-3,inf"),
+     "--noise: expected finite numbers, got '1e-3,inf'"),
+    ("sweep", _SWEEP + ["--delta", "inf"], "--delta must be finite"),
+    ("recover", _RECOVER + ["--delta", "inf"], "--delta must be finite"),
+    ("recover", _with(_RECOVER, "--spacing", "inf"), "--spacing must be finite"),
+    ("recover", _with(_RECOVER, "--param", "inf"), "--param must be finite"),
+    ("recover", _with(_RECOVER, "--param", "abc"),
+     "--param: expected a number or 'auto', got 'abc'"),
+    ("recover", _with(_RECOVER, "--lambda", "inf"), "--lambda must lie in (0, 1)"),
+    ("cgo-check", _with(_CGO, "--param", "inf"), "--param must be finite"),
+    ("cgo-check", _with(_CGO, "--xi", "2,inf,-1"),
+     "--xi: expected finite numbers, got '2,inf,-1'"),
+    ("carleman", _with(_CARLEMAN, "--zeta", "0,0,inf"),
+     "--zeta: expected finite numbers, got '0,0,inf'"),
+    ("carleman", _with(_CARLEMAN, "--taus", "1,nan"),
+     "--taus: expected finite numbers, got '1,nan'"),
+    ("sweep", _SWEEP + ["--seed", "-1"], "--seed must lie in [0, 2^64)"),
+    ("sweep", _SWEEP + ["--seed", _SEED_LIMIT], "--seed must lie in [0, 2^64)"),
+    ("rl", ["--seed", "-1"], "--seed must lie in [0, 2^64)"),
+    ("rl", ["--seed", _SEED_LIMIT], "--seed must lie in [0, 2^64)"),
+    ("carleman", _CARLEMAN + ["--seed", "-1"], "--seed must lie in [0, 2^64)"),
+    ("carleman", _CARLEMAN + ["--seed", _SEED_LIMIT], "--seed must lie in [0, 2^64)"),
+], ids=["sweep-k-inf", "dnnorm-k-inf", "sweep-k-square", "forward-k-square", "noise-inf",
+        "sweep-delta-inf", "recover-delta-inf", "spacing-inf", "param-inf", "param-text",
+        "lambda-inf", "cgo-check-param-inf", "xi-inf", "zeta-inf", "taus-nan",
+        "sweep-seed-negative", "sweep-seed-2^64", "rl-seed-negative", "rl-seed-2^64",
+        "carleman-seed-negative", "carleman-seed-2^64"])
+def test_non_finite_option_or_bad_seed_fails_before_any_input(workdir, command, argv,
+                                                              message):
+    # every path is missing, so any input read would end in another message
+    missing = str(workdir["tmp"] / "missing")
+    inputs = [missing if a in ("Q", "OUT") else a for a in _INPUTS[command]]
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--config", missing + ".cfg", *inputs, *argv])
+    assert info.value.code == message  # printed as one line, exit status 1
+
+
+def test_largest_seed_and_k_pass_the_check():
+    ok = dict(k=math.sqrt(sys.float_info.max) / 2, delta=1.0, spacing=0.25)
+    assert cli._check_bounds(argparse.Namespace(seed=2 ** 64 - 1, **ok)) is None
+    assert cli._check_bounds(argparse.Namespace(seed=0, **ok)) is None
+
+
+@pytest.mark.parametrize("kind", ["config", "q1", "dirichlet", "a", "b"])
+def test_unreadable_path_is_one_line(workdir, capsys, kind):
+    missing = str(workdir["tmp"] / f"missing_{kind}")
+    cfg = missing if kind == "config" else str(workdir["cfg"])
+    matrix = workdir["tmp"] / "unit.mat"
+    dnmap.write_matrix(str(matrix), np.eye(2))
+    argv = {
+        "config": ["forward", "--k", "0", "--dirichlet", str(workdir["fpath"])],
+        "q1": ["recover", "--q1", missing, *_RECOVER],
+        "dirichlet": ["forward", "--k", "0", "--dirichlet", missing],
+        "a": ["dnnorm", "--a", missing, "--b", str(matrix)],
+        "b": ["dnnorm", "--a", str(matrix), "--b", missing],
+    }[kind]
+    out = workdir["tmp"] / f"unread_{kind}.out"
+    tail = [] if argv[0] == "dnnorm" else ["--out", str(out)]
+    assert cli.main([argv[0], "--config", cfg, *argv[1:], *tail]) == 1
+    assert capsys.readouterr().err == f"No such file or directory: {missing}\n"
+    assert not out.exists()
 
 
 def test_recover_without_annulus_estimates_fails(workdir, capsys, monkeypatch):

@@ -724,24 +724,24 @@ def test_plate_stencil_built_once_per_grid_and_read_only(geom):
         forward.plate_stencil(grids[0], geom, "neumann")
 
 
-# -- CG through the free factor -----------------------------------------------------
+# -- CG preconditioned by the box solve ------------------------------------------
 
 
-class CountingLU:
-    """Wraps a factorization and counts its solve calls."""
+class Counting:
+    """Wraps a function and counts its calls."""
 
-    def __init__(self, lu):
-        self.lu = lu
+    def __init__(self, func):
+        self.func = func
         self.calls = 0
 
-    def solve(self, b):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.lu.solve(b)
+        return self.func(*args, **kwargs)
 
 
-def _counted_free_lu(op, monkeypatch):
-    counter = CountingLU(op._free_lu())
-    monkeypatch.setattr(op, "_free_lu", lambda: counter)
+def _counted_box_solve(op, monkeypatch):
+    counter = Counting(op._box_solve)
+    monkeypatch.setattr(op, "_box_solve", counter)
     return counter
 
 
@@ -752,21 +752,75 @@ def _single_datum(geom, grid, seed):
     return boundary.BoundaryField(patch, sq, rng.standard_normal(sq.node_shape)).masked()
 
 
+def _chain(n, periodic):
+    """Dense 1-D second difference times h^2 on n nodes: Dirichlet or a ring."""
+    t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if periodic:
+        t[0, -1] -= 1.0
+        t[-1, 0] -= 1.0
+    return t
+
+
+def _box_matrix(grid, mode):
+    """L_box assembled densely as a Kronecker sum on the lateral box (the
+    interior nodes of the lateral node square, or the periodic cell) times the
+    layers, C order with z fastest, and the box node of each lateral node."""
+    periodic = mode == PERIODIC
+    nx, ny = (grid.nx, grid.ny) if periodic else (grid.nx - 1, grid.ny - 1)
+    tx, ty, tz = _chain(nx, periodic), _chain(ny, periodic), _chain(grid.nz - 1, False)
+    ix, iy, iz = np.eye(nx), np.eye(ny), np.eye(grid.nz - 1)
+    box = (np.kron(np.kron(tx, iy), iz) + np.kron(np.kron(ix, ty), iz)
+           + np.kron(np.kron(ix, iy), tz)) / grid.h ** 2
+    return box, nx, ny
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
+def test_box_solve_is_the_box_inverse(geom, mode):
+    # h = 1/4: B = R (L_box - k^2)^{-1} R^T against the dense Kronecker sum,
+    # the free operator is R (L_box - k^2) R^T, and lambda_box is the box's
+    # smallest eigenvalue
+    grid = geometry.build_domain(geom, 0.25)
+    k = 1.5
+    op = HelmholtzOperator(grid, geom, k, None, mode)
+    box, nx, ny = _box_matrix(grid, mode)
+    m = grid.nz - 1
+    lateral = op.lateral[:nx, :ny] if mode == PERIODIC else op.lateral[1:-1, 1:-1]
+    keep = np.repeat(lateral.ravel(), m)
+    shifted = box - k ** 2 * np.eye(len(box))
+    assert np.array_equal(op.matrix.toarray(), shifted[np.ix_(keep, keep)])
+    want = np.linalg.inv(shifted)[np.ix_(keep, keep)]
+    got = np.column_stack([op._box_solve(e) for e in np.eye(op.n_active)])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    lam = forward.box_eigenvalues(grid, mode)
+    dense = np.linalg.eigvalsh(box)
+    assert lam[0, 0, 0] == pytest.approx(dense[0], rel=1e-12)
+    assert lam.min() == lam[0, 0, 0] and not lam.flags.writeable
+    if mode == TRUNCATED:  # the whole spectrum
+        assert np.allclose(np.sort(lam.ravel()), dense, rtol=1e-12, atol=0)
+    assert lam[0, 0, 0] <= reference_eigenvalue(grid, geom, mode) * (1 + 1e-12)
+
+
+def test_disc_must_lie_inside_the_box(geom):
+    narrow = geometry.Grid3(8, 8, 4, 0.25, (-0.75, -0.75, 0.0))  # plate edge inside R_lat
+    with pytest.raises(ValueError, match="edge of the lateral node square"):
+        forward.plate_stencil(narrow, geom, TRUNCATED)
+
+
 @pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
 @pytest.mark.parametrize("target_h", [0.25, 0.125])
-@pytest.mark.parametrize("label", ["bump", "bump_cos3x", "random"])
+@pytest.mark.parametrize("label", ["zero", "bump", "bump_cos3x", "random"])
 @pytest.mark.parametrize("k", [0.0, 2.5])
 def test_single_rhs_by_cg_matches_lu(geom, monkeypatch, mode, target_h, label, k):
-    # A0 and A are certified positive definite: one source and one datum go
-    # by CG through the free factor, within the certificate's iteration cap,
-    # and the operator never factors itself
+    # A and the box operator are certified positive definite: one source and
+    # one datum go by CG through the box solve, within the iteration cap, and
+    # the operator never factors itself
     grid = geometry.build_domain(geom, target_h)
     q = _potential(grid, geom, label)
     op = HelmholtzOperator(grid, geom, k, q, mode)
     ref = HelmholtzOperator(grid, geom, k, q, mode)._lu()
     cap = op.cg_iteration_cap()
-    assert cap > 0
-    counter = _counted_free_lu(op, monkeypatch)
+    assert cap == forward.CG_MAX_ITERATIONS
+    counter = _counted_box_solve(op, monkeypatch)
     rng = np.random.default_rng(8)
     w = np.zeros(grid.node_shape, dtype=np.complex128)
     w[op.active] = rng.standard_normal(op.n_active) + 1j * rng.standard_normal(op.n_active)
@@ -784,11 +838,46 @@ def test_single_rhs_by_cg_matches_lu(geom, monkeypatch, mode, target_h, label, k
     assert op._lu_cache is None
 
 
+def test_periodic_free_operator_converges_in_one_iteration(geom, grid8):
+    # in periodic mode the box solve is the free operator's exact inverse
+    op = HelmholtzOperator(grid8, geom, 2.5, None, PERIODIC)
+    b = np.random.default_rng(15).standard_normal(op.n_active)
+    x = forward._pcg(op.matrix, op._box_solve, b, cap=1)
+    want = scipy.sparse.linalg.splu(op.matrix.tocsc()).solve(b)
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k, block_first, rtol", [(0.0, False, 1e-14), (2.5, True, 1e-14),
+                                                  (4.5, False, 1e-13)])
+def test_real_source_solved_as_one_real_column(geom, grid8, bump8, monkeypatch, k,
+                                               block_first, rtol):
+    # a complex source with zero imaginary part costs one real column, by CG
+    # (k = 0) or through the LU (a factor held, or an uncertified k); the
+    # field stays complex and matches the solve of the complex column.  At
+    # k = 4.5, sigma_min = 0.77, one- and two-column LU solves round apart by
+    # 2e-14
+    op = HelmholtzOperator(grid8, geom, k, bump8)
+    op.admissibility()
+    if block_first:
+        op.solve_interior(np.ones((op.n_active, 2)))
+    w = np.zeros(grid8.node_shape, dtype=np.complex128)
+    w[op.active] = np.random.default_rng(16).standard_normal(op.n_active)
+    shapes = []
+    orig = op.solve_interior
+    monkeypatch.setattr(op, "solve_interior", lambda rhs: shapes.append(
+        (rhs.shape, rhs.dtype)) or orig(rhs))
+    got = solve_source(op, GridField(grid8, w)).values
+    assert shapes == [((op.n_active,), np.float64)] and got.dtype == np.complex128
+    assert (op._lu_cache is None) == (k == 0.0)
+    want = orig(w[op.active])
+    assert np.linalg.norm(got[op.active] - want) <= rtol * np.linalg.norm(want)
+
+
 def test_cg_skips_a_zero_column(geom, grid8, bump8, monkeypatch):
-    # a real source split into real and imaginary halves: the zero half
-    # costs no preconditioner call
+    # a real right-hand side split into real and imaginary halves: the zero
+    # half costs no preconditioner call
     op = HelmholtzOperator(grid8, geom, 0.0, bump8)
-    counter = _counted_free_lu(op, monkeypatch)
+    counter = _counted_box_solve(op, monkeypatch)
     b = np.random.default_rng(10).standard_normal(op.n_active)
     u = op.solve_interior(b.astype(np.complex128))
     assert not np.any(u.imag)
@@ -798,23 +887,27 @@ def test_cg_skips_a_zero_column(geom, grid8, bump8, monkeypatch):
     assert counter.calls == real_calls
 
 
-def _uses_lu(op, rhs):
+def _uses_lu(op, rhs, monkeypatch):
+    counter = _counted_box_solve(op, monkeypatch)
     op.solve_interior(rhs)
-    return op._lu_cache is not None and op._free_lu_cache is None
+    return op._lu_cache is not None and counter.calls == 0
 
 
-def test_blocks_and_uncertified_operators_use_lu(geom, grid8, bump8):
+def test_blocks_and_uncertified_operators_use_lu(geom, grid8, bump8, monkeypatch):
     rng = np.random.default_rng(12)
     op = HelmholtzOperator(grid8, geom, 0.0, bump8)
-    assert _uses_lu(op, rng.standard_normal((op.n_active, 3)))
+    assert _uses_lu(op, rng.standard_normal((op.n_active, 3)), monkeypatch)
+    # a factor held: one right-hand side goes through it too
+    assert op.cg_iteration_cap() == 0
+    assert _uses_lu(op, rng.standard_normal(op.n_active), monkeypatch)
     # a one-column block is still a block
-    op = HelmholtzOperator(grid8, geom, 0.0, bump8)
-    assert _uses_lu(op, rng.standard_normal((op.n_active, 1)))
+    op = HelmholtzOperator(grid8, geom, 0.0, None)
+    assert _uses_lu(op, rng.standard_normal((op.n_active, 1)), monkeypatch)
     # k^2 above lambda_ref: no certificate for A
     op = HelmholtzOperator(grid8, geom, 4.5, bump8)
     assert op.cg_iteration_cap() == 0
-    assert _uses_lu(op, rng.standard_normal(op.n_active))
-    # q = 10 at k^2 = 15 > lambda_ref: A is certified, A0 is not
+    assert _uses_lu(op, rng.standard_normal(op.n_active), monkeypatch)
+    # q = 10 at k^2 = 15 > lambda_ref: A is certified, the box operator is not
     inside = np.broadcast_to(grid8.lateral_radius() <= 2.0, grid8.node_shape)
     wide = geometry.SlabGeometry(1.0, 2.0, 2.5, 3.0, 0.1)  # q = 10 on every active node
     ten = fields.Potential(GridField(grid8, np.where(inside, 10.0 + 0j, 0.0)), wide, 2.0, 1e12)
@@ -822,18 +915,32 @@ def test_blocks_and_uncertified_operators_use_lu(geom, grid8, bump8):
     assert 15.0 > reference_eigenvalue(grid8, geom, TRUNCATED)
     assert op.admissibility().certified
     assert op.cg_iteration_cap() == 0
-    assert _uses_lu(op, rng.standard_normal(op.n_active))
-    # q = 0: the own factor is the free one
-    op = HelmholtzOperator(grid8, geom, 0.0, None)
+    assert _uses_lu(op, rng.standard_normal(op.n_active), monkeypatch)
+
+
+@pytest.mark.parametrize("label", ["zero", "bump"])
+def test_truncated_k_between_box_and_reference_uses_lu(geom, grid8, monkeypatch, label):
+    # lambda_box <= k^2 < lambda_ref + min q: Weyl certifies A, but the box
+    # operator is indefinite, so the solve factors A
+    lam_ref = reference_eigenvalue(grid8, geom, TRUNCATED)
+    lam_box = forward.box_eigenvalues(grid8, TRUNCATED)[0, 0, 0]
+    assert lam_box < lam_ref
+    q = _potential(grid8, geom, label)
+    op = HelmholtzOperator(grid8, geom, np.sqrt(0.5 * (lam_box + lam_ref)), q)
+    assert op.admissibility().certified
     assert op.cg_iteration_cap() == 0
-    assert _uses_lu(op, rng.standard_normal(op.n_active))
+    assert _uses_lu(op, np.random.default_rng(17).standard_normal(op.n_active), monkeypatch)
 
 
-def test_cg_iteration_cap_from_the_certificate(geom, grid8, bump8):
+def test_cg_iteration_cap_from_the_certificate(geom, grid8, bump8, monkeypatch):
+    # the cap is the stated constant wherever the certificate holds, with
+    # margin over the iterations a certified source takes (19 here)
     op = HelmholtzOperator(grid8, geom, 2.5, bump8)
-    lam0 = reference_eigenvalue(grid8, geom, TRUNCATED) - 2.5 ** 2
-    kappa = (lam0 + bump8.field.values.real.max()) / lam0
-    assert op.cg_iteration_cap() == int(np.ceil(0.5 * np.sqrt(kappa) * np.log(2e15)))
+    assert op.cg_iteration_cap() == forward.CG_MAX_ITERATIONS
+    counter = _counted_box_solve(op, monkeypatch)
+    op.solve_interior(np.random.default_rng(18).standard_normal(op.n_active))
+    assert 0 < counter.calls <= 30 < forward.CG_MAX_ITERATIONS // 10
+    assert HelmholtzOperator(grid8, geom, 4.5, bump8).cg_iteration_cap() == 0
 
 
 @pytest.mark.parametrize("shift", [1.0, np.nan])
@@ -841,16 +948,39 @@ def test_corrupt_preconditioner_fails_the_residual_check(geom, grid8, bump8, mon
                                                          shift):
     # a shifted preconditioner stalls CG; a NaN one must not pass the check
     op = HelmholtzOperator(grid8, geom, 0.0, bump8)
-    free = op._free_lu()
-
-    class Shifted:
-        def solve(self, b):
-            return free.solve(b) + shift
-
-    monkeypatch.setattr(op, "_free_lu", lambda: Shifted())
+    box_solve = op._box_solve
+    monkeypatch.setattr(op, "_box_solve", lambda r: box_solve(r) + shift)
     with pytest.raises(SolveError, match=r"column\(s\) \[0\]") as info:
         op.solve_interior(np.random.default_rng(13).standard_normal(op.n_active))
     assert not info.value.residual_history[0] <= 1e-10
+
+
+def test_forward_order_operators_factor_only_at_indefinite_k(geom, monkeypatch):
+    # the benchmark's forward-order set, {free, bump} x k in {0, 2.5, 4.5} at
+    # h in {1/4, 1/8}, one source each: only the four k = 4.5 operators,
+    # which Lanczos checks, build a sparse LU
+    factored = Counting(scipy.sparse.linalg.splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", factored)
+    for h in (0.25, 0.125):
+        grid = geometry.build_domain(geom, h)
+        bump = fields.radial_bump_potential(grid, geom, 1.0)
+        w = GridField(grid, np.random.default_rng(19).standard_normal(grid.node_shape))
+        for q in (None, bump):
+            for k in (0.0, 2.5, 4.5):
+                solve_source(HelmholtzOperator(grid, geom, k, q), w)
+    assert factored.calls == 4
+
+
+def test_measurement_pair_never_calls_the_box_solve(geom, monkeypatch):
+    def no_box_solve(self, r):
+        raise AssertionError("blocks go through the LU")
+
+    monkeypatch.setattr(HelmholtzOperator, "_box_solve", no_box_solve)
+    grid = geometry.build_domain(geom, 0.25)
+    q1 = fields.radial_bump_potential(grid, geom, 1.0)
+    _src, _tgt, d = dnmap.measurement_pair(grid, geom, 0.0, q1, fields.zero_potential(grid, geom),
+                                           Plate.BOTTOM, 3)
+    assert np.all(np.isfinite(d.matrix)) and np.any(d.matrix)
 
 
 def test_source_constant_logged_only_at_info(geom, grid8, bump8, caplog, monkeypatch):
