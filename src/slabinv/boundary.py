@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import read_binary
 from .geometry import BoundaryPatch, Grid3
 
 
@@ -149,10 +150,9 @@ def dst1_matrix(n: int) -> np.ndarray:
     return s
 
 
-def sine_frequencies(square: SquareGrid2, n_modes: int | None = None) -> np.ndarray:
-    """|kappa|^2 on the (m1, m2) mode grid; full spectrum when n_modes is None."""
-    n = square.ns - 1 if n_modes is None else n_modes
-    k = np.pi * np.arange(1, n + 1) / square.side
+def sine_frequencies(square: SquareGrid2) -> np.ndarray:
+    """|kappa|^2 on the full (m1, m2) mode grid, m1, m2 = 1 .. ns - 1."""
+    k = np.pi * np.arange(1, square.ns) / square.side
     return k[:, None] ** 2 + k[None, :] ** 2
 
 
@@ -201,19 +201,20 @@ def write_boundary_field(path: str, bf: BoundaryField, plate_z: float) -> None:
         fh.write(im.tobytes())
 
 
+def _boundary_layout(header: list[str]) -> tuple[tuple, int]:
+    ns, ns_y, nz, *lengths = header
+    h, x0, y0, plate_z = map(float, lengths)
+    if int(ns) < 1 or ns_y != ns or nz != "0" or not 0 < h < math.inf:
+        raise ValueError(f"expected 'ns ns 0 h x0 y0 z' with ns >= 1 and h > 0, got {header}")
+    if not all(map(math.isfinite, (x0, y0, plate_z))):
+        raise ValueError(f"non-finite position in {header}")
+    return (SquareGrid2(int(ns), h, x0, y0), plate_z), 2 * (int(ns) + 1) ** 2
+
+
 def read_boundary_field(path: str, patch: BoundaryPatch) -> tuple[BoundaryField, float]:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 7 or int(header[2]) != 0:
-            raise BoundaryError(f"{path}: not a boundary-field file")
-        ns = int(header[0])
-        h = float(header[3])
-        x0, y0, plate_z = (float(v) for v in header[4:7])
-        sq = SquareGrid2(ns, h, x0, y0)
-        count = (ns + 1) ** 2
-        raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
-        if raw.size != 2 * count:
-            raise BoundaryError(f"{path}: truncated boundary data")
+    """(field, plate height); BoundaryError names a path `read_binary` rejects."""
+    (sq, plate_z), raw = read_binary(path, BoundaryError, _boundary_layout, "<f8")
+    count = (sq.ns + 1) ** 2
     re = raw[:count].reshape(sq.node_shape, order="F")
     im = raw[count:].reshape(sq.node_shape, order="F")
     return BoundaryField(patch, sq, re + 1j * im), plate_z

@@ -147,12 +147,14 @@ def norm_identity_residual(pp: PhasePair) -> float:
 
 # -- probe box ----------------------------------------------------------------
 
+BOX_PADDING = 0.5
 
-def build_box_grid(geom: SlabGeometry, omega_grid: Grid3, padding: float = 0.5,
-                   coarsen: int = 1) -> Grid3:
+
+def build_box_grid(geom: SlabGeometry, omega_grid: Grid3, coarsen: int = 1) -> Grid3:
     """Periodic cube containing the domain and its mirror image, node-aligned.
 
-    The cube is centred at the origin (so reflection is node-exact) and its
+    The cube is centred at the origin (so reflection is node-exact), its
+    half-width is (1 + BOX_PADDING) max(lateral half-width, L), and its
     spacing is an integer multiple of the domain spacing (so potential
     extensions copy node values instead of interpolating).
     """
@@ -160,7 +162,7 @@ def build_box_grid(geom: SlabGeometry, omega_grid: Grid3, padding: float = 0.5,
         raise ValueError("coarsen must be a positive integer")
     h_b = omega_grid.h * coarsen
     lateral_half = -omega_grid.origin[0]
-    need = max(lateral_half, geom.L) * (1.0 + padding)
+    need = max(lateral_half, geom.L) * (1.0 + BOX_PADDING)
     half_cells = math.ceil(need / h_b - 1e-12)
     n = 2 * half_cells
     o = -half_cells * h_b
@@ -181,6 +183,9 @@ class RemainderReport:
 
 
 LATTICE_SHIFT = (0.0, 0.0, 0.5)
+MAX_SWEEPS = 400
+RESIDUAL_TOL = 1e-8
+PROJECTION_REL = 1e-8
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -316,23 +321,23 @@ def box_source(q_box: GridField, eval_grid: Grid3 | None = None) -> BoxSource:
                      to_block, from_block, rhs_blk, _frozen(from_block(rhs_blk)), to_window)
 
 
-def remainder_fixed_point(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
-                          residual_tol: float = 1e-8, projection_rel: float = 1e-8
+def remainder_fixed_point(rho: np.ndarray, source: BoxSource
                           ) -> tuple[np.ndarray | None, RemainderReport]:
     """Fixed-point solve of (-Lap - 2 rho . grad) psi = -Q (1 + psi) in the
     spectrum: (psi_hat, report), psi_hat None for a zero source.
 
     Spectral derivatives on the box; the inverse Fourier symbol
     1/(|zeta|^2 - 2 i rho . zeta) is applied with any remaining zero mode and
-    any mode with |symbol| < projection_rel * |rho|^2 removed.  The frequency
+    any mode with |symbol| < PROJECTION_REL * |rho|^2 removed.  The frequency
     lattice is shifted by half a cell in the vertical axis (antiperiodic
     representation): the symbol vanishes identically at zeta = -xi and stays
     order-one along that whole lattice line for every parameter value, so an
     unshifted lattice pins the remainder norm at a parameter-independent
     floor; the shifted lattice keeps every mode off the critical plane and
-    restores the expected decay.  Raises ContractionError when increments
-    grow over five consecutive sweeps and ProjectionError when more than
-    0.1 percent of the modes are removed.
+    restores the expected decay.  At most MAX_SWEEPS sweeps run.  Raises
+    ContractionError when increments grow over five consecutive sweeps or the
+    final relative residual exceeds RESIDUAL_TOL, and ProjectionError when
+    more than 0.1 percent of the modes are removed.
 
     The sweeps read psi only on the source's support block: psi there is
     the pruned inverse DFT of psi_hat = mult * spec, the next spectrum the
@@ -350,7 +355,7 @@ def remainder_fixed_point(rho: np.ndarray, source: BoxSource, *, max_iter: int =
     c = -2j * rho
     symbol = c[0] * z0 + c[1] * z1 + c[2] * z2
     symbol += zeta_sq
-    keep = np.abs(symbol) >= projection_rel * rho_sq
+    keep = np.abs(symbol) >= PROJECTION_REL * rho_sq
     projected = int(n_total - np.count_nonzero(keep))
     if projected > 1e-3 * n_total:
         raise ProjectionError(
@@ -371,7 +376,7 @@ def remainder_fixed_point(rho: np.ndarray, source: BoxSource, *, max_iter: int =
     prev_hat = 0.0
     prev_inc = math.inf
     grew = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         psi_hat = mult * spec
         inc = math.sqrt(_norm_sq(psi_hat - prev_hat) * parseval)
         prev_hat = psi_hat
@@ -396,9 +401,9 @@ def remainder_fixed_point(rho: np.ndarray, source: BoxSource, *, max_iter: int =
     num = _norm_sq(kept(symbol * psi_hat - spec))
     den = _norm_sq(kept(spec))
     residual = math.sqrt(num / den) if den > 0 else 0.0
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise ContractionError(
-            f"remainder residual {residual:.3e} above {residual_tol:.1e} after "
+            f"remainder residual {residual:.3e} above {RESIDUAL_TOL:.1e} after "
             f"{it} sweeps (increase the phase parameter)"
         )
 
@@ -407,14 +412,12 @@ def remainder_fixed_point(rho: np.ndarray, source: BoxSource, *, max_iter: int =
     return psi_hat, RemainderReport(l2, h1, it, projected, n_total, residual)
 
 
-def solve_remainder(rho: np.ndarray, source: BoxSource, *, max_iter: int = 400,
-                    residual_tol: float = 1e-8,
-                    projection_rel: float = 1e-8) -> tuple[GridField, RemainderReport]:
+def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, RemainderReport]:
     """psi on the source's window, one pruned inverse DFT of the spectrum of
-    `remainder_fixed_point` (zero for a zero source), and its report."""
-    psi_hat, report = remainder_fixed_point(rho, source, max_iter=max_iter,
-                                            residual_tol=residual_tol,
-                                            projection_rel=projection_rel)
+    `remainder_fixed_point` (zero for a zero source), and its report; the
+    sweep cap, residual tolerance and projection threshold are that
+    function's MAX_SWEEPS, RESIDUAL_TOL and PROJECTION_REL."""
+    psi_hat, report = remainder_fixed_point(rho, source)
     shape = source.window_grid.node_shape
     psi = np.zeros(shape, dtype=np.complex128) if psi_hat is None else source.to_window(psi_hat)
     return GridField(source.window_grid, psi), report
@@ -469,9 +472,9 @@ def _factor(psi: GridField, eval_grid: Grid3, mirrored: bool) -> np.ndarray:
 class CgoProbe:
     """A probe pair on its evaluation grid, without its exponentials.
 
-    psi1 / psi2 are the remainders on their sources' windows, w1 / w2 the
-    factors 1 + psi_j at the evaluation nodes x and w1_star / w2_star at
-    their mirror images x* = (x1, x2, -x3); w2_star is None for the
+    w1 / w2 are the factors 1 + psi_j of the remainders psi_j at the
+    evaluation nodes x and w1_star / w2_star at their mirror images
+    x* = (x1, x2, -x3); w2_star is None for the
     tau-family, whose second probe is not reflected.  The probes are
 
         u1 = exp(x . rho1) w1 - exp(x* . rho1) w1*,
@@ -481,10 +484,7 @@ class CgoProbe:
     """
 
     phase: PhasePair
-    box_grid: Grid3
     eval_grid: Grid3
-    psi1: GridField
-    psi2: GridField
     w1: np.ndarray
     w1_star: np.ndarray
     w2: np.ndarray
@@ -533,9 +533,9 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
         "projected_modes": (rep1.projected_modes, rep2.projected_modes),
         "residuals": (rep1.residual, rep2.residual),
     }
-    return CgoProbe(phase, src1.grid, eval_grid, psi1, psi2,
-                    _factor(psi1, eval_grid, False), _factor(psi1, eval_grid, True),
-                    _factor(psi2, eval_grid, False), w2_star, report)
+    return CgoProbe(phase, eval_grid, _factor(psi1, eval_grid, False),
+                    _factor(psi1, eval_grid, True), _factor(psi2, eval_grid, False),
+                    w2_star, report)
 
 
 def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],

@@ -7,8 +7,8 @@ formats documented in fields.py / boundary.py; matrices use the format in
 dnmap.py.  CSV outputs start with a schema-version line.  An inadmissible
 frequency k ends any subcommand with exit status 2, a CGO remainder that does
 not contract with 3, one that projects too many modes with 4, and a bad option
-(checked before any input is read), an unreadable input path or a recovery
-without estimates with 1.
+(checked before any input is read), an unreadable input path, an input file
+that cannot be parsed or a recovery without estimates with 1.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _cmd_sweep(args) -> int:
     plate = recovery.measurement_plate(variant)
     src, tgt, d = dnmap.measurement_pair(grid, geom, args.k, q1, q2, plate, args.basis_n)
     records, theta_fit = harness.stability_sweep(
-        q1, q2, args.k, variant, noise, args.trials, args.seed,
+        q1, q2, variant, noise, args.trials, args.seed,
         src_basis=src, tgt_basis=tgt, d=d, delta=args.delta,
     )
     harness.write_sweep_csv(args.out, records, theta_fit)
@@ -344,6 +344,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:  # an input path that cannot be read, or an output path
         print(f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc), file=sys.stderr)
+        return 1
+    except (geometry.GeometryError, fields.FieldError, boundary.BoundaryError,
+            dnmap.MatrixFileError) as exc:  # an input the readers cannot parse, among others
+        print(f"bad input: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,7 @@ where
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -27,7 +28,7 @@ from .boundary import (
     sine_coefficients,
     sine_frequencies,
 )
-from .fields import GridField, Potential
+from .fields import GridField, Potential, read_binary
 from .forward import (
     HelmholtzOperator,
     SolveError,
@@ -51,6 +52,10 @@ class NormDegeneracyError(RuntimeError):
     """Raised when a Gram matrix is numerically singular."""
 
 
+class MatrixFileError(ValueError):
+    """Raised for a matrix file that `read_matrix` cannot parse."""
+
+
 class BoundaryBasis:
     """Ordered sine modes on a patch bounding square, masked to the patch.
 
@@ -62,7 +67,6 @@ class BoundaryBasis:
 
     def __init__(self, block: BoundaryField, n_modes: int):
         self._set_block(block)
-        self.n_modes = n_modes
         coef = sine_coefficients(block).reshape(len(self), -1)
         w32 = (1.0 + sine_frequencies(block.square).ravel()) ** 1.5
         self.gram_h32 = np.real(np.conj(coef) * w32 @ coef.T)
@@ -89,7 +93,6 @@ class BoundaryBasis:
         with oracle bases such as periodic exponentials."""
         basis = cls.__new__(cls)
         basis._set_block(BoundaryField(patch, square, np.stack([f.values for f in functions])))
-        basis.n_modes = 0
         basis.gram_h32 = None
         return basis
 
@@ -220,6 +223,7 @@ def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
 # -- the measurement operator ---------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class DnOperator:
     """Matrix of a partial DN map over a Dirichlet basis.
 
@@ -228,20 +232,11 @@ class DnOperator:
     over the flattened square nodes.
     """
 
-    def __init__(self, matrix: np.ndarray, source_basis: BoundaryBasis,
-                 target_patch: BoundaryPatch, target_square: SquareGrid2,
-                 k: float, q_label: str = ""):
-        self.matrix = matrix
-        self.source_basis = source_basis
-        self.target_patch = target_patch
-        self.target_square = target_square
-        self.k = k
-        self.q_label = q_label
+    matrix: np.ndarray
 
 
 def assemble_dn(op: HelmholtzOperator, basis: BoundaryBasis,
-                target: BoundaryPatch, q_label: str = "",
-                solve=None) -> DnOperator:
+                target: BoundaryPatch, solve=None) -> DnOperator:
     """The DN matrix over the basis, CHUNK columns at a time: each block of
     solutions is traced on the target patch, written into its columns and
     dropped.  `solve(cols)` gives the GridField block of solutions with the
@@ -253,7 +248,7 @@ def assemble_dn(op: HelmholtzOperator, basis: BoundaryBasis,
     matrix = np.empty((tsq.node_shape[0] * tsq.node_shape[1], len(basis)), dtype=np.complex128)
     for cols, u in _walk(len(basis), solve or _solve_columns(op, basis)):
         matrix[:, cols] = neumann_trace(u, target).values.reshape(len(u.values), -1).T
-    return DnOperator(matrix, basis, target, tsq, op.k, q_label)
+    return DnOperator(matrix)
 
 
 def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
@@ -339,11 +334,14 @@ def write_matrix(path: str, matrix: np.ndarray) -> None:
         fh.write(mat.tobytes())
 
 
+def _matrix_layout(header: list[str]) -> tuple[tuple, int]:
+    rows, cols = map(int, header)
+    if rows < 1 or cols < 1:
+        raise ValueError(f"needs a row and a column, got {rows} x {cols}")
+    return (rows, cols), rows * cols
+
+
 def read_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        rows, cols = int(header[0]), int(header[1])
-        raw = np.frombuffer(fh.read(16 * rows * cols), dtype="<c16")
-        if raw.size != rows * cols:
-            raise ValueError(f"{path}: truncated matrix data")
-    return raw.reshape(rows, cols).copy()
+    """The matrix of a file; MatrixFileError names a path `read_binary` rejects."""
+    shape, raw = read_binary(path, MatrixFileError, _matrix_layout, "<c16")
+    return raw.reshape(shape).copy()

@@ -23,6 +23,11 @@ class FieldError(ValueError):
     """Raised for shape/support/grid-compatibility violations."""
 
 
+# frequencies per block of FourierTransform.batch; zero-padding of sobolev_norm
+FT_CHUNK = 64
+SOBOLEV_PAD = 2
+
+
 @dataclass(frozen=True)
 class GridField:
     """Node samples on `grid`; a leading axis of length m makes a block of m fields.
@@ -234,13 +239,13 @@ class FourierTransform:
     def __call__(self, xi) -> complex:
         return complex(self.batch(np.asarray(xi, dtype=float).reshape(1, 3))[0])
 
-    def batch(self, xis: np.ndarray, chunk: int = 64) -> np.ndarray:
+    def batch(self, xis: np.ndarray) -> np.ndarray:
         xis = np.asarray(xis, dtype=float)
         if xis.ndim != 2 or xis.shape[1] != 3:
             raise FieldError("expected an (n, 3) array of frequencies")
         out = np.empty(len(xis), dtype=np.complex128)
-        for lo in range(0, len(xis), chunk):
-            hi = min(lo + chunk, len(xis))
+        for lo in range(0, len(xis), FT_CHUNK):
+            hi = min(lo + FT_CHUNK, len(xis))
             sub = xis[lo:hi]
             ex = np.exp(1j * np.outer(sub[:, 0], self._coords[0]))  # (m, sx)
             ey = np.exp(1j * np.outer(sub[:, 1], self._coords[1]))  # (m, sy)
@@ -255,7 +260,7 @@ def fourier_transform(field: GridField) -> FourierTransform:
     return FourierTransform(field)
 
 
-def sobolev_norm(field: GridField, s: float, pad_factor: int = 2) -> float:
+def sobolev_norm(field: GridField, s: float) -> float:
     """Discrete H^s norm via zero-padded FFT with weight (1+|xi|^2)^(s/2).
 
     Uses ||f||^2 = (2 pi)^-3 * sum (1+|xi_m|^2)^s |FT(f)(xi_m)|^2 dxi over the
@@ -263,7 +268,7 @@ def sobolev_norm(field: GridField, s: float, pad_factor: int = 2) -> float:
     """
     grid = field.grid
     vals = field.values
-    shape = [pad_factor * n for n in vals.shape]
+    shape = [SOBOLEV_PAD * n for n in vals.shape]
     spec = np.fft.fftn(vals, s=shape, axes=range(len(shape)))
     h = grid.h
     freqs = [2 * np.pi * np.fft.fftfreq(n, d=h) for n in shape]
@@ -301,19 +306,34 @@ def write_field(path: str, field: GridField) -> None:
         fh.write(im.tobytes())
 
 
-def read_field(path: str) -> GridField:
+def read_binary(path: str, error: type, layout, dtype: str) -> tuple:
+    """(layout, data) of a file of one ASCII header line and binary data, by
+    layout(header entries) -> (layout, count of `dtype` items) or ValueError;
+    a rejected header, fewer items or a non-finite item raise `error` naming the path."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 7:
-            raise FieldError(f"{path}: malformed field header")
-        nx, ny, nz = (int(v) for v in header[:3])
-        h = float(header[3])
-        origin = tuple(float(v) for v in header[4:7])
-        grid = Grid3(nx, ny, nz, h, origin)
-        count = grid.n_nodes
-        raw = np.frombuffer(fh.read(16 * count), dtype="<f8")
-        if raw.size != 2 * count:
-            raise FieldError(f"{path}: truncated field data")
+        header, data = fh.readline(), fh.read()
+    try:
+        out, count = layout(header.decode("ascii").split())
+    except ValueError as exc:  # the decode error and GeometryError among them
+        raise error(f"{path}: malformed header: {exc}") from None
+    if len(data) < count * np.dtype(dtype).itemsize:
+        raise error(f"{path}: truncated data")
+    data = np.frombuffer(data, dtype=dtype, count=count)
+    if not np.all(np.isfinite(data)):
+        raise error(f"{path}: non-finite data")
+    return out, data
+
+
+def _field_layout(header: list[str]) -> tuple[Grid3, int]:
+    nx, ny, nz, h, *origin = header
+    grid = Grid3(int(nx), int(ny), int(nz), float(h), tuple(map(float, origin)))
+    return grid, 2 * grid.n_nodes
+
+
+def read_field(path: str) -> GridField:
+    """The field of a field file; FieldError names a path `read_binary` rejects."""
+    grid, raw = read_binary(path, FieldError, _field_layout, "<f8")
+    count = grid.n_nodes
     re = raw[:count].reshape(grid.node_shape, order="F")
     im = raw[count:].reshape(grid.node_shape, order="F")
     return GridField(grid, re + 1j * im)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,8 +173,8 @@ class HelmholtzOperator:
                  q=None, boundary_mode: str = TRUNCATED):
         if grid.periodic:
             raise ValueError("slab operators live on node grids")
-        if k < 0:
-            raise ValueError("frequency k must be >= 0")
+        if not (k >= 0 and math.isfinite(k * float(k))):
+            raise ValueError(f"frequency k must be >= 0 with a finite square, got {k!r}")
         self.grid = grid
         self.geom = geom
         self.k = float(k)
@@ -206,24 +207,6 @@ class HelmholtzOperator:
         rows, cols, data = (np.concatenate(x) for x in zip(
             self._lateral_coo, (np.arange(n), np.arange(n), diagonal), *parts))
         return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).asformat(fmt)
-
-    def _neighbour(self, a: np.ndarray, axis: int, step: int) -> np.ndarray:
-        """a at each node's neighbour +step along axis, 0 where there is none.
-
-        In periodic mode the lateral axes wrap around the unique nodes; the
-        seam copies have no neighbours.
-        """
-        out = np.zeros_like(a)
-        dst = [slice(None)] * 3
-        src = [slice(None)] * 3
-        if self.boundary_mode == PERIODIC and axis in (0, 1):
-            dst[axis] = slice(0, (self.grid.nx, self.grid.ny)[axis])
-            out[tuple(dst)] = np.roll(a[tuple(dst)], -step, axis=axis)
-            return out
-        dst[axis] = slice(0, -1) if step == 1 else slice(1, None)
-        src[axis] = slice(1, None) if step == 1 else slice(0, -1)
-        out[tuple(dst)] = a[tuple(src)]
-        return out
 
     # -- linear algebra -------------------------------------------------------
 
@@ -315,21 +298,6 @@ class HelmholtzOperator:
                 f"{bad.tolist()}",
                 residual_history=np.atleast_1d(res).tolist(), columns=bad.tolist())
         return u
-
-    def apply_pde(self, field: GridField) -> np.ndarray:
-        """(-Lap_h - k^2 + q) u at the active nodes (zeros elsewhere).
-
-        Uses the 7-point stencil on the full node array, so prescribed
-        boundary values of `field` participate exactly as in the solve.
-        """
-        u = field.values
-        acc = 6.0 * u
-        for axis in range(3):
-            for step in (-1, 1):
-                acc -= self._neighbour(u, axis, step)
-        qv = self.q.field.values.real if self.q is not None else 0.0
-        out = acc / self.grid.h ** 2 + (qv - self.k ** 2) * u
-        return np.where(self.active, out, 0.0)
 
     def admissibility(self) -> AdmissibilityReport:
         """check_admissible, computed once per operator."""

@@ -42,8 +42,8 @@ class SlabGeometry:
     eps_cutoff: float
 
     def __post_init__(self):
-        if not (self.L > 0):
-            raise GeometryError(f"slab thickness must be positive, got L={self.L}")
+        if not (0 < self.L < math.inf):
+            raise GeometryError(f"slab thickness must be positive and finite, got L={self.L}")
         if not (0 < self.R < self.R_prime < self.R_lat <= 2 * self.R):
             raise GeometryError(
                 "radii must satisfy 0 < R < R_prime < R_lat <= 2R, got "
@@ -69,11 +69,13 @@ _CONFIG_KEYS = ("L", "R", "R_prime", "R_lat", "eps_cutoff", "target_h")
 def parse_geometry_config(path: str) -> tuple[SlabGeometry, float]:
     """Read a flat key=value text file; returns (geometry, target_h).
 
-    Recognized keys: L, R, R_prime, R_lat, eps_cutoff, target_h.  Blank lines
-    and '#' comments are ignored.  All lengths share one arbitrary unit.
+    Recognized keys: L, R, R_prime, R_lat, eps_cutoff, target_h, each with a
+    number, else GeometryError naming the path.  Blank lines and '#' comments
+    are ignored.  All lengths share one arbitrary unit.
     """
     values: dict[str, float] = {}
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte that is not ASCII reads as U+FFFD, which no key or number holds
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -84,7 +86,11 @@ def parse_geometry_config(path: str) -> tuple[SlabGeometry, float]:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise GeometryError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = float(val.strip())
+            try:
+                values[key] = float(val)
+            except ValueError:
+                raise GeometryError(f"{path}:{lineno}: {key} needs a number, got "
+                                    f"{val.strip()!a}") from None
     missing = [k for k in _CONFIG_KEYS if k not in values]
     if missing:
         raise GeometryError(f"{path}: missing keys {missing}")
@@ -158,8 +164,9 @@ class Grid3:
     periodic: bool = False
 
     def __post_init__(self):
-        if min(self.nx, self.ny, self.nz) < 1 or self.h <= 0:
-            raise GeometryError("grid needs positive cell counts and spacing")
+        if (min(self.nx, self.ny, self.nz) < 1 or not 0 < self.h < math.inf
+                or not all(map(math.isfinite, self.origin))):
+            raise GeometryError("grid needs positive cell counts and spacing and a finite origin")
 
     @property
     def node_shape(self) -> tuple[int, int, int]:
@@ -206,7 +213,7 @@ def build_domain(geom: SlabGeometry, target_h: float) -> Grid3:
     x3 = 0 and x3 = L.  Requests producing more than ``MAX_NODES`` nodes are
     rejected.
     """
-    if target_h <= 0:
+    if not target_h > 0:
         raise GeometryError("target_h must be positive")
     if target_h > geom.L / 3 * (1 + 1e-12):
         # the one-sided trace stencils need three node layers per plate

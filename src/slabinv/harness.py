@@ -26,6 +26,10 @@ from .recovery import Variant, bound_chain, closing_constant
 
 SCHEMA_LINE = "# schema-version: 1"
 
+TEST_MODES = 4
+TEST_DECAY = 2.0
+SWEEP_LAMBDA = 0.5
+
 
 def record_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, record index)."""
@@ -44,19 +48,19 @@ class CarlemanReport:
     lhs_boundary: list
     rhs: list
     per_tau_c: list        # max over trials of (tau^2 I + tau B) / RHS
-    running_c: list        # max over all samples with tau' <= tau
     fitted_c: float
     top_half_variation: float
     passed: bool
 
 
-def random_test_function(grid: Grid3, geom: SlabGeometry, rng,
-                         n_modes: int = 4, decay: float = 2.0) -> GridField:
+def random_test_function(grid: Grid3, geom: SlabGeometry, rng) -> GridField:
     """Random smooth function vanishing on the domain boundary.
 
-    Sine series in all three axes multiplied by a lateral bump vanishing
-    before the staircase truncation, so traces on the lateral boundary vanish
-    identically and only the plates contribute boundary terms.
+    Sine series in all three axes (TEST_MODES modes each, the coefficient of
+    mode (a, b, d) scaled by (a^2 + b^2 + d^2)^-TEST_DECAY) multiplied by a
+    lateral bump vanishing before the staircase truncation, so traces on the
+    lateral boundary vanish identically and only the plates contribute
+    boundary terms.
     """
     x, y, z = grid.node_coords()
     width = geom.R_lat - 2 * grid.h
@@ -66,10 +70,10 @@ def random_test_function(grid: Grid3, geom: SlabGeometry, rng,
     cut[inside] = np.exp(-1.0 / (1.0 - (r[inside] / width) ** 2))
     lx = grid.nx * grid.h
     acc = np.zeros(grid.node_shape, dtype=np.complex128)
-    for a in range(1, n_modes + 1):
-        for b in range(1, n_modes + 1):
-            for d in range(1, n_modes + 1):
-                c = rng.standard_normal() / (a * a + b * b + d * d) ** decay
+    for a in range(1, TEST_MODES + 1):
+        for b in range(1, TEST_MODES + 1):
+            for d in range(1, TEST_MODES + 1):
+                c = rng.standard_normal() / (a * a + b * b + d * d) ** TEST_DECAY
                 acc += c * (
                     np.sin(a * np.pi * (x - grid.origin[0]) / lx)
                     * np.sin(b * np.pi * (y - grid.origin[1]) / lx)
@@ -92,6 +96,9 @@ def carleman_check(op: HelmholtzOperator, zeta, tau_list, trials: int,
     over random smooth u vanishing on the boundary.  The boundary integral
     keeps its sign (zeta.eta is negative on the bottom plate), which is what
     lets the fitted constant stay bounded as tau grows.
+
+    (-Lap_h - k^2 + q) u is op.matrix on u's values at op's active nodes and
+    zero elsewhere, so every test function must vanish off the active nodes.
     """
     zeta = np.asarray(zeta, dtype=float)
     if zeta[2] < 1.0:
@@ -118,7 +125,8 @@ def carleman_check(op: HelmholtzOperator, zeta, tau_list, trials: int,
         ]
     fields = []
     for u in test_functions:
-        pde = op.apply_pde(u)
+        pde = np.zeros(grid.node_shape, dtype=np.complex128)
+        pde[op.active] = op.matrix @ u.values[op.active]
         fields.append((u.values, pde, outward_derivative(u.values, Plate.TOP, h),
                        outward_derivative(u.values, Plate.BOTTOM, h)))
 
@@ -159,8 +167,7 @@ def carleman_check(op: HelmholtzOperator, zeta, tau_list, trials: int,
     else:
         variation = math.inf
     passed = bool(math.isfinite(fitted) and variation < 0.5)
-    return CarlemanReport(taus, lhs_i, lhs_b, rhs_all, per_tau_c, running_c,
-                          fitted, variation, passed)
+    return CarlemanReport(taus, lhs_i, lhs_b, rhs_all, per_tau_c, fitted, variation, passed)
 
 
 # -- unique-continuation decay measurement ------------------------------------------
@@ -297,22 +304,21 @@ class SweepRecord:
     hypothesis_violated: bool
 
 
-def stability_sweep(q1: Potential, q2: Potential, k: float, variant: Variant,
+def stability_sweep(q1: Potential, q2: Potential, variant: Variant,
                     noise_levels, trials: int, seed: int, *,
                     src_basis: BoundaryBasis, tgt_basis: BoundaryBasis, d: DnOperator,
-                    lam: float = 0.5, c: float | None = None,
-                    delta: float = 1.0, c_sobolev: float = 1.0) -> tuple[list[SweepRecord], float]:
+                    delta: float = 1.0) -> tuple[list[SweepRecord], float]:
     """Perturb the DN difference d at each noise level and rerun the chain.
 
-    The perturbation is a random matrix normalized in the star norm (one
-    normalization step), the same norm the closing chain consumes.  The
-    whitening is linear, so d and each perturbation are whitened once.  Only
-    the monotonicity of the bound and the sign of the fitted exponent are meant
-    to be asserted downstream; the exponent itself is diagnostic.
+    The chain is `bound_chain` at lambda = SWEEP_LAMBDA and c =
+    `closing_constant` of the geometry.  The perturbation is a random matrix
+    normalized in the star norm (one normalization step), the same norm the
+    closing chain consumes.  The whitening is linear, so d and each
+    perturbation are whitened once.  Only the monotonicity of the bound and
+    the sign of the fitted exponent are meant to be asserted downstream; the
+    exponent itself is diagnostic.
     """
-    geom = q1.geom
-    if c is None:
-        c = closing_constant(geom)
+    c = closing_constant(q1.geom)
     s = min(q1.sobolev_s, q2.sobolev_s)
     bound_m = max(q1.bound_M, q2.bound_M)
     white_d0 = star_whiten(d.matrix, src_basis, tgt_basis)
@@ -333,8 +339,7 @@ def stability_sweep(q1: Potential, q2: Potential, k: float, variant: Variant,
                 records.append(SweepRecord(level, t, star, linf_err, math.nan,
                                            math.nan, math.nan, math.nan, seed, True))
             else:
-                chain = bound_chain(delta, star, lam, c, variant, s, bound_m,
-                                    c_sobolev)
+                chain = bound_chain(delta, star, SWEEP_LAMBDA, c, variant, s, bound_m)
                 records.append(SweepRecord(
                     level, t, star, linf_err, chain.linf_bound,
                     chain.params["r"], chain.params["param"],

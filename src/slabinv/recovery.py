@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -91,7 +91,6 @@ class FrequencySet:
     """
 
     r: float
-    spacing: float
     annulus: tuple
     low: tuple
     axis: tuple
@@ -122,7 +121,7 @@ def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
                     low.append(xi)
                 else:
                     axis.append(xi)
-    return FrequencySet(r, spacing, tuple(annulus), tuple(low), tuple(axis))
+    return FrequencySet(r, tuple(annulus), tuple(low), tuple(axis))
 
 
 # -- annulus estimation ------------------------------------------------------------
@@ -133,11 +132,9 @@ class ProbeWorkspace:
     """Shared per-pair data: the frequency k of the phases, remainder sources
     of the extended potentials, difference field, transform."""
 
-    geom: SlabGeometry
     k: float
     variant: Variant
     eval_grid: Grid3
-    box_grid: Grid3
     src1: BoxSource
     src2: BoxSource
     qdiff: GridField
@@ -145,9 +142,10 @@ class ProbeWorkspace:
     qdiff_l1: float
 
 
-def support_subgrid(grid: Grid3, geom: SlabGeometry, margin_cells: int = 1) -> Grid3:
-    """Node-aligned subgrid spanning the potential support (full slab height)."""
-    m = math.ceil(geom.R / grid.h - 1e-12) + margin_cells
+def support_subgrid(grid: Grid3, geom: SlabGeometry) -> Grid3:
+    """Node-aligned subgrid spanning the potential support and one cell more
+    (full slab height)."""
+    m = math.ceil(geom.R / grid.h - 1e-12) + 1
     m = min(m, grid.nx // 2)
     return Grid3(2 * m, 2 * m, grid.nz, grid.h, (-m * grid.h, -m * grid.h, 0.0))
 
@@ -162,9 +160,8 @@ def _restrict(field: GridField, sub: Grid3) -> GridField:
     return GridField(sub, vals.copy())
 
 
-def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant,
-                   *, box_padding: float = 0.5, box_coarsen: int = 1,
-                   eval_grid: Grid3 | None = None) -> ProbeWorkspace:
+def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant, *,
+                   box_coarsen: int = 1, eval_grid: Grid3 | None = None) -> ProbeWorkspace:
     """Everything the probes at one k share, each remainder source built once
     (the sources do not depend on k, which only the phases carry).
 
@@ -176,7 +173,7 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant,
         raise RecoveryError("potentials must share a grid")
     geom = q1.geom
     grid = q1.grid
-    box = build_box_grid(geom, grid, padding=box_padding, coarsen=box_coarsen)
+    box = build_box_grid(geom, grid, coarsen=box_coarsen)
     q1_box = extend_even(q1, box)
     extend2 = extend_trivial if variant is Variant.SINGLE_REFLECTION else extend_even
     q2_box = extend2(q2, box)
@@ -185,7 +182,7 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant,
     qdiff = _restrict(qd_full, sub)
     ft = fourier_transform(qdiff)
     l1 = float(np.sum(quadrature_weights(sub) * np.abs(qdiff.values)))
-    return ProbeWorkspace(geom, k, variant, sub, box, box_source(q1_box, sub),
+    return ProbeWorkspace(k, variant, sub, box_source(q1_box, sub),
                           box_source(q2_box, sub), qdiff, ft, l1)
 
 
@@ -264,6 +261,14 @@ def true_transform(ws: ProbeWorkspace, xis):
 # -- analytic continuation to low lateral frequencies ------------------------------
 
 
+TIKHONOV = 1e-10
+N_QUAD = 64
+CALIBRATION_FUNCS = 20
+CALIBRATION_SEED = 0
+LAM_GRID = tuple(np.linspace(0.05, 0.95, 19).tolist())
+C0_SLACK = 2.0
+
+
 @dataclass
 class ContinuationConfig:
     """Exponential-type model and two-constants certificate parameters.
@@ -276,9 +281,7 @@ class ContinuationConfig:
 
     lam: float
     model_halfwidth: float
-    tikhonov: float = 1e-10
     c0: float = 1.0
-    n_quad: int = 64
 
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
@@ -287,10 +290,8 @@ class ContinuationConfig:
 
 @dataclass
 class LowFreqResult:
-    s_eval: np.ndarray
     values: np.ndarray
     sup_gamma_bound: float
-    sup_gamma0: float
     condition: float
 
 
@@ -303,8 +304,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wq
 
 
-def _design_matrix(s: np.ndarray, halfwidth: float, n_quad: int):
-    t, wq = _gauss_legendre(n_quad)
+def _design_matrix(s: np.ndarray, halfwidth: float):
+    t, wq = _gauss_legendre(N_QUAD)
     t = t * halfwidth
     wq = wq * halfwidth
     return np.exp(1j * np.outer(s, t)) * wq, (t, wq)
@@ -315,25 +316,27 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
                     sup_g_bound: float) -> LowFreqResult:
     """Extend line samples from Gamma0 = (1, 2) down to gamma = (0, 1).
 
-    Fits f(s) = integral over |t| <= A of F(t) exp(i s t) dt by Tikhonov-
-    regularized least squares on the Gamma0 samples, evaluates the model on
+    Fits f(s) = integral over |t| <= A of F(t) exp(i s t) dt, F sampled at
+    N_QUAD Gauss-Legendre nodes, by least squares with Tikhonov weight
+    TIKHONOV on the Gamma0 samples, evaluates the model on
     gamma, and returns the certified interpolation bound
     sup_gamma <= c0 * sup_G^(1-lam) * sup_Gamma0^lam.  f_samples of shape
     (n, L) are L lines sampled at the same s: they share one design, normal
-    matrix, condition number and solve, and values (len(s_eval), L),
-    sup_gamma0 and the bound (both (L,)) hold one column or entry per line.
+    matrix, condition number and solve, and values (len(s_eval), L) and the
+    bound (L,) hold one column or entry per line.
     """
     s_samples = np.asarray(s_samples, dtype=float)
     f_samples = np.asarray(f_samples, dtype=np.complex128)
     if not s_samples.size:
         raise ContinuationError("no samples to fit")
-    design, _ = _design_matrix(s_samples, cfg.model_halfwidth, cfg.n_quad)
+    design, _ = _design_matrix(s_samples, cfg.model_halfwidth)
     design_h = np.conj(design.T)
-    normal = design_h @ design + cfg.tikhonov * np.eye(design.shape[1])
+    normal = design_h @ design + TIKHONOV * np.eye(design.shape[1])
     condition = float(np.linalg.cond(normal))
     if condition > 1e12:
         raise ContinuationError(
-            f"continuation fit condition {condition:.3e} > 1e12; increase tikhonov"
+            f"continuation fit condition {condition:.3e} > 1e12 at tikhonov weight "
+            f"{TIKHONOV:.1e}"
         )
     # one matrix-vector product per line: at conditions near 1e12 a
     # matrix-matrix product, rounding the right-hand sides differently,
@@ -341,14 +344,11 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
     lines = np.ascontiguousarray(f_samples.reshape(len(f_samples), -1).T)
     coef = scipy.linalg.solve(normal, np.stack([design_h @ f for f in lines], axis=1),
                               assume_a="her")
-    eval_design, _ = _design_matrix(np.asarray(s_eval, dtype=float),
-                                    cfg.model_halfwidth, cfg.n_quad)
+    eval_design, _ = _design_matrix(np.asarray(s_eval, dtype=float), cfg.model_halfwidth)
     values = (eval_design @ coef).reshape(len(eval_design), *f_samples.shape[1:])
     sup_gamma0 = np.max(np.abs(f_samples), axis=0)
     bound = cfg.c0 * sup_g_bound ** (1.0 - cfg.lam) * sup_gamma0 ** cfg.lam
-    if f_samples.ndim == 1:
-        sup_gamma0, bound = float(sup_gamma0), float(bound)
-    return LowFreqResult(np.asarray(s_eval, float), values, bound, sup_gamma0, condition)
+    return LowFreqResult(values, float(bound) if f_samples.ndim == 1 else bound, condition)
 
 
 def _synthetic_coefficients(halfwidth: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -360,29 +360,27 @@ def _synthetic_coefficients(halfwidth: float, rng) -> tuple[np.ndarray, np.ndarr
     return t * halfwidth, wq * halfwidth * amp
 
 
-def calibrate_two_constants(halfwidth: float, n_funcs: int = 20, seed: int = 0,
-                            lam_grid=None, c0_slack: float = 2.0) -> tuple[float, float, list]:
+def calibrate_two_constants(halfwidth: float) -> tuple[float, float, list]:
     """Fit (c0, lam) so sup_gamma <= c0 sup_G^(1-lam) sup_Gamma0^lam on samples.
 
-    Synthetic entire functions of the prescribed type are measured on dense
-    grids over gamma, Gamma0 and the rectangle G, all functions at once: one
-    exponential matrix per grid times the matrix of their amplitudes.  The
-    required c0 grows monotonically with lam here (the strip sup dominates
-    the segment sup), so the selection takes the largest lam whose c0 stays
-    within `c0_slack` of the minimum: a certified exponent that is still
-    useful downstream, where larger lam means stronger stability.  Returns
+    CALIBRATION_FUNCS synthetic entire functions of the prescribed type, keyed
+    by CALIBRATION_SEED, are measured on dense grids over gamma, Gamma0 and
+    the rectangle G, all functions at once: one exponential matrix per grid
+    times the matrix of their amplitudes.  The required c0 grows
+    monotonically with lam here (the strip sup dominates the segment sup), so
+    the selection takes the largest lam of LAM_GRID whose c0 stays within
+    C0_SLACK times the minimum: a certified exponent that is still useful
+    downstream, where larger lam means stronger stability.  Returns
     (c0, lam, sup table).
     """
-    if lam_grid is None:
-        lam_grid = np.linspace(0.05, 0.95, 19)
     s_gamma = np.linspace(0.01, 0.99, 99)
     s_g0 = np.linspace(1.0, 2.0, 101)
     re = np.linspace(-2.0, 2.0, 41)
     im = np.linspace(-2.0, 2.0, 41)
     zg = (re[:, None] + 1j * im[None, :]).ravel()
     coefs = []
-    for i in range(n_funcs):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], np.uint64)))
+    for i in range(CALIBRATION_FUNCS):
+        rng = np.random.Generator(np.random.Philox(key=np.array([CALIBRATION_SEED, i], np.uint64)))
         t, coef = _synthetic_coefficients(halfwidth, rng)
         coefs.append(coef)
     amps = np.stack(coefs, axis=1)
@@ -390,9 +388,9 @@ def calibrate_two_constants(halfwidth: float, n_funcs: int = 20, seed: int = 0,
                    axis=0) for z in (s_gamma, zg, s_g0)]
     rows = [tuple(float(v) for v in row) for row in zip(*sups)]
     table = [(max(sg / (sG ** (1 - lam) * sg0 ** lam) for sg, sG, sg0 in rows),
-              float(lam)) for lam in lam_grid]
+              float(lam)) for lam in LAM_GRID]
     c0_min = min(c for c, _ in table)
-    eligible = [(c, lam) for c, lam in table if c <= c0_slack * c0_min]
+    eligible = [(c, lam) for c, lam in table if c <= C0_SLACK * c0_min]
     c0, lam = max(eligible, key=lambda t: t[1])
     return c0, lam, rows
 
@@ -407,8 +405,6 @@ class RecoveryResult:
     linf_bound: float
     params: dict
     c_plancherel: float
-    c_sobolev: float
-    fhat: dict = dc_field(default_factory=dict)
 
 
 def plancherel_constant(bound_m: float) -> float:
@@ -418,27 +414,26 @@ def plancherel_constant(bound_m: float) -> float:
 
 
 def assemble_bounds_from_sup(sup: float, r: float, s: float, bound_m: float,
-                             c_sobolev: float = 1.0, params: dict | None = None,
-                             fhat: dict | None = None) -> RecoveryResult:
+                             params: dict | None = None) -> RecoveryResult:
     if s <= 1.5:
         raise RecoveryError("smoothness index must exceed 3/2")
     c_p = plancherel_constant(bound_m)
     hm1 = math.sqrt(c_p * (r ** 3 * sup ** 2 + r ** -2))
     eps = (s - 1.5) / 2.0
-    linf = c_sobolev * hm1 ** (eps / (s + 1.0))
+    linf = hm1 ** (eps / (s + 1.0))
     p = dict(params or {})
     p.setdefault("r", r)
     p["s"] = s
     p["M"] = bound_m
     p["eps"] = eps
-    return RecoveryResult(sup, hm1, linf, p, c_p, c_sobolev, fhat or {})
+    return RecoveryResult(sup, hm1, linf, p, c_p)
 
 
 def assemble_bounds(fhat: dict, r: float, s: float, bound_m: float,
-                    c_sobolev: float = 1.0, params: dict | None = None) -> RecoveryResult:
+                    params: dict | None = None) -> RecoveryResult:
     """Sup over the supplied frequency map, then the H^-1 and L-inf chain."""
     sup = max((abs(v) for v in fhat.values()), default=0.0)
-    return assemble_bounds_from_sup(sup, r, s, bound_m, c_sobolev, params, fhat)
+    return assemble_bounds_from_sup(sup, r, s, bound_m, params)
 
 
 # -- parameter schedules --------------------------------------------------------------
@@ -497,7 +492,7 @@ def choose_parameters(delta: float, star_norm: float | None, lam: float, c: floa
 
 def bound_chain(delta: float, star_norm: float | None, lam: float, c: float,
                 variant: Variant, s: float, bound_m: float,
-                c_sobolev: float = 1.0, log_star: float | None = None) -> RecoveryResult:
+                log_star: float | None = None) -> RecoveryResult:
     """Full closing chain from a measured star norm to an L-infinity bound.
 
     The sup bound over |xi| < r combines the large-frequency estimate
@@ -523,7 +518,7 @@ def bound_chain(delta: float, star_norm: float | None, lam: float, c: float,
         "small_r": choice.small_r, "log_theta": choice.log_theta,
         "variant": variant.value,
     }
-    return assemble_bounds_from_sup(sup, choice.r, s, bound_m, c_sobolev, params)
+    return assemble_bounds_from_sup(sup, choice.r, s, bound_m, params)
 
 
 # -- the recovery pipeline ------------------------------------------------------------

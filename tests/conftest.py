@@ -202,15 +202,13 @@ def offset_probe(probe):
         OffsetField(grid, d2, off2), None if m2 is None else OffsetField(grid, m2, off2))
 
 
-def exponential_probe(eval_grid, phase, box_grid):
+def exponential_probe(eval_grid, phase):
     """Probe with remainders forced to zero (pure exponentials): w = 1."""
-    zero = fields.GridField(box_grid, np.zeros(box_grid.node_shape, dtype=np.complex128))
     one = np.ones(eval_grid.node_shape, dtype=np.complex128)
     rep = {"psi1_l2": 0.0, "psi1_h1": 0.0, "psi2_l2": 0.0, "psi2_h1": 0.0,
            "iterations": (0, 0), "projected_modes": (0, 0), "residuals": (0.0, 0.0)}
     alpha = phase.variant is cgo.Variant.DOUBLE_REFLECTION
-    return cgo.CgoProbe(phase, box_grid, eval_grid, zero, zero, one, one, one,
-                        one if alpha else None, rep)
+    return cgo.CgoProbe(phase, eval_grid, one, one, one, one if alpha else None, rep)
 
 
 def reflect_remainder(psi):

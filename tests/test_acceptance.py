@@ -194,8 +194,7 @@ def test_c07_carleman_constant(geom, grid8, op0_8):
 
 def test_c08_two_constants_certificate(geom):
     t0 = time.time()
-    c0, lam, rows = recovery.calibrate_two_constants(2.0 * geom.R, n_funcs=20,
-                                                     seed=0)
+    c0, lam, rows = recovery.calibrate_two_constants(2.0 * geom.R)
     assert 0.0 < lam < 1.0
     assert math.isfinite(c0)
     for sup_gamma, sup_g, sup_g0 in rows:
@@ -211,7 +210,7 @@ def test_c09_stability_sweep(geom, grid8, born_pair8):
     src, tgt, d = dnmap.measurement_pair(grid8, geom, 0.0, q1, q2, Plate.BOTTOM, 4)
     levels = [1e-3 * 10 ** (-j) for j in range(6)]
     records, theta_fit = harness.stability_sweep(
-        q1, q2, 0.0, Variant.SINGLE_REFLECTION, levels, trials=1, seed=11,
+        q1, q2, Variant.SINGLE_REFLECTION, levels, trials=1, seed=11,
         src_basis=src, tgt_basis=tgt, d=d)
     ok = [r for r in records if not r.hypothesis_violated]
     assert len(ok) == 6

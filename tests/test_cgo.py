@@ -164,7 +164,7 @@ def test_phase_alpha_family_rejects_large_k():
 
 @pytest.fixture(scope="module")
 def box(geom, grid8):
-    return build_box_grid(geom, grid8, padding=0.5)
+    return build_box_grid(geom, grid8)
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,7 @@ def test_remainder_lattice_cache_keyed_by_spacing():
         assert rep == cold_rep
 
 
-def test_remainder_born_quadratic(geom, grid8, box, bump8):
+def test_remainder_born_quadratic(geom, grid8, box, bump8, monkeypatch):
     fr = make_frame((2.0, 0.0, 0.0))
     pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 8.0, 0.0)
     diffs = []
@@ -221,7 +221,10 @@ def test_remainder_born_quadratic(geom, grid8, box, bump8):
         qb = extend_even(q, box)
         source = box_source(qb)
         psi, _ = solve_remainder(pp.rho1, source)
-        single, _ = solve_remainder(pp.rho1, source, max_iter=1, residual_tol=np.inf)
+        with monkeypatch.context() as m:  # one sweep, the Born term
+            m.setattr(cgo, "MAX_SWEEPS", 1)
+            m.setattr(cgo, "RESIDUAL_TOL", np.inf)
+            single, _ = solve_remainder(pp.rho1, source)
         diffs.append(np.sqrt(np.sum(np.abs(psi.values - single.values) ** 2)))
     slope = np.polyfit(np.log(etas), np.log(diffs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.1)
@@ -280,13 +283,14 @@ def test_remainder_non_contraction_error(geom, grid8, box):
         solve_remainder(pp.rho1, box_source(qb))
 
 
-def test_remainder_projection_guard(box, q_even_box):
+def test_remainder_projection_guard(box, q_even_box, monkeypatch):
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
     # a zero right-hand side is still checked
     q_zero = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
+    monkeypatch.setattr(cgo, "PROJECTION_REL", 10.0)
     for q in (q_even_box, q_zero):
         with pytest.raises(ProjectionError):
-            solve_remainder(pp.rho1, box_source(q), projection_rel=10.0)
+            solve_remainder(pp.rho1, box_source(q))
 
 
 def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
@@ -396,7 +400,7 @@ def _solve_remainder_reference(rho, qfield, max_iter=400, residual_tol=1e-8,
 
 @pytest.fixture(scope="module")
 def box2(geom, grid8):
-    return build_box_grid(geom, grid8, padding=0.5, coarsen=2)
+    return build_box_grid(geom, grid8, coarsen=2)
 
 
 @pytest.fixture(scope="module")
@@ -429,7 +433,7 @@ def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential
 
 
 @pytest.mark.parametrize("k", [0.0, 1.5])
-def test_remainder_projected_modes_match_reference(box2_potentials, k):
+def test_remainder_projected_modes_match_reference(box2_potentials, k, monkeypatch):
     # a threshold between the fourth and fifth smallest |symbol| projects
     # four modes: the sweeps and the residual leave them out
     q = box2_potentials["bump"]
@@ -438,7 +442,8 @@ def test_remainder_projected_modes_match_reference(box2_potentials, k):
     z0, z1, z2, zeta_sq = cgo._box_lattice(q.grid)
     mags = np.sort(np.abs(zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)).ravel())
     rel = 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
-    psi, rep = solve_remainder(rho, box_source(q), projection_rel=rel)
+    monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
+    psi, rep = solve_remainder(rho, box_source(q))
     ref, ref_rep = _solve_remainder_reference(rho, q, projection_rel=rel)
     assert rep.projected_modes == ref_rep.projected_modes == 4
     assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
@@ -473,7 +478,7 @@ def fft_counter(monkeypatch):
     return counts
 
 
-def test_remainder_fft_budget(grid8, box2, box2_potentials, fft_counter):
+def test_remainder_fft_budget(grid8, box2, box2_potentials, fft_counter, monkeypatch):
     q = box2_potentials["bump"]
     frame = make_frame((2.0, -0.5, 1.0))
     # set-up: the first spectrum of the support block is a pruned DFT, with
@@ -499,8 +504,9 @@ def test_remainder_fft_budget(grid8, box2, box2_potentials, fft_counter):
     assert zero.zero and zero.spectrum is None
     _, rep = solve_remainder(pp.rho1, zero)
     assert rep.iterations == 0
+    monkeypatch.setattr(cgo, "PROJECTION_REL", 10.0)
     with pytest.raises(ProjectionError):
-        solve_remainder(pp.rho1, zero, projection_rel=10.0)
+        solve_remainder(pp.rho1, zero)
     assert not any(fft_counter.values()), fft_counter
 
 
@@ -789,7 +795,7 @@ def test_probe_window_interpolates_like_the_box(geom, grid8, born_pair8):
 
 @pytest.mark.parametrize("coarsen", [1, 2])
 def test_interpolation_matches_reference(geom, grid8, coarsen):
-    box = build_box_grid(geom, grid8, padding=0.5, coarsen=coarsen)
+    box = build_box_grid(geom, grid8, coarsen=coarsen)
     f = _random_box_field(box, 40 + coarsen)
     h = grid8.h
     off_node = Grid3(5, 7, 6, 0.9 * h, (grid8.origin[0] + 0.37 * h,
@@ -850,7 +856,7 @@ def test_exponential_probe_matches_build(geom, grid8, box):
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
     pp = make_phase_pair(make_frame((1.0, 0.4, 0.2)), Variant.SINGLE_REFLECTION, 2.0, 0.0)
     built = build_probe(grid8, pp, zero, zero)
-    pure = exponential_probe(grid8, pp, box)
+    pure = exponential_probe(grid8, pp)
     assert built.w2_star is pure.w2_star is None
     for name in ("w1", "w1_star", "w2"):
         assert np.array_equal(getattr(built, name), getattr(pure, name))

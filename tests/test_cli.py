@@ -2,13 +2,14 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from slabinv import boundary, cgo, cli, dnmap, fields, forward, geometry, recovery
+from slabinv import boundary, cgo, cli, dnmap, fields, forward, geometry, harness, recovery
 from slabinv.harness import SCHEMA_LINE
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -288,6 +289,25 @@ def test_carleman_cli(workdir, capsys):
     assert out.read_text().startswith(SCHEMA_LINE)
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("carleman", ["--k", "1.5", "--zeta", "0.3,0.2,1", "--taus", "1,2,4", "--trials", "3",
+                  "--seed", "5"]),
+    ("rl", ["--rays", "3", "--seed", "4"]),
+])
+def test_carleman_and_rl_csv_byte_deterministic(workdir, command, argv):
+    # the first run starts with an empty plate-stencil cache, the second
+    # reuses it; the CSV bytes must not depend on which
+    forward.plate_stencil.cache_clear()
+    outputs = []
+    for run in ("cold", "warm"):
+        out = workdir["tmp"] / f"{command}_{run}.csv"
+        assert cli.main([command, "--config", str(workdir["cfg"]), "--q", str(workdir["qpath"]),
+                         *argv, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(SCHEMA_LINE.encode())
+
+
 def test_rl_cli_subprocess(workdir):
     # exercise the installed console path end to end
     out = workdir["tmp"] / "rl.csv"
@@ -369,8 +389,6 @@ def test_sweep_csv_byte_deterministic(bench_inputs):
 
 
 def test_sweep_zero_q2_reuses_free_operator(bench_inputs, monkeypatch):
-    from slabinv import harness
-
     built = []
 
     class Counting(forward.HelmholtzOperator):
@@ -408,7 +426,7 @@ def test_sweep_zero_q2_reuses_free_operator(bench_inputs, monkeypatch):
 
     d = dnmap.assemble_dn(op1, src, target, solve=solve_w)
     records, theta_fit = harness.stability_sweep(
-        q1, q2, 0.0, recovery.Variant.SINGLE_REFLECTION, [1e-3, 1e-6], 1, 3,
+        q1, q2, recovery.Variant.SINGLE_REFLECTION, [1e-3, 1e-6], 1, 3,
         src_basis=src, tgt_basis=tgt, d=d, delta=1.0)
     ref = bench_inputs["tmp"] / "sweep_separate.csv"
     harness.write_sweep_csv(str(ref), records, theta_fit)
@@ -783,6 +801,79 @@ def test_unreadable_path_is_one_line(workdir, capsys, kind):
     assert cli.main([argv[0], "--config", cfg, *argv[1:], *tail]) == 1
     assert capsys.readouterr().err == f"No such file or directory: {missing}\n"
     assert not out.exists()
+
+
+_CONFIG = "R = 1.0\nR_prime = 1.5\nR_lat = 2.0\neps_cutoff = 0.1\ntarget_h = 0.25\n"
+
+# kind -> (file contents, the reader of that file kind, its error, the command
+# that reads the file as PATH)
+_MALFORMED = {
+    "config-text": ((_CONFIG + "L = abc\n").encode(), geometry.parse_geometry_config,
+                    geometry.GeometryError, ["dnnorm", "--config", "PATH", "--a", "M", "--b", "M"]),
+    "config-bytes": ((_CONFIG + "L = 1.0\xff\n").encode("latin-1"),
+                     geometry.parse_geometry_config, geometry.GeometryError,
+                     ["rl", "--config", "PATH", "--q", "Q", "--out", "OUT"]),
+    "field-header": (b"16 16 abc 0.25 -2 -2 0\n", fields.read_field, fields.FieldError,
+                     ["rl", "--config", "CFG", "--q", "PATH", "--out", "OUT"]),
+    "field-truncated": (b"1 1 1 0.25 0 0 0\n" + bytes(8 * 15), fields.read_field,
+                        fields.FieldError, ["rl", "--config", "CFG", "--q", "PATH", "--out", "OUT"]),
+    "field-nan": (b"1 1 1 0.25 0 0 0\n" + np.full(16, np.nan).astype("<f8").tobytes(),
+                  fields.read_field, fields.FieldError,
+                  ["carleman", "--config", "CFG", "--q", "PATH", *_CARLEMAN, "--out", "OUT"]),
+    "boundary-header": (b"8 8 1 0.25 -1 -1 1\n", lambda path: boundary.read_boundary_field(
+        path, geometry.dirichlet_patch(geometry.SlabGeometry(1.0, 1.0, 1.5, 2.0, 0.1))),
+        boundary.BoundaryError,
+        ["forward", "--config", "CFG", "--k", "0", "--dirichlet", "PATH", "--out", "OUT"]),
+    "matrix-header": (b"2 x\n", dnmap.read_matrix, dnmap.MatrixFileError,
+                      ["dnnorm", "--config", "CFG", "--a", "PATH", "--b", "M"]),
+    "matrix-inf": (b"1 1\n" + np.array([np.inf], "<c16").tobytes(), dnmap.read_matrix,
+                   dnmap.MatrixFileError, ["dnnorm", "--config", "CFG", "--a", "M", "--b", "PATH"]),
+}
+
+
+def _malformed_argv(workdir, kind):
+    contents, _, _, argv = _MALFORMED[kind]
+    path = workdir["tmp"] / f"malformed_{kind}"
+    path.write_bytes(contents)
+    matrix = workdir["tmp"] / "unit_malformed.mat"
+    dnmap.write_matrix(str(matrix), np.eye(2))
+    names = {"PATH": path, "CFG": workdir["cfg"], "Q": workdir["qpath"], "M": matrix,
+             "OUT": workdir["tmp"] / f"malformed_{kind}.out"}
+    return str(path), [str(names.get(a, a)) for a in argv]
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_malformed_input_file_is_one_line(workdir, capsys, kind):
+    # the reader raises its module's error naming the path, and the CLI
+    # prints that one line and exits 1
+    path, argv = _malformed_argv(workdir, kind)
+    _, reader, error, _ = _MALFORMED[kind]
+    with pytest.raises(error, match=re.escape(path)):
+        reader(path)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: ") and err.count("\n") == 1 and path in err
+    assert not (workdir["tmp"] / f"malformed_{kind}.out").exists()
+
+
+def test_malformed_input_file_subprocess_has_no_traceback(workdir):
+    _, argv = _malformed_argv(workdir, "config-text")
+    proc = subprocess.run([sys.executable, "-m", "slabinv.cli", *argv], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("bad input: ") and proc.stderr.count("\n") == 1
+    assert "L needs a number, got 'abc'" in proc.stderr
+
+
+def test_cli_does_not_catch_a_bare_value_error(workdir, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a fault in the program, not in its input")
+
+    monkeypatch.setattr(harness, "rl_decay_measure", broken)
+    with pytest.raises(ValueError, match="a fault in the program"):
+        cli.main(["rl", "--config", str(workdir["cfg"]), "--q", str(workdir["qpath"]),
+                  "--out", str(workdir["tmp"] / "rl_fault.csv")])
 
 
 def test_recover_without_annulus_estimates_fails(workdir, capsys, monkeypatch):

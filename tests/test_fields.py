@@ -22,7 +22,7 @@ from slabinv.geometry import Grid3
 
 @pytest.fixture(scope="module")
 def box(geom, grid8):
-    return cgo.build_box_grid(geom, grid8, padding=0.5)
+    return cgo.build_box_grid(geom, grid8)
 
 
 def test_reflect_odd_even_fixed():

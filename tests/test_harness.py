@@ -198,7 +198,7 @@ def sweep_setup(geom, grid8, born_pair8):
 
 def test_sweep_zero_noise_anchor(sweep_setup):
     records, _ = stability_sweep(
-        sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
+        sweep_setup["q1"], sweep_setup["q2"], Variant.SINGLE_REFLECTION,
         [0.0, 1e-3], trials=1, seed=0, src_basis=sweep_setup["src"],
         tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     by_noise = {rec.noise_level: rec for rec in records}
@@ -209,7 +209,7 @@ def test_sweep_zero_noise_anchor(sweep_setup):
 def test_sweep_monotone_and_negative_slope(sweep_setup):
     levels = [1e-3, 1e-5, 1e-7, 1e-9]
     records, theta_fit = stability_sweep(
-        sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
+        sweep_setup["q1"], sweep_setup["q2"], Variant.SINGLE_REFLECTION,
         levels, trials=1, seed=1, src_basis=sweep_setup["src"],
         tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     recs = sorted((r for r in records if not r.hypothesis_violated),
@@ -221,7 +221,7 @@ def test_sweep_monotone_and_negative_slope(sweep_setup):
 
 def test_sweep_hypothesis_violation_flagged(sweep_setup):
     records, _ = stability_sweep(
-        sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
+        sweep_setup["q1"], sweep_setup["q2"], Variant.SINGLE_REFLECTION,
         [0.5], trials=1, seed=2, delta=1e3, src_basis=sweep_setup["src"],
         tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     assert records[0].hypothesis_violated
@@ -231,7 +231,7 @@ def test_sweep_hypothesis_violation_flagged(sweep_setup):
 def test_sweep_records_satisfy_internal_inequality(sweep_setup):
     from slabinv.recovery import bound_chain
     records, _ = stability_sweep(
-        sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
+        sweep_setup["q1"], sweep_setup["q2"], Variant.SINGLE_REFLECTION,
         [1e-4, 1e-6], trials=1, seed=5, src_basis=sweep_setup["src"],
         tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
     for rec in records:
@@ -250,7 +250,7 @@ def test_sweep_star_norms_match_whitening_each_record(sweep_setup):
     src, tgt = sweep_setup["src"], sweep_setup["tgt"]
     levels = [0.0, 1e-3, 1e-6, 1e-9]
     records, _ = stability_sweep(
-        sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
+        sweep_setup["q1"], sweep_setup["q2"], Variant.SINGLE_REFLECTION,
         levels, trials=2, seed=9, src_basis=src, tgt_basis=tgt,
         d=sweep_setup["d"])
     d0 = sweep_setup["d"].matrix
@@ -269,7 +269,7 @@ def test_sweep_determinism_byte_identical(tmp_path, sweep_setup):
     paths = []
     for run in range(2):
         records, theta = stability_sweep(
-            sweep_setup["q1"], sweep_setup["q2"], 0.0, Variant.SINGLE_REFLECTION,
+            sweep_setup["q1"], sweep_setup["q2"], Variant.SINGLE_REFLECTION,
             [1e-3, 1e-5], trials=2, seed=42, src_basis=sweep_setup["src"],
             tgt_basis=sweep_setup["tgt"], d=sweep_setup["d"])
         path = tmp_path / f"sweep{run}.csv"
