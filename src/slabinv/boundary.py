@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import read_binary
+from .fields import read_binary, samples
 from .geometry import BoundaryPatch, Grid3
 
 
@@ -59,9 +59,9 @@ def bounding_square(grid: Grid3, patch: BoundaryPatch) -> SquareGrid2:
 
 @dataclass(frozen=True)
 class BoundaryField:
-    """Complex samples on a patch bounding square, zero outside by convention.
-
-    A leading axis of length m makes a block of m fields on the same square.
+    """Samples (by `fields.samples`) on a patch bounding square, zero outside
+    by convention.  A leading axis of length m makes a block of m fields on
+    the same square.
     """
 
     patch: BoundaryPatch
@@ -69,7 +69,7 @@ class BoundaryField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
+        vals = samples(self.values)
         if vals.ndim not in (2, 3) or vals.shape[-2:] != self.square.node_shape:
             raise BoundaryError(
                 f"values shape {vals.shape} != square nodes {self.square.node_shape}"
@@ -94,23 +94,32 @@ class BoundaryField:
         return float(norm) if norm.ndim == 0 else norm
 
     def plate_values(self, grid: Grid3) -> np.ndarray:
-        """Zero-extend onto the full plate node grid of `grid`."""
-        sx, sy, _ = grid.node_shape
-        out = np.zeros(self.values.shape[:-2] + (sx, sy), dtype=np.complex128)
-        i0 = round((self.square.x0 - grid.origin[0]) / grid.h)
-        j0 = round((self.square.y0 - grid.origin[1]) / grid.h)
-        ni, nj = self.square.node_shape
-        if grid.periodic:
-            # assignment semantics: a duplicated seam node (full-plate squares
-            # carry ns+1 nodes) overwrites node 0 with an identical value.
-            ii = (i0 + np.arange(ni)) % grid.nx
-            jj = (j0 + np.arange(nj)) % grid.ny
-            out[(...,) + np.ix_(ii, jj)] = self.values
-            return out
-        if i0 < 0 or j0 < 0 or i0 + ni > sx or j0 + nj > sy:
-            raise BoundaryError("bounding square does not fit inside the plate")
-        out[..., i0:i0 + ni, j0:j0 + nj] = self.values
+        """Zero-extend onto the full plate node grid of `grid`, in the dtype of
+        the samples."""
+        out = np.zeros(self.values.shape[:-2] + grid.node_shape[:2], dtype=self.values.dtype)
+        out[_plate_index(self.square, grid)] = self.values
         return out
+
+
+def _plate_index(square: SquareGrid2, grid: Grid3) -> tuple:
+    """Index of the square's nodes in full-plate node arrays (..., sx, sy),
+    wrapped on a periodic grid; BoundaryError unless the square has the grid
+    spacing, its corner is a grid node (both to 1e-9 relative to the spacing)
+    and, on a node grid, it fits inside the plate."""
+    offsets = [(c - o) / grid.h for c, o in zip((square.x0, square.y0), grid.origin)]
+    if abs(square.h - grid.h) > 1e-9 * grid.h or any(abs(t - round(t)) > 1e-9 for t in offsets):
+        raise BoundaryError(
+            f"square of spacing {square.h:.17g} with corner ({square.x0:.17g}, "
+            f"{square.y0:.17g}) does not lie on the grid nodes of spacing {grid.h:.17g}")
+    (i0, j0), (ni, nj) = map(round, offsets), square.node_shape
+    if grid.periodic:
+        # a full-plate square's duplicated seam node (ns + 1 nodes) is node 0
+        # again; assignment overwrites node 0 with an identical value
+        return (...,) + np.ix_((i0 + np.arange(ni)) % grid.nx, (j0 + np.arange(nj)) % grid.ny)
+    sx, sy = grid.node_shape[:2]
+    if i0 < 0 or j0 < 0 or i0 + ni > sx or j0 + nj > sy:
+        raise BoundaryError("bounding square does not fit inside the plate")
+    return ..., slice(i0, i0 + ni), slice(j0, j0 + nj)
 
 
 def from_plate_values(grid: Grid3, patch: BoundaryPatch, plate_vals: np.ndarray,
@@ -119,16 +128,7 @@ def from_plate_values(grid: Grid3, patch: BoundaryPatch, plate_vals: np.ndarray,
     """Window full-plate node samples (optionally a block of them) down to the
     patch bounding square."""
     sq = bounding_square(grid, patch) if square is None else square
-    i0 = round((sq.x0 - grid.origin[0]) / grid.h)
-    j0 = round((sq.y0 - grid.origin[1]) / grid.h)
-    ni, nj = sq.node_shape
-    if grid.periodic:
-        ii = (i0 + np.arange(ni)) % grid.nx
-        jj = (j0 + np.arange(nj)) % grid.ny
-        vals = plate_vals[(...,) + np.ix_(ii, jj)].astype(np.complex128)
-    else:
-        vals = plate_vals[..., i0:i0 + ni, j0:j0 + nj].astype(np.complex128)
-    bf = BoundaryField(patch, sq, vals)
+    bf = BoundaryField(patch, sq, plate_vals[_plate_index(sq, grid)])
     return bf.masked() if apply_mask else bf
 
 
@@ -177,7 +177,7 @@ def mode_field(patch: BoundaryPatch, square: SquareGrid2, m1: int, m2: int,
     t = np.arange(square.ns + 1) / square.ns
     sx = np.sin(np.pi * m1 * t)
     sy = np.sin(np.pi * m2 * t)
-    vals = (2.0 / square.side) * np.outer(sx, sy).astype(np.complex128)
+    vals = (2.0 / square.side) * np.outer(sx, sy)
     bf = BoundaryField(patch, square, vals)
     return bf.masked() if apply_mask else bf
 

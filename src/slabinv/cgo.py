@@ -419,7 +419,7 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     function's MAX_SWEEPS, RESIDUAL_TOL and PROJECTION_REL."""
     psi_hat, report = remainder_fixed_point(rho, source)
     shape = source.window_grid.node_shape
-    psi = np.zeros(shape, dtype=np.complex128) if psi_hat is None else source.to_window(psi_hat)
+    psi = np.zeros(shape) if psi_hat is None else source.to_window(psi_hat)
     return GridField(source.window_grid, psi), report
 
 

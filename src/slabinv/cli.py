@@ -8,7 +8,8 @@ dnmap.py.  CSV outputs start with a schema-version line.  An inadmissible
 frequency k ends any subcommand with exit status 2, a CGO remainder that does
 not contract with 3, one that projects too many modes with 4, and a bad option
 (checked before any input is read), an unreadable input path, an input file
-that cannot be parsed or a recovery without estimates with 1.
+that cannot be parsed or does not fit the grid, a failed solve or a recovery
+without estimates with 1.
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ def _check_bounds(args) -> None:
 def _cmd_forward(args) -> int:
     geom, grid = _load_setup(args.config)
     q = _load_potential(args.q, geom, grid)
+    f, plate_z = boundary.read_boundary_field(args.dirichlet, geometry.dirichlet_patch(geom))
+    if plate_z != geom.L:
+        raise boundary.BoundaryError(f"{args.dirichlet}: plate height {plate_z:.17g} is not "
+                                     f"the top plate's, L = {geom.L:.17g}")
     op = forward.HelmholtzOperator(grid, geom, args.k, q, args.mode)
-    patch = geometry.dirichlet_patch(geom)
-    f, _plate_z = boundary.read_boundary_field(args.dirichlet, patch)
     fields.write_field(args.out, forward.solve_dirichlet(op, f))
     return 0
 
@@ -112,13 +115,16 @@ def _cmd_dnnorm(args) -> int:
     geom, grid = _load_setup(args.config)
     m1 = dnmap.read_matrix(args.a)
     m2 = dnmap.read_matrix(args.b)
-    if m1.shape != m2.shape:
-        raise SystemExit("matrices have different shapes")
+    target = geometry.neumann_patch(geom, TARGET_PLATES[args.target])
+    ni, nj = boundary.bounding_square(grid, target).node_shape
+    shape = (ni * nj, args.basis_n ** 2)
+    if not m1.shape == m2.shape == shape:
+        raise SystemExit(f"matrices must be {shape[0]} x {shape[1]} (target square nodes x "
+                         f"--basis-n^2), got {m1.shape} and {m2.shape}")
     src = dnmap.build_boundary_basis(grid, geometry.dirichlet_patch(geom),
                                      args.basis_n)
     op0 = forward.HelmholtzOperator(grid, geom, args.k, None)
     src.attach_triple_gram(op0)
-    target = geometry.neumann_patch(geom, TARGET_PLATES[args.target])
     tgt = dnmap.build_boundary_basis(grid, target, args.test_n)
     value = dnmap.op_norm_star(m1 - m2, src, tgt)
     print("%.17g" % value)
@@ -341,6 +347,9 @@ def main(argv=None) -> int:
         return EXIT_NO_CONTRACTION if isinstance(exc, cgo.ContractionError) else EXIT_PROJECTION
     except recovery.RecoveryError as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
+        return 1
+    except forward.SolveError as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # an input path that cannot be read, or an output path
         print(f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc), file=sys.stderr)

@@ -28,10 +28,11 @@ from .boundary import (
     sine_coefficients,
     sine_frequencies,
 )
-from .fields import GridField, Potential, read_binary
+from .fields import Potential, read_binary
 from .forward import (
     HelmholtzOperator,
     SolveError,
+    _node_field,
     neumann_trace,
     require_admissible,
     solve_dirichlet,
@@ -59,10 +60,10 @@ class MatrixFileError(ValueError):
 class BoundaryBasis:
     """Ordered sine modes on a patch bounding square, masked to the patch.
 
-    `block` holds the modes as one block field and `functions` are its rows.
-    gram_h32 is the H^{3/2} Gram matrix of the (masked) modes; gram_triple
-    (one block of free solves, kept here) is attached on demand because it
-    depends on the frequency k and the domain.
+    `block` holds the modes as one block field, one mode per row.  gram_h32
+    is the H^{3/2} Gram matrix of the (masked) modes; gram_triple (one block
+    of free solves, kept here) is attached on demand because it depends on
+    the frequency k and the domain.
     """
 
     def __init__(self, block: BoundaryField, n_modes: int):
@@ -78,18 +79,17 @@ class BoundaryBasis:
         self.patch = block.patch
         self.square = block.square
         self.block = block
-        self.functions = [block.copy_with(v) for v in block.values]
         self.gram_triple: np.ndarray | None = None
         self._dual_cache = None
         self._triple_cache = None
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return len(self.block.values)
 
     @classmethod
     def raw(cls, patch: BoundaryPatch, square: SquareGrid2,
             functions: list[BoundaryField]) -> "BoundaryBasis":
-        """Basis carrying only functions (no spectral Grams); for DN assembly
+        """Basis of the given functions (no spectral Grams); for DN assembly
         with oracle bases such as periodic exponentials."""
         basis = cls.__new__(cls)
         basis._set_block(BoundaryField(patch, square, np.stack([f.values for f in functions])))
@@ -119,7 +119,7 @@ class BoundaryBasis:
         f = self.block.plate_values(grid)[:, inside]
         h3 = grid.h ** 3
         self.gram_triple = (h3 * _gram(u if live.all() else u[:, live])
-                            + 0.5 * h3 * _gram(f if np.any(f.imag) else f.real))
+                            + 0.5 * h3 * _gram(f))
         if logger.isEnabledFor(logging.INFO):
             logger.info("triple-norm Gram condition %.3e at k=%g",
                         np.linalg.cond(self.gram_triple), op0.k)
@@ -135,7 +135,7 @@ class BoundaryBasis:
                 cho = scipy.linalg.cho_factor(self.gram_h32)
             except scipy.linalg.LinAlgError as exc:
                 raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
-            pair = self.square.h ** 2 * self.block.values.real.reshape(len(self), -1)
+            pair = self.square.h ** 2 * self.block.values.reshape(len(self), -1)
             white = scipy.linalg.solve_triangular(cho[0], pair, trans="C", lower=cho[1])
             self._dual_cache = (cho, white)
         return self._dual_cache
@@ -195,10 +195,9 @@ def active_solutions(op: HelmholtzOperator, basis: "BoundaryBasis",
                      rows: np.ndarray | None = None) -> np.ndarray:
     """(len(basis), n_active) block of the solutions of op with the basis
     data on op's active nodes (only their `rows` when given), from one
-    solve_dirichlet call per CHUNK columns; real for real data."""
+    solve_dirichlet call per CHUNK columns."""
     n = op.n_active if rows is None else len(rows)
-    real = not np.any(basis.block.values.imag)
-    out = np.empty((len(basis), n), dtype=np.float64 if real else np.complex128)
+    out = np.empty((len(basis), n), dtype=basis.block.values.dtype)
     for cols, u in _walk(len(basis), _solve_columns(op, basis)):
         vals = u.values[..., op.active]
         out[cols] = vals if rows is None else vals[:, rows]
@@ -228,7 +227,7 @@ class DnOperator:
     """Matrix of a partial DN map over a Dirichlet basis.
 
     Column j holds the (patch-masked) normal-derivative samples on the target
-    bounding square of the solution with data basis.functions[j]; rows run
+    bounding square of the solution with data row j of basis.block; rows run
     over the flattened square nodes.
     """
 
@@ -272,7 +271,7 @@ def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
     tgt = build_boundary_basis(grid, target, basis_n)
     u = active_solutions(free, src)
     src.attach_triple_gram(free, u)
-    qdiff = (q1.field.values - q2.field.values).real[free.active]
+    qdiff = (q1.field.values - q2.field.values)[free.active]
     support = np.flatnonzero(qdiff)
     if op2 is free:
         u = u[:, support]
@@ -286,9 +285,7 @@ def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
     def solve_w(cols):
         rhs = np.zeros((op1.n_active, cols.stop - cols.start))
         rhs[support] = source * u[cols].T
-        w = np.zeros((rhs.shape[1],) + grid.node_shape)
-        w[..., op1.active] = op1.solve_interior(rhs).T
-        return GridField(grid, w)
+        return _node_field(op1, op1.solve_interior(rhs), 0.0)
 
     return src, tgt, assemble_dn(op1, src, target, solve=solve_w)
 

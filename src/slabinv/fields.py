@@ -1,8 +1,11 @@
-"""Grid-sampled complex fields, compactly supported potentials, reflections.
+"""Grid-sampled fields, compactly supported potentials, reflections.
 
-Fields are stored node-wise as complex128 (float64 for real samples) arrays
-of shape ``grid.node_shape`` indexed ``values[ix, iy, iz]``.  The Fourier
-transform convention throughout is
+Fields are stored node-wise as arrays of shape ``grid.node_shape`` indexed
+``values[ix, iy, iz]``.  `samples` builds the array of every volume and
+plate field once: float64 unless an imaginary part is nonzero, complex128
+then.  So real potentials, k and data give real solutions and traces with
+no later test; complex numbers enter through CGO phases and transforms.
+The Fourier transform convention throughout is
 
     FT(f)(xi) = integral of exp(+i x . xi) f(x) dx
 
@@ -28,21 +31,24 @@ FT_CHUNK = 64
 SOBOLEV_PAD = 2
 
 
+def samples(values) -> np.ndarray:
+    """`values` as contiguous float64 when no imaginary part is nonzero, else
+    complex128; a NaN imaginary part is nonzero, so it stays for the finite check."""
+    vals = np.asarray(values)
+    if np.iscomplexobj(vals) and np.any(vals.imag):
+        return np.ascontiguousarray(vals, dtype=np.complex128)
+    return np.ascontiguousarray(vals.real, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class GridField:
-    """Node samples on `grid`; a leading axis of length m makes a block of m fields.
-
-    Samples are complex128, or float64 when given real (real data solve to
-    real fields, at half the memory).
-    """
+    """Node samples on `grid` (by `samples`); a leading axis of m makes a block of m fields."""
 
     grid: Grid3
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        real = vals.dtype.kind in "biuf"
-        vals = np.ascontiguousarray(vals, dtype=np.float64 if real else np.complex128)
+        vals = samples(self.values)
         if vals.ndim not in (3, 4) or vals.shape[-3:] != self.grid.node_shape:
             raise FieldError(
                 f"values shape {vals.shape} does not match grid nodes {self.grid.node_shape}"
@@ -89,7 +95,7 @@ def reflect(field: GridField) -> GridField:
 
 @dataclass(frozen=True)
 class Potential:
-    """Real potential supported in {|x'| <= R, 0 <= x3 <= L}.
+    """Real (float64) potential supported in {|x'| <= R, 0 <= x3 <= L}.
 
     ``sobolev_s`` and ``bound_M`` record the a-priori smoothness class; the
     discrete Sobolev norm of the samples must not exceed bound_M by more than
@@ -105,7 +111,7 @@ class Potential:
 
     def __post_init__(self, measured_norm):
         vals = self.field.values
-        if np.max(np.abs(vals.imag)) > 0:
+        if np.iscomplexobj(vals):
             raise FieldError("potential must be real-valued")
         r = self.field.grid.lateral_radius()
         _, _, z = self.field.grid.node_coords()
@@ -161,12 +167,12 @@ def radial_bump_potential(grid: Grid3, geom: SlabGeometry, amplitude: float,
     else:
         raise FieldError(f"unknown z_profile {z_profile!r}")
     vals = amplitude * smooth_bump(r / rw) * prof
-    fld = GridField(grid, np.broadcast_to(vals, grid.node_shape).astype(np.complex128))
+    fld = GridField(grid, np.broadcast_to(vals, grid.node_shape))
     return _measured_potential(fld, geom, s)
 
 
 def zero_potential(grid: Grid3, geom: SlabGeometry, s: float = 2.0) -> Potential:
-    fld = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
+    fld = GridField(grid, np.zeros(grid.node_shape))
     return Potential(fld, geom, s, np.finfo(float).tiny)
 
 
@@ -209,9 +215,7 @@ def _box_to_slab_index(box_grid: Grid3, slab_grid: Grid3) -> tuple:
 def extend_trivial(q: Potential, box_grid: Grid3) -> GridField:
     """Extension of q by zero: equals q on slab nodes, zero elsewhere."""
     inside, ix, iy, iz = _box_to_slab_index(box_grid, q.grid)
-    vals = np.where(inside, q.field.values[ix, iy, iz], 0.0 + 0.0j)
-    out = np.broadcast_to(vals, box_grid.node_shape).copy()
-    return GridField(box_grid, out)
+    return GridField(box_grid, np.where(inside, q.field.values[ix, iy, iz], 0.0))
 
 
 def extend_even(q: Potential, box_grid: Grid3) -> GridField:

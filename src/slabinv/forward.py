@@ -197,7 +197,7 @@ class HelmholtzOperator:
         n = self.n_active = m * self._couplings.shape[0]
         self.index = np.full(grid.node_shape, -1, dtype=np.int64)
         self.index[self.active] = np.arange(n)
-        self.q_active = np.zeros(n) if self.q is None else self.q.field.values.real[self.active]
+        self.q_active = np.zeros(n) if self.q is None else self.q.field.values[self.active]
         self.matrix = self._assemble("csr", 6.0 / grid.h ** 2 - self.k ** 2 + self.q_active,
                                      vertical)
 
@@ -426,48 +426,40 @@ def _top_plate_rhs(op: HelmholtzOperator, fplate: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def solve_dirichlet(op: HelmholtzOperator, f: BoundaryField) -> GridField:
-    """Solve with data f on the top plate, zero on the bottom plate and laterally.
-
-    A block of data gives the block of solutions from one solve; real data
-    stay real throughout.
-    """
-    require_admissible(op)
+def _node_field(op: HelmholtzOperator, u: np.ndarray, top) -> GridField:
+    """The field(s) of solutions u, (n_active,) or (n_active, m), on op's
+    active nodes: `top` ((sx, sy), (m, sx, sy) or a number) on the top plate
+    over op's lateral nodes, zero elsewhere, the periodic seam copied."""
     grid = op.grid
-    fplate = f.plate_values(grid)
-    if not np.any(fplate.imag):
-        fplate = fplate.real
-    if op.boundary_mode == TRUNCATED and np.any(fplate[..., ~op.lateral]):
-        raise SolveError("Dirichlet data must vanish outside the truncated plate")
-    u = op.solve_interior(_top_plate_rhs(op, fplate))
-    out = np.zeros(fplate.shape[:-2] + grid.node_shape, dtype=np.result_type(u, fplate))
+    out = np.zeros(u.shape[1:] + grid.node_shape, dtype=np.result_type(u, top))
     out[..., op.active] = u.T
-    out[..., -1] = np.where(op.lateral, fplate, 0.0)
+    out[..., -1] = np.where(op.lateral, top, 0.0)
     if op.boundary_mode == PERIODIC:
         out[..., grid.nx, :, :] = out[..., 0, :, :]
         out[..., :, grid.ny, :] = out[..., :, 0, :]
     return GridField(grid, out)
 
 
+def solve_dirichlet(op: HelmholtzOperator, f: BoundaryField) -> GridField:
+    """Solve with data f on the top plate, zero on the bottom plate and
+    laterally; a block of data gives the block of solutions from one solve."""
+    fplate = f.plate_values(op.grid)
+    if op.boundary_mode == TRUNCATED and np.any(fplate[..., ~op.lateral]):
+        raise SolveError("Dirichlet data must vanish outside the truncated plate")
+    require_admissible(op)
+    return _node_field(op, op.solve_interior(_top_plate_rhs(op, fplate)), fplate)
+
+
 def solve_source(op: HelmholtzOperator, w: GridField) -> GridField:
     """Solve with interior source w and homogeneous Dirichlet data everywhere.
 
     The realized well-posedness constant ||v|| / ||w|| (discrete L^2 over the
-    truncated domain) is reported through the module logger.  A source with
-    zero imaginary part is solved as one real column; the field returned is
-    complex either way.
+    truncated domain) is reported through the module logger.
     """
     require_admissible(op)
     if w.grid != op.grid:
         raise SolveError("source field lives on a different grid")
-    rhs = w.values[op.active]
-    u = op.solve_interior(rhs if np.any(rhs.imag) else rhs.real)
-    out = np.zeros(op.grid.node_shape, dtype=np.complex128)
-    out[op.active] = u
-    if op.boundary_mode == PERIODIC:
-        out[op.grid.nx, :, :] = out[0, :, :]
-        out[:, op.grid.ny, :] = out[:, 0, :]
-    field = GridField(op.grid, out)
+    field = _node_field(op, op.solve_interior(w.values[op.active]), 0.0)
     if logger.isEnabledFor(logging.INFO):
         w_norm = l2_omega(w, op.geom)
         if w_norm > 0:
@@ -515,9 +507,7 @@ def omega_rows(u: GridField, geom: SlabGeometry) -> np.ndarray:
     """
     w = omega_weights(u.grid, geom).ravel()
     keep = w > 0
-    vals = u.values.reshape(-1, w.size)
-    live_imag = np.iscomplexobj(vals) and np.any(vals.imag)
-    rows = vals[:, keep] if live_imag else vals.real[:, keep]
+    rows = u.values.reshape(-1, w.size)[:, keep]
     rows *= np.sqrt(w[keep])
     return rows
 

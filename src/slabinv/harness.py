@@ -69,7 +69,7 @@ def random_test_function(grid: Grid3, geom: SlabGeometry, rng) -> GridField:
     inside = r < width
     cut[inside] = np.exp(-1.0 / (1.0 - (r[inside] / width) ** 2))
     lx = grid.nx * grid.h
-    acc = np.zeros(grid.node_shape, dtype=np.complex128)
+    acc = np.zeros(grid.node_shape)
     for a in range(1, TEST_MODES + 1):
         for b in range(1, TEST_MODES + 1):
             for d in range(1, TEST_MODES + 1):
@@ -125,7 +125,7 @@ def carleman_check(op: HelmholtzOperator, zeta, tau_list, trials: int,
         ]
     fields = []
     for u in test_functions:
-        pde = np.zeros(grid.node_shape, dtype=np.complex128)
+        pde = np.zeros_like(u.values)
         pde[op.active] = op.matrix @ u.values[op.active]
         fields.append((u.values, pde, outward_derivative(u.values, Plate.TOP, h),
                        outward_derivative(u.values, Plate.BOTTOM, h)))

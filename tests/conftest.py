@@ -137,6 +137,11 @@ class CorruptingLU:
         return x
 
 
+def basis_fields(basis):
+    """The data of a basis, one BoundaryField per row of its block."""
+    return [basis.block.copy_with(v) for v in basis.block.values]
+
+
 def corrupt_datum(monkeypatch, f):
     """Make every operator's factorized solve corrupt the column of datum f."""
     orig = forward.HelmholtzOperator._lu

@@ -249,8 +249,7 @@ def test_c10_norm_machinery(geom, grid8, op0_8):
         hm32_maximizer(r, tgt))
     for _ in range(1000):
         c = rng.standard_normal(len(tgt)) + 1j * rng.standard_normal(len(tgt))
-        vals = np.tensordot(c, np.array([f.values for f in tgt.functions]),
-                            axes=(0, 0))
+        vals = np.tensordot(c, tgt.block.values, axes=(0, 0))
         g = boundary.BoundaryField(tgt.patch, sq, vals)
         ratio = abs(l2_inner(g, r)) / norm_h32(g)
         assert ratio <= dual * (1 + 1e-10)

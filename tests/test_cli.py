@@ -866,6 +866,61 @@ def test_malformed_input_file_subprocess_has_no_traceback(workdir):
     assert "L needs a number, got 'abc'" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["spacing-2h", "bottom-plate"])
+def test_plate_data_off_the_grid_is_one_line(workdir, capsys, kind):
+    # a square of spacing 2h (same corner) would place its nodes at spacing h;
+    # plate height 0.0 would pass bottom-plate data off as top-plate data
+    geom, grid = workdir["geom"], workdir["grid"]
+    patch = geometry.dirichlet_patch(geom)
+    sq = boundary.bounding_square(grid, patch)
+    if kind == "spacing-2h":
+        sq = boundary.SquareGrid2(sq.ns // 2, 2 * sq.h, sq.x0, sq.y0)
+    path = workdir["tmp"] / f"{kind}.bfield"
+    boundary.write_boundary_field(str(path), boundary.mode_field(patch, sq, 1, 1),
+                                  plate_z=geom.L if kind == "spacing-2h" else 0.0)
+    out = workdir["tmp"] / f"{kind}.field"
+    assert cli.main(["forward", "--config", str(workdir["cfg"]), "--k", "0",
+                     "--dirichlet", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bad input: ") and err.count("\n") == 1
+    assert ("spacing 0.5" if kind == "spacing-2h" else str(path)) in err
+    assert not out.exists()
+
+
+def test_failed_solve_subprocess_is_one_line(workdir):
+    # unmasked data on the bounding square reach past the truncated disc
+    geom, grid = workdir["geom"], workdir["grid"]
+    patch = geometry.dirichlet_patch(geom)
+    f = boundary.mode_field(patch, boundary.bounding_square(grid, patch), 1, 1, apply_mask=False)
+    path = workdir["tmp"] / "unmasked.bfield"
+    boundary.write_boundary_field(str(path), f, plate_z=geom.L)
+    out = workdir["tmp"] / "unmasked.field"
+    proc = subprocess.run([sys.executable, "-m", "slabinv.cli", "forward", "--config",
+                           str(workdir["cfg"]), "--k", "0", "--dirichlet", str(path),
+                           "--out", str(out)], capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr == ("solve failed: Dirichlet data must vanish outside the "
+                           "truncated plate\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows_off, basis_n", [(0, 5), (1, 6)])
+def test_dnnorm_rejects_matrices_off_the_bases(workdir, rows_off, basis_n):
+    # dnmap --basis-n 6 gives (target square nodes) x 36 matrices
+    geom, grid = workdir["geom"], workdir["grid"]
+    target = geometry.neumann_patch(geom, geometry.Plate.BOTTOM)
+    ni, nj = boundary.bounding_square(grid, target).node_shape
+    path = workdir["tmp"] / f"off_{rows_off}_{basis_n}.mat"
+    dnmap.write_matrix(str(path), np.zeros((ni * nj - rows_off, 36)))
+    with pytest.raises(SystemExit) as info:  # printed as one line, exit status 1
+        cli.main(["dnnorm", "--config", str(workdir["cfg"]), "--a", str(path),
+                  "--b", str(path), "--basis-n", str(basis_n), "--test-n", "6"])
+    got = (ni * nj - rows_off, 36)
+    assert info.value.code == (f"matrices must be {ni * nj} x {basis_n ** 2} (target square "
+                               f"nodes x --basis-n^2), got {got} and {got}")
+
+
 def test_cli_does_not_catch_a_bare_value_error(workdir, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("a fault in the program, not in its input")

@@ -9,6 +9,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    basis_fields,
     corrupt_datum,
     full_plate_square,
     hm32_maximizer,
@@ -72,8 +73,7 @@ def test_norm_h32_single_mode(open_basis, open_patch):
 def test_norm_h32_gram_consistency(open_basis):
     rng = np.random.default_rng(11)
     c = rng.standard_normal(len(open_basis))
-    vals = np.tensordot(c, np.array([f.values for f in open_basis.functions]),
-                        axes=(0, 0))
+    vals = np.tensordot(c, open_basis.block.values, axes=(0, 0))
     g = BoundaryField(open_basis.patch, open_basis.square, vals)
     direct = norm_h32(g) ** 2
     through_gram = float(c @ open_basis.gram_h32 @ c)
@@ -102,16 +102,14 @@ def test_norm_hm32_random_search(open_basis, open_patch):
     sq = open_basis.square
     rvals = np.tensordot(rng.standard_normal(len(open_basis))
                          + 1j * rng.standard_normal(len(open_basis)),
-                         np.array([f.values for f in open_basis.functions]),
-                         axes=(0, 0))
+                         open_basis.block.values, axes=(0, 0))
     r = BoundaryField(open_patch, sq, rvals)
     dual = norm_hm32(r, open_basis)
     gstar = hm32_maximizer(r, open_basis)
     candidates = [gstar]
     for _ in range(1000):
         c = rng.standard_normal(len(open_basis)) + 1j * rng.standard_normal(len(open_basis))
-        vals = np.tensordot(c, np.array([f.values for f in open_basis.functions]),
-                            axes=(0, 0))
+        vals = np.tensordot(c, open_basis.block.values, axes=(0, 0))
         candidates.append(BoundaryField(open_patch, sq, vals))
     ratios = [abs(l2_inner(g, r)) / norm_h32(g) for g in candidates]
     best = max(ratios)
@@ -345,7 +343,7 @@ def test_dual_norm_monotone_in_patch(geom, grid8, op0_8):
     small = build_boundary_basis(
         grid8, BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1.0), 4)
     src = build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 3)
-    f = src.functions[4]
+    f = basis_fields(src)[4]
     u = solve_dirichlet(op0_8, f)
     tr_small = forward.neumann_trace(u, small.patch)
     big_patch = BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, geom.R_prime)
@@ -371,7 +369,7 @@ def test_boundedness_constant_stable_under_refinement(geom, bump8):
         tgt = build_boundary_basis(grid, geometry.neumann_patch(geom, Plate.BOTTOM), 4)
         target = geometry.neumann_patch(geom, Plate.BOTTOM)
         ratios = []
-        for f in src.functions:
+        for f in basis_fields(src):
             u = solve_dirichlet(opq, f)
             tr = forward.neumann_trace(u, target)
             ratios.append(norm_hm32(tr, tgt) / triple_norm(f, op0))
@@ -384,7 +382,7 @@ def test_degenerate_triple_gram_raises(geom, grid8, op0_8, masked_bases):
     # refuse rather than silently regularize
     src, tgt = masked_bases
     dup = dnmap.BoundaryBasis.raw(src.patch, src.square,
-                                  [src.functions[0], src.functions[0]])
+                                  basis_fields(src)[:1] * 2)
     dup.gram_triple = np.ones((2, 2))  # rank one
     nrows = tgt.square.node_shape[0] * tgt.square.node_shape[1]
     with pytest.raises(dnmap.NormDegeneracyError):
@@ -435,14 +433,14 @@ def test_matrix_file_roundtrip(tmp_path):
 def _dn_columns_reference(op, basis, target):
     """One Dirichlet solve and one trace per basis function."""
     cols = [forward.neumann_trace(solve_dirichlet(op, f), target).values.ravel()
-            for f in basis.functions]
+            for f in basis_fields(basis)]
     return np.stack(cols, axis=1)
 
 
 def _triple_gram_reference(op0, basis):
     """The O(m^2) loop of weighted full-grid sums over per-column solves."""
     w = forward.omega_weights(op0.grid, op0.geom)
-    sols = [solve_dirichlet(op0, f).values for f in basis.functions]
+    sols = [solve_dirichlet(op0, f).values for f in basis_fields(basis)]
     m = len(sols)
     gram = np.empty((m, m), dtype=np.complex128)
     for i in range(m):
@@ -504,8 +502,8 @@ def test_complex_data_block_lu_path(geom, grid8, bump8, masked_bases):
     # masked modes times complex phases: one real LU solve of 2m columns
     src, _ = masked_bases
     phases = np.exp(1j * np.linspace(0.0, 3.0, len(src)))
-    basis = BoundaryBasis.raw(src.patch, src.square,
-                              [f.copy_with(p * f.values) for p, f in zip(phases, src.functions)])
+    basis = BoundaryBasis.raw(src.patch, src.square, [
+        f.copy_with(p * f.values) for p, f in zip(phases, basis_fields(src))])
     op = HelmholtzOperator(grid8, geom, 2.5, bump8)
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
     dn = assemble_dn(op, basis, target).matrix
@@ -516,7 +514,7 @@ def test_complex_data_block_lu_path(geom, grid8, bump8, masked_bases):
 
 def test_assemble_dn_names_failing_column(geom, grid8, masked_bases, monkeypatch):
     src, _ = masked_bases
-    corrupt_datum(monkeypatch, src.functions[3])
+    corrupt_datum(monkeypatch, basis_fields(src)[3])
     op = HelmholtzOperator(grid8, geom, 0.0, None)
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
     with pytest.raises(forward.SolveError, match=r"DN column\(s\) \[3\] failed") as info:
@@ -530,7 +528,7 @@ def test_failing_column_beyond_first_chunk_named_by_basis_index(geom, grid8, bor
     # the second block and is named by its index in the basis
     src = build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 5)
     assert dnmap.CHUNK < 20 < len(src) < 2 * dnmap.CHUNK
-    corrupt_datum(monkeypatch, src.functions[20])
+    corrupt_datum(monkeypatch, basis_fields(src)[20])
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
     with pytest.raises(forward.SolveError, match=r"DN column\(s\) \[20\] failed") as info:
         assemble_dn(HelmholtzOperator(grid8, geom, 0.0, None), src, target)
@@ -545,7 +543,7 @@ def _star_norm_reference(matrix, src, tgt):
     """The star norm with every per-basis invariant recomputed in the call
     (the real test whitener applied to the float64 view of the matrix)."""
     h2 = tgt.square.h ** 2
-    stack = np.stack([f.values.real.ravel() for f in tgt.functions])
+    stack = tgt.block.values.reshape(len(tgt), -1)
     cho = scipy.linalg.cho_factor(tgt.gram_h32)
     white_t = scipy.linalg.solve_triangular(cho[0], h2 * stack, trans="C", lower=cho[1])
     low = scipy.linalg.cholesky(src.gram_triple, lower=True)
@@ -724,7 +722,7 @@ def test_block_basis_matches_mode_loop(geom, target_h, n_modes, apply_mask):
         modes = [mode_field(patch, basis.square, m1, m2, apply_mask=apply_mask)
                  for m1 in range(1, n_modes + 1) for m2 in range(1, n_modes + 1)]
         assert len(basis) == len(modes)
-        assert all(np.array_equal(f.values, m.values) for f, m in zip(basis.functions, modes))
+        assert all(np.array_equal(f.values, m.values) for f, m in zip(basis_fields(basis), modes))
         coef = np.stack([boundary.sine_coefficients(m).ravel() for m in modes])
         assert np.array_equal(boundary.sine_coefficients(basis.block).reshape(len(modes), -1),
                               coef)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import field_from_function
-from slabinv import cgo, fields
+from slabinv import boundary, cgo, dnmap, fields, forward, geometry
 from slabinv.fields import (
     FieldError,
     GridField,
@@ -219,3 +219,59 @@ def test_field_file_header_is_ascii(tmp_path, grid8):
         header = fh.readline().decode("ascii").split()
     assert header[:3] == ["32", "32", "8"]
     assert float(header[3]) == grid8.h
+
+
+def test_real_samples_are_float64_everywhere(tmp_path, geom):
+    # fields.samples decides once: real potentials, data, solutions and traces
+    # are contiguous float64 with no later test, a zero imaginary part included
+    grid = geometry.build_domain(geom, 0.25)
+    bump = fields.radial_bump_potential(grid, geom, 1.0)
+    qpath = str(tmp_path / "q.field")
+    write_field(qpath, bump.field)
+    patch = geometry.dirichlet_patch(geom)
+    basis = dnmap.build_boundary_basis(grid, patch, 3)
+    fpath = str(tmp_path / "f.bfield")
+    boundary.write_boundary_field(fpath, basis.block.copy_with(basis.block.values[0]), geom.L)
+    op = forward.HelmholtzOperator(grid, geom, 0.5, bump)
+    u = forward.solve_dirichlet(op, basis.block)
+    w = np.zeros(grid.node_shape, dtype=np.complex128)
+    w[op.active] = 1.0
+    arrays = {
+        "radial_bump_potential": bump.field.values,
+        "zero_potential": fields.zero_potential(grid, geom).field.values,
+        "read_potential": fields.read_potential(qpath, geom).field.values,
+        "build_boundary_basis": basis.block.values,
+        "read_boundary_field": boundary.read_boundary_field(fpath, patch)[0].values,
+        "plate_values": basis.block.plate_values(grid),
+        "neumann_trace": forward.neumann_trace(
+            u, geometry.neumann_patch(geom, geometry.Plate.BOTTOM)).values,
+        "solve_dirichlet": u.values,
+        "solve_source": forward.solve_source(op, GridField(grid, w)).values,
+        "extend_even": extend_even(bump, cgo.build_box_grid(geom, grid)).values,
+    }
+    assert {name: a.dtype for name, a in arrays.items()} == dict.fromkeys(arrays, np.float64)
+    assert all(a.flags.c_contiguous for a in arrays.values())
+
+
+def test_one_imaginary_sample_keeps_a_field_complex(geom):
+    # the rule holds for volume and plate fields alike; a NaN imaginary part
+    # is nonzero, so it stays and the finite check rejects it
+    grid = geometry.build_domain(geom, 0.25)
+    patch = geometry.dirichlet_patch(geom)
+    square = boundary.bounding_square(grid, patch)
+    kinds = ((lambda v: GridField(grid, v), grid.node_shape, FieldError),
+             (lambda v: boundary.BoundaryField(patch, square, v), square.node_shape,
+              boundary.BoundaryError))
+    for make, shape, error in kinds:
+        vals = np.zeros((2,) + shape, dtype=np.complex128)
+        assert make(vals).values.dtype == np.float64
+        vals.flat[7] = 1e-300j
+        got = make(vals).values
+        assert got.dtype == np.complex128 and got.flat[7] == 1e-300j
+        vals.flat[7] = complex(0.0, np.nan)
+        with pytest.raises(error, match="non-finite"):
+            make(vals)
+    vals = np.zeros(grid.node_shape, dtype=np.complex128)
+    vals[4, 4, 2] = 1j
+    with pytest.raises(FieldError, match="must be real"):
+        Potential(GridField(grid, vals), geom, 2.0, 1e12)

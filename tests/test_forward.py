@@ -7,6 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    basis_fields,
     CorruptingLU,
     field_from_function,
     full_plate_square,
@@ -360,12 +361,12 @@ def test_runge_zero_target(geom, grid8, op0_8, runge_setup):
 def test_runge_realizable_target(geom, grid8, op0_8, runge_setup):
     coef = np.zeros(len(runge_setup))
     coef[5] = 1.0
-    target = solve_dirichlet(op0_8, runge_setup.functions[5])
+    mode = basis_fields(runge_setup)[5]
+    target = solve_dirichlet(op0_8, mode)
     f, res = runge_approximate(target, op0_8, 1e-12, runge_setup)
     assert res <= 1e-6 * l2_omega(target, geom)
-    got = np.vdot(runge_setup.functions[5].values, f.values)
-    assert got.real == pytest.approx(
-        np.sum(np.abs(runge_setup.functions[5].values) ** 2), rel=1e-4)
+    got = np.vdot(mode.values, f.values)
+    assert got.real == pytest.approx(np.sum(np.abs(mode.values) ** 2), rel=1e-4)
 
 
 def test_runge_residual_monotone_in_reg(geom, grid8, op0_8, runge_setup, bump8):
@@ -477,7 +478,7 @@ def test_solve_dirichlet_block_matches_columns(geom, grid8, bump8):
     u = solve_dirichlet(op, basis.block)
     assert u.values.shape == (len(basis),) + grid8.node_shape
     assert u.values.dtype == np.float64  # real data stay real
-    for j, f in enumerate(basis.functions):
+    for j, f in enumerate(basis_fields(basis)):
         ref = solve_dirichlet(op, f).values
         assert np.max(np.abs(u.values[j] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -486,7 +487,7 @@ def _runge_gram_reference(op, basis, u_target):
     """The per-column normal equations: one solve per basis function and an
     O(m^2) loop of weighted full-grid sums."""
     w = forward.omega_weights(op.grid, op.geom)
-    sols = [solve_dirichlet(op, f).values for f in basis.functions]
+    sols = [solve_dirichlet(op, f).values for f in basis_fields(basis)]
     m = len(sols)
     gram = np.empty((m, m), dtype=np.complex128)
     rhs = np.empty(m, dtype=np.complex128)
@@ -523,7 +524,7 @@ def test_runge_gram_matches_column_reference(geom, grid8, bump8, runge_setup,
     assert np.max(np.abs(rhs - rhs_ref)) <= 1e-13 * np.max(np.abs(rhs_ref))
     # the reported residual is the weighted L^2(Omega) misfit of the fit
     coef = orig(gram_ref + reg * runge_setup.gram_h32, rhs_ref, assume_a="her")
-    sols = np.array([solve_dirichlet(opq, g).values for g in runge_setup.functions])
+    sols = np.array([solve_dirichlet(opq, g).values for g in basis_fields(runge_setup)])
     misfit = np.tensordot(coef, sols, axes=(0, 0)) - target.values
     w = forward.omega_weights(grid8, geom)
     ref_res = np.sqrt(np.sum(w * np.abs(misfit) ** 2))
@@ -866,7 +867,7 @@ def test_real_source_solved_as_one_real_column(geom, grid8, bump8, monkeypatch, 
                                                block_first, rtol):
     # a complex source with zero imaginary part costs one real column, by CG
     # (k = 0) or through the LU (a factor held, or an uncertified k); the
-    # field stays complex and matches the solve of the complex column.  At
+    # field is real and matches the solve of the complex column.  At
     # k = 4.5, sigma_min = 0.77, one- and two-column LU solves round apart by
     # 2e-14
     op = HelmholtzOperator(grid8, geom, k, bump8)
@@ -880,7 +881,7 @@ def test_real_source_solved_as_one_real_column(geom, grid8, bump8, monkeypatch, 
     monkeypatch.setattr(op, "solve_interior", lambda rhs: shapes.append(
         (rhs.shape, rhs.dtype)) or orig(rhs))
     got = solve_source(op, GridField(grid8, w)).values
-    assert shapes == [((op.n_active,), np.float64)] and got.dtype == np.complex128
+    assert shapes == [((op.n_active,), np.float64)] and got.dtype == np.float64
     assert (op._lu_cache is None) == (k == 0.0)
     want = orig(w[op.active])
     assert np.linalg.norm(got[op.active] - want) <= rtol * np.linalg.norm(want)
