@@ -283,6 +283,19 @@ class BoxSource:
     spectrum: np.ndarray | None = None
     to_window: Transform | None = None
 
+    @functools.cached_property
+    def block_in_window(self) -> tuple | None:
+        """The support block's slices within the window when the source was
+        prepared for an evaluation grid whose window covers the block, else
+        None.  The residual check reads psi on the block from the window
+        transform that the solve needs anyway when there is one, and from
+        `to_block` otherwise."""
+        if self.eval_grid is None or self.zero or any(
+                b.start < w.start or b.stop > w.stop for w, b in zip(self.window, self.block)):
+            return None
+        return tuple(slice(b.start - w.start, b.stop - w.start)
+                     for w, b in zip(self.window, self.block))
+
 
 def _pruned_transforms(grid: Grid3, slices) -> tuple:
     """Per axis, the forward and inverse DFT factors for the indices of `slices`."""
@@ -321,6 +334,95 @@ def box_source(q_box: GridField, eval_grid: Grid3 | None = None) -> BoxSource:
                      to_block, from_block, rhs_blk, _frozen(from_block(rhs_blk)), to_window)
 
 
+def _fixed_point(rho: np.ndarray, source: BoxSource) -> tuple:
+    """(psi_hat, psi on the window or None, report) of `remainder_fixed_point`;
+    the window field is there when the residual check read psi on the block
+    from it (see BoxSource.block_in_window)."""
+    grid = source.grid
+    rho = np.asarray(rho, dtype=np.complex128)
+    rho_sq = float(np.sum(np.abs(rho) ** 2))
+    n_total = grid.n_nodes
+    z0, z1, z2, zeta_sq = source.lattice
+
+    # the symbol |zeta|^2 - 2 i rho . zeta in real arithmetic: its real
+    # part and minus its imaginary part, 2 Re(rho) . zeta
+    a, b = 2 * rho.real, 2 * rho.imag
+    re = b[0] * z0 + b[1] * z1 + b[2] * z2
+    re += zeta_sq
+    neg_im = a[0] * z0 + a[1] * z1 + a[2] * z2
+    mag_sq = re * re
+    mag_sq += neg_im * neg_im
+    keep = mag_sq >= (PROJECTION_REL * rho_sq) ** 2
+    projected = int(n_total - np.count_nonzero(keep))
+    if projected > 1e-3 * n_total:
+        raise ProjectionError(
+            f"{projected} of {n_total} Fourier modes near the symbol zero set "
+            f"({projected / n_total:.2%} > 0.1%)"
+        )
+    if source.zero:
+        return None, None, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
+    # 1 / symbol = conj(symbol) / |symbol|^2, written into the real and
+    # imaginary halves of mult; without projected modes no mask is needed
+    mult = (np.zeros if projected else np.empty)(mag_sq.shape, dtype=np.complex128)
+    where = keep if projected else True
+    np.divide(re, mag_sq, out=mult.real, where=where)
+    np.divide(neg_im, mag_sq, out=mult.imag, where=where)
+    to_block, from_block = source.to_block, source.from_block
+    rhs_blk, spec = source.rhs, source.spectrum
+
+    parseval = grid.h ** 3 / n_total
+    prev_inc = math.inf
+    grew = 0
+    phi = 0.0  # psi on the block, transformed from the previous psi_hat
+    for it in range(1, MAX_SWEEPS + 1):
+        psi_hat = mult * spec
+        l2 = math.sqrt(_norm_sq(psi_hat) * parseval)
+        # the first increment is psi_hat itself
+        inc = l2 if it == 1 else math.sqrt(_norm_sq(psi_hat - prev_hat) * parseval)
+        prev_hat = psi_hat
+        if inc > prev_inc:
+            grew += 1
+            if grew >= 5:
+                raise ContractionError(
+                    f"remainder iteration diverging after {it} sweeps "
+                    "(increase the phase parameter)"
+                )
+        else:
+            grew = 0
+        prev_inc = inc
+        if inc <= 1e-14 * max(1.0, l2) or it == MAX_SWEEPS:
+            break
+        phi = to_block(psi_hat)
+        spec = from_block(rhs_blk + rhs_blk * phi)
+
+    window = None
+    if source.block_in_window is not None:
+        window = source.to_window(psi_hat)
+        phi_n = window[source.block_in_window]
+    else:
+        phi_n = to_block(psi_hat)
+    rhs_n = rhs_blk + rhs_blk * phi_n
+    if projected:
+        spec_n = from_block(rhs_n)
+        num = _norm_sq(np.where(keep, (re - 1j * neg_im) * psi_hat - spec_n, 0.0))
+        den = _norm_sq(np.where(keep, spec_n, 0.0))
+    else:
+        # symbol psi_hat is the last spectrum, the pruned DFT of
+        # rhs (1 + phi), and that DFT scales norms by sqrt(n_total)
+        num = _norm_sq(rhs_blk * (phi - phi_n))
+        den = _norm_sq(rhs_n)
+    residual = math.sqrt(num / den) if den > 0 else 0.0
+    if residual > RESIDUAL_TOL:
+        raise ContractionError(
+            f"remainder residual {residual:.3e} above {RESIDUAL_TOL:.1e} after "
+            f"{it} sweeps (increase the phase parameter)"
+        )
+
+    grad_sq = float(np.vdot(zeta_sq, psi_hat.real ** 2 + psi_hat.imag ** 2)) * parseval
+    h1 = math.sqrt(l2 ** 2 + grad_sq)
+    return psi_hat, window, RemainderReport(l2, h1, it, projected, n_total, residual)
+
+
 def remainder_fixed_point(rho: np.ndarray, source: BoxSource
                           ) -> tuple[np.ndarray | None, RemainderReport]:
     """Fixed-point solve of (-Lap - 2 rho . grad) psi = -Q (1 + psi) in the
@@ -328,8 +430,9 @@ def remainder_fixed_point(rho: np.ndarray, source: BoxSource
 
     Spectral derivatives on the box; the inverse Fourier symbol
     1/(|zeta|^2 - 2 i rho . zeta) is applied with any remaining zero mode and
-    any mode with |symbol| < PROJECTION_REL * |rho|^2 removed.  The frequency
-    lattice is shifted by half a cell in the vertical axis (antiperiodic
+    any mode with |symbol| < PROJECTION_REL * |rho|^2 removed, the mask and
+    the inverse conj(symbol) / |symbol|^2 both from |symbol|^2 in real
+    arithmetic.  The frequency lattice is shifted by half a cell in the vertical axis (antiperiodic
     representation): the symbol vanishes identically at zeta = -xi and stays
     order-one along that whole lattice line for every parameter value, so an
     unshifted lattice pins the remainder norm at a parameter-independent
@@ -342,74 +445,17 @@ def remainder_fixed_point(rho: np.ndarray, source: BoxSource
     The sweeps read psi only on the source's support block: psi there is
     the pruned inverse DFT of psi_hat = mult * spec, the next spectrum the
     pruned DFT from the block, and the increment and L2 norm come from
-    psi_hat by Parseval.  The last spectrum is the residual's right-hand
-    side.  Callers that read only the report stop here; `solve_remainder`
-    also transforms psi_hat onto the source's window.
+    psi_hat by Parseval.  The stop rule is tested before each sweep's pair of
+    transforms, so the last psi_hat pays for none.  Without projected modes
+    symbol * psi_hat is the previous spectrum, so the residual is
+    |r (phi_prev - phi)| / |r (1 + phi)| on the block by Parseval, phi the
+    last psi on the block (see BoxSource.block_in_window) and phi_prev the
+    one before (0 after one sweep); with projected modes it is formed over
+    the box's kept modes from one more spectrum.  Callers that read only the
+    report stop here; `solve_remainder` also returns psi on the window.
     """
-    grid = source.grid
-    rho = np.asarray(rho, dtype=np.complex128)
-    rho_sq = float(np.sum(np.abs(rho) ** 2))
-    n_total = grid.n_nodes
-    z0, z1, z2, zeta_sq = source.lattice
-
-    c = -2j * rho
-    symbol = c[0] * z0 + c[1] * z1 + c[2] * z2
-    symbol += zeta_sq
-    keep = np.abs(symbol) >= PROJECTION_REL * rho_sq
-    projected = int(n_total - np.count_nonzero(keep))
-    if projected > 1e-3 * n_total:
-        raise ProjectionError(
-            f"{projected} of {n_total} Fourier modes near the symbol zero set "
-            f"({projected / n_total:.2%} > 0.1%)"
-        )
-    if source.zero:
-        return None, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
-    # without projected modes the masks change no value, so skip them
-    if projected:
-        mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
-    else:
-        mult = 1.0 / symbol
-    to_block, from_block = source.to_block, source.from_block
-    rhs_blk, spec = source.rhs, source.spectrum
-
-    parseval = grid.h ** 3 / n_total
-    prev_hat = 0.0
-    prev_inc = math.inf
-    grew = 0
-    for it in range(1, MAX_SWEEPS + 1):
-        psi_hat = mult * spec
-        inc = math.sqrt(_norm_sq(psi_hat - prev_hat) * parseval)
-        prev_hat = psi_hat
-        if inc > prev_inc:
-            grew += 1
-            if grew >= 5:
-                raise ContractionError(
-                    f"remainder iteration diverging after {it} sweeps "
-                    "(increase the phase parameter)"
-                )
-        else:
-            grew = 0
-        prev_inc = inc
-        l2 = math.sqrt(_norm_sq(psi_hat) * parseval)
-        spec = from_block(rhs_blk + rhs_blk * to_block(psi_hat))
-        if inc <= 1e-14 * max(1.0, l2):
-            break
-
-    def kept(arr):
-        return np.where(keep, arr, 0.0) if projected else arr
-
-    num = _norm_sq(kept(symbol * psi_hat - spec))
-    den = _norm_sq(kept(spec))
-    residual = math.sqrt(num / den) if den > 0 else 0.0
-    if residual > RESIDUAL_TOL:
-        raise ContractionError(
-            f"remainder residual {residual:.3e} above {RESIDUAL_TOL:.1e} after "
-            f"{it} sweeps (increase the phase parameter)"
-        )
-
-    grad_sq = float(np.vdot(zeta_sq, psi_hat.real ** 2 + psi_hat.imag ** 2)) * parseval
-    h1 = math.sqrt(l2 ** 2 + grad_sq)
-    return psi_hat, RemainderReport(l2, h1, it, projected, n_total, residual)
+    psi_hat, _, report = _fixed_point(rho, source)
+    return psi_hat, report
 
 
 def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, RemainderReport]:
@@ -417,9 +463,10 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     `remainder_fixed_point` (zero for a zero source), and its report; the
     sweep cap, residual tolerance and projection threshold are that
     function's MAX_SWEEPS, RESIDUAL_TOL and PROJECTION_REL."""
-    psi_hat, report = remainder_fixed_point(rho, source)
-    shape = source.window_grid.node_shape
-    psi = np.zeros(shape) if psi_hat is None else source.to_window(psi_hat)
+    psi_hat, psi, report = _fixed_point(rho, source)
+    if psi is None:
+        psi = (np.zeros(source.window_grid.node_shape) if psi_hat is None
+               else source.to_window(psi_hat))
     return GridField(source.window_grid, psi), report
 
 
@@ -427,16 +474,17 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
 
 
 @functools.lru_cache(maxsize=8)
-def _interp_factors(field_grid: Grid3, eval_grid: Grid3, mirrored: bool) -> tuple:
+def _interp_factors(field_grid: Grid3, eval_grid: Grid3) -> tuple:
     """Per axis, the (n_eval, n_field) linear interpolation matrix: two taps
     per row, wrapping modulo the node count of a periodic field grid; a node
-    grid must cover the nodes read, else FieldError.  The third axis reads the
-    mirror images -x3 when `mirrored`.  Cached, read-only."""
+    grid must cover the nodes read, else FieldError.  The third axis stacks
+    the rows of the evaluation nodes x3 over those of their mirror images
+    -x3.  Cached, read-only."""
     mats = []
     for axis, n in enumerate(field_grid.node_shape):
         c = eval_grid.axis_nodes(axis)
-        if mirrored and axis == 2:
-            c = -c
+        if axis == 2:
+            c = np.concatenate([c, -c])
         t = (c - field_grid.origin[axis]) / field_grid.h
         if not field_grid.periodic and (t.min() < -1e-9 or t.max() > n - 1 + 1e-9):
             raise FieldError(f"field grid does not cover the interpolation nodes on axis {axis}")
@@ -449,23 +497,27 @@ def _interp_factors(field_grid: Grid3, eval_grid: Grid3, mirrored: bool) -> tupl
     return tuple(mats)
 
 
-def interpolate_box(field: GridField, eval_grid: Grid3,
-                    mirrored: bool = False) -> np.ndarray:
-    """Trilinear periodic interpolation onto the evaluation nodes (or their
-    mirror images); exact lookup at node coincidences.
+def interpolate_box(field: GridField, eval_grid: Grid3) -> tuple[np.ndarray, np.ndarray]:
+    """Trilinear periodic interpolation onto the evaluation nodes and onto
+    their mirror images (x1, x2, -x3), as one pruned DFT whose third-axis
+    factor stacks both; exact lookup at node coincidences.
 
     `field` lives on the periodic box, where stencil indices wrap, or on a
     node grid that covers the nodes read, such as a probe window.
     """
-    return _pruned_dft(field.values, _interp_factors(field.grid, eval_grid, mirrored))
+    both = _pruned_dft(field.values, _interp_factors(field.grid, eval_grid))
+    nz = eval_grid.node_shape[2]
+    return both[..., :nz], both[..., nz:]
 
 
-def _factor(psi: GridField, eval_grid: Grid3, mirrored: bool) -> np.ndarray:
-    """1 + psi at the evaluation nodes (or their mirror images); an identically
-    zero remainder gives 1 exactly, with nothing interpolated."""
+def _factors(psi: GridField, eval_grid: Grid3) -> tuple[np.ndarray, np.ndarray]:
+    """1 + psi at the evaluation nodes and at their mirror images; an
+    identically zero remainder gives 1 exactly, with nothing interpolated."""
     if not np.any(psi.values):
-        return np.ones(eval_grid.node_shape, dtype=np.complex128)
-    return 1.0 + interpolate_box(psi, eval_grid, mirrored)
+        one = np.ones(eval_grid.node_shape, dtype=np.complex128)
+        return one, one
+    direct, mirror = interpolate_box(psi, eval_grid)
+    return 1.0 + direct, 1.0 + mirror
 
 
 @dataclass
@@ -516,7 +568,7 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
     tau-family second probe uses the extension by zero), with windows that
     cover the stencils of `eval_grid`.  Remainders are interpolated
     trilinearly from their windows onto the evaluation nodes and their
-    mirror images.
+    mirror images, both in one `interpolate_box` call per nonzero remainder.
     """
     if src1.grid != src2.grid:
         raise FieldError("extended potentials must share one box grid")
@@ -524,8 +576,10 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
         raise FieldError("remainder source prepared for another evaluation grid")
     psi1, rep1 = solve_remainder(phase.rho1, src1)
     psi2, rep2 = solve_remainder(phase.rho2, src2)
-    w2_star = (_factor(psi2, eval_grid, True)
-               if phase.variant is Variant.DOUBLE_REFLECTION else None)
+    w1, w1_star = _factors(psi1, eval_grid)
+    w2, w2_star = _factors(psi2, eval_grid)
+    if phase.variant is Variant.SINGLE_REFLECTION:
+        w2_star = None
     report = {
         "psi1_l2": rep1.l2, "psi1_h1": rep1.h1,
         "psi2_l2": rep2.l2, "psi2_h1": rep2.h1,
@@ -533,9 +587,7 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
         "projected_modes": (rep1.projected_modes, rep2.projected_modes),
         "residuals": (rep1.residual, rep2.residual),
     }
-    return CgoProbe(phase, eval_grid, _factor(psi1, eval_grid, False),
-                    _factor(psi1, eval_grid, True), _factor(psi2, eval_grid, False),
-                    w2_star, report)
+    return CgoProbe(phase, eval_grid, w1, w1_star, w2, w2_star, report)
 
 
 def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],

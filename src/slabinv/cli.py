@@ -155,6 +155,9 @@ def _cmd_cgo_check(args) -> int:
         "psi1_h1": probe.decay_report["psi1_h1"],
         "psi2_l2": probe.decay_report["psi2_l2"],
         "psi2_h1": probe.decay_report["psi2_h1"],
+        # remainder health: sweeps, projected modes and final residuals, (psi1, psi2)
+        **{key: list(probe.decay_report[key])
+           for key in ("iterations", "projected_modes", "residuals")},
         # on x3 = 0, u_j = exp(x . rho_j) (w_j - w_j*)
         "max_u1_gamma2": float(np.max(np.abs(probe.w1 - probe.w1_star)[:, :, 0])),
     }

@@ -70,7 +70,7 @@ class BoundaryBasis:
         self._set_block(block)
         coef = sine_coefficients(block).reshape(len(self), -1)
         w32 = (1.0 + sine_frequencies(block.square).ravel()) ** 1.5
-        self.gram_h32 = np.real(np.conj(coef) * w32 @ coef.T)
+        self.gram_h32 = _gram(coef * np.sqrt(w32))
         if logger.isEnabledFor(logging.INFO):  # cond is a full SVD
             logger.info("boundary basis %dx%d modes: H^{3/2} Gram condition %.3e",
                         n_modes, n_modes, np.linalg.cond(self.gram_h32))
@@ -239,14 +239,19 @@ def assemble_dn(op: HelmholtzOperator, basis: BoundaryBasis,
     """The DN matrix over the basis, CHUNK columns at a time: each block of
     solutions is traced on the target patch, written into its columns and
     dropped.  `solve(cols)` gives the GridField block of solutions with the
-    data of basis columns `cols`, by default solve_dirichlet with op.  A
+    data of basis columns `cols`, by default solve_dirichlet with op.  The
+    matrix has the traces' dtype: float64 for real data, real q and real k.  A
     SolveError names failing columns by their index in the basis and
     carries the residuals of their block.  Deterministic given equal inputs.
     """
     tsq = bounding_square(op.grid, target)
-    matrix = np.empty((tsq.node_shape[0] * tsq.node_shape[1], len(basis)), dtype=np.complex128)
+    shape = (tsq.node_shape[0] * tsq.node_shape[1], len(basis))
+    matrix = np.empty(shape)  # replaced by the first block, whose dtype it takes
     for cols, u in _walk(len(basis), solve or _solve_columns(op, basis)):
-        matrix[:, cols] = neumann_trace(u, target).values.reshape(len(u.values), -1).T
+        trace = neumann_trace(u, target).values.reshape(len(u.values), -1).T
+        if cols.start == 0:
+            matrix = np.empty(shape, dtype=trace.dtype)
+        matrix[:, cols] = trace
     return DnOperator(matrix)
 
 
@@ -295,9 +300,16 @@ def measurement_pair(grid: Grid3, geom: SlabGeometry, k: float, q1: Potential,
 
 def star_whiten(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
                 tgt_basis: BoundaryBasis) -> np.ndarray:
-    """B = W D R for a DN-matrix difference D (see op_norm_star); linear in D."""
-    pairs = np.ascontiguousarray(matrix_diff, dtype=np.complex128).view(np.float64)  # W is real
-    return (tgt_basis.dual_factors()[1] @ pairs).view(np.complex128) @ src_basis.triple_whitener()
+    """B = W D R for a DN-matrix difference D (see op_norm_star); linear in D.
+    W is real, so a real D takes one real product and a complex D one real
+    product with its (real, imaginary) column pairs."""
+    white = tgt_basis.dual_factors()[1]
+    if np.iscomplexobj(matrix_diff):
+        pairs = np.ascontiguousarray(matrix_diff, dtype=np.complex128).view(np.float64)
+        wd = (white @ pairs).view(np.complex128)
+    else:
+        wd = white @ matrix_diff
+    return wd @ src_basis.triple_whitener()
 
 
 def op_norm_star(matrix_diff: np.ndarray, src_basis: BoundaryBasis | None = None,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -510,6 +512,130 @@ def test_remainder_fft_budget(grid8, box2, box2_potentials, fft_counter, monkeyp
     assert not any(fft_counter.values()), fft_counter
 
 
+def _full_box_residual(rho, q, psi_hat, projection_rel=1e-8):
+    """||kept(symbol psi_hat - spec)|| / ||kept(spec)|| over the whole box,
+    spec the transform of -Q (1 + psi) for the psi of psi_hat, both
+    transforms modulated FFTs of the box."""
+    grid = q.grid
+    rho = np.asarray(rho, dtype=np.complex128)
+    z0, z1, z2, zeta_sq = cgo._box_lattice(grid)
+    mod = _lattice_modulation(grid)
+    symbol = zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+    keep = np.abs(symbol) >= projection_rel * float(np.sum(np.abs(rho) ** 2))
+    psi = scipy.fft.ifftn(psi_hat) * np.conj(mod)
+    spec = scipy.fft.fftn(-q.values * (1.0 + psi) * mod)
+    return float(np.linalg.norm((symbol * psi_hat - spec)[keep])
+                 / np.linalg.norm(spec[keep]))
+
+
+def _residual_matches_full_box(rep, full):
+    # the two agree to 1e-12 relative while the residual is far above
+    # rounding; a converged residual is rounding noise in both (below 1e-18
+    # by Parseval, up to about 1e-15 through the box FFTs)
+    return abs(rep.residual - full) <= 1e-12 * full + 1e-14
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("k", [0.0, 1.5])
+@pytest.mark.parametrize("sweeps", [1, 2, 3, None])
+def test_parseval_residual_matches_full_box(grid8, box2_potentials, variant, k, sweeps,
+                                            monkeypatch):
+    # the reference-loop cases, stopped after 1, 2 or 3 sweeps (residuals
+    # from 3e-4 down to 1e-11) or converged (None), on a whole-box source
+    # (psi on the block from to_block) and a windowed one (from the window
+    # transform)
+    q = box2_potentials["bump"]
+    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
+    if sweeps is not None:
+        monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
+        monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
+    whole, windowed = box_source(q), box_source(q, grid8)
+    assert whole.block_in_window is None and windowed.block_in_window is not None
+    for source in (whole, windowed):
+        psi_hat, rep = cgo.remainder_fixed_point(rho, source)
+        assert rep == solve_remainder(rho, source)[1]
+        assert rep.iterations == (sweeps or _solve_remainder_reference(rho, q)[1].iterations)
+        full = _full_box_residual(rho, q, psi_hat)
+        if sweeps == 1:  # far above rounding, so the relative bound binds
+            assert full > 1e-4
+        assert _residual_matches_full_box(rep, full), (rep.residual, full)
+
+
+@pytest.mark.parametrize("sweeps", [2, None])
+def test_projected_residual_matches_full_box(box2_potentials, sweeps, monkeypatch):
+    # four projected modes keep the full-box formula
+    q = box2_potentials["bump"]
+    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), Variant.SINGLE_REFLECTION, 16.0,
+                          0.0).rho1
+    z0, z1, z2, zeta_sq = cgo._box_lattice(q.grid)
+    mags = np.sort(np.abs(zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)).ravel())
+    rel = 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
+    monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
+    if sweeps is not None:  # None: run to convergence
+        monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
+        monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
+    psi_hat, rep = cgo.remainder_fixed_point(rho, box_source(q))
+    assert rep.projected_modes == 4
+    full = _full_box_residual(rho, q, psi_hat, projection_rel=rel)
+    assert _residual_matches_full_box(rep, full), (rep.residual, full)
+
+
+@pytest.mark.parametrize("sweeps", [2, None])
+def test_residual_of_a_window_that_misses_the_block(box2, box2_potentials, sweeps,
+                                                    monkeypatch):
+    # a two-node evaluation grid reads a window narrower than the support
+    # block, so psi on the block comes from to_block
+    q = box2_potentials["bump"]
+    eval_grid = Grid3(1, 1, 1, 0.125, (0.0, 0.0, 0.125))
+    source = box_source(q, eval_grid)
+    assert source.window_grid != box2 and source.block_in_window is None
+    rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), Variant.DOUBLE_REFLECTION, 16.0,
+                          0.0).rho1
+    if sweeps is not None:  # None: run to convergence
+        monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
+        monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
+    psi_hat, rep = cgo.remainder_fixed_point(rho, source)
+    psi, solved = solve_remainder(rho, source)
+    assert rep == solved
+    assert np.array_equal(psi.values, source.to_window(psi_hat))
+    full = _full_box_residual(rho, q, psi_hat)
+    assert _residual_matches_full_box(rep, full), (rep.residual, full)
+
+
+def _counting(source):
+    """The source with each of its three transforms counted."""
+    counts = {"to_block": 0, "from_block": 0, "to_window": 0}
+
+    def counted(name):
+        fn = getattr(source, name)
+
+        def call(arr):
+            counts[name] += 1
+            return fn(arr)
+        return call
+
+    return dataclasses.replace(source, **{name: counted(name) for name in counts}), counts
+
+
+def test_converged_solve_transform_count(grid8, box2_potentials):
+    # the stop rule runs before each sweep's pair of block transforms, and
+    # the residual reads psi on the block from the window transform
+    q = box2_potentials["bump"]
+    for variant in Variant:
+        rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), variant, 8.0, 1.5).rho1
+        source, counts = _counting(box_source(q, grid8))
+        _, rep = solve_remainder(rho, source)
+        assert rep.iterations > 1
+        assert counts == {"to_block": rep.iterations - 1, "from_block": rep.iterations - 1,
+                          "to_window": 1}
+        # a whole-box source takes psi on the block from one more to_block,
+        # and a report-only solve makes no window transform
+        source, counts = _counting(box_source(q))
+        cgo.remainder_fixed_point(rho, source)
+        assert counts == {"to_block": rep.iterations, "from_block": rep.iterations - 1,
+                          "to_window": 0}
+
+
 _PROPERTY_BOX = Grid3(12, 12, 12, 0.25, (-1.5, -1.5, -1.5), periodic=True)
 
 
@@ -610,9 +736,8 @@ def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, 
     assert rep.projected_modes == full_rep.projected_modes
     assert rep.total_modes == full_rep.total_modes
     # the window holds every node the stencils read
-    for mirrored in (False, True):
-        got = interpolate_box(psi, eval_grid, mirrored)
-        assert np.max(np.abs(got - interpolate_box(full, eval_grid, mirrored))) <= 1e-13 * scale
+    for got, want in zip(interpolate_box(psi, eval_grid), interpolate_box(full, eval_grid)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 # -- probes --------------------------------------------------------------------------
@@ -701,8 +826,7 @@ def test_exp_terms_separable_matches_direct(grid8, box, variant, param):
     # the offset reference that the probe tests use, against the full 3-D phase
     one = np.ones(grid8.node_shape, dtype=np.complex128)
     psi = GridField(box, 0.1 * _random_box_field(box, 5).values)
-    factors = ((one, one), (1.0 + interpolate_box(psi, grid8),
-                            1.0 + interpolate_box(psi, grid8, mirrored=True)))
+    factors = ((one, one), tuple(1.0 + w for w in interpolate_box(psi, grid8)))
     for xi in ((1.5, 0.75, -0.75), (-2.0, 1.0, 2.0), (0.0, 1.0, 0.0)):
         pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
         for rho in (pp.rho1, pp.rho2):
@@ -756,25 +880,33 @@ def test_interpolation_exact_at_nodes(box):
     f = _random_box_field(box, 8)
     xs, ys, zs = (box.axis_nodes(a)[i] for a, i in enumerate((3, 5, 7)))
     at_node = Grid3(2, 2, 2, box.h, (xs, ys, zs))
-    assert np.array_equal(interpolate_box(f, at_node), f.values[3:6, 5:8, 7:10])
+    direct, mirror = interpolate_box(f, at_node)
+    assert np.array_equal(direct, f.values[3:6, 5:8, 7:10])
+    # the box is centred at the origin, so z node j mirrors to node n - j
+    nz = box.node_shape[2]
+    assert np.array_equal(mirror, f.values[3:6, 5:8, [nz - 7, nz - 8, nz - 9]])
     # midpoint: average of the two z-neighbours
     mid = Grid3(1, 1, 1, box.h, (xs, ys, zs + box.h / 2))
     expected = 0.5 * (f.values[3, 5, 7] + f.values[3, 5, 8])
-    assert interpolate_box(f, mid)[0, 0, 0] == pytest.approx(expected)
+    assert interpolate_box(f, mid)[0][0, 0, 0] == pytest.approx(expected)
 
 
 def test_interpolation_rejects_node_grid_that_does_not_cover():
-    # 4 nodes per axis at 0, 1, 2, 3: nodes 4.0 and 4.25 lie beyond the
-    # grid, where wrapping would read nodes 0 and 1
-    field = GridField(Grid3(3, 3, 3, 1.0, (0.0, 0.0, 0.0)),
+    # 4 nodes per axis, at 0, 1, 2, 3 laterally and at -1, 0, 1, 2
+    # vertically: nodes 4.0 and 4.25 lie beyond the grid, where wrapping
+    # would read nodes 0 and 1
+    field = GridField(Grid3(3, 3, 3, 1.0, (0.0, 0.0, -1.0)),
                       np.arange(64.0).reshape(4, 4, 4).astype(np.complex128))
     with pytest.raises(FieldError, match="does not cover"):
-        interpolate_box(field, Grid3(1, 1, 1, 0.25, (4.0, 4.0, 4.0)))
+        interpolate_box(field, Grid3(1, 1, 1, 0.25, (4.0, 4.0, 1.0)))
+    # the nodes x3 = 1.5, 1.75 are covered, their mirror images are not
     with pytest.raises(FieldError, match="axis 2"):
-        interpolate_box(field, Grid3(1, 1, 1, 0.25, (1.0, 1.0, 0.5)), mirrored=True)
+        interpolate_box(field, Grid3(1, 1, 1, 0.25, (1.0, 1.0, 1.5)))
     # up to and including the last node is covered: exact lookup
-    inside = Grid3(2, 2, 2, 1.0, (1.0, 1.0, 1.0))
-    assert np.array_equal(interpolate_box(field, inside), field.values[1:, 1:, 1:])
+    inside = Grid3(2, 2, 2, 1.0, (1.0, 1.0, -1.0))
+    direct, mirror = interpolate_box(field, inside)
+    assert np.array_equal(direct, field.values[1:, 1:, :3])
+    assert np.array_equal(mirror, field.values[1:, 1:, 2::-1])
 
 
 def test_probe_window_interpolates_like_the_box(geom, grid8, born_pair8):
@@ -788,9 +920,8 @@ def test_probe_window_interpolates_like_the_box(geom, grid8, born_pair8):
     psi, _ = solve_remainder(pp.rho1, source)
     full, _ = solve_remainder(pp.rho1, box_source(extend_even(born_pair8[0], box)))
     scale = np.max(np.abs(full.values))
-    for mirrored in (False, True):
-        got = interpolate_box(psi, grid8, mirrored)
-        assert np.max(np.abs(got - interpolate_box(full, grid8, mirrored))) <= 1e-13 * scale
+    for got, want in zip(interpolate_box(psi, grid8), interpolate_box(full, grid8)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("coarsen", [1, 2])
@@ -803,10 +934,8 @@ def test_interpolation_matches_reference(geom, grid8, coarsen):
     for eval_grid in (grid8, off_node):
         x, y, z = eval_grid.node_coords()
         shape = eval_grid.node_shape
-        for mirrored in (False, True):
-            zz = np.broadcast_to(-z if mirrored else z, shape)
-            want = _interpolate_reference(f, x, y, zz)
-            got = interpolate_box(f, eval_grid, mirrored)
+        for zz, got in zip((z, -z), interpolate_box(f, eval_grid)):
+            want = _interpolate_reference(f, x, y, np.broadcast_to(zz, shape))
             assert got.shape == shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -113,6 +113,21 @@ def test_cgo_check_record(workdir, capsys):
     assert rec["psi1_l2"] > 0
 
 
+def test_cgo_check_reports_remainder_health(workdir, capsys):
+    # the decay report's sweep counts, projected modes and residuals, one
+    # per remainder; the q2 = 0 remainder takes no sweep
+    rc = cli.main([
+        "cgo-check", "--config", str(workdir["cfg"]), "--xi", "2.0,0.5,-1.0",
+        "--variant", "thm3", "--param", "8.0", "--q1", str(workdir["qpath"]),
+        "--q2", "zero",
+    ])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out.strip())
+    assert rec["iterations"][0] > 0 and rec["iterations"][1] == 0
+    assert rec["projected_modes"] == [0, 0]
+    assert 0.0 <= rec["residuals"][0] <= cgo.RESIDUAL_TOL and rec["residuals"][1] == 0.0
+
+
 @pytest.mark.parametrize("variant", ["thm2", "thm3"])
 def test_cgo_check_carries_k_in_the_phase(workdir, capsys, variant):
     # at k = 2.5 the phases satisfy rho . rho = -k^2, the q2 = 0 remainder

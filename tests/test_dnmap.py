@@ -183,6 +183,50 @@ def test_assemble_dn_deterministic(geom, grid8, op0_8, masked_bases):
     assert np.array_equal(d1.matrix, d2.matrix)
 
 
+def test_real_data_gives_a_real_dn_matrix(geom, grid8, bump8, masked_bases, tmp_path):
+    # real data, real q and real k: the DN matrix is float64, its file is
+    # the one its complex128 copy writes, and the star norm of the real path
+    # is the complex path's
+    src, tgt = masked_bases
+    target = geometry.neumann_patch(geom, Plate.BOTTOM)
+    d0 = assemble_dn(HelmholtzOperator(grid8, geom, 0.0, None), src, target).matrix
+    dq = assemble_dn(HelmholtzOperator(grid8, geom, 0.0, bump8), src, target).matrix
+    assert d0.dtype == dq.dtype == np.float64
+    paths = [tmp_path / "real.mat", tmp_path / "complex.mat"]
+    write_matrix(str(paths[0]), dq)
+    write_matrix(str(paths[1]), dq.astype(np.complex128))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert np.array_equal(read_matrix(str(paths[0])), dq)
+    diff = dq - d0
+    real = op_norm_star(diff, src, tgt)
+    cplx = op_norm_star(diff.astype(np.complex128), src, tgt)
+    assert abs(real - cplx) <= 1e-14 * cplx
+
+
+def test_measurement_pair_real_matrix_whitens_like_complex(geom, grid8, born_pair8):
+    # the sweep's measurement pair at h = 1/8, 12 modes per axis
+    src, tgt, d = dnmap.measurement_pair(grid8, geom, 0.0, *born_pair8, Plate.BOTTOM, 12)
+    assert d.matrix.dtype == np.float64
+    white = dnmap.star_whiten(d.matrix, src, tgt)
+    assert white.dtype == np.float64
+    ref = dnmap.star_whiten(d.matrix.astype(np.complex128), src, tgt)
+    assert np.max(np.abs(white - ref)) <= 1e-14 * np.max(np.abs(ref))
+    real, cplx = op_norm_star(white), op_norm_star(ref)
+    assert abs(real - cplx) <= 1e-14 * cplx
+
+
+def test_h32_gram_exactly_symmetric(geom, grid8):
+    # the 36-mode bottom-plate basis: one syrk, so both triangles agree
+    basis = build_boundary_basis(grid8, geometry.neumann_patch(geom, Plate.BOTTOM), 6)
+    g = basis.gram_h32
+    assert len(g) == 36 and g.dtype == np.float64
+    assert np.array_equal(g, g.T)
+    coef = boundary.sine_coefficients(basis.block).reshape(len(basis), -1)
+    w32 = (1.0 + boundary.sine_frequencies(basis.square).ravel()) ** 1.5
+    ref = (coef * w32) @ coef.T
+    assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_assemble_dn_matches_partial_pivoting(geom, grid8, bump8, masked_bases):
     src, _ = masked_bases
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
