@@ -233,24 +233,34 @@ def _norm_sq(arr: np.ndarray) -> float:
     return float(np.vdot(flat, flat))
 
 
-def _probe_window(box: Grid3, eval_grid: Grid3 | None) -> tuple[slice, ...]:
-    """Per axis, the box nodes that the trilinear stencils of the evaluation
-    nodes and of their mirror images (x1, x2, -x3) read.  Without an
-    evaluation grid, or where a range would wrap across the periodic edge,
-    the window is the whole box: only the box is read by wrapping stencils."""
-    whole = tuple(slice(0, n) for n in box.node_shape)
-    if eval_grid is None:
-        return whole
+def _taps(grid: Grid3, eval_grid: Grid3, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Along `axis`, the positions t of the evaluation nodes in node units of
+    `grid` (on the third axis, those of the nodes x3 over those of their
+    mirror images -x3) and the left taps of their 2-tap stencils, floor(t)
+    clamped to [0, n - 2] so that the last node reads exactly.  FieldError
+    where a node lies outside the grid's nodes: its stencil would wrap."""
+    c = eval_grid.axis_nodes(axis)
+    if axis == 2:
+        c = np.concatenate([c, -c])
+    t = (c - grid.origin[axis]) / grid.h
+    n = grid.node_shape[axis]
+    if t.min() < -1e-9 or t.max() > n - 1 + 1e-9:
+        raise FieldError(f"grid does not cover the interpolation nodes on axis {axis}")
+    return t, np.clip(np.floor(t), 0, n - 2).astype(np.int64)
+
+
+def _window(box: Grid3, block: tuple, eval_grid: Grid3 | None) -> tuple[slice, ...]:
+    """Per axis, the smallest range of box nodes that holds the support block
+    and the nodes that the stencils of `eval_grid` read, widened to two
+    nodes; FieldError where a stencil would wrap across the box edge."""
     window = []
     for axis, n in enumerate(box.node_shape):
-        c = eval_grid.axis_nodes(axis)
-        if axis == 2:
-            c = np.concatenate([c, -c])
-        i0 = np.floor((c - box.origin[axis]) / box.h)
-        lo, hi = int(i0.min()), int(i0.max()) + 2
-        if lo < 0 or hi > n:
-            return whole
-        window.append(slice(lo, hi))
+        lo, hi = (block[axis].start, block[axis].stop) if block else (n, 0)
+        if eval_grid is not None:
+            taps = _taps(box, eval_grid, axis)[1]
+            lo, hi = min(lo, int(taps.min())), max(hi, int(taps.max()) + 2)
+        lo = min(lo, n - 2)
+        window.append(slice(lo, max(hi, lo + 2)))
     return tuple(window)
 
 
@@ -261,13 +271,13 @@ Transform = Callable[[np.ndarray], np.ndarray]
 class BoxSource:
     """What every remainder solve against one box potential Q shares.
 
-    r = -Q.  `window` holds, per axis, the box nodes that the probes on
-    `eval_grid` read (see `_probe_window`) and `window_grid` places them; a
-    whole-box window is the box itself.  A nonzero r also carries the
-    support block (per axis, first to last index where r is nonzero), the
-    pruned DFTs between the shifted spectrum and the block, r on the block,
-    the first spectrum (the transform of r) and the pruned inverse DFT onto
-    the window.
+    r = -Q.  The support block holds, per axis, the first to last index
+    where r is nonzero (empty for a zero r).  Solves return psi on `window`
+    (see `_window`), placed by the node grid `window_grid`;
+    `block_in_window` is the block's place in it.  A nonzero r also carries
+    the pruned DFTs between the shifted spectrum and the block, r on the
+    block, the first spectrum (the transform of r) and the pruned inverse
+    DFT onto the window.
     """
 
     grid: Grid3
@@ -276,25 +286,13 @@ class BoxSource:
     eval_grid: Grid3 | None
     window: tuple
     window_grid: Grid3
-    block: tuple = ()
+    block: tuple
+    block_in_window: tuple
     to_block: Transform | None = None
     from_block: Transform | None = None
     rhs: np.ndarray | None = None
     spectrum: np.ndarray | None = None
     to_window: Transform | None = None
-
-    @functools.cached_property
-    def block_in_window(self) -> tuple | None:
-        """The support block's slices within the window when the source was
-        prepared for an evaluation grid whose window covers the block, else
-        None.  The residual check reads psi on the block from the window
-        transform that the solve needs anyway when there is one, and from
-        `to_block` otherwise."""
-        if self.eval_grid is None or self.zero or any(
-                b.start < w.start or b.stop > w.stop for w, b in zip(self.window, self.block)):
-            return None
-        return tuple(slice(b.start - w.start, b.stop - w.start)
-                     for w, b in zip(self.window, self.block))
 
 
 def _pruned_transforms(grid: Grid3, slices) -> tuple:
@@ -303,45 +301,76 @@ def _pruned_transforms(grid: Grid3, slices) -> tuple:
 
 
 def box_source(q_box: GridField, eval_grid: Grid3 | None = None) -> BoxSource:
-    """The rho-independent part of remainder solves against q_box.
-
-    Solves return psi on the box nodes that the probes on `eval_grid` read
-    (the whole box without an evaluation grid).
-    """
+    """The rho-independent part of remainder solves against q_box, whose
+    solves return psi on the nodes that hold its support block and that the
+    probes on `eval_grid` read (the block alone without an evaluation grid)."""
     grid = q_box.grid
     if not grid.periodic:
         raise FieldError("remainder solves need a periodic box grid")
     lattice = _box_lattice(grid)
-    window = _probe_window(grid, eval_grid)
-    shape = tuple(w.stop - w.start for w in window)
-    if shape == grid.node_shape:
-        window_grid = grid
-    else:
-        window_grid = Grid3(*(m - 1 for m in shape), grid.h,
-                            tuple(o + w.start * grid.h for o, w in zip(grid.origin, window)))
     rhs = -q_box.values
-    if not np.any(rhs):
-        return BoxSource(grid, lattice, True, eval_grid, window, window_grid)
     live = rhs != 0
-    live_xy = live.any(axis=2)
-    block = tuple(slice(int(run[0]), int(run[-1]) + 1) for run in map(np.flatnonzero, (
-        live_xy.any(axis=1), live_xy.any(axis=0), live.any(axis=(0, 1)))))
+    zero = not live.any()
+    block = ()
+    if not zero:
+        live_xy = live.any(axis=2)
+        block = tuple(slice(int(run[0]), int(run[-1]) + 1) for run in map(np.flatnonzero, (
+            live_xy.any(axis=1), live_xy.any(axis=0), live.any(axis=(0, 1)))))
+    window = _window(grid, block, eval_grid)
+    window_grid = Grid3(*(w.stop - w.start - 1 for w in window), grid.h,
+                        tuple(o + w.start * grid.h for o, w in zip(grid.origin, window)))
+    if zero:
+        return BoxSource(grid, lattice, True, eval_grid, window, window_grid, (), ())
+    block_in_window = tuple(slice(b.start - w.start, b.stop - w.start)
+                            for w, b in zip(window, block))
     fwd, inv = _pruned_transforms(grid, block)
     to_block, from_block = (functools.partial(_pruned_dft, mats=m) for m in (inv, fwd))
     to_window = functools.partial(_pruned_dft, mats=_pruned_transforms(grid, window)[1])
     rhs_blk = _frozen(rhs[block])
     return BoxSource(grid, lattice, False, eval_grid, window, window_grid, block,
-                     to_block, from_block, rhs_blk, _frozen(from_block(rhs_blk)), to_window)
+                     block_in_window, to_block, from_block, rhs_blk,
+                     _frozen(from_block(rhs_blk)), to_window)
 
 
-def _fixed_point(rho: np.ndarray, source: BoxSource) -> tuple:
-    """(psi_hat, psi on the window or None, report) of `remainder_fixed_point`;
-    the window field is there when the residual check read psi on the block
-    from it (see BoxSource.block_in_window)."""
+def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, RemainderReport]:
+    """Fixed-point solve of (-Lap - 2 rho . grad) psi = -Q (1 + psi): psi on
+    the source's window, and the solve's report.
+
+    A zero source returns psi = 0, which solves its equation exactly, before
+    any symbol is formed.  Otherwise: spectral derivatives on the box; the
+    inverse Fourier symbol 1/(|zeta|^2 - 2 i rho . zeta) is applied with any
+    remaining zero mode and any mode with |symbol| < PROJECTION_REL * |rho|^2
+    removed, the mask and the inverse conj(symbol) / |symbol|^2 both from
+    |symbol|^2 in real arithmetic.  The frequency lattice is shifted by half
+    a cell in the vertical axis (antiperiodic representation): the symbol
+    vanishes identically at zeta = -xi and stays order-one along that whole
+    lattice line for every parameter value, so an unshifted lattice pins the
+    remainder norm at a parameter-independent floor; the shifted lattice
+    keeps every mode off the critical plane and restores the expected decay.
+    At most MAX_SWEEPS sweeps run.  Raises ContractionError when increments
+    grow over five consecutive sweeps or the final relative residual exceeds
+    RESIDUAL_TOL, and ProjectionError when more than 0.1 percent of the
+    modes are removed.
+
+    The sweeps read psi only on the source's support block: psi there is
+    the pruned inverse DFT of psi_hat = mult * spec, the next spectrum the
+    pruned DFT from the block, and the increment and L2 norm come from
+    psi_hat by Parseval.  The stop rule is tested before each sweep's pair of
+    transforms, so the last psi_hat pays for none; one pruned inverse DFT
+    takes it onto the window.  Without projected modes symbol * psi_hat is
+    the previous spectrum, so the residual is |r (phi_prev - phi)| /
+    |r (1 + phi)| on the block by Parseval, phi the last psi on the block
+    (read from the window) and phi_prev the one before (0 after one sweep);
+    with projected modes it is formed over the box's kept modes from one
+    more spectrum.
+    """
     grid = source.grid
+    n_total = grid.n_nodes
+    if source.zero:
+        psi = np.zeros(source.window_grid.node_shape)
+        return GridField(source.window_grid, psi), RemainderReport(0.0, 0.0, 0, 0, n_total, 0.0)
     rho = np.asarray(rho, dtype=np.complex128)
     rho_sq = float(np.sum(np.abs(rho) ** 2))
-    n_total = grid.n_nodes
     z0, z1, z2, zeta_sq = source.lattice
 
     # the symbol |zeta|^2 - 2 i rho . zeta in real arithmetic: its real
@@ -359,8 +388,6 @@ def _fixed_point(rho: np.ndarray, source: BoxSource) -> tuple:
             f"{projected} of {n_total} Fourier modes near the symbol zero set "
             f"({projected / n_total:.2%} > 0.1%)"
         )
-    if source.zero:
-        return None, None, RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
     # 1 / symbol = conj(symbol) / |symbol|^2, written into the real and
     # imaginary halves of mult; without projected modes no mask is needed
     mult = (np.zeros if projected else np.empty)(mag_sq.shape, dtype=np.complex128)
@@ -395,12 +422,8 @@ def _fixed_point(rho: np.ndarray, source: BoxSource) -> tuple:
         phi = to_block(psi_hat)
         spec = from_block(rhs_blk + rhs_blk * phi)
 
-    window = None
-    if source.block_in_window is not None:
-        window = source.to_window(psi_hat)
-        phi_n = window[source.block_in_window]
-    else:
-        phi_n = to_block(psi_hat)
+    psi = source.to_window(psi_hat)
+    phi_n = psi[source.block_in_window]
     rhs_n = rhs_blk + rhs_blk * phi_n
     if projected:
         spec_n = from_block(rhs_n)
@@ -420,54 +443,8 @@ def _fixed_point(rho: np.ndarray, source: BoxSource) -> tuple:
 
     grad_sq = float(np.vdot(zeta_sq, psi_hat.real ** 2 + psi_hat.imag ** 2)) * parseval
     h1 = math.sqrt(l2 ** 2 + grad_sq)
-    return psi_hat, window, RemainderReport(l2, h1, it, projected, n_total, residual)
-
-
-def remainder_fixed_point(rho: np.ndarray, source: BoxSource
-                          ) -> tuple[np.ndarray | None, RemainderReport]:
-    """Fixed-point solve of (-Lap - 2 rho . grad) psi = -Q (1 + psi) in the
-    spectrum: (psi_hat, report), psi_hat None for a zero source.
-
-    Spectral derivatives on the box; the inverse Fourier symbol
-    1/(|zeta|^2 - 2 i rho . zeta) is applied with any remaining zero mode and
-    any mode with |symbol| < PROJECTION_REL * |rho|^2 removed, the mask and
-    the inverse conj(symbol) / |symbol|^2 both from |symbol|^2 in real
-    arithmetic.  The frequency lattice is shifted by half a cell in the vertical axis (antiperiodic
-    representation): the symbol vanishes identically at zeta = -xi and stays
-    order-one along that whole lattice line for every parameter value, so an
-    unshifted lattice pins the remainder norm at a parameter-independent
-    floor; the shifted lattice keeps every mode off the critical plane and
-    restores the expected decay.  At most MAX_SWEEPS sweeps run.  Raises
-    ContractionError when increments grow over five consecutive sweeps or the
-    final relative residual exceeds RESIDUAL_TOL, and ProjectionError when
-    more than 0.1 percent of the modes are removed.
-
-    The sweeps read psi only on the source's support block: psi there is
-    the pruned inverse DFT of psi_hat = mult * spec, the next spectrum the
-    pruned DFT from the block, and the increment and L2 norm come from
-    psi_hat by Parseval.  The stop rule is tested before each sweep's pair of
-    transforms, so the last psi_hat pays for none.  Without projected modes
-    symbol * psi_hat is the previous spectrum, so the residual is
-    |r (phi_prev - phi)| / |r (1 + phi)| on the block by Parseval, phi the
-    last psi on the block (see BoxSource.block_in_window) and phi_prev the
-    one before (0 after one sweep); with projected modes it is formed over
-    the box's kept modes from one more spectrum.  Callers that read only the
-    report stop here; `solve_remainder` also returns psi on the window.
-    """
-    psi_hat, _, report = _fixed_point(rho, source)
-    return psi_hat, report
-
-
-def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, RemainderReport]:
-    """psi on the source's window, one pruned inverse DFT of the spectrum of
-    `remainder_fixed_point` (zero for a zero source), and its report; the
-    sweep cap, residual tolerance and projection threshold are that
-    function's MAX_SWEEPS, RESIDUAL_TOL and PROJECTION_REL."""
-    psi_hat, psi, report = _fixed_point(rho, source)
-    if psi is None:
-        psi = (np.zeros(source.window_grid.node_shape) if psi_hat is None
-               else source.to_window(psi_hat))
-    return GridField(source.window_grid, psi), report
+    return (GridField(source.window_grid, psi),
+            RemainderReport(l2, h1, it, projected, n_total, residual))
 
 
 # -- probe assembly --------------------------------------------------------------
@@ -475,35 +452,26 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
 
 @functools.lru_cache(maxsize=8)
 def _interp_factors(field_grid: Grid3, eval_grid: Grid3) -> tuple:
-    """Per axis, the (n_eval, n_field) linear interpolation matrix: two taps
-    per row, wrapping modulo the node count of a periodic field grid; a node
-    grid must cover the nodes read, else FieldError.  The third axis stacks
-    the rows of the evaluation nodes x3 over those of their mirror images
-    -x3.  Cached, read-only."""
+    """Per axis, the (n_eval, n_field) linear interpolation matrix, two taps
+    per row (see `_taps`; FieldError where the field grid does not cover the
+    nodes read).  The third axis stacks the rows of the evaluation nodes x3
+    over those of their mirror images -x3.  Cached, read-only."""
     mats = []
     for axis, n in enumerate(field_grid.node_shape):
-        c = eval_grid.axis_nodes(axis)
-        if axis == 2:
-            c = np.concatenate([c, -c])
-        t = (c - field_grid.origin[axis]) / field_grid.h
-        if not field_grid.periodic and (t.min() < -1e-9 or t.max() > n - 1 + 1e-9):
-            raise FieldError(f"field grid does not cover the interpolation nodes on axis {axis}")
-        i0 = np.floor(t).astype(np.int64)
+        t, i0 = _taps(field_grid, eval_grid, axis)
         rows = np.arange(len(t))
         mat = np.zeros((len(t), n), dtype=np.complex128)
-        mat[rows, i0 % n] = 1.0 - (t - i0)
-        mat[rows, (i0 + 1) % n] += t - i0
+        mat[rows, i0] = 1.0 - (t - i0)
+        mat[rows, i0 + 1] = t - i0
         mats.append(_frozen(mat))
     return tuple(mats)
 
 
 def interpolate_box(field: GridField, eval_grid: Grid3) -> tuple[np.ndarray, np.ndarray]:
-    """Trilinear periodic interpolation onto the evaluation nodes and onto
-    their mirror images (x1, x2, -x3), as one pruned DFT whose third-axis
-    factor stacks both; exact lookup at node coincidences.
-
-    `field` lives on the periodic box, where stencil indices wrap, or on a
-    node grid that covers the nodes read, such as a probe window.
+    """Trilinear interpolation onto the evaluation nodes and onto their
+    mirror images (x1, x2, -x3), as one pruned DFT whose third-axis factor
+    stacks both; exact lookup at node coincidences.  The field's nodes, such
+    as a probe window, must cover the nodes read; no stencil wraps.
     """
     both = _pruned_dft(field.values, _interp_factors(field.grid, eval_grid))
     nz = eval_grid.node_shape[2]
@@ -533,6 +501,7 @@ class CgoProbe:
         u2 = exp(x . rho2) w2 [- exp(x* . rho2) w2*  (alpha-family)],
 
     so u_j = exp(x . rho_j) (w_j - w_j*) on the plane x3 = 0, where x = x*.
+    report1 / report2 are the reports of the solves for psi_1 / psi_2.
     """
 
     phase: PhasePair
@@ -541,7 +510,8 @@ class CgoProbe:
     w1_star: np.ndarray
     w2: np.ndarray
     w2_star: np.ndarray | None
-    decay_report: dict
+    report1: RemainderReport
+    report2: RemainderReport
 
     def product(self) -> np.ndarray:
         """exp(i x . xi) w1 w2, plus exp(i x* . xi) w1* w2* for the alpha-family.
@@ -565,29 +535,22 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
 
     src1 / src2 prepare the remainder solves against the extended potentials
     on a shared periodic box (even extension for every reflected probe; the
-    tau-family second probe uses the extension by zero), with windows that
-    cover the stencils of `eval_grid`.  Remainders are interpolated
-    trilinearly from their windows onto the evaluation nodes and their
-    mirror images, both in one `interpolate_box` call per nonzero remainder.
+    tau-family second probe uses the extension by zero), both for
+    `eval_grid`, else FieldError.  Remainders are interpolated trilinearly
+    from their windows onto the evaluation nodes and their mirror images,
+    both in one `interpolate_box` call per nonzero remainder.
     """
     if src1.grid != src2.grid:
         raise FieldError("extended potentials must share one box grid")
-    if any(src.eval_grid not in (None, eval_grid) for src in (src1, src2)):
-        raise FieldError("remainder source prepared for another evaluation grid")
+    if any(src.eval_grid != eval_grid for src in (src1, src2)):
+        raise FieldError("remainder source not prepared for this evaluation grid")
     psi1, rep1 = solve_remainder(phase.rho1, src1)
     psi2, rep2 = solve_remainder(phase.rho2, src2)
     w1, w1_star = _factors(psi1, eval_grid)
     w2, w2_star = _factors(psi2, eval_grid)
     if phase.variant is Variant.SINGLE_REFLECTION:
         w2_star = None
-    report = {
-        "psi1_l2": rep1.l2, "psi1_h1": rep1.h1,
-        "psi2_l2": rep2.l2, "psi2_h1": rep2.h1,
-        "iterations": (rep1.iterations, rep2.iterations),
-        "projected_modes": (rep1.projected_modes, rep2.projected_modes),
-        "residuals": (rep1.residual, rep2.residual),
-    }
-    return CgoProbe(phase, eval_grid, w1, w1_star, w2, w2_star, report)
+    return CgoProbe(phase, eval_grid, w1, w1_star, w2, w2_star, rep1, rep2)
 
 
 def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],
@@ -607,7 +570,7 @@ def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],
         try:
             pp = make_phase_pair(frame, variant, param, k)
             for src in sources:
-                remainder_fixed_point(pp.rho1, src)
+                solve_remainder(pp.rho1, src)
             return c0, param
         except (ContractionError, ProjectionError):
             c0 *= 2

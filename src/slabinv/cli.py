@@ -145,19 +145,19 @@ def _cmd_cgo_check(args) -> int:
     ws = recovery.make_workspace(q1, q2, args.k, variant,
                                  box_coarsen=args.box_coarsen, eval_grid=grid)
     probe = cgo.build_probe(grid, phase, ws.src1, ws.src2)
+    reps = (probe.report1, probe.report2)
     record = {
         "xi": [float(v) for v in xi],
         "variant": args.variant,
         "param": args.param,
         "isotropy_residual": cgo.isotropy_residual(phase),
         "norm_identity_residual": cgo.norm_identity_residual(phase),
-        "psi1_l2": probe.decay_report["psi1_l2"],
-        "psi1_h1": probe.decay_report["psi1_h1"],
-        "psi2_l2": probe.decay_report["psi2_l2"],
-        "psi2_h1": probe.decay_report["psi2_h1"],
+        **{f"psi{j}_{norm}": getattr(rep, norm)
+           for j, rep in enumerate(reps, 1) for norm in ("l2", "h1")},
         # remainder health: sweeps, projected modes and final residuals, (psi1, psi2)
-        **{key: list(probe.decay_report[key])
-           for key in ("iterations", "projected_modes", "residuals")},
+        "iterations": [rep.iterations for rep in reps],
+        "projected_modes": [rep.projected_modes for rep in reps],
+        "residuals": [rep.residual for rep in reps],
         # on x3 = 0, u_j = exp(x . rho_j) (w_j - w_j*)
         "max_u1_gamma2": float(np.max(np.abs(probe.w1 - probe.w1_star)[:, :, 0])),
     }

@@ -167,7 +167,8 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant, *,
 
     q1 is extended evenly; q2 evenly for the alpha-family and by zero for
     the tau-family.  Probes are evaluated on `eval_grid`, by default the
-    node-aligned subgrid spanning the support.
+    node-aligned subgrid spanning the support.  RecoveryError when a
+    potential with a nonzero sample has none on the box.
     """
     if q1.grid != q2.grid:
         raise RecoveryError("potentials must share a grid")
@@ -177,6 +178,11 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant, *,
     q1_box = extend_even(q1, box)
     extend2 = extend_trivial if variant is Variant.SINGLE_REFLECTION else extend_even
     q2_box = extend2(q2, box)
+    for name, q, q_box in (("q1", q1, q1_box), ("q2", q2, q2_box)):
+        if np.any(q.field.values) and not np.any(q_box.values):
+            raise RecoveryError(f"{name} vanishes at every node of the probe box of spacing "
+                                f"{box.h:g} (box_coarsen {box_coarsen}): the box is too "
+                                "coarse to see it")
     sub = eval_grid if eval_grid is not None else support_subgrid(grid, geom)
     qd_full = GridField(grid, q1.field.values - q2.field.values)
     qdiff = _restrict(qd_full, sub)
@@ -605,6 +611,7 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
     neighbours.
     """
     geom = q1.geom
+    ws = make_workspace(q1, q2, k, variant, box_coarsen=box_coarsen)
     if lam is None:
         c0, lam, _ = calibrate_two_constants(2.0 * geom.R)
     else:
@@ -627,7 +634,6 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
             if param < 1.0:
                 warnings.append(f"scheduled parameter {param:.4g} < 1; clamped to 1")
                 param = 1.0
-    ws = make_workspace(q1, q2, k, variant, box_coarsen=box_coarsen)
     freqs = build_frequency_set(r, spacing)
     ann = estimate_fhat_annulus(ws, param, freqs.annulus)
     if not ann.estimates:

@@ -210,26 +210,9 @@ def offset_probe(probe):
 def exponential_probe(eval_grid, phase):
     """Probe with remainders forced to zero (pure exponentials): w = 1."""
     one = np.ones(eval_grid.node_shape, dtype=np.complex128)
-    rep = {"psi1_l2": 0.0, "psi1_h1": 0.0, "psi2_l2": 0.0, "psi2_h1": 0.0,
-           "iterations": (0, 0), "projected_modes": (0, 0), "residuals": (0.0, 0.0)}
+    rep = cgo.RemainderReport(0.0, 0.0, 0, 0, 0, 0.0)
     alpha = phase.variant is cgo.Variant.DOUBLE_REFLECTION
-    return cgo.CgoProbe(phase, eval_grid, one, one, one, one if alpha else None, rep)
-
-
-def reflect_remainder(psi):
-    """Reflection x -> x* of a remainder in the antiperiodic-z representation.
-
-    The node permutation of a plain periodic reflection, except that the seam
-    layer (the single z-node whose mirror wraps across the box period) picks
-    up the antiperiodic sign.  Involution; agrees with fields.reflect away
-    from the seam.
-    """
-    grid = psi.grid
-    assert grid.periodic and grid.z_symmetric()
-    assert round(-2 * grid.origin[2] / grid.h) % grid.nz == 0
-    out = fields.reflect(psi).values.copy()
-    out[:, :, 0] = -out[:, :, 0]
-    return fields.GridField(grid, out)
+    return cgo.CgoProbe(phase, eval_grid, one, one, one, one if alpha else None, rep, rep)
 
 
 def schedule_residual(choice, delta, lam, c, variant, log_star):

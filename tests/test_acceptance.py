@@ -146,7 +146,7 @@ def test_c05_remainder_decay(geom, grid8, bump8):
     l2s = []
     for tau in taus:
         pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, tau, 0.0)
-        _, rep = cgo.remainder_fixed_point(pp.rho1, source)
+        _, rep = cgo.solve_remainder(pp.rho1, source)
         l2s.append(rep.l2)
     slope = float(np.polyfit(np.log(taus), np.log(l2s), 1)[0])
     assert -1.2 <= slope <= -0.8, f"decay slope {slope:.3f}"

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import exp_terms, exponential_probe, offset_probe, reflect_remainder
+from conftest import exp_terms, exponential_probe, offset_probe
 from hypothesis import example, given, settings, strategies as st
 
 from slabinv import cgo, fields
@@ -243,7 +243,8 @@ def test_remainder_dense_oracle(geom):
     rho = np.array([3.0 + 0.5j, 1.0 - 2.0j, 0.5 + 3.5j])
     rho = rho / np.sqrt(abs(np.sum(rho * rho))) * 6.0  # not isotropic on purpose
 
-    psi, rep = solve_remainder(rho, box_source(q))
+    source = box_source(q)
+    psi, rep = solve_remainder(rho, source)
 
     # dense operator: psi - G[rhs * psi] = G[rhs], same shifted lattice
     n = grid.node_shape[0]
@@ -271,9 +272,10 @@ def test_remainder_dense_oracle(geom):
     for j in range(ntot):
         e = eye[:, j].reshape(grid.node_shape)
         cols[:, j] = (e - greens(rhs * e)).reshape(-1)
-    dense = np.linalg.solve(cols, greens(rhs).reshape(-1))
-    rel = (np.linalg.norm(dense - psi.values.reshape(-1))
-           / np.linalg.norm(dense))
+    dense = np.linalg.solve(cols, greens(rhs).reshape(-1)).reshape(grid.node_shape)
+    # psi is returned on its window, here the support block
+    rel = (np.linalg.norm(dense[source.window] - psi.values)
+           / np.linalg.norm(dense[source.window]))
     assert rel <= 1e-8
 
 
@@ -287,12 +289,16 @@ def test_remainder_non_contraction_error(geom, grid8, box):
 
 def test_remainder_projection_guard(box, q_even_box, monkeypatch):
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
-    # a zero right-hand side is still checked
-    q_zero = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
     monkeypatch.setattr(cgo, "PROJECTION_REL", 10.0)
-    for q in (q_even_box, q_zero):
-        with pytest.raises(ProjectionError):
-            solve_remainder(pp.rho1, box_source(q))
+    with pytest.raises(ProjectionError):
+        solve_remainder(pp.rho1, box_source(q_even_box))
+    # psi = 0 solves a zero source's equation exactly, so it returns before
+    # any symbol is formed: its lattice is never read and no mode is projected
+    q_zero = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
+    zero = dataclasses.replace(box_source(q_zero), lattice=None)
+    psi, rep = solve_remainder(pp.rho1, zero)
+    assert not np.any(psi.values)
+    assert rep.projected_modes == 0 and rep.iterations == 0 and rep.residual == 0.0
 
 
 def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
@@ -313,17 +319,17 @@ def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
 
 def test_reflection_commutes_with_remainder(geom, grid8, q_even_box):
     # for even Q the reflected remainder solves the equation with the
-    # reflected phase vector (seam layer carries the antiperiodic sign)
+    # reflected phase vector
     fr = make_frame((1.5, 0.7, 1.1))
     pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 6.0, 0.0)
     source = box_source(q_even_box)
     psi, _ = solve_remainder(pp.rho1, source)
     rho_star = np.array([pp.rho1[0], pp.rho1[1], -pp.rho1[2]])
     psi_star, _ = solve_remainder(rho_star, source)
-    assert np.max(np.abs(reflect_remainder(psi).values - psi_star.values)) < 1e-10
-    # involution of the representation-aware reflection
-    assert np.array_equal(reflect_remainder(reflect_remainder(psi)).values,
-                          psi.values)
+    # the window is the support block of the even Q, symmetric in x3 and
+    # away from the seam, so the reflection flips it
+    assert psi.grid.z_symmetric() and source.window[2].start > 0
+    assert np.max(np.abs(fields.reflect(psi).values - psi_star.values)) < 1e-10
 
 
 def _lattice_modulation(grid):
@@ -342,7 +348,7 @@ def _solve_remainder_reference(rho, qfield, max_iter=400, residual_tol=1e-8,
                                projection_rel=1e-8):
     """The remainder fixed point iterated on psi itself over the whole box,
     by modulated FFTs, with fresh transforms for the residual and the H1
-    norm; the source is -Q."""
+    norm; the source is -Q, and a zero source gives psi = 0 at once."""
     grid = qfield.grid
     rho = np.asarray(rho, dtype=np.complex128)
     rho_sq = float(np.sum(np.abs(rho) ** 2))
@@ -357,15 +363,15 @@ def _solve_remainder_reference(rho, qfield, max_iter=400, residual_tol=1e-8,
     def itf(spec):
         return scipy.fft.ifftn(spec) * np.conj(mod)
 
+    rhs_base = -qfield.values
+    if np.max(np.abs(rhs_base)) == 0.0:  # psi = 0 solves it exactly
+        psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
+        return psi, cgo.RemainderReport(0.0, 0.0, 0, 0, n_total, 0.0)
     symbol = zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
     keep = np.abs(symbol) >= projection_rel * rho_sq
     projected = int(n_total - np.count_nonzero(keep))
     if projected > 1e-3 * n_total:
         raise ProjectionError("too many projected modes")
-    rhs_base = -qfield.values
-    if np.max(np.abs(rhs_base)) == 0.0:
-        psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
-        return psi, cgo.RemainderReport(0.0, 0.0, 0, projected, n_total, 0.0)
     mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
 
     psi = np.zeros(grid.node_shape, dtype=np.complex128)
@@ -420,10 +426,11 @@ def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential
     for cold in (True, False):
         if cold:
             cgo._box_lattice.cache_clear()
-        psi, rep = solve_remainder(pp.rho1, box_source(q))
+        source = box_source(q)
+        psi, rep = solve_remainder(pp.rho1, source)
         ref, ref_rep = _solve_remainder_reference(pp.rho1, q)
         scale = np.max(np.abs(ref.values))
-        assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * scale
+        assert np.max(np.abs(psi.values - ref.values[source.window])) <= 1e-12 * scale
         assert rep.l2 == pytest.approx(ref_rep.l2, rel=1e-12, abs=0.0)
         assert rep.h1 == pytest.approx(ref_rep.h1, rel=1e-12, abs=0.0)
         assert rep.iterations == ref_rep.iterations
@@ -445,10 +452,12 @@ def test_remainder_projected_modes_match_reference(box2_potentials, k, monkeypat
     mags = np.sort(np.abs(zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)).ravel())
     rel = 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
     monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
-    psi, rep = solve_remainder(rho, box_source(q))
+    source = box_source(q)
+    psi, rep = solve_remainder(rho, source)
     ref, ref_rep = _solve_remainder_reference(rho, q, projection_rel=rel)
     assert rep.projected_modes == ref_rep.projected_modes == 4
-    assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+    assert (np.max(np.abs(psi.values - ref.values[source.window]))
+            <= 1e-12 * np.max(np.abs(ref.values)))
     assert rep.l2 == pytest.approx(ref_rep.l2, rel=1e-12, abs=0.0)
     assert rep.h1 == pytest.approx(ref_rep.h1, rel=1e-12, abs=0.0)
     assert rep.iterations == ref_rep.iterations
@@ -480,35 +489,31 @@ def fft_counter(monkeypatch):
     return counts
 
 
-def test_remainder_fft_budget(grid8, box2, box2_potentials, fft_counter, monkeypatch):
+def test_remainder_fft_budget(grid8, box2_potentials, fft_counter):
     q = box2_potentials["bump"]
     frame = make_frame((2.0, -0.5, 1.0))
     # set-up: the first spectrum of the support block is a pruned DFT, with
-    # or without a window
+    # or without an evaluation grid; without one the window is the block
     windowed = box_source(q, grid8)
-    whole = box_source(q)
-    assert windowed.window_grid != box2 and whole.window_grid == box2
+    bare = box_source(q)
     block = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(q.values))
-    assert windowed.block == whole.block == block
+    assert windowed.block == bare.block == bare.window == block != windowed.window
     # every sweep and the last inverse onto the window are pruned DFTs, at
     # every k and whatever the iteration count
     iterations = set()
     for k in KS:
         for param in (2.0, 8.0, 64.0):
             pp = make_phase_pair(frame, Variant.DOUBLE_REFLECTION, param, k)
-            for source in (windowed, whole):
+            for source in (windowed, bare):
                 psi, rep = solve_remainder(pp.rho1, source)
                 assert psi.grid == source.window_grid
                 iterations.add(rep.iterations)
     assert len(iterations) > 1 and 0 not in iterations
-    # a zero source transforms nothing, and is still checked first
+    # a zero source transforms nothing
     zero = box_source(box2_potentials["zero"], grid8)
     assert zero.zero and zero.spectrum is None
     _, rep = solve_remainder(pp.rho1, zero)
     assert rep.iterations == 0
-    monkeypatch.setattr(cgo, "PROJECTION_REL", 10.0)
-    with pytest.raises(ProjectionError):
-        solve_remainder(pp.rho1, zero)
     assert not any(fft_counter.values()), fft_counter
 
 
@@ -541,18 +546,20 @@ def _residual_matches_full_box(rep, full):
 def test_parseval_residual_matches_full_box(grid8, box2_potentials, variant, k, sweeps,
                                             monkeypatch):
     # the reference-loop cases, stopped after 1, 2 or 3 sweeps (residuals
-    # from 3e-4 down to 1e-11) or converged (None), on a whole-box source
-    # (psi on the block from to_block) and a windowed one (from the window
-    # transform)
+    # from 3e-4 down to 1e-11) or converged (None), on a source without an
+    # evaluation grid (its window is the block) and a windowed one; psi on
+    # the block comes from the window transform in both
     q = box2_potentials["bump"]
     rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
     if sweeps is not None:
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
         monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
-    whole, windowed = box_source(q), box_source(q, grid8)
-    assert whole.block_in_window is None and windowed.block_in_window is not None
-    for source in (whole, windowed):
-        psi_hat, rep = cgo.remainder_fixed_point(rho, source)
+    bare, windowed = box_source(q), box_source(q, grid8)
+    assert bare.window == bare.block != windowed.window
+    for source in (bare, windowed):
+        traced, calls = _traced(source)
+        _, rep = solve_remainder(rho, traced)
+        (psi_hat,) = calls["to_window"]
         assert rep == solve_remainder(rho, source)[1]
         assert rep.iterations == (sweeps or _solve_remainder_reference(rho, q)[1].iterations)
         full = _full_box_residual(rho, q, psi_hat)
@@ -574,66 +581,68 @@ def test_projected_residual_matches_full_box(box2_potentials, sweeps, monkeypatc
     if sweeps is not None:  # None: run to convergence
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
         monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
-    psi_hat, rep = cgo.remainder_fixed_point(rho, box_source(q))
+    source, calls = _traced(box_source(q))
+    _, rep = solve_remainder(rho, source)
+    (psi_hat,) = calls["to_window"]
     assert rep.projected_modes == 4
     full = _full_box_residual(rho, q, psi_hat, projection_rel=rel)
     assert _residual_matches_full_box(rep, full), (rep.residual, full)
 
 
 @pytest.mark.parametrize("sweeps", [2, None])
-def test_residual_of_a_window_that_misses_the_block(box2, box2_potentials, sweeps,
-                                                    monkeypatch):
-    # a two-node evaluation grid reads a window narrower than the support
-    # block, so psi on the block comes from to_block
+def test_residual_of_a_window_grown_to_the_block(box2_potentials, sweeps, monkeypatch):
+    # the stencils of a two-node evaluation grid read nodes inside the
+    # support block, so the window grows to the block
     q = box2_potentials["bump"]
     eval_grid = Grid3(1, 1, 1, 0.125, (0.0, 0.0, 0.125))
     source = box_source(q, eval_grid)
-    assert source.window_grid != box2 and source.block_in_window is None
+    assert source.window == source.block
+    assert source.block_in_window == tuple(slice(0, b.stop - b.start) for b in source.block)
     rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), Variant.DOUBLE_REFLECTION, 16.0,
                           0.0).rho1
     if sweeps is not None:  # None: run to convergence
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
         monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
-    psi_hat, rep = cgo.remainder_fixed_point(rho, source)
-    psi, solved = solve_remainder(rho, source)
-    assert rep == solved
+    traced, calls = _traced(source)
+    psi, rep = solve_remainder(rho, traced)
+    (psi_hat,) = calls["to_window"]
+    assert rep == solve_remainder(rho, source)[1]
     assert np.array_equal(psi.values, source.to_window(psi_hat))
     full = _full_box_residual(rho, q, psi_hat)
     assert _residual_matches_full_box(rep, full), (rep.residual, full)
 
 
-def _counting(source):
-    """The source with each of its three transforms counted."""
-    counts = {"to_block": 0, "from_block": 0, "to_window": 0}
+def _traced(source):
+    """The source with the input of each call of its three transforms
+    recorded: the window transform's input is the solve's psi_hat."""
+    calls = {"to_block": [], "from_block": [], "to_window": []}
 
-    def counted(name):
+    def traced(name):
         fn = getattr(source, name)
 
         def call(arr):
-            counts[name] += 1
+            calls[name].append(arr)
             return fn(arr)
         return call
 
-    return dataclasses.replace(source, **{name: counted(name) for name in counts}), counts
+    return dataclasses.replace(source, **{name: traced(name) for name in calls}), calls
 
 
 def test_converged_solve_transform_count(grid8, box2_potentials):
     # the stop rule runs before each sweep's pair of block transforms, and
-    # the residual reads psi on the block from the window transform
+    # the residual reads psi on the block from the window transform, with or
+    # without an evaluation grid (without one, as in calibrate_min_param,
+    # the window is the block)
     q = box2_potentials["bump"]
     for variant in Variant:
         rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), variant, 8.0, 1.5).rho1
-        source, counts = _counting(box_source(q, grid8))
-        _, rep = solve_remainder(rho, source)
-        assert rep.iterations > 1
-        assert counts == {"to_block": rep.iterations - 1, "from_block": rep.iterations - 1,
-                          "to_window": 1}
-        # a whole-box source takes psi on the block from one more to_block,
-        # and a report-only solve makes no window transform
-        source, counts = _counting(box_source(q))
-        cgo.remainder_fixed_point(rho, source)
-        assert counts == {"to_block": rep.iterations, "from_block": rep.iterations - 1,
-                          "to_window": 0}
+        for eval_grid in (grid8, None):
+            source, calls = _traced(box_source(q, eval_grid))
+            _, rep = solve_remainder(rho, source)
+            assert rep.iterations > 1
+            assert {name: len(args) for name, args in calls.items()} == {
+                "to_block": rep.iterations - 1, "from_block": rep.iterations - 1,
+                "to_window": 1}
 
 
 _PROPERTY_BOX = Grid3(12, 12, 12, 0.25, (-1.5, -1.5, -1.5), periodic=True)
@@ -653,7 +662,8 @@ _PROPERTY_BOX = Grid3(12, 12, 12, 0.25, (-1.5, -1.5, -1.5), periodic=True)
 @example(lo=(0, 0, 0), width=(12, 12, 12), k=0.0, variant=Variant.SINGLE_REFLECTION, seed=40)
 def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
     # compact supports anywhere in the box: touching index 0 or n - 1,
-    # wrapping across the periodic edge, one node wide, or the whole box
+    # wrapping across the periodic edge, one node wide (a window widened to
+    # two nodes), or the whole box
     box = _PROPERTY_BOX
     rng = np.random.default_rng(seed)
     idx = np.ix_(*[(a + np.arange(m)) % n for a, m, n in zip(lo, width, box.node_shape)])
@@ -670,31 +680,53 @@ def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
         with pytest.raises(ContractionError):
             solve_remainder(pp.rho1, box_source(q))
         return
-    psi, rep = solve_remainder(pp.rho1, box_source(q))
-    assert np.max(np.abs(psi.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+    source = box_source(q)
+    psi, rep = solve_remainder(pp.rho1, source)
+    assert (np.max(np.abs(psi.values - ref.values[source.window]))
+            <= 1e-12 * np.max(np.abs(ref.values)))
     assert rep.iterations == ref_rep.iterations
     assert rep.projected_modes == ref_rep.projected_modes
     assert rep.total_modes == ref_rep.total_modes
 
 
-@settings(max_examples=40, deadline=None)
+def _stencil_nodes(box, eval_grid, axis):
+    """The box indices t of the evaluation nodes along `axis` (on the third,
+    with their mirror images), and whether they all lie on box nodes 0 to
+    n - 1, so that no 2-tap stencil wraps."""
+    c = eval_grid.axis_nodes(axis)
+    if axis == 2:
+        c = np.concatenate([c, -c])
+    t = (c - box.origin[axis]) / box.h
+    return t, -1e-9 <= t.min() and t.max() <= box.node_shape[axis] - 1 + 1e-9
+
+
+@settings(max_examples=100, deadline=None)
 @given(lo=st.tuples(*[st.integers(0, 11)] * 3), width=st.tuples(*[st.integers(1, 12)] * 3),
        eval_origin=st.tuples(*[st.floats(-1.7, 1.2)] * 3),
        eval_cells=st.tuples(*[st.integers(1, 6)] * 3),
        eval_h=st.sampled_from([0.1, 0.125, 0.25, 0.3]),
        k=st.sampled_from(KS), variant=st.sampled_from(list(Variant)),
        seed=st.integers(0, 2 ** 31))
-# strict windows reaching index 0 (x) and index n - 1 (y)
+# windows reaching index 0 (x) and index n - 1 (y), strictly inside the box
 @example(lo=(3, 4, 4), width=(5, 4, 3), eval_origin=(-1.5, 0.05, 0.1), eval_cells=(4, 4, 2),
          eval_h=0.25, k=0.0, variant=Variant.SINGLE_REFLECTION, seed=1)
-# x and z ranges wrap across the periodic edge: the window is the box
+# a support block far from the stencils: the window spans both
+@example(lo=(0, 9, 0), width=(2, 3, 2), eval_origin=(0.1, -1.2, 0.05), eval_cells=(2, 2, 2),
+         eval_h=0.125, k=0.8, variant=Variant.DOUBLE_REFLECTION, seed=4)
+# the last box node on every axis, read exactly
+@example(lo=(5, 5, 5), width=(2, 2, 2), eval_origin=(0.75, 0.75, 0.25), eval_cells=(2, 2, 1),
+         eval_h=0.25, k=0.0, variant=Variant.SINGLE_REFLECTION, seed=5)
+# x and z ranges would wrap across the periodic edge: FieldError
 @example(lo=(2, 9, 8), width=(3, 3, 4), eval_origin=(-1.7, -0.4, 0.0), eval_cells=(3, 2, 6),
          eval_h=0.25, k=0.0, variant=Variant.DOUBLE_REFLECTION, seed=2)
-# every range wraps: the window is the box
+# every range would wrap: FieldError
 @example(lo=(4, 4, 4), width=(4, 4, 4), eval_origin=(-1.6, -1.6, 0.0), eval_cells=(6, 6, 6),
          eval_h=0.3, k=0.8, variant=Variant.SINGLE_REFLECTION, seed=3)
 def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, eval_h, k,
                                             variant, seed):
+    # psi on the window of any support and evaluation grid is the reference
+    # loop's whole-box psi there, and the window holds the block and every
+    # node the stencils read
     box = _PROPERTY_BOX
     rng = np.random.default_rng(seed)
     idx = np.ix_(*[(a + np.arange(m)) % n for a, m, n in zip(lo, width, box.node_shape)])
@@ -702,42 +734,55 @@ def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, 
     values[idx] = rng.uniform(0.2, 1.0, values[idx].shape) * rng.choice([-1.0, 1.0])
     q = GridField(box, values)
     eval_grid = Grid3(*eval_cells, eval_h, eval_origin)
+    if not all(_stencil_nodes(box, eval_grid, axis)[1] for axis in range(3)):
+        with pytest.raises(FieldError, match="does not cover"):
+            box_source(q, eval_grid)
+        return
+    source = box_source(q, eval_grid)
+    # per axis the smallest range that holds the block and the stencils'
+    # nodes, the left tap clamped to n - 2
+    for axis, (w, b) in enumerate(zip(source.window, source.block)):
+        taps = np.clip(np.floor(_stencil_nodes(box, eval_grid, axis)[0]), 0,
+                       box.node_shape[axis] - 2)
+        assert (w.start, w.stop) == (min(b.start, int(taps.min())),
+                                     max(b.stop, int(taps.max()) + 2))
+        assert np.allclose(source.window_grid.axis_nodes(axis), box.axis_nodes(axis)[w],
+                           rtol=0, atol=1e-12)
+    assert not source.window_grid.periodic
     xi = rng.uniform(-2.0, 2.0, 3)
     xi[0] += 1.0 if xi[0] >= 0 else -1.0
     pp = make_phase_pair(make_frame(xi), variant, 8.0, k)
-    source = box_source(q, eval_grid)
     try:
-        full, full_rep = solve_remainder(pp.rho1, box_source(q))
+        full, full_rep = _solve_remainder_reference(pp.rho1, q)
     except ContractionError:
         # a support too strong for the parameter diverges on the window too
         with pytest.raises(ContractionError):
             solve_remainder(pp.rho1, source)
         return
     psi, rep = solve_remainder(pp.rho1, source)
-    # the window: per axis the nodes read by the direct and mirrored
-    # stencils, or the whole box where one of those ranges would wrap
-    ranges = []
-    for axis, n in enumerate(box.node_shape):
-        c = eval_grid.axis_nodes(axis)
-        if axis == 2:
-            c = np.concatenate([c, -c])
-        i0 = np.floor((c - box.origin[axis]) / box.h)
-        ranges.append((int(i0.min()), int(i0.max()) + 2))
-    if not all(0 <= a and b <= n for (a, b), n in zip(ranges, box.node_shape)):
-        ranges = [(0, n) for n in box.node_shape]
-    for axis, w in enumerate(source.window):
-        assert (w.start, w.stop) == ranges[axis]
-        assert np.allclose(psi.grid.axis_nodes(axis), box.axis_nodes(axis)[w], rtol=0, atol=1e-12)
     assert psi.grid == source.window_grid
-    assert (psi.grid == box) == (psi.values.shape == box.node_shape)
     scale = np.max(np.abs(full.values))
-    assert np.max(np.abs(psi.values - full.values[source.window])) <= 1e-13 * scale
+    assert np.max(np.abs(psi.values - full.values[source.window])) <= 1e-12 * scale
     assert rep.iterations == full_rep.iterations
     assert rep.projected_modes == full_rep.projected_modes
     assert rep.total_modes == full_rep.total_modes
     # the window holds every node the stencils read
     for got, want in zip(interpolate_box(psi, eval_grid), interpolate_box(full, eval_grid)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_window_stencils_that_wrap_are_rejected(box2_potentials):
+    # nodes beyond the box's last node (or their mirror images below its
+    # first) would read across the periodic edge
+    q = box2_potentials["bump"]
+    last = q.grid.axis_nodes(0)[-1]
+    for eval_grid, axis in ((Grid3(1, 1, 1, 0.1, (last - 0.05, 0.0, 0.1)), 0),
+                            (Grid3(1, 1, 1, 0.1, (0.0, 0.0, last - 0.05)), 2)):
+        with pytest.raises(FieldError, match=f"axis {axis}"):
+            box_source(q, eval_grid)
+    # up to the last node is fine: its stencil's left tap is node n - 2
+    source = box_source(q, Grid3(1, 1, 1, 0.25, (last - 0.25, 0.0, 0.0)))
+    assert source.window[0].stop == q.grid.nx
 
 
 # -- probes --------------------------------------------------------------------------
@@ -762,8 +807,10 @@ def test_probe_rejects_sources_for_another_eval_grid(geom, grid8, box):
     other = Grid3(4, 4, 4, 0.25, (-0.5, -0.5, 0.0))
     with pytest.raises(FieldError, match="evaluation grid"):
         build_probe(other, pp, box_source(zb, grid8), box_source(zb, grid8))
-    # whole-box sources serve any evaluation grid
-    probe = build_probe(other, pp, box_source(zb), box_source(zb))
+    # nor does a source prepared without an evaluation grid serve one
+    with pytest.raises(FieldError, match="evaluation grid"):
+        build_probe(other, pp, box_source(zb), box_source(zb, other))
+    probe = build_probe(other, pp, box_source(zb, other), box_source(zb, other))
     assert probe.eval_grid == other
     assert probe.w1.shape == probe.w1_star.shape == probe.w2.shape == other.node_shape
 
@@ -775,7 +822,7 @@ def test_probe_free_case_closed_form(geom, grid8, box):
     fr = make_frame((1.0, 0.8, 0.6))
     pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 3.0, 0.0)
     built = build_probe(grid8, pp, zero, zero)
-    assert built.decay_report["psi1_l2"] == 0.0
+    assert built.report1.l2 == built.report2.l2 == 0.0
     probe = offset_probe(built)
     rng = np.random.default_rng(31)
     x, y, z = grid8.node_coords()
@@ -918,7 +965,7 @@ def test_probe_window_interpolates_like_the_box(geom, grid8, born_pair8):
     assert all(w.stop - w.start < n for w, n in zip(source.window, box.node_shape))
     pp = make_phase_pair(make_frame((2.0, 0.5, -1.0)), Variant.SINGLE_REFLECTION, 8.0, 0.0)
     psi, _ = solve_remainder(pp.rho1, source)
-    full, _ = solve_remainder(pp.rho1, box_source(extend_even(born_pair8[0], box)))
+    full, _ = _solve_remainder_reference(pp.rho1, extend_even(born_pair8[0], box))
     scale = np.max(np.abs(full.values))
     for got, want in zip(interpolate_box(psi, grid8), interpolate_box(full, grid8)):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -960,27 +1007,6 @@ def test_calibrate_min_param_doubles_c0(geom, grid8):
         calibrate_min_param([qb], 0.5, [0.75], max_c0=2)
 
 
-def test_report_only_solves_skip_the_window_transform(geom, grid8, bump8, box, monkeypatch):
-    # the fixed point gives the report and the spectrum; solve_remainder adds
-    # only the pruned inverse DFT onto the window, which calibrate_min_param
-    # (a report-only caller on the whole box) never pays for
-    pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
-    source = box_source(extend_even(bump8, box))
-    psi_hat, rep = cgo.remainder_fixed_point(pp.rho1, source)
-    psi, solved = solve_remainder(pp.rho1, source)
-    assert rep == solved and rep.iterations > 0
-    assert np.array_equal(psi.values, source.to_window(psi_hat))
-    zero = box_source(GridField(box, np.zeros(box.node_shape, dtype=np.complex128)))
-    zero_hat, zero_rep = cgo.remainder_fixed_point(pp.rho1, zero)
-    assert zero_hat is None and zero_rep.iterations == 0
-
-    def no_window(*args, **kwargs):
-        raise AssertionError("report-only caller solved for psi")
-
-    monkeypatch.setattr(cgo, "solve_remainder", no_window)
-    assert calibrate_min_param([extend_even(bump8, box)], 0.0, [bump8.bound_M])[0] >= 1
-
-
 def test_exponential_probe_matches_build(geom, grid8, box):
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
     pp = make_phase_pair(make_frame((1.0, 0.4, 0.2)), Variant.SINGLE_REFLECTION, 2.0, 0.0)
@@ -1006,7 +1032,7 @@ def test_product_matches_offset_reference(geom, grid8, bump8, box, variant, para
     for xi in ((1.0, -1.0, 0.5), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)):
         pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
         probe = build_probe(grid8, pp, q1b, q2b)
-        assert probe.decay_report["psi1_l2"] > 0 and probe.decay_report["psi2_l2"] > 0
+        assert probe.report1.l2 > 0 and probe.report2.l2 > 0
         ref = offset_probe(probe)
         off = ref.u1.log_offset + ref.u2.log_offset
         assert off < 600

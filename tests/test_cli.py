@@ -114,8 +114,8 @@ def test_cgo_check_record(workdir, capsys):
 
 
 def test_cgo_check_reports_remainder_health(workdir, capsys):
-    # the decay report's sweep counts, projected modes and residuals, one
-    # per remainder; the q2 = 0 remainder takes no sweep
+    # the remainder reports' sweep counts, projected modes and residuals,
+    # one per remainder; the q2 = 0 remainder takes no sweep
     rc = cli.main([
         "cgo-check", "--config", str(workdir["cfg"]), "--xi", "2.0,0.5,-1.0",
         "--variant", "thm3", "--param", "8.0", "--q1", str(workdir["qpath"]),
@@ -169,6 +169,25 @@ def test_cgo_check_no_contraction_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("CGO remainder failed: remainder iteration diverging")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["recover", "cgo-check"])
+def test_box_too_coarse_to_see_the_potential(workdir, capsys, command):
+    # at h = 1/4 the Born bump has 270 nonzero nodes, and none on the box of
+    # spacing 1 (--box-coarsen 4), where every remainder would be zero
+    out = workdir["tmp"] / "coarse.csv"
+    extra = {"recover": ["--r", "2.5", "--param", "6.0", "--lambda", "0.5", "--out", str(out)],
+             "cgo-check": ["--xi", "2.0,0.0,0.0", "--param", "4.0"]}[command]
+    rc = cli.main([
+        command, "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+        "--q2", "zero", "--variant", "thm2", "--box-coarsen", "4", *extra,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("recovery failed: q1 vanishes at every node of the probe box "
+                          "of spacing 1 ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cgo_check_projection_error_exit_code(workdir, capsys, monkeypatch):
