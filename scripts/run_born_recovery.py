@@ -48,8 +48,8 @@ def main() -> int:
         t0 = time.time()
         res = recovery.estimate_fhat_annulus(ws, param, freqs.annulus)
         rels = []
-        for key, est in res.estimates.items():
-            want = recovery.true_transform(ws, key)
+        wants = recovery.true_transform(ws, np.array(list(res.estimates)))
+        for (key, est), want in zip(res.estimates.items(), map(complex, wants)):
             rel = abs(est - want) / abs(want)
             rels.append(rel)
             rows.append([param, *key, est.real, est.imag, abs(est - want), rel])

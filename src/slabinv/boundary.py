@@ -88,11 +88,6 @@ class BoundaryField:
     def masked(self) -> "BoundaryField":
         return self.copy_with(np.where(self.patch_mask(), self.values, 0.0))
 
-    def l2_norm(self):
-        """Plate L^2 norm; one per field (an array) for a block."""
-        norm = np.sqrt(np.sum(np.abs(self.values) ** 2, axis=(-2, -1))) * self.square.h
-        return float(norm) if norm.ndim == 0 else norm
-
     def plate_values(self, grid: Grid3) -> np.ndarray:
         """Zero-extend onto the full plate node grid of `grid`, in the dtype of
         the samples."""
@@ -122,14 +117,11 @@ def _plate_index(square: SquareGrid2, grid: Grid3) -> tuple:
     return ..., slice(i0, i0 + ni), slice(j0, j0 + nj)
 
 
-def from_plate_values(grid: Grid3, patch: BoundaryPatch, plate_vals: np.ndarray,
-                      square: SquareGrid2 | None = None,
-                      apply_mask: bool = True) -> BoundaryField:
-    """Window full-plate node samples (optionally a block of them) down to the
-    patch bounding square."""
-    sq = bounding_square(grid, patch) if square is None else square
-    bf = BoundaryField(patch, sq, plate_vals[_plate_index(sq, grid)])
-    return bf.masked() if apply_mask else bf
+def from_plate_values(grid: Grid3, patch: BoundaryPatch, plate_vals: np.ndarray) -> BoundaryField:
+    """Full-plate node samples (optionally a block of them) on the patch
+    bounding square, masked to the patch."""
+    sq = bounding_square(grid, patch)
+    return BoundaryField(patch, sq, plate_vals[_plate_index(sq, grid)]).masked()
 
 
 # --- bounding-square sine spectrum ------------------------------------------
@@ -167,19 +159,6 @@ def sine_coefficients(field: BoundaryField) -> np.ndarray:
     d = dst1_matrix(sq.ns)
     # the orthonormal coefficient h^2 (2/side) sum g sin sin is h * D g D
     return sq.h * (d @ field.values[..., 1:-1, 1:-1] @ d)
-
-
-def mode_field(patch: BoundaryPatch, square: SquareGrid2, m1: int, m2: int,
-               apply_mask: bool = True) -> BoundaryField:
-    """Unit-L^2 sine mode (m1, m2), optionally masked to the patch node set."""
-    if not (1 <= m1 <= square.ns - 1 and 1 <= m2 <= square.ns - 1):
-        raise BoundaryError(f"mode ({m1},{m2}) not representable on {square.ns} cells")
-    t = np.arange(square.ns + 1) / square.ns
-    sx = np.sin(np.pi * m1 * t)
-    sy = np.sin(np.pi * m2 * t)
-    vals = (2.0 / square.side) * np.outer(sx, sy)
-    bf = BoundaryField(patch, square, vals)
-    return bf.masked() if apply_mask else bf
 
 
 # --- boundary file format -----------------------------------------------------

@@ -264,9 +264,6 @@ def _window(box: Grid3, block: tuple, eval_grid: Grid3 | None) -> tuple[slice, .
     return tuple(window)
 
 
-Transform = Callable[[np.ndarray], np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class BoxSource:
     """What every remainder solve against one box potential Q shares.
@@ -288,11 +285,11 @@ class BoxSource:
     window_grid: Grid3
     block: tuple
     block_in_window: tuple
-    to_block: Transform | None = None
-    from_block: Transform | None = None
+    to_block: Callable | None = None
+    from_block: Callable | None = None
     rhs: np.ndarray | None = None
     spectrum: np.ndarray | None = None
-    to_window: Transform | None = None
+    to_window: Callable | None = None
 
 
 def _pruned_transforms(grid: Grid3, slices) -> tuple:
@@ -551,27 +548,3 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
     if phase.variant is Variant.SINGLE_REFLECTION:
         w2_star = None
     return CgoProbe(phase, eval_grid, w1, w1_star, w2, w2_star, rep1, rep2)
-
-
-def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],
-                        xi=(2.0, 0.0, 0.0), variant: Variant = Variant.SINGLE_REFLECTION,
-                        max_c0: int = 64) -> tuple[int, float]:
-    """Smallest power-of-two C0 whose parameter max(C0 (M + k^2), 1) contracts.
-
-    M is the largest a-priori norm bound across the supplied potential family;
-    the phases carry k.  Returns (C0, param_min).
-    """
-    m_bound = max(bounds) if bounds else 1.0
-    frame = make_frame(xi)
-    sources = [box_source(qb) for qb in q_boxes]
-    c0 = 1
-    while c0 <= max_c0:
-        param = max(c0 * (m_bound + k ** 2), 1.0)
-        try:
-            pp = make_phase_pair(frame, variant, param, k)
-            for src in sources:
-                solve_remainder(pp.rho1, src)
-            return c0, param
-        except (ContractionError, ProjectionError):
-            c0 *= 2
-    raise ContractionError(f"no contraction up to C0={max_c0}")

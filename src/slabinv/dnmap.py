@@ -14,6 +14,7 @@ where
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ import scipy.linalg
 from .boundary import (
     BoundaryError,
     BoundaryField,
-    SquareGrid2,
     bounding_square,
     sine_coefficients,
     sine_frequencies,
@@ -58,24 +58,14 @@ class MatrixFileError(ValueError):
 
 
 class BoundaryBasis:
-    """Ordered sine modes on a patch bounding square, masked to the patch.
-
-    `block` holds the modes as one block field, one mode per row.  gram_h32
-    is the H^{3/2} Gram matrix of the (masked) modes; gram_triple (one block
-    of free solves, kept here) is attached on demand because it depends on
-    the frequency k and the domain.
+    """Data functions on a patch bounding square, one per row of the block
+    field `block` (for `build_boundary_basis`, sine modes masked to the
+    patch).  gram_h32, the H^{3/2} Gram matrix of the functions, is formed on
+    first use; gram_triple (one block of free solves, kept here) is attached
+    on demand because it depends on the frequency k and the domain.
     """
 
-    def __init__(self, block: BoundaryField, n_modes: int):
-        self._set_block(block)
-        coef = sine_coefficients(block).reshape(len(self), -1)
-        w32 = (1.0 + sine_frequencies(block.square).ravel()) ** 1.5
-        self.gram_h32 = _gram(coef * np.sqrt(w32))
-        if logger.isEnabledFor(logging.INFO):  # cond is a full SVD
-            logger.info("boundary basis %dx%d modes: H^{3/2} Gram condition %.3e",
-                        n_modes, n_modes, np.linalg.cond(self.gram_h32))
-
-    def _set_block(self, block: BoundaryField):
+    def __init__(self, block: BoundaryField):
         self.patch = block.patch
         self.square = block.square
         self.block = block
@@ -86,15 +76,15 @@ class BoundaryBasis:
     def __len__(self) -> int:
         return len(self.block.values)
 
-    @classmethod
-    def raw(cls, patch: BoundaryPatch, square: SquareGrid2,
-            functions: list[BoundaryField]) -> "BoundaryBasis":
-        """Basis of the given functions (no spectral Grams); for DN assembly
-        with oracle bases such as periodic exponentials."""
-        basis = cls.__new__(cls)
-        basis._set_block(BoundaryField(patch, square, np.stack([f.values for f in functions])))
-        basis.gram_h32 = None
-        return basis
+    @functools.cached_property
+    def gram_h32(self) -> np.ndarray:
+        coef = sine_coefficients(self.block).reshape(len(self), -1)
+        w32 = (1.0 + sine_frequencies(self.square).ravel()) ** 1.5
+        gram = _gram(coef * np.sqrt(w32))
+        if logger.isEnabledFor(logging.INFO):  # cond is a full SVD
+            logger.info("boundary basis of %d functions: H^{3/2} Gram condition %.3e",
+                        len(self), np.linalg.cond(gram))
+        return gram
 
     def attach_triple_gram(self, op0: HelmholtzOperator,
                            u: np.ndarray | None = None) -> np.ndarray:
@@ -204,9 +194,9 @@ def active_solutions(op: HelmholtzOperator, basis: "BoundaryBasis",
     return out
 
 
-def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
-                         apply_mask: bool = True) -> BoundaryBasis:
-    """All n_modes^2 sine modes (mode_field's values, m1 slowest) as one block."""
+def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int) -> BoundaryBasis:
+    """The n_modes^2 unit-L^2 sine modes (m1, m2) on the patch bounding
+    square, m1 slowest, masked to the patch, as one block."""
     square = bounding_square(grid, patch)
     if n_modes > square.ns - 1:
         raise BoundaryError(
@@ -216,7 +206,7 @@ def build_boundary_basis(grid: Grid3, patch: BoundaryPatch, n_modes: int,
     sines = np.sin(np.pi * np.arange(1, n_modes + 1)[:, None] * t)
     vals = (2.0 / square.side) * (sines[:, None, :, None] * sines[None, :, None, :])
     block = BoundaryField(patch, square, vals.reshape((n_modes ** 2,) + square.node_shape))
-    return BoundaryBasis(block.masked() if apply_mask else block, n_modes)
+    return BoundaryBasis(block.masked())
 
 
 # -- the measurement operator ---------------------------------------------------

@@ -26,7 +26,7 @@ class FieldError(ValueError):
     """Raised for shape/support/grid-compatibility violations."""
 
 
-# frequencies per block of FourierTransform.batch; zero-padding of sobolev_norm
+# frequencies per block of fourier_transform; zero-padding of sobolev_norm
 FT_CHUNK = 64
 SOBOLEV_PAD = 2
 
@@ -228,40 +228,27 @@ def extend_even(q: Potential, box_grid: Grid3) -> GridField:
     return GridField(box_grid, triv.values + reflect(triv).values)
 
 
-class FourierTransform:
-    """Evaluator for FT(f)(xi) by separable trapezoidal quadrature.
-
-    The per-axis factorization of exp(i x . xi) makes each evaluation O(N)
-    with small constants; `batch` chunks over many frequencies.
-    """
-
-    def __init__(self, field: GridField):
-        grid = field.grid
-        self._wf = field.values * quadrature_weights(grid)
-        self._coords = [grid.axis_nodes(a) for a in range(3)]
-
-    def __call__(self, xi) -> complex:
-        return complex(self.batch(np.asarray(xi, dtype=float).reshape(1, 3))[0])
-
-    def batch(self, xis: np.ndarray) -> np.ndarray:
-        xis = np.asarray(xis, dtype=float)
-        if xis.ndim != 2 or xis.shape[1] != 3:
-            raise FieldError("expected an (n, 3) array of frequencies")
-        out = np.empty(len(xis), dtype=np.complex128)
-        for lo in range(0, len(xis), FT_CHUNK):
-            hi = min(lo + FT_CHUNK, len(xis))
-            sub = xis[lo:hi]
-            ex = np.exp(1j * np.outer(sub[:, 0], self._coords[0]))  # (m, sx)
-            ey = np.exp(1j * np.outer(sub[:, 1], self._coords[1]))  # (m, sy)
-            ez = np.exp(1j * np.outer(sub[:, 2], self._coords[2]))  # (m, sz)
-            t1 = np.tensordot(ex, self._wf, axes=(1, 0))      # (m, sy, sz)
-            t2 = np.einsum("myz,my->mz", t1, ey)              # (m, sz)
-            out[lo:hi] = np.einsum("mz,mz->m", t2, ez)
-        return out
-
-
-def fourier_transform(field: GridField) -> FourierTransform:
-    return FourierTransform(field)
+def fourier_transform(field: GridField, xis) -> np.ndarray:
+    """FT(field) at the rows of an (n, 3) array of frequencies, by separable
+    trapezoidal quadrature: the per-axis factorization of exp(i x . xi)
+    makes each frequency O(N), FT_CHUNK frequencies per block."""
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[1] != 3:
+        raise FieldError("expected an (n, 3) array of frequencies")
+    grid = field.grid
+    wf = field.values * quadrature_weights(grid)
+    coords = [grid.axis_nodes(a) for a in range(3)]
+    out = np.empty(len(xis), dtype=np.complex128)
+    for lo in range(0, len(xis), FT_CHUNK):
+        hi = min(lo + FT_CHUNK, len(xis))
+        sub = xis[lo:hi]
+        ex = np.exp(1j * np.outer(sub[:, 0], coords[0]))  # (m, sx)
+        ey = np.exp(1j * np.outer(sub[:, 1], coords[1]))  # (m, sy)
+        ez = np.exp(1j * np.outer(sub[:, 2], coords[2]))  # (m, sz)
+        t1 = np.tensordot(ex, wf, axes=(1, 0))            # (m, sy, sz)
+        t2 = np.einsum("myz,my->mz", t1, ey)              # (m, sz)
+        out[lo:hi] = np.einsum("mz,mz->m", t2, ez)
+    return out
 
 
 def sobolev_norm(field: GridField, s: float) -> float:

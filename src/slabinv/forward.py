@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -468,14 +467,13 @@ def solve_source(op: HelmholtzOperator, w: GridField) -> GridField:
     return field
 
 
-def neumann_trace(u: GridField, patch: BoundaryPatch,
-                  apply_mask: bool = True) -> BoundaryField:
+def neumann_trace(u: GridField, patch: BoundaryPatch) -> BoundaryField:
     """Outward normal derivative on a plate patch (+e3 on the top plate, -e3
-    on the bottom one), second order by `outward_derivative`."""
+    on the bottom one), second order by `outward_derivative`, masked to the
+    patch."""
     if u.grid.node_shape[2] < 3:
         raise SolveError("need at least two interior layers for the trace stencil")
-    tr = outward_derivative(u.values, patch.plate, u.grid.h)
-    return from_plate_values(u.grid, patch, tr, apply_mask=apply_mask)
+    return from_plate_values(u.grid, patch, outward_derivative(u.values, patch.plate, u.grid.h))
 
 
 def outward_derivative(v: np.ndarray, plate: Plate, h: float) -> np.ndarray:
@@ -510,26 +508,3 @@ def omega_rows(u: GridField, geom: SlabGeometry) -> np.ndarray:
     rows = u.values.reshape(-1, w.size)[:, keep]
     rows *= np.sqrt(w[keep])
     return rows
-
-
-def runge_approximate(u_target: GridField, op: HelmholtzOperator, reg: float,
-                      basis) -> tuple[BoundaryField, float]:
-    """Least-squares boundary data reproducing a local solution in L^2.
-
-    Minimizes ||S(f) - u_target||^2_{L^2(Omega)} + reg * ||f||^2_{H^{3/2}}
-    over data f spanned by `basis` (one block solve, Gram S^H W S), returning
-    the minimizer and the achieved L^2 residual.
-    """
-    if reg < 0:
-        raise ValueError("regularization weight must be >= 0")
-    sols = omega_rows(solve_dirichlet(op, basis.block), op.geom)
-    target = omega_rows(u_target, op.geom)[0]
-    system = sols.conj() @ sols.T + reg * basis.gram_h32
-    try:
-        coef = scipy.linalg.solve(system, sols.conj() @ target, assume_a="her")
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveError(f"normal-equation solve failed: {exc}") from exc
-    residual = float(np.linalg.norm(coef @ sols - target))
-    fvals = np.tensordot(coef, basis.block.values, axes=(0, 0))
-    f = BoundaryField(basis.patch, basis.square, fvals)
-    return f, residual

@@ -57,11 +57,6 @@ class SlabGeometry:
                 f"R+eps={self.R + self.eps_cutoff}, R'-eps={self.R_prime - self.eps_cutoff}"
             )
 
-    @property
-    def annulus_bounds(self) -> tuple[float, float]:
-        """Inner/outer radii of the cutoff annulus on a measurement plate."""
-        return (self.R + self.eps_cutoff, self.R_prime - self.eps_cutoff)
-
 
 _CONFIG_KEYS = ("L", "R", "R_prime", "R_lat", "eps_cutoff", "target_h")
 
@@ -103,12 +98,6 @@ class Plate(Enum):
     BOTTOM = "bottom"  # x3 = 0
 
 
-class PatchKind(Enum):
-    DIRICHLET = "dirichlet"
-    NEUMANN = "neumann"
-    ANNULUS = "annulus"
-
-
 @dataclass(frozen=True)
 class BoundaryPatch:
     """A radially bounded patch on one of the two plates.
@@ -119,7 +108,6 @@ class BoundaryPatch:
     """
 
     plate: Plate
-    kind: PatchKind
     r_inner: float
     r_outer: float
 
@@ -133,18 +121,12 @@ class BoundaryPatch:
 
 def dirichlet_patch(geom: SlabGeometry) -> BoundaryPatch:
     """Top-plate patch carrying Dirichlet data: the full truncated plate."""
-    return BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, geom.R_lat)
+    return BoundaryPatch(Plate.TOP, 0.0, geom.R_lat)
 
 
 def neumann_patch(geom: SlabGeometry, plate: Plate) -> BoundaryPatch:
     """Measurement patch of radius R_prime on the requested plate."""
-    return BoundaryPatch(plate, PatchKind.NEUMANN, 0.0, geom.R_prime)
-
-
-def cutoff_annulus(geom: SlabGeometry, plate: Plate) -> BoundaryPatch:
-    """The annulus R+eps <= |x'| < R'-eps inside the Neumann patch."""
-    inner, outer = geom.annulus_bounds
-    return BoundaryPatch(plate, PatchKind.ANNULUS, inner, outer)
+    return BoundaryPatch(plate, 0.0, geom.R_prime)
 
 
 @dataclass(frozen=True)

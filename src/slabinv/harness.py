@@ -1,12 +1,13 @@
-"""Experiment drivers: weighted-inequality checks, decay measurements, sweeps.
+"""Experiment drivers: weighted-inequality checks, transform decay, sweeps.
 
 Everything here is measurement-first: quantities with nonconstructive
-constants (the weighted a-priori inequality constant, the boundary
-unique-continuation modulus, the stability exponent) are fitted and reported;
-assertions are reserved for directions and monotonicity.  All RNG draws use a
-counter-based generator keyed by (seed, record index) so that sweeps are
-reproducible record-by-record, and CSV outputs are byte-deterministic for a
-fixed BLAS thread count.
+constants (the weighted a-priori inequality constant, the stability
+exponent) are fitted and reported; assertions are reserved for directions
+and monotonicity.  All RNG draws use a counter-based generator keyed by
+(seed, record index) so that sweeps are reproducible record-by-record, and
+CSV outputs are byte-deterministic for a fixed BLAS thread count.  The
+boundary unique-continuation table, which no command runs yet, lives with
+the tests (``tests/measures.py``).
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnmap import BoundaryBasis, DnOperator, op_norm_star, star_whiten
-from .boundary import BoundaryField
 from .fields import GridField, Potential, fourier_transform
-from .forward import (HelmholtzOperator, SolveError, neumann_trace, outward_derivative,
-                      solve_dirichlet)
-from .geometry import Grid3, Plate, SlabGeometry, cutoff_annulus
+from .forward import HelmholtzOperator, outward_derivative
+from .geometry import Grid3, Plate, SlabGeometry
 from .recovery import Variant, bound_chain, closing_constant
 
 SCHEMA_LINE = "# schema-version: 1"
@@ -170,112 +169,23 @@ def carleman_check(op: HelmholtzOperator, zeta, tau_list, trials: int,
     return CarlemanReport(taus, lhs_i, lhs_b, rhs_all, per_tau_c, fitted, variation, passed)
 
 
-# -- unique-continuation decay measurement ------------------------------------------
-
-
-def _masked_h1_h2(values: np.ndarray, mask: np.ndarray, h: float) -> tuple[float, float]:
-    """Discrete H^1/H^2 norms over masked nodes (central and pure second diffs)."""
-    l2 = np.sum(mask * np.abs(values) ** 2)
-    g2 = np.zeros_like(l2)
-    s2 = np.zeros_like(l2)
-    for axis in range(3):
-        fwd = np.roll(values, -1, axis=axis)
-        bwd = np.roll(values, 1, axis=axis)
-        inner = np.ones_like(mask)
-        sl = [slice(None)] * 3
-        sl[axis] = 0
-        inner[tuple(sl)] = False
-        sl[axis] = -1
-        inner[tuple(sl)] = False
-        grad = (fwd - bwd) / (2 * h)
-        sec = (fwd - 2 * values + bwd) / (h * h)
-        g2 += np.sum(mask * inner * np.abs(grad) ** 2)
-        s2 += np.sum(mask * inner * np.abs(sec) ** 2)
-    h3 = h ** 3
-    h1 = math.sqrt(h3 * float(l2 + g2))
-    h2n = math.sqrt(h3 * float(l2 + g2 + s2))
-    return h1, h2n
-
-
-def ucp_decay_measure(q1: Potential, q2: Potential, k: float, f_family,
-                      noise: float = 0.0, *, plate: Plate = Plate.BOTTOM,
-                      d_const: float = 1.0, seed: int = 0) -> dict:
-    """Flux-versus-interior table for the difference of two-potential solves.
-
-    For each datum f, w is the difference of the solutions with potentials q2
-    and q1 and shared data; the table records the normal-derivative flux on
-    the cutoff annulus and the H^1/H^2 norms of w on the fattened annular
-    region.  The family is solved as one block per operator; data whose
-    solve fails are recorded as skipped and the block is solved again
-    without them.  A log-model fit quality (R^2 of H^1 against
-    H^2/sqrt(log(e d H^2/flux))) is reported, never asserted.
-    """
-    grid = q1.grid
-    geom = q1.geom
-    op1 = HelmholtzOperator(grid, geom, k, q1)
-    op2 = HelmholtzOperator(grid, geom, k, q2)
-    annulus = cutoff_annulus(geom, plate)
-    inner, outer = geom.annulus_bounds
-    r = grid.lateral_radius()
-    umask = np.broadcast_to(
-        (r > inner - grid.h) & (r < outer + grid.h), grid.node_shape
-    )
-    family = list(f_family)
-    rows = [None] * len(family)
-    keep = list(range(len(family)))
-    while keep:
-        data = BoundaryField(family[0].patch, family[0].square,
-                             np.stack([family[i].values for i in keep]))
-        try:
-            wvals = solve_dirichlet(op2, data).values - solve_dirichlet(op1, data).values
-            break
-        except SolveError as exc:
-            bad = [keep[c] for c in exc.columns] or keep
-            for i in bad:
-                rows[i] = {"index": i, "skipped": str(exc)}
-            keep = [i for i in keep if i not in bad]
-    if keep:
-        fluxes = neumann_trace(GridField(grid, wvals), annulus).l2_norm()
-    for c, i in enumerate(keep):
-        flux = float(fluxes[c])
-        if noise > 0:
-            flux *= 1.0 + noise * float(record_rng(seed, i).standard_normal())
-        h1, h2 = _masked_h1_h2(wvals[c], umask, grid.h)
-        rows[i] = {"index": i, "flux": flux, "h1": h1, "h2": h2}
-    xs, ys = [], []
-    for row in rows:
-        if "skipped" in row or row["flux"] <= 0 or row["h2"] <= 0:
-            continue
-        arg = math.e * d_const * row["h2"] / row["flux"]
-        if arg <= 1.0:
-            continue
-        xs.append(row["h2"] / math.sqrt(math.log(arg)))
-        ys.append(row["h1"])
-    fit = {"n_fit": len(xs), "slope": float("nan"), "r2": float("nan")}
-    if len(xs) >= 2:
-        x = np.asarray(xs)
-        y = np.asarray(ys)
-        slope = float(np.dot(x, y) / np.dot(x, x))
-        resid = y - slope * x
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        fit["slope"] = slope
-        fit["r2"] = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return {"rows": rows, "fit": fit, "d": d_const}
-
-
 # -- quantified Riemann-Lebesgue measurement -----------------------------------------
 
 
-def rl_decay_measure(q: Potential, directions, *, t0: float = 1.0,
-                     factor: float = 1.4, n_samples: int = 12) -> list[dict]:
+# ray samples t = RL_T0 * RL_FACTOR^j, j < RL_SAMPLES
+RL_T0 = 1.0
+RL_FACTOR = 1.4
+RL_SAMPLES = 12
+
+
+def rl_decay_measure(q: Potential, directions) -> list[dict]:
     """|FT(q)| along rays at geometric spacing with a power-law decay fit."""
-    ft = fourier_transform(q.field)
+    ts = RL_T0 * RL_FACTOR ** np.arange(RL_SAMPLES)
     out = []
     for d in directions:
         d = np.asarray(d, dtype=float)
         d = d / np.linalg.norm(d)
-        ts = t0 * factor ** np.arange(n_samples)
-        vals = np.abs(ft.batch(np.outer(ts, d)))
+        vals = np.abs(fourier_transform(q.field, np.outer(ts, d)))
         ray = {"direction": tuple(float(v) for v in d),
                "t": ts.tolist(), "ft_abs": vals.tolist(),
                "p": float("nan")}

@@ -40,7 +40,6 @@ from .cgo import (
     make_phase_pair,
 )
 from .fields import (
-    FourierTransform,
     GridField,
     Potential,
     extend_even,
@@ -130,7 +129,7 @@ def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
 @dataclass
 class ProbeWorkspace:
     """Shared per-pair data: the frequency k of the phases, remainder sources
-    of the extended potentials, difference field, transform."""
+    of the extended potentials, difference field and its weighted L^1 norm."""
 
     k: float
     variant: Variant
@@ -138,7 +137,6 @@ class ProbeWorkspace:
     src1: BoxSource
     src2: BoxSource
     qdiff: GridField
-    qdiff_ft: FourierTransform
     qdiff_l1: float
 
 
@@ -186,10 +184,9 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant, *,
     sub = eval_grid if eval_grid is not None else support_subgrid(grid, geom)
     qd_full = GridField(grid, q1.field.values - q2.field.values)
     qdiff = _restrict(qd_full, sub)
-    ft = fourier_transform(qdiff)
     l1 = float(np.sum(quadrature_weights(sub) * np.abs(qdiff.values)))
     return ProbeWorkspace(k, variant, sub, box_source(q1_box, sub),
-                          box_source(q2_box, sub), qdiff, ft, l1)
+                          box_source(q2_box, sub), qdiff, l1)
 
 
 @dataclass
@@ -258,9 +255,9 @@ def true_transform(ws: ProbeWorkspace, xis):
     (an array, from one batch per transform)."""
     xis = np.asarray(xis, dtype=float)
     batch = xis.reshape(-1, 3)
-    out = ws.qdiff_ft.batch(batch)
+    out = fourier_transform(ws.qdiff, batch)
     if ws.variant is Variant.DOUBLE_REFLECTION:
-        out += ws.qdiff_ft.batch(batch * np.array([1.0, 1.0, -1.0]))
+        out += fourier_transform(ws.qdiff, batch * np.array([1.0, 1.0, -1.0]))
     return complex(out[0]) if xis.ndim == 1 else out
 
 
@@ -310,11 +307,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wq
 
 
-def _design_matrix(s: np.ndarray, halfwidth: float):
+def _design_matrix(s: np.ndarray, halfwidth: float) -> np.ndarray:
     t, wq = _gauss_legendre(N_QUAD)
-    t = t * halfwidth
-    wq = wq * halfwidth
-    return np.exp(1j * np.outer(s, t)) * wq, (t, wq)
+    return np.exp(1j * np.outer(s, t * halfwidth)) * (wq * halfwidth)
 
 
 def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
@@ -335,7 +330,7 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
     f_samples = np.asarray(f_samples, dtype=np.complex128)
     if not s_samples.size:
         raise ContinuationError("no samples to fit")
-    design, _ = _design_matrix(s_samples, cfg.model_halfwidth)
+    design = _design_matrix(s_samples, cfg.model_halfwidth)
     design_h = np.conj(design.T)
     normal = design_h @ design + TIKHONOV * np.eye(design.shape[1])
     condition = float(np.linalg.cond(normal))
@@ -350,7 +345,7 @@ def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
     lines = np.ascontiguousarray(f_samples.reshape(len(f_samples), -1).T)
     coef = scipy.linalg.solve(normal, np.stack([design_h @ f for f in lines], axis=1),
                               assume_a="her")
-    eval_design, _ = _design_matrix(np.asarray(s_eval, dtype=float), cfg.model_halfwidth)
+    eval_design = _design_matrix(np.asarray(s_eval, dtype=float), cfg.model_halfwidth)
     values = (eval_design @ coef).reshape(len(eval_design), *f_samples.shape[1:])
     sup_gamma0 = np.max(np.abs(f_samples), axis=0)
     bound = cfg.c0 * sup_g_bound ** (1.0 - cfg.lam) * sup_gamma0 ** cfg.lam

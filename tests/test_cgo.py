@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 from conftest import exp_terms, exponential_probe, offset_probe
+from measures import calibrate_min_param
 from hypothesis import example, given, settings, strategies as st
 
 from slabinv import cgo, fields
@@ -15,7 +16,6 @@ from slabinv.cgo import (
     box_source,
     build_box_grid,
     build_probe,
-    calibrate_min_param,
     interpolate_box,
     isotropy_residual,
     make_frame,

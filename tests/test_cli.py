@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from measures import mode_field
 from slabinv import boundary, cgo, cli, dnmap, fields, forward, geometry, harness, recovery
 from slabinv.harness import SCHEMA_LINE
 
@@ -30,7 +31,7 @@ def workdir(tmp_path_factory):
     fields.write_field(str(qpath), q.field)
     patch = geometry.dirichlet_patch(geom)
     sq = boundary.bounding_square(grid, patch)
-    f = boundary.mode_field(patch, sq, 1, 1)
+    f = mode_field(patch, sq, 1, 1)
     fpath = tmp / "data.bfield"
     boundary.write_boundary_field(str(fpath), f, plate_z=geom.L)
     return dict(tmp=tmp, cfg=cfg, geom=geom, grid=grid, qpath=qpath, fpath=fpath)
@@ -910,7 +911,7 @@ def test_plate_data_off_the_grid_is_one_line(workdir, capsys, kind):
     if kind == "spacing-2h":
         sq = boundary.SquareGrid2(sq.ns // 2, 2 * sq.h, sq.x0, sq.y0)
     path = workdir["tmp"] / f"{kind}.bfield"
-    boundary.write_boundary_field(str(path), boundary.mode_field(patch, sq, 1, 1),
+    boundary.write_boundary_field(str(path), mode_field(patch, sq, 1, 1),
                                   plate_z=geom.L if kind == "spacing-2h" else 0.0)
     out = workdir["tmp"] / f"{kind}.field"
     assert cli.main(["forward", "--config", str(workdir["cfg"]), "--k", "0",
@@ -925,7 +926,7 @@ def test_failed_solve_subprocess_is_one_line(workdir):
     # unmasked data on the bounding square reach past the truncated disc
     geom, grid = workdir["geom"], workdir["grid"]
     patch = geometry.dirichlet_patch(geom)
-    f = boundary.mode_field(patch, boundary.bounding_square(grid, patch), 1, 1, apply_mask=False)
+    f = mode_field(patch, boundary.bounding_square(grid, patch), 1, 1, apply_mask=False)
     path = workdir["tmp"] / "unmasked.bfield"
     boundary.write_boundary_field(str(path), f, plate_z=geom.L)
     out = workdir["tmp"] / "unmasked.field"

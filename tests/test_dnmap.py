@@ -19,8 +19,9 @@ from conftest import (
     poly_bump,
     poly_bump_dd,
 )
+from measures import l2_norm, mode_field
 from slabinv import boundary, dnmap, fields, forward, geometry
-from slabinv.boundary import BoundaryField, mode_field
+from slabinv.boundary import BoundaryField
 from slabinv.dnmap import (
     BoundaryBasis,
     assemble_dn,
@@ -30,19 +31,19 @@ from slabinv.dnmap import (
     write_matrix,
 )
 from slabinv.forward import PERIODIC, HelmholtzOperator, l2_omega, solve_dirichlet
-from slabinv.geometry import BoundaryPatch, PatchKind, Plate
+from slabinv.geometry import BoundaryPatch, Plate
 
 
 @pytest.fixture(scope="module")
 def open_patch():
     # patch whose disc circumscribes every bounding square in these tests:
     # masks become no-ops, making the spectral formulas exact
-    return BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1e9)
+    return BoundaryPatch(Plate.BOTTOM, 0.0, 1e9)
 
 
 @pytest.fixture(scope="module")
 def open_basis(grid8, open_patch):
-    return build_boundary_basis(grid8, open_patch, 8, apply_mask=False)
+    return build_boundary_basis(grid8, open_patch, 8)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def test_norm_h32_zero(open_basis, open_patch):
 def test_norm_h32_single_mode(open_basis, open_patch):
     sq = open_basis.square
     g = mode_field(open_patch, sq, 2, 3, apply_mask=False)
-    assert g.l2_norm() == pytest.approx(1.0, rel=1e-12)
+    assert l2_norm(g) == pytest.approx(1.0, rel=1e-12)
     kap2 = (2 * np.pi / sq.side) ** 2 + (3 * np.pi / sq.side) ** 2
     assert norm_h32(g) == pytest.approx((1 + kap2) ** 0.75, rel=1e-12)
 
@@ -155,7 +156,7 @@ def test_triple_norm_separation_closed_form(geom):
         op = HelmholtzOperator(grid, geom, 0.0, None, PERIODIC)
         per = grid.nx * grid.h
         kap = 2 * np.pi / per
-        patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
+        patch = BoundaryPatch(Plate.TOP, 0.0, 1e9)
         sq = full_plate_square(grid)
         x = sq.axis_nodes(0)[:, None]
         f = BoundaryField(patch, sq,
@@ -243,7 +244,7 @@ def test_assemble_dn_near_diagonal_periodic(geom):
     # periodic exponential basis diagonalizes the free DN map
     grid = geometry.build_domain(geom, 0.125)
     op = HelmholtzOperator(grid, geom, 0.0, None, PERIODIC)
-    patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
+    patch = BoundaryPatch(Plate.TOP, 0.0, 1e9)
     sq = full_plate_square(grid)
     x = sq.axis_nodes(0)[:, None]
     y = sq.axis_nodes(1)[None, :]
@@ -252,9 +253,9 @@ def test_assemble_dn_near_diagonal_periodic(geom):
     modes = [(1, 0), (0, 1), (1, 1)]
     functions = [BoundaryField(patch, sq, np.exp(1j * k2p * (mx * x + my * y)))
                  for mx, my in modes]
-    basis = BoundaryBasis.raw(patch, sq, functions)
-    target_top = BoundaryPatch(Plate.TOP, PatchKind.NEUMANN, 0.0, 1e9)
-    target_bot = BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1e9)
+    basis = BoundaryBasis(BoundaryField(patch, sq, np.stack([f.values for f in functions])))
+    target_top = BoundaryPatch(Plate.TOP, 0.0, 1e9)
+    target_bot = BoundaryPatch(Plate.BOTTOM, 0.0, 1e9)
     for target, formula in (
         (target_top, lambda mu: mu / np.tanh(mu * geom.L)),
         (target_bot, lambda mu: -mu / np.sinh(mu * geom.L)),
@@ -385,17 +386,14 @@ def test_dual_norm_monotone_in_patch(geom, grid8, op0_8):
     # enlarging the measurement patch enlarges the test space, so the dual
     # norm of a fixed trace never decreases
     small = build_boundary_basis(
-        grid8, BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1.0), 4)
+        grid8, BoundaryPatch(Plate.BOTTOM, 0.0, 1.0), 4)
     src = build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 3)
     f = basis_fields(src)[4]
     u = solve_dirichlet(op0_8, f)
     tr_small = forward.neumann_trace(u, small.patch)
-    big_patch = BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, geom.R_prime)
+    big_patch = BoundaryPatch(Plate.BOTTOM, 0.0, geom.R_prime)
     big = build_boundary_basis(grid8, big_patch, 4)
-    tr_big = boundary.from_plate_values(
-        grid8, big_patch,
-        forward.neumann_trace(u, big_patch, apply_mask=False).plate_values(grid8),
-        square=big.square)
+    tr_big = forward.neumann_trace(u, big_patch)
     n_small = norm_hm32(tr_small.masked(), small)
     n_big = norm_hm32(tr_big, big)
     assert n_big >= n_small - 1e-12
@@ -425,8 +423,7 @@ def test_degenerate_triple_gram_raises(geom, grid8, op0_8, masked_bases):
     # duplicated data functions make the triple Gram singular; the norm must
     # refuse rather than silently regularize
     src, tgt = masked_bases
-    dup = dnmap.BoundaryBasis.raw(src.patch, src.square,
-                                  basis_fields(src)[:1] * 2)
+    dup = dnmap.BoundaryBasis(src.block.copy_with(src.block.values[[0, 0]]))
     dup.gram_triple = np.ones((2, 2))  # rank one
     nrows = tgt.square.node_shape[0] * tgt.square.node_shape[1]
     with pytest.raises(dnmap.NormDegeneracyError):
@@ -436,10 +433,12 @@ def test_degenerate_triple_gram_raises(geom, grid8, op0_8, masked_bases):
 def test_gram_conditions_logged_only_at_info(geom, grid8, op0_8, caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger="slabinv.dnmap")
     basis = dnmap.build_boundary_basis(grid8, geometry.dirichlet_patch(geom), 3)
+    basis.dual_factors()  # forms the H^{3/2} Gram
     basis.attach_triple_gram(op0_8)
     messages = [r.getMessage() for r in caplog.records]
     assert messages == [
-        f"boundary basis 3x3 modes: H^{{3/2}} Gram condition {np.linalg.cond(basis.gram_h32):.3e}",
+        f"boundary basis of 9 functions: H^{{3/2}} Gram condition "
+        f"{np.linalg.cond(basis.gram_h32):.3e}",
         f"triple-norm Gram condition {np.linalg.cond(basis.gram_triple):.3e} at k=0",
     ]
 
@@ -519,14 +518,13 @@ def test_triple_gram_matches_loop_reference(geom, grid8, op0_8):
 
 
 def _exponential_basis(grid, modes):
-    patch = BoundaryPatch(Plate.TOP, PatchKind.DIRICHLET, 0.0, 1e9)
+    patch = BoundaryPatch(Plate.TOP, 0.0, 1e9)
     sq = full_plate_square(grid)
     x = sq.axis_nodes(0)[:, None]
     y = sq.axis_nodes(1)[None, :]
     k2p = 2 * np.pi / (grid.nx * grid.h)
-    return BoundaryBasis.raw(patch, sq, [
-        BoundaryField(patch, sq, np.exp(1j * k2p * (mx * x + my * y)))
-        for mx, my in modes])
+    return BoundaryBasis(BoundaryField(patch, sq, np.stack([
+        np.exp(1j * k2p * (mx * x + my * y)) for mx, my in modes])))
 
 
 def test_complex_data_block_periodic_exponentials(geom, grid8):
@@ -534,7 +532,7 @@ def test_complex_data_block_periodic_exponentials(geom, grid8):
     # real and imaginary halves
     op = HelmholtzOperator(grid8, geom, 0.0, None, PERIODIC)
     basis = _exponential_basis(grid8, [(1, 0), (0, 1), (1, 1), (2, -1)])
-    target = BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1e9)
+    target = BoundaryPatch(Plate.BOTTOM, 0.0, 1e9)
     dn = assemble_dn(op, basis, target).matrix
     _assert_columns_close(dn, _dn_columns_reference(op, basis, target), 1e-12)
     gram = basis.attach_triple_gram(op)
@@ -546,8 +544,7 @@ def test_complex_data_block_lu_path(geom, grid8, bump8, masked_bases):
     # masked modes times complex phases: one real LU solve of 2m columns
     src, _ = masked_bases
     phases = np.exp(1j * np.linspace(0.0, 3.0, len(src)))
-    basis = BoundaryBasis.raw(src.patch, src.square, [
-        f.copy_with(p * f.values) for p, f in zip(phases, basis_fields(src))])
+    basis = BoundaryBasis(src.block.copy_with(phases[:, None, None] * src.block.values))
     op = HelmholtzOperator(grid8, geom, 2.5, bump8)
     target = geometry.neumann_patch(geom, Plate.BOTTOM)
     dn = assemble_dn(op, basis, target).matrix
@@ -762,9 +759,13 @@ def test_measurement_pair_memory(geom, grid8, born_pair8):
 def test_block_basis_matches_mode_loop(geom, target_h, n_modes, apply_mask):
     grid = geometry.build_domain(geom, target_h)
     for patch in (geometry.dirichlet_patch(geom), geometry.neumann_patch(geom, Plate.BOTTOM)):
-        basis = build_boundary_basis(grid, patch, n_modes, apply_mask=apply_mask)
-        modes = [mode_field(patch, basis.square, m1, m2, apply_mask=apply_mask)
+        square = boundary.bounding_square(grid, patch)
+        modes = [mode_field(patch, square, m1, m2, apply_mask=apply_mask)
                  for m1 in range(1, n_modes + 1) for m2 in range(1, n_modes + 1)]
+        # the library builds masked modes; a basis of unmasked ones is built
+        # from their block
+        basis = (build_boundary_basis(grid, patch, n_modes) if apply_mask else BoundaryBasis(
+            BoundaryField(patch, square, np.stack([m.values for m in modes]))))
         assert len(basis) == len(modes)
         assert all(np.array_equal(f.values, m.values) for f, m in zip(basis_fields(basis), modes))
         coef = np.stack([boundary.sine_coefficients(m).ravel() for m in modes])

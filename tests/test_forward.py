@@ -14,6 +14,7 @@ from conftest import (
     manufactured_case,
     offset_probe,
 )
+from measures import runge_approximate
 from slabinv import boundary, dnmap, fields, forward, geometry
 from slabinv.fields import GridField
 from slabinv.forward import (
@@ -27,15 +28,14 @@ from slabinv.forward import (
     l2_omega,
     neumann_trace,
     reference_eigenvalue,
-    runge_approximate,
     solve_dirichlet,
     solve_source,
 )
-from slabinv.geometry import BoundaryPatch, PatchKind, Plate
+from slabinv.geometry import BoundaryPatch, Plate
 
 
 def full_square_field(grid, func, plate=Plate.TOP):
-    patch = BoundaryPatch(plate, PatchKind.DIRICHLET, 0.0, 1e9)
+    patch = BoundaryPatch(plate, 0.0, 1e9)
     sq = full_plate_square(grid)
     x = sq.axis_nodes(0)[:, None]
     y = sq.axis_nodes(1)[None, :]
@@ -272,10 +272,8 @@ def test_maximum_principle_sanity(geom, grid8, op0_8):
 
 def test_trace_linear_field(geom, grid8):
     u = field_from_function(grid8, lambda x, y, z: z + 0 * x + 0 * y)
-    top = neumann_trace(u, BoundaryPatch(Plate.TOP, PatchKind.NEUMANN, 0.0, 1e9),
-                        apply_mask=False)
-    bot = neumann_trace(u, BoundaryPatch(Plate.BOTTOM, PatchKind.NEUMANN, 0.0, 1e9),
-                        apply_mask=False)
+    top = neumann_trace(u, BoundaryPatch(Plate.TOP, 0.0, 1e9))
+    bot = neumann_trace(u, BoundaryPatch(Plate.BOTTOM, 0.0, 1e9))
     assert np.allclose(top.values, 1.0)
     assert np.allclose(bot.values, -1.0)
 
@@ -294,8 +292,7 @@ def test_trace_separation_oracle(geom):
         f, kap = lateral_mode(grid, 1, 1)
         u = solve_dirichlet(op, f)
         mu = kap
-        tr = neumann_trace(u, BoundaryPatch(Plate.TOP, PatchKind.NEUMANN, 0.0, 1e9),
-                           apply_mask=False)
+        tr = neumann_trace(u, BoundaryPatch(Plate.TOP, 0.0, 1e9))
         expected = mu / np.tanh(mu * geom.L) * f.values
         errs.append(np.max(np.abs(tr.values - expected)) / np.max(np.abs(expected)))
     assert 3.0 < errs[0] / errs[1] < 5.0

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import full_plate_square
+from measures import cutoff_annulus
 from slabinv import boundary, geometry
 from slabinv.geometry import (
     GeometryError,
@@ -10,7 +11,6 @@ from slabinv.geometry import (
     Plate,
     SlabGeometry,
     build_domain,
-    cutoff_annulus,
     parse_geometry_config,
 )
 

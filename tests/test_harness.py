@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import bounds_consistent, corrupt_datum, field_from_function
-from slabinv import boundary, dnmap, fields, geometry
+from measures import mode_field, ucp_decay_measure
+from slabinv import boundary, dnmap, fields, geometry, harness
 from slabinv.cgo import Variant
 from slabinv.fields import GridField
 from slabinv.forward import PERIODIC, HelmholtzOperator
@@ -16,7 +17,6 @@ from slabinv.harness import (
     record_rng,
     rl_decay_measure,
     stability_sweep,
-    ucp_decay_measure,
     write_csv,
     write_sweep_csv,
 )
@@ -114,7 +114,7 @@ def _data_family(geom, grid, n=3):
     sq = boundary.bounding_square(grid, patch)
     out = []
     for j in range(n):
-        out.append(boundary.mode_field(patch, sq, 1 + j, 1))
+        out.append(mode_field(patch, sq, 1 + j, 1))
     return out
 
 
@@ -159,7 +159,7 @@ def test_rl_zero_potential(geom, grid8):
     assert math.isnan(rays[0]["p"])
 
 
-def test_rl_smooth_bump_fast_decay(geom, grid16):
+def test_rl_smooth_bump_fast_decay(geom, grid16, monkeypatch):
     # truncated-Gaussian profile: envelope decays faster than any polynomial
     # over the probed window, so every ray fit clears p = 4
     x, y, z = grid16.node_coords()
@@ -168,12 +168,13 @@ def test_rl_smooth_bump_fast_decay(geom, grid16):
             * (r <= geom.R) * np.ones_like(x * y * z))
     q = fields.Potential(GridField(grid16, vals.astype(np.complex128)),
                          geom, 2.0, 1e12)
-    rays = rl_decay_measure(q, [(1.0, 0.5, 0.2), (0.3, 1.0, 0.1), (0.5, 0.5, 1.0)],
-                            t0=4.0, factor=1.3, n_samples=8)
+    for name, value in (("RL_T0", 4.0), ("RL_FACTOR", 1.3), ("RL_SAMPLES", 8)):
+        monkeypatch.setattr(harness, name, value)
+    rays = rl_decay_measure(q, [(1.0, 0.5, 0.2), (0.3, 1.0, 0.1), (0.5, 0.5, 1.0)])
     assert all(ray["p"] >= 4.0 for ray in rays)
 
 
-def test_rl_rough_potential_slow_decay(geom, grid16):
+def test_rl_rough_potential_slow_decay(geom, grid16, monkeypatch):
     # indicator-like profile in x: transform decays like a one-dimensional
     # jump (p about 1) along the x-axis ray
     x, y, z = grid16.node_coords()
@@ -181,8 +182,9 @@ def test_rl_rough_potential_slow_decay(geom, grid16):
             * fields.smooth_bump((z - 0.5) / 0.45) * np.ones_like(x * y * z))
     q = fields.Potential(GridField(grid16, vals.astype(np.complex128)),
                          geom, 2.0, 1e12)
-    rays = rl_decay_measure(q, [(1.0, 0.0, 0.0)], t0=1.5, factor=1.45,
-                            n_samples=9)
+    for name, value in (("RL_T0", 1.5), ("RL_FACTOR", 1.45), ("RL_SAMPLES", 9)):
+        monkeypatch.setattr(harness, name, value)
+    rays = rl_decay_measure(q, [(1.0, 0.0, 0.0)])
     assert 0.5 <= rays[0]["p"] <= 1.5
 
 

@@ -85,7 +85,7 @@ def test_pairing_plane_wave_oracle(ws_single):
     pp = make_phase_pair(make_frame((1.5, -0.5, 0.5)), Variant.SINGLE_REFLECTION, 5.0, 0.0)
     probe = offset_probe(exponential_probe(ws_single.eval_grid, pp))
     got = integral_pairing(ws_single.qdiff, probe.u1_direct, probe.u2_direct)
-    want = complex(ws_single.qdiff_ft(pp.xi))
+    want = complex(fields.fourier_transform(ws_single.qdiff, [pp.xi])[0])
     assert got == pytest.approx(want, rel=1e-10)
     wq = fields.quadrature_weights(ws_single.eval_grid) * ws_single.qdiff.values
     product = exponential_probe(ws_single.eval_grid, pp).product()
@@ -408,10 +408,10 @@ def test_workspace_transform_matches_full_grid(born_pair8):
     # restriction to the support subgrid loses nothing of the transform
     q1, q2 = born_pair8
     ws = make_workspace(q1, q2, 0.0, Variant.SINGLE_REFLECTION)
-    full = fields.fourier_transform(
-        fields.GridField(q1.grid, q1.field.values - q2.field.values))
-    xi = np.array([1.3, -0.7, 2.0])
-    assert complex(ws.qdiff_ft(xi)) == pytest.approx(complex(full(xi)), rel=1e-12)
+    full = fields.GridField(q1.grid, q1.field.values - q2.field.values)
+    xi = np.array([[1.3, -0.7, 2.0]])
+    assert complex(fields.fourier_transform(ws.qdiff, xi)[0]) == pytest.approx(
+        complex(fields.fourier_transform(full, xi)[0]), rel=1e-12)
 
 
 # -- low-frequency continuation ----------------------------------------------------------
