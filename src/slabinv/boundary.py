@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import read_binary, samples
+from .fields import read_binary, samples, write_binary
 from .geometry import BoundaryPatch, Grid3
 
 
@@ -172,12 +172,7 @@ def write_boundary_field(path: str, bf: BoundaryField, plate_z: float) -> None:
     sq = bf.square
     header = "%d %d 0 %.17g %.17g %.17g %.17g\n" % (sq.ns, sq.ns, sq.h, sq.x0,
                                                     sq.y0, plate_z)
-    re = np.ascontiguousarray(bf.values.real.ravel(order="F"), dtype="<f8")
-    im = np.ascontiguousarray(bf.values.imag.ravel(order="F"), dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(re.tobytes())
-        fh.write(im.tobytes())
+    write_binary(path, header, bf.values)
 
 
 def _boundary_layout(header: list[str]) -> tuple[tuple, int]:

@@ -249,18 +249,18 @@ def _taps(grid: Grid3, eval_grid: Grid3, axis: int) -> tuple[np.ndarray, np.ndar
     return t, np.clip(np.floor(t), 0, n - 2).astype(np.int64)
 
 
-def _window(box: Grid3, block: tuple, eval_grid: Grid3 | None) -> tuple[slice, ...]:
+def _window(box: Grid3, block: tuple, eval_grid: Grid3) -> tuple[slice, ...]:
     """Per axis, the smallest range of box nodes that holds the support block
-    and the nodes that the stencils of `eval_grid` read, widened to two
-    nodes; FieldError where a stencil would wrap across the box edge."""
+    (if any) and the nodes that the stencils of `eval_grid` read, at least
+    two as every stencil reads two; FieldError where a stencil would wrap
+    across the box edge."""
     window = []
-    for axis, n in enumerate(box.node_shape):
-        lo, hi = (block[axis].start, block[axis].stop) if block else (n, 0)
-        if eval_grid is not None:
-            taps = _taps(box, eval_grid, axis)[1]
-            lo, hi = min(lo, int(taps.min())), max(hi, int(taps.max()) + 2)
-        lo = min(lo, n - 2)
-        window.append(slice(lo, max(hi, lo + 2)))
+    for axis in range(3):
+        taps = _taps(box, eval_grid, axis)[1]
+        lo, hi = int(taps.min()), int(taps.max()) + 2
+        if block:
+            lo, hi = min(lo, block[axis].start), max(hi, block[axis].stop)
+        window.append(slice(lo, hi))
     return tuple(window)
 
 
@@ -280,7 +280,7 @@ class BoxSource:
     grid: Grid3
     lattice: tuple
     zero: bool
-    eval_grid: Grid3 | None
+    eval_grid: Grid3
     window: tuple
     window_grid: Grid3
     block: tuple
@@ -297,10 +297,10 @@ def _pruned_transforms(grid: Grid3, slices) -> tuple:
     return tuple(zip(*map(_dft_factors, grid.node_shape, slices, LATTICE_SHIFT)))
 
 
-def box_source(q_box: GridField, eval_grid: Grid3 | None = None) -> BoxSource:
+def box_source(q_box: GridField, eval_grid: Grid3) -> BoxSource:
     """The rho-independent part of remainder solves against q_box, whose
     solves return psi on the nodes that hold its support block and that the
-    probes on `eval_grid` read (the block alone without an evaluation grid)."""
+    probes on `eval_grid` read."""
     grid = q_box.grid
     if not grid.periodic:
         raise FieldError("remainder solves need a periodic box grid")

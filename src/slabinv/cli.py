@@ -8,8 +8,9 @@ dnmap.py.  CSV outputs start with a schema-version line.  An inadmissible
 frequency k ends any subcommand with exit status 2, a CGO remainder that does
 not contract with 3, one that projects too many modes with 4, and a bad option
 (checked before any input is read), an unreadable input path, an input file
-that cannot be parsed or does not fit the grid, a failed solve or a recovery
-without estimates with 1.
+that cannot be parsed or does not fit the grid, a failed solve, a numerically
+singular basis Gram matrix (more modes than the patch's nodes can tell apart,
+say) or a recovery without estimates with 1.
 """
 
 from __future__ import annotations
@@ -353,6 +354,9 @@ def main(argv=None) -> int:
         return 1
     except forward.SolveError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
+        return 1
+    except dnmap.NormDegeneracyError as exc:
+        print(f"degenerate norm: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # an input path that cannot be read, or an output path
         print(f"{exc.strerror}: {exc.filename}" if exc.filename else str(exc), file=sys.stderr)

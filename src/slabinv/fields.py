@@ -29,6 +29,8 @@ class FieldError(ValueError):
 # frequencies per block of fourier_transform; zero-padding of sobolev_norm
 FT_CHUNK = 64
 SOBOLEV_PAD = 2
+# smoothness index of the a-priori class H^s (s > 3/2) of every potential
+SOBOLEV_S = 2.0
 
 
 def samples(values) -> np.ndarray:
@@ -97,15 +99,14 @@ def reflect(field: GridField) -> GridField:
 class Potential:
     """Real (float64) potential supported in {|x'| <= R, 0 <= x3 <= L}.
 
-    ``sobolev_s`` and ``bound_M`` record the a-priori smoothness class; the
-    discrete Sobolev norm of the samples must not exceed bound_M by more than
-    5 percent.  ``measured_norm`` passes that norm in when the caller has
-    already measured it; an all-zero field has norm 0 without a transform.
+    The a-priori class is the H^SOBOLEV_S ball of radius ``bound_M``: the
+    discrete H^SOBOLEV_S norm of the samples must not exceed bound_M by more
+    than 5 percent.  ``measured_norm`` passes that norm in when the caller
+    has already measured it; an all-zero field has norm 0 without a transform.
     """
 
     field: GridField
     geom: SlabGeometry
-    sobolev_s: float
     bound_M: float
     measured_norm: InitVar[float | None] = None
 
@@ -118,11 +119,9 @@ class Potential:
         outside = (r > self.geom.R) | (z < -1e-12) | (z > self.geom.L + 1e-12)
         if np.any(vals[np.broadcast_to(outside, vals.shape)] != 0):
             raise FieldError("potential support violates {|x'| <= R} x [0, L]")
-        if self.sobolev_s <= 1.5:
-            raise FieldError("smoothness index must exceed 3/2")
         norm = measured_norm
         if norm is None:
-            norm = sobolev_norm(self.field, self.sobolev_s) if np.any(vals) else 0.0
+            norm = sobolev_norm(self.field, SOBOLEV_S) if np.any(vals) else 0.0
         if norm > 1.05 * self.bound_M:
             raise FieldError(
                 f"discrete H^s norm {norm:.6g} exceeds bound M={self.bound_M:.6g} by >5%"
@@ -144,42 +143,38 @@ def smooth_bump(t: np.ndarray) -> np.ndarray:
 
 
 def radial_bump_potential(grid: Grid3, geom: SlabGeometry, amplitude: float,
-                          s: float = 2.0, r_width: float | None = None,
-                          z_margin: float = 0.0, z_profile: str = "interior") -> Potential:
-    """Smooth bump potential: radial bump in x' times a vertical profile.
+                          z_profile: str = "interior") -> Potential:
+    """Smooth bump potential: the radial bump of radius R in x' times a
+    vertical profile.
 
     z_profile "interior" vanishes to all orders at both plates; "bottom"
     peaks on the bottom plate (smooth inside the slab, jump across x3 = 0
     under extension by zero, the class the quantified transform-decay
     arguments are designed for).  bound_M is set to the measured discrete
-    Sobolev norm, so the a-priori class is tight by construction.
+    H^SOBOLEV_S norm, so the a-priori class is tight by construction.
     """
-    rw = geom.R if r_width is None else r_width
-    if rw > geom.R:
-        raise FieldError("r_width must not exceed the support radius R")
     x, y, z = grid.node_coords()
     r = np.hypot(x, y)
     if z_profile == "interior":
-        zc = (z - geom.L / 2) / (geom.L / 2 - z_margin)
-        prof = smooth_bump(zc)
+        prof = smooth_bump((z - geom.L / 2) / (geom.L / 2))
     elif z_profile == "bottom":
         prof = np.where(z >= 0, smooth_bump(z / geom.L), 0.0)
     else:
         raise FieldError(f"unknown z_profile {z_profile!r}")
-    vals = amplitude * smooth_bump(r / rw) * prof
+    vals = amplitude * smooth_bump(r / geom.R) * prof
     fld = GridField(grid, np.broadcast_to(vals, grid.node_shape))
-    return _measured_potential(fld, geom, s)
+    return _measured_potential(fld, geom)
 
 
-def zero_potential(grid: Grid3, geom: SlabGeometry, s: float = 2.0) -> Potential:
+def zero_potential(grid: Grid3, geom: SlabGeometry) -> Potential:
     fld = GridField(grid, np.zeros(grid.node_shape))
-    return Potential(fld, geom, s, np.finfo(float).tiny)
+    return Potential(fld, geom, np.finfo(float).tiny)
 
 
-def _measured_potential(fld: GridField, geom: SlabGeometry, s: float) -> Potential:
-    """Potential whose bound M is its own discrete H^s norm, measured once."""
-    m = sobolev_norm(fld, s)
-    return Potential(fld, geom, s, max(m, np.finfo(float).tiny), measured_norm=m)
+def _measured_potential(fld: GridField, geom: SlabGeometry) -> Potential:
+    """Potential whose bound M is its own discrete H^SOBOLEV_S norm, measured once."""
+    m = sobolev_norm(fld, SOBOLEV_S)
+    return Potential(fld, geom, max(m, np.finfo(float).tiny), measured_norm=m)
 
 
 def _box_to_slab_index(box_grid: Grid3, slab_grid: Grid3) -> tuple:
@@ -282,6 +277,16 @@ def sobolev_norm(field: GridField, s: float) -> float:
 # each axis for non-periodic grids; only non-periodic fields are serialized).
 
 
+def write_binary(path: str, header: str, values: np.ndarray) -> None:
+    """Write the ASCII `header` line, then the little-endian float64 real
+    parts of `values` followed by their imaginary parts, x-fastest; the
+    counterpart of `read_binary`."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for part in (values.real, values.imag):
+            fh.write(np.ascontiguousarray(part.ravel(order="F"), dtype="<f8").tobytes())
+
+
 def write_field(path: str, field: GridField) -> None:
     grid = field.grid
     if grid.periodic:
@@ -289,12 +294,7 @@ def write_field(path: str, field: GridField) -> None:
     header = "%d %d %d %.17g %.17g %.17g %.17g\n" % (
         grid.nx, grid.ny, grid.nz, grid.h, *grid.origin
     )
-    re = np.ascontiguousarray(field.values.real.ravel(order="F"), dtype="<f8")
-    im = np.ascontiguousarray(field.values.imag.ravel(order="F"), dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(re.tobytes())
-        fh.write(im.tobytes())
+    write_binary(path, header, field.values)
 
 
 def read_binary(path: str, error: type, layout, dtype: str) -> tuple:
@@ -330,6 +330,6 @@ def read_field(path: str) -> GridField:
     return GridField(grid, re + 1j * im)
 
 
-def read_potential(path: str, geom: SlabGeometry, s: float = 2.0) -> Potential:
-    """Load a field file as a potential; bound M is the measured H^s norm."""
-    return _measured_potential(read_field(path), geom, s)
+def read_potential(path: str, geom: SlabGeometry) -> Potential:
+    """Load a field file as a potential; bound M is the measured H^SOBOLEV_S norm."""
+    return _measured_potential(read_field(path), geom)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnmap import BoundaryBasis, DnOperator, op_norm_star, star_whiten
-from .fields import GridField, Potential, fourier_transform
+from .fields import SOBOLEV_S, GridField, Potential, fourier_transform
 from .forward import HelmholtzOperator, outward_derivative
 from .geometry import Grid3, Plate, SlabGeometry
 from .recovery import Variant, bound_chain, closing_constant
@@ -229,7 +229,6 @@ def stability_sweep(q1: Potential, q2: Potential, variant: Variant,
     exponent itself is diagnostic.
     """
     c = closing_constant(q1.geom)
-    s = min(q1.sobolev_s, q2.sobolev_s)
     bound_m = max(q1.bound_M, q2.bound_M)
     white_d0 = star_whiten(d.matrix, src_basis, tgt_basis)
     linf_err = float(np.max(np.abs(q1.field.values - q2.field.values)))
@@ -249,7 +248,7 @@ def stability_sweep(q1: Potential, q2: Potential, variant: Variant,
                 records.append(SweepRecord(level, t, star, linf_err, math.nan,
                                            math.nan, math.nan, math.nan, seed, True))
             else:
-                chain = bound_chain(delta, star, SWEEP_LAMBDA, c, variant, s, bound_m)
+                chain = bound_chain(delta, star, SWEEP_LAMBDA, c, variant, bound_m)
                 records.append(SweepRecord(
                     level, t, star, linf_err, chain.linf_bound,
                     chain.params["r"], chain.params["param"],
@@ -266,7 +265,7 @@ def stability_sweep(q1: Potential, q2: Potential, variant: Variant,
     theta_fit = math.nan
     if len(set(xs)) >= 2:
         slope, _ = np.polyfit(xs, ys, 1)
-        theta_fit = float(-slope * (s + 1.0) / (s - 1.5))
+        theta_fit = float(-slope * (SOBOLEV_S + 1.0) / (SOBOLEV_S - 1.5))
     return records, theta_fit
 
 

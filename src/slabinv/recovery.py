@@ -40,6 +40,7 @@ from .cgo import (
     make_phase_pair,
 )
 from .fields import (
+    SOBOLEV_S,
     GridField,
     Potential,
     extend_even,
@@ -89,21 +90,15 @@ class FrequencySet:
     axis:    xi_1e = 0 points, fillable only by continuity.
     """
 
-    r: float
     annulus: tuple
     low: tuple
     axis: tuple
-
-    def __post_init__(self):
-        for xi in self.annulus:
-            x1e = math.hypot(xi[0], xi[1])
-            if not (1.0 - 1e-12 <= x1e < self.r and abs(xi[2]) < self.r):
-                raise RecoveryError(f"annulus point {xi} violates the frequency window")
 
 
 def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
     if r <= 2:
         raise RecoveryError("frequency radius must exceed 2")
+    # n spacings stay below r - 1e-12, so |xi_3| < r
     n = int(math.floor((r - 1e-12) / spacing))
     vals = spacing * np.arange(-n, n + 1)
     annulus, low, axis = [], [], []
@@ -120,7 +115,7 @@ def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
                     low.append(xi)
                 else:
                     axis.append(xi)
-    return FrequencySet(r, tuple(annulus), tuple(low), tuple(axis))
+    return FrequencySet(tuple(annulus), tuple(low), tuple(axis))
 
 
 # -- annulus estimation ------------------------------------------------------------
@@ -140,14 +135,6 @@ class ProbeWorkspace:
     qdiff_l1: float
 
 
-def support_subgrid(grid: Grid3, geom: SlabGeometry) -> Grid3:
-    """Node-aligned subgrid spanning the potential support and one cell more
-    (full slab height)."""
-    m = math.ceil(geom.R / grid.h - 1e-12) + 1
-    m = min(m, grid.nx // 2)
-    return Grid3(2 * m, 2 * m, grid.nz, grid.h, (-m * grid.h, -m * grid.h, 0.0))
-
-
 def _restrict(field: GridField, sub: Grid3) -> GridField:
     src = field.grid
     i0 = round((sub.origin[0] - src.origin[0]) / src.h)
@@ -165,7 +152,8 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant, *,
 
     q1 is extended evenly; q2 evenly for the alpha-family and by zero for
     the tau-family.  Probes are evaluated on `eval_grid`, by default the
-    node-aligned subgrid spanning the support.  RecoveryError when a
+    node-aligned subgrid spanning the support and one cell more laterally
+    (full slab height).  RecoveryError when a
     potential with a nonzero sample has none on the box.
     """
     if q1.grid != q2.grid:
@@ -181,7 +169,10 @@ def make_workspace(q1: Potential, q2: Potential, k: float, variant: Variant, *,
             raise RecoveryError(f"{name} vanishes at every node of the probe box of spacing "
                                 f"{box.h:g} (box_coarsen {box_coarsen}): the box is too "
                                 "coarse to see it")
-    sub = eval_grid if eval_grid is not None else support_subgrid(grid, geom)
+    sub = eval_grid
+    if sub is None:
+        m = min(math.ceil(geom.R / grid.h - 1e-12) + 1, grid.nx // 2)
+        sub = Grid3(2 * m, 2 * m, grid.nz, grid.h, (-m * grid.h, -m * grid.h, 0.0))
     qd_full = GridField(grid, q1.field.values - q2.field.values)
     qdiff = _restrict(qd_full, sub)
     l1 = float(np.sum(quadrature_weights(sub) * np.abs(qdiff.values)))
@@ -414,27 +405,18 @@ def plancherel_constant(bound_m: float) -> float:
     return max((2 * np.pi) ** -3 * 4 * np.pi / 3, 4.0 * bound_m ** 2)
 
 
-def assemble_bounds_from_sup(sup: float, r: float, s: float, bound_m: float,
-                             params: dict | None = None) -> RecoveryResult:
-    if s <= 1.5:
-        raise RecoveryError("smoothness index must exceed 3/2")
+def assemble_bounds_from_sup(sup: float, r: float, bound_m: float,
+                             params: dict) -> RecoveryResult:
+    """The H^-1 and L-inf chain from a sup bound over |xi| < r, for the
+    H^s ball of radius bound_m at s = SOBOLEV_S; `params` with r, s, M and
+    eps added become the result's params."""
+    s = SOBOLEV_S
     c_p = plancherel_constant(bound_m)
     hm1 = math.sqrt(c_p * (r ** 3 * sup ** 2 + r ** -2))
     eps = (s - 1.5) / 2.0
     linf = hm1 ** (eps / (s + 1.0))
-    p = dict(params or {})
-    p.setdefault("r", r)
-    p["s"] = s
-    p["M"] = bound_m
-    p["eps"] = eps
+    p = {**params, "r": r, "s": s, "M": bound_m, "eps": eps}
     return RecoveryResult(sup, hm1, linf, p, c_p)
-
-
-def assemble_bounds(fhat: dict, r: float, s: float, bound_m: float,
-                    params: dict | None = None) -> RecoveryResult:
-    """Sup over the supplied frequency map, then the H^-1 and L-inf chain."""
-    sup = max((abs(v) for v in fhat.values()), default=0.0)
-    return assemble_bounds_from_sup(sup, r, s, bound_m, params)
 
 
 # -- parameter schedules --------------------------------------------------------------
@@ -456,23 +438,20 @@ def stability_exponent(lam: float, variant: Variant) -> float:
     return lam / (2.0 * lam + 5.0)
 
 
-def choose_parameters(delta: float, star_norm: float | None, lam: float, c: float,
-                      variant: Variant, log_star: float | None = None) -> ParameterChoice:
+def choose_parameters(delta: float, star_norm: float, lam: float, c: float,
+                      variant: Variant) -> ParameterChoice:
     """Solve the defining equations for (r, tau/alpha) given the data error.
 
-    star_norm may be passed in the log domain (log_star = log of the star
-    norm) for error levels too small for floating point.  Requires
-    0 < star_norm < 1/delta.
+    Requires a float star norm with 0 < star_norm < 1/delta; a zero or
+    missing (None) one raises RecoveryError.
     """
     if not (0 < lam < 1):
         raise RecoveryError("lambda must lie in (0, 1)")
     if c <= 0 or delta <= 0:
         raise RecoveryError("c and delta must be positive")
-    if log_star is None:
-        if star_norm is None or star_norm <= 0:
-            raise RecoveryError("need a positive star norm (or its logarithm)")
-        log_star = math.log(star_norm)
-    log_delta_star = math.log(delta) + log_star
+    if star_norm is None or star_norm <= 0:
+        raise RecoveryError("need a positive star norm")
+    log_delta_star = math.log(delta) + math.log(star_norm)
     if log_delta_star >= 0:
         raise RecoveryError(
             "hypothesis violated: star norm must be below 1/delta"
@@ -491,22 +470,20 @@ def choose_parameters(delta: float, star_norm: float | None, lam: float, c: floa
     return ParameterChoice(r, param, tau, theta, bool(r < 2.0), big_l)
 
 
-def bound_chain(delta: float, star_norm: float | None, lam: float, c: float,
-                variant: Variant, s: float, bound_m: float,
-                log_star: float | None = None) -> RecoveryResult:
-    """Full closing chain from a measured star norm to an L-infinity bound.
+def bound_chain(delta: float, star_norm: float, lam: float, c: float,
+                variant: Variant, bound_m: float) -> RecoveryResult:
+    """Full closing chain from a measured float star norm to an L-infinity
+    bound, for the H^SOBOLEV_S ball of radius bound_m.
 
     The sup bound over |xi| < r combines the large-frequency estimate
     exp(c tau r) Theta^(-lam/2) with the remainder tail tau^(-lam/2)
     (tau-family) or tau^(-lam) (alpha-family), at the scheduled (r, tau).
-    The schedule makes c tau r = (lam/4) log Theta, at most 177.5 for any
-    float data, so the exponential never overflows.
+    The schedule makes c tau r = (lam/4) log Theta.  For float delta and
+    star norm, |log(delta * star_norm)| < 1489, so c tau r < 1.83 and the
+    exponential never overflows.
     """
-    choice = choose_parameters(delta, star_norm, lam, c, variant, log_star=log_star)
-    if log_star is None:
-        log_star = math.log(star_norm)
-    log_delta_star = math.log(delta) + log_star
-    theta_big = 1.0 + abs(log_delta_star)
+    choice = choose_parameters(delta, star_norm, lam, c, variant)
+    theta_big = 1.0 + abs(math.log(delta) + math.log(star_norm))
     main = math.exp(c * choice.tau * choice.r) * theta_big ** (-lam / 2.0)
     if variant is Variant.SINGLE_REFLECTION:
         tail = choice.tau ** (-lam / 2.0)
@@ -514,12 +491,11 @@ def bound_chain(delta: float, star_norm: float | None, lam: float, c: float,
         tail = choice.tau ** (-lam)
     sup = main + tail
     params = {
-        "r": choice.r, "param": choice.param, "tau": choice.tau,
-        "lambda": lam, "c": c, "delta": delta, "theta": choice.theta,
-        "small_r": choice.small_r, "log_theta": choice.log_theta,
-        "variant": variant.value,
+        "param": choice.param, "tau": choice.tau, "lambda": lam, "c": c,
+        "delta": delta, "theta": choice.theta, "small_r": choice.small_r,
+        "log_theta": choice.log_theta, "variant": variant.value,
     }
-    return assemble_bounds_from_sup(sup, choice.r, s, bound_m, params)
+    return assemble_bounds_from_sup(sup, choice.r, bound_m, params)
 
 
 # -- the recovery pipeline ------------------------------------------------------------
@@ -647,10 +623,10 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
     estimates = {xi: fhat[xi] for xi in sorted(fhat)}
     oracle = dict(zip(estimates, map(complex, true_transform(ws, np.array(list(estimates))))))
     name = next(n for n, v in VARIANTS.items() if v is variant)
-    bounds = assemble_bounds(
-        estimates, r, min(q1.sobolev_s, q2.sobolev_s), max(q1.bound_M, q2.bound_M),
-        params={"r": r, "param": param, "lambda": lam, "c": c, "delta": delta,
-                "theta": stability_exponent(lam, variant), "variant": name})
+    bounds = assemble_bounds_from_sup(
+        max(map(abs, estimates.values())), r, max(q1.bound_M, q2.bound_M),
+        {"param": param, "lambda": lam, "c": c, "delta": delta,
+         "theta": stability_exponent(lam, variant), "variant": name})
     counts = {"n_annulus": len(ann.estimates), "n_failed": len(ann.failed),
               "n_axis_filled": n_axis}
     return RecoveryRun(estimates, oracle, bounds, star, counts, warnings)

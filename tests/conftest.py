@@ -215,9 +215,9 @@ def exponential_probe(eval_grid, phase):
     return cgo.CgoProbe(phase, eval_grid, one, one, one, one if alpha else None, rep, rep)
 
 
-def schedule_residual(choice, delta, lam, c, variant, log_star):
+def schedule_residual(choice, delta, lam, c, variant, star_norm):
     """Residual of the defining equation of the (r, param) schedule."""
-    big_l = math.log1p(abs(math.log(delta) + log_star))
+    big_l = math.log1p(abs(math.log(delta) + math.log(star_norm)))
     if variant is cgo.Variant.SINGLE_REFLECTION:
         lhs = choice.r ** ((lam + 5.0) / lam)
     else:

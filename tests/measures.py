@@ -30,7 +30,7 @@ from slabinv.forward import (
     omega_rows,
     solve_dirichlet,
 )
-from slabinv.geometry import BoundaryPatch, Plate
+from slabinv.geometry import BoundaryPatch, Grid3, Plate
 
 
 def l2_norm(bf: BoundaryField):
@@ -156,17 +156,17 @@ def ucp_decay_measure(q1, q2, k: float, f_family) -> dict:
     return {"rows": rows, "fit": fit}
 
 
-def calibrate_min_param(q_boxes: list[GridField], k: float, bounds: list[float],
-                        max_c0: int = 64) -> tuple[int, float]:
+def calibrate_min_param(q_boxes: list[GridField], eval_grid: Grid3, k: float,
+                        bounds: list[float], max_c0: int = 64) -> tuple[int, float]:
     """Smallest power-of-two C0 whose tau-family parameter max(C0 (M + k^2), 1)
-    contracts at xi = (2, 0, 0).
+    contracts at xi = (2, 0, 0), with the sources built for `eval_grid`.
 
     M is the largest a-priori norm bound across the supplied potential family;
     the phases carry k.  Returns (C0, param_min).
     """
     m_bound = max(bounds) if bounds else 1.0
     frame = make_frame((2.0, 0.0, 0.0))
-    sources = [box_source(qb) for qb in q_boxes]
+    sources = [box_source(qb, eval_grid) for qb in q_boxes]
     c0 = 1
     while c0 <= max_c0:
         param = max(c0 * (m_bound + k ** 2), 1.0)

@@ -141,10 +141,10 @@ def test_c05_remainder_decay(geom, grid8, bump8):
     box = build_box_grid(geom, grid8)  # 48^3 at the default geometry
     assert box.nx == box.ny == box.nz == 48
     q1_even = extend_even(bump8, box)
-    c0, tau1 = calibrate_min_param([q1_even], 0.0, [bump8.bound_M])
+    c0, tau1 = calibrate_min_param([q1_even], grid8, 0.0, [bump8.bound_M])
     taus = [tau1, 2 * tau1, 4 * tau1, 8 * tau1]
     fr = make_frame((2.0, 0.0, 0.0))
-    source = cgo.box_source(q1_even)
+    source = cgo.box_source(q1_even, grid8)
     l2s = []
     for tau in taus:
         pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, tau, 0.0)

@@ -87,6 +87,10 @@ def test_phase_param_below_one_rejected():
 
 
 KS = (0.0, 1.5, 2.5, 4.5)
+# two nodes per axis next to the origin: on a box centred there, their
+# stencils (mirror images included) read only box nodes near the origin,
+# inside the support block of a potential centred there
+NEAR_ORIGIN = Grid3(1, 1, 1, 0.125, (0.0, 0.0, 0.125))
 
 
 @given(
@@ -183,7 +187,7 @@ def test_box_geometry(geom, grid8, box):
     assert box.origin[0] <= grid8.origin[0]
 
 
-def test_remainder_zero_rhs(box):
+def test_remainder_zero_rhs(grid8, box):
     # the phase carries k, so Q = 0 (the tau-family second probe) wipes the
     # right-hand side at every k
     q = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
@@ -191,7 +195,7 @@ def test_remainder_zero_rhs(box):
         for variant in Variant:
             pp = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 8.0, k)
             for rho in (pp.rho1, pp.rho2):
-                psi, rep = solve_remainder(rho, box_source(q))
+                psi, rep = solve_remainder(rho, box_source(q, grid8))
                 assert np.max(np.abs(psi.values)) == 0.0
                 assert rep.l2 == 0.0 and rep.h1 == 0.0 and rep.iterations == 0
 
@@ -205,10 +209,10 @@ def test_remainder_lattice_cache_keyed_by_spacing():
         x, y, z = grid.node_coords()
         prof = 0.3 * np.exp(-(x ** 2 + y ** 2 + z ** 2)) * np.ones(grid.node_shape)
         fields_by_h.append(GridField(grid, prof.astype(np.complex128)))
-    warm = [solve_remainder(rho, box_source(q)) for q in fields_by_h]
+    warm = [solve_remainder(rho, box_source(q, NEAR_ORIGIN)) for q in fields_by_h]
     for q, (psi, rep) in zip(fields_by_h, warm):
         cgo._box_lattice.cache_clear()
-        cold_psi, cold_rep = solve_remainder(rho, box_source(q))
+        cold_psi, cold_rep = solve_remainder(rho, box_source(q, NEAR_ORIGIN))
         assert np.array_equal(psi.values, cold_psi.values)
         assert rep == cold_rep
 
@@ -221,7 +225,7 @@ def test_remainder_born_quadratic(geom, grid8, box, bump8, monkeypatch):
     for eta in etas:
         q = fields.radial_bump_potential(grid8, geom, eta)
         qb = extend_even(q, box)
-        source = box_source(qb)
+        source = box_source(qb, grid8)
         psi, _ = solve_remainder(pp.rho1, source)
         with monkeypatch.context() as m:  # one sweep, the Born term
             m.setattr(cgo, "MAX_SWEEPS", 1)
@@ -243,7 +247,7 @@ def test_remainder_dense_oracle(geom):
     rho = np.array([3.0 + 0.5j, 1.0 - 2.0j, 0.5 + 3.5j])
     rho = rho / np.sqrt(abs(np.sum(rho * rho))) * 6.0  # not isotropic on purpose
 
-    source = box_source(q)
+    source = box_source(q, NEAR_ORIGIN)
     psi, rep = solve_remainder(rho, source)
 
     # dense operator: psi - G[rhs * psi] = G[rhs], same shifted lattice
@@ -274,6 +278,7 @@ def test_remainder_dense_oracle(geom):
         cols[:, j] = (e - greens(rhs * e)).reshape(-1)
     dense = np.linalg.solve(cols, greens(rhs).reshape(-1)).reshape(grid.node_shape)
     # psi is returned on its window, here the support block
+    assert source.window == source.block
     rel = (np.linalg.norm(dense[source.window] - psi.values)
            / np.linalg.norm(dense[source.window]))
     assert rel <= 1e-8
@@ -284,18 +289,18 @@ def test_remainder_non_contraction_error(geom, grid8, box):
     qb = extend_even(big, box)
     pp = make_phase_pair(make_frame((1.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 1.0, 0.0)
     with pytest.raises(ContractionError, match="parameter"):
-        solve_remainder(pp.rho1, box_source(qb))
+        solve_remainder(pp.rho1, box_source(qb, grid8))
 
 
-def test_remainder_projection_guard(box, q_even_box, monkeypatch):
+def test_remainder_projection_guard(grid8, box, q_even_box, monkeypatch):
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
     monkeypatch.setattr(cgo, "PROJECTION_REL", 10.0)
     with pytest.raises(ProjectionError):
-        solve_remainder(pp.rho1, box_source(q_even_box))
+        solve_remainder(pp.rho1, box_source(q_even_box, grid8))
     # psi = 0 solves a zero source's equation exactly, so it returns before
     # any symbol is formed: its lattice is never read and no mode is projected
     q_zero = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
-    zero = dataclasses.replace(box_source(q_zero), lattice=None)
+    zero = dataclasses.replace(box_source(q_zero, grid8), lattice=None)
     psi, rep = solve_remainder(pp.rho1, zero)
     assert not np.any(psi.values)
     assert rep.projected_modes == 0 and rep.iterations == 0 and rep.residual == 0.0
@@ -304,7 +309,7 @@ def test_remainder_projection_guard(box, q_even_box, monkeypatch):
 def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
     fr = make_frame((2.0, 0.0, 0.0))
     taus = np.array([4.0, 8.0, 16.0, 32.0])
-    source = box_source(q_even_box)
+    source = box_source(q_even_box, grid8)
     l2s, h1s = [], []
     for tau in taus:
         pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, tau, 0.0)
@@ -322,12 +327,13 @@ def test_reflection_commutes_with_remainder(geom, grid8, q_even_box):
     # reflected phase vector
     fr = make_frame((1.5, 0.7, 1.1))
     pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 6.0, 0.0)
-    source = box_source(q_even_box)
+    source = box_source(q_even_box, NEAR_ORIGIN)
     psi, _ = solve_remainder(pp.rho1, source)
     rho_star = np.array([pp.rho1[0], pp.rho1[1], -pp.rho1[2]])
     psi_star, _ = solve_remainder(rho_star, source)
-    # the window is the support block of the even Q, symmetric in x3 and
-    # away from the seam, so the reflection flips it
+    # the stencils of NEAR_ORIGIN read nodes inside the support block, so the
+    # window is the block of the even Q, symmetric in x3 and away from the
+    # seam, and the reflection flips it
     assert psi.grid.z_symmetric() and source.window[2].start > 0
     assert np.max(np.abs(fields.reflect(psi).values - psi_star.values)) < 1e-10
 
@@ -420,13 +426,13 @@ def box2_potentials(geom, grid8, bump8, box2):
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("k", [0.0, 1.5])
 @pytest.mark.parametrize("potential", ["bump", "zero"])
-def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential):
+def test_remainder_matches_reference_loop(grid8, box2_potentials, variant, k, potential):
     q = box2_potentials[potential]
     pp = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k)
     for cold in (True, False):
         if cold:
             cgo._box_lattice.cache_clear()
-        source = box_source(q)
+        source = box_source(q, grid8)
         psi, rep = solve_remainder(pp.rho1, source)
         ref, ref_rep = _solve_remainder_reference(pp.rho1, q)
         scale = np.max(np.abs(ref.values))
@@ -442,7 +448,7 @@ def test_remainder_matches_reference_loop(box2_potentials, variant, k, potential
 
 
 @pytest.mark.parametrize("k", [0.0, 1.5])
-def test_remainder_projected_modes_match_reference(box2_potentials, k, monkeypatch):
+def test_remainder_projected_modes_match_reference(grid8, box2_potentials, k, monkeypatch):
     # a threshold between the fourth and fifth smallest |symbol| projects
     # four modes: the sweeps and the residual leave them out
     q = box2_potentials["bump"]
@@ -452,7 +458,7 @@ def test_remainder_projected_modes_match_reference(box2_potentials, k, monkeypat
     mags = np.sort(np.abs(zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)).ravel())
     rel = 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
     monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
-    source = box_source(q)
+    source = box_source(q, grid8)
     psi, rep = solve_remainder(rho, source)
     ref, ref_rep = _solve_remainder_reference(rho, q, projection_rel=rel)
     assert rep.projected_modes == ref_rep.projected_modes == 4
@@ -470,7 +476,7 @@ def test_remainder_contraction_error_matches_reference(geom, grid8, box2):
     with pytest.raises(ContractionError):
         _solve_remainder_reference(pp.rho1, qb)
     with pytest.raises(ContractionError):
-        solve_remainder(pp.rho1, box_source(qb))
+        solve_remainder(pp.rho1, box_source(qb, grid8))
 
 
 @pytest.fixture
@@ -492,10 +498,10 @@ def fft_counter(monkeypatch):
 def test_remainder_fft_budget(grid8, box2_potentials, fft_counter):
     q = box2_potentials["bump"]
     frame = make_frame((2.0, -0.5, 1.0))
-    # set-up: the first spectrum of the support block is a pruned DFT, with
-    # or without an evaluation grid; without one the window is the block
+    # set-up: the first spectrum of the support block is a pruned DFT, for
+    # a window wider than the block and for one that is the block
     windowed = box_source(q, grid8)
-    bare = box_source(q)
+    bare = box_source(q, NEAR_ORIGIN)
     block = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(q.values))
     assert windowed.block == bare.block == bare.window == block != windowed.window
     # every sweep and the last inverse onto the window are pruned DFTs, at
@@ -546,15 +552,15 @@ def _residual_matches_full_box(rep, full):
 def test_parseval_residual_matches_full_box(grid8, box2_potentials, variant, k, sweeps,
                                             monkeypatch):
     # the reference-loop cases, stopped after 1, 2 or 3 sweeps (residuals
-    # from 3e-4 down to 1e-11) or converged (None), on a source without an
-    # evaluation grid (its window is the block) and a windowed one; psi on
-    # the block comes from the window transform in both
+    # from 3e-4 down to 1e-11) or converged (None), on a source whose window
+    # is the block and on one whose window is wider; psi on the block comes
+    # from the window transform in both
     q = box2_potentials["bump"]
     rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
     if sweeps is not None:
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
         monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
-    bare, windowed = box_source(q), box_source(q, grid8)
+    bare, windowed = box_source(q, NEAR_ORIGIN), box_source(q, grid8)
     assert bare.window == bare.block != windowed.window
     for source in (bare, windowed):
         traced, calls = _traced(source)
@@ -569,7 +575,7 @@ def test_parseval_residual_matches_full_box(grid8, box2_potentials, variant, k, 
 
 
 @pytest.mark.parametrize("sweeps", [2, None])
-def test_projected_residual_matches_full_box(box2_potentials, sweeps, monkeypatch):
+def test_projected_residual_matches_full_box(grid8, box2_potentials, sweeps, monkeypatch):
     # four projected modes keep the full-box formula
     q = box2_potentials["bump"]
     rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), Variant.SINGLE_REFLECTION, 16.0,
@@ -581,7 +587,7 @@ def test_projected_residual_matches_full_box(box2_potentials, sweeps, monkeypatc
     if sweeps is not None:  # None: run to convergence
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
         monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
-    source, calls = _traced(box_source(q))
+    source, calls = _traced(box_source(q, grid8))
     _, rep = solve_remainder(rho, source)
     (psi_hat,) = calls["to_window"]
     assert rep.projected_modes == 4
@@ -591,11 +597,10 @@ def test_projected_residual_matches_full_box(box2_potentials, sweeps, monkeypatc
 
 @pytest.mark.parametrize("sweeps", [2, None])
 def test_residual_of_a_window_grown_to_the_block(box2_potentials, sweeps, monkeypatch):
-    # the stencils of a two-node evaluation grid read nodes inside the
-    # support block, so the window grows to the block
+    # the stencils of NEAR_ORIGIN read nodes inside the support block, so
+    # the window grows to the block
     q = box2_potentials["bump"]
-    eval_grid = Grid3(1, 1, 1, 0.125, (0.0, 0.0, 0.125))
-    source = box_source(q, eval_grid)
+    source = box_source(q, NEAR_ORIGIN)
     assert source.window == source.block
     assert source.block_in_window == tuple(slice(0, b.stop - b.start) for b in source.block)
     rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), Variant.DOUBLE_REFLECTION, 16.0,
@@ -630,13 +635,12 @@ def _traced(source):
 
 def test_converged_solve_transform_count(grid8, box2_potentials):
     # the stop rule runs before each sweep's pair of block transforms, and
-    # the residual reads psi on the block from the window transform, with or
-    # without an evaluation grid (without one, as in calibrate_min_param,
-    # the window is the block)
+    # the residual reads psi on the block from the window transform, for a
+    # window wider than the block (grid8) and for one that is the block
     q = box2_potentials["bump"]
     for variant in Variant:
         rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), variant, 8.0, 1.5).rho1
-        for eval_grid in (grid8, None):
+        for eval_grid in (grid8, NEAR_ORIGIN):
             source, calls = _traced(box_source(q, eval_grid))
             _, rep = solve_remainder(rho, source)
             assert rep.iterations > 1
@@ -662,8 +666,8 @@ _PROPERTY_BOX = Grid3(12, 12, 12, 0.25, (-1.5, -1.5, -1.5), periodic=True)
 @example(lo=(0, 0, 0), width=(12, 12, 12), k=0.0, variant=Variant.SINGLE_REFLECTION, seed=40)
 def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
     # compact supports anywhere in the box: touching index 0 or n - 1,
-    # wrapping across the periodic edge, one node wide (a window widened to
-    # two nodes), or the whole box
+    # wrapping across the periodic edge, one node wide, or the whole box;
+    # the window also holds the stencils of NEAR_ORIGIN
     box = _PROPERTY_BOX
     rng = np.random.default_rng(seed)
     idx = np.ix_(*[(a + np.arange(m)) % n for a, m, n in zip(lo, width, box.node_shape)])
@@ -678,9 +682,9 @@ def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
     except ContractionError:
         # a support too strong for the parameter diverges in both loops
         with pytest.raises(ContractionError):
-            solve_remainder(pp.rho1, box_source(q))
+            solve_remainder(pp.rho1, box_source(q, NEAR_ORIGIN))
         return
-    source = box_source(q)
+    source = box_source(q, NEAR_ORIGIN)
     psi, rep = solve_remainder(pp.rho1, source)
     assert (np.max(np.abs(psi.values - ref.values[source.window]))
             <= 1e-12 * np.max(np.abs(ref.values)))
@@ -807,9 +811,9 @@ def test_probe_rejects_sources_for_another_eval_grid(geom, grid8, box):
     other = Grid3(4, 4, 4, 0.25, (-0.5, -0.5, 0.0))
     with pytest.raises(FieldError, match="evaluation grid"):
         build_probe(other, pp, box_source(zb, grid8), box_source(zb, grid8))
-    # nor does a source prepared without an evaluation grid serve one
+    # both sources must be prepared for it
     with pytest.raises(FieldError, match="evaluation grid"):
-        build_probe(other, pp, box_source(zb), box_source(zb, other))
+        build_probe(other, pp, box_source(zb, other), box_source(zb, grid8))
     probe = build_probe(other, pp, box_source(zb, other), box_source(zb, other))
     assert probe.eval_grid == other
     assert probe.w1.shape == probe.w1_star.shape == probe.w2.shape == other.node_shape
@@ -989,7 +993,7 @@ def test_interpolation_matches_reference(geom, grid8, coarsen):
 
 def test_calibrate_min_param(geom, grid8, bump8, box):
     q1b = extend_even(bump8, box)
-    c0, param = calibrate_min_param([q1b], 0.0, [bump8.bound_M])
+    c0, param = calibrate_min_param([q1b], grid8, 0.0, [bump8.bound_M])
     assert c0 in {1, 2, 4, 8, 16, 32, 64}
     assert param == max(c0 * bump8.bound_M, 1.0)
 
@@ -999,12 +1003,12 @@ def test_calibrate_min_param_doubles_c0(geom, grid8):
     # parameters C0 (M + k^2) = 1 and 2 do not contract, 4 does
     box = build_box_grid(geom, grid8, coarsen=2)
     qb = extend_even(fields.radial_bump_potential(grid8, geom, 1000.0), box)
-    assert calibrate_min_param([qb], 0.5, [0.75]) == (4, 4.0)
+    assert calibrate_min_param([qb], grid8, 0.5, [0.75]) == (4, 4.0)
     pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 2.0, 0.5)
     with pytest.raises(ContractionError):
-        solve_remainder(pp.rho1, box_source(qb))
+        solve_remainder(pp.rho1, box_source(qb, grid8))
     with pytest.raises(ContractionError, match="C0=2"):
-        calibrate_min_param([qb], 0.5, [0.75], max_c0=2)
+        calibrate_min_param([qb], grid8, 0.5, [0.75], max_c0=2)
 
 
 def test_exponential_probe_matches_build(geom, grid8, box):

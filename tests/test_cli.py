@@ -979,6 +979,33 @@ def test_recover_without_annulus_estimates_fails(workdir, capsys, monkeypatch):
     assert not (workdir["tmp"] / "none.csv").exists()
 
 
+def test_recover_zero_star_norm_fails(workdir, capsys):
+    # q2 = q1 makes the DN difference, and so its star norm, exactly zero:
+    # the schedule behind --r/--param auto has no data error to work from
+    out = workdir["tmp"] / "zero_star.csv"
+    rc = cli.main(["recover", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+                   "--q2", str(workdir["qpath"]), "--variant", "thm2", "--r", "auto",
+                   "--param", "auto", "--basis-n", "3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "recovery failed: need a positive star norm\n"
+    assert not out.exists()
+
+
+def test_dnnorm_singular_test_gram_is_one_line(workdir, capsys):
+    # the bottom patch's nodes at h = 1/4 tell only 109 of 121 test modes
+    # apart, so their H^{3/2} Gram is singular
+    geom, grid = workdir["geom"], workdir["grid"]
+    target = geometry.neumann_patch(geom, geometry.Plate.BOTTOM)
+    ni, nj = boundary.bounding_square(grid, target).node_shape
+    path = workdir["tmp"] / "zeros_9.mat"
+    dnmap.write_matrix(str(path), np.zeros((ni * nj, 9)))
+    rc = cli.main(["dnnorm", "--config", str(workdir["cfg"]), "--a", str(path),
+                   "--b", str(path), "--basis-n", "3", "--test-n", "11"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate norm: singular H^{3/2} Gram matrix") and err.count("\n") == 1
+
+
 def test_cli_import_leaves_out_scipy_fft_and_special():
     # a fresh interpreter: numpy.fft serves every transform, so the CLI's
     # import pulls in neither scipy.fft nor the scipy.special it imports

@@ -82,7 +82,7 @@ def test_extend_even_linear_profile(geom, grid8, box):
     x, y, z = grid8.node_coords()
     r = np.hypot(x, y)
     vals = np.where(r <= geom.R, 1.0, 0.0) * z * np.ones_like(y)
-    pot = Potential(GridField(grid8, vals.astype(np.complex128)), geom, 2.0, 1e12)
+    pot = Potential(GridField(grid8, vals.astype(np.complex128)), geom, 1e12)
     even = extend_even(pot, box)
     bx, by, bz = box.node_coords()
     br = np.hypot(bx, by)
@@ -165,17 +165,17 @@ def test_quadrature_second_order(geom):
 def test_potential_support_enforced(geom, grid8):
     vals = np.ones(grid8.node_shape, dtype=np.complex128)
     with pytest.raises(FieldError, match="support"):
-        Potential(GridField(grid8, vals), geom, 2.0, 1e9)
+        Potential(GridField(grid8, vals), geom, 1e9)
     with pytest.raises(FieldError, match="real"):
         Potential(GridField(grid8, 1j * np.zeros(grid8.node_shape) + 1e-3j),
-                  geom, 2.0, 1e9)
+                  geom, 1e9)
 
 
 def test_potential_sobolev_bound(geom, grid8):
-    pot = fields.radial_bump_potential(grid8, geom, 1.0, s=2.0)
-    assert sobolev_norm(pot.field, 2.0) <= 1.05 * pot.bound_M
+    pot = fields.radial_bump_potential(grid8, geom, 1.0)
+    assert sobolev_norm(pot.field, fields.SOBOLEV_S) <= 1.05 * pot.bound_M
     with pytest.raises(FieldError, match="H\\^s"):
-        Potential(pot.field, geom, 2.0, pot.bound_M / 2)
+        Potential(pot.field, geom, pot.bound_M / 2)
 
 
 def test_potentials_measure_their_norm_once(tmp_path, geom, grid8, monkeypatch):
@@ -193,7 +193,7 @@ def test_potentials_measure_their_norm_once(tmp_path, geom, grid8, monkeypatch):
     assert len(calls) == 2
     # an all-zero field has norm 0 without a transform
     fields.zero_potential(grid8, geom)
-    Potential(GridField(grid8, np.zeros(grid8.node_shape)), geom, 2.0, 1e-300)
+    Potential(GridField(grid8, np.zeros(grid8.node_shape)), geom, 1e-300)
     assert len(calls) == 2
 
 
@@ -268,4 +268,4 @@ def test_one_imaginary_sample_keeps_a_field_complex(geom):
     vals = np.zeros(grid.node_shape, dtype=np.complex128)
     vals[4, 4, 2] = 1j
     with pytest.raises(FieldError, match="must be real"):
-        Potential(GridField(grid, vals), geom, 2.0, 1e12)
+        Potential(GridField(grid, vals), geom, 1e12)

@@ -72,7 +72,7 @@ def test_monotone_shift_up(geom, grid8, op0_8):
     r = grid8.lateral_radius()
     vals = np.where(np.broadcast_to(r <= geom.R, grid8.node_shape), 1.0, 0.0)
     qp = fields.Potential(GridField(grid8, vals.astype(np.complex128)),
-                          geom, 2.0, 1e12)
+                          geom, 1e12)
     op1 = HelmholtzOperator(grid8, geom, 0.0, qp)
     # min q = 0, so both Weyl certificates are lambda_ref; the smallest
     # singular values themselves (11.73 against 11.14) must be ordered
@@ -115,7 +115,7 @@ def _random_supported_potential(grid, geom, seed):
     rng = np.random.default_rng(seed)
     inside = np.broadcast_to(grid.lateral_radius() <= geom.R, grid.node_shape)
     vals = np.where(inside, rng.uniform(-2.0, 2.0, grid.node_shape), 0.0)
-    return fields.Potential(GridField(grid, vals.astype(np.complex128)), geom, 2.0, 1e12)
+    return fields.Potential(GridField(grid, vals.astype(np.complex128)), geom, 1e12)
 
 
 def _potential(grid, geom, label):
@@ -129,7 +129,7 @@ def _potential(grid, geom, label):
     if label == "bump":
         return bump
     scale = np.cos(3 * grid.node_coords()[0]) if label == "bump_cos3x" else -100.0
-    return fields.Potential(GridField(grid, scale * bump.field.values), geom, 2.0, 1e12)
+    return fields.Potential(GridField(grid, scale * bump.field.values), geom, 1e12)
 
 
 @pytest.mark.parametrize("label", ["zero", "bump", "bump_cos3x"])
@@ -921,7 +921,7 @@ def test_blocks_and_uncertified_operators_use_lu(geom, grid8, bump8, monkeypatch
     # q = 10 at k^2 = 15 > lambda_ref: A is certified, the box operator is not
     inside = np.broadcast_to(grid8.lateral_radius() <= 2.0, grid8.node_shape)
     wide = geometry.SlabGeometry(1.0, 2.0, 2.5, 3.0, 0.1)  # q = 10 on every active node
-    ten = fields.Potential(GridField(grid8, np.where(inside, 10.0 + 0j, 0.0)), wide, 2.0, 1e12)
+    ten = fields.Potential(GridField(grid8, np.where(inside, 10.0 + 0j, 0.0)), wide, 1e12)
     op = HelmholtzOperator(grid8, geom, np.sqrt(15.0), ten)
     assert 15.0 > reference_eigenvalue(grid8, geom, TRUNCATED)
     assert op.admissibility().certified

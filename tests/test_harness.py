@@ -167,7 +167,7 @@ def test_rl_smooth_bump_fast_decay(geom, grid16, monkeypatch):
     vals = (np.exp(-((r / 0.3) ** 2) / 2) * np.exp(-(((z - 0.5) / 0.12) ** 2) / 2)
             * (r <= geom.R) * np.ones_like(x * y * z))
     q = fields.Potential(GridField(grid16, vals.astype(np.complex128)),
-                         geom, 2.0, 1e12)
+                         geom, 1e12)
     for name, value in (("RL_T0", 4.0), ("RL_FACTOR", 1.3), ("RL_SAMPLES", 8)):
         monkeypatch.setattr(harness, name, value)
     rays = rl_decay_measure(q, [(1.0, 0.5, 0.2), (0.3, 1.0, 0.1), (0.5, 0.5, 1.0)])
@@ -181,7 +181,7 @@ def test_rl_rough_potential_slow_decay(geom, grid16, monkeypatch):
     vals = ((np.abs(x) <= 0.6) * fields.smooth_bump(y / 0.6)
             * fields.smooth_bump((z - 0.5) / 0.45) * np.ones_like(x * y * z))
     q = fields.Potential(GridField(grid16, vals.astype(np.complex128)),
-                         geom, 2.0, 1e12)
+                         geom, 1e12)
     for name, value in (("RL_T0", 1.5), ("RL_FACTOR", 1.45), ("RL_SAMPLES", 9)):
         monkeypatch.setattr(harness, name, value)
     rays = rl_decay_measure(q, [(1.0, 0.0, 0.0)])
@@ -241,8 +241,7 @@ def test_sweep_records_satisfy_internal_inequality(sweep_setup):
             continue
         res = bound_chain(1.0, rec.star_norm, 0.5,
                           4 * (2 * 1.0 + 1.0) + 2, Variant.SINGLE_REFLECTION,
-                          s=2.0, bound_m=max(sweep_setup["q1"].bound_M,
-                                             sweep_setup["q2"].bound_M))
+                          bound_m=max(sweep_setup["q1"].bound_M, sweep_setup["q2"].bound_M))
         assert bounds_consistent(res)
         assert res.linf_bound == pytest.approx(rec.linf_bound)
 

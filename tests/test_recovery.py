@@ -16,7 +16,6 @@ from slabinv.recovery import (
     ContinuationConfig,
     ContinuationError,
     RecoveryError,
-    assemble_bounds,
     assemble_bounds_from_sup,
     bound_chain,
     build_frequency_set,
@@ -494,16 +493,17 @@ def test_two_constants_match_per_function_loop():
 
 
 def test_assemble_bounds_tail_only():
-    res = assemble_bounds({}, r=4.0, s=2.0, bound_m=1.0)
+    res = assemble_bounds_from_sup(0.0, r=4.0, bound_m=1.0, params={})
     assert res.sup_bound == 0.0
     assert res.hm1_bound == pytest.approx(math.sqrt(plancherel_constant(1.0)) / 4.0)
-    res2 = assemble_bounds({}, r=8.0, s=2.0, bound_m=1.0)
+    res2 = assemble_bounds_from_sup(0.0, r=8.0, bound_m=1.0, params={})
     assert res2.hm1_bound == pytest.approx(res.hm1_bound / 2.0)
     assert bounds_consistent(res) and bounds_consistent(res2)
 
 
 def test_assemble_bounds_exponent_arithmetic():
-    res = assemble_bounds_from_sup(0.5, r=3.0, s=2.0, bound_m=1.0)
+    res = assemble_bounds_from_sup(0.5, r=3.0, bound_m=1.0, params={})
+    assert res.params["s"] == 2.0
     assert res.params["eps"] == pytest.approx(0.25)
     # exponent eps/(s+1) = 1/12
     assert res.linf_bound == pytest.approx(res.hm1_bound ** (1.0 / 12.0))
@@ -512,12 +512,10 @@ def test_assemble_bounds_exponent_arithmetic():
 # -- parameter schedules -----------------------------------------------------------------------
 
 
-def test_choose_parameters_roundtrip_log_domain():
-    # data error exp(-exp(40)) only representable through its logarithm
-    choice = choose_parameters(1.0, None, 0.5, 10.0, Variant.SINGLE_REFLECTION,
-                               log_star=-math.exp(40.0))
-    resid = schedule_residual(choice, 1.0, 0.5, 10.0, Variant.SINGLE_REFLECTION,
-                              log_star=-math.exp(40.0))
+@pytest.mark.parametrize("star", [1e-4, 1e-100, 5e-324])
+def test_choose_parameters_roundtrip(star):
+    choice = choose_parameters(1.0, star, 0.5, 10.0, Variant.SINGLE_REFLECTION)
+    resid = schedule_residual(choice, 1.0, 0.5, 10.0, Variant.SINGLE_REFLECTION, star)
     assert resid <= 1e-12 * max(1.0, choice.r ** (5.5 / 0.5))
     assert choice.tau == pytest.approx(choice.r ** (5.0 / 0.5))
 
@@ -534,8 +532,7 @@ def test_stability_exponents_against_stated_windows():
 
 
 def test_choose_parameters_alpha_identity():
-    choice = choose_parameters(1.0, None, 0.5, 10.0, Variant.DOUBLE_REFLECTION,
-                               log_star=-math.exp(40.0))
+    choice = choose_parameters(1.0, 5e-324, 0.5, 10.0, Variant.DOUBLE_REFLECTION)
     assert choice.tau == pytest.approx(choice.r ** (5.0 / (2 * 0.5)))
     assert choice.param == pytest.approx(math.sqrt(max(choice.tau ** 2 - 0.25, 0.0)))
 
@@ -543,6 +540,9 @@ def test_choose_parameters_alpha_identity():
 def test_choose_parameters_hypothesis_violation():
     with pytest.raises(RecoveryError, match="hypothesis"):
         choose_parameters(2.0, 0.7, 0.5, 10.0, Variant.SINGLE_REFLECTION)
+    for star in (0.0, None):
+        with pytest.raises(RecoveryError, match="^need a positive star norm$"):
+            choose_parameters(1.0, star, 0.5, 10.0, Variant.SINGLE_REFLECTION)
 
 
 def test_choose_parameters_small_r_flagged():
@@ -552,25 +552,26 @@ def test_choose_parameters_small_r_flagged():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_schedule_exponent_is_a_quarter_lambda_log_theta(variant):
-    # c tau r = (lam / 4) log Theta <= log(1.8e308) / 4, so exp(c tau r) in
-    # `bound_chain` never overflows, down to the most negative float log_star
+    # c tau r = (lam / 4) log Theta with |log(delta * star)| < 1489 for float
+    # data, so c tau r < 1.83 and exp(c tau r) in `bound_chain` never
+    # overflows, down to the smallest positive float star norm and delta
     c = 14.0
     for lam in (0.05, 0.4, 0.999):
-        for log_star in (-1.0, -1e3, -math.exp(40.0), -1.7e308):
-            choice = choose_parameters(1.0, None, lam, c, variant, log_star=log_star)
+        for delta, star in ((1.0, 0.5), (1.0, 1e-300), (1.0, 5e-324), (1e300, 5e-324),
+                            (5e-324, 1e300), (5e-324, 5e-324)):
+            choice = choose_parameters(delta, star, lam, c, variant)
             want = (lam / 4.0) * choice.log_theta
             assert abs(c * choice.tau * choice.r - want) <= 1e-13 * want
-            res = bound_chain(1.0, None, lam, c, variant, s=2.0, bound_m=1.0,
-                              log_star=log_star)
+            assert c * choice.tau * choice.r < 1.83
+            res = bound_chain(delta, star, lam, c, variant, bound_m=1.0)
             assert math.isfinite(res.sup_bound)
 
 
 def test_bound_chain_monotone_in_star_norm():
     bounds = [bound_chain(1.0, star, 0.5, 14.0, Variant.SINGLE_REFLECTION,
-                          s=2.0, bound_m=1.0).linf_bound
+                          bound_m=1.0).linf_bound
               for star in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)]
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
     for star in (1e-3, 1e-7):
-        res = bound_chain(1.0, star, 0.5, 14.0, Variant.DOUBLE_REFLECTION,
-                          s=2.5, bound_m=1.0)
+        res = bound_chain(1.0, star, 0.5, 14.0, Variant.DOUBLE_REFLECTION, bound_m=1.0)
         assert bounds_consistent(res)
