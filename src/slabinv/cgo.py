@@ -464,25 +464,26 @@ def _interp_factors(field_grid: Grid3, eval_grid: Grid3) -> tuple:
     return tuple(mats)
 
 
-def interpolate_box(field: GridField, eval_grid: Grid3) -> tuple[np.ndarray, np.ndarray]:
+def interpolate_box(field: GridField, eval_grid: Grid3, mirrored: bool) -> tuple:
     """Trilinear interpolation onto the evaluation nodes and onto their
     mirror images (x1, x2, -x3), as one pruned DFT whose third-axis factor
-    stacks both; exact lookup at node coincidences.  The field's nodes, such
+    stacks both, or onto the evaluation nodes only (mirror None) unless
+    `mirrored`; exact lookup at node coincidences.  The field's nodes, such
     as a probe window, must cover the nodes read; no stencil wraps.
     """
-    both = _pruned_dft(field.values, _interp_factors(field.grid, eval_grid))
-    nz = eval_grid.node_shape[2]
-    return both[..., :nz], both[..., nz:]
+    nz, (m0, m1, m2) = eval_grid.node_shape[2], _interp_factors(field.grid, eval_grid)
+    both = _pruned_dft(field.values, (m0, m1, m2 if mirrored else m2[:nz]))
+    return both[..., :nz], (both[..., nz:] if mirrored else None)
 
 
-def _factors(psi: GridField, eval_grid: Grid3) -> tuple[np.ndarray, np.ndarray]:
-    """1 + psi at the evaluation nodes and at their mirror images; an
-    identically zero remainder gives 1 exactly, with nothing interpolated."""
+def _factors(psi: GridField, eval_grid: Grid3, mirrored: bool) -> tuple:
+    """1 + psi at the evaluation nodes and at their mirror images (None unless
+    `mirrored`); an identically zero remainder gives 1 exactly, uninterpolated."""
     if not np.any(psi.values):
         one = np.ones(eval_grid.node_shape, dtype=np.complex128)
-        return one, one
-    direct, mirror = interpolate_box(psi, eval_grid)
-    return 1.0 + direct, 1.0 + mirror
+        return one, (one if mirrored else None)
+    direct, mirror = interpolate_box(psi, eval_grid, mirrored)
+    return 1.0 + direct, (None if mirror is None else 1.0 + mirror)
 
 
 @dataclass
@@ -535,7 +536,8 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
     tau-family second probe uses the extension by zero), both for
     `eval_grid`, else FieldError.  Remainders are interpolated trilinearly
     from their windows onto the evaluation nodes and their mirror images,
-    both in one `interpolate_box` call per nonzero remainder.
+    both in one `interpolate_box` call per nonzero remainder; the unreflected
+    tau-family second one onto the evaluation nodes only.
     """
     if src1.grid != src2.grid:
         raise FieldError("extended potentials must share one box grid")
@@ -543,8 +545,6 @@ def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
         raise FieldError("remainder source not prepared for this evaluation grid")
     psi1, rep1 = solve_remainder(phase.rho1, src1)
     psi2, rep2 = solve_remainder(phase.rho2, src2)
-    w1, w1_star = _factors(psi1, eval_grid)
-    w2, w2_star = _factors(psi2, eval_grid)
-    if phase.variant is Variant.SINGLE_REFLECTION:
-        w2_star = None
+    w1, w1_star = _factors(psi1, eval_grid, True)
+    w2, w2_star = _factors(psi2, eval_grid, phase.variant is Variant.DOUBLE_REFLECTION)
     return CgoProbe(phase, eval_grid, w1, w1_star, w2, w2_star, rep1, rep2)

@@ -3,17 +3,18 @@
 Seven-point Laplacian with Dirichlet elimination on the truncated cylinder
 (``truncated`` mode, homogeneous data on the lateral staircase) or with
 periodic lateral identification (``periodic`` mode, the oracle configuration
-whose plate problems separate into lateral Fourier modes).  Every operator
-is one cached plate stencil (`plate_stencil`) on the nz - 1 interior layers
-plus the vertical 3-point stencil (Buzbee, Golub and Nielson, SIAM J. Numer.
-Anal. 7, 1970).  A frequency k is admissible when the smallest singular
-value of the operator exceeds 1e-6 times lambda_ref, the lowest q = 0, k = 0
-eigenvalue (`reference_eigenvalue`).  Since A = A0(0) - k^2 + diag(q), Weyl's
-inequality bounds that value below by lambda_ref - k^2 + min q, which
-certifies k without a solve wherever it clears the threshold; only where
-k^2 >= lambda_ref + min q (to within that threshold) is the smallest singular
-value found, by shift-invert Lanczos through the operator's one
-factorization (in the vertical sine basis, `SineBasisLU`).
+whose plate problems separate into lateral Fourier modes).  Every operator is
+one plate stencil on the nz - 1 interior layers plus the vertical 3-point
+stencil (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970), built with
+A's CSR pattern once per (grid, geom, mode) (`plate_stencil`); an operator
+writes only its values.  k is admissible when the smallest singular value of
+the operator exceeds 1e-6 times lambda_ref, the lowest q = 0, k = 0 eigenvalue
+(`reference_eigenvalue`).  Since A = A0(0) - k^2 + diag(q), Weyl's inequality
+bounds that value below by lambda_ref - k^2 + min q, which certifies k without
+a solve wherever it clears the threshold; only where k^2 >= lambda_ref + min q
+(to within that threshold) is the smallest singular value found, by
+shift-invert Lanczos through the operator's one factorization (in the
+vertical sine basis, `SineBasisLU`).
 
 One source or one Dirichlet datum of an operator that holds no factor, whose
 k Weyl certifies and whose box operator is positive definite, lambda_box -
@@ -30,6 +31,7 @@ holds both paths.
 
 from __future__ import annotations
 
+import collections
 import functools
 import logging
 import math
@@ -97,16 +99,22 @@ def box_eigenvalues(grid: Grid3, boundary_mode: str) -> np.ndarray:
     return lam
 
 
+PlateStencil = collections.namedtuple(
+    "PlateStencil", "mask couplings active index indices indptr diagonal doubled cells")
+
+
 @functools.lru_cache(maxsize=8)
-def plate_stencil(grid: Grid3, geom: SlabGeometry, boundary_mode: str):
-    """(mask, couplings, lateral, vertical), read-only and built once per
-    (grid, geom, mode): the lateral node set (sx, sy), the truncated disc
-    |x'| < R_lat or the periodic cell of unique nodes with both axes wrapped;
-    the -1/h^2 couplings of the 5-point plate Laplacian between its nodes in C
-    order (y fastest); and, as (rows, cols, data) COO triples on the nz - 1
-    interior layers, couplings x I and the vertical couplings I x T_z.  The
-    disc must lie inside the interior nodes of the lateral node square, the
-    box of `box_eigenvalues`."""
+def plate_stencil(grid: Grid3, geom: SlabGeometry, boundary_mode: str) -> PlateStencil:
+    """The read-only `PlateStencil` of (grid, geom, mode), by index arithmetic:
+    `mask`, the lateral node set (sx, sy), the truncated disc |x'| < R_lat
+    inside the interior nodes of the lateral node square (the box of
+    `box_eigenvalues`) or the periodic cell of unique nodes, both axes wrapped;
+    `couplings`, the -1/h^2 couplings (CSR) of the 5-point plate Laplacian
+    between its nodes in C order; `active` and `index`, the unknowns on the
+    nz - 1 interior layers, z fastest; A's CSR pattern `indices` and `indptr`,
+    the positions of its `diagonal` and of the couplings a ring of two nodes
+    `doubled`; `cells`, each unknown's flat index in the interior box (the
+    truncated box solve)."""
     if boundary_mode not in (TRUNCATED, PERIODIC):
         raise ValueError(f"unknown boundary mode {boundary_mode!r}")
     periodic = boundary_mode == PERIODIC
@@ -115,25 +123,49 @@ def plate_stencil(grid: Grid3, geom: SlabGeometry, boundary_mode: str):
     mask[:nx, :ny] = True if periodic else interior_mask(grid, geom)[:, :, 1]
     if not periodic and (mask[[0, -1]].any() or mask[:, [0, -1]].any()):
         raise ValueError("the truncated disc reaches the edge of the lateral node square")
-
-    def chain(n):  # neighbours along one axis: a line of n nodes, or a ring
-        i = np.arange(n if periodic else n - 1)
-        a = scipy.sparse.coo_matrix((np.full(i.size, -1.0 / grid.h ** 2), (i, (i + 1) % n)),
-                                    shape=(n, n))
-        return a + a.T
-
-    keep = mask[:nx, :ny].ravel()
-    couplings = scipy.sparse.kronsum(chain(ny), chain(nx), format="csr")[keep][:, keep]
-    m = grid.nz - 1
-    lateral, vertical = (
-        (a.row, a.col, a.data) for a in (
-            scipy.sparse.kron(couplings, scipy.sparse.identity(m), format="coo"),
-            scipy.sparse.kron(scipy.sparse.identity(couplings.shape[0]), scipy.sparse.diags_array(
-                [-1.0 / grid.h ** 2, -1.0 / grid.h ** 2], offsets=[-1, 1], shape=(m, m)),
-                format="coo")))
-    for a in (mask, couplings.data, couplings.indices, couplings.indptr, *lateral, *vertical):
+    if min(nx, ny) < 2:
+        raise ValueError("a periodic ring needs two nodes or more")
+    # each node's four neighbours, wrapped on the periodic cell, sorted, -1
+    # off the mask; a ring of two nodes meets one neighbour twice
+    x, y = np.nonzero(mask[:nx, :ny])
+    p, m, off = len(x), grid.nz - 1, -1.0 / grid.h ** 2
+    number = np.full((nx, ny), -1, dtype=np.int32)
+    number[x, y] = np.arange(p)
+    nbr = np.sort(np.stack([number[(x - 1) % nx, y], number[x, (y - 1) % ny],
+                            number[x, (y + 1) % ny], number[(x + 1) % nx, y]], axis=1), axis=1)
+    double = np.zeros(nbr.shape, dtype=bool)
+    double[:, :-1] = (nbr[:, 1:] == nbr[:, :-1]) & (nbr[:, 1:] >= 0)
+    nbr[:, 1:][double[:, :-1]] = -1
+    live = nbr >= 0
+    col, count = nbr[live], np.count_nonzero(live, axis=1)
+    ptr = np.append(0, np.cumsum(count))
+    couplings = scipy.sparse.csr_matrix((np.where(double, 2.0, 1.0)[live] * off, col,
+                                         ptr.astype(np.int32)), shape=(p, p))
+    # row m p + j of A: the couplings of p below p, the diagonal between its
+    # vertical pair (an end layer lacks one), the couplings above p, each
+    # at unknown m q + j of neighbour q; (m, p) arrays, layer j in row j
+    own, j = np.repeat(np.arange(p), count), np.arange(m)[:, None]
+    above = col > own
+    start = np.append(0, np.cumsum(m * count + 3 * m - 2))[:-1] + j * (count + 3) - (j > 0)
+    diagonal = start + count - np.bincount(own[above], minlength=p) + (j > 0)
+    unknown = m * np.arange(p) + j
+    indices = np.empty(m * len(col) + (3 * m - 2) * p, dtype=np.int32)
+    for d, rows in ((0, slice(None)), (-1, slice(1, None)), (1, slice(None, -1))):
+        indices[diagonal[rows] + d] = unknown[rows] + d
+    lateral = np.take(start, own, axis=1) + np.arange(len(col)) - ptr[own] + above * (
+        1 + (j > 0) + (j < m - 1))
+    indices[lateral] = m * col + j
+    doubled = lateral[:, double[live]].ravel()
+    active = np.zeros(grid.node_shape, dtype=bool)
+    active[:, :, 1:-1] = mask[:, :, None]
+    cells = np.flatnonzero(active[1:-1, 1:-1, 1:-1])
+    index = np.full(grid.node_shape, -1, dtype=np.int64)
+    index[active] = np.arange(m * p)
+    indptr, diagonal = np.append(start.T, len(indices)).astype(np.int32), diagonal.T.ravel()
+    for a in (mask, couplings.data, couplings.indices, couplings.indptr, active, index,
+              indices, indptr, diagonal, doubled, cells):
         a.flags.writeable = False
-    return mask, couplings, lateral, vertical
+    return PlateStencil(mask, couplings, active, index, indices, indptr, diagonal, doubled, cells)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,31 +213,16 @@ class HelmholtzOperator:
         self.boundary_mode = boundary_mode
         self._lu_cache = None
         self._adm_cache: AdmissibilityReport | None = None
-        self._build()
-
-    # -- assembly ------------------------------------------------------------
-
-    def _build(self):
-        """A = couplings x I + diag(6/h^2 - k^2 + q) + I x vertical couplings."""
-        grid, m = self.grid, self.grid.nz - 1
-        self.lateral, self._couplings, self._lateral_coo, vertical = plate_stencil(
-            grid, self.geom, self.boundary_mode)
-        self.active = np.zeros(grid.node_shape, dtype=bool)
-        self.active[:, :, 1:-1] = self.lateral[:, :, None]
-        # C order, z fastest: unknown m p + j - 1 is layer j of lateral node p
-        n = self.n_active = m * self._couplings.shape[0]
-        self.index = np.full(grid.node_shape, -1, dtype=np.int64)
-        self.index[self.active] = np.arange(n)
-        self.q_active = np.zeros(n) if self.q is None else self.q.field.values[self.active]
-        self.matrix = self._assemble("csr", 6.0 / grid.h ** 2 - self.k ** 2 + self.q_active,
-                                     vertical)
-
-    def _assemble(self, fmt: str, diagonal: np.ndarray, *parts) -> scipy.sparse.spmatrix:
-        """couplings x I + diag(diagonal) + (rows, cols, data) parts, summed in COO order."""
-        n = self.n_active
-        rows, cols, data = (np.concatenate(x) for x in zip(
-            self._lateral_coo, (np.arange(n), np.arange(n), diagonal), *parts))
-        return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).asformat(fmt)
+        # A = couplings x I + diag(6/h^2 - k^2 + q) + I x vertical couplings as
+        # values in the grid's cached CSR pattern: -1/h^2 (doubled where it says)
+        st = self._stencil = plate_stencil(grid, geom, boundary_mode)
+        self.lateral, self.active, self.index = st.mask, st.active, st.index
+        n = self.n_active = len(st.diagonal)
+        self.q_active = np.zeros(n) if q is None else q.field.values[self.active]
+        data = np.full(len(st.indices), -1.0 / grid.h ** 2)
+        data[st.doubled] *= 2.0
+        data[st.diagonal] = 6.0 / grid.h ** 2 - self.k ** 2 + self.q_active
+        self.matrix = scipy.sparse.csr_matrix((data, st.indices, st.indptr), shape=(n, n))
 
     # -- linear algebra -------------------------------------------------------
 
@@ -213,17 +230,30 @@ class HelmholtzOperator:
         """M = (I_lat x S) A (I_lat x S), assembled exactly: the plate couplings
         on every layer as in A, the vertical 3-point operator as the diagonal
         of its eigenvalues, and q as one dense block S diag(q_p) S at each
-        lateral node p where q is nonzero."""
-        m, n = self.grid.nz - 1, self.n_active
+        lateral node p where q is nonzero: A's cached rows as M's columns (both
+        are symmetric), the vertical pair dropped and the diagonal widened."""
+        m, n, st = self.grid.nz - 1, self.n_active, self._stencil
         diagonal = 4.0 / self.grid.h ** 2 - self.k ** 2 + np.tile(vertical_eigenvalues(self.grid),
                                                                   n // m)
-        qv = self.q_active.reshape(-1, m)
+        qv, b, s = self.q_active.reshape(-1, m), np.arange(m), dst1_matrix(self.grid.nz)
         nodes = np.flatnonzero(np.any(qv, axis=1))
-        s = dst1_matrix(self.grid.nz)
         blocks = (s * qv[nodes, None, :]) @ s
-        first = np.broadcast_to((m * nodes)[:, None, None], blocks.shape)
-        return self._assemble("csc", diagonal, ((first + np.arange(m)[:, None]).ravel(),
-                                                (first + np.arange(m)).ravel(), blocks.ravel()))
+        below, above, wide = np.tile(b > 0, n // m), np.tile(b < m - 1, n // m), np.zeros(n, bool)
+        wide.reshape(-1, m)[nodes] = True
+        width = np.where(wide, m, 1)
+        count = np.ones(len(st.indices), dtype=np.intp)  # copies of each entry of A
+        count[st.diagonal[below] - 1] = count[st.diagonal[above] + 1] = 0
+        count[st.diagonal] = width
+        ptr = np.append(0, np.cumsum(np.diff(st.indptr) - below - above - 1 + width))
+        first = ptr[:-1] + st.diagonal - st.indptr[:-1] - below
+        indices, data = np.repeat(st.indices, count), np.repeat(self.matrix.data, count)
+        data[first] = diagonal
+        # column m p + b of a block holds rows m p + a, entry (a, b) of the block
+        at = first[wide].reshape(-1, m)[:, :, None] + b
+        indices[at] = (m * nodes)[:, None, None] + b
+        blocks[:, b, b] += diagonal[wide].reshape(-1, m)
+        data[at] = blocks.transpose(0, 2, 1)
+        return scipy.sparse.csc_matrix((data, indices, ptr), shape=(n, n))
 
     def _lu(self) -> SineBasisLU:
         if self._lu_cache is None:
@@ -244,12 +274,12 @@ class HelmholtzOperator:
             v = r.reshape(grid.nx, grid.ny, m) @ sz
             v = np.fft.irfft2(np.fft.rfft2(v, axes=(0, 1)) / lam, s=v.shape[:2], axes=(0, 1))
             return (v @ sz).ravel()
-        inner = self.lateral[1:-1, 1:-1]
-        v = np.zeros(inner.shape + (m,))
-        v[inner] = r.reshape(-1, m)
+        cells, v = self._stencil.cells, np.zeros((grid.nx - 1, grid.ny - 1, m))
+        v.ravel()[cells] = r
         sx, sy = dst1_matrix(grid.nx), dst1_matrix(grid.ny)
-        v = _sine3(v, sx, sy, sz) / lam
-        return _sine3(v, sx, sy, sz)[inner].ravel()
+        v = _sine3(v, sx, sy, sz)
+        v /= lam
+        return _sine3(v, sx, sy, sz).ravel()[cells]
 
     def cg_iteration_cap(self) -> int:
         """CG_MAX_ITERATIONS where one right-hand side goes by CG preconditioned
@@ -379,7 +409,7 @@ def reference_eigenvalue(grid: Grid3, geom: SlabGeometry, boundary_mode: str) ->
     of the plate operator (the 5-point Laplacian on the stencil's mask) plus
     nu_1 = (4/h^2) sin^2(pi / (2 nz)), by one shift-invert eigensolve of the
     plate operator plus nu_1, positive definite in both modes."""
-    couplings = plate_stencil(grid, geom, boundary_mode)[1]
+    couplings = plate_stencil(grid, geom, boundary_mode).couplings
     p = couplings.shape[0]
     nu1 = vertical_eigenvalues(grid)[0]
     plate = couplings + (4.0 / grid.h ** 2 + nu1) * scipy.sparse.identity(p)

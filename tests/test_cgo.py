@@ -771,7 +771,7 @@ def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, 
     assert rep.projected_modes == full_rep.projected_modes
     assert rep.total_modes == full_rep.total_modes
     # the window holds every node the stencils read
-    for got, want in zip(interpolate_box(psi, eval_grid), interpolate_box(full, eval_grid)):
+    for got, want in zip(interpolate_box(psi, eval_grid, True), interpolate_box(full, eval_grid, True)):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
@@ -877,7 +877,7 @@ def test_exp_terms_separable_matches_direct(grid8, box, variant, param):
     # the offset reference that the probe tests use, against the full 3-D phase
     one = np.ones(grid8.node_shape, dtype=np.complex128)
     psi = GridField(box, 0.1 * _random_box_field(box, 5).values)
-    factors = ((one, one), tuple(1.0 + w for w in interpolate_box(psi, grid8)))
+    factors = ((one, one), tuple(1.0 + w for w in interpolate_box(psi, grid8, True)))
     for xi in ((1.5, 0.75, -0.75), (-2.0, 1.0, 2.0), (0.0, 1.0, 0.0)):
         pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
         for rho in (pp.rho1, pp.rho2):
@@ -931,7 +931,7 @@ def test_interpolation_exact_at_nodes(box):
     f = _random_box_field(box, 8)
     xs, ys, zs = (box.axis_nodes(a)[i] for a, i in enumerate((3, 5, 7)))
     at_node = Grid3(2, 2, 2, box.h, (xs, ys, zs))
-    direct, mirror = interpolate_box(f, at_node)
+    direct, mirror = interpolate_box(f, at_node, True)
     assert np.array_equal(direct, f.values[3:6, 5:8, 7:10])
     # the box is centred at the origin, so z node j mirrors to node n - j
     nz = box.node_shape[2]
@@ -939,7 +939,7 @@ def test_interpolation_exact_at_nodes(box):
     # midpoint: average of the two z-neighbours
     mid = Grid3(1, 1, 1, box.h, (xs, ys, zs + box.h / 2))
     expected = 0.5 * (f.values[3, 5, 7] + f.values[3, 5, 8])
-    assert interpolate_box(f, mid)[0][0, 0, 0] == pytest.approx(expected)
+    assert interpolate_box(f, mid, True)[0][0, 0, 0] == pytest.approx(expected)
 
 
 def test_interpolation_rejects_node_grid_that_does_not_cover():
@@ -949,13 +949,13 @@ def test_interpolation_rejects_node_grid_that_does_not_cover():
     field = GridField(Grid3(3, 3, 3, 1.0, (0.0, 0.0, -1.0)),
                       np.arange(64.0).reshape(4, 4, 4).astype(np.complex128))
     with pytest.raises(FieldError, match="does not cover"):
-        interpolate_box(field, Grid3(1, 1, 1, 0.25, (4.0, 4.0, 1.0)))
+        interpolate_box(field, Grid3(1, 1, 1, 0.25, (4.0, 4.0, 1.0)), True)
     # the nodes x3 = 1.5, 1.75 are covered, their mirror images are not
     with pytest.raises(FieldError, match="axis 2"):
-        interpolate_box(field, Grid3(1, 1, 1, 0.25, (1.0, 1.0, 1.5)))
+        interpolate_box(field, Grid3(1, 1, 1, 0.25, (1.0, 1.0, 1.5)), True)
     # up to and including the last node is covered: exact lookup
     inside = Grid3(2, 2, 2, 1.0, (1.0, 1.0, -1.0))
-    direct, mirror = interpolate_box(field, inside)
+    direct, mirror = interpolate_box(field, inside, True)
     assert np.array_equal(direct, field.values[1:, 1:, :3])
     assert np.array_equal(mirror, field.values[1:, 1:, 2::-1])
 
@@ -971,8 +971,33 @@ def test_probe_window_interpolates_like_the_box(geom, grid8, born_pair8):
     psi, _ = solve_remainder(pp.rho1, source)
     full, _ = _solve_remainder_reference(pp.rho1, extend_even(born_pair8[0], box))
     scale = np.max(np.abs(full.values))
-    for got, want in zip(interpolate_box(psi, grid8), interpolate_box(full, grid8)):
+    for got, want in zip(interpolate_box(psi, grid8, True), interpolate_box(full, grid8, True)):
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_tau_second_remainder_interpolated_at_the_direct_nodes_only(geom, grid8, bump8, box,
+                                                                    monkeypatch):
+    # a thm2 probe with the zero-extended bump as q2: psi2's probe is not
+    # reflected, so its third-axis factor has the nz + 1 direct rows only,
+    # and its factor and the product match the stacked interpolation
+    rows = []
+    pruned = cgo._pruned_dft
+
+    def recorded(arr, mats):
+        rows.append(len(mats[2]))
+        return pruned(arr, mats)
+
+    monkeypatch.setattr(cgo, "_pruned_dft", recorded)
+    pp = make_phase_pair(make_frame((1.0, -1.0, 0.5)), Variant.SINGLE_REFLECTION, 8.0, 0.0)
+    src2 = box_source(extend_trivial(bump8, box), grid8)
+    probe = build_probe(grid8, pp, box_source(extend_even(bump8, box), grid8), src2)
+    nz = grid8.node_shape[2]
+    assert rows[-2:] == [2 * nz, nz] and probe.w2_star is None  # the remainder solves come first
+    psi2, _ = solve_remainder(pp.rho2, src2)
+    want = 1.0 + pruned(psi2.values, cgo._interp_factors(psi2.grid, grid8))[..., :nz]
+    assert np.max(np.abs(probe.w2 - want)) <= 1e-15 * np.max(np.abs(want))
+    stacked = dataclasses.replace(probe, w2=want).product()
+    assert np.max(np.abs(probe.product() - stacked)) <= 1e-15 * np.max(np.abs(stacked))
 
 
 @pytest.mark.parametrize("coarsen", [1, 2])
@@ -985,7 +1010,7 @@ def test_interpolation_matches_reference(geom, grid8, coarsen):
     for eval_grid in (grid8, off_node):
         x, y, z = eval_grid.node_coords()
         shape = eval_grid.node_shape
-        for zz, got in zip((z, -z), interpolate_box(f, eval_grid)):
+        for zz, got in zip((z, -z), interpolate_box(f, eval_grid, True)):
             want = _interpolate_reference(f, x, y, np.broadcast_to(zz, shape))
             assert got.shape == shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

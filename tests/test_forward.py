@@ -706,33 +706,141 @@ def test_operators_match_the_3d_coo_assembly_bit_for_bit(geom, mode, target_h, l
         _same_bits(op.sine_basis_matrix(), mm)
 
 
-def test_plate_stencil_built_once_per_grid_and_read_only(geom):
-    # the twelve operators of the forward-order benchmark share two stencils
-    forward.plate_stencil.cache_clear()
-    grids = [geometry.build_domain(geom, h) for h in (0.25, 0.125)]
-    for grid in grids:
+def _kron_stencil(grid, geom, mode):
+    """The plate stencil as scipy's kron and kronsum built it before index
+    arithmetic: the lateral mask, the plate couplings (CSR) and A's CSR
+    pattern, couplings x I + I x T_z plus the diagonal on the nz - 1 layers,
+    from COO triples."""
+    periodic = mode == PERIODIC
+    nx, ny = (grid.nx, grid.ny) if periodic else grid.node_shape[:2]
+    mask = np.zeros(grid.node_shape[:2], dtype=bool)
+    mask[:nx, :ny] = True if periodic else geometry.interior_mask(grid, geom)[:, :, 1]
+
+    def chain(n):  # neighbours along one axis: a line of n nodes, or a ring
+        i = np.arange(n if periodic else n - 1)
+        a = scipy.sparse.coo_matrix((np.full(i.size, -1.0 / grid.h ** 2), (i, (i + 1) % n)),
+                                    shape=(n, n))
+        return a + a.T
+
+    keep = mask[:nx, :ny].ravel()
+    couplings = scipy.sparse.kronsum(chain(ny), chain(nx), format="csr")[keep][:, keep]
+    m, p = grid.nz - 1, couplings.shape[0]
+    parts = [scipy.sparse.kron(couplings, scipy.sparse.identity(m), format="coo"),
+             scipy.sparse.identity(m * p, format="coo"),
+             scipy.sparse.kron(scipy.sparse.identity(p), scipy.sparse.diags_array(
+                 [-1.0 / grid.h ** 2, -1.0 / grid.h ** 2], offsets=[-1, 1], shape=(m, m)),
+                 format="coo")]
+    rows, cols, data = (np.concatenate(x) for x in zip(*((a.row, a.col, a.data) for a in parts)))
+    pattern = scipy.sparse.coo_matrix((data, (rows, cols)), shape=(m * p, m * p)).tocsr()
+    return mask, couplings, pattern
+
+
+def _check_stencil(st, grid, geom, mode):
+    """st against `_kron_stencil`: bits, index dtypes and read-only flags."""
+    mask, couplings, pattern = _kron_stencil(grid, geom, mode)
+    assert st.mask.dtype == bool and np.array_equal(st.mask, mask)
+    _same_bits(st.couplings, couplings)
+    for name in ("indptr", "indices"):
+        got, want = getattr(st, name), getattr(pattern, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    assert np.array_equal(st.diagonal, np.flatnonzero(rows == pattern.indices))
+    active = np.zeros(grid.node_shape, dtype=bool)
+    active[:, :, 1:-1] = mask[:, :, None]
+    assert np.array_equal(st.active, active)
+    assert np.array_equal(st.index[active], np.arange(pattern.shape[0]))
+    assert np.all(st.index[~active] == -1) and st.index.dtype == np.int64
+    for a in (st.mask, st.couplings.data, st.couplings.indices, st.couplings.indptr, st.active,
+              st.index, st.indices, st.indptr, st.diagonal, st.doubled, st.cells):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
+@pytest.mark.parametrize("target_h", [0.25, 0.125])
+def test_plate_stencil_matches_the_kron_construction(geom, mode, target_h):
+    grid = geometry.build_domain(geom, target_h)
+    st = forward.plate_stencil(grid, geom, mode)
+    _check_stencil(st, grid, geom, mode)
+    assert len(st.doubled) == 0
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (5, 2), (2, 2)])
+def test_ring_of_two_nodes_doubles_its_couplings(geom, shape):
+    # on a periodic ring of two nodes both neighbours along that axis are the
+    # other node: kronsum sums the two couplings to -2/h^2, and so do the
+    # stencil and the operator
+    grid = geometry.Grid3(*shape, 4, 0.25, (0.0, 0.0, 0.0))
+    st = forward.plate_stencil(grid, geom, PERIODIC)
+    _check_stencil(st, grid, geom, PERIODIC)
+    h2 = grid.h ** 2
+    assert np.all(np.isin(st.couplings.data, (-1.0 / h2, -2.0 / h2)))
+    assert np.any(st.couplings.data == -2.0 / h2) and len(st.doubled) > 0
+    op = HelmholtzOperator(grid, geom, 1.5, None, PERIODIC)
+    _, a, mm = _coo_reference(op)
+    _same_bits(op.matrix, a)
+    _same_bits(op.sine_basis_matrix(), mm)
+    with pytest.raises(ValueError, match="two nodes or more"):
+        forward.plate_stencil(geometry.Grid3(1, 5, 4, 0.25, (0.0, 0.0, 0.0)), geom, PERIODIC)
+
+
+def _forward_order_operators(geom, mode):
+    """The twelve operators of the forward-order benchmark, in one mode."""
+    for grid in (geometry.build_domain(geom, h) for h in (0.25, 0.125)):
         bump = fields.radial_bump_potential(grid, geom, 1.0)
         for q in (None, bump):
             for k in (0.0, 2.5, 4.5):
-                HelmholtzOperator(grid, geom, k, q)
+                yield HelmholtzOperator(grid, geom, k, q, mode)
+
+
+def test_plate_stencil_built_once_per_grid_and_read_only(geom):
+    # the twelve operators of the forward-order benchmark share two stencils,
+    # whose arrays they hold without a copy
+    forward.plate_stencil.cache_clear()
+    ops = list(_forward_order_operators(geom, TRUNCATED))
     assert forward.plate_stencil.cache_info().misses == 2
-    mask, couplings, lateral, vertical = forward.plate_stencil(grids[0], geom, TRUNCATED)
-    for a in (mask, couplings.data, couplings.indices, couplings.indptr, *lateral, *vertical):
+    grid = ops[0].grid
+    st = forward.plate_stencil(grid, geom, TRUNCATED)
+    for op in ops[:6]:
+        assert np.shares_memory(op.matrix.indices, st.indices)
+        assert np.shares_memory(op.matrix.indptr, st.indptr)
+        assert op.active is st.active and op.index is st.index and op.lateral is st.mask
+    for a in (st.mask, st.couplings.data, st.active, st.index, st.indices, st.diagonal):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
-    assert np.array_equal(mask, geometry.interior_mask(grids[0], geom)[:, :, 1])
-    # the COO parts are couplings x I and I x T_z on the nz - 1 layers
-    m, p = grids[0].nz - 1, couplings.shape[0]
-    coo = [scipy.sparse.coo_matrix((d, (r, c)), shape=(m * p, m * p)).toarray()
-           for r, c, d in (lateral, vertical)]
-    t_z = -(np.eye(m, k=1) + np.eye(m, k=-1)) / grids[0].h ** 2
-    assert np.array_equal(coo[0], np.kron(couplings.toarray(), np.eye(m)))
-    assert np.array_equal(coo[1], np.kron(np.eye(p), t_z))
+    assert np.array_equal(st.mask, geometry.interior_mask(grid, geom)[:, :, 1])
     # every node of the periodic cell has four neighbours
-    periodic = forward.plate_stencil(grids[0], geom, PERIODIC)[1]
+    periodic = forward.plate_stencil(grid, geom, PERIODIC).couplings
     assert np.all(np.diff(periodic.indptr) == 4)
     with pytest.raises(ValueError, match="unknown boundary mode"):
-        forward.plate_stencil(grids[0], geom, "neumann")
+        forward.plate_stencil(grid, geom, "neumann")
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    """Replace owner.name by a wrapper that appends name to calls."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("mode", [TRUNCATED, PERIODIC])
+def test_operators_on_a_cached_pattern_do_no_coo_work(geom, monkeypatch, mode):
+    # once its grid's pattern is cached, an operator only writes its values,
+    # and its sine-basis matrix is written into the same pattern
+    list(_forward_order_operators(geom, mode))
+    calls = []
+    for cls in (scipy.sparse.coo_matrix, scipy.sparse.coo_array):
+        for name in ("tocsr", "tocsc", "asformat"):
+            _count_calls(monkeypatch, cls, name, calls)
+    _count_calls(monkeypatch, scipy.sparse, "coo_matrix", calls)
+    ops = list(_forward_order_operators(geom, mode))
+    assert len(ops) == 12
+    for op in ops:
+        op.sine_basis_matrix()
+    assert calls == []
 
 
 # -- CG preconditioned by the box solve ------------------------------------------
@@ -809,6 +917,22 @@ def test_box_solve_is_the_box_inverse(geom, mode):
     if mode == TRUNCATED:  # the whole spectrum
         assert np.allclose(np.sort(lam.ravel()), dense, rtol=1e-12, atol=0)
     assert lam[0, 0, 0] <= reference_eigenvalue(grid, geom, mode) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("target_h", [0.25, 0.125])
+def test_box_solve_matches_the_masked_reference_bit_for_bit(geom, target_h):
+    # the flat cell index scatters and gathers what the boolean mask of the
+    # interior box nodes did, with the same bits
+    grid = geometry.build_domain(geom, target_h)
+    op = HelmholtzOperator(grid, geom, 2.5, fields.radial_bump_potential(grid, geom, 1.0))
+    r = np.random.default_rng(3).standard_normal(op.n_active)
+    m, inner = grid.nz - 1, op.lateral[1:-1, 1:-1]
+    sx, sy, sz = (boundary.dst1_matrix(n) for n in (grid.nx, grid.ny, grid.nz))
+    v = np.zeros(inner.shape + (m,))
+    v[inner] = r.reshape(-1, m)
+    v = forward._sine3(v, sx, sy, sz) / (forward.box_eigenvalues(grid, TRUNCATED) - 2.5 ** 2)
+    want = forward._sine3(v, sx, sy, sz)[inner].ravel()
+    assert op._box_solve(r).tobytes() == want.tobytes()
 
 
 def test_disc_must_lie_inside_the_box(geom):
