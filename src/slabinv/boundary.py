@@ -97,20 +97,15 @@ class BoundaryField:
 
 
 def _plate_index(square: SquareGrid2, grid: Grid3) -> tuple:
-    """Index of the square's nodes in full-plate node arrays (..., sx, sy),
-    wrapped on a periodic grid; BoundaryError unless the square has the grid
-    spacing, its corner is a grid node (both to 1e-9 relative to the spacing)
-    and, on a node grid, it fits inside the plate."""
+    """Index of the square's nodes in full-plate node arrays (..., sx, sy);
+    BoundaryError unless the square has the grid spacing, its corner is a grid
+    node (both to 1e-9 relative to the spacing) and it fits inside the plate."""
     offsets = [(c - o) / grid.h for c, o in zip((square.x0, square.y0), grid.origin)]
     if abs(square.h - grid.h) > 1e-9 * grid.h or any(abs(t - round(t)) > 1e-9 for t in offsets):
         raise BoundaryError(
             f"square of spacing {square.h:.17g} with corner ({square.x0:.17g}, "
             f"{square.y0:.17g}) does not lie on the grid nodes of spacing {grid.h:.17g}")
     (i0, j0), (ni, nj) = map(round, offsets), square.node_shape
-    if grid.periodic:
-        # a full-plate square's duplicated seam node (ns + 1 nodes) is node 0
-        # again; assignment overwrites node 0 with an identical value
-        return (...,) + np.ix_((i0 + np.arange(ni)) % grid.nx, (j0 + np.arange(nj)) % grid.ny)
     sx, sy = grid.node_shape[:2]
     if i0 < 0 or j0 < 0 or i0 + ni > sx or j0 + nj > sy:
         raise BoundaryError("bounding square does not fit inside the plate")

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cgo import (
     BoxSource,
@@ -306,41 +305,33 @@ def _design_matrix(s: np.ndarray, halfwidth: float) -> np.ndarray:
 def low_freq_extend(s_samples: np.ndarray, f_samples: np.ndarray,
                     cfg: ContinuationConfig, s_eval: np.ndarray,
                     sup_g_bound: float) -> LowFreqResult:
-    """Extend line samples from Gamma0 = (1, 2) down to gamma = (0, 1).
+    """Extend one line's samples from Gamma0 = (1, 2) down to gamma = (0, 1).
 
     Fits f(s) = integral over |t| <= A of F(t) exp(i s t) dt, F sampled at
     N_QUAD Gauss-Legendre nodes, by least squares with Tikhonov weight
-    TIKHONOV on the Gamma0 samples, evaluates the model on
-    gamma, and returns the certified interpolation bound
-    sup_gamma <= c0 * sup_G^(1-lam) * sup_Gamma0^lam.  f_samples of shape
-    (n, L) are L lines sampled at the same s: they share one design, normal
-    matrix, condition number and solve, and values (len(s_eval), L) and the
-    bound (L,) hold one column or entry per line.
+    TIKHONOV on the n Gamma0 samples, evaluates the model on gamma, and
+    returns the certified interpolation bound
+    sup_gamma <= c0 * sup_G^(1-lam) * sup_Gamma0^lam.  With D the n x N_QUAD
+    design, the fit is solved in its dual form D^H (D D^H + TIKHONOV I)^-1 f
+    (the same estimator as the normal equations, but n x n), and the
+    condition gate reads that n x n matrix.
     """
     s_samples = np.asarray(s_samples, dtype=float)
     f_samples = np.asarray(f_samples, dtype=np.complex128)
     if not s_samples.size:
         raise ContinuationError("no samples to fit")
     design = _design_matrix(s_samples, cfg.model_halfwidth)
-    design_h = np.conj(design.T)
-    normal = design_h @ design + TIKHONOV * np.eye(design.shape[1])
-    condition = float(np.linalg.cond(normal))
+    dual = design @ np.conj(design.T) + TIKHONOV * np.eye(len(design))
+    condition = float(np.linalg.cond(dual))
     if condition > 1e12:
         raise ContinuationError(
             f"continuation fit condition {condition:.3e} > 1e12 at tikhonov weight "
             f"{TIKHONOV:.1e}"
         )
-    # one matrix-vector product per line: at conditions near 1e12 a
-    # matrix-matrix product, rounding the right-hand sides differently,
-    # moves the continued values by about 1e-8 relative
-    lines = np.ascontiguousarray(f_samples.reshape(len(f_samples), -1).T)
-    coef = scipy.linalg.solve(normal, np.stack([design_h @ f for f in lines], axis=1),
-                              assume_a="her")
-    eval_design = _design_matrix(np.asarray(s_eval, dtype=float), cfg.model_halfwidth)
-    values = (eval_design @ coef).reshape(len(eval_design), *f_samples.shape[1:])
-    sup_gamma0 = np.max(np.abs(f_samples), axis=0)
-    bound = cfg.c0 * sup_g_bound ** (1.0 - cfg.lam) * sup_gamma0 ** cfg.lam
-    return LowFreqResult(values, float(bound) if f_samples.ndim == 1 else bound, condition)
+    coef = np.linalg.solve(dual, f_samples) @ np.conj(design)
+    values = _design_matrix(np.asarray(s_eval, dtype=float), cfg.model_halfwidth) @ coef
+    bound = cfg.c0 * sup_g_bound ** (1.0 - cfg.lam) * float(np.max(np.abs(f_samples))) ** cfg.lam
+    return LowFreqResult(values, bound, condition)
 
 
 def _synthetic_coefficients(halfwidth: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -529,9 +520,8 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
     over Gamma0 never rests on two samples; at spacing 1/m they are
     s = 1, 1 + spacing, ..., 2.  Samples that are annulus frequencies reuse
     `known`; the others are estimated in one batch.  Each line is fitted on
-    its successful samples only, and the lines with the same successful
-    samples in one `low_freq_extend` call; failed samples, and the lines of
-    a fit that fails, are skipped and reported in `warnings`, one per line.
+    its own successful samples by one `low_freq_extend` call; failed samples,
+    and each line whose fit fails, are skipped and reported in `warnings`.
     """
     s_grid = np.linspace(1.0, 2.0, max(3, math.floor(1.0 / spacing + 1e-9) + 1))
     lines: dict = {}
@@ -547,23 +537,17 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
                     for xi, msg in res.failed.items())
     found = {**known, **res.estimates}
     sup_g = ws.qdiff_l1 * math.exp(2.0 * cfg.model_halfwidth)
-    groups: dict = {}  # successful sample indices -> the lines sampled there
-    for d, keys in samples.items():
-        groups.setdefault(tuple(i for i, xi in enumerate(keys) if xi in found), []).append(d)
     out = {}
-    for ok, dirs in groups.items():
-        s_eval = np.unique([math.hypot(p[0], p[1]) for d in dirs for p in lines[d]])
-        f = np.array([[found[samples[d][i]] for d in dirs] for i in ok], dtype=np.complex128)
+    for d, keys in samples.items():
+        ok = [i for i, xi in enumerate(keys) if xi in found]
         try:
-            ext = low_freq_extend(s_grid[list(ok)], f.reshape(len(ok), len(dirs)), cfg,
-                                  s_eval, sup_g)
+            ext = low_freq_extend(s_grid[ok], [found[keys[i]] for i in ok], cfg,
+                                  [math.hypot(p[0], p[1]) for p in lines[d]], sup_g)
         except ContinuationError as exc:
-            warnings.extend(f"continuation line {d} skipped: {exc}" for d in dirs)
+            warnings.append(f"continuation line {d} skipped: {exc}")
             continue
-        for j, d in enumerate(dirs):
-            for p in lines[d]:
-                row = np.searchsorted(s_eval, math.hypot(p[0], p[1]))
-                out[(float(p[0]), float(p[1]), float(p[2]))] = complex(ext.values[row, j])
+        out.update(((float(p[0]), float(p[1]), float(p[2])), complex(v))
+                   for p, v in zip(lines[d], ext.values))
     return out
 
 

@@ -312,6 +312,29 @@ def test_sweep_cli(workdir, capsys):
     assert out.read_text().startswith(SCHEMA_LINE)
 
 
+def test_sweep_at_the_smallest_delta(workdir, capsys):
+    # delta * star underflows to 0, log(delta) + log(star) does not; the fit's
+    # abscissa is the chain's log Theta = log1p(|log delta + log star|)
+    delta = 5e-324
+    out = workdir["tmp"] / "sweep_tiny_delta.csv"
+    rc = cli.main([
+        "sweep", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+        "--q2", "zero", "--variant", "thm2", "--noise", "1e-3,1e-5",
+        "--trials", "1", "--seed", "7", "--basis-n", "3", "--delta", repr(delta),
+        "--out", str(out),
+    ])
+    assert rc == 0
+    info = json.loads(capsys.readouterr().out.strip())
+    assert info["n_records"] == 2
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    stars = [float(row[2]) for row in rows]
+    assert all(0.0 < star and delta * star == 0.0 for star in stars)
+    xs = [math.log(math.log1p(abs(math.log(delta) + math.log(star)))) for star in stars]
+    slope, _ = np.polyfit(xs, [math.log(float(row[4])) for row in rows], 1)
+    s = fields.SOBOLEV_S
+    assert info["theta_fit"] == float(-slope * (s + 1.0) / (s - 1.5))
+
+
 def test_carleman_cli(workdir, capsys):
     out = workdir["tmp"] / "carleman.csv"
     rc = cli.main([
@@ -626,8 +649,8 @@ def test_recover_fits_lines_on_successful_samples(workdir, capsys, monkeypatch):
 def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
     # the middle sample of the line through (0.5, 0.5, 0) fails, and with it
     # its mate on the line through (-0.5, -0.5, 0), so these two lines are
-    # fitted together (s = 1, 2) and every other line in one fit on
-    # s = 1, 1.5, 2; a failed fit skips the lines of its group, one warning each
+    # fitted on s = 1, 2 and every other line on s = 1, 1.5, 2, one fit per
+    # line; each failed fit skips its own line, with one warning
     d = round(1.0 / np.sqrt(2.0), 9)
     failing = (float(1.5 * d), float(1.5 * d), 0.0)
     orig_probe, orig_extend = recovery.build_probe, recovery.low_freq_extend
@@ -645,7 +668,8 @@ def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
     def direction(x, y, z):
         return round(x / np.hypot(x, y), 9), round(y / np.hypot(x, y), 9), z
 
-    for n_samples, lines in ((2, 2), (3, len({direction(*xi) for xi in low}) - 2)):
+    n_lines = len({direction(*xi) for xi in low})
+    for n_samples, lines in ((2, 2), (3, n_lines - 2)):
         fits = []
 
         def extend(s, *args, n_samples=n_samples):
@@ -656,10 +680,10 @@ def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
 
         monkeypatch.setattr(recovery, "low_freq_extend", extend)
         skipped_summary, kept = _recover_cli(workdir, capsys, f"recover_{n_samples}", _CONTINUED)
-        assert sorted(fits) == [2, 3]
+        assert sorted(fits) == [2] * 2 + [3] * (n_lines - 2)
         skipped = [w for w in skipped_summary["warnings"] if w.startswith("continuation line ")]
-        assert len(skipped) == lines
-        # the skipped frequencies are the low frequencies of the group's lines
+        assert len(skipped) == fits.count(n_samples) == lines
+        # the skipped frequencies are the low frequencies of the failed fits' lines
         # (and the axis points whose neighbours all went with them)
         missing = {xi for xi in xis - {row[:3] for row in kept} if np.hypot(xi[0], xi[1]) > 0}
         assert missing < low
@@ -845,6 +869,12 @@ _CONFIG = "R = 1.0\nR_prime = 1.5\nR_lat = 2.0\neps_cutoff = 0.1\ntarget_h = 0.2
 _MALFORMED = {
     "config-text": ((_CONFIG + "L = abc\n").encode(), geometry.parse_geometry_config,
                     geometry.GeometryError, ["dnnorm", "--config", "PATH", "--a", "M", "--b", "M"]),
+    "config-no-equals": ((_CONFIG + "L 1.0\n").encode(), geometry.parse_geometry_config,
+                         geometry.GeometryError,
+                         ["dnnorm", "--config", "PATH", "--a", "M", "--b", "M"]),
+    "config-unknown-key": ((_CONFIG + "L = 1.0\nwidth = 2.0\n").encode(),
+                           geometry.parse_geometry_config, geometry.GeometryError,
+                           ["rl", "--config", "PATH", "--q", "Q", "--out", "OUT"]),
     "config-bytes": ((_CONFIG + "L = 1.0\xff\n").encode("latin-1"),
                      geometry.parse_geometry_config, geometry.GeometryError,
                      ["rl", "--config", "PATH", "--q", "Q", "--out", "OUT"]),
@@ -859,6 +889,12 @@ _MALFORMED = {
         path, geometry.dirichlet_patch(geometry.SlabGeometry(1.0, 1.0, 1.5, 2.0, 0.1))),
         boundary.BoundaryError,
         ["forward", "--config", "CFG", "--k", "0", "--dirichlet", "PATH", "--out", "OUT"]),
+    "boundary-position": (b"8 8 0 0.25 -1 nan 1\n", lambda path: boundary.read_boundary_field(
+        path, geometry.dirichlet_patch(geometry.SlabGeometry(1.0, 1.0, 1.5, 2.0, 0.1))),
+        boundary.BoundaryError,
+        ["forward", "--config", "CFG", "--k", "0", "--dirichlet", "PATH", "--out", "OUT"]),
+    "matrix-zero-rows": (b"0 3\n", dnmap.read_matrix, dnmap.MatrixFileError,
+                         ["dnnorm", "--config", "CFG", "--a", "PATH", "--b", "M"]),
     "matrix-header": (b"2 x\n", dnmap.read_matrix, dnmap.MatrixFileError,
                       ["dnnorm", "--config", "CFG", "--a", "PATH", "--b", "M"]),
     "matrix-inf": (b"1 1\n" + np.array([np.inf], "<c16").tobytes(), dnmap.read_matrix,
@@ -889,6 +925,34 @@ def test_malformed_input_file_is_one_line(workdir, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith("bad input: ") and err.count("\n") == 1 and path in err
     assert not (workdir["tmp"] / f"malformed_{kind}.out").exists()
+
+
+@pytest.mark.parametrize("target_h, message", [
+    ("0", "target_h must be positive"),
+    ("0.5", "target_h must not exceed L/3 = 0.3333333333333333")])
+def test_config_target_h_out_of_range_is_one_line(workdir, capsys, target_h, message):
+    # the config parses; the grid it asks for cannot be built
+    cfg = workdir["tmp"] / f"target_h_{target_h}.cfg"
+    cfg.write_text("L = 1.0\n" + _CONFIG.replace("target_h = 0.25", f"target_h = {target_h}"))
+    out = workdir["tmp"] / f"target_h_{target_h}.csv"
+    assert cli.main(["rl", "--config", str(cfg), "--q", str(workdir["qpath"]),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"bad input: {message}\n"
+    assert not out.exists()
+
+
+def test_potential_on_another_grid_is_one_line(workdir, tmp_path):
+    # a potential sampled at h = 1/8 against the config's h = 1/4 grid
+    geom = workdir["geom"]
+    q = fields.radial_bump_potential(geometry.build_domain(geom, 0.125), geom, 1e-3)
+    path = tmp_path / "q_h8.field"
+    fields.write_field(str(path), q.field)
+    out = tmp_path / "other_grid.csv"
+    with pytest.raises(SystemExit) as info:  # printed as one line, exit status 1
+        cli.main(["recover", "--config", str(workdir["cfg"]), "--q1", str(path),
+                  *_RECOVER, "--out", str(out)])
+    assert info.value.code == f"potential file {path} was sampled on a different grid"
+    assert not out.exists()
 
 
 def test_malformed_input_file_subprocess_has_no_traceback(workdir):
@@ -922,8 +986,9 @@ def test_plate_data_off_the_grid_is_one_line(workdir, capsys, kind):
     assert not out.exists()
 
 
-def test_failed_solve_subprocess_is_one_line(workdir):
-    # unmasked data on the bounding square reach past the truncated disc
+def test_failed_solve_subprocess_is_one_line(workdir, capsys):
+    # unmasked data on the bounding square reach past the truncated disc; the
+    # same one line in a subprocess (no traceback) and from `main` in process
     geom, grid = workdir["geom"], workdir["grid"]
     patch = geometry.dirichlet_patch(geom)
     f = mode_field(patch, boundary.bounding_square(grid, patch), 1, 1, apply_mask=False)
@@ -937,6 +1002,9 @@ def test_failed_solve_subprocess_is_one_line(workdir):
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     assert proc.stderr == ("solve failed: Dirichlet data must vanish outside the "
                            "truncated plate\n")
+    assert cli.main(["forward", "--config", str(workdir["cfg"]), "--k", "0",
+                     "--dirichlet", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == proc.stderr
     assert not out.exists()
 
 

@@ -237,9 +237,9 @@ def test_continuation_samples_three_points_on_gamma0(born_pair8, monkeypatch):
     assert len(annulus) == run.counts["n_annulus"] == 100
     assert len(continued) == 40
     assert {round(math.hypot(x, y), 12) for x, y, _ in continued} == {1.0, 2.0}
-    # every line succeeded on the same three samples: one fit for all 20
-    assert len(fits) == 1
-    assert np.array_equal(fits[0][0], [1.0, 1.5, 2.0]) and fits[0][1] == (3, 20)
+    # every line succeeded on its three samples: one fit per line, 20 in all
+    assert len(fits) == 20
+    assert all(np.array_equal(s, [1.0, 1.5, 2.0]) and shape == (3,) for s, shape in fits)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -452,11 +452,40 @@ def test_low_freq_without_samples_is_an_error():
 
 
 def test_low_freq_condition_guard(monkeypatch):
+    # duplicate samples make D D^H singular, and a negligible weight leaves it so
     monkeypatch.setattr(recovery, "TIKHONOV", 1e-300)
     cfg = ContinuationConfig(lam=0.5, model_halfwidth=2.0)
-    s = np.linspace(1.0, 2.0, 4)
+    s = np.array([1.0, 1.0, 2.0, 2.0])
     with pytest.raises(ContinuationError, match="tikhonov"):
         low_freq_extend(s, np.ones(4, dtype=complex), cfg, np.array([0.5]), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_low_freq_dual_fit_matches_normal_equations(n):
+    # the n x n dual solve against the N_QUAD x N_QUAD normal equations
+    # (D^H D + TIKHONOV I) c = D^H f, evaluated at the same points
+    rng = np.random.Generator(np.random.Philox(key=np.array([11, n], np.uint64)))
+    f = synthetic_line_function(2.0, rng)
+    cfg = ContinuationConfig(lam=0.5, model_halfwidth=2.0)
+    s_samp = np.linspace(1.0, 2.0, n)
+    s_eval = np.linspace(0.05, 0.95, 19)
+    res = low_freq_extend(s_samp, f(s_samp), cfg, s_eval, sup_g_bound=10.0)
+    t, wq = np.polynomial.legendre.leggauss(recovery.N_QUAD)
+    design = np.exp(1j * np.outer(s_samp, 2.0 * t)) * (2.0 * wq)
+    normal = np.conj(design.T) @ design + recovery.TIKHONOV * np.eye(recovery.N_QUAD)
+    coef = np.linalg.solve(normal, np.conj(design.T) @ f(s_samp))
+    primal = (np.exp(1j * np.outer(s_eval, 2.0 * t)) * (2.0 * wq)) @ coef
+    assert res.values.shape == (19,)
+    assert np.max(np.abs(res.values - primal)) <= 1e-6 * np.max(np.abs(primal))
+
+
+def test_low_freq_condition_reads_the_fit():
+    # three samples leave 61 of the 64 model directions unsampled; the gate
+    # reads the 3 x 3 dual matrix, not the rank deficiency of D^H D
+    cfg = ContinuationConfig(lam=0.5, model_halfwidth=2.0)
+    res = low_freq_extend(np.array([1.0, 1.5, 2.0]), np.ones(3, dtype=complex), cfg,
+                          np.array([0.5]), 1.0)
+    assert res.condition < 1e3
 
 
 def test_two_constants_certificate():
