@@ -340,26 +340,36 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     removed, the mask and the inverse conj(symbol) / |symbol|^2 both from
     |symbol|^2 in real arithmetic.  The frequency lattice is shifted by half
     a cell in the vertical axis (antiperiodic representation): the symbol
-    vanishes identically at zeta = -xi and stays order-one along that whole
-    lattice line for every parameter value, so an unshifted lattice pins the
-    remainder norm at a parameter-independent floor; the shifted lattice
-    keeps every mode off the critical plane and restores the expected decay.
-    At most MAX_SWEEPS sweeps run.  Raises ContractionError when increments
-    grow over five consecutive sweeps or the final relative residual exceeds
-    RESIDUAL_TOL, and ProjectionError when more than 0.1 percent of the
-    modes are removed.
+    vanishes identically at zeta = -xi and stays order-one along the whole
+    line zeta = t xi for every parameter value, so an unshifted lattice,
+    which holds zeta = 0 on that line, pins the remainder norm at a
+    parameter-independent floor.  The shifted lattice restores the expected
+    decay for most xi, but not for all: a cube still has modes on the line
+    where, for some integer j, (j + 1/2) xi_1 / xi_3 and (j + 1/2) xi_2 /
+    xi_3 are both integers, such as xi = (1.5, 0, 0.75) and (1.5, 1.5, 0.75),
+    and those xi keep a floor.  At most MAX_SWEEPS sweeps run.  Raises
+    ContractionError when increments grow over five consecutive sweeps or
+    the final relative residual exceeds RESIDUAL_TOL, and ProjectionError
+    when more than 0.1 percent of the modes are removed.
 
     The sweeps read psi only on the source's support block: psi there is
     the pruned inverse DFT of psi_hat = mult * spec, the next spectrum the
-    pruned DFT from the block, and the increment and L2 norm come from
-    psi_hat by Parseval.  The stop rule is tested before each sweep's pair of
-    transforms, so the last psi_hat pays for none; one pruned inverse DFT
-    takes it onto the window.  Without projected modes symbol * psi_hat is
-    the previous spectrum, so the residual is |r (phi_prev - phi)| /
-    |r (1 + phi)| on the block by Parseval, phi the last psi on the block
-    (read from the window) and phi_prev the one before (0 after one sweep);
-    with projected modes it is formed over the box's kept modes from one
-    more spectrum.
+    pruned DFT F_b from the block, and the increment inc and L2 norm come
+    from psi_hat by Parseval.  F_b^H F_b = N I over the N box modes, so the
+    sweep map psi_hat -> mult * F_b(r (1 + F_b^-1 psi_hat)) is Lipschitz in
+    that norm with constant at most L = max|r| sqrt(min(max |1/s|^2, n_src
+    sum |1/s|^2 / N)), s the symbol over the kept modes and n_src the
+    nonzero source nodes.  The iteration stops once inc <= tol = 1e-14
+    max(1, l2) or L inc <= (1 - L) tol: by Banach's a-posteriori bound
+    |psi_hat - psi_hat*| <= L inc / (1 - L), psi_hat is then within tol of
+    the fixed point, with no sweep run only to confirm it.  The stop rule
+    is tested before each sweep's pair of transforms, so the last psi_hat
+    pays for none; one pruned inverse DFT takes it onto the window.
+    Without projected modes symbol * psi_hat is the previous spectrum, so
+    the residual is |r (phi_prev - phi)| / |r (1 + phi)| on the block by
+    Parseval, phi the last psi on the block (read from the window) and
+    phi_prev the one before (0 after one sweep); with projected modes it is
+    formed over the box's kept modes from one more spectrum.
     """
     grid = source.grid
     n_total = grid.n_nodes
@@ -393,6 +403,10 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     np.divide(neg_im, mag_sq, out=mult.imag, where=where)
     to_block, from_block = source.to_block, source.from_block
     rhs_blk, spec = source.rhs, source.spectrum
+    # L, the bound on the sweep map's Lipschitz constant (see above)
+    inv_sq_max = 1.0 / float(np.min(mag_sq, where=where, initial=np.inf))
+    inv_sq_sum = np.count_nonzero(rhs_blk) * _norm_sq(mult) / n_total
+    lip = float(np.max(np.abs(rhs_blk))) * math.sqrt(min(inv_sq_max, inv_sq_sum))
 
     parseval = grid.h ** 3 / n_total
     prev_inc = math.inf
@@ -414,7 +428,8 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
         else:
             grew = 0
         prev_inc = inc
-        if inc <= 1e-14 * max(1.0, l2) or it == MAX_SWEEPS:
+        tol = 1e-14 * max(1.0, l2)
+        if inc <= tol or lip * inc <= (1.0 - lip) * tol or it == MAX_SWEEPS:
             break
         phi = to_block(psi_hat)
         spec = from_block(rhs_blk + rhs_blk * phi)

@@ -202,7 +202,9 @@ def _cmd_recover(args) -> int:
     b = run.bounds
     summary = {"sup_bound": b.sup_bound, "hm1_bound": b.hm1_bound,
                "linf_bound": b.linf_bound, "params": b.params,
-               "star_norm": run.star_norm, **run.counts, "warnings": run.warnings}
+               "star_norm": run.star_norm, **run.counts, "warnings": run.warnings,
+               "continuation_sup_bound": run.continuation_sup_bound,
+               "continuation_condition": run.continuation_condition}
     print(json.dumps(summary, sort_keys=True, default=str))
     return 0
 

@@ -143,25 +143,31 @@ def plate_stencil(grid: Grid3, geom: SlabGeometry, boundary_mode: str) -> PlateS
                                          ptr.astype(np.int32)), shape=(p, p))
     # row m p + j of A: the couplings of p below p, the diagonal between its
     # vertical pair (an end layer lacks one), the couplings above p, each
-    # at unknown m q + j of neighbour q; (m, p) arrays, layer j in row j
-    own, j = np.repeat(np.arange(p), count), np.arange(m)[:, None]
+    # at unknown m q + j of neighbour q; (p, m) arrays, layer j in column j,
+    # so that the scatters into `indices` run through it in row order
+    own, j = np.repeat(np.arange(p), count), np.arange(m, dtype=np.int32)
     above = col > own
-    start = np.append(0, np.cumsum(m * count + 3 * m - 2))[:-1] + j * (count + 3) - (j > 0)
-    diagonal = start + count - np.bincount(own[above], minlength=p) + (j > 0)
-    unknown = m * np.arange(p) + j
+    start = np.multiply.outer(count + 3, j) + (
+        np.append(0, np.cumsum(m * count + 3 * m - 2))[:-1, None] - (j > 0))
+    diagonal = start + ((count - np.bincount(own[above], minlength=p))[:, None] + (j > 0))
+    unknown = np.add.outer(np.arange(0, m * p, m, dtype=np.int32), j)
     indices = np.empty(m * len(col) + (3 * m - 2) * p, dtype=np.int32)
     for d, rows in ((0, slice(None)), (-1, slice(1, None)), (1, slice(None, -1))):
-        indices[diagonal[rows] + d] = unknown[rows] + d
-    lateral = np.take(start, own, axis=1) + np.arange(len(col)) - ptr[own] + above * (
-        1 + (j > 0) + (j < m - 1))
-    indices[lateral] = m * col + j
-    doubled = lateral[:, double[live]].ravel()
+        indices[diagonal[:, rows] + d] = unknown[:, rows] + d
+    # a coupling above p follows the diagonal and its vertical pair, which
+    # lacks one member on each end layer
+    lateral = np.take(start, own, axis=0)
+    lateral += (np.arange(len(col)) - ptr[own] + 3 * above)[:, None]
+    lateral[:, 0] -= above
+    lateral[:, -1] -= above
+    indices[lateral] = np.add.outer(m * col, j)
+    doubled = lateral[double[live]].T.ravel()
     active = np.zeros(grid.node_shape, dtype=bool)
     active[:, :, 1:-1] = mask[:, :, None]
     cells = np.flatnonzero(active[1:-1, 1:-1, 1:-1])
     index = np.full(grid.node_shape, -1, dtype=np.int64)
     index[active] = np.arange(m * p)
-    indptr, diagonal = np.append(start.T, len(indices)).astype(np.int32), diagonal.T.ravel()
+    indptr, diagonal = np.append(start, len(indices)).astype(np.int32), diagonal.ravel()
     for a in (mask, couplings.data, couplings.indices, couplings.indptr, active, index,
               indices, indptr, diagonal, doubled, cells):
         a.flags.writeable = False

@@ -500,7 +500,9 @@ class RecoveryRun:
     direct-quadrature target; star_norm is None unless the schedule measured
     it; counts holds n_annulus, n_failed (annulus frequencies skipped) and
     n_axis_filled; warnings lists schedule clamps and skipped continuation
-    samples and lines.
+    samples and lines.  continuation_sup_bound and continuation_condition
+    are the largest two-constants certificate and fit condition over the
+    fitted continuation lines, None when no line was fitted.
     """
 
     estimates: dict
@@ -509,10 +511,12 @@ class RecoveryRun:
     star_norm: float | None
     counts: dict
     warnings: list
+    continuation_sup_bound: float | None
+    continuation_condition: float | None
 
 
 def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
-                  known: dict, cfg: ContinuationConfig, warnings: list) -> dict:
+                  known: dict, cfg: ContinuationConfig, warnings: list) -> tuple[dict, list]:
     """Estimates at the low lateral frequencies by continuation along frame lines.
 
     Each line (lateral direction, xi_3) is sampled at max(3, floor(1 /
@@ -522,6 +526,7 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
     `known`; the others are estimated in one batch.  Each line is fitted on
     its own successful samples by one `low_freq_extend` call; failed samples,
     and each line whose fit fails, are skipped and reported in `warnings`.
+    Returns the estimates and the `LowFreqResult` of each fitted line.
     """
     s_grid = np.linspace(1.0, 2.0, max(3, math.floor(1.0 / spacing + 1e-9) + 1))
     lines: dict = {}
@@ -537,7 +542,7 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
                     for xi, msg in res.failed.items())
     found = {**known, **res.estimates}
     sup_g = ws.qdiff_l1 * math.exp(2.0 * cfg.model_halfwidth)
-    out = {}
+    out, fits = {}, []
     for d, keys in samples.items():
         ok = [i for i, xi in enumerate(keys) if xi in found]
         try:
@@ -546,9 +551,10 @@ def _continue_low(ws: ProbeWorkspace, param: float, low, spacing: float,
         except ContinuationError as exc:
             warnings.append(f"continuation line {d} skipped: {exc}")
             continue
+        fits.append(ext)
         out.update(((float(p[0]), float(p[1]), float(p[2])), complex(v))
                    for p, v in zip(lines[d], ext.values))
-    return out
+    return out, fits
 
 
 def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
@@ -594,8 +600,9 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
     if not ann.estimates:
         raise RecoveryError(f"none of the {len(freqs.annulus)} annulus frequencies was estimated")
     cfg = ContinuationConfig(lam=lam, model_halfwidth=2.0 * geom.R, c0=c0)
-    fhat = {**ann.estimates, **_continue_low(ws, param, freqs.low, spacing,
-                                             ann.estimates, cfg, warnings)}
+    continued, fits = _continue_low(ws, param, freqs.low, spacing, ann.estimates, cfg,
+                                    warnings)
+    fhat = {**ann.estimates, **continued}
     n_axis = 0
     for xi in freqs.axis:
         nbrs = [(xi[0] + spacing, xi[1], xi[2]), (xi[0] - spacing, xi[1], xi[2]),
@@ -613,4 +620,6 @@ def recover(q1: Potential, q2: Potential, k: float, variant: Variant, *,
          "theta": stability_exponent(lam, variant), "variant": name})
     counts = {"n_annulus": len(ann.estimates), "n_failed": len(ann.failed),
               "n_axis_filled": n_axis}
-    return RecoveryRun(estimates, oracle, bounds, star, counts, warnings)
+    return RecoveryRun(estimates, oracle, bounds, star, counts, warnings,
+                       max((f.sup_gamma_bound for f in fits), default=None),
+                       max((f.condition for f in fits), default=None))

@@ -7,7 +7,7 @@ from conftest import exp_terms, exponential_probe, offset_probe
 from measures import calibrate_min_param
 from hypothesis import example, given, settings, strategies as st
 
-from slabinv import cgo, fields
+from slabinv import cgo, fields, recovery
 from slabinv.cgo import (
     ContractionError,
     FrameError,
@@ -350,35 +350,64 @@ def _lattice_modulation(grid):
     return np.exp(-2j * np.pi * phases)
 
 
+def _box_transforms(grid):
+    """The box DFT on the shifted lattice and its inverse, as modulated FFTs."""
+    mod = _lattice_modulation(grid)
+    return (lambda arr: scipy.fft.fftn(arr * mod),
+            lambda spec: scipy.fft.ifftn(spec) * np.conj(mod))
+
+
+def _box_symbol(rho, grid):
+    """|zeta|^2 - 2 i rho . zeta on the box's shifted lattice."""
+    z0, z1, z2, zeta_sq = cgo._box_lattice(grid)
+    return zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+
+
+def _four_mode_projection(rho, grid):
+    """A PROJECTION_REL between the fourth and fifth smallest |symbol|, so
+    that four modes are projected."""
+    mags = np.sort(np.abs(_box_symbol(rho, grid)).ravel())
+    return 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
+
+
+def _sweep_lipschitz(symbol, keep, rhs):
+    """max|r| sqrt(min(max |1/s|^2, n_src sum |1/s|^2 / N)) over the kept
+    modes of the box symbol s, for the source r = -Q with n_src nonzero
+    nodes.  The sweep's linear part is D F R F^-1, with D = diag(1/s) on the
+    kept modes, R = diag(r) and F the DFT of the N box nodes (F^H F = N I),
+    so its norm is at most max|r| min(|D|_2, |D F_S|_F / sqrt(N)), F_S the
+    columns of F at the nonzero nodes, whose entries have modulus one."""
+    inv_sq = 1.0 / np.abs(symbol[keep]) ** 2
+    return float(np.max(np.abs(rhs))
+                 * np.sqrt(min(inv_sq.max(), np.count_nonzero(rhs) * inv_sq.sum() / rhs.size)))
+
+
 def _solve_remainder_reference(rho, qfield, max_iter=400, residual_tol=1e-8,
                                projection_rel=1e-8):
     """The remainder fixed point iterated on psi itself over the whole box,
     by modulated FFTs, with fresh transforms for the residual and the H1
-    norm; the source is -Q, and a zero source gives psi = 0 at once."""
+    norm; the source is -Q, and a zero source gives psi = 0 at once.  It
+    stops once the increment is at most tol = 1e-14 max(1, |psi|) or
+    Banach's a-posteriori bound L inc / (1 - L), L from `_sweep_lipschitz`,
+    is."""
     grid = qfield.grid
     rho = np.asarray(rho, dtype=np.complex128)
     rho_sq = float(np.sum(np.abs(rho) ** 2))
     vol_factor = grid.h ** 3
     n_total = qfield.values.size
-    z0, z1, z2, zeta_sq = cgo._box_lattice(grid)
-    mod = _lattice_modulation(grid)
-
-    def tf(arr):
-        return scipy.fft.fftn(arr * mod)
-
-    def itf(spec):
-        return scipy.fft.ifftn(spec) * np.conj(mod)
-
+    zeta_sq = cgo._box_lattice(grid)[3]
+    tf, itf = _box_transforms(grid)
     rhs_base = -qfield.values
     if np.max(np.abs(rhs_base)) == 0.0:  # psi = 0 solves it exactly
         psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
         return psi, cgo.RemainderReport(0.0, 0.0, 0, 0, n_total, 0.0)
-    symbol = zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+    symbol = _box_symbol(rho, grid)
     keep = np.abs(symbol) >= projection_rel * rho_sq
     projected = int(n_total - np.count_nonzero(keep))
     if projected > 1e-3 * n_total:
         raise ProjectionError("too many projected modes")
     mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
+    lip = _sweep_lipschitz(symbol, keep, rhs_base)
 
     psi = np.zeros(grid.node_shape, dtype=np.complex128)
     inc_hist = []
@@ -394,8 +423,8 @@ def _solve_remainder_reference(rho, qfield, max_iter=400, residual_tol=1e-8,
         else:
             grew = 0
         inc_hist.append(inc)
-        scale = float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor))
-        if inc <= 1e-14 * max(1.0, scale):
+        tol = 1e-14 * max(1.0, float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor)))
+        if inc <= tol or lip * inc <= (1.0 - lip) * tol:
             break
 
     psi_hat = tf(psi)
@@ -454,9 +483,7 @@ def test_remainder_projected_modes_match_reference(grid8, box2_potentials, k, mo
     q = box2_potentials["bump"]
     rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), Variant.SINGLE_REFLECTION, 16.0,
                           k).rho1
-    z0, z1, z2, zeta_sq = cgo._box_lattice(q.grid)
-    mags = np.sort(np.abs(zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)).ravel())
-    rel = 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
+    rel = _four_mode_projection(rho, q.grid)
     monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
     source = box_source(q, grid8)
     psi, rep = solve_remainder(rho, source)
@@ -468,6 +495,83 @@ def test_remainder_projected_modes_match_reference(grid8, box2_potentials, k, mo
     assert rep.h1 == pytest.approx(ref_rep.h1, rel=1e-12, abs=0.0)
     assert rep.iterations == ref_rep.iterations
     assert abs(rep.residual - ref_rep.residual) <= 1e-13
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("k", [0.0, 1.5])
+@pytest.mark.parametrize("projected", [0, 4])
+def test_sweep_lipschitz_bounds_the_sweep_map(box2_potentials, variant, k, projected):
+    # L bounds |K delta| / |delta| for the sweep's linear part
+    # K = mult F R F^-1, at a seeded random delta and at the power iterates
+    # of K^H K from it, which come within a few times of L
+    q = box2_potentials["bump"]
+    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
+    symbol = _box_symbol(rho, q.grid)
+    rel = _four_mode_projection(rho, q.grid) if projected else cgo.PROJECTION_REL
+    keep = np.abs(symbol) >= rel * float(np.sum(np.abs(rho) ** 2))
+    assert np.count_nonzero(~keep) == projected
+    mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
+    r = -q.values
+    lip = _sweep_lipschitz(symbol, keep, r)
+    tf, itf = _box_transforms(q.grid)
+    rng = np.random.default_rng(7)
+    delta = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+    ratios = []
+    for _ in range(20):
+        image = mult * tf(r * itf(delta))
+        ratios.append(np.linalg.norm(image) / np.linalg.norm(delta))
+        delta = tf(np.conj(r) * itf(np.conj(mult) * image))
+    assert 0.1 * lip <= max(ratios) <= lip
+
+
+def _fixed_point_spectrum(rho, q, sweeps=30):
+    """psi_hat after a fixed number of whole-box sweeps from zero, far more
+    than the contraction needs to reach rounding."""
+    tf, itf = _box_transforms(q.grid)
+    symbol = _box_symbol(rho, q.grid)
+    keep = np.abs(symbol) >= cgo.PROJECTION_REL * float(np.sum(np.abs(rho) ** 2))
+    mult = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=keep)
+    psi_hat = np.zeros(q.grid.node_shape, dtype=np.complex128)
+    for _ in range(sweeps):
+        psi_hat = mult * tf(-q.values * (1.0 + itf(psi_hat)))
+    return psi_hat
+
+
+def _stopped_within_tolerance(rho, source, q):
+    """Solve; check that psi_hat lies within tol = 1e-14 max(1, l2) of the
+    fixed point in the Parseval norm; return the report, tol and the last
+    increment."""
+    traced, calls = _traced(source)
+    _, rep = solve_remainder(rho, traced)
+    (psi_hat,) = calls["to_window"]
+    parseval = q.grid.h ** 3 / q.grid.n_nodes
+    tol = 1e-14 * max(1.0, rep.l2)
+    error = np.sqrt(np.sum(np.abs(psi_hat - _fixed_point_spectrum(rho, q)) ** 2) * parseval)
+    assert error <= tol, (error, tol)
+    inc = np.sqrt(np.sum(np.abs(psi_hat - calls["to_block"][-1]) ** 2) * parseval)
+    return rep, tol, inc
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("k", [0.0, 1.5])
+def test_remainder_within_tolerance_of_the_fixed_point(grid8, box2_potentials, variant, k):
+    q = box2_potentials["bump"]
+    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
+    rep, _, _ = _stopped_within_tolerance(rho, box_source(q, grid8), q)
+    assert rep.residual <= cgo.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_bench_probe_stops_after_two_sweeps(geom, grid8, born_pair8, variant):
+    # the benchmark's probe xi = (1.5, 0.75, 0) at parameter 8 (Born pair,
+    # box coarsen 2): its second increment is far above tol, but L times it
+    # is not, so no third sweep runs only to confirm it
+    ws = recovery.make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
+    q = extend_even(born_pair8[0], ws.src1.grid)
+    rho = make_phase_pair(make_frame((1.5, 0.75, 0.0)), variant, 8.0, 0.0).rho1
+    rep, tol, inc = _stopped_within_tolerance(rho, ws.src1, q)
+    assert rep.iterations == 2 and inc > 100 * tol
+    assert 0 < rep.residual <= cgo.RESIDUAL_TOL
 
 
 def test_remainder_contraction_error_matches_reference(geom, grid8, box2):
@@ -529,12 +633,10 @@ def _full_box_residual(rho, q, psi_hat, projection_rel=1e-8):
     transforms modulated FFTs of the box."""
     grid = q.grid
     rho = np.asarray(rho, dtype=np.complex128)
-    z0, z1, z2, zeta_sq = cgo._box_lattice(grid)
-    mod = _lattice_modulation(grid)
-    symbol = zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+    tf, itf = _box_transforms(grid)
+    symbol = _box_symbol(rho, grid)
     keep = np.abs(symbol) >= projection_rel * float(np.sum(np.abs(rho) ** 2))
-    psi = scipy.fft.ifftn(psi_hat) * np.conj(mod)
-    spec = scipy.fft.fftn(-q.values * (1.0 + psi) * mod)
+    spec = tf(-q.values * (1.0 + itf(psi_hat)))
     return float(np.linalg.norm((symbol * psi_hat - spec)[keep])
                  / np.linalg.norm(spec[keep]))
 
@@ -580,9 +682,7 @@ def test_projected_residual_matches_full_box(grid8, box2_potentials, sweeps, mon
     q = box2_potentials["bump"]
     rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), Variant.SINGLE_REFLECTION, 16.0,
                           0.0).rho1
-    z0, z1, z2, zeta_sq = cgo._box_lattice(q.grid)
-    mags = np.sort(np.abs(zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)).ravel())
-    rel = 0.5 * (mags[3] + mags[4]) / float(np.sum(np.abs(rho) ** 2))
+    rel = _four_mode_projection(rho, q.grid)
     monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
     if sweeps is not None:  # None: run to convergence
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)

@@ -605,6 +605,8 @@ def test_recover_library_matches_cli(workdir, capsys, args, kwargs):
     assert (summary["star_norm"] is None) == (kwargs["r"] is not None)
     assert summary["warnings"] == run.warnings
     assert {key: summary[key] for key in run.counts} == run.counts
+    assert (summary["continuation_sup_bound"], summary["continuation_condition"]) == (
+        run.continuation_sup_bound, run.continuation_condition)
 
 
 _CONTINUED = ["--variant", "thm2", "--r", "2.5", "--param", "6.0", "--lambda", "0.5",
@@ -690,6 +692,23 @@ def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
         assert len({direction(*xi) for xi in missing}) == lines
         for xi in ((0.5, 0.5, 0.0), (-0.5, -0.5, 0.0)):
             assert (direction(*xi) in {direction(*p) for p in missing}) == (n_samples == 2)
+
+
+def test_recover_summary_reports_the_continuation_certificate(workdir, capsys, monkeypatch):
+    # the largest two-constants certificate and fit condition over the
+    # fitted lines, each recomputed here from the arguments of every fit;
+    # null when no line is fitted (spacing 1 leaves no low frequency)
+    orig, fits = recovery.low_freq_extend, []
+    monkeypatch.setattr(recovery, "low_freq_extend",
+                        lambda *args: fits.append(args) or orig(*args))
+    summary, _ = _recover_cli(workdir, capsys, "recover_certificate", _CONTINUED)
+    assert len(fits) > 1
+    again = [orig(*args) for args in fits]
+    assert summary["continuation_sup_bound"] == max(f.sup_gamma_bound for f in again) > 0
+    assert summary["continuation_condition"] == max(f.condition for f in again) >= 1
+    summary, _ = _recover_cli(workdir, capsys, "recover_no_lines", _RECOVER)
+    assert summary["continuation_sup_bound"] is None
+    assert summary["continuation_condition"] is None
 
 
 # -- bad options fail at the boundary ------------------------------------------------
