@@ -53,59 +53,35 @@ class Variant(Enum):
 
 
 @dataclass(frozen=True)
-class Frame:
-    xi: np.ndarray
-    xi_1e: float
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-    def to_ambient(self, comps) -> np.ndarray:
-        c1, c2, c3 = comps
-        return c1 * self.e1 + c2 * self.e2 + c3 * self.e3
-
-    @property
-    def xi_norm(self) -> float:
-        return float(np.linalg.norm(self.xi))
-
-
-def make_frame(xi) -> Frame:
-    xi = np.asarray(xi, dtype=float)
-    xi_1e = math.hypot(xi[0], xi[1])
-    if xi_1e <= 0:
-        raise FrameError("frame undefined: frequency has no lateral component")
-    e1 = np.array([xi[0] / xi_1e, xi[1] / xi_1e, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    e2 = np.array([-xi[1] / xi_1e, xi[0] / xi_1e, 0.0])  # e3 x e1
-    return Frame(xi.copy(), xi_1e, e1, e2, e3)
-
-
-@dataclass(frozen=True)
 class PhasePair:
     variant: Variant
     param: float
-    frame: Frame
+    xi: np.ndarray
     rho1: np.ndarray
     rho2: np.ndarray
     k: float
 
-    @property
-    def xi(self) -> np.ndarray:
-        return self.frame.xi
 
-
-def make_phase_pair(frame: Frame, variant: Variant, param: float, k: float) -> PhasePair:
+def make_phase_pair(xi, variant: Variant, param: float, k: float) -> PhasePair:
     """Phase vectors in ambient coordinates for either family; param >= 1.
 
-    Both satisfy rho . rho = -k^2 and rho1 + rho2 = i xi; k enters only the
-    e2 components, through (k / |xi|)^2.  The alpha-family needs
-    alpha^2 + 1/4 > (k / |xi|)^2, else FrameError.
+    Their components c1 e1 + c2 e2 + c3 e3 are taken in the frame adapted to
+    xi (see the module docstring), which needs a lateral part xi', else
+    FrameError.  Both satisfy rho . rho = -k^2 and rho1 + rho2 = i xi; k
+    enters only the e2 components, through (k / |xi|)^2.  The alpha-family
+    needs alpha^2 + 1/4 > (k / |xi|)^2, else FrameError.
     """
+    xi = np.array(xi, dtype=float)
+    xi_1e = math.hypot(xi[0], xi[1])
+    if xi_1e <= 0:
+        raise FrameError("frame undefined: frequency has no lateral component")
     if param < 1:
         raise FrameError("phase parameter must be >= 1")
-    xi_1e = frame.xi_1e
-    xi3 = float(frame.xi[2])
-    xin = frame.xi_norm
+    e1 = np.array([xi[0] / xi_1e, xi[1] / xi_1e, 0.0])
+    e2 = np.array([-xi[1] / xi_1e, xi[0] / xi_1e, 0.0])  # e3 x e1
+    e3 = np.array([0.0, 0.0, 1.0])
+    xi3 = float(xi[2])
+    xin = float(np.linalg.norm(xi))
     kk = (k / xin) ** 2
     if variant is Variant.SINGLE_REFLECTION:
         tau = param
@@ -121,9 +97,8 @@ def make_phase_pair(frame: Frame, variant: Variant, param: float, k: float) -> P
         root = math.sqrt(radicand)
         c1 = (1j * (xi_1e / 2 - alpha * xi3), -root * xin, 1j * (xi3 / 2 + alpha * xi_1e))
         c2 = (1j * (xi_1e / 2 + alpha * xi3), root * xin, 1j * (xi3 / 2 - alpha * xi_1e))
-    rho1 = frame.to_ambient(c1)
-    rho2 = frame.to_ambient(c2)
-    return PhasePair(variant, float(param), frame, rho1, rho2, float(k))
+    rho1, rho2 = (a * e1 + b * e2 + c * e3 for a, b, c in (c1, c2))
+    return PhasePair(variant, float(param), xi, rho1, rho2, float(k))
 
 
 def isotropy_residual(pp: PhasePair) -> float:
@@ -134,7 +109,7 @@ def isotropy_residual(pp: PhasePair) -> float:
 def norm_identity_residual(pp: PhasePair) -> float:
     """Relative deviation of |rho_m| from its closed form: |rho|^2 is
     2 tau^2 |xi|^2 + k^2 (tau-family) or 2 (alpha^2 + 1/4) |xi|^2 - k^2."""
-    xin = pp.frame.xi_norm
+    xin = float(np.linalg.norm(pp.xi))
     if pp.variant is Variant.SINGLE_REFLECTION:
         expected = math.sqrt(2.0 * (pp.param * xin) ** 2 + pp.k ** 2)
     else:
@@ -178,7 +153,6 @@ class RemainderReport:
     h1: float
     iterations: int
     projected_modes: int
-    total_modes: int
     residual: float
 
 
@@ -279,7 +253,6 @@ class BoxSource:
 
     grid: Grid3
     lattice: tuple
-    zero: bool
     eval_grid: Grid3
     window: tuple
     window_grid: Grid3
@@ -307,24 +280,23 @@ def box_source(q_box: GridField, eval_grid: Grid3) -> BoxSource:
     lattice = _box_lattice(grid)
     rhs = -q_box.values
     live = rhs != 0
-    zero = not live.any()
     block = ()
-    if not zero:
+    if live.any():
         live_xy = live.any(axis=2)
         block = tuple(slice(int(run[0]), int(run[-1]) + 1) for run in map(np.flatnonzero, (
             live_xy.any(axis=1), live_xy.any(axis=0), live.any(axis=(0, 1)))))
     window = _window(grid, block, eval_grid)
     window_grid = Grid3(*(w.stop - w.start - 1 for w in window), grid.h,
                         tuple(o + w.start * grid.h for o, w in zip(grid.origin, window)))
-    if zero:
-        return BoxSource(grid, lattice, True, eval_grid, window, window_grid, (), ())
+    if not block:
+        return BoxSource(grid, lattice, eval_grid, window, window_grid, (), ())
     block_in_window = tuple(slice(b.start - w.start, b.stop - w.start)
                             for w, b in zip(window, block))
     fwd, inv = _pruned_transforms(grid, block)
     to_block, from_block = (functools.partial(_pruned_dft, mats=m) for m in (inv, fwd))
     to_window = functools.partial(_pruned_dft, mats=_pruned_transforms(grid, window)[1])
     rhs_blk = _frozen(rhs[block])
-    return BoxSource(grid, lattice, False, eval_grid, window, window_grid, block,
+    return BoxSource(grid, lattice, eval_grid, window, window_grid, block,
                      block_in_window, to_block, from_block, rhs_blk,
                      _frozen(from_block(rhs_blk)), to_window)
 
@@ -371,11 +343,11 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     phi_prev the one before (0 after one sweep); with projected modes it is
     formed over the box's kept modes from one more spectrum.
     """
+    if not source.block:
+        psi = np.zeros(source.window_grid.node_shape)
+        return GridField(source.window_grid, psi), RemainderReport(0.0, 0.0, 0, 0, 0.0)
     grid = source.grid
     n_total = grid.n_nodes
-    if source.zero:
-        psi = np.zeros(source.window_grid.node_shape)
-        return GridField(source.window_grid, psi), RemainderReport(0.0, 0.0, 0, 0, n_total, 0.0)
     rho = np.asarray(rho, dtype=np.complex128)
     rho_sq = float(np.sum(np.abs(rho) ** 2))
     z0, z1, z2, zeta_sq = source.lattice
@@ -456,7 +428,7 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     grad_sq = float(np.vdot(zeta_sq, psi_hat.real ** 2 + psi_hat.imag ** 2)) * parseval
     h1 = math.sqrt(l2 ** 2 + grad_sq)
     return (GridField(source.window_grid, psi),
-            RemainderReport(l2, h1, it, projected, n_total, residual))
+            RemainderReport(l2, h1, it, projected, residual))
 
 
 # -- probe assembly --------------------------------------------------------------
@@ -542,22 +514,20 @@ class CgoProbe:
         return out
 
 
-def build_probe(eval_grid: Grid3, phase: PhasePair, src1: BoxSource,
-                src2: BoxSource) -> CgoProbe:
-    """Assemble the probe pair on an evaluation grid.
+def build_probe(phase: PhasePair, src1: BoxSource, src2: BoxSource) -> CgoProbe:
+    """Assemble the probe pair on the evaluation grid of its sources.
 
     src1 / src2 prepare the remainder solves against the extended potentials
-    on a shared periodic box (even extension for every reflected probe; the
-    tau-family second probe uses the extension by zero), both for
-    `eval_grid`, else FieldError.  Remainders are interpolated trilinearly
-    from their windows onto the evaluation nodes and their mirror images,
-    both in one `interpolate_box` call per nonzero remainder; the unreflected
-    tau-family second one onto the evaluation nodes only.
+    (even extension for every reflected probe; the tau-family second probe
+    uses the extension by zero) on one periodic box grid and for one
+    evaluation grid, else FieldError.  Remainders are interpolated
+    trilinearly from their windows onto the evaluation nodes and their
+    mirror images, both in one `interpolate_box` call per nonzero remainder;
+    the unreflected tau-family second one onto the evaluation nodes only.
     """
-    if src1.grid != src2.grid:
-        raise FieldError("extended potentials must share one box grid")
-    if any(src.eval_grid != eval_grid for src in (src1, src2)):
-        raise FieldError("remainder source not prepared for this evaluation grid")
+    if (src1.grid, src1.eval_grid) != (src2.grid, src2.eval_grid):
+        raise FieldError("remainder sources must share one box grid and one evaluation grid")
+    eval_grid = src1.eval_grid
     psi1, rep1 = solve_remainder(phase.rho1, src1)
     psi2, rep2 = solve_remainder(phase.rho2, src2)
     w1, w1_star = _factors(psi1, eval_grid, True)

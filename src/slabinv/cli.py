@@ -137,7 +137,7 @@ def _cmd_cgo_check(args) -> int:
     xi = np.asarray(_floats(args.xi, "--xi", 3))
     _require({"--param must be >= 1": args.param >= 1})
     try:
-        phase = cgo.make_phase_pair(cgo.make_frame(xi), variant, args.param, args.k)
+        phase = cgo.make_phase_pair(xi, variant, args.param, args.k)
     except cgo.FrameError as exc:  # no lateral part, or k too large for the alpha-family
         raise SystemExit(f"--xi {args.xi}: {exc}") from None
     geom, grid = _load_setup(args.config)
@@ -145,7 +145,7 @@ def _cmd_cgo_check(args) -> int:
     q2 = _load_potential(args.q2, geom, grid)
     ws = recovery.make_workspace(q1, q2, args.k, variant,
                                  box_coarsen=args.box_coarsen, eval_grid=grid)
-    probe = cgo.build_probe(grid, phase, ws.src1, ws.src2)
+    probe = cgo.build_probe(phase, ws.src1, ws.src2)
     reps = (probe.report1, probe.report2)
     record = {
         "xi": [float(v) for v in xi],

@@ -70,7 +70,6 @@ class BoundaryBasis:
         self.square = block.square
         self.block = block
         self.gram_triple: np.ndarray | None = None
-        self._dual_cache = None
         self._triple_cache = None
 
     def __len__(self) -> int:
@@ -115,20 +114,17 @@ class BoundaryBasis:
                         np.linalg.cond(self.gram_triple), op0.k)
         return self.gram_triple
 
-    def dual_factors(self) -> tuple[tuple, np.ndarray]:
-        """Cholesky factor U of gram_h32 = U^H U and the whitener
-        W = U^{-H} h^2 modes: |W r| is the H^{-3/2} dual norm of plate
-        samples r (real, like the sine modes).  Both depend on the basis only,
-        so they are computed once."""
-        if self._dual_cache is None:
-            try:
-                cho = scipy.linalg.cho_factor(self.gram_h32)
-            except scipy.linalg.LinAlgError as exc:
-                raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
-            pair = self.square.h ** 2 * self.block.values.reshape(len(self), -1)
-            white = scipy.linalg.solve_triangular(cho[0], pair, trans="C", lower=cho[1])
-            self._dual_cache = (cho, white)
-        return self._dual_cache
+    @functools.cached_property
+    def whitener(self) -> np.ndarray:
+        """W = U^{-H} h^2 modes for the Cholesky factor U of gram_h32 = U^H U:
+        |W r| is the H^{-3/2} dual norm of plate samples r (real, like the
+        sine modes).  It depends on the basis only, so it is computed once."""
+        try:
+            cho = scipy.linalg.cho_factor(self.gram_h32)
+        except scipy.linalg.LinAlgError as exc:
+            raise NormDegeneracyError(f"singular H^{{3/2}} Gram matrix: {exc}") from exc
+        pair = self.square.h ** 2 * self.block.values.reshape(len(self), -1)
+        return scipy.linalg.solve_triangular(cho[0], pair, trans="C", lower=cho[1])
 
     def triple_whitener(self) -> np.ndarray:
         """R = L^{-H} for the Cholesky factor L of gram_triple, after the
@@ -293,7 +289,7 @@ def star_whiten(matrix_diff: np.ndarray, src_basis: BoundaryBasis,
     """B = W D R for a DN-matrix difference D (see op_norm_star); linear in D.
     W is real, so a real D takes one real product and a complex D one real
     product with its (real, imaginary) column pairs."""
-    white = tgt_basis.dual_factors()[1]
+    white = tgt_basis.whitener
     if np.iscomplexobj(matrix_diff):
         pairs = np.ascontiguousarray(matrix_diff, dtype=np.complex128).view(np.float64)
         wd = (white @ pairs).view(np.complex128)
@@ -307,7 +303,7 @@ def op_norm_star(matrix_diff: np.ndarray, src_basis: BoundaryBasis | None = None
     """Largest generalized singular value of a DN-matrix difference D.
 
     The spectral norm ||W D R|| with the whiteners of the two bases
-    (BoundaryBasis.dual_factors, BoundaryBasis.triple_whitener): the square
+    (BoundaryBasis.whitener, BoundaryBasis.triple_whitener): the square
     root of the top eigenvalue of B^H B for B = W D R, the Cholesky reduction
     of the Hermitian pencil (P^H H^{-1} P, G) with the pairings
     P = h^2 conj(modes) D.  Without bases, `matrix_diff` is B itself

@@ -142,25 +142,15 @@ def smooth_bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def radial_bump_potential(grid: Grid3, geom: SlabGeometry, amplitude: float,
-                          z_profile: str = "interior") -> Potential:
+def radial_bump_potential(grid: Grid3, geom: SlabGeometry, amplitude: float) -> Potential:
     """Smooth bump potential: the radial bump of radius R in x' times a
-    vertical profile.
-
-    z_profile "interior" vanishes to all orders at both plates; "bottom"
-    peaks on the bottom plate (smooth inside the slab, jump across x3 = 0
-    under extension by zero, the class the quantified transform-decay
-    arguments are designed for).  bound_M is set to the measured discrete
-    H^SOBOLEV_S norm, so the a-priori class is tight by construction.
+    vertical profile that vanishes to all orders at both plates.  bound_M is
+    set to the measured discrete H^SOBOLEV_S norm, so the a-priori class is
+    tight by construction.
     """
     x, y, z = grid.node_coords()
     r = np.hypot(x, y)
-    if z_profile == "interior":
-        prof = smooth_bump((z - geom.L / 2) / (geom.L / 2))
-    elif z_profile == "bottom":
-        prof = np.where(z >= 0, smooth_bump(z / geom.L), 0.0)
-    else:
-        raise FieldError(f"unknown z_profile {z_profile!r}")
+    prof = smooth_bump((z - geom.L / 2) / (geom.L / 2))
     vals = amplitude * smooth_bump(r / geom.R) * prof
     fld = GridField(grid, np.broadcast_to(vals, grid.node_shape))
     return _measured_potential(fld, geom)

@@ -35,7 +35,6 @@ from .cgo import (
     box_source,
     build_box_grid,
     build_probe,
-    make_frame,
     make_phase_pair,
 )
 from .fields import (
@@ -48,7 +47,7 @@ from .fields import (
     quadrature_weights,
 )
 from .dnmap import measurement_pair, op_norm_star
-from .geometry import Grid3, Plate, SlabGeometry
+from .geometry import MAX_NODES, Grid3, Plate, SlabGeometry
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +96,14 @@ class FrequencySet:
 def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
     if r <= 2:
         raise RecoveryError("frequency radius must exceed 2")
-    # n spacings stay below r - 1e-12, so |xi_3| < r
-    n = int(math.floor((r - 1e-12) / spacing))
+    # n spacings stay below r - 1e-12, so |xi_3| < r; the grid has side^3
+    # points, side = 2 n + 1 (inf where a tiny spacing overflows the span)
+    span = (r - 1e-12) / spacing
+    side = 2 * math.floor(span) + 1 if span < math.inf else span
+    if side ** 3 > MAX_NODES:
+        raise RecoveryError(f"spacing {spacing:g} at r = {r:g} asks for {side:.4g}^3 frequency "
+                            f"points, more than the {MAX_NODES} guard")
+    n = (side - 1) // 2
     vals = spacing * np.arange(-n, n + 1)
     annulus, low, axis = [], [], []
     for x1 in vals:
@@ -226,8 +231,8 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
         canon, mate = canonical_frequency(key)
         if canon not in done:
             try:
-                phase = make_phase_pair(make_frame(canon), ws.variant, param, ws.k)
-                probe = build_probe(ws.eval_grid, phase, ws.src1, ws.src2)
+                phase = make_phase_pair(canon, ws.variant, param, ws.k)
+                probe = build_probe(phase, ws.src1, ws.src2)
                 done[canon] = complex(np.vdot(wq_conj, probe.product()))
             except (FrameError, ContractionError, ProjectionError) as exc:
                 done[canon] = str(exc)

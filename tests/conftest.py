@@ -34,6 +34,19 @@ def bump8(geom, grid8):
     return fields.radial_bump_potential(grid8, geom, 1.0)
 
 
+def bottom_bump_potential(grid, geom, amplitude):
+    """The radial bump of radius R in x' times a vertical profile that peaks
+    on the bottom plate: smooth inside the slab, with a jump across x3 = 0
+    under extension by zero, the class the quantified transform-decay
+    arguments are designed for.  bound_M is its measured H^SOBOLEV_S norm."""
+    x, y, z = grid.node_coords()
+    prof = np.where(z >= 0, fields.smooth_bump(z / geom.L), 0.0)
+    vals = amplitude * fields.smooth_bump(np.hypot(x, y) / geom.R) * prof
+    fld = fields.GridField(grid, np.broadcast_to(vals, grid.node_shape))
+    norm = fields.sobolev_norm(fld, fields.SOBOLEV_S)
+    return fields.Potential(fld, geom, norm, measured_norm=norm)
+
+
 @pytest.fixture(scope="session")
 def born_pair8(geom, grid8):
     q1 = fields.radial_bump_potential(grid8, geom, 1e-3)
@@ -91,7 +104,7 @@ def _whitened(r, basis):
     """W r: the pairings h^2 <b_i, r> whitened by the H^{3/2} Gram."""
     if r.square != basis.square:
         raise boundary.BoundaryError("field and test basis live on different squares")
-    return basis.dual_factors()[1] @ r.values.ravel()
+    return basis.whitener @ r.values.ravel()
 
 
 def norm_hm32(r, test_basis):
@@ -101,7 +114,7 @@ def norm_hm32(r, test_basis):
 
 def hm32_maximizer(r, test_basis):
     """The test function attaining the dual norm (inverse-Gram image of r)."""
-    upper = test_basis.dual_factors()[0][0]
+    upper = scipy.linalg.cholesky(test_basis.gram_h32)
     c = scipy.linalg.solve_triangular(upper, _whitened(r, test_basis))
     vals = np.tensordot(c, test_basis.block.values, axes=(0, 0))
     return boundary.BoundaryField(test_basis.patch, test_basis.square, vals)
@@ -162,6 +175,15 @@ class OffsetField:
     log_offset: float
 
 
+def adapted_frame(xi):
+    """The frame (e1, e2, e3) adapted to xi that `cgo.make_phase_pair` uses,
+    by the same arithmetic: e1 along the lateral part of xi, e3 vertical,
+    e2 = e3 x e1."""
+    xi_1e = math.hypot(xi[0], xi[1])
+    return (np.array([xi[0] / xi_1e, xi[1] / xi_1e, 0.0]),
+            np.array([-xi[1] / xi_1e, xi[0] / xi_1e, 0.0]), np.array([0.0, 0.0, 1.0]))
+
+
 def exp_terms(eval_grid, rho, w, w_star=None):
     """A probe factor in the per-probe offset form, the reference for
     `CgoProbe.product`: (exp(x . rho) w, exp(x* . rho) w_star or None,
@@ -210,7 +232,7 @@ def offset_probe(probe):
 def exponential_probe(eval_grid, phase):
     """Probe with remainders forced to zero (pure exponentials): w = 1."""
     one = np.ones(eval_grid.node_shape, dtype=np.complex128)
-    rep = cgo.RemainderReport(0.0, 0.0, 0, 0, 0, 0.0)
+    rep = cgo.RemainderReport(0.0, 0.0, 0, 0, 0.0)
     alpha = phase.variant is cgo.Variant.DOUBLE_REFLECTION
     return cgo.CgoProbe(phase, eval_grid, one, one, one, one if alpha else None, rep, rep)
 

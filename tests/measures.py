@@ -18,7 +18,6 @@ from slabinv.cgo import (
     ProjectionError,
     Variant,
     box_source,
-    make_frame,
     make_phase_pair,
     solve_remainder,
 )
@@ -165,13 +164,12 @@ def calibrate_min_param(q_boxes: list[GridField], eval_grid: Grid3, k: float,
     the phases carry k.  Returns (C0, param_min).
     """
     m_bound = max(bounds) if bounds else 1.0
-    frame = make_frame((2.0, 0.0, 0.0))
     sources = [box_source(qb, eval_grid) for qb in q_boxes]
     c0 = 1
     while c0 <= max_c0:
         param = max(c0 * (m_bound + k ** 2), 1.0)
         try:
-            pp = make_phase_pair(frame, Variant.SINGLE_REFLECTION, param, k)
+            pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, param, k)
             for src in sources:
                 solve_remainder(pp.rho1, src)
             return c0, param

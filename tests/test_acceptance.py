@@ -21,7 +21,7 @@ from conftest import (
 )
 from measures import calibrate_min_param
 from slabinv import boundary, cgo, dnmap, fields, forward, geometry, harness, recovery
-from slabinv.cgo import Variant, build_box_grid, make_frame, make_phase_pair
+from slabinv.cgo import Variant, build_box_grid, make_phase_pair
 from slabinv.fields import GridField, extend_even, extend_trivial
 from slabinv.forward import PERIODIC, HelmholtzOperator
 from slabinv.geometry import BoundaryPatch, Plate
@@ -41,7 +41,7 @@ def test_c01_phase_algebra():
             if math.hypot(xi[0], xi[1]) < 1e-2:
                 xi[0] += 1.0
             param = float(rng.uniform(1.0, 64.0))
-            pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
+            pp = make_phase_pair(xi, variant, param, 0.0)
             rho_sq = float(np.sum(np.abs(pp.rho1) ** 2))
             assert cgo.isotropy_residual(pp) <= 1e-12 * rho_sq
             assert cgo.norm_identity_residual(pp) <= 1e-12
@@ -62,8 +62,8 @@ def test_c02_reflection_vanishing():
     q2_triv = extend_trivial(fields.zero_potential(grid, geom), box)
     for variant in Variant:
         q2box = extend_even(q1, box) if variant is Variant.DOUBLE_REFLECTION else q2_triv
-        pp = make_phase_pair(make_frame((1.5, 0.8, 1.0)), variant, 4.0, 0.0)
-        probe = offset_probe(cgo.build_probe(grid, pp, cgo.box_source(q1_even, grid),
+        pp = make_phase_pair((1.5, 0.8, 1.0), variant, 4.0, 0.0)
+        probe = offset_probe(cgo.build_probe(pp, cgo.box_source(q1_even, grid),
                                              cgo.box_source(q2box, grid)))
         assert np.max(np.abs(probe.u1.values[:, :, 0])) == 0.0
         assert np.max(np.abs(probe.u1.values)) > 0.0
@@ -143,11 +143,10 @@ def test_c05_remainder_decay(geom, grid8, bump8):
     q1_even = extend_even(bump8, box)
     c0, tau1 = calibrate_min_param([q1_even], grid8, 0.0, [bump8.bound_M])
     taus = [tau1, 2 * tau1, 4 * tau1, 8 * tau1]
-    fr = make_frame((2.0, 0.0, 0.0))
     source = cgo.box_source(q1_even, grid8)
     l2s = []
     for tau in taus:
-        pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, tau, 0.0)
+        pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, tau, 0.0)
         _, rep = cgo.solve_remainder(pp.rho1, source)
         l2s.append(rep.l2)
     slope = float(np.polyfit(np.log(taus), np.log(l2s), 1)[0])

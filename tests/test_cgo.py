@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import exp_terms, exponential_probe, offset_probe
+from conftest import adapted_frame, exp_terms, exponential_probe, offset_probe
 from measures import calibrate_min_param
 from hypothesis import example, given, settings, strategies as st
 
@@ -18,7 +19,6 @@ from slabinv.cgo import (
     build_probe,
     interpolate_box,
     isotropy_residual,
-    make_frame,
     make_phase_pair,
     norm_identity_residual,
     solve_remainder,
@@ -27,40 +27,21 @@ from slabinv.fields import FieldError, GridField, extend_even, extend_trivial
 from slabinv.geometry import Grid3
 
 
-# -- frames -------------------------------------------------------------------------
-
-
-def test_frame_example():
-    fr = make_frame((3.0, 4.0, 2.0))
-    assert fr.xi_1e == pytest.approx(5.0)
-    assert np.allclose(fr.e1, (0.6, 0.8, 0.0))
-    assert np.allclose(fr.e2, (-0.8, 0.6, 0.0))
-    assert np.allclose(fr.e3, (0.0, 0.0, 1.0))
-
-
-def test_frame_axis_case_and_degenerate():
-    fr = make_frame((1.0, 0.0, 0.0))
-    assert np.allclose(fr.e1, (1.0, 0.0, 0.0))
-    assert np.allclose(fr.e2, (0.0, 1.0, 0.0))
-    with pytest.raises(FrameError):
-        make_frame((0.0, 0.0, 1.0))
-
-
-def test_frame_orthonormal_right_handed():
-    fr = make_frame((0.3, -1.7, 2.2))
-    basis = np.stack([fr.e1, fr.e2, fr.e3])
-    assert np.max(np.abs(basis @ basis.T - np.eye(3))) < 1e-14
-    assert np.allclose(np.cross(fr.e1, fr.e2), fr.e3)
-    recon = fr.xi_1e * fr.e1 + fr.xi[2] * fr.e3
-    assert np.max(np.abs(recon - fr.xi)) < 1e-14
-
-
 # -- phase pairs ---------------------------------------------------------------------
 
 
+def test_frame_axis_case_and_degenerate():
+    # the frame adapted to xi = (0, 2, 0) is e1 = (0, 1, 0), e2 = e3 x e1 =
+    # (-1, 0, 0), e3 = (0, 0, 1); the alpha-family rho1 is i (|xi| / 2,
+    # alpha |xi|) along (e1, e3) and -sqrt(alpha^2 + 1/4) |xi| along e2
+    pp = make_phase_pair((0.0, 2.0, 0.0), Variant.DOUBLE_REFLECTION, 1.0, 0.0)
+    assert np.array_equal(pp.rho1, [2 * np.sqrt(1.25), 1j, 2j])
+    with pytest.raises(FrameError, match="no lateral component"):
+        make_phase_pair((0.0, 0.0, 1.0), Variant.SINGLE_REFLECTION, 1.0, 0.0)
+
+
 def test_phase_hand_arithmetic():
-    fr = make_frame((1.0, 0.0, 0.0))
-    pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 1.0, 0.0)
+    pp = make_phase_pair((1.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 1.0, 0.0)
     expected = np.array([0.5j, 1j * np.sqrt(3) / 2, 1.0])
     assert np.max(np.abs(pp.rho1 - expected)) < 1e-15
     assert abs(np.sum(pp.rho1 * pp.rho1)) < 1e-15
@@ -68,22 +49,19 @@ def test_phase_hand_arithmetic():
 
 
 def test_phase_sum_is_frequency():
-    fr = make_frame((1.3, -0.4, 0.9))
-    pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 3.7, 0.0)
-    assert np.max(np.abs(pp.rho1 + pp.rho2 - 1j * fr.xi)) < 1e-12
+    pp = make_phase_pair((1.3, -0.4, 0.9), Variant.SINGLE_REFLECTION, 3.7, 0.0)
+    assert np.max(np.abs(pp.rho1 + pp.rho2 - 1j * pp.xi)) < 1e-12
 
 
 def test_phase_alpha_norm():
-    fr = make_frame((1.0, 0.0, 0.0))
-    pp = make_phase_pair(fr, Variant.DOUBLE_REFLECTION, 1.0, 0.0)
+    pp = make_phase_pair((1.0, 0.0, 0.0), Variant.DOUBLE_REFLECTION, 1.0, 0.0)
     assert np.sqrt(np.sum(np.abs(pp.rho1) ** 2)) == pytest.approx(
         np.sqrt(2) * np.sqrt(1.25))
 
 
 def test_phase_param_below_one_rejected():
-    fr = make_frame((1.0, 0.0, 0.0))
     with pytest.raises(FrameError):
-        make_phase_pair(fr, Variant.SINGLE_REFLECTION, 0.5, 0.0)
+        make_phase_pair((1.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 0.5, 0.0)
 
 
 KS = (0.0, 1.5, 2.5, 4.5)
@@ -103,22 +81,23 @@ NEAR_ORIGIN = Grid3(1, 1, 1, 0.125, (0.0, 0.0, 0.125))
 def test_phase_invariants_random(x1, x2, x3, param, variant, k):
     if np.hypot(x1, x2) < 1e-3:
         return
-    frame = make_frame((x1, x2, x3))
-    if variant is Variant.DOUBLE_REFLECTION and param ** 2 + 0.25 <= (k / frame.xi_norm) ** 2:
+    xi = np.array([x1, x2, x3])
+    if variant is Variant.DOUBLE_REFLECTION and param ** 2 + 0.25 <= (k / np.linalg.norm(xi)) ** 2:
         with pytest.raises(FrameError, match="alpha-family"):
-            make_phase_pair(frame, variant, param, k)
+            make_phase_pair(xi, variant, param, k)
         return
-    pp = make_phase_pair(frame, variant, param, k)
+    pp = make_phase_pair(xi, variant, param, k)
     rho_sq = float(np.sum(np.abs(pp.rho1) ** 2))
     assert isotropy_residual(pp) <= 1e-12 * rho_sq
     assert norm_identity_residual(pp) <= 1e-12
-    assert np.max(np.abs(pp.rho1 + pp.rho2 - 1j * frame.xi)) <= 1e-12 * np.sqrt(rho_sq)
+    assert np.max(np.abs(pp.rho1 + pp.rho2 - 1j * xi)) <= 1e-12 * np.sqrt(rho_sq)
 
 
-def _phase_pair_k0_reference(frame, variant, param):
+def _phase_pair_k0_reference(xi, variant, param):
     """The rho . rho = 0 phases in closed form, as written before k entered
     the phase."""
-    xi_1e, xi3, xin = frame.xi_1e, float(frame.xi[2]), frame.xi_norm
+    e1, e2, e3 = adapted_frame(xi)
+    xi_1e, xi3, xin = math.hypot(xi[0], xi[1]), float(xi[2]), float(np.linalg.norm(xi))
     if variant is Variant.SINGLE_REFLECTION:
         root = np.sqrt(param * param - 0.25)
         c1 = (-param * xi3 + 0.5j * xi_1e, 1j * xin * root, param * xi_1e + 0.5j * xi3)
@@ -127,7 +106,7 @@ def _phase_pair_k0_reference(frame, variant, param):
         root = np.sqrt(param * param + 0.25)
         c1 = (1j * (xi_1e / 2 - param * xi3), -root * xin, 1j * (xi3 / 2 + param * xi_1e))
         c2 = (1j * (xi_1e / 2 + param * xi3), root * xin, 1j * (xi3 / 2 - param * xi_1e))
-    return frame.to_ambient(c1), frame.to_ambient(c2)
+    return tuple(a * e1 + b * e2 + c * e3 for a, b, c in (c1, c2))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -135,20 +114,19 @@ def test_phase_carries_k(variant):
     # rho . rho = -k^2 and rho1 + rho2 = i xi at every k; k = 0 gives the
     # isotropic phases bit for bit
     for xi in ((1.0, 0.0, 0.0), (1.5, 0.75, -0.75), (-2.0, 0.5, 1.0), (0.25, -1.0, 2.0)):
-        frame = make_frame(xi)
         for param in (1.0, 8.0, 64.0):
-            ref = _phase_pair_k0_reference(frame, variant, param)
-            pp = make_phase_pair(frame, variant, param, 0.0)
+            ref = _phase_pair_k0_reference(xi, variant, param)
+            pp = make_phase_pair(xi, variant, param, 0.0)
             assert np.array_equal(pp.rho1, ref[0]) and np.array_equal(pp.rho2, ref[1])
             for k in KS:
                 if variant is Variant.DOUBLE_REFLECTION and param ** 2 + 0.25 <= (
-                        k / frame.xi_norm) ** 2:
+                        k / np.linalg.norm(xi)) ** 2:
                     continue  # see test_phase_alpha_family_rejects_large_k
-                pp = make_phase_pair(frame, variant, param, k)
+                pp = make_phase_pair(xi, variant, param, k)
                 rho_sq = float(np.sum(np.abs(pp.rho1) ** 2))
                 for rho in (pp.rho1, pp.rho2):
                     assert abs(np.sum(rho * rho) + k * k) <= 1e-12 * rho_sq
-                assert np.max(np.abs(pp.rho1 + pp.rho2 - 1j * frame.xi)) <= 1e-13 * np.sqrt(rho_sq)
+                assert np.max(np.abs(pp.rho1 + pp.rho2 - 1j * pp.xi)) <= 1e-13 * np.sqrt(rho_sq)
                 assert isotropy_residual(pp) <= 1e-12 * rho_sq
                 assert norm_identity_residual(pp) <= 1e-12
 
@@ -156,13 +134,13 @@ def test_phase_carries_k(variant):
 def test_phase_alpha_family_rejects_large_k():
     # alpha^2 + 1/4 must exceed (k / |xi|)^2: at alpha = 1, |xi| = 1 the
     # limit is k^2 = 1.25
-    frame = make_frame((1.0, 0.0, 0.0))
-    make_phase_pair(frame, Variant.DOUBLE_REFLECTION, 1.0, 1.1)
+    xi = (1.0, 0.0, 0.0)
+    make_phase_pair(xi, Variant.DOUBLE_REFLECTION, 1.0, 1.1)
     for k in (np.sqrt(1.25), 1.2, 4.5):
         with pytest.raises(FrameError, match="alpha-family"):
-            make_phase_pair(frame, Variant.DOUBLE_REFLECTION, 1.0, k)
+            make_phase_pair(xi, Variant.DOUBLE_REFLECTION, 1.0, k)
     # the tau-family has no such limit
-    make_phase_pair(frame, Variant.SINGLE_REFLECTION, 1.0, 4.5)
+    make_phase_pair(xi, Variant.SINGLE_REFLECTION, 1.0, 4.5)
 
 
 # -- remainder solves ----------------------------------------------------------------
@@ -193,7 +171,7 @@ def test_remainder_zero_rhs(grid8, box):
     q = GridField(box, np.zeros(box.node_shape, dtype=np.complex128))
     for k in KS:
         for variant in Variant:
-            pp = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 8.0, k)
+            pp = make_phase_pair((1.5, 0.75, -0.75), variant, 8.0, k)
             for rho in (pp.rho1, pp.rho2):
                 psi, rep = solve_remainder(rho, box_source(q, grid8))
                 assert np.max(np.abs(psi.values)) == 0.0
@@ -218,8 +196,7 @@ def test_remainder_lattice_cache_keyed_by_spacing():
 
 
 def test_remainder_born_quadratic(geom, grid8, box, bump8, monkeypatch):
-    fr = make_frame((2.0, 0.0, 0.0))
-    pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 8.0, 0.0)
+    pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 8.0, 0.0)
     diffs = []
     etas = (4e-2, 2e-2, 1e-2)
     for eta in etas:
@@ -252,7 +229,7 @@ def test_remainder_dense_oracle(geom):
 
     # dense operator: psi - G[rhs * psi] = G[rhs], same shifted lattice
     n = grid.node_shape[0]
-    shift = (0.0, 0.0, 0.5)
+    shift = cgo.LATTICE_SHIFT
     zetas, mods = [], []
     for axis in range(3):
         freq = 2 * np.pi * (scipy.fft.fftfreq(n, d=grid.h) + shift[axis] / (n * grid.h))
@@ -287,13 +264,13 @@ def test_remainder_dense_oracle(geom):
 def test_remainder_non_contraction_error(geom, grid8, box):
     big = fields.radial_bump_potential(grid8, geom, 400.0)
     qb = extend_even(big, box)
-    pp = make_phase_pair(make_frame((1.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 1.0, 0.0)
+    pp = make_phase_pair((1.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 1.0, 0.0)
     with pytest.raises(ContractionError, match="parameter"):
         solve_remainder(pp.rho1, box_source(qb, grid8))
 
 
 def test_remainder_projection_guard(grid8, box, q_even_box, monkeypatch):
-    pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
+    pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 4.0, 0.0)
     monkeypatch.setattr(cgo, "PROJECTION_REL", 10.0)
     with pytest.raises(ProjectionError):
         solve_remainder(pp.rho1, box_source(q_even_box, grid8))
@@ -307,12 +284,11 @@ def test_remainder_projection_guard(grid8, box, q_even_box, monkeypatch):
 
 
 def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
-    fr = make_frame((2.0, 0.0, 0.0))
     taus = np.array([4.0, 8.0, 16.0, 32.0])
     source = box_source(q_even_box, grid8)
     l2s, h1s = [], []
     for tau in taus:
-        pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, tau, 0.0)
+        pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, tau, 0.0)
         _, rep = solve_remainder(pp.rho1, source)
         l2s.append(rep.l2)
         h1s.append(rep.h1)
@@ -325,8 +301,7 @@ def test_remainder_decay_slope_small_box(geom, grid8, q_even_box):
 def test_reflection_commutes_with_remainder(geom, grid8, q_even_box):
     # for even Q the reflected remainder solves the equation with the
     # reflected phase vector
-    fr = make_frame((1.5, 0.7, 1.1))
-    pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 6.0, 0.0)
+    pp = make_phase_pair((1.5, 0.7, 1.1), Variant.SINGLE_REFLECTION, 6.0, 0.0)
     source = box_source(q_even_box, NEAR_ORIGIN)
     psi, _ = solve_remainder(pp.rho1, source)
     rho_star = np.array([pp.rho1[0], pp.rho1[1], -pp.rho1[2]])
@@ -400,7 +375,7 @@ def _solve_remainder_reference(rho, qfield, max_iter=400, residual_tol=1e-8,
     rhs_base = -qfield.values
     if np.max(np.abs(rhs_base)) == 0.0:  # psi = 0 solves it exactly
         psi = GridField(grid, np.zeros(grid.node_shape, dtype=np.complex128))
-        return psi, cgo.RemainderReport(0.0, 0.0, 0, 0, n_total, 0.0)
+        return psi, cgo.RemainderReport(0.0, 0.0, 0, 0, 0.0)
     symbol = _box_symbol(rho, grid)
     keep = np.abs(symbol) >= projection_rel * rho_sq
     projected = int(n_total - np.count_nonzero(keep))
@@ -438,7 +413,7 @@ def _solve_remainder_reference(rho, qfield, max_iter=400, residual_tol=1e-8,
     l2 = float(np.sqrt(np.sum(np.abs(psi) ** 2) * vol_factor))
     grad_sq = np.sum(zeta_sq * np.abs(psi_hat) ** 2) * vol_factor / n_total
     h1 = float(np.sqrt(l2 ** 2 + grad_sq))
-    return GridField(grid, psi), cgo.RemainderReport(l2, h1, it, projected, n_total, residual)
+    return GridField(grid, psi), cgo.RemainderReport(l2, h1, it, projected, residual)
 
 
 @pytest.fixture(scope="module")
@@ -457,7 +432,7 @@ def box2_potentials(geom, grid8, bump8, box2):
 @pytest.mark.parametrize("potential", ["bump", "zero"])
 def test_remainder_matches_reference_loop(grid8, box2_potentials, variant, k, potential):
     q = box2_potentials[potential]
-    pp = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k)
+    pp = make_phase_pair((1.5, 0.75, -0.75), variant, 16.0, k)
     for cold in (True, False):
         if cold:
             cgo._box_lattice.cache_clear()
@@ -470,7 +445,6 @@ def test_remainder_matches_reference_loop(grid8, box2_potentials, variant, k, po
         assert rep.h1 == pytest.approx(ref_rep.h1, rel=1e-12, abs=0.0)
         assert rep.iterations == ref_rep.iterations
         assert rep.projected_modes == ref_rep.projected_modes
-        assert rep.total_modes == ref_rep.total_modes
         assert max(rep.residual, ref_rep.residual) <= 1e-8
         assert abs(rep.residual - ref_rep.residual) <= 1e-13
     assert (rep.iterations == 0) == (potential == "zero")
@@ -481,7 +455,7 @@ def test_remainder_projected_modes_match_reference(grid8, box2_potentials, k, mo
     # a threshold between the fourth and fifth smallest |symbol| projects
     # four modes: the sweeps and the residual leave them out
     q = box2_potentials["bump"]
-    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), Variant.SINGLE_REFLECTION, 16.0,
+    rho = make_phase_pair((1.5, 0.75, -0.75), Variant.SINGLE_REFLECTION, 16.0,
                           k).rho1
     rel = _four_mode_projection(rho, q.grid)
     monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
@@ -505,7 +479,7 @@ def test_sweep_lipschitz_bounds_the_sweep_map(box2_potentials, variant, k, proje
     # K = mult F R F^-1, at a seeded random delta and at the power iterates
     # of K^H K from it, which come within a few times of L
     q = box2_potentials["bump"]
-    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
+    rho = make_phase_pair((1.5, 0.75, -0.75), variant, 16.0, k).rho1
     symbol = _box_symbol(rho, q.grid)
     rel = _four_mode_projection(rho, q.grid) if projected else cgo.PROJECTION_REL
     keep = np.abs(symbol) >= rel * float(np.sum(np.abs(rho) ** 2))
@@ -556,7 +530,7 @@ def _stopped_within_tolerance(rho, source, q):
 @pytest.mark.parametrize("k", [0.0, 1.5])
 def test_remainder_within_tolerance_of_the_fixed_point(grid8, box2_potentials, variant, k):
     q = box2_potentials["bump"]
-    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
+    rho = make_phase_pair((1.5, 0.75, -0.75), variant, 16.0, k).rho1
     rep, _, _ = _stopped_within_tolerance(rho, box_source(q, grid8), q)
     assert rep.residual <= cgo.RESIDUAL_TOL
 
@@ -568,7 +542,7 @@ def test_bench_probe_stops_after_two_sweeps(geom, grid8, born_pair8, variant):
     # is not, so no third sweep runs only to confirm it
     ws = recovery.make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
     q = extend_even(born_pair8[0], ws.src1.grid)
-    rho = make_phase_pair(make_frame((1.5, 0.75, 0.0)), variant, 8.0, 0.0).rho1
+    rho = make_phase_pair((1.5, 0.75, 0.0), variant, 8.0, 0.0).rho1
     rep, tol, inc = _stopped_within_tolerance(rho, ws.src1, q)
     assert rep.iterations == 2 and inc > 100 * tol
     assert 0 < rep.residual <= cgo.RESIDUAL_TOL
@@ -576,7 +550,7 @@ def test_bench_probe_stops_after_two_sweeps(geom, grid8, born_pair8, variant):
 
 def test_remainder_contraction_error_matches_reference(geom, grid8, box2):
     qb = extend_even(fields.radial_bump_potential(grid8, geom, 400.0), box2)
-    pp = make_phase_pair(make_frame((1.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 1.0, 0.0)
+    pp = make_phase_pair((1.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 1.0, 0.0)
     with pytest.raises(ContractionError):
         _solve_remainder_reference(pp.rho1, qb)
     with pytest.raises(ContractionError):
@@ -601,7 +575,6 @@ def fft_counter(monkeypatch):
 
 def test_remainder_fft_budget(grid8, box2_potentials, fft_counter):
     q = box2_potentials["bump"]
-    frame = make_frame((2.0, -0.5, 1.0))
     # set-up: the first spectrum of the support block is a pruned DFT, for
     # a window wider than the block and for one that is the block
     windowed = box_source(q, grid8)
@@ -613,7 +586,7 @@ def test_remainder_fft_budget(grid8, box2_potentials, fft_counter):
     iterations = set()
     for k in KS:
         for param in (2.0, 8.0, 64.0):
-            pp = make_phase_pair(frame, Variant.DOUBLE_REFLECTION, param, k)
+            pp = make_phase_pair((2.0, -0.5, 1.0), Variant.DOUBLE_REFLECTION, param, k)
             for source in (windowed, bare):
                 psi, rep = solve_remainder(pp.rho1, source)
                 assert psi.grid == source.window_grid
@@ -621,7 +594,7 @@ def test_remainder_fft_budget(grid8, box2_potentials, fft_counter):
     assert len(iterations) > 1 and 0 not in iterations
     # a zero source transforms nothing
     zero = box_source(box2_potentials["zero"], grid8)
-    assert zero.zero and zero.spectrum is None
+    assert not zero.block and zero.spectrum is None
     _, rep = solve_remainder(pp.rho1, zero)
     assert rep.iterations == 0
     assert not any(fft_counter.values()), fft_counter
@@ -658,7 +631,7 @@ def test_parseval_residual_matches_full_box(grid8, box2_potentials, variant, k, 
     # is the block and on one whose window is wider; psi on the block comes
     # from the window transform in both
     q = box2_potentials["bump"]
-    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), variant, 16.0, k).rho1
+    rho = make_phase_pair((1.5, 0.75, -0.75), variant, 16.0, k).rho1
     if sweeps is not None:
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
         monkeypatch.setattr(cgo, "RESIDUAL_TOL", np.inf)
@@ -680,7 +653,7 @@ def test_parseval_residual_matches_full_box(grid8, box2_potentials, variant, k, 
 def test_projected_residual_matches_full_box(grid8, box2_potentials, sweeps, monkeypatch):
     # four projected modes keep the full-box formula
     q = box2_potentials["bump"]
-    rho = make_phase_pair(make_frame((1.5, 0.75, -0.75)), Variant.SINGLE_REFLECTION, 16.0,
+    rho = make_phase_pair((1.5, 0.75, -0.75), Variant.SINGLE_REFLECTION, 16.0,
                           0.0).rho1
     rel = _four_mode_projection(rho, q.grid)
     monkeypatch.setattr(cgo, "PROJECTION_REL", rel)
@@ -703,7 +676,7 @@ def test_residual_of_a_window_grown_to_the_block(box2_potentials, sweeps, monkey
     source = box_source(q, NEAR_ORIGIN)
     assert source.window == source.block
     assert source.block_in_window == tuple(slice(0, b.stop - b.start) for b in source.block)
-    rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), Variant.DOUBLE_REFLECTION, 16.0,
+    rho = make_phase_pair((2.0, -0.5, 1.0), Variant.DOUBLE_REFLECTION, 16.0,
                           0.0).rho1
     if sweeps is not None:  # None: run to convergence
         monkeypatch.setattr(cgo, "MAX_SWEEPS", sweeps)
@@ -739,7 +712,7 @@ def test_converged_solve_transform_count(grid8, box2_potentials):
     # window wider than the block (grid8) and for one that is the block
     q = box2_potentials["bump"]
     for variant in Variant:
-        rho = make_phase_pair(make_frame((2.0, -0.5, 1.0)), variant, 8.0, 1.5).rho1
+        rho = make_phase_pair((2.0, -0.5, 1.0), variant, 8.0, 1.5).rho1
         for eval_grid in (grid8, NEAR_ORIGIN):
             source, calls = _traced(box_source(q, eval_grid))
             _, rep = solve_remainder(rho, source)
@@ -776,7 +749,7 @@ def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
     q = GridField(box, values)
     xi = rng.uniform(-2.0, 2.0, 3)
     xi[0] += 1.0 if xi[0] >= 0 else -1.0
-    pp = make_phase_pair(make_frame(xi), variant, 8.0, k)
+    pp = make_phase_pair(xi, variant, 8.0, k)
     try:
         ref, ref_rep = _solve_remainder_reference(pp.rho1, q)
     except ContractionError:
@@ -790,7 +763,6 @@ def test_remainder_support_block_matches_reference(lo, width, k, variant, seed):
             <= 1e-12 * np.max(np.abs(ref.values)))
     assert rep.iterations == ref_rep.iterations
     assert rep.projected_modes == ref_rep.projected_modes
-    assert rep.total_modes == ref_rep.total_modes
 
 
 def _stencil_nodes(box, eval_grid, axis):
@@ -855,7 +827,7 @@ def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, 
     assert not source.window_grid.periodic
     xi = rng.uniform(-2.0, 2.0, 3)
     xi[0] += 1.0 if xi[0] >= 0 else -1.0
-    pp = make_phase_pair(make_frame(xi), variant, 8.0, k)
+    pp = make_phase_pair(xi, variant, 8.0, k)
     try:
         full, full_rep = _solve_remainder_reference(pp.rho1, q)
     except ContractionError:
@@ -869,7 +841,6 @@ def test_remainder_window_matches_whole_box(lo, width, eval_origin, eval_cells, 
     assert np.max(np.abs(psi.values - full.values[source.window])) <= 1e-12 * scale
     assert rep.iterations == full_rep.iterations
     assert rep.projected_modes == full_rep.projected_modes
-    assert rep.total_modes == full_rep.total_modes
     # the window holds every node the stencils read
     for got, want in zip(interpolate_box(psi, eval_grid, True), interpolate_box(full, eval_grid, True)):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -897,24 +868,25 @@ def test_probe_vanishes_on_bottom_plate(geom, grid8, bump8, box):
     q1b = extend_even(bump8, box)
     for variant in Variant:
         q2 = extend_even(bump8, box) if variant is Variant.DOUBLE_REFLECTION else q2b
-        pp = make_phase_pair(make_frame((1.2, 0.5, -0.8)), variant, 4.0, 0.0)
-        probe = offset_probe(build_probe(grid8, pp, box_source(q1b, grid8),
+        pp = make_phase_pair((1.2, 0.5, -0.8), variant, 4.0, 0.0)
+        probe = offset_probe(build_probe(pp, box_source(q1b, grid8),
                                          box_source(q2, grid8)))
         assert np.max(np.abs(probe.u1.values[:, :, 0])) == 0.0
         if variant is Variant.DOUBLE_REFLECTION:
             assert np.max(np.abs(probe.u2.values[:, :, 0])) == 0.0
 
 
-def test_probe_rejects_sources_for_another_eval_grid(geom, grid8, box):
+def test_probe_rejects_sources_for_another_eval_grid(geom, grid8, box, box2):
+    # a probe lives on the evaluation grid of its sources, which must share
+    # it and their box grid
     zb = extend_trivial(fields.zero_potential(grid8, geom), box)
-    pp = make_phase_pair(make_frame((1.2, 0.5, -0.8)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
+    zb2 = extend_trivial(fields.zero_potential(grid8, geom), box2)
+    pp = make_phase_pair((1.2, 0.5, -0.8), Variant.SINGLE_REFLECTION, 4.0, 0.0)
     other = Grid3(4, 4, 4, 0.25, (-0.5, -0.5, 0.0))
-    with pytest.raises(FieldError, match="evaluation grid"):
-        build_probe(other, pp, box_source(zb, grid8), box_source(zb, grid8))
-    # both sources must be prepared for it
-    with pytest.raises(FieldError, match="evaluation grid"):
-        build_probe(other, pp, box_source(zb, other), box_source(zb, grid8))
-    probe = build_probe(other, pp, box_source(zb, other), box_source(zb, other))
+    for src2 in (box_source(zb, grid8), box_source(zb2, other)):
+        with pytest.raises(FieldError, match="share one box grid and one evaluation grid"):
+            build_probe(pp, box_source(zb, other), src2)
+    probe = build_probe(pp, box_source(zb, other), box_source(zb, other))
     assert probe.eval_grid == other
     assert probe.w1.shape == probe.w1_star.shape == probe.w2.shape == other.node_shape
 
@@ -923,9 +895,9 @@ def test_probe_free_case_closed_form(geom, grid8, box):
     # q1 = q2 = 0, k = 0: remainders vanish and the probe product reduces to
     # pure exponentials
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
-    fr = make_frame((1.0, 0.8, 0.6))
-    pp = make_phase_pair(fr, Variant.SINGLE_REFLECTION, 3.0, 0.0)
-    built = build_probe(grid8, pp, zero, zero)
+    pp = make_phase_pair((1.0, 0.8, 0.6), Variant.SINGLE_REFLECTION, 3.0, 0.0)
+    xi_1e = np.hypot(*pp.xi[:2])
+    built = build_probe(pp, zero, zero)
     assert built.report1.l2 == built.report2.l2 == 0.0
     probe = offset_probe(built)
     rng = np.random.default_rng(31)
@@ -938,17 +910,17 @@ def test_probe_free_case_closed_form(geom, grid8, box):
     prod = (probe.u1.values[idx] * probe.u2.values[idx]
             * np.exp(probe.u1.log_offset + probe.u2.log_offset))
     for point, got in zip(pts, prod):
-        direct = np.exp(1j * point @ fr.xi)
-        x1e = point[:2] @ fr.e1[:2]
-        reflected = np.exp(1j * x1e * fr.xi_1e - 2 * pp.param * fr.xi_1e * point[2])
+        direct = np.exp(1j * point @ pp.xi)
+        x1e = point[:2] @ pp.xi[:2] / xi_1e
+        reflected = np.exp(1j * x1e * xi_1e - 2 * pp.param * xi_1e * point[2])
         assert abs(got - (direct - reflected)) < 1e-10 * max(1.0, abs(direct - reflected))
 
 
 def test_exponential_factorization(geom, grid8, box):
     # exp(x.rho1) exp(x.rho2) = exp(i x.xi) at every node
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
-    pp = make_phase_pair(make_frame((2.0, -1.0, 1.5)), Variant.SINGLE_REFLECTION, 9.0, 0.0)
-    built = build_probe(grid8, pp, zero, zero)
+    pp = make_phase_pair((2.0, -1.0, 1.5), Variant.SINGLE_REFLECTION, 9.0, 0.0)
+    built = build_probe(pp, zero, zero)
     probe = offset_probe(built)
     x, y, z = grid8.node_coords()
     phase = np.exp(1j * (x * pp.xi[0] + y * pp.xi[1] + z * pp.xi[2]))
@@ -979,7 +951,7 @@ def test_exp_terms_separable_matches_direct(grid8, box, variant, param):
     psi = GridField(box, 0.1 * _random_box_field(box, 5).values)
     factors = ((one, one), tuple(1.0 + w for w in interpolate_box(psi, grid8, True)))
     for xi in ((1.5, 0.75, -0.75), (-2.0, 1.0, 2.0), (0.0, 1.0, 0.0)):
-        pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
+        pp = make_phase_pair(xi, variant, param, 0.0)
         for rho in (pp.rho1, pp.rho2):
             for w, mirror in factors:
                 for w_star in (None, mirror):
@@ -1067,7 +1039,7 @@ def test_probe_window_interpolates_like_the_box(geom, grid8, born_pair8):
     source = box_source(extend_even(born_pair8[0], box), grid8)
     assert not source.window_grid.periodic
     assert all(w.stop - w.start < n for w, n in zip(source.window, box.node_shape))
-    pp = make_phase_pair(make_frame((2.0, 0.5, -1.0)), Variant.SINGLE_REFLECTION, 8.0, 0.0)
+    pp = make_phase_pair((2.0, 0.5, -1.0), Variant.SINGLE_REFLECTION, 8.0, 0.0)
     psi, _ = solve_remainder(pp.rho1, source)
     full, _ = _solve_remainder_reference(pp.rho1, extend_even(born_pair8[0], box))
     scale = np.max(np.abs(full.values))
@@ -1088,9 +1060,9 @@ def test_tau_second_remainder_interpolated_at_the_direct_nodes_only(geom, grid8,
         return pruned(arr, mats)
 
     monkeypatch.setattr(cgo, "_pruned_dft", recorded)
-    pp = make_phase_pair(make_frame((1.0, -1.0, 0.5)), Variant.SINGLE_REFLECTION, 8.0, 0.0)
+    pp = make_phase_pair((1.0, -1.0, 0.5), Variant.SINGLE_REFLECTION, 8.0, 0.0)
     src2 = box_source(extend_trivial(bump8, box), grid8)
-    probe = build_probe(grid8, pp, box_source(extend_even(bump8, box), grid8), src2)
+    probe = build_probe(pp, box_source(extend_even(bump8, box), grid8), src2)
     nz = grid8.node_shape[2]
     assert rows[-2:] == [2 * nz, nz] and probe.w2_star is None  # the remainder solves come first
     psi2, _ = solve_remainder(pp.rho2, src2)
@@ -1129,7 +1101,7 @@ def test_calibrate_min_param_doubles_c0(geom, grid8):
     box = build_box_grid(geom, grid8, coarsen=2)
     qb = extend_even(fields.radial_bump_potential(grid8, geom, 1000.0), box)
     assert calibrate_min_param([qb], grid8, 0.5, [0.75]) == (4, 4.0)
-    pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 2.0, 0.5)
+    pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 2.0, 0.5)
     with pytest.raises(ContractionError):
         solve_remainder(pp.rho1, box_source(qb, grid8))
     with pytest.raises(ContractionError, match="C0=2"):
@@ -1138,8 +1110,8 @@ def test_calibrate_min_param_doubles_c0(geom, grid8):
 
 def test_exponential_probe_matches_build(geom, grid8, box):
     zero = box_source(extend_trivial(fields.zero_potential(grid8, geom), box), grid8)
-    pp = make_phase_pair(make_frame((1.0, 0.4, 0.2)), Variant.SINGLE_REFLECTION, 2.0, 0.0)
-    built = build_probe(grid8, pp, zero, zero)
+    pp = make_phase_pair((1.0, 0.4, 0.2), Variant.SINGLE_REFLECTION, 2.0, 0.0)
+    built = build_probe(pp, zero, zero)
     pure = exponential_probe(grid8, pp)
     assert built.w2_star is pure.w2_star is None
     for name in ("w1", "w1_star", "w2"):
@@ -1159,8 +1131,8 @@ def test_product_matches_offset_reference(geom, grid8, bump8, box, variant, para
     extend2 = extend_even if variant is Variant.DOUBLE_REFLECTION else extend_trivial
     q2b = box_source(extend2(bump8, box), grid8)
     for xi in ((1.0, -1.0, 0.5), (0.0, 1.0, 0.0), (2.0, 0.0, 1.0)):
-        pp = make_phase_pair(make_frame(xi), variant, param, 0.0)
-        probe = build_probe(grid8, pp, q1b, q2b)
+        pp = make_phase_pair(xi, variant, param, 0.0)
+        probe = build_probe(pp, q1b, q2b)
         assert probe.report1.l2 > 0 and probe.report2.l2 > 0
         ref = offset_probe(probe)
         off = ref.u1.log_offset + ref.u2.log_offset

@@ -622,10 +622,10 @@ def test_recover_fits_lines_on_successful_samples(workdir, capsys, monkeypatch):
     mate = (-samples[1][0], -samples[1][1], 0.0)
     orig = recovery.build_probe
 
-    def probe(eval_grid, phase, *args, **kwargs):
+    def probe(phase, *args, **kwargs):
         if tuple(phase.xi) == samples[1]:
             raise cgo.ContractionError("remainder iteration is not contracting")
-        return orig(eval_grid, phase, *args, **kwargs)
+        return orig(phase, *args, **kwargs)
 
     monkeypatch.setattr(recovery, "build_probe", probe)
     summary, rows = _recover_cli(workdir, capsys, "recover_skip", _CONTINUED)
@@ -657,10 +657,10 @@ def test_recover_skips_lines_whose_fit_fails(workdir, capsys, monkeypatch):
     failing = (float(1.5 * d), float(1.5 * d), 0.0)
     orig_probe, orig_extend = recovery.build_probe, recovery.low_freq_extend
 
-    def probe(eval_grid, phase, *args, **kwargs):
+    def probe(phase, *args, **kwargs):
         if tuple(phase.xi) == failing:
             raise cgo.ContractionError("remainder iteration is not contracting")
-        return orig_probe(eval_grid, phase, *args, **kwargs)
+        return orig_probe(phase, *args, **kwargs)
 
     monkeypatch.setattr(recovery, "build_probe", probe)
     summary, rows = _recover_cli(workdir, capsys, "recover_all", _CONTINUED)
@@ -1064,6 +1064,21 @@ def test_recover_without_annulus_estimates_fails(workdir, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("recovery failed: none of the ") and err.count("\n") == 1
     assert not (workdir["tmp"] / "none.csv").exists()
+
+
+@pytest.mark.parametrize("spacing, side", [("1e-300", "4.5e+300"), ("5e-324", "inf")])
+def test_recover_rejects_a_spacing_with_too_many_frequencies(workdir, capsys, spacing, side):
+    # one error line, no traceback from allocating the frequency grid; the
+    # subnormal spacing overflows the span to inf
+    out = workdir["tmp"] / "tiny_spacing.csv"
+    rc = cli.main(["recover", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
+                   "--variant", "thm2", "--r", "2.25", "--param", "8", "--lambda", "0.4",
+                   "--spacing", spacing, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"recovery failed: spacing {float(spacing):g} at r = 2.25 asks for {side}^3 "
+                   "frequency points, more than the 100000000 guard\n")
+    assert not out.exists()
 
 
 def test_recover_zero_star_norm_fails(workdir, capsys):

@@ -389,7 +389,7 @@ def test_runge_probe_target_refinement_study(geom, bump8):
     # data in the admissible patch: residual improves under grid refinement
     # and under smaller regularization
     from slabinv import cgo
-    from slabinv.cgo import Variant, make_frame, make_phase_pair
+    from slabinv.cgo import Variant, make_phase_pair
 
     residuals = {}
     for target_h, n_modes in ((0.25, 3), (0.125, 6)):
@@ -398,8 +398,8 @@ def test_runge_probe_target_refinement_study(geom, bump8):
         box = cgo.build_box_grid(geom, grid)
         q1_even = fields.extend_even(q1, box)
         q2_triv = fields.extend_trivial(fields.zero_potential(grid, geom), box)
-        pp = make_phase_pair(make_frame((1.0, 0.5, 0.0)), Variant.SINGLE_REFLECTION, 2.0, 0.0)
-        u1 = offset_probe(cgo.build_probe(grid, pp, cgo.box_source(q1_even, grid),
+        pp = make_phase_pair((1.0, 0.5, 0.0), Variant.SINGLE_REFLECTION, 2.0, 0.0)
+        u1 = offset_probe(cgo.build_probe(pp, cgo.box_source(q1_even, grid),
                                           cgo.box_source(q2_triv, grid))).u1
         target = GridField(grid, u1.values * np.exp(u1.log_offset))
         opq = HelmholtzOperator(grid, geom, 0.0, q1)

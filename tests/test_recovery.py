@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    adapted_frame,
+    bottom_bump_potential,
     bounds_consistent,
     exponential_probe,
     offset_probe,
@@ -11,7 +13,7 @@ from conftest import (
 )
 
 from slabinv import cgo, fields, recovery
-from slabinv.cgo import Variant, make_frame, make_phase_pair
+from slabinv.cgo import Variant, make_phase_pair
 from slabinv.recovery import (
     ContinuationConfig,
     ContinuationError,
@@ -73,15 +75,15 @@ def integral_pairing(qdiff_field, a, b):
 
 def test_pairing_zero_for_equal_potentials(geom, grid8, bump8, ws_single):
     ws = make_workspace(bump8, bump8, 0.0, Variant.SINGLE_REFLECTION)
-    pp = make_phase_pair(make_frame((2.0, 0.0, 0.0)), Variant.SINGLE_REFLECTION, 4.0, 0.0)
-    probe = offset_probe(cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2))
+    pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 4.0, 0.0)
+    probe = offset_probe(cgo.build_probe(pp, ws.src1, ws.src2))
     assert integral_pairing(ws.qdiff, probe.u1, probe.u2) == 0
 
 
 def test_pairing_plane_wave_oracle(ws_single):
     # remainders forced to zero and no reflection: the pairing is exactly the
     # trapezoid transform at xi
-    pp = make_phase_pair(make_frame((1.5, -0.5, 0.5)), Variant.SINGLE_REFLECTION, 5.0, 0.0)
+    pp = make_phase_pair((1.5, -0.5, 0.5), Variant.SINGLE_REFLECTION, 5.0, 0.0)
     probe = offset_probe(exponential_probe(ws_single.eval_grid, pp))
     got = integral_pairing(ws_single.qdiff, probe.u1_direct, probe.u2_direct)
     want = complex(fields.fourier_transform(ws_single.qdiff, [pp.xi])[0])
@@ -96,15 +98,15 @@ def test_pairing_decay_in_param(geom, grid16):
     # exp(-2 tau xi_1e x3): the 1/tau rate needs a difference that does not
     # vanish on the bottom plate and a sweep whose layer width 1/(2 tau
     # xi_1e) stays resolved by the grid
-    q1 = fields.radial_bump_potential(grid16, geom, 1e-3, z_profile="bottom")
+    q1 = bottom_bump_potential(grid16, geom, 1e-3)
     q2 = fields.zero_potential(grid16, geom)
     ws = make_workspace(q1, q2, 0.0, Variant.SINGLE_REFLECTION)
     xi = (1.0, 0.0, 0.0)
     errs, params = [], (1.0, 1.5, 2.25, 3.375)
     want = true_transform(ws, xi)
     for param in params:
-        pp = make_phase_pair(make_frame(xi), Variant.SINGLE_REFLECTION, param, 0.0)
-        probe = offset_probe(cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2))
+        pp = make_phase_pair(xi, Variant.SINGLE_REFLECTION, param, 0.0)
+        probe = offset_probe(cgo.build_probe(pp, ws.src1, ws.src2))
         errs.append(abs(integral_pairing(ws.qdiff, probe.u1, probe.u2) - want))
     slope = np.polyfit(np.log(params), np.log(errs), 1)[0]
     assert -1.3 <= slope <= -0.7
@@ -145,8 +147,8 @@ def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
     assert any(canonical_frequency(xi)[1] for xi in xis)
     for xi in xis:
         canon, mate = canonical_frequency(xi)
-        pp = make_phase_pair(make_frame(canon), variant, param, 0.0)
-        probe = offset_probe(cgo.build_probe(ws.eval_grid, pp, ws.src1, ws.src2))
+        pp = make_phase_pair(canon, variant, param, 0.0)
+        probe = offset_probe(cgo.build_probe(pp, ws.src1, ws.src2))
         want = integral_pairing(ws.qdiff, probe.u1, probe.u2)
         want += integral_pairing(ws.qdiff, probe.u1_reflected, probe.u2_direct)
         if variant is Variant.DOUBLE_REFLECTION:
@@ -320,7 +322,7 @@ def test_mate_is_bitwise_conjugate_in_any_batch(born_pair8, variant):
 
 def _direct_estimate(ws, phase):
     """The fused estimate from a probe pair built at the phase's own frequency."""
-    probe = offset_probe(cgo.build_probe(ws.eval_grid, phase, ws.src1, ws.src2))
+    probe = offset_probe(cgo.build_probe(phase, ws.src1, ws.src2))
     total = integral_pairing(ws.qdiff, probe.u1_direct, probe.u2_direct)
     if ws.variant is Variant.DOUBLE_REFLECTION:
         total += integral_pairing(ws.qdiff, probe.u1_reflected, probe.u2_reflected)
@@ -329,15 +331,14 @@ def _direct_estimate(ws, phase):
 
 def _alpha_pair_reversed(xi, alpha, k):
     """Alpha-family phases at xi with parameter alpha (of either sign) in the
-    frame whose e2 is e1 x e3, the opposite of `make_frame`'s."""
-    frame = make_frame(xi)
-    frame = cgo.Frame(frame.xi, frame.xi_1e, frame.e1, -frame.e2, frame.e3)
-    xi_1e, xi3, xin = frame.xi_1e, float(xi[2]), frame.xi_norm
+    frame whose e2 is e1 x e3, the opposite of `make_phase_pair`'s."""
+    e1, e2, e3 = adapted_frame(xi)
+    xi_1e, xi3, xin = math.hypot(xi[0], xi[1]), float(xi[2]), float(np.linalg.norm(xi))
     root = math.sqrt(alpha * alpha + 0.25 - (k / xin) ** 2)
     c1 = (1j * (xi_1e / 2 - alpha * xi3), -root * xin, 1j * (xi3 / 2 + alpha * xi_1e))
     c2 = (1j * (xi_1e / 2 + alpha * xi3), root * xin, 1j * (xi3 / 2 - alpha * xi_1e))
-    return cgo.PhasePair(Variant.DOUBLE_REFLECTION, alpha, frame, frame.to_ambient(c1),
-                         frame.to_ambient(c2), k)
+    rho1, rho2 = (a * e1 + b * -e2 + c * e3 for a, b, c in (c1, c2))
+    return cgo.PhasePair(Variant.DOUBLE_REFLECTION, alpha, np.array(xi), rho1, rho2, k)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -353,10 +354,10 @@ def test_mate_matches_direct_estimate_at_minus_xi(born_pair8, variant):
     assert len(mates) == 50 and len(res.estimates) == 50
     for xi in mates:
         if variant is Variant.SINGLE_REFLECTION:
-            phase = make_phase_pair(make_frame(xi), variant, 8.0, 0.0)
+            phase = make_phase_pair(xi, variant, 8.0, 0.0)
         else:
             phase = _alpha_pair_reversed(xi, -8.0, 0.0)
-        canon = make_phase_pair(make_frame(canonical_frequency(xi)[0]), variant, 8.0, 0.0)
+        canon = make_phase_pair(canonical_frequency(xi)[0], variant, 8.0, 0.0)
         assert np.array_equal(phase.rho1, np.conj(canon.rho1))
         assert np.array_equal(phase.rho2, np.conj(canon.rho2))
         want = _direct_estimate(ws, phase)
@@ -369,8 +370,7 @@ def test_bench_annulus_builds_one_probe_per_pair(born_pair8, variant, monkeypatc
     built = []
     orig = recovery.build_probe
     monkeypatch.setattr(recovery, "build_probe",
-                        lambda grid, phase, *a: built.append(tuple(phase.xi))
-                        or orig(grid, phase, *a))
+                        lambda phase, *a: built.append(tuple(phase.xi)) or orig(phase, *a))
     xis = build_frequency_set(2.25, 0.75).annulus
     res = estimate_fhat_annulus(ws, 8.0, xis)
     assert len(res.estimates) == len(xis) == 100 and not res.failed
@@ -383,11 +383,11 @@ def test_canonical_failure_recorded_at_both_members(ws_single, monkeypatch):
     built = []
     orig = recovery.build_probe
 
-    def probe(grid, phase, *args):
+    def probe(phase, *args):
         built.append(tuple(phase.xi))
         if tuple(phase.xi) == xi:
             raise cgo.ContractionError("remainder iteration is not contracting")
-        return orig(grid, phase, *args)
+        return orig(phase, *args)
 
     monkeypatch.setattr(recovery, "build_probe", probe)
     res = estimate_fhat_annulus(ws_single, 8.0, [neg, (2.0, 0.0, 0.0), xi])
