@@ -126,22 +126,22 @@ BOX_PADDING = 0.5
 
 
 def build_box_grid(geom: SlabGeometry, omega_grid: Grid3, coarsen: int = 1) -> Grid3:
-    """Periodic cube containing the domain and its mirror image, node-aligned.
+    """Periodic box containing the domain and its mirror image, node-aligned.
 
-    The cube is centred at the origin (so reflection is node-exact), its
-    half-width is (1 + BOX_PADDING) max(lateral half-width, L), and its
-    spacing is an integer multiple of the domain spacing (so potential
-    extensions copy node values instead of interpolating).
+    The box is centred at the origin (so reflection is node-exact) and each
+    axis pads its own extent: the half-widths are (1 + BOX_PADDING) times
+    the lateral half-width on x1 and x2 and times L on x3, where the slab
+    and its mirror span |x3| <= L.  The spacing is an integer multiple of
+    the domain spacing (so potential extensions copy node values instead of
+    interpolating).
     """
     if coarsen < 1:
         raise ValueError("coarsen must be a positive integer")
     h_b = omega_grid.h * coarsen
-    lateral_half = -omega_grid.origin[0]
-    need = max(lateral_half, geom.L) * (1.0 + BOX_PADDING)
-    half_cells = math.ceil(need / h_b - 1e-12)
-    n = 2 * half_cells
-    o = -half_cells * h_b
-    return Grid3(n, n, n, h_b, (o, o, o), periodic=True)
+    half_cells = [math.ceil(extent * (1.0 + BOX_PADDING) / h_b - 1e-12)
+                  for extent in (-omega_grid.origin[0], -omega_grid.origin[1], geom.L)]
+    return Grid3(*(2 * m for m in half_cells), h_b, tuple(-m * h_b for m in half_cells),
+                 periodic=True)
 
 
 # -- remainder solves -----------------------------------------------------------
@@ -156,7 +156,10 @@ class RemainderReport:
     residual: float
 
 
-LATTICE_SHIFT = (0.0, 0.0, 0.5)
+# the box lattice's shift in cells per axis: lateral fractions with no
+# rational relation keep every mode off the critical line zeta = t xi, and
+# the vertical 1/2, its own negative mod 1, keeps the reflection exact
+LATTICE_SHIFT = (0.309, 0.118, 0.5)
 MAX_SWEEPS = 400
 RESIDUAL_TOL = 1e-8
 PROJECTION_REL = 1e-8
@@ -310,16 +313,14 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     inverse Fourier symbol 1/(|zeta|^2 - 2 i rho . zeta) is applied with any
     remaining zero mode and any mode with |symbol| < PROJECTION_REL * |rho|^2
     removed, the mask and the inverse conj(symbol) / |symbol|^2 both from
-    |symbol|^2 in real arithmetic.  The frequency lattice is shifted by half
-    a cell in the vertical axis (antiperiodic representation): the symbol
-    vanishes identically at zeta = -xi and stays order-one along the whole
-    line zeta = t xi for every parameter value, so an unshifted lattice,
-    which holds zeta = 0 on that line, pins the remainder norm at a
-    parameter-independent floor.  The shifted lattice restores the expected
-    decay for most xi, but not for all: a cube still has modes on the line
-    where, for some integer j, (j + 1/2) xi_1 / xi_3 and (j + 1/2) xi_2 /
-    xi_3 are both integers, such as xi = (1.5, 0, 0.75) and (1.5, 1.5, 0.75),
-    and those xi keep a floor.  At most MAX_SWEEPS sweeps run.  Raises
+    |symbol|^2 in real arithmetic.  The symbol of the first probe is
+    |xi|^2 t (t + 1) on the critical line zeta = t xi at every parameter, so
+    a lattice mode on that line pins the remainder norm at a
+    parameter-independent floor.  The lattice is therefore shifted by
+    LATTICE_SHIFT cells: lateral fractions with no rational relation, which
+    no frequency with rational component ratios lines up with, and 1/2 on
+    the vertical axis, its own negative mod 1, which keeps zeta = 0 off the
+    line and the reflection exact.  At most MAX_SWEEPS sweeps run.  Raises
     ContractionError when increments grow over five consecutive sweeps or
     the final relative residual exceeds RESIDUAL_TOL, and ProjectionError
     when more than 0.1 percent of the modes are removed.
@@ -332,9 +333,12 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
     that norm with constant at most L = max|r| sqrt(min(max |1/s|^2, n_src
     sum |1/s|^2 / N)), s the symbol over the kept modes and n_src the
     nonzero source nodes.  The iteration stops once inc <= tol = 1e-14
-    max(1, l2) or L inc <= (1 - L) tol: by Banach's a-posteriori bound
-    |psi_hat - psi_hat*| <= L inc / (1 - L), psi_hat is then within tol of
-    the fixed point, with no sweep run only to confirm it.  The stop rule
+    max(1, l2) or, from the second sweep on, L inc <= (1 - L) tol: by
+    Banach's a-posteriori bound |psi_hat - psi_hat*| <= L inc / (1 - L),
+    psi_hat is then within tol of the fixed point, with no sweep run only to
+    confirm it.  L stops no solve at its first sweep: that sweep's residual
+    below is the remainder's own relative size, which can exceed
+    RESIDUAL_TOL however small L is.  The stop rule
     is tested before each sweep's pair of transforms, so the last psi_hat
     pays for none; one pruned inverse DFT takes it onto the window.
     Without projected modes symbol * psi_hat is the previous spectrum, so
@@ -401,7 +405,7 @@ def solve_remainder(rho: np.ndarray, source: BoxSource) -> tuple[GridField, Rema
             grew = 0
         prev_inc = inc
         tol = 1e-14 * max(1.0, l2)
-        if inc <= tol or lip * inc <= (1.0 - lip) * tol or it == MAX_SWEEPS:
+        if inc <= tol or (it > 1 and lip * inc <= (1.0 - lip) * tol) or it == MAX_SWEEPS:
             break
         phi = to_block(psi_hat)
         spec = from_block(rhs_blk + rhs_blk * phi)

@@ -47,7 +47,7 @@ from .fields import (
     quadrature_weights,
 )
 from .dnmap import measurement_pair, op_norm_star
-from .geometry import MAX_NODES, Grid3, Plate, SlabGeometry
+from .geometry import Grid3, Plate, SlabGeometry
 
 logger = logging.getLogger(__name__)
 
@@ -93,33 +93,38 @@ class FrequencySet:
     axis: tuple
 
 
+MAX_FREQUENCIES = 10**6  # about 0.15 GB of frequency tuples
+
+
 def build_frequency_set(r: float, spacing: float = 0.25) -> FrequencySet:
+    """The frequencies spacing * (i, j, l) with |xi'| < r and |xi_3| < r,
+    ordered by (i, j, l).  RecoveryError when more than MAX_FREQUENCIES
+    would be kept, counted before any is made."""
     if r <= 2:
         raise RecoveryError("frequency radius must exceed 2")
-    # n spacings stay below r - 1e-12, so |xi_3| < r; the grid has side^3
-    # points, side = 2 n + 1 (inf where a tiny spacing overflows the span)
+    # n spacings stay below r - 1e-12, so |xi_3| < r; each axis has side =
+    # 2 n + 1 values (inf where a tiny spacing overflows the span)
     span = (r - 1e-12) / spacing
     side = 2 * math.floor(span) + 1 if span < math.inf else span
-    if side ** 3 > MAX_NODES:
-        raise RecoveryError(f"spacing {spacing:g} at r = {r:g} asks for {side:.4g}^3 frequency "
-                            f"points, more than the {MAX_NODES} guard")
-    n = (side - 1) // 2
-    vals = spacing * np.arange(-n, n + 1)
-    annulus, low, axis = [], [], []
-    for x1 in vals:
-        for x2 in vals:
-            x1e = math.hypot(x1, x2)
-            if x1e >= r:
-                continue
-            for x3 in vals:
-                xi = (float(x1), float(x2), float(x3))
-                if x1e >= 1.0 - 1e-12:
-                    annulus.append(xi)
-                elif x1e > 1e-12:
-                    low.append(xi)
-                else:
-                    axis.append(xi)
-    return FrequencySet(tuple(annulus), tuple(low), tuple(axis))
+    # the line xi_1 = 0 lies in the disc, so at least side^2 are kept
+    count = side ** 2
+    if count <= MAX_FREQUENCIES:
+        n = (side - 1) // 2
+        vals = spacing * np.arange(-n, n + 1)
+        x1e = np.hypot(vals[:, None], vals[None, :])
+        i1, i2 = np.nonzero(x1e < r)
+        count = len(i1) * side
+    if count > MAX_FREQUENCIES:
+        raise RecoveryError(f"spacing {spacing:g} at r = {r:g} keeps more than "
+                            f"{MAX_FREQUENCIES} frequencies ({side:.4g} per axis)")
+    lateral = x1e[i1, i2]
+    kinds = (lateral >= 1.0 - 1e-12, (lateral > 1e-12) & (lateral < 1.0 - 1e-12),
+             lateral <= 1e-12)
+    sets = []
+    for kind in kinds:
+        axes = np.broadcast_arrays(vals[i1[kind], None], vals[i2[kind], None], vals)
+        sets.append(tuple(zip(*(a.ravel().tolist() for a in axes))))
+    return FrequencySet(*sets)
 
 
 # -- annulus estimation ------------------------------------------------------------
@@ -216,11 +221,12 @@ def estimate_fhat_annulus(ws: ProbeWorkspace, param: float, xis) -> AnnulusResul
     the mate is the complex conjugate.  As q and k are real this is exact in
     the continuum: rho_j(-xi) = conj rho_j(xi) (tau-family), and conj
     rho_j(xi) is the alpha pair at -xi with -alpha in the e2-reversed frame.
-    On the box lattice the remainders differ from conjugates only on the
-    lateral Nyquist planes, which have no partner; at the benchmark settings
-    a mate differs from the direct estimate at -xi by <= 1.3e-10 |F| (tau)
-    and 7.3e-6 |F| (alpha, the other-sign-alpha estimate).  No estimate
-    depends on its batch.  A failure is recorded at both members and skipped.
+    Conjugation also negates the box lattice's shift (theta1, theta2, 1/2),
+    so a mate is the estimate at -xi on the mirrored lattice (-theta1,
+    -theta2, 1/2), up to the lateral Nyquist planes, which have no partner:
+    at the benchmark settings the two differ by <= 1.5e-10 |F| (tau) and
+    8e-11 |F| (alpha, the other-sign-alpha estimate).  No estimate depends
+    on its batch.  A failure is recorded at both members and skipped.
     """
     estimates: dict = {}
     failed: dict = {}

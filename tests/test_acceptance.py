@@ -138,8 +138,8 @@ def test_c04_dn_oracle(geom):
 
 def test_c05_remainder_decay(geom, grid8, bump8):
     t0 = time.time()
-    box = build_box_grid(geom, grid8)  # 48^3 at the default geometry
-    assert box.nx == box.ny == box.nz == 48
+    box = build_box_grid(geom, grid8)  # 48 x 48 x 24 at the default geometry
+    assert box.node_shape == (48, 48, 24)
     q1_even = extend_even(bump8, box)
     c0, tau1 = calibrate_min_param([q1_even], grid8, 0.0, [bump8.bound_M])
     taus = [tau1, 2 * tau1, 4 * tau1, 8 * tau1]

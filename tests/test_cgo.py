@@ -163,6 +163,9 @@ def test_box_geometry(geom, grid8, box):
     assert box.origin[2] <= -geom.L
     assert box.origin[2] + box.nz * box.h >= geom.L
     assert box.origin[0] <= grid8.origin[0]
+    # each axis pads its own extent: the lateral half-width, and L vertically
+    assert box.node_shape == (48, 48, 24)
+    assert box.origin == (1.5 * grid8.origin[0], 1.5 * grid8.origin[1], -1.5 * geom.L)
 
 
 def test_remainder_zero_rhs(grid8, box):
@@ -336,6 +339,41 @@ def _box_symbol(rho, grid):
     """|zeta|^2 - 2 i rho . zeta on the box's shifted lattice."""
     z0, z1, z2, zeta_sq = cgo._box_lattice(grid)
     return zeta_sq - 2j * (rho[0] * z0 + rho[1] * z1 + rho[2] * z2)
+
+
+def _smallest_first_symbol(grid, xis, variant, param, chunk=256):
+    """Per frequency, the smallest |symbol| of its first probe over the box's
+    lattice, in chunks of frequencies."""
+    z0, z1, z2, zeta_sq = cgo._box_lattice(grid)
+    zeta = np.stack(np.broadcast_arrays(z0, z1, z2), axis=-1).reshape(-1, 3)
+    out = []
+    for lo in range(0, len(xis), chunk):
+        rho = np.array([make_phase_pair(xi, variant, param, 0.0).rho1
+                        for xi in xis[lo:lo + chunk]])
+        re = zeta_sq.ravel() + (2 * rho.imag) @ zeta.T
+        im = (2 * rho.real) @ zeta.T
+        out.append(np.sqrt(np.min(re * re + im * im, axis=1)))
+    return np.concatenate(out)
+
+
+def test_no_lattice_mode_on_the_critical_line(geom, grid8):
+    # the first probe's symbol is |xi|^2 t (t + 1) on the line zeta = t xi at
+    # every parameter, so a lattice mode on that line would hold the smallest
+    # |symbol| fixed (0.59 and 1.07 at eight bench frequencies under a
+    # vertical-only shift).  Under the generic lateral shift it grows from
+    # parameter 8 to 1024 at every annulus frequency of the bench and
+    # criterion-6 sets, and its minimum over the set grows from 8 to 64 to
+    # 1024.  (From 8 to 64 alone it may dip at a single frequency: the symbol's
+    # zero circle grows with the parameter and passes other lattice modes.)
+    box = build_box_grid(geom, grid8, coarsen=2)
+    xis = sorted(set(recovery.build_frequency_set(2.25, 0.75).annulus)
+                 | set(recovery.build_frequency_set(3.0, 0.25).annulus))
+    assert len(xis) == 9016
+    for variant in Variant:
+        small = [_smallest_first_symbol(box, xis, variant, param)
+                 for param in (8.0, 64.0, 1024.0)]
+        assert np.all(small[2] > 2 * small[0])
+        assert small[0].min() < small[1].min() < small[2].min()
 
 
 def _four_mode_projection(rho, grid):
@@ -1097,10 +1135,11 @@ def test_calibrate_min_param(geom, grid8, bump8, box):
 
 def test_calibrate_min_param_doubles_c0(geom, grid8):
     # an amplitude-1000 bump against a bound of 0.75 at k = 0.5: the
-    # parameters C0 (M + k^2) = 1 and 2 do not contract, 4 does
+    # parameters C0 (M + k^2) = 1, 2 and 4 do not contract within MAX_SWEEPS
+    # on the slab-shaped box, 8 does
     box = build_box_grid(geom, grid8, coarsen=2)
     qb = extend_even(fields.radial_bump_potential(grid8, geom, 1000.0), box)
-    assert calibrate_min_param([qb], grid8, 0.5, [0.75]) == (4, 4.0)
+    assert calibrate_min_param([qb], grid8, 0.5, [0.75]) == (8, 8.0)
     pp = make_phase_pair((2.0, 0.0, 0.0), Variant.SINGLE_REFLECTION, 2.0, 0.5)
     with pytest.raises(ContractionError):
         solve_remainder(pp.rho1, box_source(qb, grid8))

@@ -1066,18 +1066,20 @@ def test_recover_without_annulus_estimates_fails(workdir, capsys, monkeypatch):
     assert not (workdir["tmp"] / "none.csv").exists()
 
 
-@pytest.mark.parametrize("spacing, side", [("1e-300", "4.5e+300"), ("5e-324", "inf")])
+@pytest.mark.parametrize("spacing, side", [("1e-300", "4.5e+300"), ("5e-324", "inf"),
+                                           ("0.00977", "461")])
 def test_recover_rejects_a_spacing_with_too_many_frequencies(workdir, capsys, spacing, side):
     # one error line, no traceback from allocating the frequency grid; the
-    # subnormal spacing overflows the span to inf
+    # subnormal spacing overflows the span to inf, and 461 per axis would
+    # keep about 7.7e7 frequencies
     out = workdir["tmp"] / "tiny_spacing.csv"
     rc = cli.main(["recover", "--config", str(workdir["cfg"]), "--q1", str(workdir["qpath"]),
                    "--variant", "thm2", "--r", "2.25", "--param", "8", "--lambda", "0.4",
                    "--spacing", spacing, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == (f"recovery failed: spacing {float(spacing):g} at r = 2.25 asks for {side}^3 "
-                   "frequency points, more than the 100000000 guard\n")
+    assert err == (f"recovery failed: spacing {float(spacing):g} at r = 2.25 keeps more than "
+                   f"1000000 frequencies ({side} per axis)\n")
     assert not out.exists()
 
 

@@ -37,7 +37,7 @@ def test_reflect_odd_even_fixed():
 def test_reflect_periodic_box_nodes(box):
     # on the periodic box the reflection is a node permutation; an odd
     # periodic profile negates exactly
-    per = box.nx * box.h
+    per = box.nz * box.h
     f = field_from_function(box, lambda x, y, z: np.sin(2 * np.pi * z / per)
                             + 0 * x + 0 * y)
     assert np.allclose(reflect(f).values, -f.values, atol=1e-15)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,42 @@ def test_frequency_set_windows():
         assert xi[0] == xi[1] == 0.0
     with pytest.raises(RecoveryError):
         build_frequency_set(2.0)
+
+
+def _frequency_set_by_loop(r, spacing):
+    """The three sets from a triple loop over the grid, in (i, j, l) order."""
+    n = math.floor((r - 1e-12) / spacing)
+    vals = spacing * np.arange(-n, n + 1)
+    annulus, low, axis = [], [], []
+    for x1 in vals:
+        for x2 in vals:
+            x1e = math.hypot(x1, x2)
+            if x1e >= r:
+                continue
+            kind = annulus if x1e >= 1.0 - 1e-12 else low if x1e > 1e-12 else axis
+            kind.extend((float(x1), float(x2), float(x3)) for x3 in vals)
+    return tuple(annulus), tuple(low), tuple(axis)
+
+
+@pytest.mark.parametrize("r, spacing", [(2.25, 0.75), (2.5, 0.5), (3.0, 0.25)])
+def test_frequency_set_matches_the_loop(r, spacing):
+    # the same points in the same order, as Python floats (repr tells -0.0
+    # and numpy scalars apart)
+    fs = build_frequency_set(r, spacing)
+    assert repr((fs.annulus, fs.low, fs.axis)) == repr(_frequency_set_by_loop(r, spacing))
+
+
+@pytest.mark.parametrize("spacing, side", [(2.25 / 60.5, 121), (0.00977, 461),
+                                           (2.25 / 600, 1199)])
+def test_frequency_set_refuses_too_many_frequencies_at_once(spacing, side):
+    # 121 per axis keep about 1.4e6 frequencies and 461 about 7.7e7 (a
+    # Python loop over them takes tens of seconds); 1199 per axis are
+    # refused from the count of the line xi_1 = 0 alone
+    start = time.perf_counter()
+    with pytest.raises(RecoveryError, match=rf"more than {recovery.MAX_FREQUENCIES} "
+                                            rf"frequencies \({side} per axis\)"):
+        build_frequency_set(2.25, spacing)
+    assert time.perf_counter() - start < 1.0
 
 
 # -- pairing ------------------------------------------------------------------------
@@ -158,12 +195,15 @@ def test_fused_estimate_matches_pairing_plus_cross_terms(born_pair8, variant):
         assert abs(res.estimates[xi] - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("param", [256.0, 1024.0])
+@pytest.mark.parametrize("param", [256.0, 384.0, 512.0, 640.0, 1024.0])
 @pytest.mark.parametrize("variant", list(Variant))
 def test_bench_annulus_estimated_at_large_param(born_pair8, variant, param):
     # the product of a probe pair is bounded at every parameter, so the
     # benchmark annulus is estimated in full where each probe's own
-    # exponential exceeds exp(700)
+    # exponential exceeds exp(700).  At these parameters L is small enough
+    # to certify a first sweep, whose residual is the remainder's own
+    # relative size and may exceed RESIDUAL_TOL; the Banach stop applies
+    # from the second sweep on, so no frequency fails
     ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
     xis = build_frequency_set(2.25, 0.75).annulus
     res = estimate_fhat_annulus(ws, param, xis)
@@ -342,16 +382,25 @@ def _alpha_pair_reversed(xi, alpha, k):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_mate_matches_direct_estimate_at_minus_xi(born_pair8, variant):
+def test_mate_matches_direct_estimate_at_minus_xi(born_pair8, variant, monkeypatch):
     # tau-family: rho_j(-xi) = conj rho_j(xi), so a mate is the direct
     # estimate at -xi; alpha-family: conj rho_j(xi) is the alpha pair at -xi
-    # with -alpha in the e2-reversed frame.  Both hold up to the lateral
+    # with -alpha in the e2-reversed frame.  Conjugation also negates the
+    # lattice shift (theta1, theta2, 1/2), so the direct estimates run on the
+    # mirrored lattice (-theta1, -theta2, 1/2).  Both hold up to the lateral
     # Nyquist planes of the box lattice.
     ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
     mates = [xi for xi in build_frequency_set(2.25, 0.75).annulus
              if canonical_frequency(xi)[1]]
     res = estimate_fhat_annulus(ws, 8.0, mates)
     assert len(mates) == 50 and len(res.estimates) == 50
+    theta1, theta2, vertical = cgo.LATTICE_SHIFT
+    monkeypatch.setattr(cgo, "LATTICE_SHIFT", (-theta1, -theta2, vertical))
+    cgo._box_lattice.cache_clear()
+    try:
+        ws = make_workspace(*born_pair8, 0.0, variant, box_coarsen=2)
+    finally:
+        cgo._box_lattice.cache_clear()
     for xi in mates:
         if variant is Variant.SINGLE_REFLECTION:
             phase = make_phase_pair(xi, variant, 8.0, 0.0)
